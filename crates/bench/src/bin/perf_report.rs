@@ -24,7 +24,7 @@ use skiptrain_data::synth::{MixtureSpec, MixtureTask};
 use skiptrain_energy::battery::{BatteryPolicy, BatterySetup, BatteryState};
 use skiptrain_energy::trace::{HarvestProfile, HarvestTrace};
 use skiptrain_engine::transport::{
-    corrupt_frame_in_place, decode_frame, decode_frame_into, encode_message_with, MessageFate,
+    corrupt_frame_in_place, decode_frame_into, encode_message_with, MessageFate,
 };
 use skiptrain_engine::{
     ChurnModel, CompressionPolicy, ComputeProfile, DecodeScratch, EncodeScratch, EventEngine,
@@ -540,7 +540,7 @@ fn main() {
     // in-place bit-flip, checksum verify failure, flip-back. Its
     // allocation proxy pins that the corruption decision and the checksum
     // reject are allocation-free (the flip is XOR-in-place against the
-    // live frame; `decode_frame`'s checksum-failure path allocates
+    // live frame; `decode_frame_into`'s checksum-failure path allocates
     // nothing) — isolated from the serialized share loop, whose sender
     // decode allocates its payload regardless of corruption.
     {
@@ -548,6 +548,7 @@ fn main() {
         let (warmup, iters) = scale(5, 100);
         let mut frame: Vec<u8> = Vec::new();
         let mut encode_scratch = EncodeScratch::default();
+        let mut decode_scratch = DecodeScratch::default();
         encode_message_with(
             ModelCodec::DenseF32,
             3,
@@ -581,7 +582,7 @@ fn main() {
                         let dst = (src + hop) % n;
                         if transport.fate(7, round, src, dst) == MessageFate::Corrupted {
                             corrupt_frame_in_place(&mut frame, 7, round, src, dst);
-                            let rejected = decode_frame(&frame).is_err();
+                            let rejected = decode_frame_into(&frame, &mut decode_scratch).is_err();
                             corrupt_frame_in_place(&mut frame, 7, round, src, dst);
                             assert!(rejected, "corrupted frame must fail the checksum");
                             corrupted += 1;

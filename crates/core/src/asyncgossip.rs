@@ -37,7 +37,7 @@ pub(crate) const GOSSIP_MATCHING_STREAM: u64 = 16;
 /// Communication happens over random maximal matchings of the configured
 /// topology; communication energy is accounted per actual matched pair —
 /// the engine charges one tx/rx event pair per firing edge of the round's
-/// pairwise mixing matrix (`Simulation::run_round_with_mixing` derives the
+/// pairwise mixing matrix (`Simulation::try_run_round_with_mixing` derives the
 /// effective edge set from the override, not the static topology), so a
 /// tick that matches `m` pairs costs exactly `2m` messages. Earlier
 /// versions charged the full static degree (`n·d` messages) every tick,

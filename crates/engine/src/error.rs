@@ -1,10 +1,9 @@
 //! Typed round-execution errors.
 //!
-//! `run_round_with_mixing` used to `assert!` on size mismatches, so one
-//! bad scheduled graph inside a parallel campaign aborted the whole
-//! process. The `try_` round APIs report the mismatch as an
-//! [`EngineError`] instead, letting drivers fail a single cell with a
-//! diagnosable reason.
+//! A size mismatch used to be an `assert!`, so one bad scheduled graph
+//! inside a parallel campaign aborted the whole process. The `try_`
+//! round APIs report it as an [`EngineError`] instead, letting drivers
+//! fail a single cell with a diagnosable reason.
 
 /// Why a round could not be executed.
 #[derive(Debug, Clone, PartialEq, Eq)]

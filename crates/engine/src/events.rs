@@ -38,10 +38,11 @@
 //!   any barrier timing, not just the zero-latency default.
 //! * **Deadline** (async gossip): the round closes a fixed slack after
 //!   the slowest participant finishes computing. A message arriving after
-//!   the deadline is a *late edge*: the executor treats it exactly like a
-//!   transport drop — the sender's transmit energy is charged, no receive
-//!   is charged, the mixing weight folds back into the receiver's self
-//!   weight, and error-feedback replicas do not advance.
+//!   the deadline is a *late edge*: it resolves to a `Late` row of the
+//!   executor's round plan, which degrades exactly like a transport drop
+//!   — the sender's transmit energy is charged, no receive is charged,
+//!   the mixing weight folds back into the receiver's self weight, and
+//!   error-feedback replicas do not advance.
 //!
 //! Everything is drawn from dedicated seed streams via the same
 //! `derive_seed`/`stream_rng` discipline the rest of the workspace uses,

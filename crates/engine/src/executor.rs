@@ -1,12 +1,15 @@
-//! The synchronous round executor.
+//! The round executor: resolve the round's edges into a plan, then
+//! compute, share/aggregate and account as single passes over it.
 
 use crate::error::EngineError;
 use crate::eval::{evaluate_model, fixed_subsample, EVAL_CHUNK};
 use crate::metrics::EvalStats;
 use crate::node::Node;
+use crate::plan::{Entry, Fate, PlanRow, RoundPlan};
 use crate::transport::{
-    corrupt_frame_in_place, decode_frame, encode_message_into, rarity_k, tier_codec,
-    CompressionPolicy, ErrorFeedbackState, MessageFate, ModelCodec, Payload, TransportKind,
+    corrupt_frame_in_place, decode_frame_into, encode_message_with, CompressionPolicy,
+    DecodeScratch, EncodeScratch, ErrorFeedbackState, LinkMap, ModelCodec, PayloadRef,
+    TransportKind,
 };
 use rayon::prelude::*;
 use skiptrain_data::Dataset;
@@ -14,11 +17,7 @@ use skiptrain_energy::battery::{BatteryPolicy, BatterySetup, BatteryState, Parti
 use skiptrain_energy::comm::CommEnergyModel;
 use skiptrain_energy::trace::HarvestTrace;
 use skiptrain_energy::EnergyLedger;
-use skiptrain_linalg::compress::{
-    accumulate_delta, compress_with_feedback_top_k, compress_with_feedback_u16,
-    compress_with_feedback_u8, dequantize_u16, dequantize_u8, gather_into, quantize_u16_into,
-    quantize_u8_into, scatter_axpy, sparse_blend_axpy, top_k_indices_into, FeedbackScratch,
-};
+use skiptrain_linalg::compress::{accumulate_delta, scatter_axpy, sparse_blend_axpy};
 use skiptrain_nn::sgd::SgdConfig;
 use skiptrain_nn::{Sequential, SoftmaxCrossEntropy};
 use skiptrain_topology::{Graph, MixingMatrix};
@@ -256,68 +255,57 @@ impl BatteryRuntime {
     }
 }
 
-/// What the share phase produced for the aggregation to read.
-enum Shared {
-    /// Zero-copy: read half-step models directly (Memory + DenseF32).
-    Direct,
-    /// One dense (possibly lossily reconstructed) model per sender;
-    /// non-senders hold an empty vector and are never read.
-    Dense(Vec<Vec<f32>>),
-    /// One sparse top-k `(indices, values)` message per sender.
-    Sparse(Vec<(Vec<u32>, Vec<f32>)>),
-}
-
-/// Per-receiver reusable buffers for the error-feedback share path, which
-/// compresses each directed edge separately (the per-link replicas make
-/// every link's payload unique). All buffers retain capacity across
-/// rounds, keeping the feedback path allocation-free at steady state on
-/// the in-memory transport.
+/// One node's reusable wire buffers: codec intermediates, the decoded
+/// payload, and the serialized transport's frame. Under a shared payload
+/// they are indexed by *sender* (each node's one message is compressed
+/// once and read by all its receivers); under per-edge payloads by
+/// *receiver* (every in-edge passes through in turn). Capacity is kept
+/// across rounds, so steady-state rounds do not allocate.
 #[derive(Debug, Clone, Default)]
-struct EdgeScratch {
-    /// Residual accumulation scratch (`model − replica`).
-    fb: FeedbackScratch,
-    /// Top-k payload indices.
-    indices: Vec<u32>,
-    /// Top-k payload values.
-    values: Vec<f32>,
-    /// Dense reconstruction (quantized codecs).
-    recon: Vec<f32>,
-    /// u8 quantization codes.
-    codes8: Vec<u8>,
-    /// u16 quantization codes.
-    codes16: Vec<u16>,
-    /// Wire-frame buffer (serialized transport).
+struct WireScratch {
+    enc: EncodeScratch,
+    dec: DecodeScratch,
     frame: Vec<u8>,
 }
 
-/// Collects per-sender payloads into the codec's aggregation shape.
-/// `None` entries are non-senders (no off-diagonal mixing weight anywhere).
-fn pack_payloads(codec: ModelCodec, payloads: Vec<Option<Payload>>) -> Shared {
-    match codec {
-        ModelCodec::TopK { .. } => Shared::Sparse(
-            payloads
-                .into_iter()
-                .map(|p| match p {
-                    Some(Payload::Sparse { indices, values }) => (indices, values),
-                    None => (Vec::new(), Vec::new()),
-                    // lint:allow(no_panic, "codec/payload correspondence is fixed by ModelCodec::transform")
-                    Some(Payload::Dense(_)) => unreachable!("top-k codec produced dense payload"),
-                })
-                .collect(),
-        ),
-        _ => Shared::Dense(
-            payloads
-                .into_iter()
-                .map(|p| match p {
-                    Some(Payload::Dense(model)) => model,
-                    None => Vec::new(),
-                    Some(Payload::Sparse { .. }) => {
-                        // lint:allow(no_panic, "codec/payload correspondence is fixed by ModelCodec::transform")
-                        unreachable!("dense codec produced sparse payload")
-                    }
-                })
-                .collect(),
-        ),
+/// Per-node round scratch.
+#[derive(Debug, Clone, Default)]
+struct NodeScratch {
+    wire: WireScratch,
+    /// Error-feedback residual `model − replica` of the edge in flight.
+    delta: Vec<f32>,
+}
+
+/// Carries `model` from `sender` over `transport` under `codec` and
+/// returns what the receiver decodes: a genuine encode → decode of the
+/// wire frame on the serialized transport (the frame header carries the
+/// codec id, so heterogeneous links need no coordination), the
+/// equivalent in-memory kernels otherwise — bit-identical by the codec
+/// contract.
+fn transmit<'a>(
+    transport: TransportKind,
+    codec: ModelCodec,
+    sender: u32,
+    round: usize,
+    model: &'a [f32],
+    wire: &'a mut WireScratch,
+) -> PayloadRef<'a> {
+    match transport {
+        TransportKind::Memory => codec.transform_into(model, &mut wire.enc, &mut wire.dec),
+        TransportKind::Serialized { .. } => {
+            encode_message_with(
+                codec,
+                sender,
+                round as u32,
+                model,
+                &mut wire.frame,
+                &mut wire.enc,
+            );
+            decode_frame_into(&wire.frame, &mut wire.dec)
+                // lint:allow(no_panic, "frame was written by encode_message_with on the line above; a fresh in-process frame always decodes")
+                .expect("in-process frame must decode")
+                .payload
+        }
     }
 }
 
@@ -340,71 +328,29 @@ pub struct Simulation {
     loss_fn: SoftmaxCrossEntropy,
     /// Mean training loss over the training nodes of the last round.
     last_train_loss: Option<f32>,
-    /// Reusable phase-2 sender bitmap (who appears off-diagonal anywhere).
-    sender_flags: Vec<bool>,
-    /// Reusable per-node wire-frame buffers for the serialized transport.
-    encode_scratch: Vec<Vec<u8>>,
-    /// Reusable per-node phase-3 neighbor-index scratch.
+    /// The current round's resolved edges; every pass after
+    /// [`RoundPlan::resolve`] reads this and nothing else about the
+    /// round's topology, timing, losses or codecs.
+    plan: RoundPlan,
+    /// Per-node wire and residual buffers for the share/aggregate pass.
+    scratch: Vec<NodeScratch>,
+    /// Reusable per-node neighbor-index scratch for the dense kernel.
     agg_indices: Vec<Vec<u32>>,
-    /// Reusable per-node phase-3 mixing-weight scratch.
+    /// Reusable per-node mixing-weight scratch for the dense kernel.
     agg_weights: Vec<Vec<f32>>,
     /// Reusable mean-model buffer for [`Simulation::evaluate_mean_model`].
     mean_scratch: Vec<f32>,
     /// Per-directed-link error-feedback replicas, when enabled.
     feedback: Option<ErrorFeedbackState>,
-    /// Per-receiver reusable buffers for the per-edge feedback share path.
-    edge_scratch: Vec<EdgeScratch>,
     /// Closed-loop battery gating runtime, when configured.
     battery: Option<BatteryRuntime>,
-    /// Sorted directed edges whose message missed the current round's
-    /// deadline (set by [`Simulation::try_run_round_event`], empty
-    /// otherwise). A late edge is treated exactly like a transport drop:
-    /// tx charged, no rx, weight folds to self, feedback replicas hold.
-    late_edges: Vec<(u32, u32)>,
-    /// Virtual round-end tick supplied by the event engine for the round
-    /// in flight; stamps the ledger's per-round close.
-    virtual_round_end: Option<u64>,
     /// Cumulative count of on-time messages the transport corrupted (each
     /// rejected by the receive-side checksum and degraded to a drop).
     corrupted_frames: u64,
-    /// Per-receiver codecs resolved for the current round, aligned
-    /// position-for-position with each receiver's mixing row (diagonal
-    /// entries hold a placeholder and are never read). Filled by
-    /// [`Simulation::resolve_link_codecs`] on every adaptive-policy round
-    /// and read by both the share phase and the energy accounting, so the
-    /// bytes charged always match the codec a link actually used. Empty
-    /// under [`CompressionPolicy::Uniform`].
-    round_codecs: Vec<Vec<ModelCodec>>,
-    /// Per-receiver `(sender, fires)` counters, sorted by sender, for
-    /// [`CompressionPolicy::RarityAdaptive`]: how many rounds each
-    /// directed link has been on the effective mixing so far (including
-    /// the current round — counts bump before resolution).
-    link_fires: Vec<Vec<(u32, u64)>>,
-    /// Per-node battery charge fraction snapshot taken after the round's
-    /// recharge (1.0 everywhere without battery gating), read by
-    /// [`CompressionPolicy::EnergyAdaptive`] resolution.
-    charge_fractions: Vec<f64>,
-    /// [`CompressionPolicy::PerLink`] table lowered to a binary-searchable
-    /// form at construction: `(src << 32 | dst, codec)`, sorted by key.
-    link_table: Vec<(u64, ModelCodec)>,
-    /// Per-node local-loss slots for phase 1 (`None` for sync-only
-    /// nodes), reused every round so the compute phase stays
+    /// Per-node local-loss slots for the compute pass (`None` for
+    /// sync-only nodes), reused every round so the pass stays
     /// allocation-free.
     loss_scratch: Vec<Option<f32>>,
-}
-
-/// Directed-link key for the lowered per-link codec table.
-#[inline]
-fn link_key(src: u32, dst: u32) -> u64 {
-    (src as u64) << 32 | dst as u64
-}
-
-/// True unless the event layer marked directed edge `src → dst` late this
-/// round. `late` is sorted; the empty fast path covers every non-event
-/// round.
-#[inline]
-fn edge_on_time(late: &[(u32, u32)], src: usize, dst: usize) -> bool {
-    late.is_empty() || late.binary_search(&(src as u32, dst as u32)).is_err()
 }
 
 impl Simulation {
@@ -494,22 +440,15 @@ impl Simulation {
             .clone()
             .map(|setup| BatteryRuntime::new(setup, n));
 
-        let link_table = match &config.compression {
-            CompressionPolicy::PerLink { links, .. } => {
-                let mut table: Vec<(u64, ModelCodec)> = links
-                    .iter()
-                    .map(|l| (link_key(l.src, l.dst), l.codec))
-                    .collect();
-                table.sort_by_key(|&(k, _)| k);
-                table
-            }
-            _ => Vec::new(),
-        };
+        // Room for the static topology's edge census; a schedule that
+        // fires a denser graph grows the table once and keeps it.
+        let edges = (0..n).map(|i| mixing.row(i).len().saturating_sub(1)).sum();
 
         Self {
             battery,
             nodes,
             graph,
+            plan: RoundPlan::new(n, edges, param_count, &config.compression),
             mixing,
             params,
             half,
@@ -519,8 +458,7 @@ impl Simulation {
             param_count,
             loss_fn: SoftmaxCrossEntropy::new(num_classes),
             last_train_loss: None,
-            sender_flags: vec![false; n],
-            encode_scratch: vec![Vec::new(); n],
+            scratch: vec![NodeScratch::default(); n],
             // pre-sized to the hard bound (a mixing row holds at most n
             // entries): time-varying graphs hit fresh degree maxima mid-
             // campaign, and a growth realloc there would break the pinned
@@ -529,14 +467,7 @@ impl Simulation {
             agg_weights: (0..n).map(|_| Vec::with_capacity(n)).collect(),
             mean_scratch: Vec::new(),
             feedback,
-            edge_scratch: vec![EdgeScratch::default(); n],
-            late_edges: Vec::new(),
-            virtual_round_end: None,
             corrupted_frames: 0,
-            round_codecs: vec![Vec::new(); n],
-            link_fires: vec![Vec::new(); n],
-            charge_fractions: vec![1.0; n],
-            link_table,
             loss_scratch: vec![None; n],
             config,
         }
@@ -678,53 +609,41 @@ impl Simulation {
     /// Fallible form of [`Simulation::run_round`]: a mismatched action
     /// slice is an [`EngineError`] instead of a panic.
     pub fn try_run_round(&mut self, actions: &[RoundAction]) -> Result<(), EngineError> {
-        self.try_run_round_inner(actions, None)
+        self.check_round_args(actions, None)?;
+        self.step(actions, None, &[], None);
+        Ok(())
     }
 
     /// Executes one round aggregating with an externally supplied mixing
     /// matrix instead of the topology's — the hook for time-varying
     /// topologies and asynchronous pairwise gossip (§5.3 of the paper).
-    ///
-    /// # Panics
-    /// Panics if `actions.len() != self.len()` or the matrix size
-    /// differs; see [`Simulation::try_run_round_with_mixing`] for the
-    /// typed-error form campaign drivers use (one bad scheduled graph
-    /// fails one cell, not the process).
-    pub fn run_round_with_mixing(&mut self, actions: &[RoundAction], mixing: &MixingMatrix) {
-        self.try_run_round_with_mixing(actions, mixing)
-            // lint:allow(no_panic, "documented '# Panics' contract; try_run_round_with_mixing is the typed-error form")
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible form of [`Simulation::run_round_with_mixing`].
+    /// A mismatched action slice or matrix size is an [`EngineError`], so
+    /// one bad scheduled graph fails one campaign cell, not the process.
     pub fn try_run_round_with_mixing(
         &mut self,
         actions: &[RoundAction],
         mixing: &MixingMatrix,
     ) -> Result<(), EngineError> {
-        if mixing.len() != self.len() {
-            return Err(EngineError::MixingSizeMismatch {
-                expected: self.len(),
-                got: mixing.len(),
-            });
-        }
-        self.try_run_round_inner(actions, Some(mixing))
+        self.check_round_args(actions, Some(mixing))?;
+        self.step(actions, Some(mixing), &[], None);
+        Ok(())
     }
 
     /// Executes one round through the discrete-event core: `engine` plays
     /// the round's timeline (churn draws, per-node compute completions,
     /// per-edge arrivals, deadline classification) and this method runs
-    /// the data phases over what actually happened.
+    /// the data passes over what actually happened.
     ///
     /// When every node is present and no message missed its deadline —
     /// always the case under barrier semantics, and under deadline
-    /// semantics at zero latency — the round takes the *identical* code
-    /// path as [`Simulation::try_run_round_with_mixing`], so results are
+    /// semantics at zero latency — the round resolves from the *identical*
+    /// inputs as [`Simulation::try_run_round_with_mixing`], so results are
     /// bit-for-bit equal to the lockstep loop; only the ledger's virtual
     /// round-end stamps differ. Otherwise absent nodes are demoted to
     /// [`RoundAction::SyncOnly`] with their mixing rows masked to
     /// identity (zero tx/rx, training skipped — ledger conservation is
-    /// exact through churn), and late edges are treated as drops.
+    /// exact through churn), and the late edges resolve to
+    /// `Late` rows of the round plan, which degrade exactly like drops.
     ///
     /// Battery gating composes: the presence mask is applied first, then
     /// the battery's participation mask on top.
@@ -740,39 +659,27 @@ impl Simulation {
                 got: engine.len(),
             });
         }
-        if actions.len() != self.len() {
-            return Err(EngineError::ActionArityMismatch {
-                expected: self.len(),
-                got: actions.len(),
-            });
-        }
-        if let Some(m) = mixing_override {
-            if m.len() != self.len() {
-                return Err(EngineError::MixingSizeMismatch {
-                    expected: self.len(),
-                    got: m.len(),
-                });
-            }
-        }
+        self.check_round_args(actions, mixing_override)?;
         let mixing = mixing_override.unwrap_or(&self.mixing);
         engine.begin_round(self.round, actions, mixing);
-        self.virtual_round_end = Some(engine.now());
-        let result = if engine.all_present() && engine.late_edges().is_empty() {
-            self.try_run_round_inner(actions, mixing_override)
+        let round_end = Some(engine.now());
+        if engine.all_present() && engine.late_edges().is_empty() {
+            self.step(actions, mixing_override, &[], round_end);
         } else {
             engine.compose_gating(actions, mixing);
-            self.late_edges.clear();
-            self.late_edges.extend_from_slice(engine.late_edges());
-            let result = self.try_run_round_inner(&engine.gated, Some(&engine.masked));
-            self.late_edges.clear();
-            result
-        };
-        self.virtual_round_end = None;
-        result
+            self.step(
+                &engine.gated,
+                Some(&engine.masked),
+                engine.late_edges(),
+                round_end,
+            );
+        }
+        Ok(())
     }
 
-    fn try_run_round_inner(
-        &mut self,
+    /// The one argument check behind every round entry point.
+    fn check_round_args(
+        &self,
         actions: &[RoundAction],
         mixing_override: Option<&MixingMatrix>,
     ) -> Result<(), EngineError> {
@@ -782,58 +689,74 @@ impl Simulation {
                 got: actions.len(),
             });
         }
-        if self.battery.is_none() {
-            return self.run_round_phases(actions, mixing_override);
+        match mixing_override {
+            Some(m) if m.len() != self.len() => Err(EngineError::MixingSizeMismatch {
+                expected: self.len(),
+                got: m.len(),
+            }),
+            _ => Ok(()),
         }
-
-        // Battery gating, factored once for every execution path (static
-        // runner, scheduled topologies, async gossip — they all land
-        // here): recharge → decide → brown-out → run the round over the
-        // gated actions and the participation-masked effective mixing →
-        // drain each node's actual ledger spend. The runtime is taken out
-        // of `self` so its buffers can be borrowed across the `&mut self`
-        // phase call; the mask flows through the same `mixing_override`
-        // slot schedules use, which is what keeps comm energy byte-
-        // accurate and error-feedback replicas advancing only on edges
-        // that really fired.
-        // lint:allow(no_panic, "provably infallible: this branch is only entered when battery.is_some() was checked above")
-        let mut battery = self.battery.take().expect("battery gating checked above");
-        battery.begin_round(
-            self.round,
-            actions,
-            mixing_override.unwrap_or(&self.mixing),
-            &self.config.training_energy_wh,
-        );
-        // Snapshot post-recharge charge fractions for energy-adaptive
-        // codec resolution: the sender's level *at send time*, before the
-        // round's own spend drains it.
-        if !self.config.compression.is_uniform() {
-            for (i, frac) in self.charge_fractions.iter_mut().enumerate() {
-                *frac = battery.state.charge_fraction(i);
-            }
-        }
-        let result = self.run_round_phases(&battery.actions, Some(&battery.masked));
-        if result.is_ok() {
-            battery.settle(&self.ledger);
-        }
-        self.battery = Some(battery);
-        result
     }
 
-    /// The four round phases (local compute, share, aggregate, energy
-    /// accounting) over an already-gated action slice and effective
-    /// mixing.
-    fn run_round_phases(
+    /// One round over checked arguments: gate → resolve → compute →
+    /// share/aggregate → γ blend → commit → account.
+    ///
+    /// Battery gating is factored once for every execution path (static
+    /// runner, scheduled topologies, async gossip, event rounds — they all
+    /// land here): recharge → decide → brown-out, then the round runs over
+    /// the gated actions and the participation-masked effective mixing,
+    /// and each node's actual ledger spend drains its battery. The runtime
+    /// is taken out of `self` so its buffers can be borrowed across the
+    /// `&mut self` passes. `late` is the event engine's sorted late-edge
+    /// set and `round_end` its virtual round-end tick (empty / `None` off
+    /// the event path).
+    fn step(
         &mut self,
         actions: &[RoundAction],
         mixing_override: Option<&MixingMatrix>,
-    ) -> Result<(), EngineError> {
-        debug_assert_eq!(actions.len(), self.len());
-        let local_steps = self.config.local_steps;
+        late: &[(u32, u32)],
+        round_end: Option<u64>,
+    ) {
+        let mut battery = self.battery.take();
+        if let Some(b) = battery.as_mut() {
+            b.begin_round(
+                self.round,
+                actions,
+                mixing_override.unwrap_or(&self.mixing),
+                &self.config.training_energy_wh,
+            );
+        }
+        let (actions, mixing) = match battery.as_ref() {
+            Some(b) => (&b.actions[..], &b.masked),
+            None => (actions, mixing_override.unwrap_or(&self.mixing)),
+        };
+        // Energy-adaptive tiers read the sender's charge *at send time*:
+        // after the recharge above, before the round's own spend drains it.
+        self.plan.resolve(
+            &self.config,
+            self.feedback.is_some(),
+            self.round,
+            mixing,
+            late,
+            battery.as_ref().map(|b| &b.state),
+        );
+        self.compute(actions);
+        self.share_aggregate();
+        self.blend_consensus_gamma();
+        std::mem::swap(&mut self.params, &mut self.next);
+        self.account(actions, round_end);
+        self.round += 1;
+        if let Some(b) = battery.as_mut() {
+            b.settle(&self.ledger);
+        }
+        self.battery = battery;
+    }
 
-        // Phase 1: local compute (parallel over nodes), writing each
-        // node's local loss into a reusable slot — no per-round
-        // collection.
+    /// Local compute (parallel over nodes): each node trains `E` local
+    /// steps or copies its model, producing `x^{t−½}`, and writes its
+    /// local loss into a reusable slot — no per-round collection.
+    fn compute(&mut self, actions: &[RoundAction]) {
+        let local_steps = self.config.local_steps;
         let params = &self.params;
         self.nodes
             .par_iter_mut()
@@ -859,261 +782,186 @@ impl Simulation {
             .flatten()
             .fold((0.0f32, 0u32), |(s, c), &l| (s + l, c + 1));
         self.last_train_loss = (trained > 0).then(|| loss_sum / trained as f32);
+    }
 
-        // The effective mixing for this round decides who talks to whom:
-        // a pairwise-matching override replaces the static topology for
-        // both aggregation *and* energy accounting.
-        let mixing = mixing_override.unwrap_or(&self.mixing);
-        let n = self.len();
-
-        // Adaptive (non-uniform) compression policies resolve a codec per
-        // directed link per round, then share/aggregate per edge — the
-        // per-link payloads make a shared per-sender share phase
-        // impossible. The uniform path below is untouched (bit-identical
-        // to the pre-policy executor).
-        let Some(codec) = self.config.compression.uniform() else {
-            self.resolve_link_codecs(mixing_override);
-            if self.feedback.is_some() {
-                self.share_aggregate_with_feedback(mixing_override, None);
-            } else {
-                self.share_aggregate_per_link(mixing_override);
-            }
-            self.apply_consensus_gamma();
-            std::mem::swap(&mut self.params, &mut self.next);
-            self.account_energy(actions, mixing_override);
-            self.round += 1;
-            return Ok(());
-        };
-
-        // Effective senders: nodes appearing off-diagonal in any row.
-        // Computed into a reusable bitmap, and only on the paths that
-        // materialize payloads — the Memory + DenseF32 fast path never
-        // reads it, and the error-feedback path compresses per directed
-        // edge instead of per sender.
-        let feedback_on = codec != ModelCodec::DenseF32 && self.feedback.is_some();
-        let needs_sender_flags = !feedback_on
-            && (!matches!(self.config.transport, TransportKind::Memory)
-                || codec != ModelCodec::DenseF32);
-        if needs_sender_flags {
-            let flags = &mut self.sender_flags;
-            flags.fill(false);
-            for i in 0..n {
-                for &(j, _) in mixing.row(i) {
-                    if j as usize != i {
-                        flags[j as usize] = true;
-                    }
-                }
-            }
+    /// Share + aggregate `x^t = Σ_j W_ji x_j^{t−½}` over the plan
+    /// (receiver-parallel). Every non-delivered row's weight falls back
+    /// onto the receiver's own model, as do the coordinates a top-k
+    /// message did not carry, so each row stays stochastic per coordinate.
+    ///
+    /// Bit-identity pins three accumulation orders. Which one runs follows
+    /// from the plan's `shared_payload` — an observable of the round, not
+    /// an option: one payload per sender costs `degree`× less codec work
+    /// than one per edge wherever it is possible at all.
+    fn share_aggregate(&mut self) {
+        match self.plan.shared_payload() {
+            Some(codec) => self.aggregate_shared(codec),
+            None => self.aggregate_per_edge(),
         }
+    }
 
-        if feedback_on {
-            self.share_aggregate_with_feedback(mixing_override, Some(codec));
-            self.apply_consensus_gamma();
-            std::mem::swap(&mut self.params, &mut self.next);
-            self.account_energy(actions, mixing_override);
-            self.round += 1;
-            return Ok(());
-        }
-
-        // Phase 2: share. The serialized transport actually encodes/decodes
-        // every sender's model (into per-node reusable frame buffers) and
-        // may drop messages; the in-memory transport reads half-step models
-        // directly (applying the codec's lossy transform when one is
-        // configured — bit-identical to the wire round trip).
-        let shared: Shared = match (self.config.transport, codec) {
-            (TransportKind::Memory, ModelCodec::DenseF32) => Shared::Direct,
-            (TransportKind::Memory, _) => {
-                let is_sender = &self.sender_flags;
-                pack_payloads(
-                    codec,
-                    self.half
-                        .par_iter()
-                        .enumerate()
-                        .map(|(j, model)| is_sender[j].then(|| codec.transform(model)))
-                        .collect(),
-                )
-            }
-            (TransportKind::Serialized { .. }, _) => {
-                let is_sender = &self.sender_flags;
-                let round = self.round as u32;
-                pack_payloads(
-                    codec,
-                    self.half
-                        .par_iter()
-                        .zip(self.encode_scratch.par_iter_mut())
-                        .enumerate()
-                        .map(|(j, (model, frame))| {
-                            is_sender[j].then(|| {
-                                encode_message_into(codec, j as u32, round, model, frame);
-                                decode_frame(frame)
-                                    // lint:allow(no_panic, "frame was written by encode_message_into on the line above; a fresh in-process frame always decodes")
-                                    .expect("in-process frame must decode")
-                                    .payload
-                            })
-                        })
-                        .collect(),
-                )
-            }
-        };
-
-        // Phase 3: aggregate x^t = Σ_j W_ji x_j^{t−½} (parallel over nodes),
-        // renormalizing dropped neighbors into the self weight. Sparse
-        // (top-k) messages use masked aggregation: coordinates the sender
-        // did not transmit fall back to the receiver's own value, so the
-        // row stays stochastic per coordinate. The dense paths aggregate
-        // through per-node reusable (index, weight) scratch and the
-        // indexed weighted-sum kernel — no allocation per node per round.
+    /// Shared payload: every sender's message is carried once into its own
+    /// wire scratch, then each receiver reads its delivered in-edges from
+    /// there. On the in-memory transport the lossless codec has nothing to
+    /// carry and receivers read the half-step models directly.
+    ///
+    /// * dense — the indexed weighted sum in mixing-row order, with the
+    ///   fallback weight added to the self entry where it sits (appended
+    ///   when the row has none);
+    /// * sparse (top-k) — `row_sum · own`, then a masked blend per
+    ///   delivered row.
+    fn aggregate_shared(&mut self, codec: ModelCodec) {
+        let plan = &self.plan;
         let half = &self.half;
         let transport = self.config.transport;
-        let seed = self.config.seed;
         let round = self.round;
-        let late = &self.late_edges;
+        let direct = matches!(transport, TransportKind::Memory) && codec.is_lossless();
+        if !direct {
+            half.par_iter()
+                .zip(self.scratch.par_iter_mut())
+                .enumerate()
+                .for_each(|(j, (model, scratch))| {
+                    if plan.sends(j) {
+                        transmit(transport, codec, j as u32, round, model, &mut scratch.wire);
+                    }
+                });
+        }
+        let sent = &self.scratch;
         self.next
             .par_iter_mut()
             .zip(self.agg_indices.par_iter_mut())
             .zip(self.agg_weights.par_iter_mut())
             .enumerate()
             .for_each(|(i, ((out, indices), weights))| {
-                let row = mixing.row(i);
-                match &shared {
-                    Shared::Sparse(msgs) => {
-                        let base: &[f32] = &half[i];
-                        let row_sum: f32 = row.iter().map(|&(_, w)| w).sum();
-                        skiptrain_linalg::ops::scaled_copy(row_sum, base, out);
-                        for &(j, w) in row {
-                            let j = j as usize;
-                            if j != i
-                                && transport.delivered(seed, round, j, i)
-                                && edge_on_time(late, j, i)
-                            {
-                                let (indices, values) = &msgs[j];
-                                sparse_blend_axpy(out, base, indices, values, w);
+                let own = &half[i];
+                if matches!(codec, ModelCodec::TopK { .. }) {
+                    let row_sum: f32 = plan.entries(i).map(|e| e.weight()).sum();
+                    skiptrain_linalg::ops::scaled_copy(row_sum, own, out);
+                    for entry in plan.entries(i) {
+                        match entry {
+                            Entry::Edge(row) if row.fate == Fate::Delivered => {
+                                let msg = &sent[row.src as usize].wire.dec;
+                                sparse_blend_axpy(out, own, &msg.indices, &msg.values, row.weight);
                             }
-                            // dropped neighbor weight is already on `base`
+                            _ => {}
                         }
                     }
-                    dense => {
-                        let fetch = |j: u32| -> &[f32] {
-                            let j = j as usize;
-                            if j == i {
-                                return &half[i];
-                            }
-                            match dense {
-                                Shared::Direct => &half[j],
-                                Shared::Dense(models) => &models[j],
-                                // lint:allow(no_panic, "the sparse case returned from this closure earlier")
-                                Shared::Sparse(_) => unreachable!("sparse handled above"),
-                            }
-                        };
-                        indices.clear();
-                        weights.clear();
-                        let mut dropped_weight = 0.0f32;
-                        let mut self_pos = usize::MAX;
-                        for &(j, w) in row {
-                            if j as usize == i {
-                                self_pos = indices.len();
-                                indices.push(j);
-                                weights.push(w);
-                            } else if transport.delivered(seed, round, j as usize, i)
-                                && edge_on_time(late, j as usize, i)
-                            {
-                                indices.push(j);
-                                weights.push(w);
-                            } else {
-                                dropped_weight += w;
-                            }
-                        }
-                        // Fold dropped-neighbor weight back into the self
-                        // weight; a row carrying no explicit self entry gets
-                        // one appended instead of indexing out of bounds.
-                        if self_pos != usize::MAX {
-                            weights[self_pos] += dropped_weight;
-                        } else if dropped_weight > 0.0 {
+                    return;
+                }
+                indices.clear();
+                weights.clear();
+                let mut fallback = 0.0f32;
+                let mut self_at = None;
+                for entry in plan.entries(i) {
+                    match entry {
+                        Entry::Own(w) => {
+                            self_at = Some(indices.len());
                             indices.push(i as u32);
-                            weights.push(dropped_weight);
+                            weights.push(w);
                         }
-                        skiptrain_linalg::ops::weighted_sum_indexed_into(
-                            out, indices, weights, fetch,
-                        );
+                        Entry::Edge(row) if row.fate == Fate::Delivered => {
+                            indices.push(row.src);
+                            weights.push(row.weight);
+                        }
+                        Entry::Edge(row) => fallback += row.weight,
                     }
                 }
+                match self_at {
+                    Some(pos) => weights[pos] += fallback,
+                    None if fallback > 0.0 => {
+                        indices.push(i as u32);
+                        weights.push(fallback);
+                    }
+                    None => {}
+                }
+                skiptrain_linalg::ops::weighted_sum_indexed_into(out, indices, weights, |j| {
+                    let j = j as usize;
+                    if direct || j == i {
+                        &half[j]
+                    } else {
+                        &sent[j].wire.dec.dense
+                    }
+                });
             });
-        self.apply_consensus_gamma();
-        std::mem::swap(&mut self.params, &mut self.next);
-
-        // Phase 4: energy accounting over the edges that actually fired.
-        self.account_energy(actions, mixing_override);
-        self.round += 1;
-        Ok(())
     }
 
-    /// Resolves this round's per-link codec table for the active adaptive
-    /// policy: one entry per mixing-row position per receiver, aligned so
-    /// the share phase and the energy accounting read the *same* codec
-    /// for every directed edge (diagonal positions hold a never-read
-    /// placeholder). Also advances the rarity fire counters — counts bump
-    /// *before* resolution, so an always-on link resolves `base_k` and a
-    /// first-contact link on round `r` gets the full `r`× boost.
-    fn resolve_link_codecs(&mut self, mixing_override: Option<&MixingMatrix>) {
-        let mixing = mixing_override.unwrap_or(&self.mixing);
-        let round_codecs = &mut self.round_codecs;
-        let link_fires = &mut self.link_fires;
-        let charge = &self.charge_fractions;
-        let link_table = &self.link_table;
-        let elapsed = self.round as u64 + 1;
-        for i in 0..mixing.len() {
-            let row = mixing.row(i);
-            let out = &mut round_codecs[i];
-            out.clear();
-            match &self.config.compression {
-                CompressionPolicy::Uniform(c) => {
-                    // Reachable only if a caller resolves eagerly; the
-                    // round loop short-circuits uniform policies.
-                    out.extend(row.iter().map(|_| *c));
+    /// Per-edge payload (an adaptive policy, or a lossy codec under error
+    /// feedback): zero, then each delivered row in row order through the
+    /// receiver's wire scratch, own model last with the summed fallback
+    /// weight.
+    ///
+    /// With error feedback the message is the link residual
+    /// `x_j^{t−½} − x̂_{j→i}`, the decoded payload advances the replica by
+    /// β, and the *replica* aggregates in place of the neighbor model. A
+    /// cold link (first contact, or evicted under the replica cap) seeds
+    /// from the receiver's own model, so never-delivered coordinates fall
+    /// back to the receiver's values exactly like the plain masked blend.
+    /// Replicas move only on `Delivered` rows — the link is acknowledged —
+    /// and live in the receiver's slot of [`ErrorFeedbackState`], so the
+    /// parallel loop mutates disjoint state.
+    fn aggregate_per_edge(&mut self) {
+        let plan = &self.plan;
+        let half = &self.half;
+        let transport = self.config.transport;
+        let round = self.round;
+        let (beta, cap) = self
+            .feedback
+            .as_ref()
+            .map_or((0.0, 0), |fb| (fb.beta(), fb.cap()));
+        let receive = |i: usize,
+                       out: &mut Vec<f32>,
+                       scratch: &mut NodeScratch,
+                       mut links: Option<&mut LinkMap>| {
+            let own = &half[i];
+            out.fill(0.0);
+            let mut self_weight = 0.0f32;
+            for entry in plan.entries(i) {
+                let row = match entry {
+                    Entry::Edge(row) if row.fate == Fate::Delivered => row,
+                    fallback => {
+                        self_weight += fallback.weight();
+                        continue;
+                    }
+                };
+                let model = &half[row.src as usize];
+                let Some(links) = links.as_deref_mut() else {
+                    let wire = &mut scratch.wire;
+                    match transmit(transport, row.codec, row.src, round, model, wire) {
+                        PayloadRef::Dense(recon) => {
+                            skiptrain_linalg::ops::axpy(row.weight, recon, out);
+                        }
+                        PayloadRef::Sparse { indices, values } => {
+                            sparse_blend_axpy(out, own, indices, values, row.weight);
+                            self_weight += row.weight;
+                        }
+                    }
+                    continue;
+                };
+                let replica = links.replica_mut(row.src, round as u64, cap, |buf| {
+                    buf.clear();
+                    buf.extend_from_slice(own);
+                });
+                accumulate_delta(model, replica, &mut scratch.delta);
+                let (delta, wire) = (&scratch.delta, &mut scratch.wire);
+                match transmit(transport, row.codec, row.src, round, delta, wire) {
+                    PayloadRef::Dense(recon) => skiptrain_linalg::ops::axpy(beta, recon, replica),
+                    PayloadRef::Sparse { indices, values } => {
+                        scatter_axpy(replica, indices, values, beta);
+                    }
                 }
-                CompressionPolicy::PerLink { default, .. } => {
-                    out.extend(row.iter().map(|&(j, _)| {
-                        if j as usize == i {
-                            return ModelCodec::DenseF32;
-                        }
-                        match link_table
-                            .binary_search_by_key(&link_key(j, i as u32), |&(key, _)| key)
-                        {
-                            Ok(pos) => link_table[pos].1,
-                            Err(_) => *default,
-                        }
-                    }));
-                }
-                CompressionPolicy::RarityAdaptive { base_k, max_k } => {
-                    let fires = &mut link_fires[i];
-                    out.extend(row.iter().map(|&(j, _)| {
-                        if j as usize == i {
-                            return ModelCodec::DenseF32;
-                        }
-                        let f = match fires.binary_search_by_key(&j, |&(s, _)| s) {
-                            Ok(pos) => {
-                                fires[pos].1 += 1;
-                                fires[pos].1
-                            }
-                            Err(pos) => {
-                                fires.insert(pos, (j, 1));
-                                1
-                            }
-                        };
-                        ModelCodec::TopK {
-                            k: rarity_k(*base_k, *max_k, elapsed, f),
-                        }
-                    }));
-                }
-                CompressionPolicy::EnergyAdaptive { tiers } => {
-                    out.extend(row.iter().map(|&(j, _)| {
-                        if j as usize == i {
-                            return ModelCodec::DenseF32;
-                        }
-                        tier_codec(tiers, charge[j as usize])
-                    }));
-                }
+                skiptrain_linalg::ops::axpy(row.weight, replica, out);
             }
+            skiptrain_linalg::ops::axpy(self_weight, own, out);
+        };
+        let outs = self.next.par_iter_mut().zip(self.scratch.par_iter_mut());
+        match self.feedback.as_mut() {
+            Some(fb) => outs
+                .zip(fb.incoming_mut().par_iter_mut())
+                .enumerate()
+                .for_each(|(i, ((out, scratch), links))| receive(i, out, scratch, Some(links))),
+            None => outs
+                .enumerate()
+                .for_each(|(i, (out, scratch))| receive(i, out, scratch, None)),
         }
     }
 
@@ -1121,7 +969,7 @@ impl Simulation {
     /// `next` buffers: `x^t = x^{t−½} + γ (x_mixed − x^{t−½})`. γ = 1
     /// (the default) skips entirely, keeping the plain mixing update
     /// bit-identical to the pre-γ executor.
-    fn apply_consensus_gamma(&mut self) {
+    fn blend_consensus_gamma(&mut self) {
         let gamma = self.config.consensus_gamma;
         if gamma == 1.0 {
             return;
@@ -1137,323 +985,13 @@ impl Simulation {
             });
     }
 
-    /// Share + aggregate for adaptive (non-uniform) compression policies
-    /// without error feedback: receiver-parallel, compressing each
-    /// delivered directed edge separately with the codec
-    /// [`Simulation::resolve_link_codecs`] picked for it this round. A
-    /// top-k edge's untransmitted coordinates and every dropped, late, or
-    /// corrupted edge fall back onto the receiver's own half-step model,
-    /// exactly like the uniform paths. The serialized transport runs a
-    /// genuine per-edge encode/decode round trip; the in-memory transport
-    /// uses the equivalent kernels through per-receiver reusable buffers
-    /// (allocation-free at steady state).
-    fn share_aggregate_per_link(&mut self, mixing_override: Option<&MixingMatrix>) {
-        let mixing = mixing_override.unwrap_or(&self.mixing);
-        let half = &self.half;
-        let round_codecs = &self.round_codecs;
-        let transport = self.config.transport;
-        let seed = self.config.seed;
-        let round = self.round;
-        let round_u32 = self.round as u32;
-        let late = &self.late_edges;
-        self.next
-            .par_iter_mut()
-            .zip(self.edge_scratch.par_iter_mut())
-            .enumerate()
-            .for_each(|(i, (out, scratch))| {
-                let row = mixing.row(i);
-                out.fill(0.0);
-                // Self weight plus every fallback weight lands on the
-                // receiver's own model, applied last in a fixed order for
-                // determinism across thread counts.
-                let mut self_weight = 0.0f32;
-                for (pos, &(j, w)) in row.iter().enumerate() {
-                    let src = j as usize;
-                    if src == i {
-                        self_weight += w;
-                        continue;
-                    }
-                    let codec = round_codecs[i][pos];
-                    let fate = transport.fate(seed, round, src, i);
-                    let on_time = edge_on_time(late, src, i);
-                    if fate != MessageFate::Delivered || !on_time {
-                        // Same degradation contract as every other path:
-                        // weight folds to self; a corrupted frame proves
-                        // the receive-side checksum reject first. (The
-                        // counter lives in `account_energy`.)
-                        if fate == MessageFate::Corrupted && on_time {
-                            encode_message_into(
-                                codec,
-                                j,
-                                round_u32,
-                                &half[src],
-                                &mut scratch.frame,
-                            );
-                            corrupt_frame_in_place(&mut scratch.frame, seed, round, src, i);
-                            let rejected = decode_frame(&scratch.frame).is_err();
-                            debug_assert!(
-                                rejected,
-                                "corrupted frame must fail the checksum verify"
-                            );
-                        }
-                        self_weight += w;
-                        continue;
-                    }
-                    match transport {
-                        TransportKind::Memory => match codec {
-                            ModelCodec::DenseF32 => {
-                                skiptrain_linalg::ops::axpy(w, &half[src], out);
-                            }
-                            ModelCodec::QuantizedU8 => {
-                                let p = quantize_u8_into(&half[src], &mut scratch.codes8);
-                                dequantize_u8(p, &scratch.codes8, &mut scratch.recon);
-                                skiptrain_linalg::ops::axpy(w, &scratch.recon, out);
-                            }
-                            ModelCodec::QuantizedU16 => {
-                                let p = quantize_u16_into(&half[src], &mut scratch.codes16);
-                                dequantize_u16(p, &scratch.codes16, &mut scratch.recon);
-                                skiptrain_linalg::ops::axpy(w, &scratch.recon, out);
-                            }
-                            ModelCodec::TopK { k } => {
-                                top_k_indices_into(&half[src], k, &mut scratch.indices);
-                                gather_into(&half[src], &scratch.indices, &mut scratch.values);
-                                sparse_blend_axpy(
-                                    out,
-                                    &half[i],
-                                    &scratch.indices,
-                                    &scratch.values,
-                                    w,
-                                );
-                                self_weight += w;
-                            }
-                        },
-                        TransportKind::Serialized { .. } => {
-                            // The wire carries this link's codec id in its
-                            // frame header, so heterogeneous links decode
-                            // without out-of-band coordination.
-                            encode_message_into(
-                                codec,
-                                j,
-                                round_u32,
-                                &half[src],
-                                &mut scratch.frame,
-                            );
-                            let msg =
-                                // lint:allow(no_panic, "frame was written by encode_message_into on the line above; a fresh in-process frame always decodes")
-                                decode_frame(&scratch.frame).expect("in-process frame decodes");
-                            match msg.payload {
-                                Payload::Dense(recon) => {
-                                    skiptrain_linalg::ops::axpy(w, &recon, out);
-                                }
-                                Payload::Sparse { indices, values } => {
-                                    sparse_blend_axpy(out, &half[i], &indices, &values, w);
-                                    self_weight += w;
-                                }
-                            }
-                        }
-                    }
-                }
-                skiptrain_linalg::ops::axpy(self_weight, &half[i], out);
-            });
-    }
-
-    /// Fused share + aggregate for error-feedback compression.
-    ///
-    /// The per-link replicas make every directed edge's payload unique,
-    /// so this path compresses per edge `j → i` instead of per sender:
-    /// the receiver-parallel loop walks each node's mixing row and, for
-    /// every delivering in-edge, compresses the link residual
-    /// `x_j^{t−½} − x̂_{j→i}` (via the in-memory kernels, or a genuine
-    /// encode/decode round trip on the serialized transport —
-    /// bit-identical by the codec contract), folds the payload back into
-    /// the replica, and aggregates the *replica* in place of the raw
-    /// neighbor model. A replica's first delivery seeds it with the
-    /// receiver's own pre-mixing model, so never-delivered coordinates
-    /// fall back to the receiver's values exactly like the plain masked
-    /// blend — and to the link's last-delivered estimate afterwards.
-    ///
-    /// The simulation models an *acknowledged* link: a dropped message
-    /// leaves the replica untouched (the sender's view only advances on
-    /// delivery) and the edge weight falls back onto the receiver's own
-    /// model, exactly like the dense drop path. Energy is unaffected —
-    /// transmission attempts are charged in phase 4 regardless. Each
-    /// link's replica lives in the receiver's slot of
-    /// [`ErrorFeedbackState`], so the parallel loop mutates disjoint
-    /// state; everything runs through per-receiver reusable buffers
-    /// (allocation-free at steady state on the Memory transport).
-    fn share_aggregate_with_feedback(
-        &mut self,
-        mixing_override: Option<&MixingMatrix>,
-        uniform: Option<ModelCodec>,
-    ) {
-        let mixing = mixing_override.unwrap_or(&self.mixing);
-        let round_codecs = &self.round_codecs;
-        let fb = self
-            .feedback
-            .as_mut()
-            // lint:allow(no_panic, "provably infallible: callers dispatch here only when feedback state is present")
-            .expect("feedback path requires state");
-        let beta = fb.beta();
-        let cap = fb.cap();
-        let half = &self.half;
-        let transport = self.config.transport;
-        let seed = self.config.seed;
-        let round = self.round;
-        let round_u32 = self.round as u32;
-        let late = &self.late_edges;
-        self.next
-            .par_iter_mut()
-            .zip(fb.incoming_mut().par_iter_mut())
-            .zip(self.edge_scratch.par_iter_mut())
-            .enumerate()
-            .for_each(|(i, ((out, links), scratch))| {
-                let row = mixing.row(i);
-                out.fill(0.0);
-                // self weight plus every dropped neighbor's weight falls
-                // back onto the receiver's own model, applied last in a
-                // fixed order for determinism
-                let mut self_weight = 0.0f32;
-                for (pos, &(j, w)) in row.iter().enumerate() {
-                    let src = j as usize;
-                    if src == i {
-                        self_weight += w;
-                        continue;
-                    }
-                    // The legacy uniform codec, or this directed link's
-                    // resolved codec under an adaptive policy. Replicas
-                    // are codec-agnostic, so a link's codec changing
-                    // between firings just changes how much of the
-                    // residual the next delivery lands.
-                    let codec = uniform.unwrap_or_else(|| round_codecs[i][pos]);
-                    let fate = transport.fate(seed, round, src, i);
-                    let on_time = edge_on_time(late, src, i);
-                    if fate != MessageFate::Delivered || !on_time {
-                        // Drops, late arrivals, and corrupted frames all
-                        // degrade the same way: the replica holds (the
-                        // sender's view only advances on acknowledged
-                        // delivery) and the edge weight falls back onto the
-                        // receiver's own model. A corrupted frame
-                        // additionally proves the receive path: encode this
-                        // link's payload, flip the seeded bit, and verify
-                        // the checksum rejects it before it is discarded.
-                        // (The counter lives in `account_energy`, which
-                        // walks the same effective edges serially.)
-                        if fate == MessageFate::Corrupted && on_time {
-                            encode_message_into(
-                                codec,
-                                j,
-                                round_u32,
-                                &half[src],
-                                &mut scratch.frame,
-                            );
-                            corrupt_frame_in_place(&mut scratch.frame, seed, round, src, i);
-                            let rejected = decode_frame(&scratch.frame).is_err();
-                            debug_assert!(
-                                rejected,
-                                "corrupted frame must fail the checksum verify"
-                            );
-                        }
-                        self_weight += w;
-                        continue;
-                    }
-                    // Get-or-insert under the replica cap: a cold link
-                    // (first contact, or re-established after a staleness
-                    // eviction) seeds from the receiver's own pre-mixing
-                    // model, so untransmitted coordinates fall back to the
-                    // receiver's values exactly like the plain masked blend.
-                    let replica = links.replica_mut(j, round as u64, cap, |buf| {
-                        buf.clear();
-                        buf.extend_from_slice(&half[i]);
-                    });
-                    if matches!(transport, TransportKind::Memory) {
-                        match codec {
-                            ModelCodec::TopK { k } => compress_with_feedback_top_k(
-                                &half[src],
-                                replica,
-                                beta,
-                                k,
-                                &mut scratch.fb,
-                                &mut scratch.indices,
-                                &mut scratch.values,
-                            ),
-                            ModelCodec::QuantizedU8 => {
-                                compress_with_feedback_u8(
-                                    &half[src],
-                                    replica,
-                                    beta,
-                                    &mut scratch.fb,
-                                    &mut scratch.codes8,
-                                    &mut scratch.recon,
-                                );
-                            }
-                            ModelCodec::QuantizedU16 => {
-                                compress_with_feedback_u16(
-                                    &half[src],
-                                    replica,
-                                    beta,
-                                    &mut scratch.fb,
-                                    &mut scratch.codes16,
-                                    &mut scratch.recon,
-                                );
-                            }
-                            ModelCodec::DenseF32 => {
-                                // A dense firing lands the replica exactly
-                                // on the sender's model (β-damped): the
-                                // residual is delivered whole.
-                                accumulate_delta(&half[src], replica, &mut scratch.fb.delta);
-                                skiptrain_linalg::ops::axpy(beta, &scratch.fb.delta, replica);
-                            }
-                        }
-                    } else {
-                        // the wire carries the compressed *delta* under the
-                        // unchanged frame layout; both ends advance the
-                        // replica from the decoded payload
-                        accumulate_delta(&half[src], replica, &mut scratch.fb.delta);
-                        encode_message_into(
-                            codec,
-                            j,
-                            round_u32,
-                            &scratch.fb.delta,
-                            &mut scratch.frame,
-                        );
-                        // lint:allow(no_panic, "frame was written by encode_message_into on the line above; a fresh in-process frame always decodes")
-                        let msg = decode_frame(&scratch.frame).expect("in-process frame decodes");
-                        match msg.payload {
-                            Payload::Sparse { indices, values } => {
-                                scatter_axpy(replica, &indices, &values, beta);
-                            }
-                            Payload::Dense(recon) => {
-                                skiptrain_linalg::ops::axpy(beta, &recon, replica);
-                            }
-                        }
-                    }
-                    skiptrain_linalg::ops::axpy(w, replica, out);
-                }
-                skiptrain_linalg::ops::axpy(self_weight, &half[i], out);
-            });
-    }
-
-    /// Records this round's energy from per-message events.
-    ///
-    /// Communication derives from the *effective* edge set — every
-    /// off-diagonal entry of the mixing rows actually used this round (the
-    /// pairwise override when one was supplied, the static topology
-    /// otherwise). Each directed edge `j → i` charges the sender one
-    /// transmit event (attempts cost radio energy even when the network
-    /// drops the message) and, when delivered, charges the receiver one
-    /// receive event. Message bytes come from the wire format of the
-    /// codec the compression policy resolved for that directed link this
-    /// round — a single quote under [`CompressionPolicy::Uniform`], the
-    /// round's `round_codecs` table otherwise — at the nominal parameter
-    /// count (top-k scales its kept fraction to the nominal model — see
-    /// [`ModelCodec::charged_message_bytes`]).
-    fn account_energy(&mut self, actions: &[RoundAction], mixing_override: Option<&MixingMatrix>) {
-        let nominal = self.config.nominal_params.unwrap_or(self.param_count);
-        let uniform_bytes = self
-            .config
-            .compression
-            .uniform()
-            .map(|codec| codec.charged_message_bytes(self.param_count, nominal));
+    /// Records the round's energy from the plan: training per `actions`,
+    /// then for every row one transmit event on the sender (an attempt
+    /// costs radio energy whatever becomes of the message) and, when
+    /// delivered, one receive event on the receiver — both at the row's
+    /// `charged_bytes`, the wire size of the codec that link actually used
+    /// at the nominal parameter count.
+    fn account(&mut self, actions: &[RoundAction], round_end: Option<u64>) {
         let comm = self.config.comm_energy;
         for (i, action) in actions.iter().enumerate() {
             if *action == RoundAction::Train {
@@ -1462,54 +1000,54 @@ impl Simulation {
                 }
             }
         }
-        let mixing = mixing_override.unwrap_or(&self.mixing);
-        let seed = self.config.seed;
-        for i in 0..mixing.len() {
-            for (pos, &(j, _)) in mixing.row(i).iter().enumerate() {
-                let j = j as usize;
-                if j == i {
-                    continue;
+        for k in 0..self.plan.rows().len() {
+            let row = self.plan.rows()[k];
+            self.ledger
+                .record_tx(row.src as usize, row.charged_bytes, &comm);
+            match row.fate {
+                Fate::Delivered => {
+                    self.ledger
+                        .record_rx(row.dst as usize, row.charged_bytes, &comm);
                 }
-                let msg_bytes = match uniform_bytes {
-                    Some(bytes) => bytes,
-                    None => {
-                        self.round_codecs[i][pos].charged_message_bytes(self.param_count, nominal)
-                    }
-                };
-                self.ledger.record_tx(j, msg_bytes, &comm);
-                let on_time = edge_on_time(&self.late_edges, j, i);
-                match self.config.transport.fate(seed, self.round, j, i) {
-                    MessageFate::Delivered if on_time => {
-                        self.ledger.record_rx(i, msg_bytes, &comm);
-                    }
-                    MessageFate::Corrupted if on_time => {
-                        // The frame arrived mangled: count it, and when the
-                        // plain serialized share phase left this sender's
-                        // real wire bytes in scratch, run them through the
-                        // receive-side checksum verify to prove the reject
-                        // path. XOR is self-inverse, so flipping the seeded
-                        // bit twice restores the shared frame in place —
-                        // no copy, no allocation.
-                        self.corrupted_frames += 1;
-                        let frame = &mut self.encode_scratch[j];
-                        if !frame.is_empty() {
-                            corrupt_frame_in_place(frame, seed, self.round, j, i);
-                            let rejected = decode_frame(frame).is_err();
-                            corrupt_frame_in_place(frame, seed, self.round, j, i);
-                            debug_assert!(
-                                rejected,
-                                "corrupted frame must fail the checksum verify"
-                            );
-                        }
-                    }
-                    _ => {}
-                }
+                Fate::Corrupted => self.reject_corrupted(row),
+                Fate::Dropped | Fate::Late => {}
             }
         }
-        match self.virtual_round_end {
+        match round_end {
             Some(ticks) => self.ledger.end_round_at(ticks),
             None => self.ledger.end_round(),
         }
+    }
+
+    /// Counts a corrupted frame and proves the receive path discards it:
+    /// flip the seeded bit of the row's wire frame, verify the checksum
+    /// rejects it, and flip the bit back (XOR is self-inverse — no copy).
+    /// Under a shared payload the sender's frame is still in its wire
+    /// scratch, intact for its other receivers; a per-edge frame was
+    /// overwritten by the receiver's later in-edges and is encoded again.
+    fn reject_corrupted(&mut self, row: PlanRow) {
+        self.corrupted_frames += 1;
+        let (src, dst) = (row.src as usize, row.dst as usize);
+        let (seed, round) = (self.config.seed, self.round);
+        let wire = if self.plan.shared_payload().is_some() {
+            &mut self.scratch[src].wire
+        } else {
+            let wire = &mut self.scratch[dst].wire;
+            let model = &self.half[src];
+            encode_message_with(
+                row.codec,
+                row.src,
+                round as u32,
+                model,
+                &mut wire.frame,
+                &mut wire.enc,
+            );
+            wire
+        };
+        corrupt_frame_in_place(&mut wire.frame, seed, round, src, dst);
+        let rejected = decode_frame_into(&wire.frame, &mut wire.dec).is_err();
+        corrupt_frame_in_place(&mut wire.frame, seed, round, src, dst);
+        debug_assert!(rejected, "corrupted frame must fail the checksum verify");
     }
 
     /// Evaluates every node's model on (a fixed subsample of) `dataset`,
@@ -1803,7 +1341,8 @@ mod tests {
         let n = 12;
         let (mut sim, _) = tiny_sim_full(n, 11, TransportKind::Memory, ModelCodec::DenseF32, 6);
         let mixing = MixingMatrix::pairwise(n, &[(2, 7)]);
-        sim.run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing);
+        sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing)
+            .unwrap();
 
         let bytes = ModelCodec::DenseF32.message_bytes(sim.param_count());
         assert_eq!(sim.ledger().total_tx_bytes(), 2 * bytes);
@@ -1894,7 +1433,7 @@ mod tests {
 
     #[test]
     fn lossy_mixing_round_counts_delivered_edges() {
-        // run_round_with_mixing + lossy Serialized transport: rx charges
+        // try_run_round_with_mixing + lossy Serialized transport: rx charges
         // must match the delivered() decisions over exactly the matched
         // edges, tx charges the attempts.
         let n = 8;
@@ -1912,7 +1451,8 @@ mod tests {
         let mixing = MixingMatrix::pairwise(n, &pairs);
         let rounds = 9;
         for _ in 0..rounds {
-            sim.run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing);
+            sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing)
+                .unwrap();
         }
         let transport = sim.config.transport;
         let seed = sim.config.seed;
@@ -1955,7 +1495,8 @@ mod tests {
         let (mut sim, _) = tiny_sim(2, 33, TransportKind::Memory);
         let before0 = sim.node_params(0).to_vec();
         let before1 = sim.node_params(1).to_vec();
-        sim.run_round_with_mixing(&[RoundAction::SyncOnly; 2], &swap);
+        sim.try_run_round_with_mixing(&[RoundAction::SyncOnly; 2], &swap)
+            .unwrap();
         assert_eq!(sim.node_params(0), &before1[..], "swap row must apply");
         assert_eq!(sim.node_params(1), &before0[..]);
 
@@ -1968,7 +1509,9 @@ mod tests {
             },
         );
         for _ in 0..12 {
-            lossy.run_round_with_mixing(&[RoundAction::SyncOnly; 2], &swap);
+            lossy
+                .try_run_round_with_mixing(&[RoundAction::SyncOnly; 2], &swap)
+                .unwrap();
         }
         for i in 0..2 {
             assert!(
@@ -2146,7 +1689,8 @@ mod tests {
         );
         assert_eq!(sim.feedback().unwrap().active_links(), 0);
         let mixing = MixingMatrix::pairwise(n, &[(1, 4)]);
-        sim.run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing);
+        sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing)
+            .unwrap();
         assert_eq!(
             sim.feedback().unwrap().active_links(),
             2,
@@ -2158,7 +1702,8 @@ mod tests {
         // a second, different matching adds exactly two more links and
         // leaves the first pair's residuals in place
         let mixing2 = MixingMatrix::pairwise(n, &[(2, 6)]);
-        sim.run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing2);
+        sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing2)
+            .unwrap();
         assert_eq!(sim.feedback().unwrap().active_links(), 4);
         assert!(sim.feedback().unwrap().replica(1, 4).is_some());
     }
@@ -2213,7 +1758,8 @@ mod tests {
                 continue;
             }
             let mixing = MixingMatrix::pairwise(n, &[(a, b)]);
-            sim.run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing);
+            sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing)
+                .unwrap();
         }
         let fb = sim.feedback().unwrap();
         assert!(
@@ -2514,7 +2060,9 @@ mod tests {
 
         for _ in 0..3 {
             gated.run_round(&vec![RoundAction::Train; n]);
-            plain.run_round_with_mixing(&manual_actions, &masked);
+            plain
+                .try_run_round_with_mixing(&manual_actions, &masked)
+                .unwrap();
         }
         for i in 0..n {
             assert_eq!(
@@ -2805,5 +2353,241 @@ mod tests {
             sim.run_round(&[RoundAction::SyncOnly; 6]);
         }
         assert_eq!(sim.corrupted_frames(), 0);
+    }
+
+    use proptest::prelude::*;
+
+    /// A mixture-MLP fleet over `graph` (136 parameters per node).
+    fn fleet(graph: Graph, config: SimulationConfig) -> Simulation {
+        let n = graph.len();
+        let spec = MixtureSpec {
+            num_classes: 4,
+            feature_dim: 6,
+            modes_per_class: 1,
+            separation: 1.6,
+            noise: 0.5,
+        };
+        let task = MixtureTask::new(spec, 99);
+        let datasets: Vec<Dataset> = (0..n).map(|i| task.sample(40, 10 + i as u64)).collect();
+        let models: Vec<Sequential> = (0..n)
+            .map(|i| skiptrain_nn::zoo::mlp(&[6, 12, 4], config.seed + i as u64))
+            .collect();
+        let mixing = MixingMatrix::metropolis_hastings(&graph);
+        Simulation::new(models, datasets, graph, mixing, config)
+    }
+
+    /// A deterministic pseudo-random percentage in `0..100` per key.
+    fn pct(salt: u64, a: u64, b: u64) -> u64 {
+        skiptrain_linalg::rng::derive_seed(skiptrain_linalg::rng::derive_seed(salt, a), b) % 100
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The plan reconciles with everything the round did: its rows are
+        // the effective mixing's off-diagonal entries, every fate equals a
+        // naive recomputation, and the ledger and the corrupted-frame
+        // counter move by exactly what the rows say.
+        #[test]
+        fn plan_reconciles_with_mixing_fates_and_ledger(
+            seed in 0u64..10_000,
+            n in 4usize..10,
+            topology in 0u8..4,
+            lossy in 0u8..3,
+            drop_prob in 0.0f64..0.4,
+            corrupt_prob in 0.0f64..0.3,
+            policy in 0u8..7,
+            feedback in 0u8..2,
+            battery in 0u8..2,
+            late_pct in 0u64..40,
+            rounds in 3usize..6,
+        ) {
+            let k = 20;
+            let mut config = SimulationConfig::minimal(seed, 8, 1, 0.1);
+            config.training_energy_wh = vec![0.05; n];
+            config.nominal_params = Some(1000);
+            config.transport = match lossy {
+                0 => TransportKind::Memory,
+                _ => TransportKind::Serialized { drop_prob, corrupt_prob },
+            };
+            config.compression = match policy {
+                0 => CompressionPolicy::Uniform(ModelCodec::DenseF32),
+                1 => CompressionPolicy::Uniform(ModelCodec::QuantizedU8),
+                2 => CompressionPolicy::Uniform(ModelCodec::QuantizedU16),
+                3 => CompressionPolicy::Uniform(ModelCodec::TopK { k }),
+                4 => CompressionPolicy::PerLink {
+                    default: ModelCodec::QuantizedU8,
+                    links: vec![
+                        crate::transport::LinkCodec { src: 0, dst: 1, codec: ModelCodec::TopK { k } },
+                        crate::transport::LinkCodec { src: 1, dst: 0, codec: ModelCodec::DenseF32 },
+                    ],
+                },
+                5 => CompressionPolicy::deal_tiers(k),
+                _ => CompressionPolicy::RarityAdaptive { base_k: k, max_k: 4 * k },
+            };
+            config.feedback_beta = (feedback == 1).then_some(0.8);
+            if battery == 1 {
+                // mixed charge levels around a 50% threshold, no harvest:
+                // some nodes are gated from the start, more drop out
+                let mut state = BatteryState::new(vec![1.0; n]);
+                for i in 0..n {
+                    state.drain(i, pct(seed, 1, i as u64) as f64 / 100.0);
+                }
+                config.battery = Some(BatterySetup {
+                    state,
+                    trace: no_harvest(n),
+                    policy: BatteryPolicy::Threshold { min_fraction: 0.5 },
+                    node_policies: None,
+                });
+            }
+            let graph = match topology {
+                0 | 3 => Graph::ring(n),
+                1 => random_regular(n, if n >= 6 { 4 } else { 2 }, seed),
+                _ => Graph::complete(n),
+            };
+            let base = MixingMatrix::metropolis_hastings(&graph);
+            let transport = config.transport;
+            let mut sim = fleet(graph.clone(), config);
+            let mut capacities = None;
+            for round in 0..rounds {
+                // topology 3: an edge-dropout override, a fresh subgraph
+                // of the ring every round
+                let dropout = (topology == 3).then(|| {
+                    let mut g = graph.clone();
+                    for i in 0..n as u32 {
+                        if pct(seed, 2 + round as u64, i as u64) < 30 {
+                            g.remove_edge(i, (i + 1) % n as u32);
+                        }
+                    }
+                    MixingMatrix::metropolis_hastings(&g)
+                });
+                let used = dropout.as_ref().unwrap_or(&base);
+                let mut late: Vec<(u32, u32)> = Vec::new();
+                for dst in 0..n {
+                    for &(src, _) in used.row(dst) {
+                        let key = (src as u64) << 16 | dst as u64;
+                        if src as usize != dst && pct(seed, 100 + round as u64, key) < late_pct {
+                            late.push((src, dst as u32));
+                        }
+                    }
+                }
+                late.sort_unstable();
+                let actions: Vec<RoundAction> = (0..n)
+                    .map(|i| if (i + round) % 2 == 0 { RoundAction::Train } else { RoundAction::SyncOnly })
+                    .collect();
+                let (tx0, rx0) = (sim.ledger().total_tx_bytes(), sim.ledger().total_rx_bytes());
+                let corrupted0 = sim.corrupted_frames();
+
+                sim.check_round_args(&actions, dropout.as_ref()).unwrap();
+                sim.step(&actions, dropout.as_ref(), &late, None);
+
+                // the effective mixing: battery gating masks the one used
+                let effective = match sim.battery_active() {
+                    Some(active) => used.masked(active),
+                    None => used.clone(),
+                };
+                let rows = sim.plan.rows();
+                let mut next_row = 0;
+                for dst in 0..n {
+                    let mut entries = sim.plan.entries(dst);
+                    for &(src, weight) in effective.row(dst) {
+                        let entry = entries.next().expect("one plan entry per mixing entry");
+                        prop_assert_eq!(entry.weight().to_bits(), weight.to_bits());
+                        match entry {
+                            Entry::Own(_) => prop_assert_eq!(src as usize, dst),
+                            Entry::Edge(row) => {
+                                prop_assert_eq!((row.src, row.dst), (src, dst as u32));
+                                prop_assert!(std::ptr::eq(row, &rows[next_row]), "rows grouped by receiver");
+                                next_row += 1;
+                            }
+                        }
+                    }
+                    prop_assert!(entries.next().is_none());
+                    let row_sum: f32 = effective.row(dst).iter().map(|&(_, w)| w).sum();
+                    let plan_sum: f32 = sim.plan.entries(dst).map(|e| e.weight()).sum();
+                    prop_assert_eq!(plan_sum.to_bits(), row_sum.to_bits());
+                }
+                prop_assert_eq!(next_row, rows.len());
+
+                for row in rows {
+                    let naive = if late.contains(&(row.src, row.dst)) {
+                        Fate::Late
+                    } else {
+                        match transport.fate(seed, round, row.src as usize, row.dst as usize) {
+                            crate::transport::MessageFate::Delivered => Fate::Delivered,
+                            crate::transport::MessageFate::Dropped => Fate::Dropped,
+                            crate::transport::MessageFate::Corrupted => Fate::Corrupted,
+                        }
+                    };
+                    prop_assert_eq!(row.fate, naive);
+                    prop_assert_eq!(row.charged_bytes, row.codec.charged_message_bytes(136, 1000));
+                }
+                let sent: u64 = rows.iter().map(|r| r.charged_bytes).sum();
+                let received: u64 = rows
+                    .iter()
+                    .filter(|r| r.fate == Fate::Delivered)
+                    .map(|r| r.charged_bytes)
+                    .sum();
+                let corrupted = rows.iter().filter(|r| r.fate == Fate::Corrupted).count() as u64;
+                prop_assert_eq!(sim.ledger().total_tx_bytes() - tx0, sent);
+                prop_assert_eq!(sim.ledger().total_rx_bytes() - rx0, received);
+                prop_assert_eq!(sim.corrupted_frames() - corrupted0, corrupted);
+                prop_assert_eq!(
+                    sim.plan.shared_payload().is_some(),
+                    policy < 4 && (feedback == 0 || policy == 0)
+                );
+
+                // every buffer was sized by the first round at the latest
+                let now = sim.plan.capacities();
+                prop_assert_eq!(*capacities.get_or_insert(now), now);
+            }
+        }
+
+        // A per-link table with no entries decides every edge like the
+        // uniform policy over its default codec: same rows, same fates,
+        // same ledger bytes. The *parameters* may differ in the last bits:
+        // `Uniform` aggregates through the shared-payload kernels (indexed
+        // weighted sum / row-sum blend), `PerLink` through the per-edge
+        // kernel (axpy per row, own model last) — a different f32
+        // accumulation order, which is why the kernel follows the policy
+        // and not the codec column.
+        #[test]
+        fn empty_per_link_table_decides_like_uniform(
+            seed in 0u64..10_000,
+            codec in 0u8..4,
+            drop_prob in 0.0f64..0.4,
+            corrupt_prob in 0.0f64..0.3,
+        ) {
+            let n = 8;
+            let codec = match codec {
+                0 => ModelCodec::DenseF32,
+                1 => ModelCodec::QuantizedU8,
+                2 => ModelCodec::QuantizedU16,
+                _ => ModelCodec::TopK { k: 20 },
+            };
+            let run = |policy: CompressionPolicy| {
+                let mut config = SimulationConfig::minimal(seed, 8, 1, 0.1);
+                config.transport = TransportKind::Serialized { drop_prob, corrupt_prob };
+                config.compression = policy;
+                let mut sim = fleet(random_regular(n, 4, seed), config);
+                let mut messages = Vec::new();
+                for _ in 0..4 {
+                    sim.run_round(&vec![RoundAction::SyncOnly; n]);
+                    messages.extend(
+                        sim.plan
+                            .rows()
+                            .iter()
+                            .map(|r| (r.src, r.dst, r.codec, r.fate, r.charged_bytes)),
+                    );
+                }
+                let bytes: Vec<(u64, u64)> = (0..n)
+                    .map(|i| (sim.ledger().node_tx_bytes(i), sim.ledger().node_rx_bytes(i)))
+                    .collect();
+                (messages, bytes, sim.corrupted_frames())
+            };
+            let uniform = run(CompressionPolicy::Uniform(codec));
+            let per_link = run(CompressionPolicy::PerLink { default: codec, links: Vec::new() });
+            prop_assert_eq!(uniform, per_link);
+        }
     }
 }

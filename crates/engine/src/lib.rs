@@ -28,38 +28,64 @@
 //! edge*, treated exactly like a transport drop: the sender's transmit
 //! energy is still charged, no receive is charged, the mixing weight
 //! folds back into the receiver's self weight, and error-feedback
-//! replicas do not advance.
+//! replicas do not advance — it becomes a `Late` row of the round plan
+//! below.
 //!
 //! # The round phases
 //!
-//! However a round was timed, its data path is the same four phases:
+//! However a round was timed, its data path is the same: **resolve** the
+//! round's directed edges once, then **compute**, **share/aggregate** and
+//! **account** as single passes over the resolved plan.
 //!
-//! 1. **local compute** — each node either trains `E` local SGD steps on its
+//! 1. **resolve** — one serial pass over the round's effective mixing
+//!    (the topology's matrix, a pairwise-gossip or scheduled override, or
+//!    the churn- and battery-masked form of either) writes one row per
+//!    off-diagonal entry: `(src, dst, weight, codec, fate, charged_bytes)`,
+//!    grouped by receiver, plus each receiver's own weight. This is the
+//!    only place the transport's loss stream
+//!    ([`TransportKind::fate`](transport::TransportKind::fate)), the event
+//!    engine's late-edge set, the
+//!    [`CompressionPolicy`](transport::CompressionPolicy) and the byte
+//!    quote
+//!    ([`ModelCodec::charged_message_bytes`](transport::ModelCodec::charged_message_bytes))
+//!    are consulted; no later pass sees a mixing matrix. The fate of a row:
+//!
+//!    | fate | when | tx charged | rx charged | aggregates | replica advances |
+//!    |---|---|---|---|---|---|
+//!    | `Delivered` | on time and the transport delivered it | yes | yes | yes | yes |
+//!    | `Dropped` | on time, lost in transit | yes | no | weight falls back to self | no |
+//!    | `Corrupted` | on time, bits flipped; the checksum rejects it and `corrupted_frames` counts it | yes | no | weight falls back to self | no |
+//!    | `Late` | missed the round deadline, **whatever the transport drew** | yes | no | weight falls back to self | no |
+//!
+//!    An edge gated out by churn or battery has *no row* — its weight was
+//!    already folded into the receiver's self entry by
+//!    [`MixingMatrix::masked_into`](skiptrain_topology::MixingMatrix::masked_into)
+//!    — so it costs nothing and appears nowhere.
+//! 2. **compute** — each node either trains `E` local SGD steps on its
 //!    private dataset (a *training* round) or leaves its model untouched
 //!    (a *synchronization* round), producing the half-step model `x^{t−½}`;
-//! 2. **share** — every node on an effective communication edge (an
-//!    off-diagonal entry of the round's mixing matrix, which may be a
-//!    pairwise-gossip override) sends `x^{t−½}` through a
-//!    [`transport`](transport::TransportKind) (zero-copy in-memory or full
-//!    serialize/decode with optional loss), compressed by the
-//!    [`ModelCodec`](transport::ModelCodec) the configured
-//!    [`CompressionPolicy`](transport::CompressionPolicy) resolves for
-//!    that directed link this round — optionally with per-link
-//!    CHOCO-SGD error feedback
-//!    ([`ErrorFeedbackState`](transport::ErrorFeedbackState)), which
-//!    compresses each directed edge's accumulated residual against a link
-//!    replica instead of the raw model at identical wire bytes;
-//! 3. **aggregate** — every node computes `x^t = Σ_j W_ji · x_j^{t−½}`
-//!    with its Metropolis–Hastings row, over the lossily reconstructed
-//!    neighbor models (late or dropped edges fall back to the receiver's
-//!    own model), then applies the consensus stepsize:
+//! 3. **share + aggregate** — every `Delivered` row carries the sender's
+//!    `x^{t−½}` through the [`transport`](transport::TransportKind)
+//!    (in-memory kernels, or a full encode → decode of the wire frame)
+//!    under the row's [`ModelCodec`](transport::ModelCodec), and every
+//!    receiver computes `x^t = Σ_j W_ji · x_j^{t−½}` over what it decoded,
+//!    its own model standing in for every row that did not deliver and for
+//!    the coordinates a top-k message did not carry. When the policy is
+//!    uniform and no per-link replica makes payloads differ, each sender's
+//!    message is compressed once and shared by its receivers; otherwise
+//!    every edge is carried on its own — with per-link CHOCO-SGD error
+//!    feedback ([`ErrorFeedbackState`](transport::ErrorFeedbackState)) the
+//!    message is the link's accumulated residual and the receiver
+//!    aggregates its replica, at identical wire bytes. Then the consensus
+//!    stepsize applies:
 //!    `x^t = x^{t−½} + γ (Σ_j W_ji · x_j^{t−½} − x^{t−½})` with γ = 1
 //!    by default;
-//! 4. **account** — the energy ledger records one tx event per attempted
-//!    message and one rx event per delivered, on-time message, at the
-//!    codec's actual wire bytes, over exactly the edges that fired —
-//!    and stamps the round's virtual end tick when an event engine is
-//!    driving ([`EnergyLedger::round_end_ticks`](skiptrain_energy::EnergyLedger::round_end_ticks)).
+//! 4. **account** — the energy ledger records training per action, one tx
+//!    event per row and one rx event per `Delivered` row at the row's
+//!    `charged_bytes`, runs each `Corrupted` row through the receive-side
+//!    checksum reject, and stamps the round's virtual end tick when an
+//!    event engine is driving
+//!    ([`EnergyLedger::round_end_ticks`](skiptrain_energy::EnergyLedger::round_end_ticks)).
 //!
 //! Which of train/sync each node performs per round is decided by the
 //! *policies* in `skiptrain-core`; the engine is policy-agnostic and simply
@@ -99,6 +125,7 @@ pub mod executor;
 pub mod metrics;
 pub mod node;
 pub mod observer;
+mod plan;
 pub mod transport;
 
 pub use error::EngineError;

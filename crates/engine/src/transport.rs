@@ -56,10 +56,11 @@
 //! links need no wire-format change. Four policies exist:
 //!
 //! * [`CompressionPolicy::Uniform`] — one codec for every link, the
-//!   legacy global-codec behavior. This is the bit-exact fast path: the
-//!   executor keeps its per-sender share phase (one payload per sender)
-//!   and its single per-round byte quote, so `Uniform(c)` runs are
-//!   bit-identical to the pre-policy global `codec = c` configuration.
+//!   legacy global-codec behavior: a constant codec column in the round
+//!   plan. Unless error feedback makes payloads per-link, each sender's
+//!   message is compressed once and shared by all its receivers, and
+//!   `Uniform(c)` runs are bit-identical to the pre-policy global
+//!   `codec = c` configuration.
 //! * [`CompressionPolicy::PerLink`] — an explicit `(src, dst) → codec`
 //!   table over a default, for heterogeneous radios.
 //! * [`CompressionPolicy::RarityAdaptive`] — top-k with `k` scaled by
@@ -112,8 +113,8 @@
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use skiptrain_linalg::compress::{
-    dequantize_one, dequantize_u16, dequantize_u8, gather, quantize_u16, quantize_u16_into,
-    quantize_u8, quantize_u8_into, top_k_indices, top_k_indices_into, AffineParams,
+    dequantize_one, dequantize_u16, dequantize_u8, gather_into, quantize_u16_into,
+    quantize_u8_into, top_k_indices_into, AffineParams,
 };
 use skiptrain_linalg::rng::derive_seed;
 
@@ -223,7 +224,7 @@ impl TransportKind {
 /// [`derive_seed`] link of the per-message decision stream, constrained to
 /// the payload region `[PAYLOAD_START, len)` so the header stays parseable
 /// and the trailing checksum (computed over the payload at encode time) is
-/// guaranteed to mismatch — [`decode_frame`] must return
+/// guaranteed to mismatch — [`decode_frame_into`] must return
 /// [`DecodeError::BadChecksum`]. Frames too short to carry a payload are
 /// left untouched.
 ///
@@ -324,24 +325,44 @@ impl ModelCodec {
     /// Returns exactly what [`decode_message`] would produce for a frame
     /// encoded from `params` (asserted by tests).
     pub fn transform(&self, params: &[f32]) -> Payload {
+        let (mut enc, mut dec) = (EncodeScratch::default(), DecodeScratch::default());
+        match self.transform_into(params, &mut enc, &mut dec) {
+            PayloadRef::Dense(model) => Payload::Dense(model.to_vec()),
+            PayloadRef::Sparse { indices, values } => Payload::Sparse {
+                indices: indices.to_vec(),
+                values: values.to_vec(),
+            },
+        }
+    }
+
+    /// [`ModelCodec::transform`] through reusable scratch: allocation-free
+    /// at steady state, and zero-copy for the lossless codec (the returned
+    /// payload borrows `params` itself).
+    pub(crate) fn transform_into<'a>(
+        &self,
+        params: &'a [f32],
+        enc: &mut EncodeScratch,
+        dec: &'a mut DecodeScratch,
+    ) -> PayloadRef<'a> {
         match self {
-            ModelCodec::DenseF32 => Payload::Dense(params.to_vec()),
+            ModelCodec::DenseF32 => PayloadRef::Dense(params),
             ModelCodec::QuantizedU8 => {
-                let (p, codes) = quantize_u8(params);
-                let mut back = Vec::new();
-                dequantize_u8(p, &codes, &mut back);
-                Payload::Dense(back)
+                let p = quantize_u8_into(params, &mut enc.codes8);
+                dequantize_u8(p, &enc.codes8, &mut dec.dense);
+                PayloadRef::Dense(&dec.dense)
             }
             ModelCodec::QuantizedU16 => {
-                let (p, codes) = quantize_u16(params);
-                let mut back = Vec::new();
-                dequantize_u16(p, &codes, &mut back);
-                Payload::Dense(back)
+                let p = quantize_u16_into(params, &mut enc.codes16);
+                dequantize_u16(p, &enc.codes16, &mut dec.dense);
+                PayloadRef::Dense(&dec.dense)
             }
             ModelCodec::TopK { k } => {
-                let indices = top_k_indices(params, *k);
-                let values = gather(params, &indices);
-                Payload::Sparse { indices, values }
+                top_k_indices_into(params, *k, &mut dec.indices);
+                gather_into(params, &dec.indices, &mut dec.values);
+                PayloadRef::Sparse {
+                    indices: &dec.indices,
+                    values: &dec.values,
+                }
             }
         }
     }
@@ -778,22 +799,6 @@ pub struct EncodeScratch {
     indices: Vec<u32>,
 }
 
-/// Encodes a flat model into a framed message under `codec`, writing into
-/// a reusable buffer (cleared first; capacity is retained across calls).
-/// Lossy codecs materialize their quantization codes / top-k indices in
-/// a fresh allocation per call; [`encode_message_with`] is the fully
-/// allocation-free form over a caller-held [`EncodeScratch`].
-pub fn encode_message_into(
-    codec: ModelCodec,
-    sender: u32,
-    round: u32,
-    params: &[f32],
-    buf: &mut Vec<u8>,
-) {
-    let mut scratch = EncodeScratch::default();
-    encode_message_with(codec, sender, round, params, buf, &mut scratch);
-}
-
 /// Encodes a flat model into a framed message under `codec`, writing the
 /// frame into `buf` and routing every codec intermediate (quantization
 /// codes, top-k indices) through `scratch`. With both buffers reused
@@ -864,11 +869,18 @@ pub fn encode_message_with(
 /// module docs for the wire layout).
 pub fn encode_message(codec: ModelCodec, sender: u32, round: u32, params: &[f32]) -> Bytes {
     let mut buf = Vec::new();
-    encode_message_into(codec, sender, round, params, &mut buf);
+    encode_message_with(
+        codec,
+        sender,
+        round,
+        params,
+        &mut buf,
+        &mut EncodeScratch::default(),
+    );
     Bytes::from(buf)
 }
 
-/// Byte-slice cursor used by [`decode_frame`]; bounds were validated
+/// Byte-slice cursor used by [`decode_frame_into`]; bounds were validated
 /// against the header before parsing starts.
 struct Reader<'a> {
     buf: &'a [u8],
@@ -907,9 +919,9 @@ impl<'a> Reader<'a> {
 /// frame decoding allocation-free at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
-    dense: Vec<f32>,
-    indices: Vec<u32>,
-    values: Vec<f32>,
+    pub(crate) dense: Vec<f32>,
+    pub(crate) indices: Vec<u32>,
+    pub(crate) values: Vec<f32>,
 }
 
 /// A decoded payload borrowing a [`DecodeScratch`]'s buffers.
@@ -938,33 +950,6 @@ pub struct DecodedMessageRef<'a> {
     pub param_count: usize,
     /// The (lossily) reconstructed model, borrowing `scratch`.
     pub payload: PayloadRef<'a>,
-}
-
-/// Decodes a frame produced by [`encode_message`] from a borrowed byte
-/// slice, dequantizing lossy payloads into the values the receiver will
-/// aggregate. [`decode_message`] is the owned-`Bytes` wrapper; for
-/// steady-state allocation-free decoding, use [`decode_frame_into`] with
-/// a reused [`DecodeScratch`] — this function is its fresh-buffer
-/// wrapper.
-pub fn decode_frame(frame: &[u8]) -> Result<DecodedMessage, DecodeError> {
-    let mut scratch = DecodeScratch::default();
-    let msg = decode_frame_into(frame, &mut scratch)?;
-    let (sender, round, param_count) = (msg.sender, msg.round, msg.param_count);
-    let sparse = matches!(msg.payload, PayloadRef::Sparse { .. });
-    let payload = if sparse {
-        Payload::Sparse {
-            indices: scratch.indices,
-            values: scratch.values,
-        }
-    } else {
-        Payload::Dense(scratch.dense)
-    };
-    Ok(DecodedMessage {
-        sender,
-        round,
-        param_count,
-        payload,
-    })
 }
 
 /// Decodes a frame into reusable caller buffers: the payload lands in
@@ -1078,7 +1063,22 @@ pub fn decode_frame_into<'a>(
 /// Decodes a frame produced by [`encode_message`], dequantizing lossy
 /// payloads into the values the receiver will aggregate.
 pub fn decode_message(frame: Bytes) -> Result<DecodedMessage, DecodeError> {
-    decode_frame(frame.as_slice())
+    let mut scratch = DecodeScratch::default();
+    let msg = decode_frame_into(frame.as_slice(), &mut scratch)?;
+    let (sender, round, param_count) = (msg.sender, msg.round, msg.param_count);
+    let payload = match msg.payload {
+        PayloadRef::Sparse { .. } => Payload::Sparse {
+            indices: scratch.indices,
+            values: scratch.values,
+        },
+        PayloadRef::Dense(_) => Payload::Dense(scratch.dense),
+    };
+    Ok(DecodedMessage {
+        sender,
+        round,
+        param_count,
+        payload,
+    })
 }
 
 /// Decoded dense message (legacy shape kept for tests and benches).
@@ -1705,7 +1705,10 @@ mod tests {
                 let mut frame = encode_message(codec, 3, r as u32, &params).to_vec();
                 corrupt_frame_in_place(&mut frame, 77, r, 3, 5);
                 assert!(
-                    matches!(decode_frame(&frame), Err(DecodeError::BadChecksum)),
+                    matches!(
+                        decode_frame_into(&frame, &mut DecodeScratch::default()),
+                        Err(DecodeError::BadChecksum)
+                    ),
                     "corrupted {codec:?} frame round {r} must fail checksum"
                 );
             }
