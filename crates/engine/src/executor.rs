@@ -18,6 +18,7 @@ use skiptrain_energy::comm::CommEnergyModel;
 use skiptrain_energy::trace::HarvestTrace;
 use skiptrain_energy::EnergyLedger;
 use skiptrain_linalg::compress::{accumulate_delta, scatter_axpy, sparse_blend_axpy};
+use skiptrain_linalg::ops::weighted_sum_block_into;
 use skiptrain_nn::sgd::SgdConfig;
 use skiptrain_nn::{Sequential, SoftmaxCrossEntropy};
 use skiptrain_topology::{Graph, MixingMatrix};
@@ -334,10 +335,9 @@ pub struct Simulation {
     plan: RoundPlan,
     /// Per-node wire and residual buffers for the share/aggregate pass.
     scratch: Vec<NodeScratch>,
-    /// Reusable per-node neighbor-index scratch for the dense kernel.
-    agg_indices: Vec<Vec<u32>>,
-    /// Reusable per-node mixing-weight scratch for the dense kernel.
-    agg_weights: Vec<Vec<f32>>,
+    /// Reusable per-node `(sender indices, mixing weights)` scratch for the
+    /// dense kernel.
+    agg_rows: Vec<(Vec<u32>, Vec<f32>)>,
     /// Reusable mean-model buffer for [`Simulation::evaluate_mean_model`].
     mean_scratch: Vec<f32>,
     /// Per-directed-link error-feedback replicas, when enabled.
@@ -463,8 +463,9 @@ impl Simulation {
             // entries): time-varying graphs hit fresh degree maxima mid-
             // campaign, and a growth realloc there would break the pinned
             // zero-allocation round loop
-            agg_indices: (0..n).map(|_| Vec::with_capacity(n)).collect(),
-            agg_weights: (0..n).map(|_| Vec::with_capacity(n)).collect(),
+            agg_rows: (0..n)
+                .map(|_| (Vec::with_capacity(n), Vec::with_capacity(n)))
+                .collect(),
             mean_scratch: Vec::new(),
             feedback,
             corrupted_frames: 0,
@@ -753,16 +754,18 @@ impl Simulation {
     }
 
     /// Local compute (parallel over nodes): each node trains `E` local
-    /// steps or copies its model, producing `x^{t−½}`, and writes its
-    /// local loss into a reusable slot — no per-round collection.
+    /// steps into `x^{t−½}` or, sync-only, *swaps* its committed model in
+    /// as `x^{t−½}` — no byte moves, and the stale buffer left in `params`
+    /// is never read (later passes read `half`; the commit swaps in `next`,
+    /// which every aggregate kernel overwrites whole). Losses land in
+    /// reusable slots — no per-round collection.
     fn compute(&mut self, actions: &[RoundAction]) {
         let local_steps = self.config.local_steps;
-        let params = &self.params;
         self.nodes
             .par_iter_mut()
             .zip(self.half.par_iter_mut())
             .zip(self.loss_scratch.par_iter_mut())
-            .zip(params.par_iter())
+            .zip(self.params.par_iter_mut())
             .zip(actions.par_iter())
             .for_each(
                 |((((node, half_i), loss_i), params_i), action)| match action {
@@ -770,8 +773,7 @@ impl Simulation {
                         *loss_i = Some(node.train_local(params_i, local_steps, half_i));
                     }
                     RoundAction::SyncOnly => {
-                        half_i.clear();
-                        half_i.extend_from_slice(params_i);
+                        std::mem::swap(params_i, half_i);
                         *loss_i = None;
                     }
                 },
@@ -805,11 +807,13 @@ impl Simulation {
     /// there. On the in-memory transport the lossless codec has nothing to
     /// carry and receivers read the half-step models directly.
     ///
+    /// * sparse (top-k) — `row_sum · own`, then a masked blend per
+    ///   delivered row;
     /// * dense — the indexed weighted sum in mixing-row order, with the
     ///   fallback weight added to the self entry where it sits (appended
-    ///   when the row has none);
-    /// * sparse (top-k) — `row_sum · own`, then a masked blend per
-    ///   delivered row.
+    ///   when the row has none). Each worker takes one contiguous block of
+    ///   receivers and sums it parameter tile by parameter tile, so a
+    ///   sender's tile leaves memory once per block, not once per reader.
     fn aggregate_shared(&mut self, codec: ModelCodec) {
         let plan = &self.plan;
         let half = &self.half;
@@ -827,56 +831,36 @@ impl Simulation {
                 });
         }
         let sent = &self.scratch;
-        self.next
-            .par_iter_mut()
-            .zip(self.agg_indices.par_iter_mut())
-            .zip(self.agg_weights.par_iter_mut())
-            .enumerate()
-            .for_each(|(i, ((out, indices), weights))| {
+        if matches!(codec, ModelCodec::TopK { .. }) {
+            self.next.par_iter_mut().enumerate().for_each(|(i, out)| {
                 let own = &half[i];
-                if matches!(codec, ModelCodec::TopK { .. }) {
-                    let row_sum: f32 = plan.entries(i).map(|e| e.weight()).sum();
-                    skiptrain_linalg::ops::scaled_copy(row_sum, own, out);
-                    for entry in plan.entries(i) {
-                        match entry {
-                            Entry::Edge(row) if row.fate == Fate::Delivered => {
-                                let msg = &sent[row.src as usize].wire.dec;
-                                sparse_blend_axpy(out, own, &msg.indices, &msg.values, row.weight);
-                            }
-                            _ => {}
-                        }
-                    }
-                    return;
-                }
-                indices.clear();
-                weights.clear();
-                let mut fallback = 0.0f32;
-                let mut self_at = None;
+                let row_sum: f32 = plan.entries(i).map(|e| e.weight()).sum();
+                skiptrain_linalg::ops::scaled_copy(row_sum, own, out);
                 for entry in plan.entries(i) {
                     match entry {
-                        Entry::Own(w) => {
-                            self_at = Some(indices.len());
-                            indices.push(i as u32);
-                            weights.push(w);
-                        }
                         Entry::Edge(row) if row.fate == Fate::Delivered => {
-                            indices.push(row.src);
-                            weights.push(row.weight);
+                            let msg = &sent[row.src as usize].wire.dec;
+                            sparse_blend_axpy(out, own, &msg.indices, &msg.values, row.weight);
                         }
-                        Entry::Edge(row) => fallback += row.weight,
+                        _ => {}
                     }
                 }
-                match self_at {
-                    Some(pos) => weights[pos] += fallback,
-                    None if fallback > 0.0 => {
-                        indices.push(i as u32);
-                        weights.push(fallback);
-                    }
-                    None => {}
+            });
+            return;
+        }
+        let block = self.next.len().div_ceil(rayon::current_num_threads());
+        self.next
+            .par_chunks_mut(block)
+            .zip(self.agg_rows.par_chunks_mut(block))
+            .enumerate()
+            .for_each(|(b, (outs, rows))| {
+                let base = b * block;
+                for (i, (indices, weights)) in (base..).zip(rows.iter_mut()) {
+                    plan.dense_row_into(i, indices, weights);
                 }
-                skiptrain_linalg::ops::weighted_sum_indexed_into(out, indices, weights, |j| {
+                weighted_sum_block_into(outs, rows, |r, j| {
                     let j = j as usize;
-                    if direct || j == i {
+                    if direct || j == base + r {
                         &half[j]
                     } else {
                         &sent[j].wire.dec.dense
@@ -1519,6 +1503,272 @@ mod tests {
                 "node {i} produced non-finite parameters"
             );
         }
+    }
+
+    /// A trainable layer with exactly one parameter: `out = gain · in`.
+    struct Gain {
+        gain: [f32; 1],
+        grad: [f32; 1],
+        input: Vec<f32>,
+    }
+
+    impl skiptrain_nn::Layer for Gain {
+        fn name(&self) -> &'static str {
+            "gain"
+        }
+        fn input_dim(&self) -> usize {
+            2
+        }
+        fn output_dim(&self) -> usize {
+            2
+        }
+        fn forward(
+            &mut self,
+            input: &skiptrain_linalg::Matrix,
+            output: &mut skiptrain_linalg::Matrix,
+            _train: bool,
+        ) {
+            output.resize_zeroed(input.rows(), 2);
+            self.input.clear();
+            self.input.extend_from_slice(input.as_slice());
+            for (o, &i) in output.as_mut_slice().iter_mut().zip(input.as_slice()) {
+                *o = self.gain[0] * i;
+            }
+        }
+        fn backward(
+            &mut self,
+            grad_out: &skiptrain_linalg::Matrix,
+            grad_in: &mut skiptrain_linalg::Matrix,
+        ) {
+            grad_in.resize_zeroed(grad_out.rows(), 2);
+            for ((gi, &go), &x) in grad_in
+                .as_mut_slice()
+                .iter_mut()
+                .zip(grad_out.as_slice())
+                .zip(&self.input)
+            {
+                self.grad[0] += go * x;
+                *gi = self.gain[0] * go;
+            }
+        }
+        fn params(&self) -> &[f32] {
+            &self.gain
+        }
+        fn params_mut(&mut self) -> &mut [f32] {
+            &mut self.gain
+        }
+        fn grads(&self) -> &[f32] {
+            &self.grad
+        }
+        fn grads_mut(&mut self) -> &mut [f32] {
+            &mut self.grad
+        }
+        fn params_and_grads(&mut self) -> (&mut [f32], &[f32]) {
+            (&mut self.gain, &self.grad)
+        }
+    }
+
+    /// `n` one-layer models on a 4-regular graph: softmax regression with
+    /// exactly `classes · (features + 1)` parameters, or — `features == 0`
+    /// — the one-parameter [`Gain`] over two features and classes.
+    fn sized_fleet(
+        n: usize,
+        features: usize,
+        classes: usize,
+        transport: TransportKind,
+    ) -> Simulation {
+        let spec = MixtureSpec {
+            num_classes: classes.max(2),
+            feature_dim: features.max(2),
+            modes_per_class: 1,
+            separation: 1.6,
+            noise: 0.5,
+        };
+        let task = MixtureTask::new(spec, 7);
+        let datasets: Vec<Dataset> = (0..n).map(|i| task.sample(24, 40 + i as u64)).collect();
+        let models: Vec<Sequential> = (0..n)
+            .map(|i| match features {
+                0 => Sequential::new(vec![Box::new(Gain {
+                    gain: [0.5 + i as f32],
+                    grad: [0.0],
+                    input: Vec::new(),
+                })]),
+                _ => skiptrain_nn::zoo::logistic_regression(features, classes, 90 + i as u64),
+            })
+            .collect();
+        let graph = random_regular(n, 4, 5);
+        let mixing = MixingMatrix::metropolis_hastings(&graph);
+        let mut config = SimulationConfig::minimal(5, 8, 2, 0.1);
+        config.transport = transport;
+        Simulation::new(models, datasets, graph, mixing, config)
+    }
+
+    /// The deliberately naive dense round the engine must equal bit for
+    /// bit: fresh `Vec`s, an explicit copy for `SyncOnly`, each receiver's
+    /// row re-derived from the mixing matrix and the transport's delivery
+    /// decisions, one untiled `scaled_copy` + `axpy` chain per receiver.
+    /// `twin` lends only its nodes' training state, seed and transport.
+    fn naive_round(
+        twin: &mut Simulation,
+        params: &[Vec<f32>],
+        round: usize,
+        actions: &[RoundAction],
+        mixing: &MixingMatrix,
+    ) -> Vec<Vec<f32>> {
+        let (seed, transport, steps) = (
+            twin.config.seed,
+            twin.config.transport,
+            twin.config.local_steps,
+        );
+        let half: Vec<Vec<f32>> = (0..params.len())
+            .map(|i| match actions[i] {
+                RoundAction::Train => {
+                    let mut out = Vec::new();
+                    twin.nodes[i].train_local(&params[i], steps, &mut out);
+                    out
+                }
+                RoundAction::SyncOnly => params[i].clone(),
+            })
+            .collect();
+        (0..params.len())
+            .map(|i| {
+                let mut list: Vec<(usize, f32)> = Vec::new();
+                let (mut fallback, mut self_at) = (0.0f32, None);
+                for &(j, w) in mixing.row(i) {
+                    let j = j as usize;
+                    if j == i {
+                        self_at = Some(list.len());
+                        list.push((i, w));
+                    } else if transport.delivered(seed, round, j, i) {
+                        list.push((j, w));
+                    } else {
+                        fallback += w;
+                    }
+                }
+                match self_at {
+                    Some(pos) => list[pos].1 += fallback,
+                    None if fallback > 0.0 => list.push((i, fallback)),
+                    None => {}
+                }
+                let mut out = vec![0.0f32; params[i].len()];
+                if let Some((&(j0, w0), rest)) = list.split_first() {
+                    skiptrain_linalg::ops::scaled_copy(w0, &half[j0], &mut out);
+                    for &(j, w) in rest {
+                        skiptrain_linalg::ops::axpy(w, &half[j], &mut out);
+                    }
+                }
+                out
+            })
+            .collect()
+    }
+
+    fn bits(model: &[f32]) -> Vec<u32> {
+        model.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn tiled_swapping_rounds_equal_a_naive_round_bitwise() {
+        use skiptrain_linalg::ops::WSUM_TILE;
+        let n = 7; // budget 2 → blocks of 4 + 3, budget 7 → one receiver each
+        let lossy = TransportKind::Serialized {
+            drop_prob: 0.4,
+            corrupt_prob: 0.0,
+        };
+        // a ring with no self entries: the fallback weight is appended
+        let ring: Vec<String> = (0..n)
+            .map(|i| format!("[[{},0.5],[{},0.5]]", (i + n - 1) % n, (i + 1) % n))
+            .collect();
+        let ring: MixingMatrix =
+            serde_json::from_str(&format!(r#"{{"n":{n},"rows":[{}]}}"#, ring.join(","))).unwrap();
+        use RoundAction::{SyncOnly as S, Train as T};
+        let schedule: [[RoundAction; 7]; 6] = [
+            [S; 7],
+            [T; 7],
+            [T, S, T, S, T, S, T],
+            [S; 7],
+            [S, T, S, T, S, T, S],
+            [S; 7],
+        ];
+        // classes · (features + 1) parameters: 1, tile − 1, tile, tile + 1, 3·tile + 5
+        assert_eq!(
+            WSUM_TILE, 2048,
+            "re-derive the shapes below for a new tile length"
+        );
+        for (features, classes) in [(0, 1), (88, 23), (255, 8), (682, 3), (558, 11)] {
+            for (transport, override_mixing) in [
+                (TransportKind::Memory, None),
+                (lossy, None),
+                (lossy, Some(&ring)),
+            ] {
+                let mut twin = sized_fleet(n, features, classes, transport);
+                let mixing = override_mixing.unwrap_or(&twin.mixing).clone();
+                // reference[t] = every node's model before round t
+                let mut reference = vec![twin.params.clone()];
+                for (round, actions) in schedule.iter().enumerate() {
+                    let next = naive_round(&mut twin, &reference[round], round, actions, &mixing);
+                    reference.push(next);
+                }
+                for threads in [1usize, 2, 7] {
+                    let mut sim = sized_fleet(n, features, classes, transport);
+                    assert_eq!(sim.param_count(), classes * (features + 1));
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    for (round, actions) in schedule.iter().enumerate() {
+                        pool.install(|| sim.try_run_round_with_mixing(actions, &mixing))
+                            .unwrap();
+                        for (i, want) in reference[round + 1].iter().enumerate() {
+                            assert_eq!(
+                                bits(sim.node_params(i)),
+                                bits(want),
+                                "{} params, {transport:?}, ring {}, {threads} threads, round {round}, node {i}",
+                                sim.param_count(),
+                                override_mixing.is_some()
+                            );
+                        }
+                    }
+                    let lost = sim.ledger().total_rx_bytes() < sim.ledger().total_tx_bytes();
+                    assert_eq!(lost, transport != TransportKind::Memory, "drops must fire");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sync_only_compute_swaps_buffers_and_masked_nodes_keep_their_model() {
+        let n = 6;
+        let (mut sim, _) = tiny_sim(n, 21, TransportKind::Memory);
+        sim.run_round(&vec![RoundAction::Train; n]);
+        let committed: Vec<*const f32> = sim.params.iter().map(|p| p.as_ptr()).collect();
+        let models: Vec<Vec<f32>> = sim.params.clone();
+        sim.compute(&vec![RoundAction::SyncOnly; n]);
+        for (i, half) in sim.half.iter().enumerate() {
+            assert_eq!(half.as_ptr(), committed[i], "node {i}: copied, not swapped");
+            assert_eq!(half, &models[i]);
+        }
+        // a full all-sync round in which node 2 is masked out (identity row)
+        let (mut sim, _) = tiny_sim(n, 21, TransportKind::Memory);
+        sim.run_round(&vec![RoundAction::Train; n]);
+        let mut active = vec![true; n];
+        active[2] = false;
+        let masked = sim.mixing.masked(&active);
+        let before = bits(sim.node_params(2));
+        let neighbour_before = sim.node_params(0).to_vec();
+        for _ in 0..3 {
+            sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &masked)
+                .unwrap();
+        }
+        assert_eq!(
+            bits(sim.node_params(2)),
+            before,
+            "an identity row must keep the model exactly"
+        );
+        assert_ne!(
+            sim.node_params(0),
+            &neighbour_before[..],
+            "the others still mix"
+        );
     }
 
     #[test]

@@ -62,8 +62,10 @@
 //!    [`MixingMatrix::masked_into`](skiptrain_topology::MixingMatrix::masked_into)
 //!    — so it costs nothing and appears nowhere.
 //! 2. **compute** — each node either trains `E` local SGD steps on its
-//!    private dataset (a *training* round) or leaves its model untouched
-//!    (a *synchronization* round), producing the half-step model `x^{t−½}`;
+//!    private dataset into the half-step model `x^{t−½}` (a *training*
+//!    round) or leaves its model untouched (a *synchronization* round):
+//!    its committed buffer is *swapped* in as `x^{t−½}`, not copied, so a
+//!    sync-only node moves no byte here;
 //! 3. **share + aggregate** — every `Delivered` row carries the sender's
 //!    `x^{t−½}` through the [`transport`](transport::TransportKind)
 //!    (in-memory kernels, or a full encode → decode of the wire frame)
@@ -72,7 +74,14 @@
 //!    its own model standing in for every row that did not deliver and for
 //!    the coordinates a top-k message did not carry. When the policy is
 //!    uniform and no per-link replica makes payloads differ, each sender's
-//!    message is compressed once and shared by its receivers; otherwise
+//!    message is compressed once and shared by its receivers — and a dense
+//!    shared payload is summed receiver-block × parameter-tile: one worker
+//!    takes one contiguous block of receivers and walks the models tile by
+//!    tile
+//!    ([`weighted_sum_block_into`](skiptrain_linalg::ops::weighted_sum_block_into)),
+//!    so a tile of every sender's model is fetched from memory once and
+//!    read by all its `degree + 1` receivers from cache, each element
+//!    still accumulated in mixing-row order; otherwise
 //!    every edge is carried on its own — with per-link CHOCO-SGD error
 //!    feedback ([`ErrorFeedbackState`](transport::ErrorFeedbackState)) the
 //!    message is the link's accumulated residual and the receiver

@@ -264,4 +264,42 @@ impl RoundPlan {
             .chain(r.self_weight.map(Entry::Own))
             .chain(after.iter().map(Entry::Edge))
     }
+
+    /// Receiver `dst`'s row as the dense shared-payload kernel sums it:
+    /// the delivered entries in mixing-row order, with the weight of every
+    /// undelivered row folded onto the self entry where it sits (appended
+    /// when the row has none and something was lost).
+    pub(crate) fn dense_row_into(
+        &self,
+        dst: usize,
+        indices: &mut Vec<u32>,
+        weights: &mut Vec<f32>,
+    ) {
+        indices.clear();
+        weights.clear();
+        let mut fallback = 0.0f32;
+        let mut self_at = None;
+        for entry in self.entries(dst) {
+            match entry {
+                Entry::Own(w) => {
+                    self_at = Some(indices.len());
+                    indices.push(dst as u32);
+                    weights.push(w);
+                }
+                Entry::Edge(row) if row.fate == Fate::Delivered => {
+                    indices.push(row.src);
+                    weights.push(row.weight);
+                }
+                Entry::Edge(row) => fallback += row.weight,
+            }
+        }
+        match self_at {
+            Some(pos) => weights[pos] += fallback,
+            None if fallback > 0.0 => {
+                indices.push(dst as u32);
+                weights.push(fallback);
+            }
+            None => {}
+        }
+    }
 }

@@ -12,9 +12,13 @@ const LANES: usize = 8;
 /// `y += alpha * x` (the BLAS `axpy`), the core of gossip aggregation.
 ///
 /// Deliberately a plain element-wise loop: LLVM already emits full-width
-/// vector code for it, and a hand-unrolled 8-lane variant measured *3×
-/// slower* on the `gossip_mixing` bench (the chunked mutable iterator
-/// blocks vectorization). Only reductions need explicit lanes.
+/// vector code for this read-modify-write pass over `y`, and carving `y`
+/// with `chunks_exact_mut` to unroll it by hand measured *3× slower* on
+/// the `gossip_mixing` bench (the chunked mutable iterator blocks
+/// vectorization of a loop that loads and stores every element anyway).
+/// That is a finding about this loop shape: a kernel that accumulates
+/// many inputs in registers and stores once ([`weighted_sum_into`]) is a
+/// different shape, and explicit blocks are what make it fast.
 ///
 /// # Panics
 /// Panics if `x.len() != y.len()`.
@@ -152,13 +156,13 @@ pub fn lerp_assign(t: f32, x: &[f32], y: &mut [f32]) {
 ///
 /// This is the gossip-aggregation kernel (Line 8 of D-PSGD / Line 13 of
 /// SkipTrain): node `i` computes `Σ_j W_ji · x_j` over its neighborhood.
-/// The sum is cache-blocked (see [`weighted_sum_core`]): each
-/// [`WSUM_CHUNK`]-sized span of `out` accumulates every input while the
-/// span is hot in L1, so `out` makes one trip through memory instead of
-/// one per input (the inputs are still each streamed through exactly
-/// once). Per element, the accumulation order over inputs is identical to
-/// the straightforward `scaled_copy` + `axpy` chain, so results are
-/// unchanged.
+/// The sum is register-fused (see [`weighted_sum_core`]): every
+/// [`WSUM_BLOCK`]-float block of `out` is accumulated over the inputs in
+/// registers and stored once, so `out` is written once and never read
+/// back, and every input is streamed through exactly once. Each element
+/// is `((w₀·x₀) + w₁·x₁) + …` with a separate multiply and add — the
+/// order of the plain `scaled_copy` + `axpy` chain, which the tests keep
+/// as the bitwise reference.
 ///
 /// # Panics
 /// Panics if `weights.len() != inputs.len()`, or if any input length differs
@@ -176,8 +180,7 @@ pub fn weighted_sum_into(out: &mut [f32], inputs: &[&[f32]], weights: &[f32]) {
 /// the summed vector is `fetch(indices[t])` with weight `weights[t]`.
 ///
 /// This variant lets callers aggregate straight out of their own storage
-/// (the executor's per-node neighbor models) without materializing a
-/// `Vec<&[f32]>` per call — the allocation-free round-loop path.
+/// without materializing a `Vec<&[f32]>` per call.
 ///
 /// # Panics
 /// Panics if `indices.len() != weights.len()` or any fetched vector's
@@ -194,16 +197,102 @@ where
     weighted_sum_core(out, weights, |t| fetch(indices[t]));
 }
 
-/// Cache-block size (in `f32`s) of the weighted-sum kernels: 8 KiB spans
-/// keep the output block resident in L1 across all inputs.
-const WSUM_CHUNK: usize = 2048;
+/// Parameter-tile length (in `f32`s) of [`weighted_sum_block_into`]: one
+/// tile of every sender's model plus one of every receiver's output must
+/// stay in a core's L2 while the receivers take turns on it — 8 KiB per
+/// vector, 1 MiB for a 64-node fleet. Measured there (64 nodes × 88 970
+/// parameters, one thread): 512 / 2048 / 8192 floats run within 2 % of
+/// each other, 32 768 (16 MiB of tiles, past L2) loses 16 %. Hence a
+/// constant, not a setting; public so callers' tests can straddle a tile
+/// boundary.
+pub const WSUM_TILE: usize = 2048;
 
-/// Shared cache-blocked core of the weighted-sum kernels; `get(t)` is the
-/// `t`-th summed vector. Each [`WSUM_CHUNK`]-sized span of `out` runs the
-/// full `scaled_copy` + `axpy` chain while the span is hot in L1, so `out`
-/// only makes one trip through memory however many inputs there are.
-/// `axpy` is element-wise, so chunking cannot change the per-element
-/// accumulation order (first input scaled, then added in order).
+/// [`weighted_sum_indexed_into`] for a whole block of receivers, tiled
+/// across them: with `(indices, weights) = &rows[r]`,
+/// `outs[r] = Σ_t weights[t] · fetch(r, indices[t])`.
+///
+/// A fleet's models do not fit the cache, and under gossip every model is
+/// read by each of its `degree + 1` neighbours; summing receiver by
+/// receiver fetches it from memory that many times. Here the loop is
+/// parameter tile outermost, receiver innermost: a [`WSUM_TILE`]-float
+/// span of all the senders' models is fetched once and served to all its
+/// readers from L2. Each tile of each receiver is one [`weighted_sum_core`]
+/// call, which is element-wise, so neither the tile length nor how
+/// receivers are grouped into blocks can change a result bit.
+///
+/// `fetch` is given the receiver's position in the block along with the
+/// sender index, so one sender may resolve to different storage per
+/// receiver (the executor reads a node's own model in place of its
+/// decoded wire copy).
+///
+/// # Panics
+/// Panics if `outs` and `rows` differ in length, if a receiver's index and
+/// weight lists differ in length, or if an output or fetched vector's
+/// length differs from `outs[0].len()`.
+pub fn weighted_sum_block_into<'a, F>(
+    outs: &mut [Vec<f32>],
+    rows: &[(Vec<u32>, Vec<f32>)],
+    fetch: F,
+) where
+    F: Fn(usize, u32) -> &'a [f32],
+{
+    weighted_sum_block_tiled(outs, rows, fetch, WSUM_TILE);
+}
+
+/// [`weighted_sum_block_into`] at an explicit tile length (tests sweep it).
+fn weighted_sum_block_tiled<'a, F>(
+    outs: &mut [Vec<f32>],
+    rows: &[(Vec<u32>, Vec<f32>)],
+    fetch: F,
+    tile: usize,
+) where
+    F: Fn(usize, u32) -> &'a [f32],
+{
+    assert_eq!(outs.len(), rows.len(), "weighted_sum_block arity mismatch");
+    let n = outs.first().map_or(0, |out| out.len());
+    for (r, (out, (indices, weights))) in outs.iter().zip(rows).enumerate() {
+        assert_eq!(
+            indices.len(),
+            weights.len(),
+            "weighted_sum_block arity mismatch"
+        );
+        assert_eq!(out.len(), n, "weighted_sum length mismatch");
+        for &j in indices {
+            assert_eq!(fetch(r, j).len(), n, "weighted_sum length mismatch");
+        }
+    }
+    for start in (0..n).step_by(tile) {
+        let end = (start + tile).min(n);
+        for (r, (out, (indices, weights))) in outs.iter_mut().zip(rows).enumerate() {
+            weighted_sum_core(&mut out[start..end], weights, |t| {
+                &fetch(r, indices[t])[start..end]
+            });
+        }
+    }
+}
+
+/// Floats per register block of the fused weighted sum: four SSE or two
+/// AVX vectors of accumulators, few enough to stay in registers beside the
+/// broadcast weight and the loaded input on baseline x86-64.
+const WSUM_BLOCK: usize = 16;
+
+/// Inputs fused per pass over `out`. A gossip neighbourhood (degree + 1,
+/// 7 to 11 in the paper's topologies) takes one or two passes.
+const WSUM_GROUP: usize = 8;
+
+/// Shared register-fused core of the weighted-sum kernels; `get(t)` is
+/// the `t`-th summed vector.
+///
+/// Inputs are taken [`WSUM_GROUP`] at a time. For the first group each
+/// [`WSUM_BLOCK`]-float block of `out` starts as `w₀·x₀`, adds the group's
+/// other inputs in order while the block lives in registers, and is stored
+/// once — `out` is never read. A later group starts each block from the
+/// stored value and adds its inputs in the same order. Every element
+/// therefore sees exactly the operations of `scaled_copy` followed by
+/// `axpy` per further input, in input order, each a separate `f32`
+/// multiply and add: blocks, groups and the scalar tail only decide
+/// *where* the running sum is held between two additions, never which
+/// additions happen or in what order.
 fn weighted_sum_core<'a, G>(out: &mut [f32], weights: &[f32], get: G)
 where
     G: Fn(usize) -> &'a [f32],
@@ -212,25 +301,57 @@ where
         out.fill(0.0);
         return;
     }
-    let n = out.len();
-    for t in 0..weights.len() {
-        assert_eq!(get(t).len(), n, "weighted_sum length mismatch");
-    }
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + WSUM_CHUNK).min(n);
-        let out_chunk = &mut out[start..end];
-        scaled_copy(weights[0], &get(0)[start..end], out_chunk);
-        for (t, &w) in weights.iter().enumerate().skip(1) {
-            axpy(w, &get(t)[start..end], out_chunk);
+    for (g, ws) in weights.chunks(WSUM_GROUP).enumerate() {
+        let mut xs: [&[f32]; WSUM_GROUP] = [&[]; WSUM_GROUP];
+        for (t, x) in xs.iter_mut().enumerate().take(ws.len()) {
+            *x = get(g * WSUM_GROUP + t);
+            assert_eq!(x.len(), out.len(), "weighted_sum length mismatch");
         }
-        start = end;
+        weighted_sum_group(out, &xs[..ws.len()], ws, g == 0);
+    }
+}
+
+/// One group of [`weighted_sum_core`]: `out = Σ ws[t]·xs[t]` when `first`,
+/// `out += Σ ws[t]·xs[t]` otherwise, inputs added in order per element.
+#[inline]
+fn weighted_sum_group(out: &mut [f32], xs: &[&[f32]], ws: &[f32], first: bool) {
+    let full = out.len() - out.len() % WSUM_BLOCK;
+    let (body, tail) = out.split_at_mut(full);
+    // the first group's leading input initialises the block
+    let skip = usize::from(first);
+    for (b, block) in body.chunks_exact_mut(WSUM_BLOCK).enumerate() {
+        let at = b * WSUM_BLOCK;
+        let mut acc = [0.0f32; WSUM_BLOCK];
+        if first {
+            let x = &xs[0][at..at + WSUM_BLOCK];
+            for (a, &v) in acc.iter_mut().zip(x) {
+                *a = ws[0] * v;
+            }
+        } else {
+            acc.copy_from_slice(block);
+        }
+        for (x, &w) in xs[skip..].iter().zip(&ws[skip..]) {
+            let x = &x[at..at + WSUM_BLOCK];
+            for (a, &v) in acc.iter_mut().zip(x) {
+                *a += w * v;
+            }
+        }
+        block.copy_from_slice(&acc);
+    }
+    for (e, o) in tail.iter_mut().enumerate() {
+        let at = full + e;
+        let mut acc = if first { ws[0] * xs[0][at] } else { *o };
+        for (x, &w) in xs[skip..].iter().zip(&ws[skip..]) {
+            acc += w * x[at];
+        }
+        *o = acc;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn close(a: f32, b: f32) -> bool {
         (a - b).abs() <= 1e-5 * (1.0 + a.abs().max(b.abs()))
@@ -254,9 +375,10 @@ mod tests {
 
     #[test]
     fn dot_handles_tails() {
-        // length 7 exercises both the 4-lane body and the tail loop
-        let x: Vec<f32> = (1..=7).map(|v| v as f32).collect();
-        let y: Vec<f32> = (1..=7).map(|v| (v * 2) as f32).collect();
+        // length 19 exercises both the 8-lane body (two blocks) and the
+        // 3-element tail loop
+        let x: Vec<f32> = (1..=19).map(|v| v as f32).collect();
+        let y: Vec<f32> = (1..=19).map(|v| (v * 2) as f32).collect();
         let expected: f32 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
         assert!(close(dot(&x, &y), expected));
     }
@@ -323,6 +445,119 @@ mod tests {
         for (b, c) in blocked.iter().zip(&chain) {
             assert_eq!(b.to_bits(), c.to_bits(), "accumulation order changed");
         }
+    }
+
+    /// A value from a palette that stresses sign, rounding and range:
+    /// ±0.0, subnormals, tiny, ordinary and large magnitudes (bounded so 40
+    /// products cannot reach inf − inf = NaN, whose payload nothing pins).
+    fn palette(state: &mut u64) -> f32 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        let unit = (z >> 40) as f32 / (1u64 << 24) as f32;
+        let magnitude = match (z >> 1) % 6 {
+            0 => 0.0,
+            1 => f32::from_bits(1 + ((z >> 8) as u32 & 0x007f_fffe)),
+            2 => unit * 1e17,
+            3 => unit * 1e-20,
+            _ => unit,
+        };
+        if z & 1 == 0 {
+            magnitude
+        } else {
+            -magnitude
+        }
+    }
+
+    /// The bitwise reference: `scaled_copy`, then `axpy` per further
+    /// input, in order (all zeros at arity 0).
+    fn chain(len: usize, inputs: &[&[f32]], weights: &[f32]) -> Vec<u32> {
+        let mut out = vec![0.0f32; len];
+        if let Some((x0, rest)) = inputs.split_first() {
+            scaled_copy(weights[0], x0, &mut out);
+            for (x, &w) in rest.iter().zip(&weights[1..]) {
+                axpy(w, x, &mut out);
+            }
+        }
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn prop_fused_weighted_sum_is_the_chain_bitwise(
+            arity in 0usize..41,
+            len in 0usize..101,
+            seed in 0u64..u64::MAX
+        ) {
+            // arity 0..=40 crosses every WSUM_GROUP boundary, length
+            // 0..=100 every WSUM_BLOCK tail
+            let mut state = seed;
+            let store: Vec<Vec<f32>> = (0..arity + 3)
+                .map(|_| (0..len).map(|_| palette(&mut state)).collect())
+                .collect();
+            let weights: Vec<f32> = (0..arity).map(|_| palette(&mut state)).collect();
+            let indices: Vec<u32> = (0..arity)
+                .map(|t| ((seed >> (t % 48)) as usize % store.len()) as u32)
+                .collect();
+            let refs: Vec<&[f32]> = indices.iter().map(|&j| store[j as usize].as_slice()).collect();
+            let expected = chain(len, &refs, &weights);
+            // stale contents must never leak into the result
+            let dirty = vec![f32::NAN; len];
+
+            let mut direct = dirty.clone();
+            weighted_sum_into(&mut direct, &refs, &weights);
+            prop_assert_eq!(bits(&direct), expected.clone(), "weighted_sum_into");
+
+            let mut indexed = dirty.clone();
+            weighted_sum_indexed_into(&mut indexed, &indices, &weights, |j| &store[j as usize]);
+            prop_assert_eq!(bits(&indexed), expected.clone(), "weighted_sum_indexed_into");
+
+            // the block entry point over three receivers (the sampled row,
+            // an empty row, the row reversed): one tile, many tiles, and a
+            // tile length that does not divide the parameter count
+            let reversed: (Vec<u32>, Vec<f32>) = (
+                indices.iter().rev().copied().collect(),
+                weights.iter().rev().copied().collect(),
+            );
+            let rev_refs: Vec<&[f32]> = refs.iter().rev().copied().collect();
+            let block_expected =
+                [expected, chain(len, &[], &[]), chain(len, &rev_refs, &reversed.1)];
+            let rows = [(indices.clone(), weights.clone()), (Vec::new(), Vec::new()), reversed];
+            for tile in [WSUM_TILE, 16, 7, len.max(1), len + 1] {
+                let mut outs = vec![dirty.clone(); 3];
+                weighted_sum_block_tiled(&mut outs, &rows, |_, j| &store[j as usize], tile);
+                for (out, want) in outs.iter().zip(&block_expected) {
+                    prop_assert_eq!(&bits(out), want, "block entry point, tile {}", tile);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_sum_block_fetch_sees_the_receivers_position() {
+        // receiver r reads sender 0 from its own private store
+        let stores = [vec![vec![1.0f32; 5]], vec![vec![2.0f32; 5]]];
+        let mut outs = vec![vec![9.0f32; 5]; 2];
+        let rows = vec![(vec![0u32, 0], vec![0.5f32, 0.25]); 2];
+        weighted_sum_block_into(&mut outs, &rows, |r, j| &stores[r][j as usize]);
+        assert_eq!(outs, [vec![0.75f32; 5], vec![1.5f32; 5]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn weighted_sum_block_rejects_a_longer_sender() {
+        // a per-tile slice would silently truncate it
+        let long = vec![1.0f32; 9];
+        let mut outs = vec![vec![0.0f32; 5]];
+        weighted_sum_block_into(&mut outs, &[(vec![0], vec![1.0])], |_, _| &long);
     }
 
     #[test]
