@@ -131,7 +131,7 @@ fn main() {
     });
 
     // --resume / --retries switch to the fault-tolerant path; the plain
-    // invocation keeps the strict all-or-nothing behavior.
+    // invocation keeps the fail-fast all-or-nothing behavior.
     let resilient = resume.is_some() || retries.is_some();
     let (results, failed) = if resilient {
         if let Some(journal) = &resume {

@@ -14,6 +14,10 @@
 //! Binaries print the paper's reported numbers next to the measured ones so
 //! the reproduction can be judged at a glance; EXPERIMENTS.md records one
 //! full run.
+//!
+//! The crate measures no speed: that is the repo benchmark's job
+//! (`benchmark/run.sh`). [`perf`] holds the counting allocator behind the
+//! 0 B-per-step test `tests/alloc_pins.rs`.
 
 // The only unsafe in the workspace lives in this crate (the counting
 // allocator); force every unsafe operation into an explicit, SAFETY-

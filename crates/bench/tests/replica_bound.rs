@@ -20,12 +20,18 @@ use skiptrain_data::synth::{MixtureSpec, MixtureTask};
 use skiptrain_engine::{CompressionPolicy, ModelCodec, RoundAction, Simulation, SimulationConfig};
 use skiptrain_nn::zoo::ModelKind;
 use skiptrain_topology::{Graph, MixingMatrix, ScheduledTopology, TopologySchedule};
+use std::sync::{Mutex, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
 const NODES: usize = 24;
 const ROUNDS: usize = 200;
+
+/// The allocation counter is process-wide and both tests allocate, so they
+/// take turns: otherwise the twin's model-sized replicas land in one of
+/// the windows the first test compares.
+static COUNTER_WINDOW: Mutex<()> = Mutex::new(());
 
 fn build_sim(cap: usize) -> (Simulation, ScheduledTopology) {
     let base = Graph::complete(NODES);
@@ -69,6 +75,9 @@ fn run_rounds(sim: &mut Simulation, sched: &mut ScheduledTopology, rounds: usize
 
 #[test]
 fn replica_memory_and_allocation_proxy_stay_bounded_across_200_scheduled_rounds() {
+    let _turn = COUNTER_WINDOW
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let cap = 4;
     let (mut sim, mut sched) = build_sim(cap);
 
@@ -115,6 +124,9 @@ fn uncapped_twin_proves_the_cap_binds() {
     // The same 200-round schedule with an effectively unbounded cap
     // accumulates far more live replicas than the capped bound — the
     // memory the old grow-forever state would have kept.
+    let _turn = COUNTER_WINDOW
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let (mut sim, mut sched) = build_sim(usize::MAX);
     run_rounds(&mut sim, &mut sched, ROUNDS);
     let fb = sim.feedback().expect("feedback enabled");

@@ -29,7 +29,7 @@ use crate::experiment::{
 };
 use crate::runner;
 use skiptrain_engine::observer::RoundObserver;
-use skiptrain_engine::{CompressionPolicy, ModelCodec, TransportKind};
+use skiptrain_engine::{CompressionPolicy, TransportKind};
 
 /// Fluent builder for [`ExperimentConfig`] (see the module docs).
 #[derive(Debug, Clone)]
@@ -162,33 +162,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Sets the model-compression codec for the share phase (quantization
-    /// or top-k sparsification trade accuracy for communication energy).
-    ///
-    /// Thin legacy shim: writes the flat `codec` field, which
-    /// [`ExperimentConfig::effective_compression`] lifts into a
-    /// [`CompressionPolicy::Uniform`] spec — bit-identical to the
-    /// pre-policy behaviour. New code should state the policy explicitly
-    /// via [`ExperimentBuilder::compression_policy`] or
-    /// [`ExperimentBuilder::compression_spec`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `compression_policy(CompressionPolicy::Uniform(codec))` or \
-                `compression_spec` for the full per-link policy surface"
-    )]
-    pub fn compression(mut self, codec: ModelCodec) -> Self {
-        self.config.codec = codec;
-        // Write through to an already-started uniform spec so the shim
-        // stays order-independent with the new knobs (an adaptive policy
-        // is never silently overwritten).
-        if let Some(spec) = &mut self.config.compression {
-            if spec.policy.is_uniform() {
-                spec.policy = CompressionPolicy::Uniform(codec);
-            }
-        }
-        self
-    }
-
     /// Sets the per-directed-link codec selection policy. Uniform
     /// policies reproduce the legacy global codec bit for bit; adaptive
     /// policies ([`CompressionPolicy::PerLink`],
@@ -239,28 +212,6 @@ impl ExperimentBuilder {
     /// `cap == 0` with [`ConfigError::ZeroReplicaCap`].
     pub fn feedback_replica_cap(mut self, cap: usize) -> Self {
         self.config.feedback_replica_cap = Some(cap);
-        self
-    }
-
-    /// Enables CHOCO-SGD-style error-feedback compression with residual
-    /// retention `beta ∈ (0, 1]` (`1.0` = full error feedback). Each
-    /// directed link accumulates what its codec discarded and re-injects
-    /// `beta ·` that residual next round, recovering most of the accuracy
-    /// an aggressive top-k would otherwise lose — at zero extra wire
-    /// bytes. Validation rejects `beta` outside `(0, 1]` with
-    /// [`ConfigError::InvalidFeedbackBeta`].
-    ///
-    /// Thin legacy shim: writes the flat `feedback_beta` field, which
-    /// [`ExperimentConfig::effective_compression`] merges into the
-    /// effective [`CompressionSpec`] (a spec's own `feedback_beta` wins
-    /// when set). New code should carry feedback in the spec via
-    /// [`ExperimentBuilder::compression_spec`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "set `feedback_beta` on a `CompressionSpec` via `compression_spec`"
-    )]
-    pub fn compression_feedback(mut self, beta: f32) -> Self {
-        self.config.feedback_beta = Some(beta);
         self
     }
 
@@ -343,10 +294,17 @@ impl Experiment {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated compression shims are exercised on purpose.
-    #![allow(deprecated)]
     use super::*;
     use crate::schedule::Schedule;
+    use skiptrain_engine::ModelCodec;
+
+    /// Top-k (k = 64) on every link with error feedback at `beta`.
+    fn top_k_feedback(beta: f32) -> CompressionSpec {
+        CompressionSpec {
+            feedback_beta: Some(beta),
+            ..CompressionSpec::uniform(ModelCodec::TopK { k: 64 })
+        }
+    }
 
     #[test]
     fn builder_defaults_are_valid() {
@@ -424,34 +382,36 @@ mod tests {
     #[test]
     fn zero_top_k_compression_is_a_typed_error() {
         let err = Experiment::builder()
-            .compression(ModelCodec::TopK { k: 0 })
+            .compression_policy(CompressionPolicy::Uniform(ModelCodec::TopK { k: 0 }))
             .build()
             .unwrap_err();
         assert_eq!(err, ConfigError::ZeroTopK);
+        let top_k = CompressionPolicy::Uniform(ModelCodec::TopK { k: 64 });
         let ok = Experiment::builder()
-            .compression(ModelCodec::TopK { k: 64 })
+            .compression_policy(top_k.clone())
             .build()
             .expect("positive k validates");
-        assert_eq!(ok.config().codec, ModelCodec::TopK { k: 64 });
+        assert_eq!(ok.config().effective_compression().policy, top_k);
     }
 
     #[test]
     fn out_of_range_feedback_beta_is_a_typed_error() {
         for bad in [0.0f32, -0.5, 1.5, f32::NAN, f32::INFINITY] {
             let err = Experiment::builder()
-                .compression(ModelCodec::TopK { k: 64 })
-                .compression_feedback(bad)
+                .compression_spec(top_k_feedback(bad))
                 .build()
                 .unwrap_err();
             assert_eq!(err, ConfigError::InvalidFeedbackBeta, "beta {bad}");
         }
         for good in [1.0f32, 0.5, 1e-3] {
             let ok = Experiment::builder()
-                .compression(ModelCodec::TopK { k: 64 })
-                .compression_feedback(good)
+                .compression_spec(top_k_feedback(good))
                 .build()
                 .expect("beta in (0,1] validates");
-            assert_eq!(ok.config().feedback_beta, Some(good));
+            assert_eq!(
+                ok.config().effective_compression().feedback_beta,
+                Some(good)
+            );
         }
     }
 
@@ -504,15 +464,13 @@ mod tests {
     #[test]
     fn zero_replica_cap_is_a_typed_error() {
         let err = Experiment::builder()
-            .compression(ModelCodec::TopK { k: 64 })
-            .compression_feedback(1.0)
+            .compression_spec(top_k_feedback(1.0))
             .feedback_replica_cap(0)
             .build()
             .unwrap_err();
         assert_eq!(err, ConfigError::ZeroReplicaCap);
         let ok = Experiment::builder()
-            .compression(ModelCodec::TopK { k: 64 })
-            .compression_feedback(1.0)
+            .compression_spec(top_k_feedback(1.0))
             .feedback_replica_cap(4)
             .build()
             .expect("positive cap validates");
@@ -904,11 +862,15 @@ mod tests {
 
     #[test]
     fn compression_knob_reaches_the_config() {
+        let quantized = CompressionPolicy::Uniform(ModelCodec::QuantizedU8);
         let experiment = Experiment::builder()
-            .compression(ModelCodec::QuantizedU8)
+            .compression_policy(quantized.clone())
             .build()
             .unwrap();
-        assert_eq!(experiment.config().codec, ModelCodec::QuantizedU8);
+        assert_eq!(
+            experiment.config().effective_compression().policy,
+            quantized
+        );
     }
 
     #[test]

@@ -19,12 +19,13 @@
 //!   [`RoundObserver`]s into every run, and `on_result` / `on_failure`
 //!   callbacks stream completions and terminal failures as they happen.
 //!
-//! # Strict vs. resilient execution
+//! # Fail-fast vs. resilient execution
 //!
-//! [`Campaign::run`] is the strict path: any cell panicking or hitting an
-//! engine error aborts the campaign. [`Campaign::run_resilient`] instead
-//! isolates every cell behind `catch_unwind` and returns a
-//! [`CampaignReport`] where cell-level trouble is *data*:
+//! There is one cell loop, [`Campaign::run_resilient`]: it isolates every
+//! cell behind `catch_unwind` and returns a [`CampaignReport`] where
+//! cell-level trouble is *data*. [`Campaign::run`] is that loop with a
+//! fail-fast ending — it panics on the first failed cell of the report
+//! and otherwise unwraps the results. In the report:
 //!
 //! * a failing cell becomes a typed [`CellFailure`] (index, config
 //!   digest, attempt count, [`FailureCause`]) instead of taking its
@@ -382,58 +383,42 @@ impl Campaign {
         Ok(())
     }
 
-    /// Executes every run and returns results in input order.
+    /// Executes every run and returns results in input order, failing
+    /// fast: [`Campaign::run_resilient`] with a panic for an ending.
+    ///
+    /// The cells go through the resilient loop under the campaign's own
+    /// [`RetrySpec`] and checkpoint (defaults: one attempt, no journal),
+    /// so every sibling cell finishes and [`Campaign::on_failure`] fires
+    /// before a failed cell aborts the campaign.
+    ///
+    /// # Panics
+    /// Panics with `campaign cell #{index}: {cause}` for the lowest-index
+    /// cell that failed every attempt, and with the journal's message when
+    /// a [`Campaign::with_checkpoint`] journal cannot be opened or
+    /// written. Long or flaky sweeps should call
+    /// [`Campaign::run_resilient`] and read the report instead.
+    pub fn run(&self) -> Result<Vec<ExperimentResult>, CampaignError> {
+        let fatal = match self.run_resilient() {
+            Err(CampaignRunError::Config(e)) => return Err(e),
+            Err(CampaignRunError::Journal(e)) => format!("campaign journal: {e}"),
+            Ok(report) => match report.failures.first() {
+                Some(failed) => format!("campaign cell #{}: {}", failed.index, failed.cause),
+                None => return Ok(report.into_results()),
+            },
+        };
+        // lint:allow(no_panic, "documented '# Panics' contract of the fail-fast entry point; run_resilient is the typed-error path")
+        panic!("{fatal}")
+    }
+
+    /// Executes every run with per-cell failure isolation, seeded retry,
+    /// and (when [`Campaign::with_checkpoint`] is set) journal-backed
+    /// checkpoint/resume.
     ///
     /// Equal `(DataSpec, nodes, seed)` triples share one materialized
     /// [`DataBundle`]. Bundles are built lazily by the first run that needs
     /// them (so peak memory is bounded by the worker count, not the number
     /// of distinct bundles) and freed as soon as their last dependent run
     /// finishes.
-    ///
-    /// This is the *strict* path: one panicking or engine-failing cell
-    /// aborts the whole campaign. Long or flaky sweeps should prefer
-    /// [`Campaign::run_resilient`].
-    pub fn run(&self) -> Result<Vec<ExperimentResult>, CampaignError> {
-        self.validate()?;
-        if self.configs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let slots = self.bundle_slots();
-        let execute_all = || {
-            let indices: Vec<usize> = (0..self.configs.len()).collect();
-            indices
-                .par_iter()
-                .map(|&run| {
-                    let cfg = &self.configs[run];
-                    let slot = &slots[&data_key(&cfg.data, cfg.nodes, cfg.seed)];
-                    let bundle = slot.acquire(cfg);
-                    let result = self
-                        .execute_one(run, cfg, &bundle)
-                        // lint:allow(no_panic, "strict path's documented abort-on-first-failure semantics; run_resilient is the typed-error path")
-                        .unwrap_or_else(|e| panic!("campaign cell #{run}: {e}"));
-                    drop(bundle);
-                    slot.release();
-                    if let Some(callback) = &self.on_result {
-                        callback(run, &result);
-                    }
-                    result
-                })
-                .collect()
-        };
-        let results: Vec<ExperimentResult> = match self.threads {
-            Some(threads) => rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap_or_else(|infallible| match infallible {})
-                .install(execute_all),
-            None => execute_all(),
-        };
-        Ok(results)
-    }
-
-    /// Executes every run with per-cell failure isolation, seeded retry,
-    /// and (when [`Campaign::with_checkpoint`] is set) journal-backed
-    /// checkpoint/resume.
     ///
     /// Each cell runs inside `catch_unwind`: a panicking or
     /// engine-failing cell becomes a typed [`CellFailure`] in the report
@@ -468,14 +453,6 @@ impl Campaign {
         let pending: Vec<usize> = (0..self.configs.len())
             .filter(|&i| results[i].is_none())
             .collect();
-        if pending.is_empty() {
-            return Ok(CampaignReport {
-                results,
-                failures: Vec::new(),
-                restored,
-            });
-        }
-
         // Bundle slots count only the cells actually running this time;
         // restored cells never acquire, so counting them would leak the
         // bundle until process exit.
@@ -617,15 +594,9 @@ impl Campaign {
         }
     }
 
-    /// One lazy cache slot per distinct `(DataSpec, nodes, seed)` triple,
-    /// pre-counted with how many runs will use it.
-    fn bundle_slots(&self) -> BTreeMap<String, BundleSlot> {
-        let all: Vec<usize> = (0..self.configs.len()).collect();
-        self.bundle_slots_for(&all)
-    }
-
-    /// Bundle slots counted over a subset of cells (resumed campaigns
-    /// only count the cells that actually run).
+    /// One lazy cache slot per distinct `(DataSpec, nodes, seed)` triple
+    /// among `cells`, pre-counted with how many of them will use it
+    /// (resumed campaigns only count the cells that actually run).
     fn bundle_slots_for(&self, cells: &[usize]) -> BTreeMap<String, BundleSlot> {
         let mut slots: BTreeMap<String, BundleSlot> = BTreeMap::new();
         for &run in cells {
@@ -775,12 +746,12 @@ mod tests {
         let mut b = micro(9);
         b.algorithm = AlgorithmSpec::SkipTrain(Schedule::new(2, 2));
         let campaign = Campaign::from_configs(vec![a, b]);
-        let slots = campaign.bundle_slots();
+        let slots = campaign.bundle_slots_for(&[0, 1]);
         assert_eq!(slots.len(), 1);
         assert_eq!(slots.values().next().unwrap().expected_uses, 2);
         // A changed seed produces a second slot.
         let campaign = Campaign::from_configs(vec![micro(9), micro(10)]);
-        assert_eq!(campaign.bundle_slots().len(), 2);
+        assert_eq!(campaign.bundle_slots_for(&[0, 1]).len(), 2);
     }
 
     #[test]
@@ -871,12 +842,17 @@ mod tests {
 
     #[test]
     fn run_resilient_matches_strict_run_bitwise() {
+        // `run` is this loop with a fail-fast ending, so the reference is
+        // each cell run on its own, outside any campaign.
         let configs = vec![micro(11), micro(12), micro(13)];
-        let strict = Campaign::from_configs(configs.clone()).run().unwrap();
+        let serial: Vec<ExperimentResult> = configs
+            .iter()
+            .map(|cfg| crate::Experiment::from_config(cfg.clone()).unwrap().run())
+            .collect();
         let report = Campaign::from_configs(configs).run_resilient().unwrap();
         assert!(report.is_complete());
         assert_eq!(report.restored, 0);
-        for (a, b) in strict.iter().zip(report.into_results().iter()) {
+        for (a, b) in serial.iter().zip(report.into_results().iter()) {
             assert_eq!(result_bits(a), result_bits(b));
             assert_eq!(a.node_train_events, b.node_train_events);
         }
@@ -916,6 +892,39 @@ mod tests {
             failure.cause
         );
         assert_eq!(failures_seen.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn run_finishes_the_siblings_then_panics_on_the_lowest_failed_cell() {
+        let completed = std::sync::Arc::new(AtomicUsize::new(0));
+        let failed = std::sync::Arc::new(AtomicUsize::new(0));
+        let (c2, f2) = (
+            std::sync::Arc::clone(&completed),
+            std::sync::Arc::clone(&failed),
+        );
+        let mut configs = vec![micro(1), micro(2), micro(3), micro(4)];
+        configs[1].name = "doomed".into();
+        configs[3].name = "doomed".into();
+        let campaign = Campaign::from_configs(configs)
+            .observe_with(|_, cfg| {
+                if cfg.name == "doomed" {
+                    panic!("injected cell fault");
+                }
+                Vec::new()
+            })
+            .on_result(move |_, _| {
+                c2.fetch_add(1, Ordering::SeqCst);
+            })
+            .on_failure(move |_| {
+                f2.fetch_add(1, Ordering::SeqCst);
+            });
+        let payload = catch_unwind(AssertUnwindSafe(|| campaign.run())).unwrap_err();
+        assert_eq!(
+            panic_message(payload.as_ref()),
+            "campaign cell #1: panic: injected cell fault"
+        );
+        assert_eq!(completed.load(Ordering::SeqCst), 2);
+        assert_eq!(failed.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -1358,30 +1358,3 @@ impl ExperimentResult {
         self.final_test.mean_accuracy as f64 * 100.0
     }
 }
-
-/// Runs one experiment end to end.
-///
-/// # Panics
-/// Panics on invalid configuration (mismatched sizes, missing budgets for
-/// constrained algorithms).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ExperimentConfig::run`, the validating `Experiment` builder, \
-            or `Campaign` for multi-run execution"
-)]
-pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
-    cfg.run()
-}
-
-/// Runs one experiment on pre-built data (lets sweeps and multi-algorithm
-/// comparisons reuse one generated dataset).
-///
-/// # Panics
-/// Panics on invalid configuration or a mismatched bundle.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ExperimentConfig::run_on`, `Experiment::run_on`, or `Campaign`"
-)]
-pub fn run_experiment_on(cfg: &ExperimentConfig, data: &DataBundle) -> ExperimentResult {
-    cfg.run_on(data)
-}

@@ -83,8 +83,6 @@ pub use campaign::{
     retry_seed, Campaign, CampaignReport, CampaignRunError, CellFailure, FailureCause, RetrySpec,
 };
 pub use error::{CampaignError, ConfigError, RunError};
-#[allow(deprecated)]
-pub use experiment::{run_experiment, run_experiment_on};
 pub use experiment::{
     AlgorithmSpec, BatteryCapacitySpec, BatterySpec, BatterySummary, ChurnSpec, CompressionSpec,
     DataBundle, DataSpec, EnergySpec, EventSummary, ExperimentConfig, ExperimentResult, TimingSpec,

@@ -2,11 +2,11 @@
 //!
 //! One experiment = build per-node models and topology, loop rounds under a
 //! [`RoundPolicy`](crate::policy::RoundPolicy), and notify
-//! [`RoundObserver`]s at the hook points. Everything the legacy
-//! `run_experiment` hard-coded — learning-curve recording, the mean-model
-//! curve, energy tallies — now flows through the same observer interface
-//! external callers use, so a figure harness can add its own recording (or
-//! stop the run early) without touching this loop.
+//! [`RoundObserver`]s at the hook points. Everything a result carries —
+//! learning-curve recording, the mean-model curve, energy tallies — flows
+//! through the same observer interface external callers use, so a figure
+//! harness can add its own recording (or stop the run early) without
+//! touching this loop.
 //!
 //! Both public drivers — this synchronous runner and the async pairwise
 //! gossip in [`crate::asyncgossip`] — are *schedules compiled onto one

@@ -321,23 +321,11 @@ impl ModelCodec {
     }
 
     /// Applies the codec's lossy transform in memory, without framing —
-    /// the `Memory`-transport equivalent of an encode/decode round trip.
-    /// Returns exactly what [`decode_message`] would produce for a frame
-    /// encoded from `params` (asserted by tests).
-    pub fn transform(&self, params: &[f32]) -> Payload {
-        let (mut enc, mut dec) = (EncodeScratch::default(), DecodeScratch::default());
-        match self.transform_into(params, &mut enc, &mut dec) {
-            PayloadRef::Dense(model) => Payload::Dense(model.to_vec()),
-            PayloadRef::Sparse { indices, values } => Payload::Sparse {
-                indices: indices.to_vec(),
-                values: values.to_vec(),
-            },
-        }
-    }
-
-    /// [`ModelCodec::transform`] through reusable scratch: allocation-free
-    /// at steady state, and zero-copy for the lossless codec (the returned
-    /// payload borrows `params` itself).
+    /// the `Memory`-transport equivalent of an encode/decode round trip,
+    /// yielding exactly what [`decode_frame_into`] would for a frame
+    /// encoded from `params` (asserted by tests). Runs through reusable
+    /// scratch: allocation-free at steady state, and zero-copy for the
+    /// lossless codec (the returned payload borrows `params` itself).
     pub(crate) fn transform_into<'a>(
         &self,
         params: &'a [f32],
@@ -1081,44 +1069,6 @@ pub fn decode_message(frame: Bytes) -> Result<DecodedMessage, DecodeError> {
     })
 }
 
-/// Decoded dense message (legacy shape kept for tests and benches).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodedModel {
-    /// Sender node id.
-    pub sender: u32,
-    /// Round the model was produced in.
-    pub round: u32,
-    /// Flat model parameters.
-    pub params: Vec<f32>,
-}
-
-/// Encodes a flat model with the lossless [`ModelCodec::DenseF32`] codec.
-pub fn encode_model(sender: u32, round: u32, params: &[f32]) -> Bytes {
-    encode_message(ModelCodec::DenseF32, sender, round, params)
-}
-
-/// Decodes a dense frame produced by [`encode_model`]. Sparse (top-k)
-/// frames are reconstructed with zeros at untransmitted coordinates; use
-/// [`decode_message`] when the sparse structure matters.
-pub fn decode_model(frame: Bytes) -> Result<DecodedModel, DecodeError> {
-    let msg = decode_message(frame)?;
-    let params = match msg.payload {
-        Payload::Dense(params) => params,
-        Payload::Sparse { indices, values } => {
-            let mut params = vec![0.0f32; msg.param_count];
-            for (&i, &v) in indices.iter().zip(&values) {
-                params[i as usize] = v;
-            }
-            params
-        }
-    };
-    Ok(DecodedModel {
-        sender: msg.sender,
-        round: msg.round,
-        params,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1220,17 +1170,17 @@ mod tests {
     #[test]
     fn roundtrip_preserves_bits() {
         let params = vec![1.5f32, -0.25, f32::MIN_POSITIVE, 0.0, 1e30];
-        let frame = encode_model(7, 42, &params);
-        let decoded = decode_model(frame).unwrap();
+        let frame = encode_message(ModelCodec::DenseF32, 7, 42, &params);
+        let decoded = decode_message(frame).unwrap();
         assert_eq!(decoded.sender, 7);
         assert_eq!(decoded.round, 42);
-        assert_eq!(decoded.params, params);
+        assert_eq!(decoded.payload, Payload::Dense(params));
     }
 
     #[test]
     fn empty_model_roundtrips() {
-        let decoded = decode_model(encode_model(0, 0, &[])).unwrap();
-        assert!(decoded.params.is_empty());
+        let decoded = decode_message(encode_message(ModelCodec::DenseF32, 0, 0, &[])).unwrap();
+        assert_eq!(decoded.payload, Payload::Dense(Vec::new()));
     }
 
     #[test]
@@ -1291,20 +1241,29 @@ mod tests {
         let params: Vec<f32> = (0..200)
             .map(|i| ((i * 13 % 29) as f32 - 14.0) / 3.0)
             .collect();
+        let (mut enc, mut dec) = (EncodeScratch::default(), DecodeScratch::default());
+        let mut wire_scratch = DecodeScratch::default();
         for codec in ALL_CODECS {
-            let wire = decode_message(encode_message(codec, 0, 0, &params))
-                .unwrap()
-                .payload;
-            assert_eq!(wire, codec.transform(&params), "{codec:?}");
+            let frame = encode_message(codec, 0, 0, &params);
+            let wire = decode_frame_into(frame.as_slice(), &mut wire_scratch).unwrap();
+            assert_eq!(
+                wire.payload,
+                codec.transform_into(&params, &mut enc, &mut dec),
+                "{codec:?}"
+            );
         }
     }
 
     #[test]
     fn quantized_decode_error_is_bounded() {
         let params: Vec<f32> = (0..512).map(|i| (i as f32 * 0.11).sin() * 2.0).collect();
-        let decoded = decode_model(encode_message(ModelCodec::QuantizedU8, 0, 0, &params)).unwrap();
+        let decoded =
+            decode_message(encode_message(ModelCodec::QuantizedU8, 0, 0, &params)).unwrap();
+        let Payload::Dense(decoded) = decoded.payload else {
+            panic!("quantized frames decode to a dense payload");
+        };
         let step = (4.0f32) / 255.0; // range [-2, 2] over 255 steps
-        for (a, b) in params.iter().zip(&decoded.params) {
+        for (a, b) in params.iter().zip(&decoded) {
             assert!(
                 (a - b).abs() <= step,
                 "error {} > step {step}",
@@ -1343,7 +1302,7 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let frame = encode_model(1, 2, &[1.0]);
+        let frame = encode_message(ModelCodec::DenseF32, 1, 2, &[1.0]);
         let short = frame.slice(0..10);
         assert_eq!(decode_message(short).unwrap_err(), DecodeError::Truncated);
         // clipping shifts payload bytes into the checksum slot, which the
@@ -1363,7 +1322,7 @@ mod tests {
 
     #[test]
     fn bad_magic_and_unknown_codec_are_detected() {
-        let frame = encode_model(1, 2, &[1.0]);
+        let frame = encode_message(ModelCodec::DenseF32, 1, 2, &[1.0]);
         let mut bytes = frame.to_vec();
         bytes[0] = 0;
         assert_eq!(

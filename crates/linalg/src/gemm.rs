@@ -60,9 +60,9 @@ pub const NR: usize = 8;
 /// Minimum multiply–add count (`m·n·k`) before a multiply is parallelized.
 ///
 /// Below this, thread spawn/join overhead outweighs the parallel speedup
-/// (measured with the `sgd_step` criterion bench). Gating on FLOPs rather
-/// than output elements means a `1 × N` product over a huge inner
-/// dimension still parallelizes (over column panels).
+/// (read `nn.sgd_step_us` from `benchmark/run.sh --trace 1`). Gating on
+/// FLOPs rather than output elements means a `1 × N` product over a huge
+/// inner dimension still parallelizes (over column panels).
 pub const PAR_FLOP_THRESHOLD: usize = 2 * 1024 * 1024;
 
 /// Below this multiply–add count the packed path's pack traffic and

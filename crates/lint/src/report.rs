@@ -1,7 +1,7 @@
-//! Schema-validated `LINT_report.json`, mirroring the
-//! `BENCH_round_loop.json` discipline: the binary self-validates the
+//! Schema-validated `LINT_report.json`: the binary self-validates the
 //! report it emits and CI re-validates it, so the gate cannot silently
-//! rot.
+//! rot. (The dynamic counterpart of the `hot_path_alloc` rule is the test
+//! `crates/bench/tests/alloc_pins.rs`.)
 //!
 //! # Report schema
 //!

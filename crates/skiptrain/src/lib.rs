@@ -55,8 +55,6 @@ pub use skiptrain_core as algorithms;
 
 /// The most common imports for building experiments.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use skiptrain_core::experiment::{run_experiment, run_experiment_on};
     pub use skiptrain_core::experiment::{
         AlgorithmSpec, BatteryCapacitySpec, BatterySpec, BatterySummary, ChurnSpec,
         CompressionSpec, DataBundle, DataSpec, EnergySpec, EventSummary, ExperimentConfig,

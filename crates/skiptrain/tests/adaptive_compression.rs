@@ -6,9 +6,6 @@
 //! DEAL-style energy-adaptive tier table must beat every fixed codec on
 //! accuracy per harvested watt-hour on a diurnal battery fleet.
 
-// The deprecated builder compression shims are exercised on purpose.
-#![allow(deprecated)]
-
 use skiptrain::prelude::*;
 
 fn tiny(seed: u64) -> ExperimentConfig {
@@ -322,37 +319,6 @@ fn legacy_json_without_compression_field_runs_bit_identically() {
     let a = cfg.run_on(&data);
     let b = legacy.run_on(&data);
     assert_bitwise_equal(&a, &b, "legacy JSON vs modern config");
-}
-
-/// The deprecated builder shims must keep working and land on the same
-/// spec (and therefore the same bits) as the first-class policy knob.
-#[test]
-fn deprecated_builder_shims_match_policy_knob_bitwise() {
-    let codec = ModelCodec::QuantizedU16;
-    let via_shim = Experiment::builder()
-        .name("shim")
-        .nodes(8)
-        .rounds(6)
-        .compression(codec)
-        .build()
-        .expect("valid shim config")
-        .config()
-        .clone();
-    let via_policy = Experiment::builder()
-        .name("shim")
-        .nodes(8)
-        .rounds(6)
-        .compression_policy(CompressionPolicy::Uniform(codec))
-        .build()
-        .expect("valid policy config")
-        .config()
-        .clone();
-    let data = via_shim.data.build(via_shim.nodes, via_shim.seed);
-    assert_bitwise_equal(
-        &via_shim.run_on(&data),
-        &via_policy.run_on(&data),
-        "shim vs policy knob",
-    );
 }
 
 /// Invalid policy shapes must surface as typed `ConfigError`s at build

@@ -1,7 +1,7 @@
 //! Equivalence guarantees for the redesigned experiment layer: the
-//! builder/`Experiment`/`Campaign` path must reproduce the legacy
-//! `run_experiment` results byte for byte, and the parallel `grid_search`
-//! must match serial per-cell execution exactly.
+//! builder/`Experiment`/`Campaign` path must reproduce
+//! `ExperimentConfig::run` results byte for byte, and the parallel
+//! `grid_search` must match serial per-cell execution exactly.
 
 use skiptrain::prelude::*;
 use skiptrain_core::sweep::grid_search;
@@ -32,8 +32,7 @@ fn quick(seed: u64) -> ExperimentConfig {
 fn builder_and_campaign_reproduce_legacy_results_byte_identically() {
     let cfg = quick(3);
 
-    #[allow(deprecated)]
-    let legacy = run_experiment(&cfg);
+    let legacy = cfg.run();
 
     let via_experiment = Experiment::from_config(cfg.clone()).expect("valid").run();
 

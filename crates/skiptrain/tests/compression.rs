@@ -3,9 +3,6 @@
 //! energy axis, and the lossless codec must reproduce the uncompressed
 //! baseline bit-for-bit.
 
-// The deprecated builder compression shims are exercised on purpose.
-#![allow(deprecated)]
-
 use skiptrain::prelude::*;
 
 fn tiny(seed: u64) -> ExperimentConfig {
@@ -125,7 +122,7 @@ fn compressed_experiments_are_deterministic() {
 
 #[test]
 fn error_feedback_closes_top_k_accuracy_gap_at_unchanged_comm_energy() {
-    // Issue-4 acceptance criterion: at the ext_compression default kept
+    // Issue-4 acceptance condition: at the ext_compression default kept
     // fraction (sim_params / 16), plain top-k measurably underperforms
     // DenseF32 on the hard non-IID synth workload (the consensus bias
     // this issue fixes); enabling per-link error feedback must close at
@@ -215,8 +212,10 @@ fn builder_feedback_knob_runs_end_to_end() {
         .name("compressed+ef")
         .nodes(8)
         .rounds(6)
-        .compression(ModelCodec::TopK { k: 64 })
-        .compression_feedback(1.0)
+        .compression_spec(CompressionSpec {
+            feedback_beta: Some(1.0),
+            ..CompressionSpec::uniform(ModelCodec::TopK { k: 64 })
+        })
         .build()
         .expect("valid feedback config")
         .run();
@@ -231,7 +230,7 @@ fn builder_compression_knob_runs_end_to_end() {
         .name("compressed")
         .nodes(8)
         .rounds(6)
-        .compression(ModelCodec::QuantizedU16)
+        .compression_policy(CompressionPolicy::Uniform(ModelCodec::QuantizedU16))
         .build()
         .expect("valid compressed config")
         .run();

@@ -1,7 +1,7 @@
 //! Cross-crate time-varying-topology scenarios: scheduled rounds must
 //! keep the doubly stochastic mixing contract (mean-model preservation),
 //! stay deterministic across thread pools, fail bad schedules as typed
-//! campaign errors, and — the issue's acceptance criterion — hold the
+//! campaign errors, and — the issue's acceptance condition — hold the
 //! error-feedback replica cap without losing convergence: a 200-round
 //! edge-dropout run with a tight cap must land within 1% accuracy of the
 //! uncapped baseline at bit-identical communication energy.
@@ -142,7 +142,7 @@ fn dynamic_feedback_runs_are_deterministic_across_thread_pools() {
 
 #[test]
 fn capped_replicas_converge_within_one_percent_of_uncapped_at_identical_comm_energy() {
-    // Issue-5 acceptance criterion: 200 scheduled edge-dropout rounds
+    // Issue-5 acceptance condition: 200 scheduled edge-dropout rounds
     // with error feedback under a tight replica cap (4 per receiver on
     // the 6-in-degree base, so staleness eviction genuinely churns) must
     // cost at most 1% test accuracy versus the uncapped baseline, while
@@ -156,7 +156,7 @@ fn capped_replicas_converge_within_one_percent_of_uncapped_at_identical_comm_ene
     let mut base = tiny(6);
     base.rounds = 200;
     base.eval_every = 10;
-    // the 1% criterion needs a low-variance readout: evaluate the full
+    // the 1% condition needs a low-variance readout: evaluate the full
     // test split instead of the 200-sample smoke cap
     base.eval_max_samples = usize::MAX;
     base.topology_schedule = TopologyScheduleSpec::EdgeDropout { p: 0.4 };
@@ -173,7 +173,7 @@ fn capped_replicas_converge_within_one_percent_of_uncapped_at_identical_comm_ene
     let uncapped_run = uncapped.run_on(&data);
 
     // single-round accuracies oscillate at this learning rate; the
-    // convergence criterion reads the plateau — the mean over the final
+    // convergence condition reads the plateau — the mean over the final
     // quarter of the curve (rounds 150..=200)
     let plateau = |r: &ExperimentResult| {
         let tail: Vec<f32> = r

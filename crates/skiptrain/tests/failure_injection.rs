@@ -167,12 +167,12 @@ fn disconnected_topology_blocks_global_consensus() {
 
 #[test]
 fn corrupted_frame_is_rejected() {
-    use skiptrain::engine::transport::{decode_model, encode_model, DecodeError};
-    let frame = encode_model(3, 9, &[0.5, -1.5, 2.0]);
+    use skiptrain::engine::transport::{decode_message, encode_message, DecodeError};
+    let frame = encode_message(ModelCodec::DenseF32, 3, 9, &[0.5, -1.5, 2.0]);
     let mut raw = frame.to_vec();
     let mid = raw.len() / 2;
     raw[mid] ^= 0x40;
-    let result = decode_model(bytes::Bytes::from(raw));
+    let result = decode_message(bytes::Bytes::from(raw));
     assert!(
         matches!(
             result,
