@@ -7,43 +7,46 @@
 //! training fraction at q = 0.5) and D-PSGD.
 
 use skiptrain_bench::{banner, pct, render_table, HarnessArgs};
-use skiptrain_core::asyncgossip::run_async_gossip;
-use skiptrain_core::experiment::AlgorithmSpec;
 use skiptrain_core::presets::cifar_config;
-use skiptrain_core::Schedule;
+use skiptrain_core::{AlgorithmSpec, Campaign, Schedule};
 
 fn main() {
     let args = HarnessArgs::parse();
     let mut base = cifar_config(args.scale, args.seed);
     args.apply(&mut base);
     base.eval_every = 8;
-    let data = base.data.build(base.nodes, base.seed);
 
     banner(&format!(
         "async pairwise gossip vs synchronous ({} nodes, {} rounds)",
         base.nodes, base.rounds
     ));
 
-    let mut rows = Vec::new();
-    let mut results = Vec::new();
-
-    let mut dpsgd_cfg = base.clone();
-    dpsgd_cfg.algorithm = AlgorithmSpec::DPsgd;
-    let dpsgd = dpsgd_cfg.run_on(&data);
-    rows.push(summary_row("d-psgd (sync)", &dpsgd));
-    results.push(dpsgd);
-
-    let mut st_cfg = base.clone();
-    st_cfg.algorithm = AlgorithmSpec::SkipTrain(Schedule::new(4, 4));
-    let skiptrain = st_cfg.run_on(&data);
-    rows.push(summary_row("skiptrain (4,4) sync", &skiptrain));
-    results.push(skiptrain);
-
+    // One campaign runs the four cells in parallel over one shared data
+    // bundle.
+    let mut labels = vec![
+        "d-psgd (sync)".to_string(),
+        "skiptrain (4,4) sync".to_string(),
+    ];
+    let cell = |algorithm: AlgorithmSpec| {
+        let mut cfg = base.clone();
+        cfg.algorithm = algorithm;
+        cfg
+    };
+    let mut campaign = Campaign::new()
+        .push(cell(AlgorithmSpec::DPsgd))
+        .push(cell(AlgorithmSpec::SkipTrain(Schedule::new(4, 4))));
     for q in [0.5f64, 0.25] {
-        let r = run_async_gossip(&base, &data, q);
-        rows.push(summary_row(&format!("async gossip q={q}"), &r));
-        results.push(r);
+        let mut cfg = cell(AlgorithmSpec::AsyncGossip { activation_prob: q });
+        cfg.name = format!("{}/async-q{q}", base.name);
+        labels.push(format!("async gossip q={q}"));
+        campaign = campaign.push(cfg);
     }
+    let results = campaign.run().expect("valid async-gossip configs");
+    let rows: Vec<Vec<String>> = labels
+        .iter()
+        .zip(&results)
+        .map(|(label, r)| summary_row(label, r))
+        .collect();
 
     println!(
         "{}",

@@ -22,9 +22,9 @@
 //! spent and accuracy lost relative to the static column.
 
 use skiptrain_bench::{banner, pct, render_table, HarnessArgs};
-use skiptrain_core::asyncgossip::run_async_gossip;
 use skiptrain_core::experiment::{ChurnSpec, TimingSpec};
 use skiptrain_core::presets::cifar_config;
+use skiptrain_core::{AlgorithmSpec, Campaign};
 use skiptrain_engine::{ComputeProfile, LatencyModel, BASE_TRAIN_TICKS};
 
 const ACTIVATION: f64 = 0.5;
@@ -34,7 +34,9 @@ fn main() {
     let mut base = cifar_config(args.scale, args.seed);
     args.apply(&mut base);
     base.eval_every = base.rounds.min(8);
-    let data = base.data.build(base.nodes, base.seed);
+    base.algorithm = AlgorithmSpec::AsyncGossip {
+        activation_prob: ACTIVATION,
+    };
 
     banner(&format!(
         "async realism frontier: stragglers x churn ({} nodes, {} rounds, q={})",
@@ -82,8 +84,10 @@ fn main() {
         jitter: 0.8,
     };
 
+    // One campaign runs the nine cells in parallel over one shared data
+    // bundle.
     let mut labels = Vec::new();
-    let mut results = Vec::new();
+    let mut campaign = Campaign::new();
     for (straggler_label, compute) in &stragglers {
         for (churn_label, churn) in &churns {
             let mut cfg = base.clone();
@@ -92,11 +96,15 @@ fn main() {
                 latency,
             };
             cfg.churn = *churn;
-            cfg.name = format!("{}/async/{straggler_label}/{churn_label}", base.name);
+            cfg.name = format!(
+                "{}/async/{straggler_label}/{churn_label}/async-q{ACTIVATION}",
+                base.name
+            );
             labels.push((*straggler_label, *churn_label));
-            results.push(run_async_gossip(&cfg, &data, ACTIVATION));
+            campaign = campaign.push(cfg);
         }
     }
+    let results = campaign.run().expect("valid async-realism configs");
 
     let rows: Vec<Vec<String>> = labels
         .iter()

@@ -696,6 +696,15 @@ mod tests {
         cfg
     }
 
+    /// [`micro`] as an async-gossip cell.
+    fn micro_gossip(seed: u64) -> ExperimentConfig {
+        let mut cfg = micro(seed);
+        cfg.algorithm = AlgorithmSpec::AsyncGossip {
+            activation_prob: 0.5,
+        };
+        cfg
+    }
+
     #[test]
     fn results_come_back_in_input_order() {
         let configs: Vec<ExperimentConfig> = (0..4)
@@ -844,7 +853,7 @@ mod tests {
     fn run_resilient_matches_strict_run_bitwise() {
         // `run` is this loop with a fail-fast ending, so the reference is
         // each cell run on its own, outside any campaign.
-        let configs = vec![micro(11), micro(12), micro(13)];
+        let configs = vec![micro(11), micro(12), micro(13), micro_gossip(14)];
         let serial: Vec<ExperimentResult> = configs
             .iter()
             .map(|cfg| crate::Experiment::from_config(cfg.clone()).unwrap().run())
@@ -1021,7 +1030,7 @@ mod tests {
         // Pinned resilience guarantee: interrupting a campaign after any
         // completed cell and resuming from its journal yields exactly the
         // bits of an uninterrupted run.
-        let configs = vec![micro(71), micro(72), micro(73), micro(74)];
+        let configs = vec![micro(71), micro(72), micro_gossip(73), micro(74)];
         let uninterrupted = Campaign::from_configs(configs.clone()).run().unwrap();
 
         let full_path = temp_journal("interrupt-full");

@@ -116,6 +116,12 @@ pub enum ConfigError {
         /// The offending probability.
         value: f64,
     },
+    /// An async-gossip activation probability is outside `[0, 1]` (or
+    /// NaN).
+    InvalidActivationProbability {
+        /// The offending probability.
+        value: f64,
+    },
     /// A battery spec's per-node policy list does not match the node
     /// count.
     BatteryPolicyArityMismatch {
@@ -274,6 +280,12 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::InvalidChurnRate { value } => {
                 write!(f, "churn probability {value} must lie in [0, 1]")
+            }
+            ConfigError::InvalidActivationProbability { value } => {
+                write!(
+                    f,
+                    "async-gossip activation probability {value} must lie in [0, 1]"
+                )
             }
             ConfigError::BatteryPolicyArityMismatch { expected, got } => write!(
                 f,
@@ -441,6 +453,7 @@ mod tests {
                 expected: 16,
                 got: 3,
             },
+            ConfigError::InvalidActivationProbability { value: 1.5 },
         ] {
             assert!(!e.to_string().is_empty());
             let json = serde_json::to_string(&e).unwrap();

@@ -9,7 +9,9 @@
 //! shared data ([`Campaign`](crate::Campaign)).
 
 use crate::error::ConfigError;
-use crate::policy::{ConstrainedPolicy, DPsgdPolicy, GreedyPolicy, RoundPolicy, SkipTrainPolicy};
+use crate::policy::{
+    AsyncGossipPolicy, ConstrainedPolicy, DPsgdPolicy, GreedyPolicy, RoundPolicy, SkipTrainPolicy,
+};
 use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
 use skiptrain_data::partition::{materialize, partition_indices};
@@ -44,6 +46,14 @@ pub enum AlgorithmSpec {
     SkipTrainConstrained(Schedule),
     /// Greedy baseline (§3.2): train until the budget is gone.
     Greedy,
+    /// Asynchronous pairwise gossip (§5.3): each tick every node trains
+    /// with probability `activation_prob`, a random maximal matching of
+    /// the (scheduled) topology averages pairwise, and the tick closes a
+    /// fixed slack after its slowest completion instead of at a barrier.
+    AsyncGossip {
+        /// Per-node, per-tick training probability `q ∈ [0, 1]`.
+        activation_prob: f64,
+    },
 }
 
 impl AlgorithmSpec {
@@ -54,6 +64,7 @@ impl AlgorithmSpec {
             AlgorithmSpec::SkipTrain(_) => "skiptrain",
             AlgorithmSpec::SkipTrainConstrained(_) => "skiptrain-constrained",
             AlgorithmSpec::Greedy => "greedy",
+            AlgorithmSpec::AsyncGossip { .. } => "async-gossip",
         }
     }
 }
@@ -337,7 +348,8 @@ impl ChurnSpec {
 pub struct EventSummary {
     /// Virtual time at the end of the run, in engine ticks.
     pub virtual_ticks: u64,
-    /// Total events played through the queue.
+    /// Total timeline events (policy ticks, joins, leaves, completions,
+    /// arrivals, eval ticks).
     pub events: u64,
     /// Messages that missed their round deadline (always 0 under barrier
     /// semantics).
@@ -1142,6 +1154,9 @@ impl ExperimentConfig {
                 self.energy.node_budgets(self.nodes),
                 self.energy.node_energies(self.nodes),
             )),
+            AlgorithmSpec::AsyncGossip { activation_prob } => {
+                Box::new(AsyncGossipPolicy::new(*activation_prob, self.seed))
+            }
         })
     }
 
@@ -1260,6 +1275,13 @@ impl ExperimentConfig {
             churn.validate()?;
         }
         self.topology_schedule.validate(self.nodes)?;
+        if let AlgorithmSpec::AsyncGossip { activation_prob } = self.algorithm {
+            if !(0.0..=1.0).contains(&activation_prob) {
+                return Err(ConfigError::InvalidActivationProbability {
+                    value: activation_prob,
+                });
+            }
+        }
         let needs_budget = matches!(
             self.algorithm,
             AlgorithmSpec::SkipTrainConstrained(_) | AlgorithmSpec::Greedy
@@ -1324,7 +1346,8 @@ pub struct ExperimentResult {
     pub total_training_wh: f64,
     /// Total communication energy (Wh).
     pub total_comm_wh: f64,
-    /// Total node-round training events executed.
+    /// Total node-round training events executed (after battery and churn
+    /// gating — not the `Train` actions the policy requested).
     pub node_train_events: u64,
     /// The element-wise mean of all node models at the end of the run (the
     /// consensus model used by fairness analysis, §5.1).

@@ -8,10 +8,11 @@
 //!   Eq. 4),
 //! * [`prob`] — energy-budget training probabilities (§3.2, Eq. 5),
 //! * [`policy`] — the algorithms as round policies: D-PSGD, SkipTrain,
-//!   SkipTrain-constrained, Greedy,
+//!   SkipTrain-constrained, Greedy, async pairwise gossip,
 //! * [`builder`] — fluent, validating experiment construction
 //!   ([`Experiment::builder`]) with typed [`ConfigError`]s,
-//! * [`runner`] — the observer-driven round loop
+//! * [`runner`] — the one observer-driven round loop, its round
+//!   semantics derived from the algorithm
 //!   ([`RoundObserver`](skiptrain_engine::RoundObserver) hooks for curve
 //!   recording, energy streaming, early stopping),
 //! * [`campaign`] — [`Campaign`], the parallel multi-run executor that
@@ -64,7 +65,6 @@
 //! assert!(matches!(err, ConfigError::MissingBatteryFraction { .. }));
 //! ```
 
-pub mod asyncgossip;
 pub mod builder;
 pub mod campaign;
 pub mod error;
@@ -89,7 +89,9 @@ pub use experiment::{
     TopologyScheduleSpec, TopologySpec,
 };
 pub use journal::{config_digest, JournalError};
-pub use policy::{ConstrainedPolicy, DPsgdPolicy, GreedyPolicy, RoundPolicy, SkipTrainPolicy};
+pub use policy::{
+    AsyncGossipPolicy, ConstrainedPolicy, DPsgdPolicy, GreedyPolicy, RoundPolicy, SkipTrainPolicy,
+};
 pub use presets::{cifar_config, femnist_config, tuned_schedule, with_algorithm, Scale};
 pub use runner::run_with_observers;
 pub use schedule::Schedule;

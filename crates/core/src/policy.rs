@@ -12,6 +12,7 @@
 //! | [`SkipTrainPolicy`]       | coordinated Γ-schedule says so |
 //! | [`ConstrainedPolicy`]     | schedule ∧ Bernoulli(p_i) ∧ budget left |
 //! | [`GreedyPolicy`]          | budget left (then sync-only forever) |
+//! | [`AsyncGossipPolicy`]     | Bernoulli(q), independently per node and tick |
 
 use crate::prob::training_probabilities;
 use crate::schedule::Schedule;
@@ -221,6 +222,47 @@ impl RoundPolicy for GreedyPolicy {
 
     fn remaining_budget(&self, node: usize) -> Option<u32> {
         Some(self.budget.remaining(node))
+    }
+}
+
+/// Asynchronous pairwise gossip (§5.3, the extension the paper leaves as
+/// future work): no coordinated schedule — each tick, every node
+/// independently trains with probability `q`, its energy knob (`q = 0.5`
+/// spends the same expected training energy as SkipTrain with
+/// Γ_train = Γ_sync). The runner pairs this policy with deadline rounds
+/// over random maximal matchings instead of the all-neighbor exchange.
+pub struct AsyncGossipPolicy {
+    activation_prob: f64,
+    seed: u64,
+}
+
+impl AsyncGossipPolicy {
+    /// Creates the policy: `activation_prob` is the per-node, per-tick
+    /// training probability `q`; draws are seeded from the experiment's
+    /// master `seed`.
+    pub fn new(activation_prob: f64, seed: u64) -> Self {
+        Self {
+            activation_prob,
+            seed,
+        }
+    }
+}
+
+impl RoundPolicy for AsyncGossipPolicy {
+    fn name(&self) -> &'static str {
+        "async-gossip"
+    }
+
+    fn decide(&mut self, round: usize, actions: &mut [RoundAction]) {
+        // independent per-(node, tick) activation draws
+        for (i, slot) in actions.iter_mut().enumerate() {
+            let mut rng = stream_rng(self.seed ^ 0xA57C, (round as u64) << 24 | i as u64);
+            *slot = if rng.random::<f64>() < self.activation_prob {
+                RoundAction::Train
+            } else {
+                RoundAction::SyncOnly
+            };
+        }
     }
 }
 

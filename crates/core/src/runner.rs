@@ -1,4 +1,4 @@
-//! The observer-driven experiment runner, compiled onto the event core.
+//! The observer-driven experiment runner: the one round loop.
 //!
 //! One experiment = build per-node models and topology, loop rounds under a
 //! [`RoundPolicy`](crate::policy::RoundPolicy), and notify
@@ -8,21 +8,21 @@
 //! harness can add its own recording (or stop the run early) without
 //! touching this loop.
 //!
-//! Both public drivers — this synchronous runner and the async pairwise
-//! gossip in [`crate::asyncgossip`] — are *schedules compiled onto one
-//! event-driven loop* ([`execute_on_events`]): each picks its round
-//! semantics (barrier vs deadline), an action source, and how rounds mix
-//! (the static/scheduled topology vs a fresh pairwise matching), and the
-//! shared loop drives a [`skiptrain_engine::EventEngine`] per round. With
-//! trivial timing (homogeneous compute, zero latency, no churn) the
-//! engine's fast path makes the loop structure, seed derivations, and
-//! evaluation cadence byte-compatible with the legacy lockstep driver: a
-//! run with no extra observers produces an identical
-//! [`ExperimentResult`], pinned by an equivalence test.
+//! [`execute`] is the only function that drives a
+//! [`skiptrain_engine::EventEngine`], and every way of running a config
+//! ([`Experiment`](crate::Experiment), [`Campaign`](crate::Campaign),
+//! [`run_with_observers`]) ends in it. What a round waits for and how it
+//! mixes are derived from `cfg.algorithm`, not passed in: the synchronous
+//! algorithms run barrier rounds over the configured (static or scheduled)
+//! topology; [`AlgorithmSpec::AsyncGossip`] runs deadline rounds
+//! (`GOSSIP_SLACK_TICKS`) over a fresh random maximal matching per tick.
+//! With trivial timing (homogeneous compute, zero latency, no churn) the
+//! engine's fast path makes a run bit-identical to the lockstep loop.
 
 use crate::error::{ConfigError, RunError};
 use crate::experiment::{
-    BatterySummary, ChurnSpec, DataBundle, EventSummary, ExperimentConfig, ExperimentResult,
+    AlgorithmSpec, BatterySummary, ChurnSpec, DataBundle, EventSummary, ExperimentConfig,
+    ExperimentResult,
 };
 use skiptrain_engine::observer::{EvalReport, RoundCtx, RoundObserver, RoundReport};
 use skiptrain_engine::{
@@ -38,30 +38,28 @@ use std::sync::Arc;
 
 /// Deadline slack for async-gossip ticks, in virtual ticks: a message may
 /// trail the tick's slowest completion by a quarter of a nominal training
-/// round before it is dropped as late. Zero-latency uniform-speed runs
-/// never produce late edges under this slack, keeping the legacy async
-/// results bit-compatible.
-pub(crate) const GOSSIP_SLACK_TICKS: u64 = BASE_TRAIN_TICKS / 4;
+/// round before it is dropped as late (charged at the sender, folded to
+/// self-weight at the receiver). Zero-latency uniform-speed runs never
+/// produce late edges under this slack. A constant, not a setting.
+const GOSSIP_SLACK_TICKS: u64 = BASE_TRAIN_TICKS / 4;
 
-/// The simulation a config builds, plus the round-loop companions both the
-/// synchronous runner and the async-gossip loop need.
-pub(crate) struct BuiltSimulation {
-    /// The engine, fully configured (transport, codec, feedback, energy,
-    /// and — when specified — the battery runtime).
-    pub sim: Simulation,
-    /// The bound topology schedule; `None` for the static fast path.
-    pub schedule: Option<ScheduledTopology>,
-    /// The base communication graph (async gossip matches over it).
-    pub graph: Graph,
-}
+/// Schedule-id slot for the async-gossip matching stream in the chained
+/// [`round_seed`] derivation (distinct from every
+/// [`TopologySchedule`](skiptrain_topology::TopologySchedule) variant id,
+/// so gossip matchings and a configured topology schedule never share a
+/// stream).
+const GOSSIP_MATCHING_STREAM: u64 = 16;
 
-/// The shared round-loop prologue: per-node models, topology and mixing,
-/// engine configuration (including the battery runtime lowered from
-/// `cfg.battery`), and schedule binding. Factored out of the synchronous
-/// runner and the async-gossip loop so battery gating and energy wiring
-/// cannot diverge between the two paths. Assumes `cfg` is valid and
-/// `data` matches it.
-pub(crate) fn build_simulation(cfg: &ExperimentConfig, data: &DataBundle) -> BuiltSimulation {
+/// The round-loop prologue: per-node models, topology and mixing, engine
+/// configuration (including the battery runtime lowered from
+/// `cfg.battery`), and schedule binding. Returns the fully configured
+/// simulation, the bound topology schedule (`None` for the static fast
+/// path) and the base graph (async gossip matches over it). Assumes `cfg`
+/// is valid and `data` matches it.
+fn build_simulation(
+    cfg: &ExperimentConfig,
+    data: &DataBundle,
+) -> (Simulation, Option<ScheduledTopology>, Graph) {
     let kind = cfg.model_kind();
     let models: Vec<_> = (0..cfg.nodes)
         .map(|i| kind.build(derive_seed(cfg.seed, 0x4000 + i as u64)))
@@ -113,15 +111,11 @@ pub(crate) fn build_simulation(cfg: &ExperimentConfig, data: &DataBundle) -> Bui
         mixing,
         sim_config,
     );
-    BuiltSimulation {
-        sim,
-        schedule,
-        graph,
-    }
+    (sim, schedule, graph)
 }
 
 /// End-of-run battery totals, when the simulation was battery-gated.
-pub(crate) fn battery_summary(sim: &Simulation) -> Option<BatterySummary> {
+fn battery_summary(sim: &Simulation) -> Option<BatterySummary> {
     sim.battery_state().map(|state| BatterySummary {
         harvested_wh: state.total_harvested_wh(),
         wasted_wh: state.total_wasted_wh(),
@@ -159,53 +153,29 @@ pub fn run_with_observers(
     Ok(execute(cfg, data, observers).unwrap_or_else(|e| panic!("{e}")))
 }
 
-/// The synchronous round loop: the configured policy decides actions and
-/// every round runs under barrier semantics (the round waits for all
-/// messages — timing realism stretches virtual time, never results).
-/// Assumes `cfg` is valid and `data` matches it; a mid-run engine failure
-/// is reported as a typed [`RunError`] naming the broken round.
+/// The round loop. The configured policy decides each round's actions;
+/// what a round waits for and how it mixes follow from `cfg.algorithm`
+/// (see the module docs), compute/latency/churn from `cfg.timing` and
+/// `cfg.churn`. A gossip tick that matches `m` pairs costs exactly `2m`
+/// messages: the engine charges the edges of the round's mixing, not the
+/// static topology. Assumes `cfg` is valid and `data` matches it; a
+/// mid-run engine failure is reported as a typed [`RunError`] naming the
+/// broken round.
 pub(crate) fn execute(
     cfg: &ExperimentConfig,
     data: &DataBundle,
     extra_observers: &mut [&mut dyn RoundObserver],
 ) -> Result<ExperimentResult, RunError> {
     let mut policy = cfg.build_policy();
-    execute_on_events(
-        cfg,
-        data,
-        extra_observers,
-        cfg.name.clone(),
-        cfg.algorithm.name().to_string(),
-        RoundSemantics::Barrier,
-        false,
-        &mut |t, actions| policy.decide(t, actions),
-    )
-}
-
-/// One schedule compiled onto the event core. Both drivers are thin
-/// instances: the synchronous runner picks barrier semantics and the
-/// static/scheduled topology mixing; async gossip picks deadline
-/// semantics and a fresh random maximal matching per tick
-/// (`pairwise_gossip`). The loop builds the fully configured simulation,
-/// drives an [`EventEngine`] round by round (compute/latency/churn from
-/// `cfg.timing` and `cfg.churn`), and records curves through the same
-/// observers in both shapes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_on_events(
-    cfg: &ExperimentConfig,
-    data: &DataBundle,
-    extra_observers: &mut [&mut dyn RoundObserver],
-    name: String,
-    algorithm: String,
-    semantics: RoundSemantics,
-    pairwise_gossip: bool,
-    decide: &mut dyn FnMut(usize, &mut [RoundAction]),
-) -> Result<ExperimentResult, RunError> {
-    let built = build_simulation(cfg, data);
-    let mut sim = built.sim;
-    let mut schedule = built.schedule;
-    let graph_for_matching = built.graph;
-
+    let (mut sim, mut schedule, graph) = build_simulation(cfg, data);
+    let gossip = matches!(cfg.algorithm, AlgorithmSpec::AsyncGossip { .. });
+    let semantics = if gossip {
+        RoundSemantics::Deadline {
+            slack_ticks: GOSSIP_SLACK_TICKS,
+        }
+    } else {
+        RoundSemantics::Barrier
+    };
     let mut engine = EventEngine::new(
         cfg.nodes,
         cfg.seed,
@@ -239,9 +209,7 @@ pub(crate) fn execute_on_events(
         let mut prev_comm_wh = 0.0f64;
 
         for t in 0..cfg.rounds {
-            decide(t, &mut actions);
-            let trained_nodes = actions.iter().filter(|&&a| a == RoundAction::Train).count();
-            node_train_events += trained_nodes as u64;
+            policy.decide(t, &mut actions);
 
             {
                 let ctx = RoundCtx {
@@ -253,39 +221,35 @@ pub(crate) fn execute_on_events(
                 }
             }
 
-            // Sizes were validated with the config; a mismatch here would
-            // be an internal scheduling bug, reported with the typed
-            // engine error's diagnosis (and the round it broke on) so a
-            // resilient campaign can fail this one cell and keep going.
-            let round_outcome = if pairwise_gossip {
+            let gossip_mixing;
+            let mixing = if gossip {
                 // Per-tick matching seeds are chained over (schedule id,
                 // round) like every other per-round stream; matchings
                 // compose with a configured topology schedule by pairing
                 // over the *scheduled* round graph.
-                let matching_seed = round_seed(
-                    cfg.seed ^ 0x3A7C,
-                    crate::asyncgossip::GOSSIP_MATCHING_STREAM,
-                    t,
-                );
+                let matching_seed = round_seed(cfg.seed ^ 0x3A7C, GOSSIP_MATCHING_STREAM, t);
                 let pairs = match schedule.as_mut() {
-                    None => random_maximal_matching(&graph_for_matching, matching_seed),
+                    None => random_maximal_matching(&graph, matching_seed),
                     Some(sched) => {
                         random_maximal_matching(&sched.graph_for_round(t), matching_seed)
                     }
                 };
-                let round_mixing = MixingMatrix::pairwise(cfg.nodes, &pairs);
-                sim.try_run_round_event(&actions, Some(&round_mixing), &mut engine)
+                gossip_mixing = MixingMatrix::pairwise(cfg.nodes, &pairs);
+                Some(&gossip_mixing)
             } else {
-                match schedule.as_mut() {
-                    None => sim.try_run_round_event(&actions, None, &mut engine),
-                    Some(sched) => {
-                        let mixing = sched.mixing_for_round(t);
-                        sim.try_run_round_event(&actions, Some(mixing), &mut engine)
-                    }
-                }
+                schedule.as_mut().map(|sched| sched.mixing_for_round(t))
             };
-            round_outcome.map_err(|source| RunError { round: t, source })?;
+            // Sizes were validated with the config; a mismatch here would
+            // be an internal scheduling bug, reported with the typed
+            // engine error's diagnosis (and the round it broke on) so a
+            // resilient campaign can fail this one cell and keep going.
+            sim.try_run_round_event(&actions, mixing, &mut engine)
+                .map_err(|source| RunError { round: t, source })?;
             executed_rounds = t + 1;
+            // what ran, not what `actions` requested: battery and churn
+            // gating demote nodes after the policy has decided
+            let trained_nodes = sim.last_trained_nodes();
+            node_train_events += trained_nodes as u64;
 
             let training_wh = sim.ledger().total_training_wh();
             let comm_wh = sim.ledger().total_comm_wh();
@@ -347,8 +311,8 @@ pub(crate) fn execute_on_events(
 
         let stats = engine.stats();
         Ok(ExperimentResult {
-            name,
-            algorithm,
+            name: cfg.name.clone(),
+            algorithm: cfg.algorithm.name().to_string(),
             nodes: cfg.nodes,
             rounds: executed_rounds,
             test_curve: curve.into_recorder().points().to_vec(),
@@ -373,5 +337,217 @@ pub(crate) fn execute_on_events(
             corrupted_messages: sim.corrupted_frames(),
             total_wire_bytes: sim.ledger().total_tx_bytes(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::presets::{cifar_config, Scale};
+    use crate::schedule::Schedule;
+    use crate::TopologyScheduleSpec;
+
+    fn tiny() -> ExperimentConfig {
+        let mut cfg = cifar_config(Scale::Quick, 5);
+        cfg.nodes = 12;
+        cfg.rounds = 24;
+        cfg.eval_every = 12;
+        cfg.eval_max_samples = 200;
+        cfg.local_steps = 4;
+        cfg
+    }
+
+    fn gossip(mut cfg: ExperimentConfig, activation_prob: f64) -> ExperimentConfig {
+        cfg.algorithm = AlgorithmSpec::AsyncGossip { activation_prob };
+        cfg
+    }
+
+    #[test]
+    fn async_gossip_learns() {
+        let cfg = gossip(tiny(), 0.5);
+        let data = cfg.data.build(cfg.nodes, cfg.seed);
+        let result = cfg.run_on(&data);
+        assert_eq!(result.algorithm, "async-gossip");
+        assert!(
+            result.final_test.mean_accuracy > 0.3,
+            "async gossip failed to learn: {}",
+            result.final_test.mean_accuracy
+        );
+    }
+
+    #[test]
+    fn activation_prob_controls_training_energy() {
+        let cfg = tiny();
+        let data = cfg.data.build(cfg.nodes, cfg.seed);
+        let half = gossip(cfg.clone(), 0.5).run_on(&data);
+        let quarter = gossip(cfg.clone(), 0.25).run_on(&data);
+        let expected_half = 0.5 * (cfg.nodes * cfg.rounds) as f64;
+        assert!(
+            (half.node_train_events as f64 - expected_half).abs() < expected_half * 0.35,
+            "q=0.5 trained {} of expected ~{expected_half}",
+            half.node_train_events
+        );
+        assert!(quarter.node_train_events < half.node_train_events);
+        assert!(quarter.total_training_wh < half.total_training_wh);
+    }
+
+    #[test]
+    fn zero_activation_never_trains() {
+        let cfg = gossip(tiny(), 0.0);
+        let data = cfg.data.build(cfg.nodes, cfg.seed);
+        let result = cfg.run_on(&data);
+        assert_eq!(result.node_train_events, 0);
+        assert_eq!(result.total_training_wh, 0.0);
+    }
+
+    #[test]
+    fn out_of_range_activation_is_a_typed_error_naming_the_campaign_cell() {
+        for q in [-0.1, 1.5, f64::NAN] {
+            let err = gossip(tiny(), q).validate().unwrap_err();
+            assert!(
+                matches!(err, ConfigError::InvalidActivationProbability { value }
+                    if value.to_bits() == q.to_bits()),
+                "q = {q}: {err:?}"
+            );
+        }
+        let data = tiny().data.build(12, 5);
+        assert!(run_with_observers(&gossip(tiny(), 2.0), &data, &mut []).is_err());
+        let campaign = crate::Campaign::new()
+            .push(gossip(tiny(), 1.0))
+            .push(gossip(tiny(), 1.01));
+        let err = campaign.validate().unwrap_err();
+        assert_eq!(err.run, 1);
+        assert_eq!(
+            err.source,
+            ConfigError::InvalidActivationProbability { value: 1.01 }
+        );
+    }
+
+    #[test]
+    fn comm_energy_charges_matched_pairs_not_static_degree() {
+        // The over-charging bug: every tick used to cost the full static
+        // 6-regular degree (n·6 messages). A maximal matching fires at
+        // most n/2 pairs = n messages per tick, so correct accounting is
+        // bounded by 1/6 of the legacy figure.
+        let cfg = gossip(tiny(), 0.5);
+        let data = cfg.data.build(cfg.nodes, cfg.seed);
+        let r = cfg.run_on(&data);
+        let comm = skiptrain_energy::comm::CommEnergyModel::paper_fit();
+        let bytes =
+            skiptrain_engine::ModelCodec::DenseF32.message_bytes(cfg.energy.workload.model_params);
+        let legacy_degree_charge = (cfg.nodes * 6 * cfg.rounds) as f64
+            * (comm.tx_energy_wh(bytes) + comm.rx_energy_wh(bytes));
+        assert!(r.total_comm_wh > 0.0, "matched pairs must cost something");
+        assert!(
+            r.total_comm_wh <= legacy_degree_charge / 6.0 + 1e-12,
+            "comm {} Wh exceeds the matching bound {} Wh",
+            r.total_comm_wh,
+            legacy_degree_charge / 6.0
+        );
+    }
+
+    #[test]
+    fn scheduled_offsets_shift_activation_phase_not_drop_partial_periods() {
+        // Coordinated intermittent training over pairwise matchings (a
+        // SkipTrain schedule on the `PairwiseMatching` topology schedule)
+        // must execute exactly nodes · count_train_rounds training events
+        // at *every* phase offset — a bug that dropped the first partial
+        // period (e.g. skipping until the first full period boundary)
+        // would undercount at nonzero offsets. rounds = 22 is deliberately
+        // not a multiple of the (4, 4) period so partial periods matter.
+        let mut cfg = tiny();
+        cfg.rounds = 22;
+        cfg.topology_schedule = TopologyScheduleSpec::PairwiseMatching;
+        let data = cfg.data.build(cfg.nodes, cfg.seed);
+        let run = |schedule: Schedule| {
+            let mut cfg = cfg.clone();
+            cfg.algorithm = AlgorithmSpec::SkipTrain(schedule);
+            cfg.run_on(&data)
+        };
+        for offset in [0usize, 1, 4, 7] {
+            let schedule = Schedule::new(4, 4).with_offset(offset);
+            let r = run(schedule);
+            let expected = cfg.nodes as u64 * schedule.count_train_rounds(cfg.rounds) as u64;
+            assert_eq!(
+                r.node_train_events, expected,
+                "offset {offset}: scheduled activations must match the \
+                 shifted schedule exactly"
+            );
+        }
+        // sync-first (offset = Γ_train) and train-first disagree on the
+        // partial window, proving the offset actually shifts the phase
+        let train_first = run(Schedule::new(4, 4));
+        let sync_first = run(Schedule::new(4, 4).with_offset(4));
+        assert_ne!(train_first.node_train_events, sync_first.node_train_events);
+    }
+
+    #[test]
+    fn async_gossip_composes_with_error_feedback() {
+        // Per-round matchings exercise the lazy per-link replica
+        // allocation: feedback must stay stable and deterministic when
+        // every tick fires a different edge set.
+        let mut cfg = gossip(tiny(), 0.5);
+        cfg.codec = skiptrain_engine::ModelCodec::TopK { k: 256 };
+        cfg.feedback_beta = Some(1.0);
+        let data = cfg.data.build(cfg.nodes, cfg.seed);
+        let a = cfg.run_on(&data);
+        assert!(
+            a.final_mean_model.iter().all(|v| v.is_finite()),
+            "feedback under per-round matchings must stay finite"
+        );
+        assert!(
+            a.final_test.mean_accuracy > 0.25,
+            "async gossip with top-k feedback failed to learn: {}",
+            a.final_test.mean_accuracy
+        );
+        let b = cfg.run_on(&data);
+        assert_eq!(
+            a.final_test.mean_accuracy.to_bits(),
+            b.final_test.mean_accuracy.to_bits()
+        );
+    }
+
+    #[test]
+    fn async_gossip_respects_the_topology_schedule() {
+        // Under an aggressive edge-dropout schedule, each tick's matching
+        // can only pair nodes over surviving edges, so communication
+        // energy must fall strictly below the static-schedule run while
+        // the result stays deterministic.
+        let cfg = gossip(tiny(), 0.5);
+        let data = cfg.data.build(cfg.nodes, cfg.seed);
+        let static_run = cfg.run_on(&data);
+
+        let mut dropped_cfg = cfg.clone();
+        dropped_cfg.topology_schedule = TopologyScheduleSpec::EdgeDropout { p: 0.8 };
+        let dropped = dropped_cfg.run_on(&data);
+        assert!(
+            dropped.total_comm_wh < static_run.total_comm_wh,
+            "dropping 80% of edges must shrink matchings: {} vs {}",
+            dropped.total_comm_wh,
+            static_run.total_comm_wh
+        );
+        assert!(dropped.total_comm_wh > 0.0, "some pairs must still fire");
+        let again = dropped_cfg.run_on(&data);
+        assert_eq!(
+            dropped.final_test.mean_accuracy.to_bits(),
+            again.final_test.mean_accuracy.to_bits()
+        );
+        assert_eq!(
+            dropped.total_comm_wh.to_bits(),
+            again.total_comm_wh.to_bits()
+        );
+    }
+
+    #[test]
+    fn async_gossip_is_deterministic() {
+        let cfg = gossip(tiny(), 0.5);
+        let data = cfg.data.build(cfg.nodes, cfg.seed);
+        let a = cfg.run_on(&data);
+        let b = cfg.run_on(&data);
+        assert_eq!(
+            a.final_test.mean_accuracy.to_bits(),
+            b.final_test.mean_accuracy.to_bits()
+        );
+        assert_eq!(a.node_train_events, b.node_train_events);
     }
 }

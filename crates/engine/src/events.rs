@@ -1,20 +1,11 @@
 //! The discrete-event simulation core.
 //!
-//! The lockstep round loop the executor started from assumes every node
-//! computes at the same speed and every message arrives instantly — a
-//! fine model for the paper's synchronous experiments, but not for the
-//! energy-harvesting fleets it targets, where compute speeds differ,
-//! links carry latency, and nodes join and leave as charge allows. This
-//! module supplies the event layer underneath both regimes:
+//! A lockstep loop assumes every node computes at the same speed and
+//! every message arrives instantly — fine for the paper's synchronous
+//! experiments, not for the energy-harvesting fleets it targets, where
+//! compute speeds differ, links carry latency, and nodes join and leave
+//! as charge allows. This module supplies the timing layer for both:
 //!
-//! * [`EventQueue`] — a priority queue keyed by `(time, seq)`. `seq` is a
-//!   monotone push counter, so two events scheduled for the same virtual
-//!   tick pop in insertion order: the schedule is a pure function of the
-//!   push sequence, never of heap internals or thread timing.
-//! * [`Event`] — the typed vocabulary: [`Event::TrainComplete`],
-//!   [`Event::MessageArrive`], [`Event::PolicyTick`] (churn and battery
-//!   decisions fire on the round boundary), [`Event::Join`],
-//!   [`Event::Leave`], and [`Event::EvalTick`] (closes a round).
 //! * [`ComputeProfile`] — per-node virtual clock rates: homogeneous,
 //!   explicit per-node speed factors, or a seeded straggler tail.
 //! * [`LatencyModel`] — per-link delivery delay: zero, constant, or a
@@ -22,9 +13,21 @@
 //! * [`ChurnModel`] — seeded per-round leave/rejoin draws; an absent
 //!   node's clock freezes and it costs nothing until it rejoins.
 //! * [`EventEngine`] — per-node clocks plus the round driver
-//!   [`EventEngine::begin_round`], which plays one round's events and
-//!   reports the participation mask and the edges whose messages missed
-//!   the deadline.
+//!   [`EventEngine::begin_round`], which times one round and reports the
+//!   participation mask and the edges whose messages missed the deadline.
+//!
+//! # A round's timeline is three passes
+//!
+//! A round is phase-structured — boundary (churn draws in node order),
+//! compute (`completion = clock + cost`), propagation (`arrival =
+//! completion[src] + latency`, late when past the deadline) — and the
+//! phases never overlap, so `begin_round` walks them in order with no
+//! event queue. No decision depends on the order events would pop in: an
+//! event's time feeds only a `max`, a `> deadline` test and a counter
+//! ([`EventStats::events`]), and the late list is sorted afterwards. A
+//! priority queue returns the day rounds overlap (a barrier-free variant);
+//! the test module keeps one as the oracle `begin_round` is checked
+//! against.
 //!
 //! # Round semantics
 //!
@@ -48,15 +51,13 @@
 //! `derive_seed`/`stream_rng` discipline the rest of the workspace uses,
 //! so a run is a pure function of `(config, seed)` at every thread count;
 //! `begin_round` itself is serial and allocation-free at steady state
-//! (the heap, masks, and scratch vectors retain capacity across rounds).
+//! (masks and scratch vectors retain capacity across rounds).
 
 use crate::executor::RoundAction;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
 use skiptrain_linalg::rng::{derive_seed, stream_rng};
 use skiptrain_topology::MixingMatrix;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Virtual ticks a homogeneous training round costs. Sync-only rounds
 /// cost zero compute ticks (the model is shared as-is); latency and
@@ -70,111 +71,6 @@ const COMPUTE_STREAM: u64 = 0xEC01;
 const LATENCY_STREAM: u64 = 0xEC02;
 /// Seed stream for per-(round, node) churn draws.
 const CHURN_STREAM: u64 = 0xEC03;
-
-/// A typed simulation event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
-    /// `node` finished its local-compute phase for the round.
-    TrainComplete {
-        /// The node whose compute finished.
-        node: u32,
-    },
-    /// The message on directed edge `src → dst` reached the receiver.
-    MessageArrive {
-        /// Sending node.
-        src: u32,
-        /// Receiving node.
-        dst: u32,
-    },
-    /// The round-boundary policy point: harvest recharge, battery gating,
-    /// and churn decisions all resolve here.
-    PolicyTick,
-    /// `node` (re)joined the fleet.
-    Join {
-        /// The joining node.
-        node: u32,
-    },
-    /// `node` left the fleet; its clock freezes and it costs nothing
-    /// until a later [`Event::Join`].
-    Leave {
-        /// The leaving node.
-        node: u32,
-    },
-    /// The round closed; evaluation observers may fire.
-    EvalTick,
-}
-
-/// A scheduled event: ordered by `(time, seq)` — earliest tick first,
-/// insertion order within a tick.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Scheduled {
-    key: Reverse<(u64, u64)>,
-    event: Event,
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Deterministic priority queue of [`Event`]s.
-///
-/// Keys are `(time, seq)` where `seq` is a monotone counter assigned at
-/// push: ties at the same virtual tick pop in insertion order, making the
-/// pop sequence a pure function of the push sequence — reproducible
-/// across runs, platforms, and rayon pool sizes.
-#[derive(Debug, Clone, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
-    next_seq: u64,
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `event` at virtual tick `time`.
-    pub fn push(&mut self, time: u64, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled {
-            key: Reverse((time, seq)),
-            event,
-        });
-    }
-
-    /// Removes and returns the earliest event as `(time, event)`.
-    pub fn pop(&mut self) -> Option<(u64, Event)> {
-        self.heap.pop().map(|s| {
-            let Reverse((time, _)) = s.key;
-            (time, s.event)
-        })
-    }
-
-    /// The tick of the earliest pending event.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|s| s.key.0 .0)
-    }
-
-    /// Pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
 
 /// How long a node's local-compute phase takes, in virtual ticks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -281,7 +177,7 @@ impl LatencyModel {
 
 /// Seeded per-round membership churn: each present node leaves with
 /// `leave_prob`, each absent node rejoins with `rejoin_prob`, decided at
-/// the round-boundary [`Event::PolicyTick`].
+/// the round-boundary policy tick.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ChurnModel {
     /// Per-round probability a present node leaves.
@@ -308,7 +204,8 @@ pub enum RoundSemantics {
 /// Aggregate event-layer counters for a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventStats {
-    /// Total events processed.
+    /// Timeline events: per round a policy tick, the joins and leaves, a
+    /// completion per present node, an arrival per present edge, an eval tick.
     pub events: u64,
     /// Messages that missed their round deadline (deadline semantics only).
     pub late_messages: u64,
@@ -318,8 +215,8 @@ pub struct EventStats {
     pub leaves: u64,
 }
 
-/// The per-fleet event runtime: the queue, per-node virtual clocks, the
-/// churn presence mask, and the reusable per-round outputs the executor
+/// The per-fleet event runtime: per-node virtual clocks, the churn
+/// presence mask, and the reusable per-round outputs the executor
 /// consumes ([`EventEngine::late_edges`] and the gated action/mixing
 /// buffers). One engine drives one simulation across its whole run.
 #[derive(Debug, Clone)]
@@ -329,7 +226,6 @@ pub struct EventEngine {
     latency: LatencyModel,
     churn: Option<ChurnModel>,
     semantics: RoundSemantics,
-    queue: EventQueue,
     /// Per-node virtual clock: where this node's local time stands.
     /// Present nodes resynchronize at every round boundary (they wait at
     /// the barrier / deadline); an absent node's clock freezes until it
@@ -368,6 +264,7 @@ impl EventEngine {
         semantics: RoundSemantics,
     ) -> Self {
         assert!(n > 0, "empty fleet");
+        let unit = |p: f64| p.is_finite() && (0.0..=1.0).contains(&p);
         match &compute {
             ComputeProfile::Homogeneous => {}
             ComputeProfile::PerNode { factors } => {
@@ -381,10 +278,7 @@ impl EventEngine {
                 tail_prob,
                 tail_factor,
             } => {
-                assert!(
-                    tail_prob.is_finite() && (0.0..=1.0).contains(tail_prob),
-                    "straggler probability must lie in [0, 1]"
-                );
+                assert!(unit(*tail_prob), "straggler probability must lie in [0, 1]");
                 assert!(
                     tail_factor.is_finite() && *tail_factor >= 1.0,
                     "straggler tail factor must be ≥ 1"
@@ -392,20 +286,11 @@ impl EventEngine {
             }
         }
         if let LatencyModel::Seeded { jitter, .. } = latency {
-            assert!(
-                jitter.is_finite() && (0.0..=1.0).contains(&jitter),
-                "latency jitter must lie in [0, 1]"
-            );
+            assert!(unit(jitter), "latency jitter must lie in [0, 1]");
         }
         if let Some(c) = churn {
-            assert!(
-                c.leave_prob.is_finite() && (0.0..=1.0).contains(&c.leave_prob),
-                "leave probability must lie in [0, 1]"
-            );
-            assert!(
-                c.rejoin_prob.is_finite() && (0.0..=1.0).contains(&c.rejoin_prob),
-                "rejoin probability must lie in [0, 1]"
-            );
+            assert!(unit(c.leave_prob), "leave probability must lie in [0, 1]");
+            assert!(unit(c.rejoin_prob), "rejoin probability must lie in [0, 1]");
         }
         Self {
             seed,
@@ -413,7 +298,6 @@ impl EventEngine {
             latency,
             churn,
             semantics,
-            queue: EventQueue::new(),
             clocks: vec![0; n],
             present: vec![true; n],
             absent: 0,
@@ -477,10 +361,8 @@ impl EventEngine {
         &self.late
     }
 
-    /// Plays one round's events: churn draws at the policy tick, per-node
-    /// compute completions, per-edge message arrivals, deadline
-    /// classification, and the closing eval tick. After this returns,
-    /// [`EventEngine::now`] is the round-end tick, and
+    /// Times one round in three passes (see the module docs). After this
+    /// returns, [`EventEngine::now`] is the round-end tick, and
     /// [`EventEngine::present`] / [`EventEngine::late_edges`] describe
     /// what the executor must mask.
     ///
@@ -493,12 +375,10 @@ impl EventEngine {
         let n = self.len();
         assert_eq!(actions.len(), n, "one action per node required");
         assert_eq!(mixing.len(), n, "mixing matrix size mismatch");
-        debug_assert!(self.queue.is_empty(), "previous round fully drained");
         let round_u = round as u64;
 
-        // Policy tick: all membership changes resolve at the round
-        // boundary, in node order (the push sequence fixes tie order).
-        self.queue.push(self.now, Event::PolicyTick);
+        // Boundary: the policy tick resolves membership, in node order.
+        self.stats.events += 1;
         if let Some(churn) = self.churn {
             let cseed = derive_seed(self.seed, CHURN_STREAM);
             for i in 0..n {
@@ -506,38 +386,25 @@ impl EventEngine {
                 let u = rng.random::<f64>();
                 if self.present[i] {
                     if u < churn.leave_prob {
-                        self.queue.push(self.now, Event::Leave { node: i as u32 });
+                        self.present[i] = false;
+                        self.absent += 1;
+                        self.stats.leaves += 1;
+                        self.stats.events += 1;
                     }
                 } else if u < churn.rejoin_prob {
-                    self.queue.push(self.now, Event::Join { node: i as u32 });
-                }
-            }
-        }
-        while let Some((t, ev)) = self.queue.pop() {
-            self.stats.events += 1;
-            match ev {
-                Event::PolicyTick => {}
-                Event::Leave { node } => {
-                    self.present[node as usize] = false;
-                    self.absent += 1;
-                    self.stats.leaves += 1;
-                }
-                Event::Join { node } => {
                     // the rejoining clock jumps to the current boundary:
                     // no virtual time passed for work it never did
-                    self.present[node as usize] = true;
-                    self.clocks[node as usize] = t;
+                    self.present[i] = true;
+                    self.clocks[i] = self.now;
                     self.absent -= 1;
                     self.stats.joins += 1;
+                    self.stats.events += 1;
                 }
-                // lint:allow(no_panic, "phase invariant: the boundary queue is drained before compute events are pushed")
-                _ => unreachable!("only churn events fire at the round boundary"),
             }
         }
 
-        // Compute phase: every present node finishes its local work at
-        // clock + cost (sync-only rounds share the model as-is, costing
-        // zero compute ticks).
+        // Compute: a present node finishes at clock + cost (sync-only
+        // rounds share the model as-is, costing zero compute ticks).
         let cseed = derive_seed(self.seed, COMPUTE_STREAM);
         let mut latest_completion = self.now;
         for (i, &action) in actions.iter().enumerate() {
@@ -551,29 +418,27 @@ impl EventEngine {
                     .train_ticks(cseed, round_u, i, BASE_TRAIN_TICKS),
                 RoundAction::SyncOnly => 0,
             };
-            self.queue.push(
-                self.clocks[i] + cost,
-                Event::TrainComplete { node: i as u32 },
-            );
-        }
-        while let Some((t, ev)) = self.queue.pop() {
+            self.completions[i] = self.clocks[i] + cost;
+            latest_completion = latest_completion.max(self.completions[i]);
             self.stats.events += 1;
-            let Event::TrainComplete { node } = ev else {
-                // lint:allow(no_panic, "phase invariant: the queue was empty at phase start and only TrainComplete was pushed")
-                unreachable!("compute phase only schedules completions")
-            };
-            self.completions[node as usize] = t;
-            latest_completion = latest_completion.max(t);
         }
 
-        // Message propagation over the round's effective edges: each
-        // present sender's message departs at its completion tick and
-        // arrives after the link latency.
+        // Propagation over the round's effective edges: a message departs
+        // at its sender's completion and arrives after the link latency.
         let lseed = derive_seed(self.seed, LATENCY_STREAM);
+        let deadline = match self.semantics {
+            RoundSemantics::Barrier => u64::MAX,
+            RoundSemantics::Deadline { slack_ticks } => {
+                latest_completion.saturating_add(slack_ticks)
+            }
+        };
         // reserve for the graph's full edge census (not this round's
         // presence-filtered arrivals): a later round with a record
         // presence count must never reallocate the late-edge buffer
         let worst_edges: usize = (0..n).map(|i| mixing.row(i).len().saturating_sub(1)).sum();
+        self.late.clear();
+        self.late.reserve(worst_edges);
+        let mut round_end = latest_completion;
         for i in 0..n {
             if !self.present[i] {
                 continue;
@@ -585,57 +450,30 @@ impl EventEngine {
                 }
                 let arrival =
                     self.completions[src] + self.latency.link_ticks(lseed, round_u, src, i);
-                self.queue.push(
-                    arrival,
-                    Event::MessageArrive {
-                        src: j,
-                        dst: i as u32,
-                    },
-                );
-            }
-        }
-        let deadline = match self.semantics {
-            RoundSemantics::Barrier => u64::MAX,
-            RoundSemantics::Deadline { slack_ticks } => {
-                latest_completion.saturating_add(slack_ticks)
-            }
-        };
-        self.late.clear();
-        self.late.reserve(worst_edges);
-        let mut round_end = latest_completion;
-        let mut any_late = false;
-        while let Some((t, ev)) = self.queue.pop() {
-            self.stats.events += 1;
-            let Event::MessageArrive { src, dst } = ev else {
-                // lint:allow(no_panic, "phase invariant: the queue was empty at phase start and only MessageArrive was pushed")
-                unreachable!("propagation phase only schedules arrivals")
-            };
-            if t > deadline {
-                self.late.push((src, dst));
-                self.stats.late_messages += 1;
-                any_late = true;
-            } else {
-                round_end = round_end.max(t);
+                if arrival > deadline {
+                    self.late.push((j, i as u32));
+                } else {
+                    round_end = round_end.max(arrival);
+                }
+                self.stats.events += 1;
             }
         }
         // A deadline round that actually timed anyone out ran its full
         // grace period; otherwise the round closes at the last arrival.
-        if any_late {
+        if !self.late.is_empty() {
             round_end = deadline;
         }
+        self.stats.late_messages += self.late.len() as u64;
         self.late.sort_unstable();
 
-        // Eval tick closes the round; every present node waited at the
+        // The eval tick closes the round; every present node waited at the
         // barrier/deadline, so their clocks resynchronize here. Absent
         // clocks stay frozen.
-        self.queue.push(round_end, Event::EvalTick);
-        // lint:allow(no_panic, "provably infallible: the eval tick was pushed on the line above")
-        let (t, _) = self.queue.pop().expect("eval tick just scheduled");
         self.stats.events += 1;
-        self.now = t;
+        self.now = round_end;
         for (clock, &on) in self.clocks.iter_mut().zip(&self.present) {
             if on {
-                *clock = t;
+                *clock = round_end;
             }
         }
     }
@@ -661,26 +499,13 @@ impl EventEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use skiptrain_topology::{Graph, MixingMatrix};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn ring_mixing(n: usize) -> MixingMatrix {
         MixingMatrix::metropolis_hastings(&Graph::ring(n))
-    }
-
-    #[test]
-    fn queue_orders_by_time_then_insertion() {
-        let mut q = EventQueue::new();
-        q.push(5, Event::EvalTick);
-        q.push(3, Event::TrainComplete { node: 1 });
-        q.push(3, Event::TrainComplete { node: 0 });
-        q.push(4, Event::PolicyTick);
-        assert_eq!(q.peek_time(), Some(3));
-        assert_eq!(q.pop(), Some((3, Event::TrainComplete { node: 1 })));
-        assert_eq!(q.pop(), Some((3, Event::TrainComplete { node: 0 })));
-        assert_eq!(q.pop(), Some((4, Event::PolicyTick)));
-        assert_eq!(q.pop(), Some((5, Event::EvalTick)));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -849,5 +674,214 @@ mod tests {
         let mut sync = EventEngine::lockstep(n, 42);
         sync.begin_round(0, &[RoundAction::SyncOnly; 4], &mixing);
         assert_eq!(sync.now(), 0, "sync-only rounds cost zero compute ticks");
+    }
+
+    /// The timeline's event vocabulary, as the queue formulation had it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Kind {
+        PolicyTick,
+        Leave(usize),
+        Join(usize),
+        TrainComplete(usize),
+        MessageArrive(u32, u32),
+        EvalTick,
+    }
+
+    /// `(time, seq)`-keyed queue: earliest tick first, insertion order
+    /// within a tick.
+    #[derive(Default)]
+    struct Queue(BinaryHeap<Reverse<(u64, u64, Kind)>>, u64);
+
+    impl Queue {
+        fn push(&mut self, time: u64, kind: Kind) {
+            self.0.push(Reverse((time, self.1, kind)));
+            self.1 += 1;
+        }
+        fn pop(&mut self) -> Option<(u64, Kind)> {
+            self.0.pop().map(|Reverse((t, _, kind))| (t, kind))
+        }
+    }
+
+    /// The state the oracle carries between rounds.
+    struct Replay {
+        clocks: Vec<u64>,
+        present: Vec<bool>,
+        now: u64,
+        stats: EventStats,
+        late: Vec<(u32, u32)>,
+    }
+
+    /// The oracle: the formulation `begin_round` replaced. Each phase
+    /// schedules its events on the queue and handles them in pop order.
+    /// Reads only `cfg`'s immutable configuration; all state is in `r`.
+    fn replay_with_queue(
+        r: &mut Replay,
+        cfg: &EventEngine,
+        round: u64,
+        actions: &[RoundAction],
+        mixing: &MixingMatrix,
+    ) {
+        let n = actions.len();
+        let mut q = Queue::default();
+
+        q.push(r.now, Kind::PolicyTick);
+        if let Some(churn) = cfg.churn {
+            let cseed = derive_seed(cfg.seed, CHURN_STREAM);
+            for i in 0..n {
+                let u = stream_rng(cseed, (round << 24) | i as u64).random::<f64>();
+                if r.present[i] && u < churn.leave_prob {
+                    q.push(r.now, Kind::Leave(i));
+                } else if !r.present[i] && u < churn.rejoin_prob {
+                    q.push(r.now, Kind::Join(i));
+                }
+            }
+        }
+        while let Some((t, kind)) = q.pop() {
+            r.stats.events += 1;
+            match kind {
+                Kind::Leave(i) => {
+                    r.present[i] = false;
+                    r.stats.leaves += 1;
+                }
+                Kind::Join(i) => {
+                    r.present[i] = true;
+                    r.clocks[i] = t;
+                    r.stats.joins += 1;
+                }
+                _ => {}
+            }
+        }
+
+        let cseed = derive_seed(cfg.seed, COMPUTE_STREAM);
+        for i in (0..n).filter(|&i| r.present[i]) {
+            let cost = match actions[i] {
+                RoundAction::Train => cfg.compute.train_ticks(cseed, round, i, BASE_TRAIN_TICKS),
+                RoundAction::SyncOnly => 0,
+            };
+            q.push(r.clocks[i] + cost, Kind::TrainComplete(i));
+        }
+        let mut completions = r.clocks.clone();
+        let mut latest = r.now;
+        while let Some((t, Kind::TrainComplete(i))) = q.pop() {
+            r.stats.events += 1;
+            completions[i] = t;
+            latest = latest.max(t);
+        }
+
+        let lseed = derive_seed(cfg.seed, LATENCY_STREAM);
+        for dst in (0..n).filter(|&i| r.present[i]) {
+            for &(j, _) in mixing.row(dst) {
+                let src = j as usize;
+                if src != dst && r.present[src] {
+                    let arrival = completions[src] + cfg.latency.link_ticks(lseed, round, src, dst);
+                    q.push(arrival, Kind::MessageArrive(j, dst as u32));
+                }
+            }
+        }
+        let deadline = match cfg.semantics {
+            RoundSemantics::Barrier => u64::MAX,
+            RoundSemantics::Deadline { slack_ticks } => latest.saturating_add(slack_ticks),
+        };
+        r.late.clear();
+        let mut end = latest;
+        while let Some((t, Kind::MessageArrive(src, dst))) = q.pop() {
+            r.stats.events += 1;
+            if t > deadline {
+                r.late.push((src, dst));
+                r.stats.late_messages += 1;
+            } else {
+                end = end.max(t);
+            }
+        }
+        r.late.sort_unstable();
+        if !r.late.is_empty() {
+            end = deadline;
+        }
+
+        q.push(end, Kind::EvalTick);
+        while let Some((t, _)) = q.pop() {
+            r.stats.events += 1;
+            r.now = t;
+        }
+        for i in (0..n).filter(|&i| r.present[i]) {
+            r.clocks[i] = r.now;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // The three-pass timeline and the queue replay agree on everything
+        // the executor and the result summary read, after every round.
+        #[test]
+        fn timeline_matches_a_queue_replay(
+            seed in 0u64..10_000,
+            n in 4usize..40,
+            density in 0.05f64..1.0,
+            profile in 0u8..3,
+            latency in 0u8..3,
+            latency_ticks in 0u64..BASE_TRAIN_TICKS,
+            jitter in 0.0f64..1.0,
+            churn in 0u8..3,
+            deadline in 0u8..2,
+            slack_ticks in 0u64..BASE_TRAIN_TICKS,
+            train_prob in 0.0f64..1.0,
+            rounds in 6usize..10,
+        ) {
+            let mut rng = stream_rng(seed, 0x7E57);
+            let mut graph = Graph::ring(n);
+            for a in 0..n as u32 {
+                for b in a + 1..n as u32 {
+                    if rng.random::<f64>() < density && !graph.has_edge(a as usize, b as usize) {
+                        graph.add_edge(a, b);
+                    }
+                }
+            }
+            let mixing = MixingMatrix::metropolis_hastings(&graph);
+            let compute = match profile {
+                0 => ComputeProfile::Homogeneous,
+                1 => ComputeProfile::PerNode {
+                    factors: (0..n).map(|_| 0.25 + 3.0 * rng.random::<f64>()).collect(),
+                },
+                _ => ComputeProfile::StragglerTail { tail_prob: 0.3, tail_factor: 4.0 },
+            };
+            let latency = match latency {
+                0 => LatencyModel::Zero,
+                1 => LatencyModel::Constant { ticks: latency_ticks },
+                _ => LatencyModel::Seeded { mean_ticks: latency_ticks, jitter },
+            };
+            let churn = match churn {
+                0 => None,
+                1 => Some(ChurnModel { leave_prob: 0.1, rejoin_prob: 0.5 }),
+                _ => Some(ChurnModel { leave_prob: 0.6, rejoin_prob: 0.3 }),
+            };
+            let semantics = match deadline {
+                0 => RoundSemantics::Barrier,
+                _ => RoundSemantics::Deadline { slack_ticks },
+            };
+            let mut engine = EventEngine::new(n, seed, compute, latency, churn, semantics);
+            let mut replay = Replay {
+                clocks: vec![0; n],
+                present: vec![true; n],
+                now: 0,
+                stats: EventStats::default(),
+                late: Vec::new(),
+            };
+            for round in 0..rounds {
+                let actions: Vec<RoundAction> = (0..n)
+                    .map(|_| match rng.random::<f64>() < train_prob {
+                        true => RoundAction::Train,
+                        false => RoundAction::SyncOnly,
+                    })
+                    .collect();
+                engine.begin_round(round, &actions, &mixing);
+                replay_with_queue(&mut replay, &engine, round as u64, &actions, &mixing);
+                prop_assert_eq!(engine.now(), replay.now, "round {}", round);
+                prop_assert_eq!(engine.stats(), replay.stats, "round {}", round);
+                prop_assert_eq!(engine.present(), &replay.present[..], "round {}", round);
+                prop_assert_eq!(engine.late_edges(), &replay.late[..], "round {}", round);
+                prop_assert_eq!(&engine.clocks, &replay.clocks, "round {}", round);
+            }
+        }
     }
 }

@@ -50,52 +50,44 @@ pub struct SimulationConfig {
     /// Message transport.
     pub transport: TransportKind,
     /// Per-directed-link codec selection policy for the share phase.
-    /// [`CompressionPolicy::Uniform`] reproduces the legacy global-codec
-    /// behaviour bit-for-bit (single shared share phase, one byte quote);
-    /// the adaptive policies resolve a codec per directed link per round
-    /// and charge each link's ledger bytes from the codec it actually
-    /// used. Lossy codecs feed their reconstruction into the aggregation
-    /// (compression error genuinely propagates through training) and
+    /// [`CompressionPolicy::Uniform`] is one shared share phase and one
+    /// byte quote; the adaptive policies resolve a codec per directed link
+    /// per round and charge each link the bytes of the codec it used.
+    /// Lossy codecs feed their reconstruction into the aggregation and
     /// shrink the per-message bytes the energy ledger charges.
     pub compression: CompressionPolicy,
     /// Consensus stepsize γ ∈ (0, 1] applied after aggregation:
     /// `x^t = x^{t−½} + γ (Σ_j W_ji x_j^{t−½} − x^{t−½})`. `1.0` (the
-    /// default) is the paper's plain mixing update and skips the blend
-    /// entirely (bit-identical to the pre-γ executor); CHOCO-SGD-style
-    /// damped consensus (γ < 1) keeps extreme sparsity stable.
+    /// default) is the paper's plain mixing update and skips the blend;
+    /// CHOCO-SGD-style damped consensus (γ < 1) keeps extreme sparsity stable.
     pub consensus_gamma: f32,
     /// `Some(β)` enables CHOCO-SGD-style error-feedback compression:
     /// every directed link tracks a replica of the sender's model,
     /// compresses the accumulated residual `model − replica` instead of
     /// the raw model, and folds the delivered part back (`β ∈ (0, 1]`,
-    /// `1.0` = full error feedback). What the codec failed to deliver
-    /// stays in the next residual, so aggressive sparsification stops
-    /// starving low-magnitude coordinates. Link-local state — message
-    /// bytes and energy charges are unchanged. A no-op for the lossless
-    /// [`ModelCodec::DenseF32`] (the residual would stay zero), which
-    /// keeps its zero-copy fast path.
+    /// `1.0` = full error feedback), so what the codec failed to deliver
+    /// stays in the next residual. Link-local state — message bytes and
+    /// energy charges are unchanged. A no-op for the lossless
+    /// [`ModelCodec::DenseF32`], which keeps its zero-copy fast path.
     pub feedback_beta: Option<f32>,
     /// Per-receiver replica cap for error feedback: at most this many
     /// in-links per node keep a replica; the stalest link (oldest
     /// delivery) is evicted when a new one would exceed the cap and
-    /// restarts cold on its next delivery. Bounds feedback memory at
-    /// `nodes × cap` model vectors under time-varying topologies (the
-    /// uncapped state grew one replica per distinct directed link,
-    /// forever). `None` derives a never-evicting default from the
-    /// simulation's graph — `max(max degree,`
+    /// restarts cold on its next delivery, bounding feedback memory at
+    /// `nodes × cap` model vectors under time-varying topologies. `None`
+    /// derives a never-evicting default from the simulation's graph —
+    /// `max(max degree,`
     /// [`DEFAULT_REPLICA_CAP`](crate::transport::DEFAULT_REPLICA_CAP)`)`
-    /// — since an explicit cap below the in-degree trades residual
-    /// memory for feedback quality (links restart cold). Ignored unless
-    /// `feedback_beta` is set.
+    /// — since a cap below the in-degree trades residual memory for
+    /// feedback quality. Ignored unless `feedback_beta` is set.
     pub feedback_replica_cap: Option<usize>,
     /// Per-node training energy per round (Wh); empty disables training
     /// energy accounting.
     pub training_energy_wh: Vec<f64>,
     /// Radio energy model for the share/aggregate phase.
     pub comm_energy: CommEnergyModel,
-    /// Nominal parameter count for message-size accounting; `None` uses the
-    /// actual simulated model size. (The paper's energy traces are defined
-    /// for Table 1's |x|, which may exceed the reduced simulation models.)
+    /// Nominal parameter count for message-size accounting (the paper's
+    /// Table 1 |x|); `None` uses the actual simulated model size.
     pub nominal_params: Option<usize>,
     /// `Some` enables closed-loop battery gating: each round the fleet
     /// recharges from the harvest trace, the policy picks a participation
@@ -329,6 +321,8 @@ pub struct Simulation {
     loss_fn: SoftmaxCrossEntropy,
     /// Mean training loss over the training nodes of the last round.
     last_train_loss: Option<f32>,
+    /// Nodes that ran local training in the last round.
+    last_trained_nodes: usize,
     /// The current round's resolved edges; every pass after
     /// [`RoundPlan::resolve`] reads this and nothing else about the
     /// round's topology, timing, losses or codecs.
@@ -458,6 +452,7 @@ impl Simulation {
             param_count,
             loss_fn: SoftmaxCrossEntropy::new(num_classes),
             last_train_loss: None,
+            last_trained_nodes: 0,
             scratch: vec![NodeScratch::default(); n],
             // pre-sized to the hard bound (a mixing row holds at most n
             // entries): time-varying graphs hit fresh degree maxima mid-
@@ -564,6 +559,11 @@ impl Simulation {
         self.last_train_loss
     }
 
+    /// Nodes that trained in the last round, after battery/churn gating.
+    pub fn last_trained_nodes(&self) -> usize {
+        self.last_trained_nodes
+    }
+
     /// Element-wise mean of all node models.
     pub fn mean_params(&self) -> Vec<f32> {
         let mut mean = Vec::new();
@@ -630,10 +630,9 @@ impl Simulation {
         Ok(())
     }
 
-    /// Executes one round through the discrete-event core: `engine` plays
-    /// the round's timeline (churn draws, per-node compute completions,
-    /// per-edge arrivals, deadline classification) and this method runs
-    /// the data passes over what actually happened.
+    /// Executes one round through the event core: `engine` times the round
+    /// (churn draws, compute completions, per-edge arrivals, the deadline)
+    /// and this method runs the data passes over what actually happened.
     ///
     /// When every node is present and no message missed its deadline —
     /// always the case under barrier semantics, and under deadline
@@ -782,8 +781,9 @@ impl Simulation {
             .loss_scratch
             .iter()
             .flatten()
-            .fold((0.0f32, 0u32), |(s, c), &l| (s + l, c + 1));
+            .fold((0.0f32, 0usize), |(s, c), &l| (s + l, c + 1));
         self.last_train_loss = (trained > 0).then(|| loss_sum / trained as f32);
+        self.last_trained_nodes = trained;
     }
 
     /// Share + aggregate `x^t = Σ_j W_ji x_j^{t−½}` over the plan

@@ -8,17 +8,19 @@
 //!
 //! # The event core
 //!
-//! [`events::EventEngine`] owns a deterministic priority queue
-//! ([`events::EventQueue`], keyed by `(time, seq)` so ties pop in push
-//! order), per-node virtual clocks, and three timing models:
-//! a [`events::ComputeProfile`] (homogeneous, per-node speed factors, or
-//! a seeded straggler tail), a [`events::LatencyModel`] (zero, constant,
-//! or seeded per-link jitter), and an optional [`events::ChurnModel`]
-//! (seeded per-round leave/rejoin; absent nodes cost nothing). Each round
-//! it plays the typed events — `PolicyTick` → churn `Join`/`Leave`,
-//! `TrainComplete` per node, `MessageArrive` per effective edge,
-//! `EvalTick` — and tells the executor which nodes are present and which
-//! edges *missed the round deadline*.
+//! [`events::EventEngine`] owns per-node virtual clocks and three timing
+//! models: a [`events::ComputeProfile`] (homogeneous, per-node speed
+//! factors, or a seeded straggler tail), a [`events::LatencyModel`] (zero,
+//! constant, or seeded per-link jitter), and an optional
+//! [`events::ChurnModel`] (seeded per-round leave/rejoin; absent nodes
+//! cost nothing). Each round it times the fleet in three passes that
+//! never overlap — the boundary (policy tick, churn joins/leaves in node
+//! order), compute (one completion per present node), propagation (one
+//! arrival per effective edge), then the closing eval tick — and tells
+//! the executor which nodes are present and which edges *missed the round
+//! deadline*. There is no event queue: no decision reads the order events
+//! would pop in (only a `max`, a `> deadline` test and a counter), so one
+//! returns with overlapping rounds, not before.
 //!
 //! Under **barrier** semantics (the synchronous runner) the round waits
 //! for every message: stragglers and latency stretch virtual time but
@@ -139,8 +141,8 @@ pub mod transport;
 
 pub use error::EngineError;
 pub use events::{
-    ChurnModel, ComputeProfile, Event, EventEngine, EventQueue, EventStats, LatencyModel,
-    RoundSemantics, BASE_TRAIN_TICKS,
+    ChurnModel, ComputeProfile, EventEngine, EventStats, LatencyModel, RoundSemantics,
+    BASE_TRAIN_TICKS,
 };
 pub use executor::{RoundAction, Simulation, SimulationConfig};
 pub use metrics::{AccuracyPoint, EvalStats, MetricsRecorder};

@@ -39,9 +39,11 @@ pub struct RoundCtx<'a> {
 pub struct RoundReport<'a> {
     /// Round index (0-based).
     pub round: usize,
-    /// Per-node actions executed this round.
+    /// The actions the policy requested this round (battery and churn
+    /// gating may have demoted some nodes afterwards).
     pub actions: &'a [RoundAction],
-    /// Number of nodes that ran local training this round.
+    /// Number of nodes that ran local training this round, after gating
+    /// ([`Simulation::last_trained_nodes`]).
     pub trained_nodes: usize,
     /// Mean training loss over the nodes that trained, if any did.
     pub train_loss: Option<f32>,

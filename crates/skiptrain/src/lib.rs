@@ -61,7 +61,8 @@ pub mod prelude {
         ExperimentResult, TimingSpec, TopologyScheduleSpec, TopologySpec,
     };
     pub use skiptrain_core::policy::{
-        ConstrainedPolicy, DPsgdPolicy, GreedyPolicy, RoundPolicy, SkipTrainPolicy,
+        AsyncGossipPolicy, ConstrainedPolicy, DPsgdPolicy, GreedyPolicy, RoundPolicy,
+        SkipTrainPolicy,
     };
     pub use skiptrain_core::presets::{
         cifar_config, femnist_config, tuned_schedule, with_algorithm, Scale,

@@ -211,9 +211,16 @@ fn battery_free_runs_report_no_summary_and_async_gossip_composes() {
         policy: BatteryPolicy::Threshold { min_fraction: 0.2 },
         node_policies: None,
     });
-    let result = skiptrain::algorithms::asyncgossip::run_async_gossip(&gated, &data, 0.5);
+    gated.algorithm = AlgorithmSpec::AsyncGossip {
+        activation_prob: 0.5,
+    };
+    let result = gated.run_on(&data);
     assert_eq!(result.total_comm_wh, 0.0, "dead nodes cannot gossip");
     assert_eq!(result.total_training_wh, 0.0);
+    assert_eq!(
+        result.node_train_events, 0,
+        "training the battery gated out is requested, not executed"
+    );
     let summary = result.battery.expect("async path records the summary");
     assert_eq!(summary.node_participations, 0);
 }

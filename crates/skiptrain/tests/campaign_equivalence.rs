@@ -28,33 +28,118 @@ fn quick(seed: u64) -> ExperimentConfig {
     cfg
 }
 
+/// `cfg` as an async-gossip cell with non-trivial timing and churn, so the
+/// deadline path (late edges, absences) is what the campaign must reproduce.
+fn gossip(mut cfg: ExperimentConfig) -> ExperimentConfig {
+    cfg.name = format!("{}/async-q0.5", cfg.name);
+    cfg.algorithm = AlgorithmSpec::AsyncGossip {
+        activation_prob: 0.5,
+    };
+    cfg.timing.latency = LatencyModel::Seeded {
+        mean_ticks: BASE_TRAIN_TICKS / 4,
+        jitter: 0.8,
+    };
+    cfg.churn = Some(ChurnSpec {
+        leave_prob: 0.1,
+        rejoin_prob: 0.5,
+    });
+    cfg
+}
+
 #[test]
 fn builder_and_campaign_reproduce_legacy_results_byte_identically() {
-    let cfg = quick(3);
+    for cfg in [quick(3), gossip(quick(3))] {
+        let legacy = cfg.run();
 
-    let legacy = cfg.run();
+        let via_experiment = Experiment::from_config(cfg.clone()).expect("valid").run();
 
-    let via_experiment = Experiment::from_config(cfg.clone()).expect("valid").run();
+        let via_builder = ExperimentBuilder::from_config(cfg.clone())
+            .build()
+            .expect("valid")
+            .run();
 
-    let via_builder = ExperimentBuilder::from_config(cfg.clone())
-        .build()
-        .expect("valid")
-        .run();
+        let via_campaign = Campaign::new()
+            .push(cfg.clone())
+            .run()
+            .expect("valid")
+            .remove(0);
 
-    let via_campaign = Campaign::new().push(cfg).run().expect("valid").remove(0);
-
-    let reference = serde_json::to_string(&legacy).unwrap();
-    for (label, result) in [
-        ("Experiment::run", &via_experiment),
-        ("ExperimentBuilder", &via_builder),
-        ("Campaign", &via_campaign),
-    ] {
-        let serialized = serde_json::to_string(result).unwrap();
-        assert_eq!(
-            serialized, reference,
-            "{label} diverged from the legacy runner"
-        );
+        let reference = serde_json::to_string(&legacy).unwrap();
+        for (label, result) in [
+            ("Experiment::run", &via_experiment),
+            ("ExperimentBuilder", &via_builder),
+            ("Campaign", &via_campaign),
+        ] {
+            let serialized = serde_json::to_string(result).unwrap();
+            assert_eq!(
+                serialized, reference,
+                "{}: {label} diverged from the legacy runner",
+                cfg.name
+            );
+        }
     }
+}
+
+#[test]
+fn gossip_cells_match_the_per_cell_grid_and_resume_from_a_journal() {
+    // Async gossip is a config like any other: campaign cells equal the
+    // per-cell `Experiment::run` grid, land in the journal, and a resumed
+    // campaign restores them without re-running — byte for byte.
+    let configs = vec![quick(21), gossip(quick(21)), gossip(quick(22))];
+    let grid: Vec<ExperimentResult> = configs
+        .iter()
+        .map(|cfg| Experiment::from_config(cfg.clone()).expect("valid").run())
+        .collect();
+    assert!(
+        grid[1].events.late_messages > 0 && grid[1].events.leaves > 0,
+        "the gossip fixture must exercise the deadline and churn"
+    );
+    let grid: Vec<String> = grid
+        .iter()
+        .map(|result| serde_json::to_string(result).unwrap())
+        .collect();
+    let path = std::env::temp_dir().join(format!(
+        "skiptrain-equivalence-gossip-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let assert_matches_grid = |report: &skiptrain_core::CampaignReport, ctx: &str| {
+        assert!(report.is_complete(), "{ctx}");
+        for (cell, reference) in report.results.iter().zip(&grid) {
+            let serialized = serde_json::to_string(cell.as_ref().unwrap()).unwrap();
+            assert_eq!(&serialized, reference, "{ctx}");
+        }
+    };
+
+    let first = Campaign::from_configs(configs.clone())
+        .with_checkpoint(&path)
+        .run_resilient()
+        .unwrap();
+    assert_eq!(first.restored, 0);
+    assert_matches_grid(&first, "first run");
+
+    // interrupted after one cell: the rest re-run and still match
+    let journal = std::fs::read_to_string(&path).unwrap();
+    let kept: Vec<&str> = journal.lines().take(2).collect();
+    let partial = path.with_extension("partial.jsonl");
+    std::fs::write(&partial, format!("{}\n", kept.join("\n"))).unwrap();
+    let resumed = Campaign::from_configs(configs.clone())
+        .with_checkpoint(&partial)
+        .run_resilient()
+        .unwrap();
+    assert_eq!(resumed.restored, 1);
+    assert_matches_grid(&resumed, "resumed after one cell");
+
+    // the full journal restores every cell and runs nothing
+    let restored = Campaign::from_configs(configs)
+        .with_checkpoint(&path)
+        .observe_with(|_, _| panic!("restored cells must not re-run"))
+        .run_resilient()
+        .unwrap();
+    assert_eq!(restored.restored, 3);
+    assert_matches_grid(&restored, "fully restored");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&partial);
 }
 
 #[test]

@@ -3,7 +3,6 @@
 //! across worker-thread counts, keep energy-ledger totals conservation-exact
 //! under churn, and make seeded-latency drops exactly reproducible.
 
-use skiptrain::algorithms::asyncgossip::run_async_gossip;
 use skiptrain::data::synth::{MixtureSpec, MixtureTask};
 use skiptrain::prelude::*;
 use skiptrain::topology::regular::random_regular;
@@ -193,8 +192,11 @@ fn event_runs_are_thread_count_invariant() {
                 leave_prob: 0.05,
                 rejoin_prob: 0.5,
             });
+            cfg.algorithm = AlgorithmSpec::AsyncGossip {
+                activation_prob: 0.6,
+            };
             let data = cfg.data.build(cfg.nodes, cfg.seed);
-            run_async_gossip(&cfg, &data, 0.6)
+            cfg.run_on(&data)
         })
     };
     let r1 = run(1);
@@ -204,7 +206,7 @@ fn event_runs_are_thread_count_invariant() {
         assert_eq!(
             r1.final_test.mean_accuracy.to_bits(),
             other.final_test.mean_accuracy.to_bits(),
-            "event queue order leaked thread scheduling into results"
+            "the event timeline leaked thread scheduling into results"
         );
         for (a, b) in r1.test_curve.iter().zip(&other.test_curve) {
             assert_eq!(a.mean_accuracy.to_bits(), b.mean_accuracy.to_bits());
@@ -228,6 +230,10 @@ fn full_churn_starves_the_fleet_without_charging_energy() {
     assert_eq!(
         r.total_comm_wh, 0.0,
         "absent nodes must not accrue communication energy"
+    );
+    assert_eq!(
+        r.node_train_events, 0,
+        "absent nodes are asked to train but never do"
     );
     assert_eq!(r.events.leaves, cfg.nodes as u64, "every node leaves once");
     assert_eq!(r.events.joins, 0);
@@ -291,8 +297,11 @@ fn seeded_latency_drops_are_reproducible() {
             compute: ComputeProfile::Homogeneous,
             latency,
         };
+        cfg.algorithm = AlgorithmSpec::AsyncGossip {
+            activation_prob: 0.7,
+        };
         let data = cfg.data.build(cfg.nodes, cfg.seed);
-        run_async_gossip(&cfg, &data, 0.7)
+        cfg.run_on(&data)
     };
     let jittered = LatencyModel::Seeded {
         mean_ticks: BASE_TRAIN_TICKS / 4,
