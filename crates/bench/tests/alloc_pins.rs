@@ -280,18 +280,22 @@ fn dynamic_topology_round() -> Step {
     let actions = vec![RoundAction::SyncOnly; n];
     Box::new(move || {
         let mixing = sched.mixing_for_round(sim.round());
-        sim.try_run_round_with_mixing(black_box(&actions), mixing)
+        sim.try_run_round(black_box(&actions), Some(mixing), None)
             .expect("scheduled graph matches the fleet");
     })
 }
 
-/// The closed-loop round with the battery machinery live: recharge from
-/// the harvest trace, policy decision, participation masking, and the
-/// post-round settle all run every round on top of the 64-node train
-/// loop. The harvest outpaces the drain so the fleet stays fully charged
-/// and every node trains; the pin is that the recharge/decide/mask/settle
-/// cycle allocates nothing (masked mixing reuses one scratch matrix;
-/// charge vectors are updated in place).
+/// The closed-loop round with both gates live, through the one entry:
+/// churn draws, recharge from the harvest trace, policy decision, the
+/// combined participation mask lowered into gated actions and masked
+/// mixing, the timeline over those (constant half-round latency against a
+/// quarter-round deadline, so the late set fills every round), and the
+/// post-round settle, on top of the 64-node train loop. The harvest
+/// outpaces the drain so the battery admits everyone and only churn
+/// thins the fleet; the pin is that the whole membership/decide/compose/
+/// timeline/settle cycle allocates nothing (the gate reuses one mask, one
+/// action buffer and one scratch matrix; the late set is sized for the
+/// base graph's census, not the round's; charge vectors update in place).
 fn battery_round() -> Step {
     let n = 64;
     let mut config = SimulationConfig::minimal(7, 16, 5, 0.5);
@@ -303,8 +307,26 @@ fn battery_round() -> Step {
         node_policies: None,
     });
     let mut sim = build_sim_on(random_regular(n, 6, 7), 7, config);
+    let mut engine = EventEngine::new(
+        n,
+        7,
+        ComputeProfile::Homogeneous,
+        LatencyModel::Constant {
+            ticks: BASE_TRAIN_TICKS / 2,
+        },
+        Some(ChurnModel {
+            leave_prob: 0.02,
+            rejoin_prob: 0.5,
+        }),
+        RoundSemantics::Deadline {
+            slack_ticks: BASE_TRAIN_TICKS / 4,
+        },
+    );
     let actions = vec![RoundAction::Train; n];
-    Box::new(move || sim.run_round(black_box(&actions)))
+    Box::new(move || {
+        sim.try_run_round(black_box(&actions), None, Some(&mut engine))
+            .expect("engine and fleet agree on the node count")
+    })
 }
 
 /// The per-link compression policy layer in isolation: a 64-node
@@ -344,7 +366,7 @@ fn adaptive_link_round() -> Step {
     let actions = vec![RoundAction::SyncOnly; n];
     Box::new(move || {
         let mixing = black_box(&mixings[sim.round() % mixings.len()]);
-        sim.try_run_round_with_mixing(black_box(&actions), mixing)
+        sim.try_run_round(black_box(&actions), Some(mixing), None)
             .expect("cached scheduled graph matches the fleet");
     })
 }
@@ -354,10 +376,9 @@ fn adaptive_link_round() -> Step {
 /// constant half-round link latency against a quarter-round deadline slack
 /// (so late-edge classification and the sorted late set are exercised
 /// every round), and light churn. This isolates the event machinery —
-/// priority-queue push/pop, seeded per-(round, node) and per-(round, edge)
-/// draws, per-node clock advancement — from the training round it
-/// schedules; the pin is that the scheduler reuses its queue, late-set and
-/// gating buffers.
+/// the three passes' seeded per-(round, node) and per-(round, edge) draws
+/// and per-node clock advancement — from the training round it times; the
+/// pin is that the engine reuses its completion and late-set buffers.
 fn event_round() -> Step {
     let n = 64;
     let mixing = MixingMatrix::metropolis_hastings(&random_regular(n, 6, 9));

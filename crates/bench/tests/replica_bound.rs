@@ -68,7 +68,7 @@ fn run_rounds(sim: &mut Simulation, sched: &mut ScheduledTopology, rounds: usize
     let actions = vec![RoundAction::SyncOnly; NODES];
     for _ in 0..rounds {
         let mixing = sched.mixing_for_round(sim.round());
-        sim.try_run_round_with_mixing(&actions, mixing)
+        sim.try_run_round(&actions, Some(mixing), None)
             .expect("scheduled graph matches the fleet");
     }
 }

@@ -16,8 +16,9 @@
 //! algorithms run barrier rounds over the configured (static or scheduled)
 //! topology; [`AlgorithmSpec::AsyncGossip`] runs deadline rounds
 //! (`GOSSIP_SLACK_TICKS`) over a fresh random maximal matching per tick.
-//! With trivial timing (homogeneous compute, zero latency, no churn) the
-//! engine's fast path makes a run bit-identical to the lockstep loop.
+//! With trivial timing (homogeneous compute, zero latency, no churn) every
+//! participation mask is all-true and a run is bit-identical to the
+//! lockstep loop.
 
 use crate::error::{ConfigError, RunError};
 use crate::experiment::{
@@ -101,8 +102,7 @@ fn build_simulation(
             .map(|spec| spec.build(cfg.nodes, cfg.seed, &cfg.energy.workload)),
     };
     // A non-static topology schedule regenerates (cached) doubly
-    // stochastic mixing per round; the static default keeps the legacy
-    // byte-compatible fast path through `run_round`.
+    // stochastic mixing per round; the static default passes no override.
     let schedule = cfg.topology_schedule.bind(&graph, cfg.seed);
     let sim = Simulation::with_shared_data(
         models,
@@ -243,7 +243,7 @@ pub(crate) fn execute(
             // be an internal scheduling bug, reported with the typed
             // engine error's diagnosis (and the round it broke on) so a
             // resilient campaign can fail this one cell and keep going.
-            sim.try_run_round_event(&actions, mixing, &mut engine)
+            sim.try_run_round(&actions, mixing, Some(&mut engine))
                 .map_err(|source| RunError { round: t, source })?;
             executed_rounds = t + 1;
             // what ran, not what `actions` requested: battery and churn

@@ -10,21 +10,24 @@
 //! # Drain/recharge model and units
 //!
 //! Everything is in watt-hours, the ledger's unit. Per simulated round, in
-//! order:
+//! order (the engine draws the round's membership churn *before* step 1,
+//! so step 3 knows who is present; an absent node still recharges):
 //!
 //! 1. **Recharge**: the harvest trace offers each node
 //!    `P_i(t) · Δ_round / 3600` Wh; the battery accepts what fits below
 //!    capacity and counts the clipped remainder as *wasted*.
 //! 2. **Decision**: the policy maps charge fractions to a participation
 //!    mask (see [`BatteryPolicy`]).
-//! 3. **Brown-out**: a node that decided to train but holds less charge
-//!    than its per-round training cost burns its remaining charge to zero
-//!    and drops out of the round — partial work is lost, which is exactly
+//! 3. **Brown-out**: a present node that decided to train but holds less
+//!    charge than its per-round training cost burns its remaining charge
+//!    to zero and drops out of the round (an absent node attempts nothing
+//!    and burns nothing) — partial work is lost, which is exactly
 //!    why threshold policies ("only train when battery ≥ 20 %", the
 //!    xaynet participant rule) beat always-on under trickle harvests.
-//! 4. **Drain**: after the round, each participant is debited its ledger
-//!    delta (training + tx + rx energy). Drain clamps at empty; demand
-//!    beyond the clamp is counted as *deficit* rather than going negative.
+//! 4. **Drain**: after the round was timed and run over the participants
+//!    only, each participant is debited its ledger delta (training + tx +
+//!    rx energy). Drain clamps at empty; demand beyond the clamp is
+//!    counted as *deficit* rather than going negative.
 //!
 //! The conservation invariant (property-tested below) is
 //! `charge = initial + (harvested − wasted) − drained`, with

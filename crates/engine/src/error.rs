@@ -25,7 +25,7 @@ pub enum EngineError {
     },
     /// An [`EventEngine`](crate::events::EventEngine) built for a
     /// different fleet size was handed to
-    /// [`Simulation::try_run_round_event`](crate::executor::Simulation::try_run_round_event).
+    /// [`Simulation::try_run_round`](crate::executor::Simulation::try_run_round).
     EventEngineSizeMismatch {
         /// Nodes in the simulation.
         expected: usize,

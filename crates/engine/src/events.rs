@@ -14,7 +14,7 @@
 //!   node's clock freezes and it costs nothing until it rejoins.
 //! * [`EventEngine`] — per-node clocks plus the round driver
 //!   [`EventEngine::begin_round`], which times one round and reports the
-//!   participation mask and the edges whose messages missed the deadline.
+//!   presence mask and the edges whose messages missed the deadline.
 //!
 //! # A round's timeline is three passes
 //!
@@ -22,12 +22,18 @@
 //! compute (`completion = clock + cost`), propagation (`arrival =
 //! completion[src] + latency`, late when past the deadline) — and the
 //! phases never overlap, so `begin_round` walks them in order with no
-//! event queue. No decision depends on the order events would pop in: an
-//! event's time feeds only a `max`, a `> deadline` test and a counter
-//! ([`EventStats::events`]), and the late list is sorted afterwards. A
-//! priority queue returns the day rounds overlap (a barrier-free variant);
-//! the test module keeps one as the oracle `begin_round` is checked
-//! against.
+//! event queue. The engine decides *membership* and nothing else about who
+//! takes part: inside a simulation round the executor runs the boundary
+//! pass, lets the participation gate fold the presence mask with the
+//! battery's, and hands the other two passes the gated actions and masked
+//! mixing — whoever sits the round out has no edges there and trains for
+//! zero ticks, so virtual time, the event counter and the late set come
+//! from exactly what the round plan and the ledger see. No decision
+//! depends on the order events would pop in: an event's time feeds only a
+//! `max`, a `> deadline` test and a counter ([`EventStats::events`]), and
+//! the late list is sorted afterwards. A priority queue returns the day
+//! rounds overlap (a barrier-free variant); the test module keeps one as
+//! the oracle `begin_round` is checked against.
 //!
 //! # Round semantics
 //!
@@ -51,7 +57,7 @@
 //! `derive_seed`/`stream_rng` discipline the rest of the workspace uses,
 //! so a run is a pure function of `(config, seed)` at every thread count;
 //! `begin_round` itself is serial and allocation-free at steady state
-//! (masks and scratch vectors retain capacity across rounds).
+//! (the mask and scratch vectors retain capacity across rounds).
 
 use crate::executor::RoundAction;
 use rand::RngExt;
@@ -205,7 +211,8 @@ pub enum RoundSemantics {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventStats {
     /// Timeline events: per round a policy tick, the joins and leaves, a
-    /// completion per present node, an arrival per present edge, an eval tick.
+    /// completion per present node, an arrival per edge that fired, an eval
+    /// tick.
     pub events: u64,
     /// Messages that missed their round deadline (deadline semantics only).
     pub late_messages: u64,
@@ -216,9 +223,9 @@ pub struct EventStats {
 }
 
 /// The per-fleet event runtime: per-node virtual clocks, the churn
-/// presence mask, and the reusable per-round outputs the executor
-/// consumes ([`EventEngine::late_edges`] and the gated action/mixing
-/// buffers). One engine drives one simulation across its whole run.
+/// presence mask, and the sorted late-edge set of the last round
+/// ([`EventEngine::late_edges`]). One engine drives one simulation across
+/// its whole run.
 #[derive(Debug, Clone)]
 pub struct EventEngine {
     seed: u64,
@@ -232,15 +239,10 @@ pub struct EventEngine {
     /// rejoins.
     clocks: Vec<u64>,
     present: Vec<bool>,
-    absent: usize,
     /// Per-node compute-completion tick for the current round.
     completions: Vec<u64>,
     /// Sorted directed edges whose message missed the round deadline.
     late: Vec<(u32, u32)>,
-    /// Presence-gated actions (absent nodes demoted to `SyncOnly`).
-    pub(crate) gated: Vec<RoundAction>,
-    /// Presence-masked effective mixing (identity rows for absent nodes).
-    pub(crate) masked: MixingMatrix,
     now: u64,
     stats: EventStats,
 }
@@ -300,11 +302,8 @@ impl EventEngine {
             semantics,
             clocks: vec![0; n],
             present: vec![true; n],
-            absent: 0,
             completions: vec![0; n],
             late: Vec::new(),
-            gated: Vec::with_capacity(n),
-            masked: MixingMatrix::identity(n),
             now: 0,
             stats: EventStats::default(),
         }
@@ -352,7 +351,7 @@ impl EventEngine {
 
     /// True when no node is currently absent.
     pub fn all_present(&self) -> bool {
-        self.absent == 0
+        self.present.iter().all(|&on| on)
     }
 
     /// Directed edges whose message missed the last round's deadline,
@@ -361,10 +360,13 @@ impl EventEngine {
         &self.late
     }
 
-    /// Times one round in three passes (see the module docs). After this
-    /// returns, [`EventEngine::now`] is the round-end tick, and
-    /// [`EventEngine::present`] / [`EventEngine::late_edges`] describe
-    /// what the executor must mask.
+    /// Times one round in three passes (see the module docs): the
+    /// membership pass, then the timeline over `actions` and `mixing` as
+    /// given. After this returns, [`EventEngine::now`] is the round-end
+    /// tick, and [`EventEngine::present`] / [`EventEngine::late_edges`]
+    /// describe who was there and which messages missed the deadline. The
+    /// executor drives the two halves itself, with the participation gate
+    /// between them.
     ///
     /// Serial and deterministic: the outcome is a pure function of
     /// `(seed, round, actions, mixing, presence)`.
@@ -372,22 +374,30 @@ impl EventEngine {
     /// # Panics
     /// Panics if `actions` or `mixing` disagree with the fleet size.
     pub fn begin_round(&mut self, round: usize, actions: &[RoundAction], mixing: &MixingMatrix) {
-        let n = self.len();
-        assert_eq!(actions.len(), n, "one action per node required");
-        assert_eq!(mixing.len(), n, "mixing matrix size mismatch");
-        let round_u = round as u64;
+        assert_eq!(actions.len(), self.len(), "one action per node required");
+        assert_eq!(mixing.len(), self.len(), "mixing matrix size mismatch");
+        self.membership(round, mixing);
+        self.timeline(round, actions, mixing);
+    }
 
-        // Boundary: the policy tick resolves membership, in node order.
+    /// Boundary pass: the policy tick resolves membership, in node order.
+    /// Also sizes the late-edge buffer for `base`'s full edge census (not
+    /// this round's gated arrivals): a later round with a record
+    /// participation count must never reallocate it.
+    pub(crate) fn membership(&mut self, round: usize, base: &MixingMatrix) {
+        let n = self.len();
+        let worst_edges: usize = (0..n).map(|i| base.row(i).len().saturating_sub(1)).sum();
+        self.late.clear();
+        self.late.reserve(worst_edges);
         self.stats.events += 1;
         if let Some(churn) = self.churn {
             let cseed = derive_seed(self.seed, CHURN_STREAM);
             for i in 0..n {
-                let mut rng = stream_rng(cseed, (round_u << 24) | i as u64);
+                let mut rng = stream_rng(cseed, ((round as u64) << 24) | i as u64);
                 let u = rng.random::<f64>();
                 if self.present[i] {
                     if u < churn.leave_prob {
                         self.present[i] = false;
-                        self.absent += 1;
                         self.stats.leaves += 1;
                         self.stats.events += 1;
                     }
@@ -396,12 +406,25 @@ impl EventEngine {
                     // no virtual time passed for work it never did
                     self.present[i] = true;
                     self.clocks[i] = self.now;
-                    self.absent -= 1;
                     self.stats.joins += 1;
                     self.stats.events += 1;
                 }
             }
         }
+    }
+
+    /// Compute and propagation passes plus the eval tick, after
+    /// [`EventEngine::membership`] (which emptied the late set), over the
+    /// actions and mixing the round really runs — the gate's, under the
+    /// executor, so sitting a round out costs no virtual time.
+    pub(crate) fn timeline(
+        &mut self,
+        round: usize,
+        actions: &[RoundAction],
+        mixing: &MixingMatrix,
+    ) {
+        let n = self.len();
+        let round_u = round as u64;
 
         // Compute: a present node finishes at clock + cost (sync-only
         // rounds share the model as-is, costing zero compute ticks).
@@ -432,12 +455,6 @@ impl EventEngine {
                 latest_completion.saturating_add(slack_ticks)
             }
         };
-        // reserve for the graph's full edge census (not this round's
-        // presence-filtered arrivals): a later round with a record
-        // presence count must never reallocate the late-edge buffer
-        let worst_edges: usize = (0..n).map(|i| mixing.row(i).len().saturating_sub(1)).sum();
-        self.late.clear();
-        self.late.reserve(worst_edges);
         let mut round_end = latest_completion;
         for i in 0..n {
             if !self.present[i] {
@@ -476,23 +493,6 @@ impl EventEngine {
                 *clock = round_end;
             }
         }
-    }
-
-    /// Materializes the presence-gated actions and the presence-masked
-    /// effective mixing for the executor's slow path (some node absent or
-    /// some edge late). Reuses internal buffers; allocation-free at
-    /// steady state.
-    pub(crate) fn compose_gating(&mut self, actions: &[RoundAction], mixing: &MixingMatrix) {
-        self.gated.clear();
-        self.gated
-            .extend(actions.iter().zip(&self.present).map(|(&a, &on)| {
-                if on {
-                    a
-                } else {
-                    RoundAction::SyncOnly
-                }
-            }));
-        mixing.masked_into(&self.present, &mut self.masked);
     }
 }
 
@@ -633,32 +633,6 @@ mod tests {
         assert!(saw_absent, "30% churn over 20 rounds should evict someone");
         assert_eq!(a.stats(), b.stats());
         assert!(a.stats().leaves > 0 && a.stats().joins > 0);
-    }
-
-    #[test]
-    fn gating_demotes_absent_nodes_and_masks_their_rows() {
-        let n = 5;
-        let mixing = ring_mixing(n);
-        let actions = vec![RoundAction::Train; n];
-        let mut e = EventEngine::new(
-            n,
-            1,
-            ComputeProfile::Homogeneous,
-            LatencyModel::Zero,
-            // leave_prob 1: everyone departs at the first policy tick
-            Some(ChurnModel {
-                leave_prob: 1.0,
-                rejoin_prob: 0.0,
-            }),
-            RoundSemantics::Barrier,
-        );
-        e.begin_round(0, &actions, &mixing);
-        assert!(e.present().iter().all(|&p| !p));
-        e.compose_gating(&actions, &mixing);
-        assert!(e.gated.iter().all(|&a| a == RoundAction::SyncOnly));
-        for i in 0..n {
-            assert_eq!(e.masked.row(i), &[(i as u32, 1.0)]);
-        }
     }
 
     #[test]

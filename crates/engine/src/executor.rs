@@ -3,6 +3,8 @@
 
 use crate::error::EngineError;
 use crate::eval::{evaluate_model, fixed_subsample, EVAL_CHUNK};
+use crate::events::EventEngine;
+use crate::gate::Gate;
 use crate::metrics::EvalStats;
 use crate::node::Node;
 use crate::plan::{Entry, Fate, PlanRow, RoundPlan};
@@ -13,9 +15,8 @@ use crate::transport::{
 };
 use rayon::prelude::*;
 use skiptrain_data::Dataset;
-use skiptrain_energy::battery::{BatteryPolicy, BatterySetup, BatteryState, ParticipationState};
+use skiptrain_energy::battery::{BatterySetup, BatteryState};
 use skiptrain_energy::comm::CommEnergyModel;
-use skiptrain_energy::trace::HarvestTrace;
 use skiptrain_energy::EnergyLedger;
 use skiptrain_linalg::compress::{accumulate_delta, scatter_axpy, sparse_blend_axpy};
 use skiptrain_linalg::ops::weighted_sum_block_into;
@@ -121,133 +122,6 @@ impl SimulationConfig {
     }
 }
 
-/// The battery feedback loop's engine-side runtime: the evolving charge
-/// state plus the reusable per-round buffers the gating path writes into
-/// (allocation-free at steady state — charge updates are O(n) per round).
-#[derive(Debug, Clone)]
-struct BatteryRuntime {
-    state: BatteryState,
-    trace: HarvestTrace,
-    policy: BatteryPolicy,
-    /// Per-node policy overrides for heterogeneous fleets (one per node
-    /// when set; validated at construction).
-    node_policies: Option<Vec<BatteryPolicy>>,
-    pstate: ParticipationState,
-    /// Last round's participation mask.
-    active: Vec<bool>,
-    /// Gated actions handed to the phases (non-participants → SyncOnly).
-    actions: Vec<RoundAction>,
-    /// Participation-masked effective mixing for the round.
-    masked: MixingMatrix,
-    /// Per-node (training + comm) Wh already drained from the ledger.
-    settled_wh: Vec<f64>,
-    /// Total node-rounds of participation.
-    participations: u64,
-    /// Brown-out events: train intents the charge could not cover.
-    brownouts: u64,
-}
-
-impl BatteryRuntime {
-    fn new(setup: BatterySetup, n: usize) -> Self {
-        assert_eq!(setup.state.len(), n, "one battery per node required");
-        assert_eq!(setup.trace.len(), n, "one harvest stream per node required");
-        if let Some(policies) = &setup.node_policies {
-            assert_eq!(policies.len(), n, "one policy per node required");
-        }
-        Self {
-            pstate: ParticipationState::new(n),
-            active: Vec::with_capacity(n),
-            actions: Vec::with_capacity(n),
-            masked: MixingMatrix::identity(n),
-            settled_wh: vec![0.0; n],
-            participations: 0,
-            brownouts: 0,
-            state: setup.state,
-            trace: setup.trace,
-            policy: setup.policy,
-            node_policies: setup.node_policies,
-        }
-    }
-
-    /// Pre-round gating: recharge from the harvest trace, decide the
-    /// participation set, brown-out nodes that cannot afford their
-    /// intended round, then materialize the gated actions and the masked
-    /// effective mixing.
-    ///
-    /// A node that intended to *train* but holds less charge than its
-    /// per-round training cost burns its remaining charge (the attempted
-    /// partial round is lost work) and drops out; a sync-only intent just
-    /// needs nonzero charge to key the radio.
-    fn begin_round(
-        &mut self,
-        round: usize,
-        intended: &[RoundAction],
-        base: &MixingMatrix,
-        training_energy_wh: &[f64],
-    ) {
-        let n = self.state.len();
-        for i in 0..n {
-            self.state.recharge(i, self.trace.energy_wh(i, round));
-        }
-        match &self.node_policies {
-            Some(policies) => skiptrain_energy::battery::decide_per_node_into(
-                policies,
-                &self.state,
-                &mut self.pstate,
-                &mut self.active,
-            ),
-            None => self
-                .policy
-                .decide_into(&self.state, &mut self.pstate, &mut self.active),
-        }
-        for (i, intent) in intended.iter().enumerate() {
-            if !self.active[i] {
-                continue;
-            }
-            match intent {
-                RoundAction::Train => {
-                    let cost = training_energy_wh.get(i).copied().unwrap_or(0.0);
-                    if self.state.charge_wh(i) < cost {
-                        self.state.drain_all(i);
-                        self.active[i] = false;
-                        self.brownouts += 1;
-                    }
-                }
-                RoundAction::SyncOnly => {
-                    if self.state.charge_wh(i) <= 0.0 {
-                        self.active[i] = false;
-                    }
-                }
-            }
-        }
-        self.actions.clear();
-        self.actions
-            .extend(intended.iter().zip(&self.active).map(|(&a, &on)| {
-                if on {
-                    a
-                } else {
-                    RoundAction::SyncOnly
-                }
-            }));
-        self.participations += self.active.iter().filter(|&&on| on).count() as u64;
-        base.masked_into(&self.active, &mut self.masked);
-    }
-
-    /// Post-round drain: debit each node's battery with what the round
-    /// actually cost it, read as the delta of the ledger's cumulative
-    /// per-node training + comm energy since the last settle.
-    fn settle(&mut self, ledger: &EnergyLedger) {
-        for i in 0..self.state.len() {
-            let total = ledger.node_training_wh(i) + ledger.node_comm_wh(i);
-            let delta = total - self.settled_wh[i];
-            if delta > 0.0 {
-                self.state.drain(i, delta);
-            }
-            self.settled_wh[i] = total;
-        }
-    }
-}
-
 /// One node's reusable wire buffers: codec intermediates, the decoded
 /// payload, and the serialized transport's frame. Under a shared payload
 /// they are indexed by *sender* (each node's one message is compressed
@@ -336,8 +210,9 @@ pub struct Simulation {
     mean_scratch: Vec<f32>,
     /// Per-directed-link error-feedback replicas, when enabled.
     feedback: Option<ErrorFeedbackState>,
-    /// Closed-loop battery gating runtime, when configured.
-    battery: Option<BatteryRuntime>,
+    /// The round's participation decision (churn ∧ battery) and the
+    /// gated actions and masked mixing every pass below reads.
+    gate: Gate,
     /// Cumulative count of on-time messages the transport corrupted (each
     /// rejected by the receive-side checksum and degraded to a drop).
     corrupted_frames: u64,
@@ -429,17 +304,12 @@ impl Simulation {
             ErrorFeedbackState::with_cap(n, beta, cap)
         });
 
-        let battery = config
-            .battery
-            .clone()
-            .map(|setup| BatteryRuntime::new(setup, n));
-
         // Room for the static topology's edge census; a schedule that
         // fires a denser graph grows the table once and keeps it.
         let edges = (0..n).map(|i| mixing.row(i).len().saturating_sub(1)).sum();
 
         Self {
-            battery,
+            gate: Gate::new(config.battery.clone(), &mixing),
             nodes,
             graph,
             plan: RoundPlan::new(n, edges, param_count, &config.compression),
@@ -522,25 +392,27 @@ impl Simulation {
     /// The per-node battery charge state, when battery gating is
     /// configured.
     pub fn battery_state(&self) -> Option<&BatteryState> {
-        self.battery.as_ref().map(|b| &b.state)
+        self.gate.battery.as_ref().map(|b| &b.setup.state)
     }
 
-    /// The last gated round's participation mask (empty before the first
-    /// round), when battery gating is configured.
+    /// The last round's participation mask — present at the round
+    /// boundary *and* admitted by the battery (empty before the first
+    /// round) — when battery gating is configured.
     pub fn battery_active(&self) -> Option<&[bool]> {
-        self.battery.as_ref().map(|b| &b.active[..])
+        self.gate.battery.as_ref().map(|_| &self.gate.active[..])
     }
 
-    /// Total node-rounds of participation under battery gating.
+    /// Total node-rounds of participation under battery gating: nodes the
+    /// battery admitted that churn also had present.
     pub fn battery_participations(&self) -> Option<u64> {
-        self.battery.as_ref().map(|b| b.participations)
+        self.gate.battery.as_ref().map(|b| b.participations)
     }
 
     /// Brown-out events so far: rounds a node entered intending to train
     /// with less charge than its training cost, losing its remaining
     /// charge to the aborted attempt.
     pub fn battery_brownouts(&self) -> Option<u64> {
-        self.battery.as_ref().map(|b| b.brownouts)
+        self.gate.battery.as_ref().map(|b| b.brownouts)
     }
 
     /// Current committed model of `node`.
@@ -595,140 +467,82 @@ impl Simulation {
         acc / (self.len() as f64 * self.param_count as f64)
     }
 
-    /// Executes one synchronous round: local compute per `actions`, then
-    /// share + aggregate, then energy accounting.
+    /// Executes one synchronous round over the simulation's own topology:
+    /// local compute per `actions`, then share + aggregate, then energy
+    /// accounting.
     ///
     /// # Panics
     /// Panics if `actions.len() != self.len()`; see
     /// [`Simulation::try_run_round`] for the typed-error form.
     pub fn run_round(&mut self, actions: &[RoundAction]) {
-        self.try_run_round(actions)
+        self.try_run_round(actions, None, None)
             // lint:allow(no_panic, "documented '# Panics' contract; try_run_round is the typed-error form")
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Fallible form of [`Simulation::run_round`]: a mismatched action
-    /// slice is an [`EngineError`] instead of a panic.
-    pub fn try_run_round(&mut self, actions: &[RoundAction]) -> Result<(), EngineError> {
-        self.check_round_args(actions, None)?;
-        self.step(actions, None, &[], None);
-        Ok(())
-    }
-
-    /// Executes one round aggregating with an externally supplied mixing
-    /// matrix instead of the topology's — the hook for time-varying
-    /// topologies and asynchronous pairwise gossip (§5.3 of the paper).
-    /// A mismatched action slice or matrix size is an [`EngineError`], so
-    /// one bad scheduled graph fails one campaign cell, not the process.
-    pub fn try_run_round_with_mixing(
+    /// The one way into a round. `mixing` replaces the topology's matrix
+    /// for this round (time-varying topologies, pairwise gossip — §5.3 of
+    /// the paper); `engine` times the round and supplies churn and
+    /// deadlines. A mismatched action slice, matrix or engine size is an
+    /// [`EngineError`], so one bad scheduled graph fails one campaign
+    /// cell, not the process.
+    ///
+    /// Who takes part is decided once, before anything is timed or
+    /// charged: **membership** (the engine's churn draws) → **battery**
+    /// (recharge, then policy and brown-out over the nodes still present
+    /// — an absent node attempts nothing, so it never browns out) →
+    /// **compose** (non-participants demoted to [`RoundAction::SyncOnly`],
+    /// their mixing rows masked to identity: zero tx/rx, no training,
+    /// ledger conservation exact) → **timeline** over the *gated* actions
+    /// and mixing (the round closes on the slowest participant; only an
+    /// edge that fires can be late) → **resolve** (late edges become
+    /// `Late` plan rows, degrading like drops) → compute → share/aggregate
+    /// → γ blend → commit → account → battery settle.
+    ///
+    /// With every node taking part the gated inputs equal the caller's bit
+    /// for bit, and under barrier timing (or deadline timing at zero
+    /// latency) the engine only stamps the ledger's round-end ticks.
+    pub fn try_run_round(
         &mut self,
         actions: &[RoundAction],
-        mixing: &MixingMatrix,
+        mixing: Option<&MixingMatrix>,
+        mut engine: Option<&mut EventEngine>,
     ) -> Result<(), EngineError> {
-        self.check_round_args(actions, Some(mixing))?;
-        self.step(actions, Some(mixing), &[], None);
-        Ok(())
-    }
-
-    /// Executes one round through the event core: `engine` times the round
-    /// (churn draws, compute completions, per-edge arrivals, the deadline)
-    /// and this method runs the data passes over what actually happened.
-    ///
-    /// When every node is present and no message missed its deadline —
-    /// always the case under barrier semantics, and under deadline
-    /// semantics at zero latency — the round resolves from the *identical*
-    /// inputs as [`Simulation::try_run_round_with_mixing`], so results are
-    /// bit-for-bit equal to the lockstep loop; only the ledger's virtual
-    /// round-end stamps differ. Otherwise absent nodes are demoted to
-    /// [`RoundAction::SyncOnly`] with their mixing rows masked to
-    /// identity (zero tx/rx, training skipped — ledger conservation is
-    /// exact through churn), and the late edges resolve to
-    /// `Late` rows of the round plan, which degrade exactly like drops.
-    ///
-    /// Battery gating composes: the presence mask is applied first, then
-    /// the battery's participation mask on top.
-    pub fn try_run_round_event(
-        &mut self,
-        actions: &[RoundAction],
-        mixing_override: Option<&MixingMatrix>,
-        engine: &mut crate::events::EventEngine,
-    ) -> Result<(), EngineError> {
-        if engine.len() != self.len() {
-            return Err(EngineError::EventEngineSizeMismatch {
-                expected: self.len(),
-                got: engine.len(),
-            });
+        let expected = self.len();
+        if let Some(got) = engine.as_deref().map(EventEngine::len) {
+            if got != expected {
+                return Err(EngineError::EventEngineSizeMismatch { expected, got });
+            }
         }
-        self.check_round_args(actions, mixing_override)?;
-        let mixing = mixing_override.unwrap_or(&self.mixing);
-        engine.begin_round(self.round, actions, mixing);
-        let round_end = Some(engine.now());
-        if engine.all_present() && engine.late_edges().is_empty() {
-            self.step(actions, mixing_override, &[], round_end);
-        } else {
-            engine.compose_gating(actions, mixing);
-            self.step(
-                &engine.gated,
-                Some(&engine.masked),
-                engine.late_edges(),
-                round_end,
-            );
-        }
-        Ok(())
-    }
-
-    /// The one argument check behind every round entry point.
-    fn check_round_args(
-        &self,
-        actions: &[RoundAction],
-        mixing_override: Option<&MixingMatrix>,
-    ) -> Result<(), EngineError> {
-        if actions.len() != self.len() {
+        if actions.len() != expected {
             return Err(EngineError::ActionArityMismatch {
-                expected: self.len(),
+                expected,
                 got: actions.len(),
             });
         }
-        match mixing_override {
-            Some(m) if m.len() != self.len() => Err(EngineError::MixingSizeMismatch {
-                expected: self.len(),
-                got: m.len(),
-            }),
-            _ => Ok(()),
+        let base = mixing.unwrap_or(&self.mixing);
+        if base.len() != expected {
+            return Err(EngineError::MixingSizeMismatch {
+                expected,
+                got: base.len(),
+            });
         }
-    }
-
-    /// One round over checked arguments: gate → resolve → compute →
-    /// share/aggregate → γ blend → commit → account.
-    ///
-    /// Battery gating is factored once for every execution path (static
-    /// runner, scheduled topologies, async gossip, event rounds — they all
-    /// land here): recharge → decide → brown-out, then the round runs over
-    /// the gated actions and the participation-masked effective mixing,
-    /// and each node's actual ledger spend drains its battery. The runtime
-    /// is taken out of `self` so its buffers can be borrowed across the
-    /// `&mut self` passes. `late` is the event engine's sorted late-edge
-    /// set and `round_end` its virtual round-end tick (empty / `None` off
-    /// the event path).
-    fn step(
-        &mut self,
-        actions: &[RoundAction],
-        mixing_override: Option<&MixingMatrix>,
-        late: &[(u32, u32)],
-        round_end: Option<u64>,
-    ) {
-        let mut battery = self.battery.take();
-        if let Some(b) = battery.as_mut() {
-            b.begin_round(
-                self.round,
-                actions,
-                mixing_override.unwrap_or(&self.mixing),
-                &self.config.training_energy_wh,
-            );
+        if let Some(engine) = engine.as_deref_mut() {
+            engine.membership(self.round, base);
         }
-        let (actions, mixing) = match battery.as_ref() {
-            Some(b) => (&b.actions[..], &b.masked),
-            None => (actions, mixing_override.unwrap_or(&self.mixing)),
+        self.gate.begin_round(
+            self.round,
+            actions,
+            engine.as_deref().map(EventEngine::present),
+            &self.config.training_energy_wh,
+        );
+        self.gate.compose(actions, base);
+        let (late, round_end) = match engine {
+            Some(engine) => {
+                engine.timeline(self.round, &self.gate.actions, &self.gate.mixing);
+                (engine.late_edges(), Some(engine.now()))
+            }
+            None => (&[][..], None),
         };
         // Energy-adaptive tiers read the sender's charge *at send time*:
         // after the recharge above, before the round's own spend drains it.
@@ -736,20 +550,18 @@ impl Simulation {
             &self.config,
             self.feedback.is_some(),
             self.round,
-            mixing,
+            &self.gate.mixing,
             late,
-            battery.as_ref().map(|b| &b.state),
+            self.gate.battery.as_ref().map(|b| &b.setup.state),
         );
-        self.compute(actions);
+        self.compute();
         self.share_aggregate();
         self.blend_consensus_gamma();
         std::mem::swap(&mut self.params, &mut self.next);
-        self.account(actions, round_end);
+        self.account(round_end);
         self.round += 1;
-        if let Some(b) = battery.as_mut() {
-            b.settle(&self.ledger);
-        }
-        self.battery = battery;
+        self.gate.settle(&self.ledger);
+        Ok(())
     }
 
     /// Local compute (parallel over nodes): each node trains `E` local
@@ -758,14 +570,14 @@ impl Simulation {
     /// is never read (later passes read `half`; the commit swaps in `next`,
     /// which every aggregate kernel overwrites whole). Losses land in
     /// reusable slots — no per-round collection.
-    fn compute(&mut self, actions: &[RoundAction]) {
+    fn compute(&mut self) {
         let local_steps = self.config.local_steps;
         self.nodes
             .par_iter_mut()
             .zip(self.half.par_iter_mut())
             .zip(self.loss_scratch.par_iter_mut())
             .zip(self.params.par_iter_mut())
-            .zip(actions.par_iter())
+            .zip(self.gate.actions.par_iter())
             .for_each(
                 |((((node, half_i), loss_i), params_i), action)| match action {
                     RoundAction::Train => {
@@ -969,15 +781,15 @@ impl Simulation {
             });
     }
 
-    /// Records the round's energy from the plan: training per `actions`,
+    /// Records the round's energy from the plan: training per gated action,
     /// then for every row one transmit event on the sender (an attempt
     /// costs radio energy whatever becomes of the message) and, when
     /// delivered, one receive event on the receiver — both at the row's
     /// `charged_bytes`, the wire size of the codec that link actually used
     /// at the nominal parameter count.
-    fn account(&mut self, actions: &[RoundAction], round_end: Option<u64>) {
+    fn account(&mut self, round_end: Option<u64>) {
         let comm = self.config.comm_energy;
-        for (i, action) in actions.iter().enumerate() {
+        for (i, action) in self.gate.actions.iter().enumerate() {
             if *action == RoundAction::Train {
                 if let Some(&e) = self.config.training_energy_wh.get(i) {
                     self.ledger.record_training(i, e);
@@ -1108,6 +920,9 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::{
+        ChurnModel, ComputeProfile, LatencyModel, RoundSemantics, BASE_TRAIN_TICKS,
+    };
     use skiptrain_data::synth::{MixtureSpec, MixtureTask};
     use skiptrain_topology::regular::random_regular;
 
@@ -1325,7 +1140,7 @@ mod tests {
         let n = 12;
         let (mut sim, _) = tiny_sim_full(n, 11, TransportKind::Memory, ModelCodec::DenseF32, 6);
         let mixing = MixingMatrix::pairwise(n, &[(2, 7)]);
-        sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing)
+        sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(&mixing), None)
             .unwrap();
 
         let bytes = ModelCodec::DenseF32.message_bytes(sim.param_count());
@@ -1417,7 +1232,7 @@ mod tests {
 
     #[test]
     fn lossy_mixing_round_counts_delivered_edges() {
-        // try_run_round_with_mixing + lossy Serialized transport: rx charges
+        // a mixing override + lossy Serialized transport: rx charges
         // must match the delivered() decisions over exactly the matched
         // edges, tx charges the attempts.
         let n = 8;
@@ -1435,7 +1250,7 @@ mod tests {
         let mixing = MixingMatrix::pairwise(n, &pairs);
         let rounds = 9;
         for _ in 0..rounds {
-            sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing)
+            sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(&mixing), None)
                 .unwrap();
         }
         let transport = sim.config.transport;
@@ -1479,7 +1294,7 @@ mod tests {
         let (mut sim, _) = tiny_sim(2, 33, TransportKind::Memory);
         let before0 = sim.node_params(0).to_vec();
         let before1 = sim.node_params(1).to_vec();
-        sim.try_run_round_with_mixing(&[RoundAction::SyncOnly; 2], &swap)
+        sim.try_run_round(&[RoundAction::SyncOnly; 2], Some(&swap), None)
             .unwrap();
         assert_eq!(sim.node_params(0), &before1[..], "swap row must apply");
         assert_eq!(sim.node_params(1), &before0[..]);
@@ -1494,7 +1309,7 @@ mod tests {
         );
         for _ in 0..12 {
             lossy
-                .try_run_round_with_mixing(&[RoundAction::SyncOnly; 2], &swap)
+                .try_run_round(&[RoundAction::SyncOnly; 2], Some(&swap), None)
                 .unwrap();
         }
         for i in 0..2 {
@@ -1716,7 +1531,7 @@ mod tests {
                         .build()
                         .unwrap();
                     for (round, actions) in schedule.iter().enumerate() {
-                        pool.install(|| sim.try_run_round_with_mixing(actions, &mixing))
+                        pool.install(|| sim.try_run_round(actions, Some(&mixing), None))
                             .unwrap();
                         for (i, want) in reference[round + 1].iter().enumerate() {
                             assert_eq!(
@@ -1742,7 +1557,8 @@ mod tests {
         sim.run_round(&vec![RoundAction::Train; n]);
         let committed: Vec<*const f32> = sim.params.iter().map(|p| p.as_ptr()).collect();
         let models: Vec<Vec<f32>> = sim.params.clone();
-        sim.compute(&vec![RoundAction::SyncOnly; n]);
+        sim.gate.actions.fill(RoundAction::SyncOnly);
+        sim.compute();
         for (i, half) in sim.half.iter().enumerate() {
             assert_eq!(half.as_ptr(), committed[i], "node {i}: copied, not swapped");
             assert_eq!(half, &models[i]);
@@ -1756,7 +1572,7 @@ mod tests {
         let before = bits(sim.node_params(2));
         let neighbour_before = sim.node_params(0).to_vec();
         for _ in 0..3 {
-            sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &masked)
+            sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(&masked), None)
                 .unwrap();
         }
         assert_eq!(
@@ -1939,7 +1755,7 @@ mod tests {
         );
         assert_eq!(sim.feedback().unwrap().active_links(), 0);
         let mixing = MixingMatrix::pairwise(n, &[(1, 4)]);
-        sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing)
+        sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(&mixing), None)
             .unwrap();
         assert_eq!(
             sim.feedback().unwrap().active_links(),
@@ -1952,7 +1768,7 @@ mod tests {
         // a second, different matching adds exactly two more links and
         // leaves the first pair's residuals in place
         let mixing2 = MixingMatrix::pairwise(n, &[(2, 6)]);
-        sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing2)
+        sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(&mixing2), None)
             .unwrap();
         assert_eq!(sim.feedback().unwrap().active_links(), 4);
         assert!(sim.feedback().unwrap().replica(1, 4).is_some());
@@ -1963,22 +1779,31 @@ mod tests {
         let (mut sim, _) = tiny_sim(6, 13, TransportKind::Memory);
         let wrong_mixing = MixingMatrix::identity(4);
         assert_eq!(
-            sim.try_run_round_with_mixing(&[RoundAction::SyncOnly; 6], &wrong_mixing),
+            sim.try_run_round(&[RoundAction::SyncOnly; 6], Some(&wrong_mixing), None),
             Err(crate::error::EngineError::MixingSizeMismatch {
                 expected: 6,
                 got: 4
             })
         );
         assert_eq!(
-            sim.try_run_round(&[RoundAction::SyncOnly; 3]),
+            sim.try_run_round(&[RoundAction::SyncOnly; 3], None, None),
             Err(crate::error::EngineError::ActionArityMismatch {
                 expected: 6,
                 got: 3
             })
         );
-        // failed rounds must leave the simulation untouched
+        let mut wrong_engine = EventEngine::lockstep(5, 13);
+        assert_eq!(
+            sim.try_run_round(&[RoundAction::SyncOnly; 6], None, Some(&mut wrong_engine)),
+            Err(crate::error::EngineError::EventEngineSizeMismatch {
+                expected: 6,
+                got: 5
+            })
+        );
+        // failed rounds must leave the simulation and the engine untouched
+        assert_eq!(wrong_engine.stats().events, 0);
         assert_eq!(sim.round(), 0);
-        sim.try_run_round(&[RoundAction::SyncOnly; 6])
+        sim.try_run_round(&[RoundAction::SyncOnly; 6], None, None)
             .expect("well-formed round runs");
         assert_eq!(sim.round(), 1);
     }
@@ -2008,7 +1833,7 @@ mod tests {
                 continue;
             }
             let mixing = MixingMatrix::pairwise(n, &[(a, b)]);
-            sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &mixing)
+            sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(&mixing), None)
                 .unwrap();
         }
         let fb = sim.feedback().unwrap();
@@ -2311,7 +2136,7 @@ mod tests {
         for _ in 0..3 {
             gated.run_round(&vec![RoundAction::Train; n]);
             plain
-                .try_run_round_with_mixing(&manual_actions, &masked)
+                .try_run_round(&manual_actions, Some(&masked), None)
                 .unwrap();
         }
         for i in 0..n {
@@ -2634,10 +2459,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // The plan reconciles with everything the round did: its rows are
-        // the effective mixing's off-diagonal entries, every fate equals a
-        // naive recomputation, and the ledger and the corrupted-frame
-        // counter move by exactly what the rows say.
+        // The plan reconciles with everything the round did, through the
+        // one entry with a real event engine (deadline rounds, seeded
+        // latency, churn) and a battery: the effective mixing is the base
+        // masked by `present ∧ battery-admitted`, the plan's rows are its
+        // off-diagonal entries, every fate equals a naive recomputation,
+        // the engine's counters move by exactly what the mask and the rows
+        // say, and so do the ledger and the corrupted-frame counter.
         #[test]
         fn plan_reconciles_with_mixing_fates_and_ledger(
             seed in 0u64..10_000,
@@ -2649,7 +2477,8 @@ mod tests {
             policy in 0u8..7,
             feedback in 0u8..2,
             battery in 0u8..2,
-            late_pct in 0u64..40,
+            churn in 0u8..3,
+            latency_ticks in 0u64..BASE_TRAIN_TICKS / 2,
             rounds in 3usize..6,
         ) {
             let k = 20;
@@ -2698,6 +2527,20 @@ mod tests {
             let base = MixingMatrix::metropolis_hastings(&graph);
             let transport = config.transport;
             let mut sim = fleet(graph.clone(), config);
+            // training senders are late when their link outlasts the slack;
+            // sync-only senders (zero compute ticks) never are
+            let mut engine = EventEngine::new(
+                n,
+                seed,
+                ComputeProfile::Homogeneous,
+                LatencyModel::Seeded { mean_ticks: latency_ticks, jitter: 0.9 },
+                match churn {
+                    0 => None,
+                    1 => Some(ChurnModel { leave_prob: 0.1, rejoin_prob: 0.5 }),
+                    _ => Some(ChurnModel { leave_prob: 0.5, rejoin_prob: 0.3 }),
+                },
+                RoundSemantics::Deadline { slack_ticks: BASE_TRAIN_TICKS / 4 },
+            );
             let mut capacities = None;
             for round in 0..rounds {
                 // topology 3: an edge-dropout override, a fresh subgraph
@@ -2712,30 +2555,30 @@ mod tests {
                     MixingMatrix::metropolis_hastings(&g)
                 });
                 let used = dropout.as_ref().unwrap_or(&base);
-                let mut late: Vec<(u32, u32)> = Vec::new();
-                for dst in 0..n {
-                    for &(src, _) in used.row(dst) {
-                        let key = (src as u64) << 16 | dst as u64;
-                        if src as usize != dst && pct(seed, 100 + round as u64, key) < late_pct {
-                            late.push((src, dst as u32));
-                        }
-                    }
-                }
-                late.sort_unstable();
                 let actions: Vec<RoundAction> = (0..n)
                     .map(|i| if (i + round) % 2 == 0 { RoundAction::Train } else { RoundAction::SyncOnly })
                     .collect();
                 let (tx0, rx0) = (sim.ledger().total_tx_bytes(), sim.ledger().total_rx_bytes());
                 let corrupted0 = sim.corrupted_frames();
+                let stats0 = engine.stats();
 
-                sim.check_round_args(&actions, dropout.as_ref()).unwrap();
-                sim.step(&actions, dropout.as_ref(), &late, None);
+                sim.try_run_round(&actions, dropout.as_ref(), Some(&mut engine)).unwrap();
 
-                // the effective mixing: battery gating masks the one used
-                let effective = match sim.battery_active() {
-                    Some(active) => used.masked(active),
-                    None => used.clone(),
-                };
+                // the effective mixing: one mask, one fold over the one used
+                let present = engine.present();
+                let mask: Vec<bool> = (0..n)
+                    .map(|i| present[i] && sim.battery_active().is_none_or(|on| on[i]))
+                    .collect();
+                if let Some(on) = sim.battery_active() {
+                    prop_assert_eq!(on, &mask[..], "the battery mask never admits an absent node");
+                }
+                let effective = used.masked(&mask);
+                prop_assert_eq!(&sim.gate.mixing, &effective);
+                for (i, &on) in mask.iter().enumerate() {
+                    prop_assert!(on || sim.gate.actions[i] == RoundAction::SyncOnly);
+                    prop_assert!(!on || sim.gate.actions[i] == actions[i]);
+                }
+                let late = engine.late_edges();
                 let rows = sim.plan.rows();
                 let mut next_row = 0;
                 for dst in 0..n {
@@ -2779,6 +2622,13 @@ mod tests {
                     .map(|r| r.charged_bytes)
                     .sum();
                 let corrupted = rows.iter().filter(|r| r.fate == Fate::Corrupted).count() as u64;
+                // virtual time is counted from what the plan and ledger see
+                let stats = engine.stats();
+                let late_rows = rows.iter().filter(|r| r.fate == Fate::Late).count() as u64;
+                prop_assert_eq!(stats.late_messages - stats0.late_messages, late_rows);
+                let churned = (stats.joins - stats0.joins) + (stats.leaves - stats0.leaves);
+                let arrived = present.iter().filter(|&&on| on).count() + rows.len();
+                prop_assert_eq!(stats.events - stats0.events, 2 + churned + arrived as u64);
                 prop_assert_eq!(sim.ledger().total_tx_bytes() - tx0, sent);
                 prop_assert_eq!(sim.ledger().total_rx_bytes() - rx0, received);
                 prop_assert_eq!(sim.corrupted_frames() - corrupted0, corrupted);

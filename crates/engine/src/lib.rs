@@ -16,11 +16,13 @@
 //! cost nothing). Each round it times the fleet in three passes that
 //! never overlap — the boundary (policy tick, churn joins/leaves in node
 //! order), compute (one completion per present node), propagation (one
-//! arrival per effective edge), then the closing eval tick — and tells
+//! arrival per edge that fires), then the closing eval tick — and tells
 //! the executor which nodes are present and which edges *missed the round
-//! deadline*. There is no event queue: no decision reads the order events
-//! would pop in (only a `max`, a `> deadline` test and a counter), so one
-//! returns with overlapping rounds, not before.
+//! deadline*. The executor drives the boundary pass first and the other
+//! two after the participation gate (below), so they time the actions and
+//! the mixing the round really runs. There is no event queue: no decision
+//! reads the order events would pop in (only a `max`, a `> deadline` test
+//! and a counter), so one returns with overlapping rounds, not before.
 //!
 //! Under **barrier** semantics (the synchronous runner) the round waits
 //! for every message: stragglers and latency stretch virtual time but
@@ -35,13 +37,31 @@
 //!
 //! # The round phases
 //!
-//! However a round was timed, its data path is the same: **resolve** the
-//! round's directed edges once, then **compute**, **share/aggregate** and
-//! **account** as single passes over the resolved plan.
+//! There is one way into a round,
+//! [`Simulation::try_run_round`](executor::Simulation::try_run_round), and
+//! one order inside it. First **who takes part** is decided, once, before
+//! anything is timed or charged: the engine's churn draws (membership),
+//! then — when a
+//! [`BatterySetup`](skiptrain_energy::battery::BatterySetup) is configured
+//! — recharge from the harvest trace, the participation policy (fleet-wide
+//! or per-node) over charge fractions, and the brown-out check over the
+//! nodes still present (a node that cannot afford the training it intends
+//! burns its remaining charge and sits out; an absent node attempts
+//! nothing). The crate-private gate folds both into one mask and lowers
+//! it, in one pass, into the round's *gated* actions (non-participants
+//! demoted to `SyncOnly`) and *masked* mixing (their rows collapsed to
+//! identity by the one
+//! [`MixingMatrix::masked_into`](skiptrain_topology::MixingMatrix::masked_into)
+//! call); with everyone taking part both equal the caller's inputs bit for
+//! bit. Then the engine's **timeline** runs over the gated inputs — the
+//! round closes on the slowest *participant* and only an edge that fires
+//! can be late — and the data path follows: **resolve**, **compute**,
+//! **share/aggregate** and **account** as single passes over the plan,
+//! then each battery is drained by its node's actual spend.
 //!
 //! 1. **resolve** — one serial pass over the round's effective mixing
-//!    (the topology's matrix, a pairwise-gossip or scheduled override, or
-//!    the churn- and battery-masked form of either) writes one row per
+//!    (the gate's masked form of the topology's matrix or of a
+//!    pairwise-gossip or scheduled override) writes one row per
 //!    off-diagonal entry: `(src, dst, weight, codec, fate, charged_bytes)`,
 //!    grouped by receiver, plus each receiver's own weight. This is the
 //!    only place the transport's loss stream
@@ -59,10 +79,10 @@
 //!    | `Corrupted` | on time, bits flipped; the checksum rejects it and `corrupted_frames` counts it | yes | no | weight falls back to self | no |
 //!    | `Late` | missed the round deadline, **whatever the transport drew** | yes | no | weight falls back to self | no |
 //!
-//!    An edge gated out by churn or battery has *no row* — its weight was
-//!    already folded into the receiver's self entry by
-//!    [`MixingMatrix::masked_into`](skiptrain_topology::MixingMatrix::masked_into)
-//!    — so it costs nothing and appears nowhere.
+//!    An edge gated out by churn or battery has *no row* — the gate
+//!    already folded its weight into the receiver's self entry — so it
+//!    costs no energy and no virtual time, and the engine's late counter
+//!    is exactly the number of `Late` rows.
 //! 2. **compute** — each node either trains `E` local SGD steps on its
 //!    private dataset into the half-step model `x^{t−½}` (a *training*
 //!    round) or leaves its model untouched (a *synchronization* round):
@@ -91,7 +111,7 @@
 //!    stepsize applies:
 //!    `x^t = x^{t−½} + γ (Σ_j W_ji · x_j^{t−½} − x^{t−½})` with γ = 1
 //!    by default;
-//! 4. **account** — the energy ledger records training per action, one tx
+//! 4. **account** — the energy ledger records training per gated action, one tx
 //!    event per row and one rx event per `Delivered` row at the row's
 //!    `charged_bytes`, runs each `Corrupted` row through the receive-side
 //!    checksum reject, and stamps the round's virtual end tick when an
@@ -105,22 +125,6 @@
 //! derived from per-node seeded streams, so results are independent of
 //! the thread count.
 //!
-//! When a [`BatterySetup`](skiptrain_energy::battery::BatterySetup) is
-//! configured on the [`SimulationConfig`](executor::SimulationConfig), a
-//! battery prologue runs before step 1 and an epilogue after step 4: each
-//! node's battery recharges from its harvest trace, the participation
-//! policy (fleet-wide or per-node heterogeneous) decides from charge
-//! fractions which nodes take part, intended actions are gated (a gated
-//! node neither trains nor fires its edges — its mixing row collapses to
-//! identity via
-//! [`MixingMatrix::masked_into`](skiptrain_topology::MixingMatrix::masked_into),
-//! so comm accounting stays byte-accurate over exactly the surviving
-//! edges), and the ledger's actual per-node spend of the round is drained
-//! from the batteries. A node that intends to train but cannot afford the
-//! round browns out: its remaining charge is burned and it sits the round
-//! out. Churn gating composes with battery gating: an absent node's row
-//! is masked first, then the battery masks what remains.
-//!
 //! Drivers hook into the round loop through
 //! [`RoundObserver`](observer::RoundObserver) callbacks (round start/end,
 //! periodic evaluation) — curve recording, energy streaming, and early
@@ -133,6 +137,7 @@ pub mod error;
 pub mod eval;
 pub mod events;
 pub mod executor;
+mod gate;
 pub mod metrics;
 pub mod node;
 pub mod observer;

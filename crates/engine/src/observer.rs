@@ -220,7 +220,8 @@ pub struct BatteryRound {
     pub round: usize,
     /// Per-node charge after the round settled (Wh).
     pub charge_wh: Vec<f64>,
-    /// Per-node participation mask the battery policy chose this round.
+    /// Per-node participation mask this round: admitted by the battery
+    /// policy and, under churn, present.
     pub active: Vec<bool>,
     /// Cumulative harvested energy offered so far (Wh, all nodes).
     pub harvested_wh: f64,

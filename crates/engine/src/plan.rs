@@ -9,11 +9,13 @@
 //! share/aggregate and accounting passes read the table and nothing
 //! else.
 //!
-//! An edge gated out by churn or battery never reaches the plan: those
-//! masks arrive already folded into the mixing by
-//! [`MixingMatrix::masked_into`]. For an edge that does have a row, a
-//! message that missed the round deadline is [`Fate::Late`] whatever the
-//! transport drew; otherwise the transport's draw stands.
+//! An edge gated out by churn or battery never reaches the plan: the
+//! participation gate has already folded both masks into the mixing, in
+//! one [`MixingMatrix::masked_into`] pass, before the round was timed —
+//! so the event engine's late set is a subset of the rows here and its
+//! late counter equals the number of [`Fate::Late`] rows. For an edge that
+//! does have a row, a message that missed the round deadline is `Late`
+//! whatever the transport drew; otherwise the transport's draw stands.
 
 use crate::executor::SimulationConfig;
 use crate::transport::{rarity_k, tier_codec, CompressionPolicy, MessageFate, ModelCodec};

@@ -236,7 +236,8 @@ fn per_link_charged_bytes_reconcile_with_ledger() {
     let mut sim = Simulation::new(models, datasets, graph, mixing.clone(), config);
     let actions = vec![RoundAction::SyncOnly; NODES];
     for _ in 0..ROUNDS {
-        sim.try_run_round(&actions).expect("static round runs");
+        sim.try_run_round(&actions, None, None)
+            .expect("static round runs");
     }
 
     // Reconstruct the expected ledger from the mixing structure and the
@@ -531,7 +532,7 @@ fn energy_adaptive_beats_every_fixed_codec_per_harvested_wh() {
         let actions = vec![RoundAction::Train; NODES];
         for _ in 0..ROUNDS {
             let round_mixing = sched.mixing_for_round(sim.round());
-            sim.try_run_round_with_mixing(&actions, round_mixing)
+            sim.try_run_round(&actions, Some(round_mixing), None)
                 .expect("scheduled graph matches the fleet");
         }
         let accuracy = sim.evaluate(&test_pool, 512).mean_accuracy;

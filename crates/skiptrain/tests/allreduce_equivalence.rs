@@ -123,7 +123,7 @@ fn per_round_mixing_override_preserves_mean_and_contracts() {
     for t in 0..30u64 {
         let pairs = random_maximal_matching(&graph, t);
         let pairwise = MixingMatrix::pairwise(n, &pairs);
-        sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], &pairwise)
+        sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(&pairwise), None)
             .expect("matching-sized mixing and one action per node");
     }
     let drift: f32 = mean_before

@@ -200,8 +200,10 @@ fn battery_free_runs_report_no_summary_and_async_gossip_composes() {
     let plain = cfg.run_on(&data);
     assert!(plain.battery.is_none(), "no battery configured, no summary");
 
-    // the async-gossip path shares the battery prologue: gating applies
-    // to pairwise ticks exactly as to synchronous rounds
+    // gating applies to pairwise ticks exactly as to synchronous rounds,
+    // and it applies *before* the round is timed: a dead fleet behind
+    // links slower than the gossip deadline sends nothing, so nothing is
+    // late and no virtual time passes
     let mut gated = cfg.clone();
     gated.battery = Some(BatterySpec {
         capacity: BatteryCapacitySpec::Uniform { wh: 1.0 },
@@ -211,18 +213,40 @@ fn battery_free_runs_report_no_summary_and_async_gossip_composes() {
         policy: BatteryPolicy::Threshold { min_fraction: 0.2 },
         node_policies: None,
     });
-    gated.algorithm = AlgorithmSpec::AsyncGossip {
-        activation_prob: 0.5,
-    };
-    let result = gated.run_on(&data);
-    assert_eq!(result.total_comm_wh, 0.0, "dead nodes cannot gossip");
-    assert_eq!(result.total_training_wh, 0.0);
-    assert_eq!(
-        result.node_train_events, 0,
-        "training the battery gated out is requested, not executed"
-    );
-    let summary = result.battery.expect("async path records the summary");
-    assert_eq!(summary.node_participations, 0);
+    gated.timing.latency = LatencyModel::Constant { ticks: 300_000 };
+    for algorithm in [
+        AlgorithmSpec::AsyncGossip {
+            activation_prob: 0.5,
+        },
+        AlgorithmSpec::DPsgd,
+    ] {
+        gated.algorithm = algorithm;
+        let result = gated.run_on(&data);
+        let label = &result.algorithm;
+        assert_eq!(
+            result.total_comm_wh, 0.0,
+            "{label}: dead nodes cannot gossip"
+        );
+        assert_eq!(result.total_training_wh, 0.0, "{label}");
+        assert_eq!(
+            result.node_train_events, 0,
+            "{label}: training the battery gated out is requested, not executed"
+        );
+        let summary = result.battery.expect("every path records the summary");
+        assert_eq!(summary.node_participations, 0, "{label}");
+        // per round: the policy tick, 12 zero-cost completions, the eval tick
+        assert_eq!(
+            result.events,
+            EventSummary {
+                virtual_ticks: 0,
+                events: 112,
+                late_messages: 0,
+                joins: 0,
+                leaves: 0,
+            },
+            "{label}: a gated fleet is timed as what it did, nothing"
+        );
+    }
 }
 
 #[test]

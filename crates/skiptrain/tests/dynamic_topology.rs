@@ -84,7 +84,7 @@ fn cycling_schedule_preserves_the_mean_model_during_sync_rounds() {
     let d_before = sim.disagreement();
     for r in 0..12 {
         let mixing = sched.mixing_for_round(r);
-        sim.try_run_round_with_mixing(&vec![RoundAction::SyncOnly; n], mixing)
+        sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(mixing), None)
             .expect("cycle graphs match the fleet");
     }
     let mean_after = sim.mean_params();

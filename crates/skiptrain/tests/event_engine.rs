@@ -73,7 +73,7 @@ fn event_path_at_zero_latency_is_bit_identical_to_lockstep() {
             .collect();
         legacy.run_round(&actions);
         event
-            .try_run_round_event(&actions, None, &mut engine)
+            .try_run_round(&actions, None, Some(&mut engine))
             .expect("event round failed");
         assert_params_bit_identical(&legacy, &event, &format!("round {round}"));
     }
@@ -115,7 +115,7 @@ fn barrier_semantics_stretch_time_but_never_results() {
     let actions = vec![RoundAction::Train; n];
     for _ in 0..6 {
         legacy.run_round(&actions);
-        slow.try_run_round_event(&actions, None, &mut engine)
+        slow.try_run_round(&actions, None, Some(&mut engine))
             .expect("barrier round failed");
     }
     assert_params_bit_identical(&legacy, &slow, "barrier");
@@ -222,6 +222,15 @@ fn full_churn_starves_the_fleet_without_charging_energy() {
         leave_prob: 1.0,
         rejoin_prob: 0.0,
     });
+    // full batteries: whatever keeps the fleet out, it is not charge
+    cfg.battery = Some(BatterySpec {
+        capacity: BatteryCapacitySpec::Uniform { wh: 1.0 },
+        initial_fraction: 1.0,
+        harvest: HarvestProfile::None,
+        harvest_jitter: 0.0,
+        policy: BatteryPolicy::AlwaysOn,
+        node_policies: None,
+    });
     let r = cfg.run();
     assert_eq!(
         r.total_training_wh, 0.0,
@@ -237,6 +246,13 @@ fn full_churn_starves_the_fleet_without_charging_energy() {
     );
     assert_eq!(r.events.leaves, cfg.nodes as u64, "every node leaves once");
     assert_eq!(r.events.joins, 0);
+    assert_eq!(
+        r.battery
+            .expect("battery summary recorded")
+            .node_participations,
+        0,
+        "a charged battery does not make an absent node a participant"
+    );
 }
 
 #[test]
@@ -257,7 +273,7 @@ fn churned_ledger_totals_stay_conservation_exact() {
     );
     let actions = vec![RoundAction::Train; n];
     for _ in 0..rounds {
-        sim.try_run_round_event(&actions, None, &mut engine)
+        sim.try_run_round(&actions, None, Some(&mut engine))
             .expect("churned round failed");
     }
     let stats = engine.stats();
