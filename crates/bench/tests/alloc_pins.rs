@@ -155,8 +155,8 @@ fn table1_params() -> Vec<f32> {
 }
 
 /// One SGD step (forward + backward + update) on a synthetic batch: the
-/// layer caches, the gradient matrix and the GEMM packing buffers are all
-/// reused from the first step on.
+/// model's activation and gradient buffers, the layers' forward-only state
+/// and the GEMM packing buffers are all reused from the first step on.
 fn sgd_step(mut model: Sequential, batch: usize, classes: usize) -> Step {
     let loss = SoftmaxCrossEntropy::new(classes);
     let mut opt = Sgd::new(SgdConfig::plain(0.1));
@@ -171,7 +171,7 @@ fn sgd_step(mut model: Sequential, batch: usize, classes: usize) -> Step {
             let logits = model.forward(&x, true);
             loss.loss_and_grad(logits, &y, &mut grad)
         };
-        model.backward(&grad);
+        model.backward(&x, &grad);
         opt.step(&mut model);
         black_box(value);
     })

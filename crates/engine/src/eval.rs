@@ -1,10 +1,14 @@
 //! Model evaluation helpers.
 //!
-//! Evaluation runs in bounded-size chunks so CNN activation buffers stay
-//! small even when the test set is large, and supports evaluating on a
-//! fixed subsample for cheap periodic accuracy tracking.
+//! Evaluation runs forward in bounded-size chunks so CNN activation buffers
+//! stay small even when the test set is large, and supports evaluating on a
+//! fixed subsample for cheap periodic accuracy tracking. The rows are
+//! gathered once per call into [`EVAL_CHUNK`]-row batches; a fleet
+//! evaluation shares those batches across every replica.
 
+use crate::node::Node;
 use rand::seq::SliceRandom;
+use rayon::prelude::*;
 use skiptrain_data::Dataset;
 use skiptrain_linalg::rng::stream_rng;
 use skiptrain_linalg::Matrix;
@@ -12,6 +16,46 @@ use skiptrain_nn::{Sequential, SoftmaxCrossEntropy};
 
 /// Maximum rows evaluated in one forward pass.
 pub const EVAL_CHUNK: usize = 512;
+
+/// One gathered evaluation batch: at most [`EVAL_CHUNK`] rows and their
+/// labels.
+type EvalBatch = (Matrix, Vec<u32>);
+
+/// Gathers `indices` into [`EVAL_CHUNK`]-row batches, in order.
+fn gather_chunks(dataset: &Dataset, indices: &[usize]) -> Vec<EvalBatch> {
+    indices
+        .chunks(EVAL_CHUNK)
+        .map(|chunk| {
+            let mut batch = (Matrix::zeros(0, 0), Vec::new());
+            dataset.gather_batch(chunk, &mut batch.0, &mut batch.1);
+            batch
+        })
+        .collect()
+}
+
+/// Runs `model` forward over gathered batches and combines them by sample
+/// count. Returns `(top-1 accuracy, mean loss)`, `(0, 0)` on no batches.
+fn evaluate_chunks(
+    model: &mut Sequential,
+    loss: &SoftmaxCrossEntropy,
+    batches: &[EvalBatch],
+) -> (f32, f32) {
+    let total: usize = batches.iter().map(|(_, y)| y.len()).sum();
+    if total == 0 {
+        return (0.0, 0.0);
+    }
+    let mut correct = 0usize;
+    let mut loss_sum = 0.0f64;
+    for (x, y) in batches {
+        let logits = model.forward(x, false);
+        correct += (skiptrain_nn::loss::accuracy(logits, y) * y.len() as f32).round() as usize;
+        loss_sum += loss.loss(logits, y) as f64 * y.len() as f64;
+    }
+    (
+        correct as f32 / total as f32,
+        (loss_sum / total as f64) as f32,
+    )
+}
 
 /// Evaluates `model` (already loaded with the parameters of interest) on
 /// `dataset`, restricted to `indices` when given. Returns `(top-1 accuracy,
@@ -30,24 +74,29 @@ pub fn evaluate_model(
             &owned
         }
     };
-    if idx.is_empty() {
-        return (0.0, 0.0);
-    }
+    evaluate_chunks(model, loss, &gather_chunks(dataset, idx))
+}
 
-    let mut x = Matrix::zeros(0, 0);
-    let mut y: Vec<u32> = Vec::new();
-    let mut correct = 0usize;
-    let mut loss_sum = 0.0f64;
-    for chunk in idx.chunks(EVAL_CHUNK) {
-        dataset.gather_batch(chunk, &mut x, &mut y);
-        let logits = model.forward(&x, false);
-        correct += (skiptrain_nn::loss::accuracy(logits, &y) * chunk.len() as f32).round() as usize;
-        loss_sum += loss.loss(logits, &y) as f64 * chunk.len() as f64;
-    }
-    (
-        correct as f32 / idx.len() as f32,
-        (loss_sum / idx.len() as f64) as f32,
-    )
+/// Evaluates every node's model replica, loaded with its row of `params`,
+/// on the same `indices` of `dataset`, in parallel over nodes. The rows are
+/// gathered once and shared — per-node results equal [`evaluate_model`]'s
+/// exactly (same rows, same chunking, same recombination).
+pub(crate) fn evaluate_fleet(
+    nodes: &mut [Node],
+    params: &[Vec<f32>],
+    loss: &SoftmaxCrossEntropy,
+    dataset: &Dataset,
+    indices: &[usize],
+) -> Vec<(f32, f32)> {
+    let batches = gather_chunks(dataset, indices);
+    nodes
+        .par_iter_mut()
+        .zip(params.par_iter())
+        .map(|(node, p)| {
+            node.model_mut().load_params(p);
+            evaluate_chunks(node.model_mut(), loss, &batches)
+        })
+        .collect()
 }
 
 /// A fixed, seed-deterministic subsample of `0..n` of size `max` (or all of

@@ -2,7 +2,7 @@
 //! compute, share/aggregate and account as single passes over it.
 
 use crate::error::EngineError;
-use crate::eval::{evaluate_model, fixed_subsample, EVAL_CHUNK};
+use crate::eval::{evaluate_fleet, evaluate_model, fixed_subsample, EVAL_CHUNK};
 use crate::events::EventEngine;
 use crate::gate::Gate;
 use crate::metrics::EvalStats;
@@ -850,17 +850,13 @@ impl Simulation {
     /// in parallel. `max_samples = usize::MAX` evaluates the full set.
     pub fn evaluate(&mut self, dataset: &Dataset, max_samples: usize) -> EvalStats {
         let indices = fixed_subsample(dataset.len(), max_samples, self.config.seed);
-        let loss_fn = &self.loss_fn;
-        let params = &self.params;
-        let results: Vec<(f32, f32)> = self
-            .nodes
-            .par_iter_mut()
-            .zip(params.par_iter())
-            .map(|(node, p)| {
-                node.model_mut().load_params(p);
-                evaluate_model(node.model_mut(), loss_fn, dataset, Some(&indices))
-            })
-            .collect();
+        let results = evaluate_fleet(
+            &mut self.nodes,
+            &self.params,
+            &self.loss_fn,
+            dataset,
+            &indices,
+        );
         EvalStats::from_node_results(self.round, &results)
     }
 
@@ -1324,7 +1320,6 @@ mod tests {
     struct Gain {
         gain: [f32; 1],
         grad: [f32; 1],
-        input: Vec<f32>,
     }
 
     impl skiptrain_nn::Layer for Gain {
@@ -1344,26 +1339,25 @@ mod tests {
             _train: bool,
         ) {
             output.resize_zeroed(input.rows(), 2);
-            self.input.clear();
-            self.input.extend_from_slice(input.as_slice());
             for (o, &i) in output.as_mut_slice().iter_mut().zip(input.as_slice()) {
                 *o = self.gain[0] * i;
             }
         }
         fn backward(
             &mut self,
+            input: &skiptrain_linalg::Matrix,
+            _output: &skiptrain_linalg::Matrix,
             grad_out: &skiptrain_linalg::Matrix,
-            grad_in: &mut skiptrain_linalg::Matrix,
+            grad_in: Option<&mut skiptrain_linalg::Matrix>,
         ) {
-            grad_in.resize_zeroed(grad_out.rows(), 2);
-            for ((gi, &go), &x) in grad_in
-                .as_mut_slice()
-                .iter_mut()
-                .zip(grad_out.as_slice())
-                .zip(&self.input)
-            {
+            for (&go, &x) in grad_out.as_slice().iter().zip(input.as_slice()) {
                 self.grad[0] += go * x;
-                *gi = self.gain[0] * go;
+            }
+            if let Some(grad_in) = grad_in {
+                grad_in.resize_zeroed(grad_out.rows(), 2);
+                for (gi, &go) in grad_in.as_mut_slice().iter_mut().zip(grad_out.as_slice()) {
+                    *gi = self.gain[0] * go;
+                }
             }
         }
         fn params(&self) -> &[f32] {
@@ -1406,7 +1400,6 @@ mod tests {
                 0 => Sequential::new(vec![Box::new(Gain {
                     gain: [0.5 + i as f32],
                     grad: [0.0],
-                    input: Vec::new(),
                 })]),
                 _ => skiptrain_nn::zoo::logistic_regression(features, classes, 90 + i as u64),
             })
@@ -2292,6 +2285,34 @@ mod tests {
         let stats = sim.evaluate(&test, usize::MAX);
         assert!((stats.mean_accuracy - acc_direct).abs() < 1e-6);
         assert!(stats.std_accuracy < 1e-9);
+    }
+
+    #[test]
+    fn fleet_evaluation_equals_per_node_evaluate_model() {
+        // EVAL_CHUNK + 37 rows: two gathered batches of different shapes,
+        // shared by every replica. Full set, then a fixed subsample.
+        let (mut sim, test) = tiny_sim(6, 21, TransportKind::Memory);
+        for _ in 0..2 {
+            sim.run_round(&[RoundAction::Train; 6]);
+        }
+        let rows: Vec<usize> = (0..EVAL_CHUNK + 37).map(|r| r % test.len()).collect();
+        let test = test.subset(&rows);
+        for max_samples in [usize::MAX, EVAL_CHUNK + 5] {
+            let indices = fixed_subsample(test.len(), max_samples, sim.config.seed);
+            let per_node: Vec<(f32, f32)> = (0..sim.len())
+                .map(|i| {
+                    let model = sim.nodes[i].model_mut();
+                    model.load_params(&sim.params[i]);
+                    evaluate_model(model, &sim.loss_fn, &test, Some(&indices))
+                })
+                .collect();
+            let want = EvalStats::from_node_results(sim.round, &per_node);
+            let got = sim.evaluate(&test, max_samples);
+            assert_eq!(got.per_node_accuracy, want.per_node_accuracy);
+            assert_eq!(got.mean_loss.to_bits(), want.mean_loss.to_bits());
+            assert_eq!(got.mean_accuracy.to_bits(), want.mean_accuracy.to_bits());
+            assert!(got.max_accuracy > got.min_accuracy, "replicas must differ");
+        }
     }
 
     /// Runs `rounds` alternating train/sync rounds and returns the full

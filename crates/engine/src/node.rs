@@ -103,7 +103,7 @@ impl Node {
                 self.loss
                     .loss_and_grad(logits, &self.batch_y, &mut self.grad_logits)
             };
-            self.model.backward(&self.grad_logits);
+            self.model.backward(&self.batch_x, &self.grad_logits);
             self.sgd.step(&mut self.model);
             loss_sum += loss_value as f64;
         }

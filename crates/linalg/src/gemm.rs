@@ -43,11 +43,24 @@
 //!    parallelize over column panels instead, so FLOP-heavy multiplies
 //!    are never serialized just because `m` is small.
 //!
-//! Multiplies under [`SMALL_FLOP_THRESHOLD`] skip packing entirely and run
-//! simple streaming loops — at that size the pack traffic costs more than
-//! register tiling saves.
+//! # Small multiplies
+//!
+//! Multiplies under [`SMALL_FLOP_THRESHOLD`] skip the blocked driver — at
+//! that size packing both operands and dispatching tiles costs more than
+//! register tiling saves. `A·B` and `Aᵀ·B` run plain streaming loops over
+//! rows of `B`. `A·Bᵀ` has no row of `B` to stream (each output element is
+//! a dot product of two rows), so it transposes `B` once into the `B` pack
+//! scratch and produces [`NR`] output columns per pass over an `A` row
+//! (`small_a_bt`). Its per-element summation order is
+//! [`ops::dot`](crate::ops::dot)'s — eight lane partial sums combined by a
+//! fixed tree, then the tail — not the blocked driver's single chain:
+//! every output-layer input gradient of the small models goes through this
+//! kernel, so its order is part of every pinned result (benchmark digests,
+//! determinism tests), and `dot` is the independent reference the tests
+//! compare it against, bit for bit.
 
 use crate::matrix::Matrix;
+use crate::ops::LANES;
 use rayon::prelude::*;
 use std::cell::RefCell;
 
@@ -66,8 +79,8 @@ pub const NR: usize = 8;
 pub const PAR_FLOP_THRESHOLD: usize = 2 * 1024 * 1024;
 
 /// Below this multiply–add count the packed path's pack traffic and
-/// dispatch overhead beat its register-tiling gains; plain streaming loops
-/// are used instead.
+/// dispatch overhead beat its register-tiling gains; the small kernels
+/// (module docs, "Small multiplies") are used instead.
 const SMALL_FLOP_THRESHOLD: usize = 8 * 1024;
 
 thread_local! {
@@ -250,6 +263,77 @@ fn gemv_row(
     }
 }
 
+/// `NR` dot products at once: one `A` row against one packed `B` panel
+/// (`k × NR`, as [`pack_b`] lays it out), each in exactly `dot`'s order.
+///
+/// `dot` keeps eight lane sums `s_l = Σ_c a[8c+l]·b[8c+l]`, every one built
+/// by `+=` from `+0.0` (so a `−0.0` first product still yields `+0.0`),
+/// and returns `((s₀+s₁)+(s₂+s₃)) + ((s₄+s₅)+(s₆+s₇))` plus a sequentially
+/// summed tail. Here the vector axis is the panel's columns instead of the
+/// lanes; the lanes are walked in two halves of four, one pass over `k`
+/// each, because 8 lanes × `NR` columns of live accumulators spill while
+/// 4 × `NR` fit the register file.
+#[inline(always)]
+fn dot_panel(a_row: &[f32], panel_b: &[f32]) -> [f32; NR] {
+    const HALF: usize = LANES / 2;
+    let full = a_row.len() - a_row.len() % LANES;
+    let (a_main, a_tail) = a_row.split_at(full);
+    let (b_main, b_tail) = panel_b.split_at(full * NR);
+    let mut quads = [[0.0f32; NR]; 2];
+    for (h, quad) in quads.iter_mut().enumerate() {
+        let mut acc = [[0.0f32; NR]; HALF];
+        for (ac, bc) in a_main
+            .chunks_exact(LANES)
+            .zip(b_main.chunks_exact(LANES * NR))
+        {
+            let a_half = &ac[h * HALF..(h + 1) * HALF];
+            let b_half = &bc[h * HALF * NR..(h + 1) * HALF * NR];
+            for ((lane, &a), pb) in acc.iter_mut().zip(a_half).zip(b_half.chunks_exact(NR)) {
+                for (s, &b) in lane.iter_mut().zip(pb) {
+                    *s += a * b;
+                }
+            }
+        }
+        for (j, q) in quad.iter_mut().enumerate() {
+            *q = (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]);
+        }
+    }
+    let mut tail = [0.0f32; NR];
+    for (&a, pb) in a_tail.iter().zip(b_tail.chunks_exact(NR)) {
+        for (t, &b) in tail.iter_mut().zip(pb) {
+            *t += a * b;
+        }
+    }
+    let mut out = [0.0f32; NR];
+    for (j, o) in out.iter_mut().enumerate() {
+        *o = quads[0][j] + quads[1][j] + tail[j];
+    }
+    out
+}
+
+/// The small `C = A · Bᵀ` kernel (`A` is `m×k`, `B` is `n×k`): transposes
+/// `B` once into the thread-local `B` pack scratch, then fills each `C` row
+/// [`NR`] columns at a time with [`dot_panel`]. Every element is bit-equal
+/// to `ops::dot(a_row, b_row)`.
+fn small_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        c.fill(0.0);
+        return;
+    }
+    PACK_B.with(|pb| {
+        let mut bpack = pb.borrow_mut();
+        pack_b(k, n, BStore::Cols(b), &mut bpack);
+        for (c_row, a_row) in c.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+            for (dst, panel_b) in c_row.chunks_mut(NR).zip(bpack.chunks_exact(k * NR)) {
+                dst.copy_from_slice(&dot_panel(a_row, panel_b)[..dst.len()]);
+            }
+        }
+    });
+}
+
 /// The blocked driver behind all three public kernels: packs both
 /// operands, then runs the micro-kernel over row tiles — in parallel over
 /// row blocks (or column panels when `m == 1`) once the multiply crosses
@@ -390,11 +474,7 @@ pub fn gemm_a_bt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
     assert_eq!(c.len(), m * n, "gemm_a_bt_into: C length mismatch");
 
     if m * n * k <= SMALL_FLOP_THRESHOLD {
-        for (c_row, a_row) in c.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
-            for (j, c_v) in c_row.iter_mut().enumerate() {
-                *c_v = crate::ops::dot(a_row, &b[j * k..(j + 1) * k]);
-            }
-        }
+        small_a_bt(m, k, n, a, b, c);
     } else {
         blocked_gemm(m, k, n, AStore::Rows(a), BStore::Cols(b), c, false);
     }
@@ -567,6 +647,70 @@ mod tests {
         let mut c = Matrix::zeros(8, 3);
         matmul_a_bt(&a, &b, &mut c);
         assert!(c.max_abs_diff(&matmul_reference(&a, &b.transposed())) < 1e-4);
+    }
+
+    /// Values that expose a changed summation order or a sign-of-zero
+    /// slip: signed zeros, subnormals, magnitudes whose products absorb or
+    /// cancel one another (but stay finite), and ordinary fractions.
+    fn edge_values(len: usize, seed: u64) -> Vec<f32> {
+        use rand::rngs::SmallRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| match rng.random_range(0..8u32) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(rng.random_range(1..0x0080_0000u32)),
+                3 => -f32::from_bits(rng.random_range(1..0x0080_0000u32)),
+                4 => rng.random_range(-1.0e18f32..1.0e18),
+                5 => rng.random_range(-1.0e-19f32..1.0e-19),
+                _ => rng.random_range(-1.0f32..1.0),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn small_a_bt_is_dot_bit_for_bit() {
+        // The kernel itself, bypassing the threshold: every shape up to
+        // 20 × 40 × 40, so k straddles the dot lanes (0, <8, 8, 8c + tail)
+        // and n the column panels (1, <NR, NR, NR·c + tail).
+        let a_all = edge_values(20 * 40, 71);
+        let b_all = edge_values(40 * 40, 72);
+        let mut c = vec![0.0f32; 20 * 40];
+        for m in 1..=20usize {
+            for k in 0..=40usize {
+                for n in 1..=40usize {
+                    let (a, b) = (&a_all[..m * k], &b_all[..n * k]);
+                    let c = &mut c[..m * n];
+                    c.fill(f32::NAN);
+                    small_a_bt(m, k, n, a, b, c);
+                    for i in 0..m {
+                        for j in 0..n {
+                            let want =
+                                crate::ops::dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                            assert_eq!(
+                                c[i * n + j].to_bits(),
+                                want.to_bits(),
+                                "a_bt {m}x{k}x{n} [{i},{j}]: {} vs dot {want}",
+                                c[i * n + j]
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_a_bt_keeps_dots_positive_zero() {
+        // dot never returns −0.0: every lane is `+0.0 += product`. A kernel
+        // that assigned the first product instead would.
+        let a = [-0.0f32; 9];
+        let b = [1.0f32; 9];
+        let mut c = [f32::NAN];
+        small_a_bt(1, 9, 1, &a, &b, &mut c);
+        assert_eq!(c[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(crate::ops::dot(&a, &b).to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! type. Every kernel panics on length mismatch — in this codebase a length
 //! mismatch is always a programming error, never a data error.
 
-/// Accumulator-lane count of the reduction kernels ([`dot`]).
-const LANES: usize = 8;
+/// Accumulator-lane count of the reduction kernels ([`dot`], and the small
+/// `A·Bᵀ` GEMM kernel that reproduces `dot`'s order).
+pub(crate) const LANES: usize = 8;
 
 /// `y += alpha * x` (the BLAS `axpy`), the core of gossip aggregation.
 ///

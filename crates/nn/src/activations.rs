@@ -5,20 +5,17 @@ use skiptrain_linalg::Matrix;
 
 /// Rectified linear unit: `y = max(0, x)`.
 ///
-/// The backward pass uses the *output* mask (`y > 0`), which equals the input
-/// mask for ReLU and avoids caching the input separately.
+/// The backward pass masks by the forward *output* (`y > 0`, which equals
+/// the input mask for ReLU), read from the buffer the caller hands back —
+/// the layer holds nothing but its width.
 pub struct Relu {
     dim: usize,
-    cached_output_mask: Vec<bool>,
 }
 
 impl Relu {
     /// Creates a ReLU over `dim` features.
     pub fn new(dim: usize) -> Self {
-        Self {
-            dim,
-            cached_output_mask: Vec::new(),
-        }
+        Self { dim }
     }
 }
 
@@ -35,56 +32,50 @@ impl Layer for Relu {
         self.dim
     }
 
-    fn forward(&mut self, input: &Matrix, output: &mut Matrix, train: bool) {
+    fn forward(&mut self, input: &Matrix, output: &mut Matrix, _train: bool) {
         assert_eq!(input.cols(), self.dim, "relu forward: dim mismatch");
         ensure_shape(output, input.rows(), self.dim);
-        if train {
-            self.cached_output_mask.clear();
-            self.cached_output_mask.reserve(input.len());
-            for (o, &i) in output.as_mut_slice().iter_mut().zip(input.as_slice()) {
-                let keep = i > 0.0;
-                *o = if keep { i } else { 0.0 };
-                self.cached_output_mask.push(keep);
-            }
-        } else {
-            for (o, &i) in output.as_mut_slice().iter_mut().zip(input.as_slice()) {
-                *o = if i > 0.0 { i } else { 0.0 };
-            }
+        for (o, &i) in output.as_mut_slice().iter_mut().zip(input.as_slice()) {
+            *o = if i > 0.0 { i } else { 0.0 };
         }
     }
 
-    fn backward(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
+    fn backward(
+        &mut self,
+        _input: &Matrix,
+        output: &Matrix,
+        grad_out: &Matrix,
+        grad_in: Option<&mut Matrix>,
+    ) {
+        let Some(grad_in) = grad_in else { return };
         assert_eq!(
-            self.cached_output_mask.len(),
-            grad_out.len(),
-            "relu backward: no cached forward for this batch"
+            output.shape(),
+            grad_out.shape(),
+            "relu backward: output is not the forward output of this batch"
         );
         ensure_shape(grad_in, grad_out.rows(), self.dim);
-        for ((gi, &go), &keep) in grad_in
+        for ((gi, &go), &y) in grad_in
             .as_mut_slice()
             .iter_mut()
             .zip(grad_out.as_slice())
-            .zip(&self.cached_output_mask)
+            .zip(output.as_slice())
         {
-            *gi = if keep { go } else { 0.0 };
+            *gi = if y > 0.0 { go } else { 0.0 };
         }
     }
 }
 
 /// Hyperbolic tangent activation, provided for the linear/regression examples
-/// and ablations; the paper's models use ReLU.
+/// and ablations; the paper's models use ReLU. Its derivative `1 − y²` is
+/// read from the forward output the caller hands back.
 pub struct Tanh {
     dim: usize,
-    cached_output: Vec<f32>,
 }
 
 impl Tanh {
     /// Creates a tanh over `dim` features.
     pub fn new(dim: usize) -> Self {
-        Self {
-            dim,
-            cached_output: Vec::new(),
-        }
+        Self { dim }
     }
 }
 
@@ -101,30 +92,33 @@ impl Layer for Tanh {
         self.dim
     }
 
-    fn forward(&mut self, input: &Matrix, output: &mut Matrix, train: bool) {
+    fn forward(&mut self, input: &Matrix, output: &mut Matrix, _train: bool) {
         assert_eq!(input.cols(), self.dim, "tanh forward: dim mismatch");
         ensure_shape(output, input.rows(), self.dim);
         for (o, &i) in output.as_mut_slice().iter_mut().zip(input.as_slice()) {
             *o = i.tanh();
         }
-        if train {
-            self.cached_output.clear();
-            self.cached_output.extend_from_slice(output.as_slice());
-        }
     }
 
-    fn backward(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
+    fn backward(
+        &mut self,
+        _input: &Matrix,
+        output: &Matrix,
+        grad_out: &Matrix,
+        grad_in: Option<&mut Matrix>,
+    ) {
+        let Some(grad_in) = grad_in else { return };
         assert_eq!(
-            self.cached_output.len(),
-            grad_out.len(),
-            "tanh backward: no cached forward for this batch"
+            output.shape(),
+            grad_out.shape(),
+            "tanh backward: output is not the forward output of this batch"
         );
         ensure_shape(grad_in, grad_out.rows(), self.dim);
         for ((gi, &go), &y) in grad_in
             .as_mut_slice()
             .iter_mut()
             .zip(grad_out.as_slice())
-            .zip(&self.cached_output)
+            .zip(output.as_slice())
         {
             *gi = go * (1.0 - y * y);
         }
@@ -152,7 +146,7 @@ mod tests {
         relu.forward(&x, &mut y, true);
         let g = Matrix::from_vec(1, 3, vec![5.0, 5.0, 5.0]);
         let mut gi = Matrix::zeros(0, 0);
-        relu.backward(&g, &mut gi);
+        relu.backward(&x, &y, &g, Some(&mut gi));
         assert_eq!(gi.as_slice(), &[0.0, 5.0, 5.0]);
     }
 
@@ -165,7 +159,7 @@ mod tests {
         relu.forward(&x, &mut y, true);
         let g = Matrix::from_vec(1, 1, vec![1.0]);
         let mut gi = Matrix::zeros(0, 0);
-        relu.backward(&g, &mut gi);
+        relu.backward(&x, &y, &g, Some(&mut gi));
         assert_eq!(gi.as_slice(), &[0.0]);
     }
 
@@ -187,7 +181,7 @@ mod tests {
         t.forward(&x, &mut y, true);
         let g = Matrix::from_vec(1, 1, vec![2.0]);
         let mut gi = Matrix::zeros(0, 0);
-        t.backward(&g, &mut gi);
+        t.backward(&x, &y, &g, Some(&mut gi));
         // tanh(0)=0, derivative = 1
         assert!((gi.row(0)[0] - 2.0).abs() < 1e-6);
     }

@@ -42,9 +42,9 @@ impl Shape2d {
 }
 
 /// The `Copy` unfold geometry of a convolution, split out of [`Conv2d`] so
-/// the im2col/col2im kernels can run against borrowed sample slices (the
-/// cached forward input) while the column scratch buffers are mutably
-/// borrowed from the same layer — no per-sample copies.
+/// the im2col/col2im kernels can run against borrowed sample slices (rows of
+/// the caller's batch) while the column scratch buffers are mutably
+/// borrowed from the layer — no per-sample copies.
 #[derive(Debug, Clone, Copy)]
 struct ConvGeom {
     input: Shape2d,
@@ -136,7 +136,6 @@ pub struct Conv2d {
     out_channels: usize,
     params: Vec<f32>,
     grads: Vec<f32>,
-    cached_input: Matrix,
     /// Workhorse im2col buffer: `in_c·k·k × out_h·out_w`.
     cols: Vec<f32>,
     /// Workhorse column-gradient buffer, same shape as `cols`.
@@ -187,7 +186,6 @@ impl Conv2d {
             out_channels,
             params,
             grads: vec![0.0f32; n],
-            cached_input: Matrix::zeros(0, 0),
             cols: vec![0.0f32; ckk * out_h * out_w],
             dcols: vec![0.0f32; ckk * out_h * out_w],
             dw_tmp: vec![0.0f32; out_channels * ckk],
@@ -224,7 +222,7 @@ impl Layer for Conv2d {
         self.out_channels * self.out_len()
     }
 
-    fn forward(&mut self, input: &Matrix, output: &mut Matrix, train: bool) {
+    fn forward(&mut self, input: &Matrix, output: &mut Matrix, _train: bool) {
         let batch = input.rows();
         assert_eq!(
             input.cols(),
@@ -254,16 +252,15 @@ impl Layer for Conv2d {
                 }
             }
         }
-
-        if train {
-            ensure_shape(&mut self.cached_input, batch, in_dim);
-            self.cached_input
-                .as_mut_slice()
-                .copy_from_slice(input.as_slice());
-        }
     }
 
-    fn backward(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
+    fn backward(
+        &mut self,
+        input: &Matrix,
+        _output: &Matrix,
+        grad_out: &Matrix,
+        mut grad_in: Option<&mut Matrix>,
+    ) {
         let batch = grad_out.rows();
         assert_eq!(
             grad_out.cols(),
@@ -271,21 +268,23 @@ impl Layer for Conv2d {
             "conv2d backward: grad dim mismatch"
         );
         assert_eq!(
-            self.cached_input.rows(),
-            batch,
-            "conv2d backward: no cached forward for this batch"
+            input.shape(),
+            (batch, self.input_dim()),
+            "conv2d backward: input is not the forward input of this batch"
         );
-        ensure_shape(grad_in, batch, self.input_dim());
-        grad_in.fill_zero();
+        if let Some(grad_in) = grad_in.as_deref_mut() {
+            ensure_shape(grad_in, batch, self.input_dim());
+            grad_in.fill_zero();
+        }
 
         let geom = self.geom;
         let ckk = self.ckk();
         let l = self.out_len();
         let wlen = self.out_channels * ckk;
         for s in 0..batch {
-            // recompute the unfold from the cached input, sliced in place
+            // recompute the unfold from the forward input, sliced in place
             // (memory-cheap backward, no per-sample copy)
-            geom.im2col(self.cached_input.row(s), &mut self.cols);
+            geom.im2col(input.row(s), &mut self.cols);
             let dy = grad_out.row(s);
 
             // dW += dY · colsᵀ : A=dY (out_c×L), B=cols (ckk×L) → A·Bᵀ (out_c×ckk)
@@ -305,17 +304,20 @@ impl Layer for Conv2d {
                 let sum: f32 = dy[oc * l..(oc + 1) * l].iter().sum();
                 self.grads[wlen + oc] += sum;
             }
+            // dX, only when a layer below reads it.
             // dcols = Wᵀ · dY : accumulate kernel needs zeroed target
-            self.dcols.fill(0.0);
-            gemm_at_b_into(
-                ckk,
-                self.out_channels,
-                l,
-                &self.params[..wlen],
-                dy,
-                &mut self.dcols,
-            );
-            geom.col2im(&self.dcols, grad_in.row_mut(s));
+            if let Some(grad_in) = grad_in.as_deref_mut() {
+                self.dcols.fill(0.0);
+                gemm_at_b_into(
+                    ckk,
+                    self.out_channels,
+                    l,
+                    &self.params[..wlen],
+                    dy,
+                    &mut self.dcols,
+                );
+                geom.col2im(&self.dcols, grad_in.row_mut(s));
+            }
         }
     }
 
@@ -413,8 +415,11 @@ impl Layer for MaxPool2d {
                 let plane_base = c * h * w;
                 for oy in 0..self.out_h {
                     for ox in 0..self.out_w {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
+                        // seeded from the window's own first element, so an
+                        // all-NaN or all-−∞ window keeps its value and routes
+                        // its gradient inside the window
+                        let mut best_idx = plane_base + oy * self.window * w + ox * self.window;
+                        let mut best = sample[best_idx];
                         for wy in 0..self.window {
                             let iy = oy * self.window + wy;
                             let base = plane_base + iy * w + ox * self.window;
@@ -437,7 +442,14 @@ impl Layer for MaxPool2d {
         }
     }
 
-    fn backward(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
+    fn backward(
+        &mut self,
+        _input: &Matrix,
+        _output: &Matrix,
+        grad_out: &Matrix,
+        grad_in: Option<&mut Matrix>,
+    ) {
+        let Some(grad_in) = grad_in else { return };
         let batch = grad_out.rows();
         assert_eq!(
             self.cached_argmax.len(),
@@ -533,8 +545,34 @@ mod tests {
         p.forward(&x, &mut y, true);
         let g = Matrix::from_vec(1, 1, vec![4.0]);
         let mut gi = Matrix::zeros(0, 0);
-        p.backward(&g, &mut gi);
+        p.backward(&x, &y, &g, Some(&mut gi));
         assert_eq!(gi.as_slice(), &[0.0, 4.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn maxpool_window_without_a_maximum_keeps_its_nan_and_its_gradient() {
+        // channel 1 is all NaN: no element compares greater than anything,
+        // so the window's value and argmax are its own first element — not
+        // −∞ and the sample's element 0 (channel 0, pixel (0,0))
+        let mut p = MaxPool2d::new(Shape2d::new(2, 2, 2), 2);
+        let nan = f32::NAN;
+        let x = Matrix::from_vec(1, 8, vec![1.0, 2.0, 3.0, 4.0, nan, nan, nan, nan]);
+        let mut y = Matrix::zeros(0, 0);
+        p.forward(&x, &mut y, true);
+        assert_eq!(y.row(0)[0], 4.0);
+        assert!(y.row(0)[1].is_nan(), "NaN window must propagate");
+        let g = Matrix::from_vec(1, 2, vec![10.0, 7.0]);
+        let mut gi = Matrix::zeros(0, 0);
+        p.backward(&x, &y, &g, Some(&mut gi));
+        assert_eq!(gi.as_slice(), &[0.0, 0.0, 0.0, 10.0, 7.0, 0.0, 0.0, 0.0]);
+
+        // same for a window of −∞ only
+        let ninf = f32::NEG_INFINITY;
+        let x = Matrix::from_vec(1, 8, vec![1.0, 2.0, 3.0, 4.0, ninf, ninf, ninf, ninf]);
+        p.forward(&x, &mut y, true);
+        assert_eq!(y.as_slice(), &[4.0, ninf]);
+        p.backward(&x, &y, &g, Some(&mut gi));
+        assert_eq!(gi.as_slice(), &[0.0, 0.0, 0.0, 10.0, 7.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

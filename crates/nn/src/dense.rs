@@ -8,15 +8,14 @@ use skiptrain_linalg::{gemm_a_bt_into, gemm_at_b_into, Matrix};
 /// Parameters are packed contiguously as `[W (in×out, row-major) | b (out)]`
 /// so the model can expose one flat parameter vector for gossip exchange,
 /// and all three GEMMs of the layer run directly on the packed slice with no
-/// copies.
+/// copies. The layer keeps no activation: the weight-gradient GEMM reads the
+/// forward input the caller hands back to `backward`.
 pub struct Dense {
     input_dim: usize,
     output_dim: usize,
     /// `[W | b]`, `input_dim * output_dim + output_dim` values.
     params: Vec<f32>,
     grads: Vec<f32>,
-    /// Input cached by the forward pass for the weight-gradient GEMM.
-    cached_input: Matrix,
 }
 
 impl Dense {
@@ -34,7 +33,6 @@ impl Dense {
             output_dim,
             params,
             grads: vec![0.0f32; n],
-            cached_input: Matrix::zeros(0, 0),
         }
     }
 
@@ -57,7 +55,7 @@ impl Layer for Dense {
         self.output_dim
     }
 
-    fn forward(&mut self, input: &Matrix, output: &mut Matrix, train: bool) {
+    fn forward(&mut self, input: &Matrix, output: &mut Matrix, _train: bool) {
         let batch = input.rows();
         assert_eq!(
             input.cols(),
@@ -82,16 +80,15 @@ impl Layer for Dense {
                 *v += b;
             }
         }
-
-        if train {
-            ensure_shape(&mut self.cached_input, batch, self.input_dim);
-            self.cached_input
-                .as_mut_slice()
-                .copy_from_slice(input.as_slice());
-        }
     }
 
-    fn backward(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
+    fn backward(
+        &mut self,
+        input: &Matrix,
+        _output: &Matrix,
+        grad_out: &Matrix,
+        grad_in: Option<&mut Matrix>,
+    ) {
         let batch = grad_out.rows();
         assert_eq!(
             grad_out.cols(),
@@ -99,11 +96,10 @@ impl Layer for Dense {
             "dense backward: grad dim mismatch"
         );
         assert_eq!(
-            self.cached_input.rows(),
-            batch,
-            "dense backward: no cached forward for this batch"
+            input.shape(),
+            (batch, self.input_dim),
+            "dense backward: input is not the forward input of this batch"
         );
-        ensure_shape(grad_in, batch, self.input_dim);
 
         let wlen = self.weight_len();
         let (dw, db) = self.grads.split_at_mut(wlen);
@@ -112,7 +108,7 @@ impl Layer for Dense {
             self.input_dim,
             batch,
             self.output_dim,
-            self.cached_input.as_slice(),
+            input.as_slice(),
             grad_out.as_slice(),
             dw,
         );
@@ -122,16 +118,19 @@ impl Layer for Dense {
                 *g += d;
             }
         }
-        // dX = dY · Wᵀ — A·Bᵀ with B = W viewed as out-major? W is in×out
-        // row-major, i.e. Wᵀ is out×in; a_bt wants B as n×k = in×out: exactly W.
-        gemm_a_bt_into(
-            batch,
-            self.output_dim,
-            self.input_dim,
-            grad_out.as_slice(),
-            &self.params[..wlen],
-            grad_in.as_mut_slice(),
-        );
+        // dX = dY · Wᵀ, only when a layer below reads it. W is in×out
+        // row-major and a_bt wants B as n×k = in×out: exactly W.
+        if let Some(grad_in) = grad_in {
+            ensure_shape(grad_in, batch, self.input_dim);
+            gemm_a_bt_into(
+                batch,
+                self.output_dim,
+                self.input_dim,
+                grad_out.as_slice(),
+                &self.params[..wlen],
+                grad_in.as_mut_slice(),
+            );
+        }
     }
 
     fn params(&self) -> &[f32] {
@@ -192,7 +191,7 @@ mod tests {
         d.forward(&x, &mut y, true);
         let g = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
         let mut gi = Matrix::zeros(0, 0);
-        d.backward(&g, &mut gi);
+        d.backward(&x, &y, &g, Some(&mut gi));
         // dX = dY · Wᵀ = [1,0]·[[1,3],[2,4]]ᵀ... dX_j = Σ_o g_o W[j][o] = W[j][0]
         assert_eq!(gi.row(0), &[1.0, 3.0]);
         // dW[i][o] = x_i * g_o → [[1,0],[1,0]]; db = [1,0]
@@ -227,10 +226,10 @@ mod tests {
         d.forward(&x, &mut y, true);
         let g = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let mut gi = Matrix::zeros(0, 0);
-        d.backward(&g, &mut gi);
+        d.backward(&x, &y, &g, Some(&mut gi));
         let g1 = d.grads().to_vec();
         d.forward(&x, &mut y, true);
-        d.backward(&g, &mut gi);
+        d.backward(&x, &y, &g, Some(&mut gi));
         for (a, b) in d.grads().iter().zip(&g1) {
             assert!((a - 2.0 * b).abs() < 1e-5, "gradient did not accumulate");
         }

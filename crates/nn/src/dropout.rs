@@ -81,7 +81,14 @@ impl Layer for Dropout {
         }
     }
 
-    fn backward(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
+    fn backward(
+        &mut self,
+        _input: &Matrix,
+        _output: &Matrix,
+        grad_out: &Matrix,
+        grad_in: Option<&mut Matrix>,
+    ) {
+        let Some(grad_in) = grad_in else { return };
         assert_eq!(
             self.mask.len(),
             grad_out.len(),
@@ -146,7 +153,7 @@ mod tests {
         d.forward(&x, &mut y, true);
         let g = Matrix::full(1, 64, 1.0);
         let mut gi = Matrix::zeros(0, 0);
-        d.backward(&g, &mut gi);
+        d.backward(&x, &y, &g, Some(&mut gi));
         for (o, gi_v) in y.as_slice().iter().zip(gi.as_slice()) {
             // y = 2 * m and gi = m, so y == 2 * gi elementwise
             assert!((o - 2.0 * gi_v).abs() < 1e-6);

@@ -58,7 +58,7 @@ pub fn check_gradients(
         let logits = model.forward(x, true);
         loss.loss_and_grad(logits, labels, &mut grad_logits);
     }
-    model.backward(&grad_logits);
+    model.backward(x, &grad_logits);
     let mut analytic = Vec::new();
     model.copy_grads_to(&mut analytic);
 
@@ -106,6 +106,7 @@ mod tests {
     use crate::activations::{Relu, Tanh};
     use crate::conv::{Conv2d, MaxPool2d, Shape2d};
     use crate::dense::Dense;
+    use crate::dropout::Dropout;
     use crate::zoo::InitRng;
     use rand::rngs::SmallRng;
     use rand::{RngExt, SeedableRng};
@@ -153,6 +154,27 @@ mod tests {
         let (x, y) = random_batch(4, 5, 3, 3);
         let report = check_gradients(&mut model, &loss, &x, &y, 1e-2, 80);
         assert!(report.passes(2e-2), "tanh gradcheck failed: {:?}", report);
+    }
+
+    #[test]
+    fn gradients_verify_when_the_sweep_stops_above_layer_zero() {
+        // the lowest layer with parameters is layer 1: it gets no input
+        // gradient buffer and the dropout below it is never visited
+        let mut init = InitRng::new(8);
+        let mut model = Sequential::new(vec![
+            Box::new(Dropout::new(5, 0.0, 1)),
+            Box::new(Dense::new(5, 7, &mut init)),
+            Box::new(Tanh::new(7)),
+            Box::new(Dense::new(7, 3, &mut init)),
+        ]);
+        let loss = SoftmaxCrossEntropy::new(3);
+        let (x, y) = random_batch(4, 5, 3, 6);
+        let report = check_gradients(&mut model, &loss, &x, &y, 1e-2, 80);
+        assert!(
+            report.passes(2e-2),
+            "dropout(0) stack gradcheck failed: {:?}",
+            report
+        );
     }
 
     #[test]

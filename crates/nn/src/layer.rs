@@ -11,12 +11,19 @@ use skiptrain_linalg::Matrix;
 ///
 /// Contract:
 /// * [`forward`](Layer::forward) consumes `input` (`batch × input_dim`) and
-///   writes `output` (`batch × output_dim`). When `train` is true the layer
-///   may cache whatever it needs for the backward pass.
-/// * [`backward`](Layer::backward) consumes `grad_out` (`batch × output_dim`),
-///   accumulates parameter gradients internally, and writes `grad_in`
-///   (`batch × input_dim`). It must be called after a `forward` with
-///   `train = true` on the same batch.
+///   writes `output` (`batch × output_dim`). Layers keep no copy of either:
+///   the caller owns both buffers and hands them back to `backward`.
+///   `train` matters only to layers whose forward pass draws or selects
+///   something the backward pass must replay (`Dropout`'s mask,
+///   `MaxPool2d`'s argmax); every other layer ignores it.
+/// * [`backward`](Layer::backward) receives the `input` and `output` of the
+///   last `forward` on this batch (unchanged since), consumes `grad_out`
+///   (`batch × output_dim`) and accumulates parameter gradients
+///   internally. With `grad_in = Some(g)` it also writes the gradient
+///   w.r.t. `input` into `g` (`batch × input_dim`); with `None` nobody
+///   reads that gradient, so the layer must not compute it — a layer
+///   without parameters then has nothing to do. For layers with
+///   forward-only state it must follow a `forward` with `train = true`.
 /// * Parameters and their gradients are exposed as single contiguous slices
 ///   so models can be flattened for gossip exchange without copying
 ///   layer-by-layer structure around.
@@ -34,7 +41,13 @@ pub trait Layer: Send {
     fn forward(&mut self, input: &Matrix, output: &mut Matrix, train: bool);
 
     /// Backward pass. See trait docs for the buffer contract.
-    fn backward(&mut self, grad_out: &Matrix, grad_in: &mut Matrix);
+    fn backward(
+        &mut self,
+        input: &Matrix,
+        output: &Matrix,
+        grad_out: &Matrix,
+        grad_in: Option<&mut Matrix>,
+    );
 
     /// Flat view of the trainable parameters (empty for stateless layers).
     fn params(&self) -> &[f32] {
@@ -98,8 +111,16 @@ mod tests {
         fn forward(&mut self, input: &Matrix, output: &mut Matrix, _train: bool) {
             output.as_mut_slice().copy_from_slice(input.as_slice());
         }
-        fn backward(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
-            grad_in.as_mut_slice().copy_from_slice(grad_out.as_slice());
+        fn backward(
+            &mut self,
+            _input: &Matrix,
+            _output: &Matrix,
+            grad_out: &Matrix,
+            grad_in: Option<&mut Matrix>,
+        ) {
+            if let Some(grad_in) = grad_in {
+                grad_in.as_mut_slice().copy_from_slice(grad_out.as_slice());
+            }
         }
     }
 

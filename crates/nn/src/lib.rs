@@ -4,7 +4,9 @@
 //! machinery from scratch:
 //!
 //! * [`layer`] — the [`Layer`](layer::Layer) abstraction with manual,
-//!   gradient-checked backpropagation,
+//!   gradient-checked backpropagation. Layers cache no activations:
+//!   `backward` is handed the forward input and output it needs, and an
+//!   input-gradient buffer only when somebody reads that gradient,
 //! * [`dense`], [`conv`], [`activations`] — the layer implementations used by
 //!   the paper's model family (fully-connected, 2-D convolution with im2col,
 //!   max-pooling, ReLU),
@@ -12,7 +14,9 @@
 //!   accuracy,
 //! * [`model`] — [`Sequential`](model::Sequential) models with flat parameter
 //!   access: decentralized learning shares and averages *flattened* parameter
-//!   vectors, so flatten/unflatten is a first-class operation,
+//!   vectors, so flatten/unflatten is a first-class operation. The model
+//!   owns every activation and its backward sweep stops at the lowest layer
+//!   that has parameters,
 //! * [`sgd`] — plain and momentum SGD,
 //! * [`zoo`] — the model family of the evaluation (Table 1): the FEMNIST CNN
 //!   reproduces the paper's 1,690,046-parameter model exactly,

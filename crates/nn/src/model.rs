@@ -11,6 +11,11 @@ use crate::layer::Layer;
 use skiptrain_linalg::Matrix;
 
 /// A stack of layers executed in order.
+///
+/// The container owns every activation (`acts[i]` is layer `i`'s output of
+/// the last forward pass) and the caller owns the batch, so the backward
+/// sweep hands each layer its forward input and output by reference —
+/// layers cache neither.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     /// Output activation buffer per layer (workhorse, reused across batches).
@@ -19,6 +24,9 @@ pub struct Sequential {
     gbuf_a: Matrix,
     gbuf_b: Matrix,
     param_count: usize,
+    /// Index of the lowest layer with parameters (`layers.len()` if none):
+    /// where the backward sweep stops.
+    lowest_trainable: usize,
 }
 
 impl Sequential {
@@ -42,12 +50,17 @@ impl Sequential {
         }
         let acts = layers.iter().map(|_| Matrix::zeros(0, 0)).collect();
         let param_count = layers.iter().map(|l| l.param_count()).sum();
+        let lowest_trainable = layers
+            .iter()
+            .position(|l| l.param_count() > 0)
+            .unwrap_or(layers.len());
         Self {
             layers,
             acts,
             gbuf_a: Matrix::zeros(0, 0),
             gbuf_b: Matrix::zeros(0, 0),
             param_count,
+            lowest_trainable,
         }
     }
 
@@ -74,7 +87,8 @@ impl Sequential {
 
     /// Runs the forward pass and returns the logits for the batch.
     ///
-    /// With `train = true`, layers cache what the backward pass needs.
+    /// With `train = true`, layers with forward-only state (dropout masks,
+    /// pooling argmaxes) record what the backward pass must replay.
     pub fn forward(&mut self, input: &Matrix, train: bool) -> &Matrix {
         assert_eq!(
             input.cols(),
@@ -93,13 +107,19 @@ impl Sequential {
     /// Runs the backward sweep from the logit gradient, accumulating
     /// parameter gradients in every layer.
     ///
-    /// Must follow a `forward(.., train = true)` on the same batch.
-    pub fn backward(&mut self, grad_logits: &Matrix) {
+    /// Must follow a `forward(input, train = true)` on the same `input`.
+    /// The sweep walks from the top layer down to the lowest layer that has
+    /// parameters and stops there: that layer gets `grad_in = None` (the
+    /// gradient w.r.t. its input would be dropped unread — a quarter of a
+    /// two-layer MLP step's multiply–adds) and the parameterless layers
+    /// below it are not visited.
+    pub fn backward(&mut self, input: &Matrix, grad_logits: &Matrix) {
         let Self {
             layers,
             acts,
             gbuf_a,
             gbuf_b,
+            lowest_trainable,
             ..
         } = self;
         let n = layers.len();
@@ -108,12 +128,11 @@ impl Sequential {
         // `next` holds the gradient produced by the layer above.
         let mut cur: &mut Matrix = gbuf_a;
         let mut next: &mut Matrix = gbuf_b;
-        for (i, layer) in layers.iter_mut().enumerate().rev() {
-            if i == n - 1 {
-                layer.backward(grad_logits, cur);
-            } else {
-                layer.backward(&*next, cur);
-            }
+        for i in (*lowest_trainable..n).rev() {
+            let layer_in = if i == 0 { input } else { &acts[i - 1] };
+            let grad_out = if i == n - 1 { grad_logits } else { &*next };
+            let grad_in = (i > *lowest_trainable).then_some(&mut *cur);
+            layers[i].backward(layer_in, &acts[i], grad_out, grad_in);
             std::mem::swap(&mut cur, &mut next);
         }
     }
@@ -194,9 +213,13 @@ impl Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activations::Relu;
+    use crate::activations::{Relu, Tanh};
+    use crate::conv::{Conv2d, MaxPool2d, Shape2d};
     use crate::dense::Dense;
+    use crate::dropout::Dropout;
     use crate::zoo::InitRng;
+    use rand::rngs::SmallRng;
+    use rand::{RngExt, SeedableRng};
 
     fn tiny_mlp(seed: u64) -> Sequential {
         let mut init = InitRng::new(seed);
@@ -254,7 +277,7 @@ mod tests {
         let x = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1);
         let _ = m.forward(&x, true);
         let g = Matrix::full(3, 3, 0.5);
-        m.backward(&g);
+        m.backward(&x, &g);
         let mut grads = Vec::new();
         m.copy_grads_to(&mut grads);
         assert!(
@@ -264,6 +287,121 @@ mod tests {
         m.zero_grads();
         m.copy_grads_to(&mut grads);
         assert!(grads.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "dense backward: input is not the forward input of this batch")]
+    fn backward_rejects_an_input_of_another_batch_size() {
+        let mut m = tiny_mlp(7);
+        let x = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1);
+        let _ = m.forward(&x, true);
+        let other = Matrix::zeros(2, 4);
+        m.backward(&other, &Matrix::full(3, 3, 0.5));
+    }
+
+    /// A random stack over every layer kind: dense / conv widths, kernel,
+    /// stride and padding, pooling, both activations, dropout with `p` 0
+    /// or 0.5. Returns the layers and the index of the lowest one with
+    /// parameters.
+    fn random_stack(seed: u64) -> (Vec<Box<dyn Layer>>, usize) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut init = InitRng::new(seed);
+        let mut layers: Vec<Box<dyn Layer>> = Vec::new();
+        // `shape` is Some while the activations are still a c×h×w volume
+        let mut shape = rng
+            .random_bool(0.5)
+            .then(|| Shape2d::new(rng.random_range(1..3), 6, 6));
+        let mut dim = shape.map_or(rng.random_range(2..9), |s| s.len());
+        let mut lowest = None;
+        let depth = rng.random_range(2..8);
+        while layers.len() < depth || lowest.is_none() {
+            let layer: Box<dyn Layer> = match (rng.random_range(0..7u32), shape) {
+                (0, Some(s)) if s.height >= 3 => {
+                    let (stride, padding) = (rng.random_range(1..3), rng.random_range(0..2));
+                    let conv =
+                        Conv2d::new(s, rng.random_range(1..4), 3, stride, padding, &mut init);
+                    shape = Some(conv.output_shape());
+                    Box::new(conv)
+                }
+                (1, Some(s)) if s.height >= 2 => {
+                    let pool = MaxPool2d::new(s, 2);
+                    shape = Some(pool.output_shape());
+                    Box::new(pool)
+                }
+                (0..=2, _) => {
+                    shape = None;
+                    Box::new(Dense::new(dim, rng.random_range(2..9), &mut init))
+                }
+                (3, _) => Box::new(Relu::new(dim)),
+                (4, _) => Box::new(Tanh::new(dim)),
+                (5, _) => Box::new(Dropout::new(dim, 0.0, seed)),
+                _ => Box::new(Dropout::new(dim, 0.5, seed)),
+            };
+            if layer.param_count() > 0 && lowest.is_none() {
+                lowest = Some(layers.len());
+            }
+            dim = layer.output_dim();
+            layers.push(layer);
+        }
+        (layers, lowest.unwrap())
+    }
+
+    /// Reference sweep: every layer, top to bottom, is asked for its input
+    /// gradient, into a fresh buffer.
+    fn full_sweep(m: &mut Sequential, input: &Matrix, grad_logits: &Matrix) {
+        let mut grad_out = grad_logits.clone();
+        for i in (0..m.layers.len()).rev() {
+            let layer_in = if i == 0 { input } else { &m.acts[i - 1] };
+            let mut grad_in = Matrix::zeros(0, 0);
+            m.layers[i].backward(layer_in, &m.acts[i], &grad_out, Some(&mut grad_in));
+            grad_out = grad_in;
+        }
+    }
+
+    #[test]
+    fn shortened_sweep_gives_the_full_sweeps_parameter_gradients_bit_for_bit() {
+        let (mut at_zero, mut above_zero, mut live) = (0, 0, 0);
+        for seed in 0..300u64 {
+            let (layers, lowest) = random_stack(seed);
+            if lowest == 0 {
+                at_zero += 1;
+            } else {
+                above_zero += 1;
+            }
+            let mut short = Sequential::new(layers);
+            let mut full = Sequential::new(random_stack(seed).0);
+            assert_eq!(short.flat_params(), full.flat_params());
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0xBAC);
+            // two batches of different sizes without zeroing in between:
+            // accumulation and the reuse of the ping-pong buffers across
+            // shapes are part of the property
+            for batch in [3, 5] {
+                let x = Matrix::from_fn(batch, short.input_dim(), |_, _| {
+                    rng.random_range(-1.0f32..1.0)
+                });
+                let g = Matrix::from_fn(batch, short.output_dim(), |_, _| {
+                    rng.random_range(-1.0f32..1.0)
+                });
+                let _ = short.forward(&x, true);
+                let _ = full.forward(&x, true);
+                short.backward(&x, &g);
+                full_sweep(&mut full, &x, &g);
+                let (mut gs, mut gf) = (Vec::new(), Vec::new());
+                short.copy_grads_to(&mut gs);
+                full.copy_grads_to(&mut gf);
+                live += usize::from(gs.iter().any(|&v| v != 0.0));
+                assert!(
+                    gs.iter().zip(&gf).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "seed {seed} ({}): gradients differ",
+                    short.summary()
+                );
+            }
+        }
+        assert!(
+            at_zero > 30 && above_zero > 30,
+            "generator must cover both: {at_zero} stacks train layer 0, {above_zero} do not"
+        );
+        assert!(live > 500, "only {live} of 600 sweeps produced a gradient");
     }
 
     #[test]

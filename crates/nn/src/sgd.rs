@@ -130,7 +130,7 @@ mod tests {
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
         let _ = model.forward(&x, true);
         let g = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
-        model.backward(&g);
+        model.backward(&x, &g);
     }
 
     #[test]
