@@ -1,4 +1,4 @@
-//! The steady-state allocation pins: twelve hot-path scenarios that must
+//! The steady-state allocation pins: eleven hot-path scenarios that must
 //! allocate **0 B per step** once warm, at a thread budget of one.
 //!
 //! Each scenario builds its state, runs `warmup` unmeasured steps so every
@@ -25,7 +25,6 @@ use skiptrain_engine::{
     LatencyModel, ModelCodec, RoundAction, RoundSemantics, Simulation, SimulationConfig,
     TransportKind, BASE_TRAIN_TICKS,
 };
-use skiptrain_linalg::compress::{compress_with_feedback_top_k, FeedbackScratch};
 use skiptrain_linalg::Matrix;
 use skiptrain_nn::sgd::SgdConfig;
 use skiptrain_nn::zoo::ModelKind;
@@ -50,7 +49,7 @@ struct Pin {
     build: fn() -> Step,
 }
 
-const PINS: [Pin; 12] = [
+const PINS: [Pin; 11] = [
     Pin {
         name: "sgd_step_mlp_medium_90k",
         warmup: 10,
@@ -86,12 +85,6 @@ const PINS: [Pin; 12] = [
         warmup: 5,
         steps: 10,
         build: || codec_roundtrip(ModelCodec::QuantizedU16),
-    },
-    Pin {
-        name: "topk_feedback",
-        warmup: 5,
-        steps: 10,
-        build: topk_feedback,
     },
     Pin {
         name: "dynamic_topology_round",
@@ -224,38 +217,6 @@ fn codec_roundtrip(codec: ModelCodec) -> Step {
         encode_message_with(codec, 3, 7, &params, &mut frame, &mut encode_scratch);
         let decoded = decode_frame_into(&frame, &mut decode_scratch).expect("frame must decode");
         black_box(&decoded);
-    })
-}
-
-/// The per-link hot path of CHOCO-SGD error feedback at the CIFAR-10
-/// model size and the `ext_compression` default kept fraction (1/16):
-/// residual accumulation + top-k selection over the residual + replica
-/// fold-back, through reusable buffers.
-fn topk_feedback() -> Step {
-    let mut model = table1_params();
-    let k = model.len() / 16;
-    let mut replica = vec![0.0f32; model.len()];
-    let mut scratch = FeedbackScratch::default();
-    let (mut indices, mut values) = (Vec::new(), Vec::new());
-    let mut round = 0usize;
-    Box::new(move || {
-        // drift a rotating handful of coordinates in place so the
-        // residual never collapses to zero across steps
-        round = round.wrapping_add(1);
-        let len = model.len();
-        for d in 0..8 {
-            model[(round * 97 + d * 131) % len] += 1e-3;
-        }
-        compress_with_feedback_top_k(
-            &model,
-            &mut replica,
-            1.0,
-            k,
-            &mut scratch,
-            &mut indices,
-            &mut values,
-        );
-        black_box((&replica, &indices, &values));
     })
 }
 

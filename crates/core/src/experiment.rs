@@ -100,9 +100,7 @@ impl TopologySpec {
 /// [`TopologySchedule`](skiptrain_topology::TopologySchedule): every
 /// variant here maps onto the topology-layer enum with per-schedule seeds
 /// chained from the experiment's master seed ([`derive_seed`]), so two
-/// schedules in one experiment never share a random stream. The
-/// programmatic `Custom` generator (a trait object) deliberately has no
-/// configuration form — drive it through the engine API directly.
+/// schedules in one experiment never share a random stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub enum TopologyScheduleSpec {
     /// The configured topology every round (the paper's static setting,
@@ -1136,24 +1134,18 @@ impl ExperimentConfig {
                 algorithm: self.algorithm.name().to_string(),
             });
         }
-        // Budgeted policies carry the per-node training cost so their
-        // trackers report Wh-consistent views of the integer τ budgets.
         Ok(match &self.algorithm {
             AlgorithmSpec::DPsgd => Box::new(DPsgdPolicy),
             AlgorithmSpec::SkipTrain(schedule) => Box::new(SkipTrainPolicy::new(*schedule)),
-            AlgorithmSpec::SkipTrainConstrained(schedule) => {
-                Box::new(ConstrainedPolicy::with_round_costs(
-                    *schedule,
-                    self.energy.node_budgets(self.nodes),
-                    self.energy.node_energies(self.nodes),
-                    self.rounds,
-                    derive_seed(self.seed, 0x70C1),
-                ))
-            }
-            AlgorithmSpec::Greedy => Box::new(GreedyPolicy::with_round_costs(
+            AlgorithmSpec::SkipTrainConstrained(schedule) => Box::new(ConstrainedPolicy::new(
+                *schedule,
                 self.energy.node_budgets(self.nodes),
-                self.energy.node_energies(self.nodes),
+                self.rounds,
+                derive_seed(self.seed, 0x70C1),
             )),
+            AlgorithmSpec::Greedy => {
+                Box::new(GreedyPolicy::new(self.energy.node_budgets(self.nodes)))
+            }
             AlgorithmSpec::AsyncGossip { activation_prob } => {
                 Box::new(AsyncGossipPolicy::new(*activation_prob, self.seed))
             }

@@ -93,38 +93,12 @@ pub struct ConstrainedPolicy {
 impl ConstrainedPolicy {
     /// Creates the policy. `budgets[i]` is node i's training-round budget
     /// τ_i; probabilities follow Eq. 5 with `T_train` from Eq. 4.
-    ///
-    /// The tracker counts unit-less rounds; prefer
-    /// [`ConstrainedPolicy::with_round_costs`] so the consumed budget is
-    /// also reported in watt-hours, consistent with the energy ledger.
     pub fn new(schedule: Schedule, budgets: Vec<u32>, total_rounds: usize, seed: u64) -> Self {
         let probabilities = training_probabilities(&budgets, &schedule, total_rounds);
         Self {
             schedule,
             probabilities,
             budget: BudgetTracker::new(budgets),
-            seed,
-        }
-    }
-
-    /// Like [`ConstrainedPolicy::new`], but bridges the integer budgets to
-    /// watt-hours: `round_cost_wh[i]` is node i's per-round training
-    /// energy, so [`ConstrainedPolicy::budget`] reports Wh views
-    /// (`remaining_wh`, `consumed_wh`) consistent with the energy ledger.
-    /// Decisions are identical to `new` — the u32 counters stay
-    /// authoritative.
-    pub fn with_round_costs(
-        schedule: Schedule,
-        budgets: Vec<u32>,
-        round_cost_wh: Vec<f64>,
-        total_rounds: usize,
-        seed: u64,
-    ) -> Self {
-        let probabilities = training_probabilities(&budgets, &schedule, total_rounds);
-        Self {
-            schedule,
-            probabilities,
-            budget: BudgetTracker::with_round_costs(budgets, round_cost_wh),
             seed,
         }
     }
@@ -180,22 +154,10 @@ pub struct GreedyPolicy {
 }
 
 impl GreedyPolicy {
-    /// Creates the policy from per-node budgets (unit-less round counts;
-    /// prefer [`GreedyPolicy::with_round_costs`] for Wh-consistent
-    /// reporting).
+    /// Creates the policy from per-node budgets (round counts).
     pub fn new(budgets: Vec<u32>) -> Self {
         Self {
             budget: BudgetTracker::new(budgets),
-        }
-    }
-
-    /// Like [`GreedyPolicy::new`], but bridges the integer budgets to
-    /// watt-hours via each node's per-round training cost; decisions are
-    /// identical, and [`GreedyPolicy::budget`] gains Wh views consistent
-    /// with the energy ledger.
-    pub fn with_round_costs(budgets: Vec<u32>, round_cost_wh: Vec<f64>) -> Self {
-        Self {
-            budget: BudgetTracker::with_round_costs(budgets, round_cost_wh),
         }
     }
 
@@ -377,47 +339,6 @@ mod tests {
         for (t, h) in history.iter().enumerate() {
             assert_eq!(h[0] == RoundAction::Train, t < 2, "node 0 at round {t}");
             assert_eq!(h[1] == RoundAction::Train, t < 4, "node 1 at round {t}");
-        }
-    }
-
-    #[test]
-    fn cost_carrying_policies_decide_identically_and_report_wh() {
-        // the Wh bridge is bookkeeping only: decisions must be bit-equal
-        let budgets = vec![3u32, 10, 0];
-        let costs = vec![0.5f64, 0.25, 1.0];
-        let mut plain = GreedyPolicy::new(budgets.clone());
-        let mut costed = GreedyPolicy::with_round_costs(budgets, costs);
-        let mut a1 = vec![RoundAction::SyncOnly; 3];
-        let mut a2 = vec![RoundAction::SyncOnly; 3];
-        for t in 0..6 {
-            plain.decide(t, &mut a1);
-            costed.decide(t, &mut a2);
-            assert_eq!(a1, a2, "round {t} diverged");
-        }
-        assert!(plain.budget().total_consumed_wh().is_none());
-        let wh = costed.budget().total_consumed_wh().unwrap();
-        assert!(
-            (wh - (3.0 * 0.5 + 6.0 * 0.25)).abs() < 1e-12,
-            "greedy spent {wh} Wh"
-        );
-
-        let schedule = Schedule::new(1, 0);
-        let mut c_plain = ConstrainedPolicy::new(schedule, vec![4, 4], 8, 11);
-        let mut c_costed =
-            ConstrainedPolicy::with_round_costs(schedule, vec![4, 4], vec![0.1, 0.2], 8, 11);
-        let mut b1 = vec![RoundAction::SyncOnly; 2];
-        let mut b2 = vec![RoundAction::SyncOnly; 2];
-        for t in 0..8 {
-            c_plain.decide(t, &mut b1);
-            c_costed.decide(t, &mut b2);
-            assert_eq!(b1, b2, "round {t} diverged");
-        }
-        assert!(c_plain.budget().total_consumed_wh().is_none());
-        assert!(c_costed.budget().has_wh_bridge());
-        for node in 0..2 {
-            let by_count = c_costed.budget().consumed(node) as f64
-                * c_costed.budget().round_cost_wh(node).unwrap();
-            assert!((c_costed.budget().consumed_wh(node).unwrap() - by_count).abs() < 1e-12);
         }
     }
 

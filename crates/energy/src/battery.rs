@@ -360,11 +360,6 @@ impl ParticipationState {
             self.credit.resize(n, 0.0);
         }
     }
-
-    /// True if `node` is currently latched off by a hysteresis policy.
-    pub fn is_suspended(&self, node: usize) -> bool {
-        self.suspended[node]
-    }
 }
 
 /// Everything the engine needs to run a battery-gated simulation: the

@@ -9,18 +9,10 @@
 //!
 //! The paper defines budgets as *integer round counts* (τ of §4.2), and
 //! exact integer semantics are what keep the Table 2 budget tests exact —
-//! so the `u32` counters remain authoritative here. They are, however,
-//! unit-inconsistent with the Wh-denominated [`crate::ledger::EnergyLedger`]:
-//! τ rounds mean different energy on different devices. The bridge is
-//! [`BudgetTracker::with_round_costs`], which attaches each node's
-//! per-round training cost and mirrors every consume into an embedded
-//! [`BatteryState`] (capacity `τ_i · c_i`, no harvest), giving Wh-valued
-//! views ([`BudgetTracker::remaining_wh`], [`BudgetTracker::consumed_wh`])
-//! that stay consistent with the integer counts by construction. Trackers
-//! built with the legacy [`BudgetTracker::new`] carry no cost information
-//! and report no Wh view — they count unit-less rounds, as before.
+//! so the tracker holds `u32` counters and nothing else. τ rounds mean
+//! different energy on different devices; what they cost in Wh is the
+//! [`crate::ledger::EnergyLedger`]'s to say, the one Wh authority of a run.
 
-use crate::battery::BatteryState;
 use serde::{Deserialize, Serialize};
 
 /// Tracks remaining training rounds per node.
@@ -28,67 +20,14 @@ use serde::{Deserialize, Serialize};
 pub struct BudgetTracker {
     initial: Vec<u32>,
     remaining: Vec<u32>,
-    /// Per-node training cost per round, Wh (empty for unit-less trackers).
-    #[serde(default)]
-    round_cost_wh: Vec<f64>,
-    /// Wh mirror of the integer counters, when costs are known.
-    #[serde(default)]
-    wh: Option<BatteryState>,
 }
 
 impl BudgetTracker {
     /// Creates a tracker from per-node budgets τ.
-    ///
-    /// The budgets are unit-less round counts; use
-    /// [`BudgetTracker::with_round_costs`] to attach Wh semantics.
     pub fn new(budgets: Vec<u32>) -> Self {
         Self {
             remaining: budgets.clone(),
             initial: budgets,
-            round_cost_wh: Vec::new(),
-            wh: None,
-        }
-    }
-
-    /// Creates a tracker whose integer budgets are bridged to watt-hours:
-    /// `round_cost_wh[i]` is node `i`'s per-round training energy, so the
-    /// node's budget is worth `τ_i · c_i` Wh, drained `c_i` per consumed
-    /// round through an embedded [`BatteryState`] (no harvest).
-    ///
-    /// # Panics
-    /// Panics if the two vectors disagree in length or any cost is
-    /// non-finite or negative. A node with `τ_i = 0` or zero cost is
-    /// representable (its Wh view is simply empty from the start).
-    pub fn with_round_costs(budgets: Vec<u32>, round_cost_wh: Vec<f64>) -> Self {
-        assert_eq!(
-            budgets.len(),
-            round_cost_wh.len(),
-            "one round cost per node required"
-        );
-        assert!(
-            round_cost_wh.iter().all(|c| c.is_finite() && *c >= 0.0),
-            "round costs must be non-negative and finite"
-        );
-        // BatteryState requires positive capacities; an exhausted or free
-        // node still needs a slot, so floor capacity at a tiny epsilon and
-        // charge it with the true Wh budget.
-        let capacity: Vec<f64> = budgets
-            .iter()
-            .zip(&round_cost_wh)
-            .map(|(&t, &c)| (t as f64 * c).max(f64::MIN_POSITIVE))
-            .collect();
-        let mut wh = BatteryState::new(capacity);
-        // nodes with zero budget start with their (epsilon) charge burned
-        for (i, &budget) in budgets.iter().enumerate() {
-            if budget == 0 {
-                wh.drain_all(i);
-            }
-        }
-        Self {
-            remaining: budgets.clone(),
-            initial: budgets,
-            round_cost_wh,
-            wh: Some(wh),
         }
     }
 
@@ -126,9 +65,6 @@ impl BudgetTracker {
     pub fn try_consume(&mut self, node: usize) -> bool {
         if self.remaining[node] > 0 {
             self.remaining[node] -= 1;
-            if let Some(wh) = &mut self.wh {
-                wh.drain(node, self.round_cost_wh[node]);
-            }
             true
         } else {
             false
@@ -151,44 +87,6 @@ impl BudgetTracker {
             return 0.0;
         }
         self.remaining.iter().filter(|&&r| r == 0).count() as f64 / self.len() as f64
-    }
-
-    /// True when this tracker carries Wh semantics (built via
-    /// [`BudgetTracker::with_round_costs`]).
-    pub fn has_wh_bridge(&self) -> bool {
-        self.wh.is_some()
-    }
-
-    /// Per-round training cost of `node`, Wh (`None` for unit-less
-    /// trackers).
-    pub fn round_cost_wh(&self, node: usize) -> Option<f64> {
-        self.round_cost_wh.get(node).copied()
-    }
-
-    /// Wh worth of `node`'s initial budget (`τ_i · c_i`); `None` for
-    /// unit-less trackers.
-    pub fn initial_wh(&self, node: usize) -> Option<f64> {
-        self.round_cost_wh
-            .get(node)
-            .map(|c| self.initial[node] as f64 * c)
-    }
-
-    /// Wh still available to `node`; `None` for unit-less trackers.
-    pub fn remaining_wh(&self, node: usize) -> Option<f64> {
-        self.round_cost_wh
-            .get(node)
-            .map(|c| self.remaining[node] as f64 * c)
-    }
-
-    /// Wh consumed by `node` so far (as drained through the embedded
-    /// battery view); `None` for unit-less trackers.
-    pub fn consumed_wh(&self, node: usize) -> Option<f64> {
-        self.wh.as_ref().map(|wh| wh.node_drained_wh(node))
-    }
-
-    /// Sum of Wh consumed over all nodes; `None` for unit-less trackers.
-    pub fn total_consumed_wh(&self) -> Option<f64> {
-        self.wh.as_ref().map(|wh| wh.total_drained_wh())
     }
 }
 
@@ -227,54 +125,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_tracker_has_no_wh_view() {
-        let t = BudgetTracker::new(vec![5]);
-        assert!(!t.has_wh_bridge());
-        assert_eq!(t.remaining_wh(0), None);
-        assert_eq!(t.consumed_wh(0), None);
-        assert_eq!(t.total_consumed_wh(), None);
-    }
-
-    #[test]
-    fn wh_bridge_mirrors_integer_consumption() {
-        let mut t = BudgetTracker::with_round_costs(vec![3, 2], vec![0.5, 0.25]);
-        assert!(t.has_wh_bridge());
-        assert_eq!(t.initial_wh(0), Some(1.5));
-        assert_eq!(t.initial_wh(1), Some(0.5));
-        t.try_consume(0);
-        t.try_consume(1);
-        t.try_consume(1);
-        assert!(!t.try_consume(1), "integer semantics stay authoritative");
-        assert!((t.consumed_wh(0).unwrap() - 0.5).abs() < 1e-12);
-        assert!((t.consumed_wh(1).unwrap() - 0.5).abs() < 1e-12);
-        assert!((t.remaining_wh(0).unwrap() - 1.0).abs() < 1e-12);
-        assert_eq!(t.remaining_wh(1), Some(0.0));
-        assert!((t.total_consumed_wh().unwrap() - 1.0).abs() < 1e-12);
-        // Wh view always equals count × cost — consistent by construction
-        for i in 0..2 {
-            let by_count = t.consumed(i) as f64 * t.round_cost_wh(i).unwrap();
-            assert!((t.consumed_wh(i).unwrap() - by_count).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn wh_bridge_handles_zero_budgets_and_free_nodes() {
-        let mut t = BudgetTracker::with_round_costs(vec![0, 4], vec![0.3, 0.0]);
-        assert!(!t.try_consume(0));
-        assert_eq!(t.remaining_wh(0), Some(0.0));
-        // a zero-cost node trains for free in Wh terms
-        assert!(t.try_consume(1));
-        assert_eq!(t.consumed_wh(1), Some(0.0));
-    }
-
-    #[test]
     fn legacy_json_without_wh_fields_stays_loadable() {
-        // the pre-bridge wire shape: only the integer counters
+        // the wire shape is the integer counters, as before the Wh mirror
         let json = r#"{"initial":[4,2],"remaining":[3,0]}"#;
         let t: BudgetTracker = serde_json::from_str(json).unwrap();
         assert_eq!(t.initial(0), 4);
         assert_eq!(t.remaining(1), 0);
-        assert!(!t.has_wh_bridge());
-        assert_eq!(t.remaining_wh(0), None);
+        assert_eq!(serde_json::to_string(&t).unwrap(), json);
     }
 }

@@ -175,76 +175,6 @@ impl EnergyLedger {
     pub fn rounds(&self) -> usize {
         self.round_totals_wh.len()
     }
-
-    /// Merges another ledger (e.g. from a parallel shard) into this one.
-    ///
-    /// Every axis merges exactly once — per-node training/comm energy,
-    /// tx/rx byte counters, the cumulative per-round series, and any
-    /// still-open round energy — so an observer attached to a merged
-    /// ledger sees each recorded event exactly once (no double counting,
-    /// and no silently dropped series: an earlier version forgot
-    /// `round_totals_wh`/`open_round_wh`, leaving `cumulative_by_round`
-    /// stale after a merge). A shard that closed fewer rounds contributes
-    /// its final cumulative total to the remaining rounds — its energy
-    /// stopped growing there.
-    ///
-    /// # Panics
-    /// Panics if node counts differ.
-    pub fn merge(&mut self, other: &EnergyLedger) {
-        assert_eq!(self.len(), other.len(), "ledger size mismatch");
-        for (a, b) in self.training_wh.iter_mut().zip(&other.training_wh) {
-            *a += b;
-        }
-        for (a, b) in self.comm_wh.iter_mut().zip(&other.comm_wh) {
-            *a += b;
-        }
-        for (a, b) in self.tx_bytes.iter_mut().zip(&other.tx_bytes) {
-            *a += b;
-        }
-        for (a, b) in self.rx_bytes.iter_mut().zip(&other.rx_bytes) {
-            *a += b;
-        }
-        let rounds = self.round_totals_wh.len().max(other.round_totals_wh.len());
-        let tail = |series: &[f64]| series.last().copied().unwrap_or(0.0);
-        let merged: Vec<f64> = (0..rounds)
-            .map(|r| {
-                let a = self
-                    .round_totals_wh
-                    .get(r)
-                    .copied()
-                    .unwrap_or_else(|| tail(&self.round_totals_wh));
-                let b = other
-                    .round_totals_wh
-                    .get(r)
-                    .copied()
-                    .unwrap_or_else(|| tail(&other.round_totals_wh));
-                a + b
-            })
-            .collect();
-        self.round_totals_wh = merged;
-        // Round stamps merge as the elementwise max (a merged round is
-        // closed once the last shard closed it); a shard with fewer
-        // stamped rounds holds its final stamp — its clock stopped there.
-        let tick_rounds = self.round_end_ticks.len().max(other.round_end_ticks.len());
-        let tick_tail = |series: &[u64]| series.last().copied().unwrap_or(0);
-        let merged_ticks: Vec<u64> = (0..tick_rounds)
-            .map(|r| {
-                let a = self
-                    .round_end_ticks
-                    .get(r)
-                    .copied()
-                    .unwrap_or_else(|| tick_tail(&self.round_end_ticks));
-                let b = other
-                    .round_end_ticks
-                    .get(r)
-                    .copied()
-                    .unwrap_or_else(|| tick_tail(&other.round_end_ticks));
-                a.max(b)
-            })
-            .collect();
-        self.round_end_ticks = merged_ticks;
-        self.open_round_wh += other.open_round_wh;
-    }
 }
 
 #[cfg(test)]
@@ -277,18 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_per_node() {
-        let mut a = EnergyLedger::new(2);
-        a.record_training(0, 1.0);
-        let mut b = EnergyLedger::new(2);
-        b.record_training(0, 2.0);
-        b.record_comm(1, 3.0);
-        a.merge(&b);
-        assert_eq!(a.node_training_wh(0), 3.0);
-        assert_eq!(a.node_comm_wh(1), 3.0);
-    }
-
-    #[test]
     fn tx_rx_events_accumulate_bytes_and_energy() {
         let comm = CommEnergyModel::paper_fit();
         let mut l = EnergyLedger::new(2);
@@ -306,116 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_byte_counters() {
-        let comm = CommEnergyModel::paper_fit();
-        let mut a = EnergyLedger::new(2);
-        a.record_tx(0, 10, &comm);
-        let mut b = EnergyLedger::new(2);
-        b.record_tx(0, 5, &comm);
-        b.record_rx(1, 7, &comm);
-        a.merge(&b);
-        assert_eq!(a.node_tx_bytes(0), 15);
-        assert_eq!(a.node_rx_bytes(1), 7);
-    }
-
-    #[test]
-    fn merged_shard_ledgers_equal_single_run_bit_for_bit() {
-        // Issue-4 satellite audit: shard a known per-message event stream
-        // by node (each node's events live in exactly one shard, order
-        // preserved) and verify the merged 2-shard ledger equals the
-        // single-run ledger bit for bit on every axis an observer can
-        // read. The radio rates are chosen so every recorded Wh value is
-        // dyadic (bytes/4 and bytes/8), making all f64 sums exact
-        // regardless of association — bitwise equality is then a
-        // statement about merge semantics, not float luck.
-        let comm = CommEnergyModel {
-            tx_joules_per_byte: 0.25 * 3600.0,
-            rx_joules_per_byte: 0.125 * 3600.0,
-        };
-        let n = 4;
-        let mut single = EnergyLedger::new(n);
-        let mut shard_a = EnergyLedger::new(n);
-        let mut shard_b = EnergyLedger::new(n);
-        for round in 0..3u64 {
-            for node in 0..n {
-                let shard = if node < 2 { &mut shard_a } else { &mut shard_b };
-                let train = 0.25 * (node as f64 + 1.0) * (round as f64 + 1.0);
-                single.record_training(node, train);
-                shard.record_training(node, train);
-                let bytes = 512 * (node as u64 + 1) + round;
-                single.record_tx(node, bytes, &comm);
-                shard.record_tx(node, bytes, &comm);
-                if node != 0 {
-                    single.record_rx(node, bytes / 2, &comm);
-                    shard.record_rx(node, bytes / 2, &comm);
-                }
-            }
-            single.end_round();
-            shard_a.end_round();
-            shard_b.end_round();
-        }
-        // leave one round open in every ledger to cover open_round_wh
-        single.record_training(1, 0.125);
-        shard_a.record_training(1, 0.125);
-
-        let mut merged = shard_a.clone();
-        merged.merge(&shard_b);
-        for node in 0..n {
-            assert_eq!(
-                merged.node_training_wh(node).to_bits(),
-                single.node_training_wh(node).to_bits(),
-                "training node {node}"
-            );
-            assert_eq!(
-                merged.node_comm_wh(node).to_bits(),
-                single.node_comm_wh(node).to_bits(),
-                "comm node {node}"
-            );
-            assert_eq!(merged.node_tx_bytes(node), single.node_tx_bytes(node));
-            assert_eq!(merged.node_rx_bytes(node), single.node_rx_bytes(node));
-        }
-        assert_eq!(merged.rounds(), single.rounds());
-        for (r, (a, b)) in merged
-            .cumulative_by_round()
-            .iter()
-            .zip(single.cumulative_by_round())
-            .enumerate()
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "cumulative round {r}");
-        }
-        assert_eq!(merged.total_wh().to_bits(), single.total_wh().to_bits());
-        // closing the open round lands on the same cumulative point too
-        merged.end_round();
-        single.end_round();
-        assert_eq!(
-            merged.cumulative_by_round().last().unwrap().to_bits(),
-            single.cumulative_by_round().last().unwrap().to_bits()
-        );
-    }
-
-    #[test]
-    fn merge_pads_shorter_round_series_with_its_final_total() {
-        let mut a = EnergyLedger::new(1);
-        a.record_training(0, 1.0);
-        a.end_round();
-        a.record_training(0, 2.0);
-        a.end_round(); // a: [1, 3]
-        let mut b = EnergyLedger::new(1);
-        b.record_training(0, 4.0);
-        b.end_round(); // b: [4]
-        a.merge(&b);
-        // b's energy stopped growing after its round 1
-        assert_eq!(a.cumulative_by_round(), &[5.0, 7.0]);
-        let mut c = EnergyLedger::new(1);
-        c.record_training(0, 8.0);
-        c.end_round();
-        c.end_round(); // c: [8, 8]
-        let mut d = EnergyLedger::new(1);
-        d.merge(&c); // merging into a fresh ledger adopts the series
-        assert_eq!(d.cumulative_by_round(), &[8.0, 8.0]);
-    }
-
-    #[test]
     fn round_stamps_default_to_one_tick_per_round() {
         let mut l = EnergyLedger::new(1);
         l.end_round();
@@ -426,31 +234,19 @@ mod tests {
     }
 
     #[test]
-    fn timestamped_closes_keep_conservation_and_merge_as_max() {
+    fn timestamped_closes_keep_conservation() {
         let mut a = EnergyLedger::new(1);
         a.record_training(0, 1.0);
         a.end_round_at(100);
         a.record_training(0, 2.0);
         a.end_round_at(250);
-        let mut b = EnergyLedger::new(1);
-        b.record_training(0, 4.0);
-        b.end_round_at(180);
-        a.merge(&b);
-        // stamps are metadata: the energy series merges exactly as before
-        assert_eq!(a.cumulative_by_round(), &[5.0, 7.0]);
-        assert_eq!(a.round_end_ticks(), &[180, 250]);
+        // stamps are metadata over the same energy sums
+        assert_eq!(a.cumulative_by_round(), &[1.0, 3.0]);
+        assert_eq!(a.round_end_ticks(), &[100, 250]);
         assert_eq!(
             *a.cumulative_by_round().last().unwrap(),
             a.total_wh(),
             "cumulative series stays conservation-exact under stamping"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn merge_rejects_size_mismatch() {
-        let mut a = EnergyLedger::new(2);
-        let b = EnergyLedger::new(3);
-        a.merge(&b);
     }
 }

@@ -20,7 +20,7 @@
 //! Modules: [`device`] (profiles), [`trace`] (the pipeline above, plus
 //! energy-harvesting traces), [`comm`] (communication energy, §1's 200×
 //! claim), [`ledger`] (per-node accounting, Eq. 3), [`budget`]
-//! (constrained-setting budget tracking, bridged to Wh) and [`battery`]
+//! (constrained-setting budget tracking, in integer rounds) and [`battery`]
 //! (per-node charge state machines and participation policies).
 //!
 //! # The battery feedback loop

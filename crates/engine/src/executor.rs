@@ -183,10 +183,9 @@ pub struct Simulation {
     nodes: Vec<Node>,
     graph: Graph,
     mixing: MixingMatrix,
-    /// Committed models `x^t`, one flat vector per node.
+    /// One flat vector per node: the committed models `x^t`, and from the
+    /// compute pass to the commit swap the half-step models `x^{t−½}`.
     params: Vec<Vec<f32>>,
-    /// Half-step models `x^{t−½}` produced by the local-compute phase.
-    half: Vec<Vec<f32>>,
     /// Aggregation output buffers (swapped into `params` at round end).
     next: Vec<Vec<f32>>,
     ledger: EnergyLedger,
@@ -279,7 +278,6 @@ impl Simulation {
         let num_classes = models[0].output_dim();
 
         let params: Vec<Vec<f32>> = models.iter().map(|m| m.flat_params()).collect();
-        let half = params.clone();
         let next = params.clone();
         let nodes: Vec<Node> = models
             .into_iter()
@@ -315,7 +313,6 @@ impl Simulation {
             plan: RoundPlan::new(n, edges, param_count, &config.compression),
             mixing,
             params,
-            half,
             next,
             ledger: EnergyLedger::new(n),
             round: 0,
@@ -497,7 +494,7 @@ impl Simulation {
     /// and mixing (the round closes on the slowest participant; only an
     /// edge that fires can be late) → **resolve** (late edges become
     /// `Late` plan rows, degrading like drops) → compute → share/aggregate
-    /// → γ blend → commit → account → battery settle.
+    /// → γ blend → account → commit → battery settle.
     ///
     /// With every node taking part the gated inputs equal the caller's bit
     /// for bit, and under barrier timing (or deadline timing at zero
@@ -557,38 +554,31 @@ impl Simulation {
         self.compute();
         self.share_aggregate();
         self.blend_consensus_gamma();
-        std::mem::swap(&mut self.params, &mut self.next);
         self.account(round_end);
+        std::mem::swap(&mut self.params, &mut self.next);
         self.round += 1;
         self.gate.settle(&self.ledger);
         Ok(())
     }
 
-    /// Local compute (parallel over nodes): each node trains `E` local
-    /// steps into `x^{t−½}` or, sync-only, *swaps* its committed model in
-    /// as `x^{t−½}` — no byte moves, and the stale buffer left in `params`
-    /// is never read (later passes read `half`; the commit swaps in `next`,
-    /// which every aggregate kernel overwrites whole). Losses land in
-    /// reusable slots — no per-round collection.
+    /// Local compute (parallel over nodes): a training node runs `E` local
+    /// steps on `params[i]` in place, `x^t` → `x^{t−½}`; a sync-only node's
+    /// `x^{t−½}` *is* its `x^t`, so it does nothing. Every later pass up to
+    /// the commit swap reads `params` as the half-step models. Losses land
+    /// in reusable slots — no per-round collection.
     fn compute(&mut self) {
         let local_steps = self.config.local_steps;
         self.nodes
             .par_iter_mut()
-            .zip(self.half.par_iter_mut())
             .zip(self.loss_scratch.par_iter_mut())
             .zip(self.params.par_iter_mut())
             .zip(self.gate.actions.par_iter())
-            .for_each(
-                |((((node, half_i), loss_i), params_i), action)| match action {
-                    RoundAction::Train => {
-                        *loss_i = Some(node.train_local(params_i, local_steps, half_i));
-                    }
-                    RoundAction::SyncOnly => {
-                        std::mem::swap(params_i, half_i);
-                        *loss_i = None;
-                    }
-                },
-            );
+            .for_each(|(((node, loss_i), params_i), action)| {
+                *loss_i = match action {
+                    RoundAction::Train => Some(node.train_in_place(params_i, local_steps)),
+                    RoundAction::SyncOnly => None,
+                };
+            });
         let (loss_sum, trained) = self
             .loss_scratch
             .iter()
@@ -617,7 +607,7 @@ impl Simulation {
     /// Shared payload: every sender's message is carried once into its own
     /// wire scratch, then each receiver reads its delivered in-edges from
     /// there. On the in-memory transport the lossless codec has nothing to
-    /// carry and receivers read the half-step models directly.
+    /// carry and receivers read the half-step models (`params`) directly.
     ///
     /// * sparse (top-k) — `row_sum · own`, then a masked blend per
     ///   delivered row;
@@ -628,7 +618,7 @@ impl Simulation {
     ///   sender's tile leaves memory once per block, not once per reader.
     fn aggregate_shared(&mut self, codec: ModelCodec) {
         let plan = &self.plan;
-        let half = &self.half;
+        let half = &self.params;
         let transport = self.config.transport;
         let round = self.round;
         let direct = matches!(transport, TransportKind::Memory) && codec.is_lossless();
@@ -697,7 +687,7 @@ impl Simulation {
     /// parallel loop mutates disjoint state.
     fn aggregate_per_edge(&mut self) {
         let plan = &self.plan;
-        let half = &self.half;
+        let half = &self.params;
         let transport = self.config.transport;
         let round = self.round;
         let (beta, cap) = self
@@ -770,10 +760,9 @@ impl Simulation {
         if gamma == 1.0 {
             return;
         }
-        let half = &self.half;
         self.next
             .par_iter_mut()
-            .zip(half.par_iter())
+            .zip(self.params.par_iter())
             .for_each(|(out, base)| {
                 for (o, &b) in out.iter_mut().zip(base.iter()) {
                     *o = b + gamma * (*o - b);
@@ -829,7 +818,7 @@ impl Simulation {
             &mut self.scratch[src].wire
         } else {
             let wire = &mut self.scratch[dst].wire;
-            let model = &self.half[src];
+            let model = &self.params[src];
             encode_message_with(
                 row.codec,
                 row.src,
@@ -1544,7 +1533,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_only_compute_swaps_buffers_and_masked_nodes_keep_their_model() {
+    fn sync_only_compute_moves_nothing_and_masked_nodes_keep_their_model() {
         let n = 6;
         let (mut sim, _) = tiny_sim(n, 21, TransportKind::Memory);
         sim.run_round(&vec![RoundAction::Train; n]);
@@ -1552,9 +1541,9 @@ mod tests {
         let models: Vec<Vec<f32>> = sim.params.clone();
         sim.gate.actions.fill(RoundAction::SyncOnly);
         sim.compute();
-        for (i, half) in sim.half.iter().enumerate() {
-            assert_eq!(half.as_ptr(), committed[i], "node {i}: copied, not swapped");
-            assert_eq!(half, &models[i]);
+        for (i, half) in sim.params.iter().enumerate() {
+            assert_eq!(half.as_ptr(), committed[i], "node {i}: buffer moved");
+            assert_eq!(bits(half), bits(&models[i]), "node {i}: model rewritten");
         }
         // a full all-sync round in which node 2 is masked out (identity row)
         let (mut sim, _) = tiny_sim(n, 21, TransportKind::Memory);

@@ -84,10 +84,11 @@
 //!    costs no energy and no virtual time, and the engine's late counter
 //!    is exactly the number of `Late` rows.
 //! 2. **compute** — each node either trains `E` local SGD steps on its
-//!    private dataset into the half-step model `x^{t−½}` (a *training*
-//!    round) or leaves its model untouched (a *synchronization* round):
-//!    its committed buffer is *swapped* in as `x^{t−½}`, not copied, so a
-//!    sync-only node moves no byte here;
+//!    private dataset, turning its model buffer from `x^t` into the
+//!    half-step model `x^{t−½}` in place (a *training* round), or does
+//!    nothing (a *synchronization* round): its `x^{t−½}` is its `x^t`.
+//!    A node's model sits in two round buffers, this one and the
+//!    aggregation output the round commits by swapping the two;
 //! 3. **share + aggregate** — every `Delivered` row carries the sender's
 //!    `x^{t−½}` through the [`transport`](transport::TransportKind)
 //!    (in-memory kernels, or a full encode → decode of the wire frame)

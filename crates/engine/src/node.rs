@@ -82,16 +82,11 @@ impl Node {
         &mut self.model
     }
 
-    /// Runs `local_steps` SGD steps starting from `params_in`, writing the
-    /// updated flat parameters to `params_out` (Lines 8–10 of Algorithm 2).
+    /// Runs `local_steps` SGD steps on `params` in place: `x^t` goes in,
+    /// `x^{t−½}` comes out in the same buffer (Lines 8–10 of Algorithm 2).
     /// Returns the mean training loss across the steps.
-    pub fn train_local(
-        &mut self,
-        params_in: &[f32],
-        local_steps: usize,
-        params_out: &mut Vec<f32>,
-    ) -> f32 {
-        self.model.load_params(params_in);
+    pub fn train_in_place(&mut self, params: &mut Vec<f32>, local_steps: usize) -> f32 {
+        self.model.load_params(params);
         let mut loss_sum = 0.0f64;
         for _ in 0..local_steps {
             self.sampler.sample_into(&mut self.batch_idx);
@@ -107,8 +102,21 @@ impl Node {
             self.sgd.step(&mut self.model);
             loss_sum += loss_value as f64;
         }
-        self.model.copy_params_to(params_out);
+        self.model.copy_params_to(params);
         (loss_sum / local_steps.max(1) as f64) as f32
+    }
+
+    /// [`Node::train_in_place`] on a copy: `params_out` becomes `params_in`,
+    /// then trains. Kept for the benchmark's probes.
+    pub fn train_local(
+        &mut self,
+        params_in: &[f32],
+        local_steps: usize,
+        params_out: &mut Vec<f32>,
+    ) -> f32 {
+        params_out.clear();
+        params_out.extend_from_slice(params_in);
+        self.train_in_place(params_out, local_steps)
     }
 
     /// Evaluates accuracy and loss of `params` on the given samples.
@@ -190,6 +198,22 @@ mod tests {
         a.train_local(&params, 3, &mut out_a);
         b.train_local(&params, 3, &mut out_b);
         assert_eq!(out_a, out_b);
+    }
+
+    #[test]
+    fn train_in_place_equals_train_local_bitwise() {
+        let (mut a, p0) = small_node(5);
+        let (mut b, _) = small_node(5);
+        let mut p = p0.clone();
+        let mut out = Vec::new();
+        let loss_in_place = a.train_in_place(&mut p, 4);
+        let loss_local = b.train_local(&p0, 4, &mut out);
+        assert_eq!(loss_in_place.to_bits(), loss_local.to_bits());
+        assert_ne!(p, p0);
+        assert_eq!(p.len(), out.len());
+        for (k, (x, y)) in p.iter().zip(&out).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "parameter {k}");
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! * **Top-k selection** returns the indices of the `k` largest-magnitude
 //!   entries (deterministic tie-break: lower index wins), sorted ascending
 //!   so downstream scatter kernels stream through memory in order.
-//! * **Error feedback** (`compress_with_feedback_*`) maintains a per-link
+//! * **Error feedback** ([`accumulate_delta`], then [`scatter_axpy`] or a
+//!   dense `axpy`, composed around the wire codec by the engine's
+//!   per-edge aggregation) maintains a per-link
 //!   *replica* — the receiver's last-delivered estimate of the sender's
 //!   model — and compresses the residual `delta = model − replica`
 //!   instead of the raw model, folding the delivered part back:
@@ -30,8 +32,8 @@
 //!   value every deferred round and overshoots on delivery.
 //!
 //! Every feedback kernel is deterministic and allocation-free at steady
-//! state: callers pass reusable output buffers plus a [`FeedbackScratch`],
-//! and all of them retain capacity across calls.
+//! state: callers pass reusable output buffers, and all of them retain
+//! capacity across calls.
 
 /// Affine (asymmetric) quantization parameters for one tensor:
 /// `value ≈ min + scale · code`.
@@ -207,19 +209,8 @@ pub fn sparse_blend_axpy(out: &mut [f32], base: &[f32], indices: &[u32], values:
     }
 }
 
-/// Reusable scratch for the error-feedback compression kernels. One
-/// instance per concurrent compression stream (e.g. per receiving node);
-/// all buffers retain capacity across calls.
-#[derive(Debug, Clone, Default)]
-pub struct FeedbackScratch {
-    /// The residual `model − replica` of the most recent
-    /// `compress_with_feedback_*` call — exposed so callers can hand the
-    /// exact compressed tensor to a wire encoder.
-    pub delta: Vec<f32>,
-}
-
-/// `delta = model − replica` — the accumulated per-link residual the
-/// feedback kernels compress. `delta` is cleared first and retains
+/// `delta = model − replica` — the accumulated per-link residual that
+/// error feedback compresses. `delta` is cleared first and retains
 /// capacity across calls.
 ///
 /// # Panics
@@ -242,72 +233,6 @@ pub fn scatter_axpy(replica: &mut [f32], indices: &[u32], values: &[f32], beta: 
     for (&idx, &val) in indices.iter().zip(values) {
         replica[idx as usize] += beta * val;
     }
-}
-
-/// Error-feedback top-k compression (the CHOCO-SGD hot path): computes
-/// the per-link residual `delta = model − replica`, selects its `k`
-/// largest-magnitude coordinates (the largest *discrepancies* since the
-/// link last fired, not the largest raw parameters), writes their
-/// ascending indices and exact delta values into `indices`/`values`, and
-/// folds the transmitted part back into `replica` in place. The unsent
-/// coordinates stay inside the next residual — error feedback.
-///
-/// Deterministic, and allocation-free once every buffer has reached
-/// capacity.
-///
-/// # Panics
-/// Panics if `model.len() != replica.len()`.
-pub fn compress_with_feedback_top_k(
-    model: &[f32],
-    replica: &mut [f32],
-    beta: f32,
-    k: usize,
-    scratch: &mut FeedbackScratch,
-    indices: &mut Vec<u32>,
-    values: &mut Vec<f32>,
-) {
-    accumulate_delta(model, replica, &mut scratch.delta);
-    top_k_indices_into(&scratch.delta, k, indices);
-    gather_into(&scratch.delta, indices, values);
-    scatter_axpy(replica, indices, values, beta);
-}
-
-/// Error-feedback 8-bit affine quantization: quantizes the residual
-/// `delta = model − replica`, reconstructs it into `recon` (the payload a
-/// receiver dequantizes), and advances `replica += β · recon` in place.
-/// The quantization error stays inside the next residual and is corrected
-/// on the link's next firing. Returns the affine parameters for wire
-/// encoding. Same buffer contract as [`compress_with_feedback_top_k`].
-pub fn compress_with_feedback_u8(
-    model: &[f32],
-    replica: &mut [f32],
-    beta: f32,
-    scratch: &mut FeedbackScratch,
-    codes: &mut Vec<u8>,
-    recon: &mut Vec<f32>,
-) -> AffineParams {
-    accumulate_delta(model, replica, &mut scratch.delta);
-    let p = quantize_u8_into(&scratch.delta, codes);
-    dequantize_u8(p, codes, recon);
-    crate::ops::axpy(beta, recon, replica);
-    p
-}
-
-/// Error-feedback 16-bit affine quantization; see
-/// [`compress_with_feedback_u8`].
-pub fn compress_with_feedback_u16(
-    model: &[f32],
-    replica: &mut [f32],
-    beta: f32,
-    scratch: &mut FeedbackScratch,
-    codes: &mut Vec<u16>,
-    recon: &mut Vec<f32>,
-) -> AffineParams {
-    accumulate_delta(model, replica, &mut scratch.delta);
-    let p = quantize_u16_into(&scratch.delta, codes);
-    dequantize_u16(p, codes, recon);
-    crate::ops::axpy(beta, recon, replica);
-    p
 }
 
 #[cfg(test)]
@@ -475,159 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn feedback_top_k_selects_largest_discrepancy_and_lands_replica_exactly() {
-        let model = [1.0f32, -0.5, 2.2, 0.0];
-        // the replica already knows coordinate 2 well but is stale on 0
-        let mut replica = vec![-3.0f32, -0.5, 2.0, 0.0];
-        let mut scratch = FeedbackScratch::default();
-        let (mut idx, mut vals) = (Vec::new(), Vec::new());
-        compress_with_feedback_top_k(
-            &model,
-            &mut replica,
-            1.0,
-            1,
-            &mut scratch,
-            &mut idx,
-            &mut vals,
-        );
-        // delta = [4.0, 0.0, 2.2 − 2.0, 0.0] → coordinate 0 wins
-        // (largest discrepancy, not largest raw parameter)
-        assert_eq!(idx, vec![0]);
-        assert_eq!(vals, vec![4.0]);
-        assert_eq!(scratch.delta, vec![4.0, 0.0, 2.2f32 - 2.0, 0.0]);
-        // β = 1: the replica lands exactly on the model at the sent
-        // coordinate and keeps its stale values elsewhere
-        assert_eq!(replica, vec![1.0, -0.5, 2.0, 0.0]);
-    }
-
-    #[test]
-    fn feedback_beta_damps_replica_tracking() {
-        let model = [4.0f32, 1.0];
-        let mut replica = vec![0.0f32; 2];
-        let mut scratch = FeedbackScratch::default();
-        let (mut idx, mut vals) = (Vec::new(), Vec::new());
-        compress_with_feedback_top_k(
-            &model,
-            &mut replica,
-            0.5,
-            1,
-            &mut scratch,
-            &mut idx,
-            &mut vals,
-        );
-        assert_eq!(idx, vec![0]);
-        // replica moves β of the way to the model
-        assert_eq!(replica, vec![2.0, 0.0]);
-    }
-
-    #[test]
-    fn feedback_eventually_transmits_every_coordinate() {
-        // Plain top-1 of a constant model sends the same coordinate
-        // forever; the residual form drains each coordinate's discrepancy
-        // exactly once and then goes quiet.
-        let model = [3.0f32, 2.0, 1.0];
-        let mut replica = vec![0.0f32; 3];
-        let mut scratch = FeedbackScratch::default();
-        let (mut idx, mut vals) = (Vec::new(), Vec::new());
-        let mut sent = [false; 3];
-        for _ in 0..3 {
-            compress_with_feedback_top_k(
-                &model,
-                &mut replica,
-                1.0,
-                1,
-                &mut scratch,
-                &mut idx,
-                &mut vals,
-            );
-            sent[idx[0] as usize] = true;
-        }
-        assert_eq!(sent, [true; 3], "every coordinate must be sent eventually");
-        assert_eq!(replica, model, "replica converges to the constant model");
-        // a converged link transmits zero deltas
-        compress_with_feedback_top_k(
-            &model,
-            &mut replica,
-            1.0,
-            1,
-            &mut scratch,
-            &mut idx,
-            &mut vals,
-        );
-        assert_eq!(vals, vec![0.0]);
-    }
-
-    #[test]
-    fn feedback_quantized_residual_is_the_reconstruction_error() {
-        let model: Vec<f32> = (0..100).map(|i| (i as f32 * 0.7).sin() * 2.0).collect();
-        let mut replica = vec![0.0f32; model.len()];
-        let mut scratch = FeedbackScratch::default();
-        let (mut codes, mut recon) = (Vec::new(), Vec::new());
-        let p = compress_with_feedback_u8(
-            &model,
-            &mut replica,
-            1.0,
-            &mut scratch,
-            &mut codes,
-            &mut recon,
-        );
-        assert_eq!(recon.len(), model.len());
-        // after one firing the replica is within half a quantization step
-        // of the model, and that error IS the next residual
-        for (&r, &m) in replica.iter().zip(&model) {
-            assert!((m - r).abs() <= p.scale / 2.0 + 1e-5);
-        }
-        let mut next_delta = Vec::new();
-        accumulate_delta(&model, &replica, &mut next_delta);
-        // second firing corrects the quantization error: the residual
-        // range shrinks, so the replica converges toward the model
-        let p2 = compress_with_feedback_u8(
-            &model,
-            &mut replica,
-            1.0,
-            &mut scratch,
-            &mut codes,
-            &mut recon,
-        );
-        assert!(p2.scale < p.scale / 16.0, "{} vs {}", p2.scale, p.scale);
-        assert_eq!(scratch.delta, next_delta);
-    }
-
-    #[test]
-    fn feedback_kernels_are_allocation_free_at_steady_state() {
-        let model: Vec<f32> = (0..300).map(|i| ((i * 13) % 37) as f32 - 18.0).collect();
-        let mut replica = vec![0.0f32; model.len()];
-        let mut scratch = FeedbackScratch::default();
-        let (mut idx, mut vals) = (Vec::new(), Vec::new());
-        compress_with_feedback_top_k(
-            &model,
-            &mut replica,
-            1.0,
-            20,
-            &mut scratch,
-            &mut idx,
-            &mut vals,
-        );
-        let caps = (scratch.delta.capacity(), idx.capacity(), vals.capacity());
-        for _ in 0..5 {
-            compress_with_feedback_top_k(
-                &model,
-                &mut replica,
-                1.0,
-                20,
-                &mut scratch,
-                &mut idx,
-                &mut vals,
-            );
-        }
-        assert_eq!(
-            caps,
-            (scratch.delta.capacity(), idx.capacity(), vals.capacity()),
-            "steady-state calls must not grow any buffer"
-        );
-    }
-
-    #[test]
     fn scatter_axpy_adds_at_listed_coordinates() {
         let mut replica = [1.0f32, 2.0, 3.0];
         scatter_axpy(&mut replica, &[0, 2], &[4.0, -1.0], 0.5);
@@ -636,27 +408,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn prop_feedback_replica_converges_geometrically(
-            xs in proptest::collection::vec(-10.0f32..10.0, 2..100),
-            k in 1usize..10
-        ) {
-            // For a fixed model, each firing drains the k largest
-            // residual coordinates exactly (β = 1), so the residual's
-            // support shrinks by k per round and hits zero after
-            // ⌈d / k⌉ firings.
-            let mut replica = vec![0.0f32; xs.len()];
-            let mut scratch = FeedbackScratch::default();
-            let (mut idx, mut vals) = (Vec::new(), Vec::new());
-            let firings = xs.len().div_ceil(k);
-            for _ in 0..firings {
-                compress_with_feedback_top_k(
-                    &xs, &mut replica, 1.0, k, &mut scratch, &mut idx, &mut vals,
-                );
-            }
-            prop_assert_eq!(&replica, &xs);
-        }
 
         #[test]
         fn prop_quantization_error_bounded(

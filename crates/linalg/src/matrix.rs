@@ -112,11 +112,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrow of row `r` as a contiguous slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
@@ -171,13 +166,6 @@ impl Matrix {
         self.cols = cols;
         self.data.clear();
         self.data.resize(rows * cols, 0.0);
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     /// Frobenius norm.

@@ -43,38 +43,6 @@ pub fn scaled_copy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// `x *= alpha` in place.
-#[inline]
-pub fn scale(alpha: f32, x: &mut [f32]) {
-    for v in x {
-        *v *= alpha;
-    }
-}
-
-/// Element-wise `y += x`.
-///
-/// # Panics
-/// Panics if `x.len() != y.len()`.
-#[inline]
-pub fn add_assign(x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "add_assign length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += xi;
-    }
-}
-
-/// Element-wise `y -= x`.
-///
-/// # Panics
-/// Panics if `x.len() != y.len()`.
-#[inline]
-pub fn sub_assign(x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "sub_assign length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi -= xi;
-    }
-}
-
 /// Dot product of two slices.
 ///
 /// Accumulates in eight independent lanes so the compiler can vectorize
@@ -128,28 +96,6 @@ pub fn squared_distance(x: &[f32], y: &[f32]) -> f32 {
 #[inline]
 pub fn norm(x: &[f32]) -> f32 {
     dot(x, x).sqrt()
-}
-
-/// SGD update step: `w -= lr * g`.
-///
-/// # Panics
-/// Panics if the lengths differ.
-#[inline]
-pub fn sgd_step(lr: f32, grad: &[f32], weights: &mut [f32]) {
-    axpy(-lr, grad, weights);
-}
-
-/// Linear interpolation `y = (1 - t) * y + t * x`, used by mixing ablations.
-///
-/// # Panics
-/// Panics if the lengths differ.
-#[inline]
-pub fn lerp_assign(t: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "lerp_assign length mismatch");
-    let s = 1.0 - t;
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = s * *yi + t * xi;
-    }
 }
 
 /// Weighted sum of many equal-length vectors into `out`:
@@ -403,13 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_step_descends() {
-        let mut w = [1.0, 1.0];
-        sgd_step(0.1, &[1.0, -1.0], &mut w);
-        assert_eq!(w, [0.9, 1.1]);
-    }
-
-    #[test]
     fn weighted_sum_matches_manual() {
         let a = [1.0, 0.0];
         let b = [0.0, 1.0];
@@ -584,17 +523,6 @@ mod tests {
         let mut out = [5.0f32, 6.0];
         weighted_sum_indexed_into(&mut out, &[], &[], |_| &[]);
         assert_eq!(out, [0.0, 0.0]);
-    }
-
-    #[test]
-    fn lerp_assign_endpoints() {
-        let x = [2.0, 4.0];
-        let mut y = [0.0, 0.0];
-        lerp_assign(1.0, &x, &mut y);
-        assert_eq!(y, [2.0, 4.0]);
-        let mut y2 = [1.0, 1.0];
-        lerp_assign(0.0, &x, &mut y2);
-        assert_eq!(y2, [1.0, 1.0]);
     }
 
     #[test]

@@ -65,12 +65,6 @@ impl Sgd {
         self.config
     }
 
-    /// Updates the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.config.lr = lr;
-    }
-
     /// Applies one update `w ← w − η (g + λw)` (with optional momentum)
     /// using the gradients currently accumulated in the model.
     pub fn step(&mut self, model: &mut Sequential) {
@@ -105,12 +99,6 @@ impl Sgd {
             }
             offset += params.len();
         });
-    }
-
-    /// Resets the momentum buffer (call after a model is replaced by an
-    /// aggregated model, where stale velocity no longer applies).
-    pub fn reset_state(&mut self) {
-        self.velocity.clear();
     }
 }
 

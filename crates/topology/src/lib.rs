@@ -25,5 +25,5 @@ pub mod spectral;
 pub mod weights;
 
 pub use graph::Graph;
-pub use schedule::{GraphGenerator, ScheduledTopology, TopologySchedule};
+pub use schedule::{ScheduledTopology, TopologySchedule};
 pub use weights::MixingMatrix;

@@ -45,18 +45,6 @@ pub fn round_seed(seed: u64, schedule_id: u64, round: usize) -> u64 {
     )
 }
 
-/// A user-supplied round→graph generator for [`TopologySchedule::Custom`].
-///
-/// `round_seed` is the chained per-round stream from [`round_seed`]
-/// (schedule id 4); generators with their own seeding are free to ignore
-/// it, but using it keeps custom schedules independent of every other
-/// random stream in the simulation.
-pub trait GraphGenerator: std::fmt::Debug + Send + Sync {
-    /// The communication graph in effect at `round`. Must return a graph
-    /// on exactly `base.len()` nodes.
-    fn generate(&self, base: &Graph, round: usize, round_seed: u64) -> Graph;
-}
-
 /// A round→graph generator: which communication graph is in effect each
 /// round.
 #[derive(Debug)]
@@ -81,15 +69,6 @@ pub enum TopologySchedule {
         /// Schedule seed; per-round streams are chained from it.
         seed: u64,
     },
-    /// A caller-supplied generator.
-    Custom {
-        /// Schedule seed; the per-round streams handed to the generator
-        /// are chained from it, so two experiments with different seeds
-        /// get independent custom-graph sequences.
-        seed: u64,
-        /// The round→graph generator.
-        generator: Box<dyn GraphGenerator>,
-    },
 }
 
 impl TopologySchedule {
@@ -100,7 +79,6 @@ impl TopologySchedule {
             TopologySchedule::Cycle(_) => 1,
             TopologySchedule::EdgeDropout { .. } => 2,
             TopologySchedule::PairwiseMatching { .. } => 3,
-            TopologySchedule::Custom { .. } => 4,
         }
     }
 
@@ -111,7 +89,6 @@ impl TopologySchedule {
             TopologySchedule::Cycle(_) => "cycle",
             TopologySchedule::EdgeDropout { .. } => "edge-dropout",
             TopologySchedule::PairwiseMatching { .. } => "pairwise-matching",
-            TopologySchedule::Custom { .. } => "custom",
         }
     }
 
@@ -149,10 +126,6 @@ fn generate_round_graph<'a>(
             let rs = round_seed(*seed, schedule.schedule_id(), round);
             let pairs = random_maximal_matching(base, rs);
             Cow::Owned(Graph::from_edges(base.len(), &pairs))
-        }
-        TopologySchedule::Custom { seed, generator } => {
-            let rs = round_seed(*seed, schedule.schedule_id(), round);
-            Cow::Owned(generator.generate(base, round, rs))
         }
     }
 }
@@ -357,11 +330,6 @@ impl ScheduledTopology {
                     g.add_edge(a, b);
                 }
                 g
-            }
-            TopologySchedule::Custom { seed, generator } => {
-                let rs = round_seed(*seed, self.schedule.schedule_id(), round);
-                let g = generator.generate(&self.base, round, rs);
-                self.graph_scratch.insert(g)
             }
             // is_periodic() returned above for Static and Cycle
             TopologySchedule::Static | TopologySchedule::Cycle(_) => &self.base,
@@ -577,35 +545,6 @@ mod tests {
         }
     }
 
-    #[derive(Debug)]
-    struct EveryOtherRoundEmpty;
-
-    impl GraphGenerator for EveryOtherRoundEmpty {
-        fn generate(&self, base: &Graph, round: usize, _round_seed: u64) -> Graph {
-            if round.is_multiple_of(2) {
-                base.clone()
-            } else {
-                Graph::empty(base.len())
-            }
-        }
-    }
-
-    #[test]
-    fn custom_generator_drives_the_schedule() {
-        let base = Graph::ring(10);
-        let mut sched = ScheduledTopology::new(
-            base.clone(),
-            TopologySchedule::Custom {
-                seed: 5,
-                generator: Box::new(EveryOtherRoundEmpty),
-            },
-        );
-        assert_eq!(sched.graph_for_round(0).edge_count(), 10);
-        assert_eq!(sched.graph_for_round(1).edge_count(), 0);
-        // an edgeless graph mixes as the identity — still doubly stochastic
-        check_mixing(sched.mixing_for_round(1));
-    }
-
     #[test]
     fn round_seeds_have_no_collisions_and_separate_schedules() {
         // Mirror of the PR 2 drop-stream fix: the chained construction
@@ -669,50 +608,6 @@ mod tests {
         assert!(
             sched.cache.is_empty(),
             "randomized schedules must not populate the cache"
-        );
-    }
-
-    #[test]
-    fn custom_schedules_derive_independent_streams_per_seed() {
-        // Two experiments with different schedule seeds must hand their
-        // generators different round streams (the round_seed argument),
-        // even at the same round index.
-        #[derive(Debug)]
-        struct SeedEcho;
-        impl GraphGenerator for SeedEcho {
-            fn generate(&self, base: &Graph, _round: usize, round_seed: u64) -> Graph {
-                // encode the stream into the graph: edge parity of seed
-                let mut g = Graph::empty(base.len());
-                if round_seed.is_multiple_of(2) {
-                    g.add_edge(0, 1);
-                } else {
-                    g.add_edge(1, 2);
-                }
-                g
-            }
-        }
-        let gen_for = |seed: u64| {
-            ScheduledTopology::new(
-                Graph::ring(6),
-                TopologySchedule::Custom {
-                    seed,
-                    generator: Box::new(SeedEcho),
-                },
-            )
-        };
-        let streams: Vec<u64> = (0..16)
-            .map(|seed| {
-                let sched = gen_for(seed);
-                (0..8)
-                    .map(|r| sched.graph_for_round(r).has_edge(0, 1) as u64)
-                    .fold(0, |acc, bit| (acc << 1) | bit)
-            })
-            .collect();
-        let distinct: std::collections::HashSet<u64> = streams.iter().copied().collect();
-        assert!(
-            distinct.len() > 8,
-            "custom schedules with different seeds should see different \
-             round streams, got {distinct:?}"
         );
     }
 
