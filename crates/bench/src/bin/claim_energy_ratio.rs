@@ -4,21 +4,18 @@
 
 use skiptrain_bench::paper::{CLAIM_COMM_WH, CLAIM_MIN_RATIO, CLAIM_TRAINING_KWH};
 use skiptrain_bench::{banner, render_table, HarnessArgs};
+use skiptrain_core::EnergySpec;
 use skiptrain_energy::comm::CommEnergyModel;
-use skiptrain_energy::device::fleet;
-use skiptrain_energy::trace::{round_energy_wh, WorkloadSpec};
 
 fn main() {
     let args = HarnessArgs::parse();
     let nodes = 256usize;
     let rounds = 1000usize;
     let degree = 6usize;
-    let workload = WorkloadSpec::cifar10();
+    let energy = EnergySpec::cifar10();
+    let workload = energy.workload;
 
-    let train_per_round: f64 = fleet(nodes)
-        .iter()
-        .map(|d| round_energy_wh(&d.profile(), &workload))
-        .sum();
+    let train_per_round: f64 = energy.node_energies(nodes).iter().sum();
     let train_total = train_per_round * rounds as f64;
 
     let comm = CommEnergyModel::paper_fit();

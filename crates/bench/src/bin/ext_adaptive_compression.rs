@@ -26,15 +26,14 @@
 //! fewer total wire bytes than the best of them, while the canonical
 //! 4-tier table shows where dense/u16 rungs overpay.
 
-use skiptrain_bench::{banner, pct, render_table, HarnessArgs};
+use skiptrain_bench::{banner, pct, render_table, run_cells, sim_params, HarnessArgs};
 use skiptrain_core::presets::cifar_config;
 use skiptrain_core::{
-    BatteryCapacitySpec, BatterySpec, Campaign, CompressionPolicy, CompressionSpec, EnergyTier,
+    BatteryCapacitySpec, BatterySpec, CompressionPolicy, CompressionSpec, EnergyTier,
     ExperimentConfig, ModelCodec, TopologyScheduleSpec,
 };
 use skiptrain_energy::battery::BatteryPolicy;
-use skiptrain_energy::device::fleet;
-use skiptrain_energy::trace::{round_duration_s, HarvestProfile};
+use skiptrain_energy::trace::{fleet_round_duration_s, HarvestProfile};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -54,10 +53,7 @@ fn main() {
     // u8 → top-k as batteries sag over the night and climb back by day.
     let costs = base.energy.node_energies(base.nodes);
     let max_cost = costs.into_iter().fold(0.0f64, f64::max);
-    let round_s = fleet(base.nodes)
-        .iter()
-        .map(|d| round_duration_s(&d.profile(), &base.energy.workload))
-        .fold(0.0f64, f64::max);
+    let round_s = fleet_round_duration_s(base.nodes, &base.energy.workload);
     let nominal = base.energy.workload.model_params;
     let degree = match base.topology {
         skiptrain_core::TopologySpec::Regular { degree } => degree as f64,
@@ -89,7 +85,7 @@ fn main() {
     };
     base.battery = Some(battery);
 
-    let sim_params = base.model_kind().build(0).param_count();
+    let sim_params = sim_params(&base);
     let floor_k = (sim_params / 64).max(1);
     let policies: Vec<(&str, CompressionPolicy)> = vec![
         (
@@ -151,11 +147,12 @@ fn main() {
 
     // One campaign runs every policy cell in parallel over one shared data
     // bundle and one shared harvest seed: only codec selection differs.
-    let mut campaign = Campaign::new();
-    for (label, policy) in &policies {
-        campaign = campaign.push(cell(&base, label, policy.clone()));
-    }
-    let results = campaign.run().expect("valid compression configs");
+    let results = run_cells(
+        policies
+            .iter()
+            .map(|(label, policy)| cell(&base, label, policy.clone()))
+            .collect(),
+    );
 
     let rows: Vec<Vec<String>> = policies
         .iter()

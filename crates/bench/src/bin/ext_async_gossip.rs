@@ -6,9 +6,9 @@
 //! harness compares it against synchronous SkipTrain (Γ = (4,4), same 50 %
 //! training fraction at q = 0.5) and D-PSGD.
 
-use skiptrain_bench::{banner, pct, render_table, HarnessArgs};
+use skiptrain_bench::{banner, pct, render_table, run_cells, HarnessArgs};
 use skiptrain_core::presets::cifar_config;
-use skiptrain_core::{AlgorithmSpec, Campaign, Schedule};
+use skiptrain_core::{AlgorithmSpec, Schedule};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -32,16 +32,17 @@ fn main() {
         cfg.algorithm = algorithm;
         cfg
     };
-    let mut campaign = Campaign::new()
-        .push(cell(AlgorithmSpec::DPsgd))
-        .push(cell(AlgorithmSpec::SkipTrain(Schedule::new(4, 4))));
+    let mut configs = vec![
+        cell(AlgorithmSpec::DPsgd),
+        cell(AlgorithmSpec::SkipTrain(Schedule::new(4, 4))),
+    ];
     for q in [0.5f64, 0.25] {
         let mut cfg = cell(AlgorithmSpec::AsyncGossip { activation_prob: q });
         cfg.name = format!("{}/async-q{q}", base.name);
         labels.push(format!("async gossip q={q}"));
-        campaign = campaign.push(cfg);
+        configs.push(cfg);
     }
-    let results = campaign.run().expect("valid async-gossip configs");
+    let results = run_cells(configs);
     let rows: Vec<Vec<String>> = labels
         .iter()
         .zip(&results)

@@ -21,10 +21,10 @@
 //! wall-clock. Churn instead removes senders outright: energy *not*
 //! spent and accuracy lost relative to the static column.
 
-use skiptrain_bench::{banner, pct, render_table, HarnessArgs};
+use skiptrain_bench::{banner, pct, render_table, run_cells, HarnessArgs};
 use skiptrain_core::experiment::{ChurnSpec, TimingSpec};
 use skiptrain_core::presets::cifar_config;
-use skiptrain_core::{AlgorithmSpec, Campaign};
+use skiptrain_core::AlgorithmSpec;
 use skiptrain_engine::{ComputeProfile, LatencyModel, BASE_TRAIN_TICKS};
 
 const ACTIVATION: f64 = 0.5;
@@ -87,7 +87,7 @@ fn main() {
     // One campaign runs the nine cells in parallel over one shared data
     // bundle.
     let mut labels = Vec::new();
-    let mut campaign = Campaign::new();
+    let mut configs = Vec::new();
     for (straggler_label, compute) in &stragglers {
         for (churn_label, churn) in &churns {
             let mut cfg = base.clone();
@@ -101,10 +101,10 @@ fn main() {
                 base.name
             );
             labels.push((*straggler_label, *churn_label));
-            campaign = campaign.push(cfg);
+            configs.push(cfg);
         }
     }
-    let results = campaign.run().expect("valid async-realism configs");
+    let results = run_cells(configs);
 
     let rows: Vec<Vec<String>> = labels
         .iter()

@@ -20,12 +20,11 @@
 //! watt-hour the environment actually delivered, at bit-identical
 //! per-message accounting across cells.
 
-use skiptrain_bench::{banner, pct, render_table, HarnessArgs};
+use skiptrain_bench::{banner, pct, render_table, run_cells, HarnessArgs};
 use skiptrain_core::presets::cifar_config;
-use skiptrain_core::{BatteryCapacitySpec, BatterySpec, Campaign, ExperimentConfig};
+use skiptrain_core::{BatteryCapacitySpec, BatterySpec, ExperimentConfig};
 use skiptrain_energy::battery::BatteryPolicy;
-use skiptrain_energy::device::fleet;
-use skiptrain_energy::trace::{round_duration_s, HarvestProfile};
+use skiptrain_energy::trace::{fleet_round_duration_s, HarvestProfile};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -42,10 +41,7 @@ fn main() {
     let costs = base.energy.node_energies(base.nodes);
     let min_cost = costs.iter().copied().fold(f64::INFINITY, f64::min);
     let max_cost = costs.into_iter().fold(0.0f64, f64::max);
-    let round_s = fleet(base.nodes)
-        .iter()
-        .map(|d| round_duration_s(&d.profile(), &base.energy.workload))
-        .fold(0.0f64, f64::max);
+    let round_s = fleet_round_duration_s(base.nodes, &base.energy.workload);
     let peak_watts = 0.9 * min_cost * 3600.0 / round_s;
 
     let capacities: Vec<(&str, f64)> =
@@ -95,17 +91,17 @@ fn main() {
 
     // One campaign runs every (capacity, harvest, policy) cell in parallel
     // over one shared data bundle.
-    let mut campaign = Campaign::new();
+    let mut configs = Vec::new();
     let mut labels = Vec::new();
     for (cap_label, wh) in &capacities {
         for (harv_label, profile) in &harvests {
             for (pol_label, policy) in &policies {
                 labels.push((*cap_label, *harv_label, *pol_label));
-                campaign = campaign.push(cell(&base, *wh, profile.clone(), *policy));
+                configs.push(cell(&base, *wh, profile.clone(), *policy));
             }
         }
     }
-    let results = campaign.run().expect("valid battery configs");
+    let results = run_cells(configs);
 
     let rows: Vec<Vec<String>> = labels
         .iter()

@@ -19,9 +19,9 @@
 //! at fixed feedback — the frontier scenario pinning that aggressive
 //! sparsification is only usable with feedback enabled.
 
-use skiptrain_bench::{banner, pct, render_table, HarnessArgs};
+use skiptrain_bench::{banner, pct, render_table, run_cells, sim_params, HarnessArgs};
 use skiptrain_core::presets::cifar_config;
-use skiptrain_core::{AlgorithmSpec, Campaign, ExperimentConfig, ModelCodec, Schedule};
+use skiptrain_core::{AlgorithmSpec, ExperimentConfig, ModelCodec, Schedule};
 
 /// The β every feedback run uses (full CHOCO-SGD error feedback).
 const FEEDBACK_BETA: f32 = 1.0;
@@ -37,7 +37,7 @@ fn main() {
     // accounting charges the same fraction of the nominal model). Only
     // fractions below 1/8 transmit fewer bytes than 8-bit quantization
     // (8 bytes per kept parameter vs 1 per parameter).
-    let sim_params = base.model_kind().build(0).param_count();
+    let sim_params = sim_params(&base);
     let codecs = [
         ModelCodec::DenseF32,
         ModelCodec::QuantizedU16,
@@ -58,19 +58,14 @@ fn main() {
     // One campaign runs every (codec, feedback) cell in parallel over one
     // shared data bundle: plain cells first, then the feedback twin of
     // every lossy codec (feedback on DenseF32 is a no-op by contract).
-    let mut campaign = Campaign::new();
-    for codec in codecs {
-        campaign = campaign.push(cell(&base, codec, false, sim_params));
-    }
     let lossy: Vec<ModelCodec> = codecs
         .iter()
         .copied()
         .filter(|c| !c.is_lossless())
         .collect();
-    for &codec in &lossy {
-        campaign = campaign.push(cell(&base, codec, true, sim_params));
-    }
-    let results = campaign.run().expect("valid codec configs");
+    let plain_cells = codecs.iter().map(|&c| cell(&base, c, false, sim_params));
+    let ef_cells = lossy.iter().map(|&c| cell(&base, c, true, sim_params));
+    let results = run_cells(plain_cells.chain(ef_cells).collect());
     let (plain, with_ef) = results.split_at(codecs.len());
 
     let nominal = base.energy.workload.model_params;
@@ -132,15 +127,15 @@ fn main() {
         .copied()
         .filter(|f| ![16, 64].contains(f))
         .collect();
-    let mut frontier = Campaign::new();
+    let mut frontier = Vec::new();
     for &frac in &fresh {
         let codec = ModelCodec::TopK {
             k: (sim_params / frac).max(1),
         };
-        frontier = frontier.push(cell(&base, codec, false, sim_params));
-        frontier = frontier.push(cell(&base, codec, true, sim_params));
+        frontier.push(cell(&base, codec, false, sim_params));
+        frontier.push(cell(&base, codec, true, sim_params));
     }
-    let sweep = frontier.run().expect("valid frontier configs");
+    let sweep = run_cells(frontier);
     let frontier_rows: Vec<Vec<String>> = fractions
         .iter()
         .map(|&frac| {

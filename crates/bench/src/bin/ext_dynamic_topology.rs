@@ -21,12 +21,11 @@
 //! changing graphs (links that vanish and return re-seed cold once
 //! evicted).
 
-use skiptrain_bench::{banner, pct, render_table, HarnessArgs};
-use skiptrain_core::presets::cifar_config;
-use skiptrain_core::{
-    AlgorithmSpec, Campaign, ExperimentConfig, ExperimentResult, ModelCodec, Schedule,
-    TopologyScheduleSpec,
+use skiptrain_bench::{
+    accuracy_at_energy, banner, pct, render_table, run_cells, sim_params, HarnessArgs,
 };
+use skiptrain_core::presets::cifar_config;
+use skiptrain_core::{AlgorithmSpec, ExperimentConfig, ModelCodec, Schedule, TopologyScheduleSpec};
 use skiptrain_linalg::rng::derive_seed;
 use skiptrain_topology::regular::random_regular;
 use skiptrain_topology::Graph;
@@ -63,7 +62,7 @@ fn main() {
         ("matching", TopologyScheduleSpec::PairwiseMatching),
     ];
 
-    let sim_params = base.model_kind().build(0).param_count();
+    let sim_params = sim_params(&base);
     let topk = ModelCodec::TopK {
         k: (sim_params / 16).max(1),
     };
@@ -76,14 +75,13 @@ fn main() {
     // One campaign runs every (schedule, codec) cell in parallel over one
     // shared data bundle: dense cells first, then the top-k + error
     // feedback twin of every schedule.
-    let mut campaign = Campaign::new();
-    for (label, spec) in &schedules {
-        campaign = campaign.push(cell(&base, label, spec.clone(), None));
+    let mut configs = Vec::new();
+    for codec in [None, Some(topk)] {
+        for (label, spec) in &schedules {
+            configs.push(cell(&base, label, spec.clone(), codec));
+        }
     }
-    for (label, spec) in &schedules {
-        campaign = campaign.push(cell(&base, label, spec.clone(), Some(topk)));
-    }
-    let results = campaign.run().expect("valid schedule configs");
+    let results = run_cells(configs);
     let (plain, with_ef) = results.split_at(schedules.len());
 
     // Fixed energy budget: the smallest final cumulative (training +
@@ -104,9 +102,8 @@ fn main() {
                 pct(ef.final_test.mean_accuracy),
                 format!("{:.4}", p.total_comm_wh),
                 format!("{:.4}", ef.total_comm_wh),
-                accuracy_at_total_energy(p, budget_wh)
-                    .map(pct)
-                    .unwrap_or_else(|| "-".into()),
+                accuracy_at_energy(p, |point| point.cumulative_energy_wh, budget_wh)
+                    .map_or_else(|| "-".into(), |(_, acc)| pct(acc)),
             ]
         })
         .collect();
@@ -161,14 +158,4 @@ fn cell(
     let suffix = if codec.is_some() { "+topk-ef" } else { "" };
     cfg.name = format!("{}/{label}{suffix}", base.name);
     cfg
-}
-
-/// Reads a curve at a *total*-energy budget: the last evaluation point
-/// whose cumulative training + communication energy fits the budget.
-fn accuracy_at_total_energy(result: &ExperimentResult, budget_wh: f64) -> Option<f32> {
-    result
-        .test_curve
-        .iter()
-        .rfind(|p| p.cumulative_energy_wh <= budget_wh + 1e-9)
-        .map(|p| p.mean_accuracy)
 }

@@ -12,8 +12,7 @@
 //! ```
 //!
 //! Binaries print the paper's reported numbers next to the measured ones so
-//! the reproduction can be judged at a glance; EXPERIMENTS.md records one
-//! full run.
+//! the reproduction can be judged at a glance.
 //!
 //! The crate measures no speed: that is the repo benchmark's job
 //! (`benchmark/run.sh`). [`perf`] holds the counting allocator behind the
@@ -25,7 +24,8 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use skiptrain_core::presets::Scale;
-use skiptrain_core::ExperimentConfig;
+use skiptrain_core::{Campaign, ExperimentConfig, ExperimentResult};
+use skiptrain_engine::AccuracyPoint;
 use std::path::PathBuf;
 
 pub mod paper;
@@ -175,18 +175,39 @@ pub fn banner(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Reads a learning curve at a training-energy budget: the last evaluation
-/// point whose cumulative training energy does not exceed `budget_wh`.
-/// This is how the paper's Table 4 reads the (not energy-aware) D-PSGD
-/// baseline at an energy level matched to the constrained algorithms.
+/// Runs `configs` as one parallel [`Campaign`] (cells over the same data
+/// spec share one materialized bundle) and returns the results in input
+/// order. An invalid cell is a usage error: the typed message names the
+/// run and the process exits 2, like a bad flag.
+pub fn run_cells(configs: Vec<ExperimentConfig>) -> Vec<ExperimentResult> {
+    Campaign::from_configs(configs).run().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Parameter count of the model `cfg` actually simulates (the byte axes
+/// of the compression frontiers; the energy model prices the paper's
+/// Table-1 `|x|` instead).
+pub fn sim_params(cfg: &ExperimentConfig) -> usize {
+    cfg.model_kind().build(0).param_count()
+}
+
+/// Reads a learning curve at an energy budget: `(round, accuracy)` of the
+/// last evaluation point whose cumulative energy on the chosen axis
+/// (`energy`: a point's training Wh, or its training + comm Wh) does not
+/// exceed `budget_wh`. On the training axis this is how the paper's
+/// Table 4 reads the (not energy-aware) D-PSGD baseline at an energy level
+/// matched to the constrained algorithms.
 pub fn accuracy_at_energy(
-    result: &skiptrain_core::ExperimentResult,
+    result: &ExperimentResult,
+    energy: impl Fn(&AccuracyPoint) -> f64,
     budget_wh: f64,
 ) -> Option<(usize, f32)> {
     result
         .test_curve
         .iter()
-        .rfind(|p| p.training_energy_wh <= budget_wh + 1e-9)
+        .rfind(|p| energy(p) <= budget_wh + 1e-9)
         .map(|p| (p.round, p.mean_accuracy))
 }
 

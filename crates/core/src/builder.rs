@@ -339,6 +339,35 @@ mod tests {
     }
 
     #[test]
+    fn zero_gamma_train_is_a_typed_error() {
+        // through serde, as a config file arrives: `Schedule::new` asserts
+        // Γ_train > 0 and deserialisation does not call it
+        let mut energy = EnergySpec::cifar10();
+        energy.battery_fraction = Some(0.5);
+        for json in [
+            r#"{"SkipTrain":{"gamma_train":0,"gamma_sync":0}}"#,
+            r#"{"SkipTrainConstrained":{"gamma_train":0,"gamma_sync":4}}"#,
+        ] {
+            let algorithm: AlgorithmSpec = serde_json::from_str(json).unwrap();
+            let builder = Experiment::builder()
+                .algorithm(algorithm)
+                .energy(energy.clone());
+            // the policy constructors would panic on it: the typed-error
+            // path must answer before reaching them, validated or not
+            assert_eq!(
+                builder.config.try_build_policy().err(),
+                Some(ConfigError::ZeroGammaTrain),
+                "{json}"
+            );
+            assert_eq!(
+                builder.build().unwrap_err(),
+                ConfigError::ZeroGammaTrain,
+                "{json}"
+            );
+        }
+    }
+
+    #[test]
     fn zero_rounds_and_nodes_are_rejected() {
         assert_eq!(
             Experiment::builder().rounds(0).build().unwrap_err(),
@@ -780,7 +809,7 @@ mod tests {
             .churn(0.05, 0.5)
             .build()
             .expect("valid timing and churn validate");
-        assert!(!ok.config().timing.is_trivial());
+        assert_ne!(ok.config().timing, TimingSpec::default());
         assert_eq!(ok.config().churn.unwrap().leave_prob, 0.05);
     }
 
@@ -855,7 +884,7 @@ mod tests {
         }
         let legacy: crate::ExperimentConfig =
             serde_json::from_str(&serde_json::to_string(&json).unwrap()).unwrap();
-        assert!(legacy.timing.is_trivial());
+        assert_eq!(legacy.timing, TimingSpec::default());
         assert!(legacy.churn.is_none());
         legacy.validate().expect("legacy config still validates");
     }

@@ -64,7 +64,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
 
 /// Factory producing per-run observers (run index, config → observers).
 type ObserverFactory = dyn Fn(usize, &ExperimentConfig) -> Vec<Box<dyn RoundObserver>> + Sync;
@@ -86,24 +85,20 @@ type FailureCallback = dyn Fn(&CellFailure) + Sync;
 pub struct RetrySpec {
     /// Total attempts per cell, including the first (minimum 1).
     pub max_attempts: usize,
-    /// Pause between attempts (applied on the failing worker thread).
-    pub backoff: Duration,
 }
 
 impl RetrySpec {
-    /// No retries: one attempt, no backoff (the default).
+    /// No retries: one attempt (the default).
     pub fn none() -> Self {
-        Self {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
+        Self { max_attempts: 1 }
     }
 
-    /// `max_attempts` total attempts with no backoff.
+    /// `max_attempts` total attempts, each retry starting at once: a
+    /// cell is a deterministic in-process computation, so waiting cannot
+    /// change its outcome — only the reseed can.
     pub fn attempts(max_attempts: usize) -> Self {
         Self {
             max_attempts: max_attempts.max(1),
-            backoff: Duration::ZERO,
         }
     }
 }
@@ -534,9 +529,6 @@ impl Campaign {
         let max_attempts = self.retry.max_attempts.max(1);
         let mut last_cause = None;
         for attempt in 1..=max_attempts {
-            if attempt > 1 && !self.retry.backoff.is_zero() {
-                std::thread::sleep(self.retry.backoff);
-            }
             let outcome = if attempt == 1 {
                 let slot = &slots[&data_key(&cfg.data, cfg.nodes, cfg.seed)];
                 let outcome = catch_unwind(AssertUnwindSafe(|| {

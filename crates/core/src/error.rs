@@ -187,6 +187,10 @@ pub enum ConfigError {
         /// Node count the experiment requires.
         nodes: usize,
     },
+    /// A SkipTrain schedule with `gamma_train == 0` never trains (and,
+    /// with `gamma_sync == 0` too, has no period at all). `Schedule::new`
+    /// asserts this; a deserialised schedule does not go through `new`.
+    ZeroGammaTrain,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -337,6 +341,11 @@ impl std::fmt::Display for ConfigError {
                 "per-link codec table entry {src} -> {dst} is impossible on \
                  {nodes} nodes (endpoints must be distinct and below the node count)"
             ),
+            ConfigError::ZeroGammaTrain => write!(
+                f,
+                "schedule `gamma_train` must be at least 1: a schedule that never \
+                 trains cannot learn"
+            ),
         }
     }
 }
@@ -454,6 +463,7 @@ mod tests {
                 got: 3,
             },
             ConfigError::InvalidActivationProbability { value: 1.5 },
+            ConfigError::ZeroGammaTrain,
         ] {
             assert!(!e.to_string().is_empty());
             let json = serde_json::to_string(&e).unwrap();

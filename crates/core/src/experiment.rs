@@ -21,7 +21,7 @@ use skiptrain_data::{Dataset, Partition};
 use skiptrain_energy::battery::{BatteryPolicy, BatterySetup, BatteryState};
 use skiptrain_energy::device::fleet;
 use skiptrain_energy::trace::{
-    round_duration_s, round_energy_wh, training_budget_rounds, HarvestProfile, HarvestTrace,
+    fleet_round_duration_s, round_energy_wh, training_budget_rounds, HarvestProfile, HarvestTrace,
     WorkloadSpec,
 };
 use skiptrain_engine::metrics::{AccuracyPoint, EvalStats};
@@ -261,12 +261,6 @@ pub struct TimingSpec {
 }
 
 impl TimingSpec {
-    /// True when this spec cannot perturb timing at all (the engine's
-    /// bit-compatible fast path).
-    pub fn is_trivial(&self) -> bool {
-        self.compute.is_uniform() && self.latency.is_zero()
-    }
-
     /// Checks timing invariants against the experiment's node count.
     pub fn validate(&self, nodes: usize) -> Result<(), ConfigError> {
         match &self.compute {
@@ -434,90 +428,59 @@ impl DataSpec {
         }
     }
 
+    /// The generator parameters every variant carries.
+    fn mixture_spec(&self) -> MixtureSpec {
+        let (DataSpec::CifarLike {
+            separation,
+            noise,
+            modes_per_class,
+            ..
+        }
+        | DataSpec::CifarPartitioned {
+            separation,
+            noise,
+            modes_per_class,
+            ..
+        }
+        | DataSpec::FemnistLike {
+            separation,
+            noise,
+            modes_per_class,
+            ..
+        }) = self;
+        MixtureSpec {
+            num_classes: self.num_classes(),
+            feature_dim: self.feature_dim(),
+            modes_per_class: *modes_per_class,
+            separation: *separation,
+            noise: *noise,
+        }
+    }
+
     /// Generates per-node datasets plus validation/test splits.
     pub fn build(&self, n: usize, seed: u64) -> DataBundle {
-        match self {
+        let spec = self.mixture_spec();
+        let (samples, test_samples) = (self.samples_per_node(), self.test_samples());
+        // One pool dealt out by a partition (`CifarLike` is the shards
+        // partition spelled as a field), or one styled set per writer.
+        let cifar_nodes = |partition: &Partition| {
+            let (pool, test_pool) = cifar_like(&spec, n * samples, test_samples, seed);
+            let parts = partition_indices(&pool, n, partition, derive_seed(seed, 0x5A4D));
+            (materialize(&pool, &parts), test_pool)
+        };
+        let (node_datasets, test_pool) = match self {
             DataSpec::CifarLike {
-                feature_dim,
-                samples_per_node,
-                test_samples,
-                shards_per_node,
-                separation,
-                noise,
-                modes_per_class,
-            } => {
-                let spec = MixtureSpec {
-                    num_classes: 10,
-                    feature_dim: *feature_dim,
-                    modes_per_class: *modes_per_class,
-                    separation: *separation,
-                    noise: *noise,
-                };
-                let (pool, test_pool) =
-                    cifar_like(&spec, n * samples_per_node, *test_samples, seed);
-                let parts = partition_indices(
-                    &pool,
-                    n,
-                    &Partition::Shards {
-                        shards_per_node: *shards_per_node,
-                    },
-                    derive_seed(seed, 0x5A4D),
-                );
-                let node_datasets = materialize(&pool, &parts);
-                let splits = split_eval(&test_pool, derive_seed(seed, 0xE0A1));
-                DataBundle::from_parts(node_datasets, splits.validation, splits.test)
+                shards_per_node, ..
+            } => cifar_nodes(&Partition::Shards {
+                shards_per_node: *shards_per_node,
+            }),
+            DataSpec::CifarPartitioned { partition, .. } => cifar_nodes(partition),
+            DataSpec::FemnistLike { style_strength, .. } => {
+                femnist_like(&spec, n, samples, test_samples, *style_strength, seed)
             }
-            DataSpec::CifarPartitioned {
-                feature_dim,
-                samples_per_node,
-                test_samples,
-                partition,
-                separation,
-                noise,
-                modes_per_class,
-            } => {
-                let spec = MixtureSpec {
-                    num_classes: 10,
-                    feature_dim: *feature_dim,
-                    modes_per_class: *modes_per_class,
-                    separation: *separation,
-                    noise: *noise,
-                };
-                let (pool, test_pool) =
-                    cifar_like(&spec, n * samples_per_node, *test_samples, seed);
-                let parts = partition_indices(&pool, n, partition, derive_seed(seed, 0x5A4D));
-                let node_datasets = materialize(&pool, &parts);
-                let splits = split_eval(&test_pool, derive_seed(seed, 0xE0A1));
-                DataBundle::from_parts(node_datasets, splits.validation, splits.test)
-            }
-            DataSpec::FemnistLike {
-                feature_dim,
-                samples_per_node,
-                test_samples,
-                style_strength,
-                separation,
-                noise,
-                modes_per_class,
-            } => {
-                let spec = MixtureSpec {
-                    num_classes: 47,
-                    feature_dim: *feature_dim,
-                    modes_per_class: *modes_per_class,
-                    separation: *separation,
-                    noise: *noise,
-                };
-                let (node_datasets, test_pool) = femnist_like(
-                    &spec,
-                    n,
-                    *samples_per_node,
-                    *test_samples,
-                    *style_strength,
-                    seed,
-                );
-                let splits = split_eval(&test_pool, derive_seed(seed, 0xE0A1));
-                DataBundle::from_parts(node_datasets, splits.validation, splits.test)
-            }
-        }
+        };
+        let splits = split_eval(&test_pool, derive_seed(seed, 0xE0A1));
+        DataBundle::from_parts(node_datasets, splits.validation, splits.test)
     }
 
     /// Training samples generated per node.
@@ -568,11 +531,6 @@ impl DataBundle {
             validation: Arc::new(validation),
             test: Arc::new(test),
         }
-    }
-
-    /// Number of per-node datasets.
-    pub fn node_count(&self) -> usize {
-        self.node_datasets.len()
     }
 }
 
@@ -827,13 +785,9 @@ impl BatterySpec {
     pub fn build(&self, n: usize, master_seed: u64, workload: &WorkloadSpec) -> BatterySetup {
         let state =
             BatteryState::with_initial_fraction(self.node_capacities(n), self.initial_fraction);
-        let round_s = fleet(n)
-            .iter()
-            .map(|d| round_duration_s(&d.profile(), workload))
-            .fold(0.0f64, f64::max);
         let trace = HarvestTrace::new(
             self.harvest.clone(),
-            round_s,
+            fleet_round_duration_s(n, workload),
             n,
             master_seed,
             self.harvest_jitter,
@@ -1122,18 +1076,11 @@ impl ExperimentConfig {
         }
     }
 
-    /// Builds the policy for this config, reporting missing battery budgets
-    /// as a typed error.
+    /// Builds the policy for this config, reporting what its constructor
+    /// would panic on (a missing battery budget, a schedule that never
+    /// trains, an activation probability outside `[0, 1]`) as a typed error.
     pub fn try_build_policy(&self) -> Result<Box<dyn RoundPolicy>, ConfigError> {
-        let needs_budget = matches!(
-            self.algorithm,
-            AlgorithmSpec::SkipTrainConstrained(_) | AlgorithmSpec::Greedy
-        );
-        if needs_budget && self.energy.battery_fraction.is_none() {
-            return Err(ConfigError::MissingBatteryFraction {
-                algorithm: self.algorithm.name().to_string(),
-            });
-        }
+        self.check_algorithm()?;
         Ok(match &self.algorithm {
             AlgorithmSpec::DPsgd => Box::new(DPsgdPolicy),
             AlgorithmSpec::SkipTrain(schedule) => Box::new(SkipTrainPolicy::new(*schedule)),
@@ -1155,8 +1102,8 @@ impl ExperimentConfig {
     /// Builds the policy for this config.
     ///
     /// # Panics
-    /// Panics when a budget-constrained algorithm lacks a battery fraction;
-    /// prefer [`ExperimentConfig::try_build_policy`] or the validating
+    /// Panics on every error [`ExperimentConfig::try_build_policy`]
+    /// reports; prefer it or the validating
     /// [`Experiment`](crate::Experiment) API.
     pub fn build_policy(&self) -> Box<dyn RoundPolicy> {
         // lint:allow(no_panic, "documented '# Panics' contract; try_build_policy is the typed-error path")
@@ -1267,11 +1214,24 @@ impl ExperimentConfig {
             churn.validate()?;
         }
         self.topology_schedule.validate(self.nodes)?;
+        self.check_algorithm()
+    }
+
+    /// The invariants of the algorithm spec — the ones the policy
+    /// constructors assert.
+    fn check_algorithm(&self) -> Result<(), ConfigError> {
         if let AlgorithmSpec::AsyncGossip { activation_prob } = self.algorithm {
             if !(0.0..=1.0).contains(&activation_prob) {
                 return Err(ConfigError::InvalidActivationProbability {
                     value: activation_prob,
                 });
+            }
+        }
+        if let AlgorithmSpec::SkipTrain(schedule) | AlgorithmSpec::SkipTrainConstrained(schedule) =
+            &self.algorithm
+        {
+            if schedule.gamma_train == 0 {
+                return Err(ConfigError::ZeroGammaTrain);
             }
         }
         let needs_budget = matches!(

@@ -315,7 +315,7 @@ pub(crate) fn execute(
             algorithm: cfg.algorithm.name().to_string(),
             nodes: cfg.nodes,
             rounds: executed_rounds,
-            test_curve: curve.into_recorder().points().to_vec(),
+            test_curve: curve.into_points(),
             mean_model_curve: mean_model
                 .map(MeanModelObserver::into_curve)
                 .unwrap_or_default(),

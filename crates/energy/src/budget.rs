@@ -31,11 +31,6 @@ impl BudgetTracker {
         }
     }
 
-    /// An effectively unlimited tracker (unconstrained setting).
-    pub fn unlimited(n: usize) -> Self {
-        Self::new(vec![u32::MAX; n])
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.remaining.len()
@@ -44,11 +39,6 @@ impl BudgetTracker {
     /// True for zero nodes.
     pub fn is_empty(&self) -> bool {
         self.remaining.is_empty()
-    }
-
-    /// Initial budget τ of `node`.
-    pub fn initial(&self, node: usize) -> u32 {
-        self.initial[node]
     }
 
     /// Rounds still available to `node`.
@@ -107,15 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_never_exhausts() {
-        let mut t = BudgetTracker::unlimited(1);
-        for _ in 0..10_000 {
-            assert!(t.try_consume(0));
-        }
-        assert!(t.can_train(0));
-    }
-
-    #[test]
     fn aggregate_statistics() {
         let mut t = BudgetTracker::new(vec![1, 3]);
         t.try_consume(0);
@@ -129,7 +110,7 @@ mod tests {
         // the wire shape is the integer counters, as before the Wh mirror
         let json = r#"{"initial":[4,2],"remaining":[3,0]}"#;
         let t: BudgetTracker = serde_json::from_str(json).unwrap();
-        assert_eq!(t.initial(0), 4);
+        assert_eq!(t.consumed(0), 1, "initial 4, remaining 3");
         assert_eq!(t.remaining(1), 0);
         assert_eq!(serde_json::to_string(&t).unwrap(), json);
     }

@@ -4,7 +4,7 @@
 //! per-round training energy for CIFAR-10 / FEMNIST on four phones, and the
 //! number of training rounds available under a battery-fraction budget.
 
-use crate::device::{DeviceKind, DeviceProfile};
+use crate::device::{fleet, DeviceKind, DeviceProfile};
 use serde::{Deserialize, Serialize};
 
 /// MobileNet-v2 parameter count — the AI Benchmark reference model whose
@@ -57,6 +57,16 @@ pub fn round_duration_s(device: &DeviceProfile, workload: &WorkloadSpec) -> f64 
     let t_model_ms =
         device.mobilenet_inference_ms * workload.model_params as f64 / MOBILENET_V2_PARAMS as f64;
     FEDSCALE_TRAIN_MULTIPLIER * t_model_ms * 1e-3 * workload.samples_per_round() as f64
+}
+
+/// Wall-clock duration of one lockstep round on the `n`-node
+/// [`fleet`]: the slowest device's round time — the barrier everyone waits
+/// at, and therefore everyone's harvesting window.
+pub fn fleet_round_duration_s(n: usize, workload: &WorkloadSpec) -> f64 {
+    fleet(n)
+        .iter()
+        .map(|d| round_duration_s(&d.profile(), workload))
+        .fold(0.0f64, f64::max)
 }
 
 /// Energy of one training round on `device`, watt-hours (Eq. 2).
@@ -213,9 +223,8 @@ impl HarvestProfile {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HarvestTrace {
     profile: HarvestProfile,
-    /// Wall-clock length of one simulated round, seconds. For lockstep
-    /// fleets this is the *slowest* device's round time — the barrier
-    /// everyone waits at, and therefore everyone's harvesting window.
+    /// Wall-clock length of one simulated round, seconds
+    /// ([`fleet_round_duration_s`] for a lockstep fleet).
     round_duration_s: f64,
     /// Per-node phase offsets in rounds.
     phase: Vec<f64>,

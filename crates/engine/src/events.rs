@@ -112,11 +112,6 @@ fn scale_ticks(base: u64, factor: f64) -> u64 {
 }
 
 impl ComputeProfile {
-    /// True for the homogeneous (lockstep-equivalent) profile.
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, ComputeProfile::Homogeneous)
-    }
-
     /// Virtual ticks `node`'s training takes in `round`. Deterministic in
     /// `(seed, round, node)`.
     pub fn train_ticks(&self, seed: u64, round: u64, node: usize, base: u64) -> u64 {
@@ -160,11 +155,6 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
-    /// True for the zero-latency (lockstep-equivalent) model.
-    pub fn is_zero(&self) -> bool {
-        matches!(self, LatencyModel::Zero)
-    }
-
     /// Virtual ticks the message on `src → dst` spends in flight in
     /// `round`. Deterministic in `(seed, round, src, dst)`.
     pub fn link_ticks(&self, seed: u64, round: u64, src: usize, dst: usize) -> u64 {
@@ -347,11 +337,6 @@ impl EventEngine {
     /// Per-node presence mask after the last round's churn draws.
     pub fn present(&self) -> &[bool] {
         &self.present
-    }
-
-    /// True when no node is currently absent.
-    pub fn all_present(&self) -> bool {
-        self.present.iter().all(|&on| on)
     }
 
     /// Directed edges whose message missed the last round's deadline,
@@ -567,7 +552,7 @@ mod tests {
         for round in 0..10 {
             e.begin_round(round, &actions, &mixing);
             assert!(e.late_edges().is_empty());
-            assert!(e.all_present());
+            assert!(e.present().iter().all(|&on| on));
         }
         // ≥ 10 training rounds + latency of virtual time elapsed
         assert!(e.now() >= 10 * BASE_TRAIN_TICKS + 250_000);
@@ -628,7 +613,7 @@ mod tests {
             a.begin_round(round, &actions, &mixing);
             b.begin_round(round, &actions, &mixing);
             assert_eq!(a.present(), b.present());
-            saw_absent |= !a.all_present();
+            saw_absent |= a.present().contains(&false);
         }
         assert!(saw_absent, "30% churn over 20 rounds should evict someone");
         assert_eq!(a.stats(), b.stats());

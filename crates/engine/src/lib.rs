@@ -151,10 +151,10 @@ pub use events::{
     BASE_TRAIN_TICKS,
 };
 pub use executor::{RoundAction, Simulation, SimulationConfig};
-pub use metrics::{AccuracyPoint, EvalStats, MetricsRecorder};
+pub use metrics::{AccuracyPoint, EvalStats};
 pub use observer::{
-    BatteryObserver, BatteryRound, CurveObserver, EarlyStop, EnergyTraceObserver, EvalReport,
-    MeanModelObserver, RoundCtx, RoundObserver, RoundReport,
+    CurveObserver, EarlyStop, EnergyTraceObserver, EvalReport, MeanModelObserver, RoundCtx,
+    RoundObserver, RoundReport,
 };
 pub use transport::{
     rarity_k, tier_codec, CompressionPolicy, DecodeScratch, EncodeScratch, EnergyTier,

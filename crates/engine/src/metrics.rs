@@ -1,4 +1,4 @@
-//! Evaluation statistics and time-series recording.
+//! Evaluation statistics and the learning-curve point.
 
 use serde::{Deserialize, Serialize};
 use skiptrain_linalg::reduce::mean_std;
@@ -58,68 +58,6 @@ pub struct AccuracyPoint {
     pub training_energy_wh: f64,
 }
 
-/// Records a learning curve over a run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MetricsRecorder {
-    points: Vec<AccuracyPoint>,
-}
-
-impl MetricsRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends an evaluation point.
-    pub fn record(&mut self, stats: &EvalStats, total_energy_wh: f64, training_energy_wh: f64) {
-        self.points.push(AccuracyPoint {
-            round: stats.round,
-            mean_accuracy: stats.mean_accuracy,
-            std_accuracy: stats.std_accuracy,
-            mean_loss: stats.mean_loss,
-            cumulative_energy_wh: total_energy_wh,
-            training_energy_wh,
-        });
-    }
-
-    /// The recorded curve.
-    pub fn points(&self) -> &[AccuracyPoint] {
-        &self.points
-    }
-
-    /// Final (latest) point, if any.
-    pub fn last(&self) -> Option<&AccuracyPoint> {
-        self.points.last()
-    }
-
-    /// Best mean accuracy over the curve.
-    pub fn best_accuracy(&self) -> Option<f32> {
-        self.points
-            .iter()
-            .map(|p| p.mean_accuracy)
-            .max_by(f32::total_cmp)
-    }
-
-    /// Renders the curve as CSV with a header row.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "round,mean_accuracy,std_accuracy,mean_loss,cumulative_energy_wh,training_energy_wh\n",
-        );
-        for p in &self.points {
-            out.push_str(&format!(
-                "{},{:.6},{:.6},{:.6},{:.6},{:.6}\n",
-                p.round,
-                p.mean_accuracy,
-                p.std_accuracy,
-                p.mean_loss,
-                p.cumulative_energy_wh,
-                p.training_energy_wh
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,37 +71,6 @@ mod tests {
         assert_eq!(s.min_accuracy, 0.5);
         assert_eq!(s.max_accuracy, 0.7);
         assert_eq!(s.per_node_accuracy.len(), 3);
-    }
-
-    #[test]
-    fn recorder_tracks_best_and_last() {
-        let mut r = MetricsRecorder::new();
-        for (round, acc) in [(0usize, 0.3f32), (10, 0.8), (20, 0.6)] {
-            let s = EvalStats::from_node_results(round, &[(acc, 1.0)]);
-            r.record(&s, round as f64, round as f64 * 0.9);
-        }
-        assert_eq!(r.points().len(), 3);
-        assert_eq!(r.last().unwrap().round, 20);
-        assert!((r.best_accuracy().unwrap() - 0.8).abs() < 1e-6);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut r = MetricsRecorder::new();
-        let s = EvalStats::from_node_results(1, &[(0.5, 1.0)]);
-        r.record(&s, 2.0, 1.5);
-        let csv = r.to_csv();
-        assert!(csv.starts_with("round,"));
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.lines().nth(1).unwrap().starts_with("1,"));
-    }
-
-    #[test]
-    fn empty_recorder_is_sane() {
-        let r = MetricsRecorder::new();
-        assert!(r.last().is_none());
-        assert!(r.best_accuracy().is_none());
-        assert_eq!(r.to_csv().lines().count(), 1);
     }
 
     #[test]

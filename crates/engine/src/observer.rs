@@ -8,19 +8,19 @@
 //! (mean-model accuracy, consensus disagreement, battery state) without the
 //! driver hard-coding them.
 //!
-//! The built-in observers reimplement everything the legacy monolithic
-//! driver recorded — the accuracy/energy learning curve
-//! ([`CurveObserver`]), the averaged-model curve of Figure 1
-//! ([`MeanModelObserver`]), per-round energy streaming
-//! ([`EnergyTraceObserver`]) — plus new scenarios such as stopping at a
-//! target accuracy ([`EarlyStop`]).
+//! The built-in observers are the two the runner attaches to every run —
+//! the accuracy/energy learning curve ([`CurveObserver`]) and the
+//! averaged-model curve of Figure 1 ([`MeanModelObserver`]) — and the two
+//! the campaign tests drive the hook mechanism through: per-round energy
+//! streaming ([`EnergyTraceObserver`]) and stopping at a target accuracy
+//! ([`EarlyStop`]).
 //!
 //! `on_round_end` and `on_eval` return [`ControlFlow`]: `Break(())` stops
 //! the experiment after the current round, letting observers implement
 //! early-exit policies.
 
 use crate::executor::{RoundAction, Simulation};
-use crate::metrics::{EvalStats, MetricsRecorder};
+use crate::metrics::{AccuracyPoint, EvalStats};
 use skiptrain_data::Dataset;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -94,11 +94,11 @@ pub trait RoundObserver: Send {
     }
 }
 
-/// Records the accuracy/energy learning curve (the legacy driver's
-/// `MetricsRecorder` behavior, as an observer).
+/// Records the accuracy/energy learning curve: one [`AccuracyPoint`] per
+/// evaluation.
 #[derive(Debug, Default)]
 pub struct CurveObserver {
-    recorder: MetricsRecorder,
+    points: Vec<AccuracyPoint>,
 }
 
 impl CurveObserver {
@@ -107,21 +107,22 @@ impl CurveObserver {
         Self::default()
     }
 
-    /// The recorded curve so far.
-    pub fn recorder(&self) -> &MetricsRecorder {
-        &self.recorder
-    }
-
     /// Consumes the observer, yielding the recorded curve.
-    pub fn into_recorder(self) -> MetricsRecorder {
-        self.recorder
+    pub fn into_points(self) -> Vec<AccuracyPoint> {
+        self.points
     }
 }
 
 impl RoundObserver for CurveObserver {
     fn on_eval(&mut self, _sim: &mut Simulation, report: &EvalReport<'_>) -> ControlFlow<()> {
-        self.recorder
-            .record(report.stats, report.total_wh, report.training_wh);
+        self.points.push(AccuracyPoint {
+            round: report.stats.round,
+            mean_accuracy: report.stats.mean_accuracy,
+            std_accuracy: report.stats.std_accuracy,
+            mean_loss: report.stats.mean_loss,
+            cumulative_energy_wh: report.total_wh,
+            training_energy_wh: report.training_wh,
+        });
         ControlFlow::Continue(())
     }
 }
@@ -145,12 +146,7 @@ impl MeanModelObserver {
         }
     }
 
-    /// The `(round, accuracy)` curve recorded so far.
-    pub fn curve(&self) -> &[(usize, f32)] {
-        &self.curve
-    }
-
-    /// Consumes the observer, yielding the curve.
+    /// Consumes the observer, yielding the `(round, accuracy)` curve.
     pub fn into_curve(self) -> Vec<(usize, f32)> {
         self.curve
     }
@@ -209,77 +205,6 @@ impl RoundObserver for EnergyTraceObserver {
             training_wh: report.round_training_wh,
             comm_wh: report.round_comm_wh,
         });
-        ControlFlow::Continue(())
-    }
-}
-
-/// One row of the per-round battery stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatteryRound {
-    /// Round index (0-based).
-    pub round: usize,
-    /// Per-node charge after the round settled (Wh).
-    pub charge_wh: Vec<f64>,
-    /// Per-node participation mask this round: admitted by the battery
-    /// policy and, under churn, present.
-    pub active: Vec<bool>,
-    /// Cumulative harvested energy offered so far (Wh, all nodes).
-    pub harvested_wh: f64,
-    /// Cumulative energy drained from batteries so far (Wh, all nodes).
-    pub drained_wh: f64,
-}
-
-/// Records the per-node charge series and participation masks of a
-/// battery-gated run — the closed-loop counterpart of
-/// [`EnergyTraceObserver`]. Rounds executed without a battery configured
-/// record nothing.
-#[derive(Debug, Default)]
-pub struct BatteryObserver {
-    rows: Vec<BatteryRound>,
-}
-
-impl BatteryObserver {
-    /// An empty charge trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The per-round rows recorded so far.
-    pub fn rows(&self) -> &[BatteryRound] {
-        &self.rows
-    }
-
-    /// `node`'s charge series across recorded rounds (Wh).
-    pub fn charge_series(&self, node: usize) -> Vec<f64> {
-        self.rows.iter().map(|r| r.charge_wh[node]).collect()
-    }
-
-    /// Fraction of node-rounds that participated, over recorded rounds.
-    pub fn participation_fraction(&self) -> f64 {
-        let total: usize = self.rows.iter().map(|r| r.active.len()).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let active: usize = self
-            .rows
-            .iter()
-            .map(|r| r.active.iter().filter(|&&a| a).count())
-            .sum();
-        active as f64 / total as f64
-    }
-}
-
-impl RoundObserver for BatteryObserver {
-    fn on_round_end(&mut self, sim: &mut Simulation, report: &RoundReport<'_>) -> ControlFlow<()> {
-        if let (Some(state), Some(active)) = (sim.battery_state(), sim.battery_active()) {
-            self.rows.push(BatteryRound {
-                round: report.round,
-                charge_wh: (0..state.len()).map(|i| state.charge_wh(i)).collect(),
-                active: active.to_vec(),
-                harvested_wh: state.total_harvested_wh(),
-                drained_wh: state.total_drained_wh(),
-            });
-        }
         ControlFlow::Continue(())
     }
 }
@@ -379,11 +304,12 @@ mod tests {
             let mut observers: [&mut dyn RoundObserver; 2] = [&mut curve, &mut mean];
             assert!(eval_and_notify(&mut sim, &test, &mut observers).is_continue());
         }
-        assert_eq!(curve.recorder().points().len(), 3);
-        assert_eq!(mean.curve().len(), 3);
+        let (points, mean) = (curve.into_points(), mean.into_curve());
+        assert_eq!(points.len(), 3);
+        assert_eq!(mean.len(), 3);
         // rounds are recorded in execution order
-        assert_eq!(mean.curve()[0].0, 1);
-        assert_eq!(curve.into_recorder().last().unwrap().round, 3);
+        assert_eq!(mean[0].0, 1);
+        assert_eq!(points[2].round, 3);
     }
 
     #[test]
@@ -394,77 +320,6 @@ mod tests {
         let mut observers: [&mut dyn RoundObserver; 1] = [&mut stop];
         assert!(eval_and_notify(&mut sim, &test, &mut observers).is_break());
         assert_eq!(stop.triggered_at(), Some(1));
-    }
-
-    #[test]
-    fn battery_observer_records_charge_and_masks() {
-        use skiptrain_energy::battery::{BatteryPolicy, BatterySetup, BatteryState};
-        use skiptrain_energy::trace::{HarvestProfile, HarvestTrace};
-
-        let n = 4;
-        let (mut sim, _test) = tiny_sim(n);
-        let mut obs = BatteryObserver::new();
-
-        // without a battery configured, the observer records nothing
-        sim.run_round(&[RoundAction::Train; 4]);
-        let report = RoundReport {
-            round: 0,
-            actions: &[RoundAction::Train; 4],
-            trained_nodes: 4,
-            train_loss: sim.last_train_loss(),
-            round_training_wh: 0.0,
-            round_comm_wh: 0.0,
-            cumulative_wh: sim.ledger().total_wh(),
-        };
-        assert!(obs.on_round_end(&mut sim, &report).is_continue());
-        assert!(obs.rows().is_empty());
-
-        // with a battery: charge series and masks stream per round
-        let spec = MixtureSpec {
-            num_classes: 3,
-            feature_dim: 5,
-            modes_per_class: 1,
-            separation: 1.8,
-            noise: 0.4,
-        };
-        let task = MixtureTask::new(spec, 17);
-        let datasets: Vec<Dataset> = (0..n).map(|i| task.sample(40, i as u64)).collect();
-        let models: Vec<Sequential> = (0..n)
-            .map(|i| skiptrain_nn::zoo::mlp(&[5, 8, 3], i as u64))
-            .collect();
-        let graph = random_regular(n, 2, 3);
-        let mixing = MixingMatrix::metropolis_hastings(&graph);
-        let mut config = SimulationConfig::minimal(3, 8, 2, 0.2);
-        config.training_energy_wh = vec![0.05; n];
-        config.battery = Some(BatterySetup {
-            state: BatteryState::new(vec![1.0; n]),
-            trace: HarvestTrace::new(HarvestProfile::None, 60.0, n, 7, 0.0),
-            policy: BatteryPolicy::Threshold { min_fraction: 0.1 },
-            node_policies: None,
-        });
-        let mut sim = Simulation::new(models, datasets, graph, mixing, config);
-        for round in 0..2 {
-            sim.run_round(&[RoundAction::Train; 4]);
-            let report = RoundReport {
-                round,
-                actions: &[RoundAction::Train; 4],
-                trained_nodes: 4,
-                train_loss: sim.last_train_loss(),
-                round_training_wh: 0.0,
-                round_comm_wh: 0.0,
-                cumulative_wh: sim.ledger().total_wh(),
-            };
-            assert!(obs.on_round_end(&mut sim, &report).is_continue());
-        }
-        assert_eq!(obs.rows().len(), 2);
-        assert!(obs.rows().iter().all(|r| r.active.iter().all(|&a| a)));
-        assert_eq!(obs.participation_fraction(), 1.0);
-        let series = obs.charge_series(0);
-        assert!(
-            series[1] < series[0] && series[0] < 1.0,
-            "training drain must show up in the charge series"
-        );
-        assert!(obs.rows()[1].drained_wh > obs.rows()[0].drained_wh);
     }
 
     #[test]

@@ -463,11 +463,6 @@ impl CompressionPolicy {
         }
     }
 
-    /// True when [`uniform`](Self::uniform) returns `Some`.
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, CompressionPolicy::Uniform(_))
-    }
-
     /// Short name for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -1119,7 +1114,6 @@ mod tests {
     #[test]
     fn uniform_policy_exposes_its_codec() {
         let p = CompressionPolicy::Uniform(ModelCodec::TopK { k: 5 });
-        assert!(p.is_uniform());
         assert_eq!(p.uniform(), Some(ModelCodec::TopK { k: 5 }));
         assert_eq!(p.name(), "uniform");
         for adaptive in [
@@ -1133,7 +1127,6 @@ mod tests {
             },
             CompressionPolicy::deal_tiers(8),
         ] {
-            assert!(!adaptive.is_uniform());
             assert_eq!(adaptive.uniform(), None);
         }
         assert_eq!(

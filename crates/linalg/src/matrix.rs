@@ -168,11 +168,6 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Maximum absolute difference to another matrix of the same shape.
     ///
     /// # Panics
@@ -289,12 +284,6 @@ mod tests {
         dst.copy_row_from(1, &src, 0);
         assert_eq!(dst.row(0), &[0.0, 0.0, 0.0]);
         assert_eq!(dst.row(1), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_matches_manual() {
-        let m = Matrix::from_vec(1, 3, vec![3.0, 4.0, 0.0]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -13,9 +13,9 @@ use skiptrain_linalg::Matrix;
 /// * [`forward`](Layer::forward) consumes `input` (`batch × input_dim`) and
 ///   writes `output` (`batch × output_dim`). Layers keep no copy of either:
 ///   the caller owns both buffers and hands them back to `backward`.
-///   `train` matters only to layers whose forward pass draws or selects
-///   something the backward pass must replay (`Dropout`'s mask,
-///   `MaxPool2d`'s argmax); every other layer ignores it.
+///   `train` matters only to a layer whose forward pass selects something
+///   the backward pass must replay (`MaxPool2d`'s argmax); every other
+///   layer ignores it.
 /// * [`backward`](Layer::backward) receives the `input` and `output` of the
 ///   last `forward` on this batch (unchanged since), consumes `grad_out`
 ///   (`batch × output_dim`) and accumulates parameter gradients
@@ -28,7 +28,7 @@ use skiptrain_linalg::Matrix;
 ///   so models can be flattened for gossip exchange without copying
 ///   layer-by-layer structure around.
 pub trait Layer: Send {
-    /// Human-readable layer kind, used in model summaries.
+    /// Human-readable layer kind, used in the model's shape-mismatch message.
     fn name(&self) -> &'static str;
 
     /// Number of input features per sample.

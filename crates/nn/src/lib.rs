@@ -17,7 +17,7 @@
 //!   vectors, so flatten/unflatten is a first-class operation. The model
 //!   owns every activation and its backward sweep stops at the lowest layer
 //!   that has parameters,
-//! * [`sgd`] — plain and momentum SGD,
+//! * [`sgd`] — plain SGD, the paper's optimizer (Table 1),
 //! * [`zoo`] — the model family of the evaluation (Table 1): the FEMNIST CNN
 //!   reproduces the paper's 1,690,046-parameter model exactly,
 //! * [`gradcheck`] — finite-difference gradient verification used by the test
@@ -26,7 +26,6 @@
 pub mod activations;
 pub mod conv;
 pub mod dense;
-pub mod dropout;
 pub mod gradcheck;
 pub mod layer;
 pub mod loss;

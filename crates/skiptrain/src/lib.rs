@@ -76,8 +76,8 @@ pub mod prelude {
         HarvestProfile, HarvestTrace, WorkloadSpec,
     };
     pub use skiptrain_engine::observer::{
-        BatteryObserver, BatteryRound, CurveObserver, EarlyStop, EnergyTraceObserver, EvalReport,
-        MeanModelObserver, RoundCtx, RoundObserver, RoundReport,
+        CurveObserver, EarlyStop, EnergyTraceObserver, EvalReport, MeanModelObserver, RoundCtx,
+        RoundObserver, RoundReport,
     };
     pub use skiptrain_engine::{
         ChurnModel, CompressionPolicy, ComputeProfile, EnergyTier, EventEngine, EventStats,

@@ -70,3 +70,30 @@ fn constrained_policy_is_deterministic_end_to_end() {
         b.final_test.mean_accuracy.to_bits()
     );
 }
+
+#[test]
+fn evaluation_cadence_moves_no_result() {
+    // Evaluation is read-only: how often a run is evaluated changes how
+    // densely its curve is sampled, never its models or its energy. The
+    // figure bins print the paper's tables from runs evaluated at the
+    // figures' cadence on the strength of this.
+    let mut often = config(15);
+    often.eval_every = 2;
+    let mut final_only = config(15);
+    final_only.eval_every = usize::MAX;
+    let (a, b) = (often.run(), final_only.run());
+    assert!(a.test_curve.len() > b.test_curve.len());
+    assert_eq!(a.final_mean_model.len(), b.final_mean_model.len());
+    assert!(
+        a.final_mean_model
+            .iter()
+            .zip(&b.final_mean_model)
+            .all(|(x, y)| x.to_bits() == y.to_bits()),
+        "evaluating more often moved a parameter"
+    );
+    assert_eq!(
+        serde_json::to_string(&a.final_test).unwrap(),
+        serde_json::to_string(&b.final_test).unwrap()
+    );
+    assert_eq!(a.total_training_wh.to_bits(), b.total_training_wh.to_bits());
+}

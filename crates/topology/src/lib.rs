@@ -11,8 +11,9 @@
 //! * [`weights`] — sparse mixing matrices (Metropolis–Hastings, uniform
 //!   all-reduce, and degenerate variants for testing),
 //! * [`schedule`] — time-varying topologies: round→graph generators
-//!   ([`TopologySchedule`]) with per-round Metropolis–Hastings weights
-//!   cached by graph identity ([`ScheduledTopology`]),
+//!   ([`TopologySchedule`]) with per-round Metropolis–Hastings weights,
+//!   kept by position in the period for periodic schedules
+//!   ([`ScheduledTopology`]),
 //! * [`spectral`] — spectral-gap estimation, which predicts gossip mixing
 //!   speed and explains the Γ_sync trends of Figure 3.
 

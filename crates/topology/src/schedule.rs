@@ -9,9 +9,12 @@
 //! regenerates Metropolis–Hastings mixing weights per scheduled round, so
 //! every effective round's matrix stays symmetric and doubly stochastic —
 //! the condition D-PSGD-style analyses need, per round, on time-varying
-//! graphs. Matrices are cached by *graph identity* ([`MixingCache`]), so a
-//! cycling schedule pays the MH construction once per distinct graph, not
-//! once per round.
+//! graphs. A periodic schedule (static, cycle) keeps its matrices by
+//! *position in the period*: `round % period` already names the graph, so
+//! a cycling schedule pays the MH construction once per listed graph, not
+//! once per round, and looks a matrix up without comparing graphs. The
+//! period is known when the schedule is bound, so there is one slot per
+//! position and no capacity to size or evict against.
 //!
 //! # Seed chaining
 //!
@@ -81,35 +84,12 @@ impl TopologySchedule {
             TopologySchedule::PairwiseMatching { .. } => 3,
         }
     }
-
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TopologySchedule::Static => "static",
-            TopologySchedule::Cycle(_) => "cycle",
-            TopologySchedule::EdgeDropout { .. } => "edge-dropout",
-            TopologySchedule::PairwiseMatching { .. } => "pairwise-matching",
-        }
-    }
-
-    /// True for the static schedule (callers keep the engine's fast path).
-    pub fn is_static(&self) -> bool {
-        matches!(self, TopologySchedule::Static)
-    }
-
-    /// True when the schedule draws from a fixed, repeating set of graphs
-    /// (the variants the mixing cache can actually hit); randomized
-    /// schedules generate an essentially fresh graph every round, so
-    /// their mixing is computed directly instead of thrashing the cache.
-    pub fn is_periodic(&self) -> bool {
-        matches!(self, TopologySchedule::Static | TopologySchedule::Cycle(_))
-    }
 }
 
 /// The graph `schedule` puts in effect at `round` over `base` — the one
 /// generation path shared by [`ScheduledTopology::graph_for_round`] and
 /// [`ScheduledTopology::mixing_for_round`] (a free function over the
-/// fields, so the latter can split-borrow the cache mutably).
+/// fields, so the latter can split-borrow its matrix slots mutably).
 fn generate_round_graph<'a>(
     base: &'a Graph,
     schedule: &'a TopologySchedule,
@@ -130,87 +110,22 @@ fn generate_round_graph<'a>(
     }
 }
 
-/// Bounded cache of Metropolis–Hastings matrices keyed by graph identity.
-///
-/// A cycling schedule revisits the same handful of graphs every period;
-/// caching by [`Graph`] equality makes the steady state allocation-free
-/// for periodic schedules. Randomized schedules bypass it entirely
-/// ([`TopologySchedule::is_periodic`]) — a fresh graph every round would
-/// pay the deep-equality scan for a ~0% hit rate. [`ScheduledTopology`]
-/// sizes the capacity to the schedule (cycle length, or 1 for static),
-/// so periodic access never evicts; the FIFO cap only bounds memory for
-/// callers feeding mixed workloads directly (cyclic access is FIFO's
-/// worst case, so an undersized cache would thrash at a 0% hit rate).
-#[derive(Debug)]
-pub struct MixingCache {
-    entries: Vec<(Graph, MixingMatrix)>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-}
-
-/// Default capacity of a standalone [`MixingCache`].
-pub const MIXING_CACHE_CAP: usize = 16;
-
-impl Default for MixingCache {
-    fn default() -> Self {
-        Self::with_capacity(MIXING_CACHE_CAP)
-    }
-}
-
-impl MixingCache {
-    /// A cache retaining up to `capacity` distinct graphs (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            entries: Vec::new(),
-            capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// The MH matrix for `graph`, computed on first sight.
-    pub fn get_or_insert(&mut self, graph: Cow<'_, Graph>) -> &MixingMatrix {
-        if let Some(i) = self.entries.iter().position(|(g, _)| *g == *graph) {
-            self.hits += 1;
-            return &self.entries[i].1;
-        }
-        self.misses += 1;
-        let weights = MixingMatrix::metropolis_hastings(&graph);
-        if self.entries.len() == self.capacity {
-            self.entries.remove(0);
-        }
-        self.entries.push((graph.into_owned(), weights));
-        // lint:allow(no_panic, "provably infallible: an entry was pushed on the line above")
-        &self.entries.last().expect("just pushed").1
-    }
-
-    /// `(hits, misses)` counters (cache-effectiveness tests).
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of cached matrices.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// A [`TopologySchedule`] bound to its base graph, with per-round mixing
 /// generation and caching — the object the experiment runner drives.
 #[derive(Debug)]
 pub struct ScheduledTopology {
     base: Graph,
     schedule: TopologySchedule,
-    cache: MixingCache,
+    /// One matrix slot per position in the period — one for `Static`, one
+    /// per `Cycle` graph, none for randomized schedules — filled the first
+    /// time its position comes round.
+    periodic: Vec<Option<MixingMatrix>>,
+    /// Rounds served from a filled `periodic` slot.
+    hits: u64,
+    /// MH constructions: one per `periodic` slot, one per randomized round.
+    misses: u64,
     /// Reusable mixing slot for randomized (non-periodic) schedules,
-    /// whose graphs essentially never repeat — deep-equality caching
-    /// would be pure overhead there.
+    /// whose graphs essentially never repeat, so there is nothing to keep.
     scratch: Option<MixingMatrix>,
     /// Reusable graph for randomized schedules: edge-dropout and
     /// matching rounds regenerate edges into this slot instead of
@@ -249,43 +164,27 @@ impl ScheduledTopology {
                 }
             }
         }
-        // Size the cache to the schedule: one slot for static, one per
-        // cycle graph (cyclic access is FIFO's worst case — a cache
-        // smaller than the cycle would evict exactly the graph needed
-        // next and thrash at 0% hits). Randomized schedules bypass the
-        // cache entirely.
-        let capacity = match &schedule {
+        let period = match &schedule {
+            TopologySchedule::Static => 1,
             TopologySchedule::Cycle(graphs) => graphs.len(),
-            _ => 1,
+            TopologySchedule::EdgeDropout { .. } | TopologySchedule::PairwiseMatching { .. } => 0,
         };
         Ok(Self {
             base,
             schedule,
-            cache: MixingCache::with_capacity(capacity),
+            periodic: vec![None; period],
+            hits: 0,
+            misses: 0,
             scratch: None,
             graph_scratch: None,
             matching_scratch: MatchingScratch::default(),
         })
     }
 
-    /// The base graph.
-    pub fn base(&self) -> &Graph {
-        &self.base
-    }
-
-    /// The underlying schedule.
-    pub fn schedule(&self) -> &TopologySchedule {
-        &self.schedule
-    }
-
-    /// True when every round uses the base graph unchanged.
-    pub fn is_static(&self) -> bool {
-        self.schedule.is_static()
-    }
-
-    /// Mixing-cache counters (tests assert periodic schedules hit).
+    /// `(hits, misses)`: rounds served from a kept matrix, and MH
+    /// constructions (tests assert periodic schedules hit).
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+        (self.hits, self.misses)
     }
 
     /// The graph in effect at `round` (borrowed for static/cycling
@@ -297,20 +196,28 @@ impl ScheduledTopology {
     /// The Metropolis–Hastings mixing matrix for `round`'s graph —
     /// symmetric and doubly stochastic for any scheduled graph (on a
     /// matching graph MH degenerates to exact pairwise averaging).
-    /// Periodic schedules cache by graph identity; randomized ones
-    /// compute into a reusable slot.
+    /// Periodic schedules keep one matrix per position in the period;
+    /// randomized ones compute into a reusable slot.
     pub fn mixing_for_round(&mut self, round: usize) -> &MixingMatrix {
         // Split borrows: the graph may borrow `base`/`schedule` while the
-        // cache or scratch slots are mutated.
-        if self.schedule.is_periodic() {
-            let graph = generate_round_graph(&self.base, &self.schedule, round);
-            return self.cache.get_or_insert(graph);
-        }
-        self.cache.misses += 1;
-        // Randomized schedules regenerate edges into a reusable graph
-        // slot (and MH weights into a reusable matrix slot), so the
-        // steady-state round loop performs no heap allocation at all.
+        // periodic or scratch slots are mutated.
         let graph: &Graph = match &self.schedule {
+            // `round % period` names the slot (the index
+            // `generate_round_graph` uses); no graph is compared.
+            TopologySchedule::Static | TopologySchedule::Cycle(_) => {
+                let slot = round % self.periodic.len();
+                if self.periodic[slot].is_some() {
+                    self.hits += 1;
+                } else {
+                    self.misses += 1;
+                }
+                let graph = generate_round_graph(&self.base, &self.schedule, round);
+                return self.periodic[slot]
+                    .get_or_insert_with(|| MixingMatrix::metropolis_hastings(&graph));
+            }
+            // Randomized schedules regenerate edges into a reusable graph
+            // slot (and MH weights into a reusable matrix slot), so the
+            // steady-state round loop performs no heap allocation at all.
             TopologySchedule::EdgeDropout { p, seed } => {
                 let rs = round_seed(*seed, self.schedule.schedule_id(), round);
                 let g = self
@@ -331,9 +238,8 @@ impl ScheduledTopology {
                 }
                 g
             }
-            // is_periodic() returned above for Static and Cycle
-            TopologySchedule::Static | TopologySchedule::Cycle(_) => &self.base,
         };
+        self.misses += 1;
         // Seed the slot from the base graph: base degrees bound every
         // subgraph's, so the rows never grow on a later round that hits
         // a fresh per-node degree maximum.
@@ -569,11 +475,11 @@ mod tests {
 
     #[test]
     fn long_cycles_cache_every_graph_without_thrashing() {
-        // A cycle longer than the default cache capacity must still pay
-        // MH construction exactly once per distinct graph — the driver
-        // sizes the cache to the cycle length.
+        // However long the cycle, MH construction is paid exactly once
+        // per listed graph — there is one slot per position, so nothing
+        // is ever evicted.
         let n = 10;
-        let graphs: Vec<Graph> = (0..MIXING_CACHE_CAP + 8)
+        let graphs: Vec<Graph> = (0..24)
             .map(|i| crate::erdos::gnp(n, 0.5, i as u64))
             .collect();
         let count = graphs.len();
@@ -588,27 +494,42 @@ mod tests {
 
     #[test]
     fn randomized_schedules_bypass_the_cache() {
-        // EdgeDropout draws an essentially fresh graph per round; caching
-        // by deep graph equality would be a ~0% hit rate, so the driver
-        // computes mixing into the reusable scratch slot instead.
+        // EdgeDropout draws an essentially fresh graph per round: it has
+        // no period, so the driver keeps no slot and computes mixing into
+        // the reusable scratch matrix instead.
         let base = Graph::complete(10);
         let mut sched =
             ScheduledTopology::new(base, TopologySchedule::EdgeDropout { p: 0.5, seed: 3 });
-        for r in 0..MIXING_CACHE_CAP * 4 {
+        for r in 0..64 {
             let w = sched.mixing_for_round(r);
             assert!(w.stochasticity_error() < 1e-4);
         }
         let (hits, misses) = sched.cache_stats();
         assert_eq!(hits, 0);
-        assert_eq!(
-            misses as usize,
-            MIXING_CACHE_CAP * 4,
-            "every round computes"
-        );
+        assert_eq!(misses, 64, "every round computes");
         assert!(
-            sched.cache.is_empty(),
-            "randomized schedules must not populate the cache"
+            sched.periodic.is_empty(),
+            "randomized schedules keep no periodic slot"
         );
+    }
+
+    #[test]
+    fn a_graph_listed_twice_in_a_cycle_is_built_once_per_position() {
+        // Slots are per position in the period, not per distinct graph:
+        // listing one graph twice costs two MH constructions. This is the
+        // one place the counters differ from caching by graph equality,
+        // and the price of never comparing adjacency lists per round.
+        let a = random_regular(12, 4, 1);
+        let mut sched = ScheduledTopology::new(
+            a.clone(),
+            TopologySchedule::Cycle(vec![a.clone(), Graph::ring(12), a]),
+        );
+        let w0 = sched.mixing_for_round(0).clone();
+        let _ = sched.mixing_for_round(1);
+        assert_eq!(sched.mixing_for_round(2), &w0, "same graph, equal matrix");
+        assert_eq!(sched.cache_stats(), (0, 3), "three positions, three builds");
+        assert_eq!(sched.mixing_for_round(3), &w0);
+        assert_eq!(sched.cache_stats(), (1, 3));
     }
 
     proptest! {

@@ -240,27 +240,6 @@ impl MixingMatrix {
             }
         }
     }
-
-    /// Renormalizes row `i` after dropping the contribution of column `j`
-    /// (lossy-transport handling): the dropped weight is added back to the
-    /// self-weight so the row still sums to 1. Returns the dropped weight.
-    pub fn dropped_weight_to_self(row: &mut [(u32, f32)], self_id: u32, dropped: u32) -> f32 {
-        let mut w_dropped = 0.0f32;
-        for entry in row.iter_mut() {
-            if entry.0 == dropped {
-                w_dropped = entry.1;
-                entry.1 = 0.0;
-            }
-        }
-        if w_dropped > 0.0 {
-            for entry in row.iter_mut() {
-                if entry.0 == self_id {
-                    entry.1 += w_dropped;
-                }
-            }
-        }
-        w_dropped
-    }
 }
 
 #[cfg(test)]
@@ -460,18 +439,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn drop_renormalization_keeps_row_sum() {
-        let g = Graph::ring(5);
-        let w = MixingMatrix::metropolis_hastings(&g);
-        let mut row = w.row(0).to_vec();
-        let dropped = MixingMatrix::dropped_weight_to_self(&mut row, 0, 1);
-        assert!(dropped > 0.0);
-        let sum: f32 = row.iter().map(|&(_, v)| v).sum();
-        assert!((sum - 1.0).abs() < 1e-6);
-        assert_eq!(row.iter().find(|&&(j, _)| j == 1).unwrap().1, 0.0);
     }
 
     proptest! {
