@@ -18,9 +18,10 @@
 //! (`benchmark/run.sh`). [`perf`] holds the counting allocator behind the
 //! 0 B-per-step test `tests/alloc_pins.rs`.
 
-// The only unsafe in the workspace lives in this crate (the counting
-// allocator); force every unsafe operation into an explicit, SAFETY-
-// commented block even inside `unsafe fn` bodies.
+// The workspace's unsafe is the counting allocator here and one call in
+// `skiptrain_linalg::gemm::with_avx2` (a detected `#[target_feature]`
+// function); force every unsafe operation of this crate into an explicit,
+// SAFETY-commented block even inside `unsafe fn` bodies.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use skiptrain_core::presets::Scale;

@@ -11,7 +11,10 @@
 //! (a second one would allocate into the first one's windows), and the
 //! whole table runs inside a one-thread pool: at a budget of two or more
 //! the vendored rayon spawns scoped threads per parallel op, which
-//! allocates 1–25 KB per step (the ROADMAP's worker-pool item).
+//! allocates 1–25 KB per step (the ROADMAP's worker-pool item). The same
+//! test closes with one bracket taken inside a fresh thread: its first
+//! serial `A·B` and `Aᵀ·B` allocate 0 B, because the direct tile has no
+//! pack scratch to grow.
 
 use skiptrain_bench::perf::{allocated_bytes, CountingAllocator};
 use skiptrain_data::synth::{MixtureSpec, MixtureTask};
@@ -25,7 +28,7 @@ use skiptrain_engine::{
     LatencyModel, ModelCodec, RoundAction, RoundSemantics, Simulation, SimulationConfig,
     TransportKind, BASE_TRAIN_TICKS,
 };
-use skiptrain_linalg::Matrix;
+use skiptrain_linalg::{gemm_at_b_into, gemm_into, Matrix};
 use skiptrain_nn::sgd::SgdConfig;
 use skiptrain_nn::zoo::ModelKind;
 use skiptrain_nn::{Sequential, Sgd, SoftmaxCrossEntropy};
@@ -140,6 +143,25 @@ fn steady_state_steps_allocate_zero_bytes_at_one_thread() {
                 assert_eq!(allocated_bytes() - before, 0, "{}", pin.name);
             }
         });
+
+    // A serial `A·B` / `Aᵀ·B` has no pack scratch, so the *first* multiplies
+    // of a fresh thread — what every worker of a parallel region of the
+    // vendored spawn-per-op rayon is — allocate nothing either. Bracketed
+    // inside the thread, while this one only waits for it.
+    let fresh = std::thread::spawn(|| {
+        let (x, w) = (vec![0.5f32; 16 * 32], vec![0.25f32; 32 * 24]);
+        let (mut y, mut dw) = (vec![0.0f32; 16 * 24], vec![0.0f32; 32 * 24]);
+        let before = allocated_bytes();
+        gemm_into(16, 32, 24, black_box(&x), black_box(&w), &mut y);
+        gemm_at_b_into(32, 16, 24, black_box(&x), black_box(&y), &mut dw);
+        black_box(&dw);
+        allocated_bytes() - before
+    });
+    let fresh = fresh.join().expect("the multiplies do not panic");
+    assert_eq!(
+        fresh, 0,
+        "first gemm_into + gemm_at_b_into of a fresh thread"
+    );
 }
 
 /// CIFAR-10 model size from Table 1, the share-phase payload.

@@ -14,50 +14,52 @@
 //!
 //! # Blocked kernel design
 //!
-//! All three shapes funnel into one cache-blocked, register-tiled driver:
+//! Two drivers share one arithmetic: every output element is a single
+//! scalar chain `acc += a · b` over `p = 0..k` in order, so results are
+//! bit-identical whichever driver, tiling, thread count or parallel split
+//! ran — the workspace's determinism requirement. Size picks the driver:
 //!
-//! 1. **Pack once per multiply.** `B` is packed into [`NR`]-wide column
-//!    panels (`k × NR` contiguous, zero-padded tail panel) and `A` into
-//!    [`MR`]-row tiles (`k × MR` contiguous, zero-padded tail tile). The
-//!    packed buffers live in thread-local scratch on the calling thread
-//!    (workers only read them), so steady-state multiplies allocate
-//!    nothing as long as the caller thread persists — true for serial
-//!    callers and the main thread, but a multiply issued from inside a
-//!    parallel region of the vendored spawn-per-op rayon runs on a fresh
-//!    worker whose scratch starts empty (see ROADMAP: persistent worker
-//!    pool). Packing normalizes both storage layouts (`Aᵀ·B` reads `A`
-//!    columns, `A·Bᵀ` reads `B` rows), which is why one micro-kernel
-//!    serves all three shapes.
-//! 2. **4×8 register micro-kernel.** For each (row tile, column panel)
-//!    pair, an `MR × NR` accumulator array is carried in registers across
-//!    the whole `k` loop: per step, `MR` contiguous `A` values and `NR`
-//!    contiguous `B` values feed `MR·NR` multiply–adds. `C` is written
-//!    exactly once per element.
-//! 3. **Deterministic accumulation.** Every output element is a single
-//!    scalar chain over `p = 0..k` in order, so results are bit-identical
-//!    regardless of tiling, thread count, or which parallel split ran —
-//!    the workspace's determinism requirement.
-//! 4. **Rayon over row blocks** for all three shapes once a multiply
-//!    reaches [`PAR_FLOP_THRESHOLD`] multiply–adds. Skinny products
-//!    (`m == 1`, e.g. single-sample inference over a huge weight matrix)
-//!    parallelize over column panels instead, so FLOP-heavy multiplies
-//!    are never serialized just because `m` is small.
+//! 1. **Direct tile: every serial `A·B` and `Aᵀ·B`** (below
+//!    [`PAR_FLOP_THRESHOLD`]). An [`MR`]-row block of accumulators, 8, 4, 2
+//!    or 1 columns wide, stays in registers across the whole `k` loop while
+//!    both operands are read where they lie; `C` is written once. A
+//!    training batch makes `m` 8–32, so a packed `B` would serve 2–8 row
+//!    tiles and never repay the copy; reading in place stays ahead while
+//!    `B` is cache-resident. No scratch, so no allocation on any thread.
+//! 2. **Pack, then tile: the parallel driver** (at or above
+//!    [`PAR_FLOP_THRESHOLD`]) and large `A·Bᵀ`. `B` is packed once into
+//!    [`NR`]-wide column panels and `A` into [`MR`]-row tiles (zero-padded
+//!    tails), in thread-local scratch of the calling thread that workers
+//!    only read; a 4×8 register micro-kernel runs per (tile, panel) pair.
+//!    Packing normalizes the storage layouts — for `A·Bᵀ` it *is* the
+//!    transposition. Rayon splits row blocks, or column panels when
+//!    `m == 1`, so a skinny FLOP-heavy multiply is not serialized.
 //!
-//! # Small multiplies
+//! Both compile twice from one source, for the baseline and for AVX2
+//! (`with_avx2`). `Aᵀ·B` accumulates: the direct tile continues each chain
+//! from the `C` it finds, the packed driver adds a from-zero chain to it.
+//! They agree bit for bit on a zeroed `C`, which both library callers pass
+//! (`Dense::backward` after `zero_grads`, `Conv2d`'s zero-filled `dcols`),
+//! so no pinned result moves when a shape changes driver; the packed order
+//! is deliberately left as it is.
 //!
-//! Multiplies under [`SMALL_FLOP_THRESHOLD`] skip the blocked driver — at
-//! that size packing both operands and dispatching tiles costs more than
-//! register tiling saves. `A·B` and `Aᵀ·B` run plain streaming loops over
-//! rows of `B`. `A·Bᵀ` has no row of `B` to stream (each output element is
-//! a dot product of two rows), so it transposes `B` once into the `B` pack
-//! scratch and produces [`NR`] output columns per pass over an `A` row
-//! (`small_a_bt`). Its per-element summation order is
-//! [`ops::dot`](crate::ops::dot)'s — eight lane partial sums combined by a
-//! fixed tree, then the tail — not the blocked driver's single chain:
-//! every output-layer input gradient of the small models goes through this
-//! kernel, so its order is part of every pinned result (benchmark digests,
-//! determinism tests), and `dot` is the independent reference the tests
-//! compare it against, bit for bit.
+//! No kernel skips a zero term, so `0 · ∞` is `NaN` at every size. For
+//! finite operands skipping would change no bit: a chain started at `+0.0`
+//! never reaches `−0.0` (`+0.0 + −0.0 = +0.0`) and adding `±0.0` to a
+//! non-zero sum is exact. On ReLU outputs, zero half the time in no
+//! learnable pattern, the test cost more than the multiplies it saved.
+//!
+//! # Small `A·Bᵀ`
+//!
+//! `A·Bᵀ` has no row of `B` to stream (each output element is a dot
+//! product of two rows). At or below `A_BT_SMALL_FLOP_THRESHOLD` it
+//! transposes `B` once into the `B` pack scratch (allocated on first use,
+//! so also on a fresh worker of the vendored spawn-per-op rayon) and
+//! produces [`NR`] output columns per pass over an `A` row (`small_a_bt`),
+//! each in [`ops::dot`](crate::ops::dot)'s order — eight lane sums combined
+//! by a fixed tree, then the tail — not the single chain: the small models'
+//! output-layer input gradients all take it, so that order is in every
+//! pinned result, and `dot` is the reference the tests hold it to, bit for bit.
 
 use crate::matrix::Matrix;
 use crate::ops::LANES;
@@ -76,12 +78,16 @@ pub const NR: usize = 8;
 /// (read `nn.sgd_step_us` from `benchmark/run.sh --trace 1`). Gating on
 /// FLOPs rather than output elements means a `1 × N` product over a huge
 /// inner dimension still parallelizes (over column panels).
+///
+/// `A·B` and `Aᵀ·B` also change driver here, direct below and packed above:
+/// packing pays once `B` has left the cache (README, "Training rounds").
 pub const PAR_FLOP_THRESHOLD: usize = 2 * 1024 * 1024;
 
-/// Below this multiply–add count the packed path's pack traffic and
-/// dispatch overhead beat its register-tiling gains; the small kernels
-/// (module docs, "Small multiplies") are used instead.
-const SMALL_FLOP_THRESHOLD: usize = 8 * 1024;
+/// `A·Bᵀ` at or below this multiply–add count runs [`small_a_bt`], above it
+/// the packed driver. A pin, not a tuning constant: the two sum in
+/// different orders (`ops::dot`'s lane tree, one chain), so moving it moves
+/// the bits of every model whose output-layer input gradient crosses it.
+const A_BT_SMALL_FLOP_THRESHOLD: usize = 8 * 1024;
 
 thread_local! {
     /// Reusable pack buffer for `A` tiles (tile-major `k × MR` blocks).
@@ -106,6 +112,115 @@ enum BStore<'a> {
     Rows(&'a [f32]),
     /// `n × k` row-major, logically transposed.
     Cols(&'a [f32]),
+}
+
+/// Runs `f` compiled for AVX2 when the CPU has it, as written otherwise.
+/// Callers pass an `#[inline(always)]` closure around an `#[inline(always)]`
+/// kernel body, so `wide` holds a second compilation of the same source.
+/// No intrinsics, no FMA: the same separate multiply and add in the same
+/// order, so the two agree bit for bit and the baseline one is the reference.
+#[inline(always)]
+fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2")]
+        fn wide<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `wide` requires only that the CPU supports AVX2,
+            // which `is_x86_feature_detected!("avx2")` just confirmed.
+            return unsafe { wide(f) };
+        }
+    }
+    f()
+}
+
+/// One `MR × W` block of `C`, operands read where they lie: accumulators in
+/// registers across the whole `p = 0..k` loop, `C` written once. Each element
+/// is one chain `acc += a · b` over `p` in order, from `+0.0` (`A·B`) or from
+/// the `C` it replaces (`from_c`, `Aᵀ·B`); no term is skipped. `a_vals` yields
+/// the tile rows' `A` values for each `p`; `c_band` is the `≤ MR` rows of `C`
+/// it lies in. Spare rows of a short band shadow its last, start to store.
+#[inline(always)]
+fn tile<const W: usize>(
+    a_vals: impl Iterator<Item = [f32; MR]>,
+    b: &[f32],
+    n: usize,
+    j0: usize,
+    c_band: &mut [f32],
+    from_c: bool,
+) {
+    let last = c_band.len() / n - 1;
+    let mut acc = [[0.0f32; W]; MR];
+    if from_c {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            acc_row.copy_from_slice(&c_band[r.min(last) * n + j0..][..W]);
+        }
+    }
+    for (a_p, b_p) in a_vals.zip(b.chunks_exact(n)) {
+        let b_w = &b_p[j0..j0 + W];
+        for (acc_row, &a_v) in acc.iter_mut().zip(&a_p) {
+            for (acc_v, &b_v) in acc_row.iter_mut().zip(b_w) {
+                *acc_v += a_v * b_v;
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        c_band[r.min(last) * n + j0..][..W].copy_from_slice(acc_row);
+    }
+}
+
+/// Four rows of a row-major `m × k` `A` (`AStore::Rows`), walked together.
+#[inline(always)]
+fn a_rows(a: &[f32], k: usize, idx: [usize; MR]) -> impl Iterator<Item = [f32; MR]> + '_ {
+    let [r0, r1, r2, r3] = idx.map(|i| &a[i * k..][..k]);
+    let quads = r0.iter().zip(r1).zip(r2).zip(r3);
+    quads.map(|(((&v0, &v1), &v2), &v3)| [v0, v1, v2, v3])
+}
+
+/// The same for `A` stored `k × m` (`AStore::Cols`): four entries of each row.
+#[inline(always)]
+fn a_cols(a: &[f32], m: usize, idx: [usize; MR]) -> impl Iterator<Item = [f32; MR]> + '_ {
+    a.chunks_exact(m).map(move |a_p| idx.map(|i| a_p[i]))
+}
+
+/// The direct driver behind every serial `A·B` and `Aᵀ·B`: walks `C` in
+/// [`MR`]-row bands and cuts each band's `n` columns into tiles of 8, …, 8,
+/// 4, 2, 1. `a_band` turns a band's four row indices (a short tail band
+/// repeats its last) into a pass over their `A` values. An empty `m` or `n`
+/// leaves nothing to visit, an empty `k` stores the starting accumulators
+/// (`+0.0` or `C`): the packed driver's answers, from the loop bounds alone.
+#[inline(always)]
+fn direct_gemm<I: Iterator<Item = [f32; MR]>>(
+    m: usize,
+    n: usize,
+    a_band: impl Fn([usize; MR]) -> I,
+    b: &[f32],
+    c: &mut [f32],
+    from_c: bool,
+) {
+    for i0 in (0..m).step_by(MR) {
+        let rows = MR.min(m - i0);
+        let idx: [usize; MR] = std::array::from_fn(|r| i0 + r.min(rows - 1));
+        let c_band = &mut c[i0 * n..(i0 + rows) * n];
+        let mut j0 = 0;
+        while n - j0 >= NR {
+            tile::<NR>(a_band(idx), b, n, j0, c_band, from_c);
+            j0 += NR;
+        }
+        if n - j0 >= 4 {
+            tile::<4>(a_band(idx), b, n, j0, c_band, from_c);
+            j0 += 4;
+        }
+        if n - j0 >= 2 {
+            tile::<2>(a_band(idx), b, n, j0, c_band, from_c);
+            j0 += 2;
+        }
+        if n - j0 >= 1 {
+            tile::<1>(a_band(idx), b, n, j0, c_band, from_c);
+        }
+    }
 }
 
 /// Packs `A` into tile-major layout: tile `t` holds rows
@@ -192,6 +307,7 @@ fn micro_4x8(tile_a: &[f32], panel_b: &[f32]) -> [[f32; NR]; MR] {
 
 /// Multiplies one packed `A` row tile against every `B` panel, writing (or
 /// accumulating into) `rows` valid rows of `c_rows` (`rows × n`).
+#[inline(always)]
 fn tile_row(
     k: usize,
     n: usize,
@@ -326,18 +442,27 @@ fn small_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32])
     PACK_B.with(|pb| {
         let mut bpack = pb.borrow_mut();
         pack_b(k, n, BStore::Cols(b), &mut bpack);
-        for (c_row, a_row) in c.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
-            for (dst, panel_b) in c_row.chunks_mut(NR).zip(bpack.chunks_exact(k * NR)) {
-                dst.copy_from_slice(&dot_panel(a_row, panel_b)[..dst.len()]);
-            }
-        }
+        // around the arithmetic only: `LocalKey::with` is not always inlined
+        with_avx2(
+            #[inline(always)]
+            || a_bt_rows(k, n, a, &bpack, c),
+        );
     });
 }
 
-/// The blocked driver behind all three public kernels: packs both
-/// operands, then runs the micro-kernel over row tiles — in parallel over
-/// row blocks (or column panels when `m == 1`) once the multiply crosses
-/// [`PAR_FLOP_THRESHOLD`].
+/// [`small_a_bt`] after the transposition: [`NR`] columns per [`dot_panel`].
+#[inline(always)]
+fn a_bt_rows(k: usize, n: usize, a: &[f32], bpack: &[f32], c: &mut [f32]) {
+    for (c_row, a_row) in c.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+        for (dst, panel_b) in c_row.chunks_mut(NR).zip(bpack.chunks_exact(k * NR)) {
+            dst.copy_from_slice(&dot_panel(a_row, panel_b)[..dst.len()]);
+        }
+    }
+}
+
+/// The packed driver (`A·B`, `Aᵀ·B` from [`PAR_FLOP_THRESHOLD`] on, large
+/// `A·Bᵀ`): packs both operands, then runs the micro-kernel over row tiles,
+/// from that threshold on in parallel (column panels when `m == 1`).
 fn blocked_gemm(
     m: usize,
     k: usize,
@@ -361,11 +486,9 @@ fn blocked_gemm(
         let mut bpack = pb.borrow_mut();
         pack_b(k, n, b, &mut bpack);
         if m == 1 {
-            let a_row = match a {
-                AStore::Rows(a) => &a[..k],
-                AStore::Cols(a) => &a[..k], // k×1 storage is also contiguous
-            };
-            gemv_row(k, n, a_row, &bpack, c, accumulate, parallel);
+            // a 1×k row and a k×1 column are the same contiguous storage
+            let (AStore::Rows(a_row) | AStore::Cols(a_row)) = a;
+            gemv_row(k, n, &a_row[..k], &bpack, c, accumulate, parallel);
             return;
         }
         PACK_A.with(|pa| {
@@ -374,32 +497,28 @@ fn blocked_gemm(
             let tiles = m / MR;
             let (c_full, c_tail) = c.split_at_mut(tiles * MR * n);
             let bpack: &[f32] = &bpack;
+            let run = |c_rows: &mut [f32], tile_a: &[f32], rows: usize| {
+                with_avx2(
+                    #[inline(always)]
+                    || tile_row(k, n, tile_a, bpack, c_rows, rows, accumulate),
+                )
+            };
             if parallel && tiles > 1 {
                 c_full
                     .par_chunks_exact_mut(MR * n)
                     .zip(apack.par_chunks_exact(k * MR))
-                    .for_each(|(c_rows, tile_a)| {
-                        tile_row(k, n, tile_a, bpack, c_rows, MR, accumulate)
-                    });
+                    .for_each(|(c_rows, tile_a)| run(c_rows, tile_a, MR));
             } else {
                 for (c_rows, tile_a) in c_full
                     .chunks_exact_mut(MR * n)
                     .zip(apack.chunks_exact(k * MR))
                 {
-                    tile_row(k, n, tile_a, bpack, c_rows, MR, accumulate);
+                    run(c_rows, tile_a, MR);
                 }
             }
             let tail_rows = m % MR;
             if tail_rows > 0 {
-                tile_row(
-                    k,
-                    n,
-                    &apack[tiles * k * MR..],
-                    bpack,
-                    c_tail,
-                    tail_rows,
-                    accumulate,
-                );
+                run(c_tail, &apack[tiles * k * MR..], tail_rows);
             }
         });
     });
@@ -414,20 +533,11 @@ pub fn gemm_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
     assert_eq!(b.len(), k * n, "gemm_into: B length mismatch");
     assert_eq!(c.len(), m * n, "gemm_into: C length mismatch");
 
-    if m * n * k <= SMALL_FLOP_THRESHOLD {
-        // ikj order: for each a[i][p], stream b row p into c row i.
-        for (c_row, a_row) in c.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
-            c_row.fill(0.0);
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
-                    continue;
-                }
-                let b_row = &b[p * n..(p + 1) * n];
-                for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                    *c_v += a_ip * b_v;
-                }
-            }
-        }
+    if m * n * k < PAR_FLOP_THRESHOLD {
+        with_avx2(
+            #[inline(always)]
+            || direct_gemm(m, n, |idx| a_rows(a, k, idx), b, c, false),
+        );
     } else {
         blocked_gemm(m, k, n, AStore::Rows(a), BStore::Rows(b), c, false);
     }
@@ -444,21 +554,11 @@ pub fn gemm_at_b_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
     assert_eq!(b.len(), k * n, "gemm_at_b_into: B length mismatch");
     assert_eq!(c.len(), m * n, "gemm_at_b_into: C length mismatch");
 
-    if m * n * k <= SMALL_FLOP_THRESHOLD {
-        // For every sample p: c[i][j] += a[p][i] * b[p][j].
-        for p in 0..k {
-            let a_row = &a[p * m..(p + 1) * m];
-            let b_row = &b[p * n..(p + 1) * n];
-            for (i, &a_pi) in a_row.iter().enumerate() {
-                if a_pi == 0.0 {
-                    continue;
-                }
-                let c_row = &mut c[i * n..(i + 1) * n];
-                for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                    *c_v += a_pi * b_v;
-                }
-            }
-        }
+    if m * n * k < PAR_FLOP_THRESHOLD {
+        with_avx2(
+            #[inline(always)]
+            || direct_gemm(m, n, |idx| a_cols(a, m, idx), b, c, true),
+        );
     } else {
         blocked_gemm(m, k, n, AStore::Cols(a), BStore::Rows(b), c, true);
     }
@@ -473,7 +573,7 @@ pub fn gemm_a_bt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
     assert_eq!(b.len(), n * k, "gemm_a_bt_into: B length mismatch");
     assert_eq!(c.len(), m * n, "gemm_a_bt_into: C length mismatch");
 
-    if m * n * k <= SMALL_FLOP_THRESHOLD {
+    if m * n * k <= A_BT_SMALL_FLOP_THRESHOLD {
         small_a_bt(m, k, n, a, b, c);
     } else {
         blocked_gemm(m, k, n, AStore::Rows(a), BStore::Cols(b), c, false);
@@ -711,6 +811,251 @@ mod tests {
         small_a_bt(1, 9, 1, &a, &b, &mut c);
         assert_eq!(c[0].to_bits(), 0.0f32.to_bits());
         assert_eq!(crate::ops::dot(&a, &b).to_bits(), 0.0f32.to_bits());
+    }
+
+    /// `C (+)= A·B` as one chain per element, `acc += a·b` over `p` in
+    /// order, from `+0.0` or from the `C` already there: the order the
+    /// direct tile promises. `a_at(i, p)` reads the logical `m × k` left
+    /// operand from whichever layout the caller stored.
+    fn naive_chain(
+        m: usize,
+        k: usize,
+        n: usize,
+        a_at: impl Fn(usize, usize) -> f32,
+        b: &[f32],
+        c: &mut [f32],
+        from_c: bool,
+    ) {
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = if from_c { c[i * n + j] } else { 0.0 };
+                for p in 0..k {
+                    acc += a_at(i, p) * b[p * n + j];
+                }
+                c[i * n + j] = acc;
+            }
+        }
+    }
+
+    /// Every shape that straddles the row band (0, < MR, MR, two bands and
+    /// a tail), the column cut (every mix of 8 / 4 / 2 / 1) and the empty
+    /// axes, over `edge_values`.
+    fn for_each_tile_shape(mut f: impl FnMut(usize, usize, usize, &[f32], &[f32], &[f32])) {
+        let (m_max, k_max, n_max) = (2 * MR + 1, 17, 2 * NR + 3);
+        let a_all = edge_values(m_max * k_max, 81);
+        let b_all = edge_values(k_max * n_max, 82);
+        let c_all = edge_values(m_max * n_max, 83);
+        for m in 0..=m_max {
+            for k in 0..=k_max {
+                for n in 0..=n_max {
+                    f(m, k, n, &a_all[..m * k], &b_all[..k * n], &c_all[..m * n]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn direct_tile_is_the_naive_chain_bit_for_bit() {
+        for_each_tile_shape(|m, k, n, a, b, c0| {
+            // A·B: from +0.0, whatever C held
+            let mut got = vec![f32::NAN; m * n];
+            direct_gemm(m, n, |idx| a_rows(a, k, idx), b, &mut got, false);
+            let mut want = vec![f32::NAN; m * n];
+            naive_chain(m, k, n, |i, p| a[i * k + p], b, &mut want, false);
+            assert_eq!(bits(&got), bits(&want), "A·B {m}x{k}x{n}");
+
+            // Aᵀ·B: A stored k×m, the chain continues from a non-zero C
+            let mut got = c0.to_vec();
+            direct_gemm(m, n, |idx| a_cols(a, m, idx), b, &mut got, true);
+            let mut want = c0.to_vec();
+            naive_chain(m, k, n, |i, p| a[p * m + i], b, &mut want, true);
+            assert_eq!(bits(&got), bits(&want), "Aᵀ·B {m}x{k}x{n}");
+        });
+    }
+
+    #[test]
+    fn direct_and_packed_agree_bitwise_on_a_zeroed_target() {
+        // The property that lets a shape change path without moving a
+        // pinned result: on a zeroed C the packed driver's from-zero chain
+        // added to C equals the tile's chain started from C.
+        for_each_tile_shape(|m, k, n, a, b, _| {
+            let mut direct = vec![f32::NAN; m * n];
+            direct_gemm(m, n, |idx| a_rows(a, k, idx), b, &mut direct, false);
+            let mut packed = vec![f32::NAN; m * n];
+            blocked_gemm(
+                m,
+                k,
+                n,
+                AStore::Rows(a),
+                BStore::Rows(b),
+                &mut packed,
+                false,
+            );
+            assert_eq!(bits(&direct), bits(&packed), "A·B {m}x{k}x{n}");
+
+            let mut direct = vec![0.0f32; m * n];
+            direct_gemm(m, n, |idx| a_cols(a, m, idx), b, &mut direct, true);
+            let mut packed = vec![0.0f32; m * n];
+            blocked_gemm(m, k, n, AStore::Cols(a), BStore::Rows(b), &mut packed, true);
+            assert_eq!(bits(&direct), bits(&packed), "Aᵀ·B {m}x{k}x{n}");
+        });
+    }
+
+    #[test]
+    fn avx2_and_baseline_compilations_agree_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        let detected = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let detected = false;
+        if !detected {
+            println!("skipped: this CPU has no AVX2, with_avx2 runs the baseline compilation");
+            return;
+        }
+        // Each dispatched body as written (this test is compiled for the
+        // baseline) and through `wide`, from the same starting `C`.
+        #[inline(always)]
+        fn agree(c0: &[f32], what: &str, body: impl Fn(&mut [f32])) {
+            let (mut base, mut wide) = (c0.to_vec(), c0.to_vec());
+            body(&mut base);
+            with_avx2(
+                #[inline(always)]
+                || body(&mut wide),
+            );
+            assert_eq!(bits(&base), bits(&wide), "{what}");
+        }
+        for_each_tile_shape(|m, k, n, a, b, c0| {
+            let shape = format!("{m}x{k}x{n}");
+            agree(
+                c0,
+                &format!("tile, A·B {shape}"),
+                #[inline(always)]
+                |c| direct_gemm(m, n, |idx| a_rows(a, k, idx), b, c, false),
+            );
+            agree(
+                c0,
+                &format!("tile, Aᵀ·B {shape}"),
+                #[inline(always)]
+                |c| direct_gemm(m, n, |idx| a_cols(a, m, idx), b, c, true),
+            );
+            if m == 0 || n == 0 || k == 0 {
+                return;
+            }
+            let (mut apack, mut bpack) = (Vec::new(), Vec::new());
+            pack_a(m, k, AStore::Rows(a), &mut apack);
+            pack_b(k, n, BStore::Rows(b), &mut bpack);
+            let rows = MR.min(m);
+            for accumulate in [false, true] {
+                agree(
+                    &c0[..rows * n],
+                    &format!("tile_row {shape}"),
+                    #[inline(always)]
+                    |c| tile_row(k, n, &apack[..k * MR], &bpack, c, rows, accumulate),
+                );
+            }
+            agree(
+                c0,
+                &format!("a_bt_rows {shape}"),
+                #[inline(always)]
+                |c| a_bt_rows(k, n, a, &bpack, c),
+            );
+        });
+    }
+
+    #[test]
+    fn gemm_a_bt_threshold_is_pinned() {
+        // At or below 8 192 multiply–adds every element is `ops::dot`,
+        // above it the packed driver's single chain. The two orders give
+        // different bits, and benchmark digests hold both (16×10×24 is
+        // `train_dpsgd`'s output layer, 8×10×640 `sync_wide64`'s), so an
+        // edit of the threshold fails here first.
+        let mut orders_differ = false;
+        for (m, k, n, small) in [
+            (16usize, 10usize, 24usize, true),
+            (16, 16, 32, true),
+            (16, 16, 33, false),
+            (8, 10, 640, false),
+        ] {
+            assert_eq!(m * k * n <= 8 * 1024, small);
+            let a = edge_values(m * k, 91);
+            let b = edge_values(n * k, 92);
+            let mut c = vec![f32::NAN; m * n];
+            gemm_a_bt_into(m, k, n, &a, &b, &mut c);
+            for i in 0..m {
+                for j in 0..n {
+                    let (a_row, b_row) = (&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                    let dot = crate::ops::dot(a_row, b_row);
+                    let mut chain = 0.0f32;
+                    for (&x, &y) in a_row.iter().zip(b_row) {
+                        chain += x * y;
+                    }
+                    orders_differ |= dot.to_bits() != chain.to_bits();
+                    let want = if small { dot } else { chain };
+                    assert_eq!(
+                        c[i * n + j].to_bits(),
+                        want.to_bits(),
+                        "a_bt {m}x{k}x{n} [{i},{j}]"
+                    );
+                }
+            }
+        }
+        assert!(orders_differ, "the operands must tell the two orders apart");
+    }
+
+    #[test]
+    fn zero_times_nonfinite_propagates_at_every_size() {
+        // One shape per path: the direct tile, and the packed driver at
+        // PAR_FLOP_THRESHOLD. A ±0.0 in A opposite ∞ or NaN in B is NaN in
+        // every element of C, whichever kernel the size selects.
+        for (m, k, n) in [(16usize, 24usize, 10usize), (96, 300, 96)] {
+            assert_eq!(m * k * n >= PAR_FLOP_THRESHOLD, m == 96);
+            let p0 = k / 2;
+            for zero in [0.0f32, -0.0] {
+                for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                    let mut b = vec![1.0f32; k * n];
+                    b[p0 * n..(p0 + 1) * n].fill(bad);
+
+                    let mut a = vec![1.0f32; m * k];
+                    a.iter_mut().skip(p0).step_by(k).for_each(|v| *v = zero);
+                    let mut c = vec![0.0f32; m * n];
+                    gemm_into(m, k, n, &a, &b, &mut c);
+                    assert!(c.iter().all(|v| v.is_nan()), "A·B {m}x{k}x{n} {zero}·{bad}");
+
+                    let mut at = vec![1.0f32; k * m];
+                    at[p0 * m..(p0 + 1) * m].fill(zero);
+                    let mut c = vec![0.0f32; m * n];
+                    gemm_at_b_into(m, k, n, &at, &b, &mut c);
+                    assert!(
+                        c.iter().all(|v| v.is_nan()),
+                        "Aᵀ·B {m}x{k}x{n} {zero}·{bad}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_shapes_return_like_the_blocked_driver() {
+        // An empty m or n leaves nothing to write; an empty k writes zeros
+        // (A·B, A·Bᵀ) or leaves C as it was (Aᵀ·B accumulates nothing).
+        for (m, k, n) in [(0usize, 3usize, 2usize), (2, 0, 2), (2, 3, 0)] {
+            let (a, b) = (vec![1.0f32; m * k], vec![1.0f32; k * n]);
+            let was = vec![7.0f32; m * n];
+            type Kernel = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+            let kernels: [(Kernel, AStore, BStore, bool); 3] = [
+                (gemm_into, AStore::Rows(&a), BStore::Rows(&b), false),
+                (gemm_at_b_into, AStore::Cols(&a), BStore::Rows(&b), true),
+                (gemm_a_bt_into, AStore::Rows(&a), BStore::Cols(&b), false),
+            ];
+            for (kernel, a_store, b_store, accumulate) in kernels {
+                let mut got = was.clone();
+                kernel(m, k, n, &a, &b, &mut got);
+                let mut want = was.clone();
+                blocked_gemm(m, k, n, a_store, b_store, &mut want, accumulate);
+                assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n}");
+                let fill = if accumulate { 7.0 } else { 0.0f32 };
+                assert!(got.iter().all(|v| v.to_bits() == fill.to_bits()));
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //!
 //! 1. **Correctness** — every kernel has a naive reference implementation and
 //!    is tested against it (including property tests).
-//! 2. **Cache-friendliness** — [`gemm`] uses an ikj loop order with row-major
-//!    accumulation so the inner loop is a contiguous fused multiply-add; large
-//!    multiplies are parallelized over row blocks with rayon.
+//! 2. **Cache-friendliness** — [`gemm`] keeps a 4-row block of accumulators in
+//!    registers across the whole inner dimension and reads `B` a contiguous
+//!    row at a time, with a separate multiply and add per term (no FMA, by
+//!    design: one rounding per operation on every CPU, so the bits repeat);
+//!    large multiplies are packed and parallelized over row blocks with rayon.
 //! 3. **Zero allocation on hot paths** — all kernels write into caller-provided
 //!    buffers; the NN layers above keep workhorse buffers across rounds.
 //!

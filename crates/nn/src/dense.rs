@@ -65,7 +65,7 @@ impl Layer for Dense {
         ensure_shape(output, batch, self.output_dim);
 
         let (w, bias) = self.params.split_at(self.weight_len());
-        // Y = X · W, written with the ikj kernel streaming rows of W.
+        // Y = X · W: batch-sized, so the direct tile reads X and W in place.
         skiptrain_linalg::gemm_into(
             batch,
             self.input_dim,
