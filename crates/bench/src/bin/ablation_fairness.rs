@@ -8,11 +8,11 @@
 //! constrained and unconstrained algorithms (the unconstrained run is the
 //! control: budgets equal → no systematic gap expected).
 
-use skiptrain_bench::{banner, render_table, HarnessArgs};
+use skiptrain_bench::{banner, exit_unusable, render_table, HarnessArgs};
 use skiptrain_core::experiment::{AlgorithmSpec, EnergySpec};
 use skiptrain_core::fairness::analyze;
 use skiptrain_core::presets::cifar_config;
-use skiptrain_core::Schedule;
+use skiptrain_core::{run_with_observers, Schedule};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -32,7 +32,7 @@ fn main() {
             cfg.algorithm = AlgorithmSpec::SkipTrain(schedule);
         }
         cfg.name = format!("fairness-{}", cfg.algorithm.name());
-        let result = cfg.run_on(&data);
+        let result = run_with_observers(&cfg, &data, &mut []).unwrap_or_else(|e| exit_unusable(e));
         let report = analyze(&result, &cfg.model_kind(), &data.test, &cfg.energy);
 
         banner(&format!(

@@ -6,10 +6,10 @@
 //! CIFAR-10 sharding and small on the milder FEMNIST split; this harness
 //! maps the whole curve.
 
-use skiptrain_bench::{banner, pct, render_table, HarnessArgs};
+use skiptrain_bench::{banner, exit_unusable, pct, render_table, HarnessArgs};
 use skiptrain_core::experiment::{AlgorithmSpec, DataSpec};
 use skiptrain_core::presets::cifar_config;
-use skiptrain_core::Schedule;
+use skiptrain_core::{run_with_observers, Schedule};
 use skiptrain_data::stats::label_skew;
 use skiptrain_data::Partition;
 
@@ -74,9 +74,10 @@ fn main() {
         let skew = label_skew(&data.node_datasets);
 
         cfg.algorithm = AlgorithmSpec::DPsgd;
-        let dpsgd = cfg.run_on(&data);
+        let dpsgd = run_with_observers(&cfg, &data, &mut []).unwrap_or_else(|e| exit_unusable(e));
         cfg.algorithm = AlgorithmSpec::SkipTrain(Schedule::new(4, 4));
-        let skiptrain = cfg.run_on(&data);
+        let skiptrain =
+            run_with_observers(&cfg, &data, &mut []).unwrap_or_else(|e| exit_unusable(e));
 
         let gap = (skiptrain.final_test.mean_accuracy - dpsgd.final_test.mean_accuracy) * 100.0;
         rows.push(vec![

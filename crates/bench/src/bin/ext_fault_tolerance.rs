@@ -21,7 +21,7 @@
 //!
 //! Exits non-zero on any violated invariant, so the CI step is the gate.
 
-use skiptrain_bench::{banner, HarnessArgs};
+use skiptrain_bench::{banner, run_cells, HarnessArgs};
 use skiptrain_core::presets::cifar_config;
 use skiptrain_core::{retry_seed, Campaign, ChurnSpec, ExperimentConfig, RetrySpec, TransportKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -122,7 +122,7 @@ fn main() {
         }
         let mut fresh_cfg = cfg.clone();
         fresh_cfg.seed = retry_seed(cfg.seed, 2);
-        let fresh = fresh_cfg.run();
+        let fresh = &run_cells(vec![fresh_cfg])[0];
         let retried = report.results[i].as_ref().unwrap();
         if retried.final_test.mean_accuracy.to_bits() != fresh.final_test.mean_accuracy.to_bits()
             || retried.final_mean_model != fresh.final_mean_model

@@ -6,7 +6,7 @@
 //! shrinks at reduced node counts because one gossip neighborhood then
 //! covers a larger fraction of the network.
 
-use skiptrain_bench::{banner, pct, render_table, HarnessArgs};
+use skiptrain_bench::{banner, pct, render_table, run_cells, HarnessArgs};
 use skiptrain_core::presets::cifar_config;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
         "Figure 1: D-PSGD vs all-reduce ({} nodes, {} rounds, 6-regular)",
         cfg.nodes, cfg.rounds
     ));
-    let result = cfg.run();
+    let result = &run_cells(vec![cfg])[0];
 
     let rows: Vec<Vec<String>> = result
         .test_curve

@@ -5,10 +5,10 @@
 use skiptrain_bench::paper::{
     FIG3_ENERGY_WH, FIG3_VAL_ACC_10REG, FIG3_VAL_ACC_6REG, FIG3_VAL_ACC_8REG,
 };
-use skiptrain_bench::{banner, render_table, HarnessArgs};
+use skiptrain_bench::{banner, exit_unusable, render_table, HarnessArgs};
 use skiptrain_core::presets::cifar_config;
 use skiptrain_core::sweep::grid_search;
-use skiptrain_core::{Schedule, TopologySpec};
+use skiptrain_core::{CampaignRunError, Schedule, TopologySpec};
 use skiptrain_energy::device::fleet;
 use skiptrain_energy::trace::round_energy_wh;
 
@@ -29,7 +29,13 @@ fn main() {
             "Figure 3: {degree}-regular validation grid ({} nodes, {} rounds)",
             base.nodes, base.rounds
         ));
-        let sweep = grid_search(&base, &gammas);
+        let sweep = grid_search(&base, &gammas).unwrap_or_else(|e| match e {
+            CampaignRunError::Cell(failure) => {
+                eprintln!("FAILED {failure}");
+                std::process::exit(1)
+            }
+            unusable => exit_unusable(unusable),
+        });
 
         let mut rows = Vec::new();
         for &gs in &gammas {

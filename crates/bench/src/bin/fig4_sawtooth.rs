@@ -3,7 +3,7 @@
 //! batches (models biased toward local shards, std across nodes rises) and
 //! recovers during synchronization batches (std falls).
 
-use skiptrain_bench::{banner, render_table, HarnessArgs};
+use skiptrain_bench::{banner, render_table, run_cells, HarnessArgs};
 use skiptrain_core::experiment::AlgorithmSpec;
 use skiptrain_core::presets::cifar_config;
 use skiptrain_core::Schedule;
@@ -21,7 +21,7 @@ fn main() {
         "Figure 4: SkipTrain accuracy every 2 rounds ({} nodes, {} rounds, Γ=(4,4))",
         cfg.nodes, cfg.rounds
     ));
-    let result = cfg.run();
+    let result = &run_cells(vec![cfg])[0];
 
     // Show the final ~32 rounds (the paper shows rounds 970–1000).
     let window = 16usize;

@@ -13,13 +13,15 @@
 //! cargo run -p skiptrain-bench --release --bin run_config -- batch.json --resume batch.journal --retries 3 -o results.json
 //! ```
 //!
-//! Configurations are validated up front: an invalid config fails fast with
-//! a typed diagnostic (and the offending array index) instead of panicking
-//! mid-run. With `--resume` or `--retries` the batch runs resiliently
-//! (`Campaign::run_resilient`): failed cells are reported and retried
-//! instead of aborting the batch, completed cells are journaled, and a
-//! re-run against the same journal skips them.
+//! There is one path, `Campaign::run_resilient`, and three exit codes:
+//! **2** when a config or the journal is unusable (configurations are
+//! validated up front; the typed diagnostic names the offending array
+//! index), **1** when a cell failed every attempt after validation (a
+//! `FAILED` line per cell; its siblings still finish and are written), **0**
+//! otherwise. `--retries N` re-runs a failed cell up to N more times,
+//! `--resume` journals completed cells so a re-run skips them.
 
+use skiptrain_bench::{exit_unusable, report_exit_code};
 use skiptrain_core::presets::{cifar_config, Scale};
 use skiptrain_core::{AlgorithmSpec, Campaign, ExperimentConfig, RetrySpec, Schedule};
 
@@ -37,28 +39,29 @@ fn main() {
     let mut output: Option<String> = None;
     let mut threads: Option<usize> = None;
     let mut resume: Option<String> = None;
-    let mut retries: Option<usize> = None;
+    let mut retries = 0usize;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "-o" | "--output" => output = it.next(),
             "--threads" => {
-                threads = Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: --threads needs a positive integer");
-                    std::process::exit(2);
-                }))
+                threads = Some(
+                    it.next()
+                        .and_then(|v| v.parse().ok())
+                        .unwrap_or_else(|| exit_unusable("--threads needs a positive integer")),
+                )
             }
             "--resume" => {
-                resume = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("error: --resume needs a journal path");
-                    std::process::exit(2);
-                }))
+                resume = Some(
+                    it.next()
+                        .unwrap_or_else(|| exit_unusable("--resume needs a journal path")),
+                )
             }
             "--retries" => {
-                retries = Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: --retries needs a non-negative integer");
-                    std::process::exit(2);
-                }))
+                retries = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| exit_unusable("--retries needs a non-negative integer"))
             }
             "--help" | "-h" => {
                 eprintln!(
@@ -73,42 +76,27 @@ fn main() {
             path => input = Some(path.to_string()),
         }
     }
-    let Some(path) = input else {
-        eprintln!("error: no config file given (try --template)");
-        std::process::exit(2);
-    };
-
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
+    let path = input.unwrap_or_else(|| exit_unusable("no config file given (try --template)"));
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| exit_unusable(format_args!("cannot read {path}: {e}")));
     // A batch file is a JSON array of configs; a single config runs as a
     // one-element campaign. Dispatch on the leading token so a malformed
     // batch reports its own parse error, not the single-config one.
     let batched = text.trim_start().starts_with('[');
     let configs: Vec<ExperimentConfig> = if batched {
-        serde_json::from_str::<Vec<ExperimentConfig>>(&text).unwrap_or_else(|e| {
-            eprintln!("error: invalid config batch: {e}");
-            std::process::exit(2);
-        })
+        serde_json::from_str(&text)
+            .unwrap_or_else(|e| exit_unusable(format_args!("invalid config batch: {e}")))
     } else {
-        match serde_json::from_str::<ExperimentConfig>(&text) {
-            Ok(cfg) => vec![cfg],
-            Err(e) => {
-                eprintln!("error: invalid config: {e}");
-                std::process::exit(2);
-            }
-        }
+        let single: ExperimentConfig = serde_json::from_str(&text)
+            .unwrap_or_else(|e| exit_unusable(format_args!("invalid config: {e}")));
+        vec![single]
     };
 
     let mut campaign = Campaign::from_configs(configs);
     if let Some(threads) = threads {
         campaign = campaign.threads(threads);
     }
-    if let Err(e) = campaign.validate() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    campaign.validate().unwrap_or_else(|e| exit_unusable(e));
     for cfg in campaign.configs() {
         eprintln!(
             "queued '{}': {} nodes, {} rounds, {} on {:?}",
@@ -130,37 +118,20 @@ fn main() {
         );
     });
 
-    // --resume / --retries switch to the fault-tolerant path; the plain
-    // invocation keeps the fail-fast all-or-nothing behavior.
-    let resilient = resume.is_some() || retries.is_some();
-    let (results, failed) = if resilient {
-        if let Some(journal) = &resume {
-            campaign = campaign.with_checkpoint(journal);
-        }
-        campaign = campaign
-            .retry(RetrySpec::attempts(retries.unwrap_or(0) + 1))
-            .on_failure(|failure| eprintln!("FAILED {failure}"));
-        let report = campaign.run_resilient().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        if report.restored > 0 {
-            eprintln!(
-                "restored {} completed cell(s) from the journal",
-                report.restored
-            );
-        }
-        let failed = !report.failures.is_empty();
-        (report.results, failed)
-    } else {
-        let results = campaign.run().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        (results.into_iter().map(Some).collect(), false)
-    };
-
-    for result in results.iter().flatten() {
+    if let Some(journal) = &resume {
+        campaign = campaign.with_checkpoint(journal);
+    }
+    let report = campaign
+        .retry(RetrySpec::attempts(retries.saturating_add(1)))
+        .run_resilient()
+        .unwrap_or_else(|e| exit_unusable(e));
+    if report.restored > 0 {
+        eprintln!(
+            "restored {} completed cell(s) from the journal",
+            report.restored
+        );
+    }
+    for result in report.results.iter().flatten() {
         println!(
             "{}: final accuracy {:.2}% (±{:.2}), training energy {:.2} Wh, comm {:.3} Wh",
             result.name,
@@ -172,9 +143,9 @@ fn main() {
     }
     if let Some(out) = output {
         let rendered = if batched {
-            serde_json::to_string_pretty(&results).unwrap()
+            serde_json::to_string_pretty(&report.results).unwrap()
         } else {
-            serde_json::to_string_pretty(&results[0]).unwrap()
+            serde_json::to_string_pretty(&report.results[0]).unwrap()
         };
         std::fs::write(&out, rendered).unwrap_or_else(|e| {
             eprintln!("error: cannot write {out}: {e}");
@@ -182,8 +153,5 @@ fn main() {
         });
         eprintln!("wrote {out}");
     }
-    if failed {
-        eprintln!("error: some cells failed every attempt (see FAILED lines above)");
-        std::process::exit(1);
-    }
+    std::process::exit(report_exit_code(&report));
 }

@@ -25,7 +25,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use skiptrain_core::presets::Scale;
-use skiptrain_core::{Campaign, ExperimentConfig, ExperimentResult};
+use skiptrain_core::{Campaign, CampaignReport, ExperimentConfig, ExperimentResult};
 use skiptrain_engine::AccuracyPoint;
 use std::path::PathBuf;
 
@@ -176,15 +176,35 @@ pub fn banner(title: &str) {
     println!("\n=== {title} ===");
 }
 
+/// Exits 2 with `error: {e}`: an unusable config (or journal) is a usage
+/// error, like a bad flag.
+pub fn exit_unusable(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2)
+}
+
+/// The one ending of a campaign a bin launched: a `FAILED` line on stderr
+/// for every cell that failed all its attempts, and the process exit code —
+/// 0 when every cell has a result, 1 otherwise.
+pub fn report_exit_code(report: &CampaignReport) -> i32 {
+    for failure in &report.failures {
+        eprintln!("FAILED {failure}");
+    }
+    i32::from(!report.failures.is_empty())
+}
+
 /// Runs `configs` as one parallel [`Campaign`] (cells over the same data
 /// spec share one materialized bundle) and returns the results in input
-/// order. An invalid cell is a usage error: the typed message names the
-/// run and the process exits 2, like a bad flag.
+/// order. An invalid cell exits 2 with the typed message naming the run; a
+/// cell that fails after validation exits 1 ([`report_exit_code`]).
 pub fn run_cells(configs: Vec<ExperimentConfig>) -> Vec<ExperimentResult> {
-    Campaign::from_configs(configs).run().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
+    let report = Campaign::from_configs(configs)
+        .run_resilient()
+        .unwrap_or_else(|e| exit_unusable(e));
+    match report_exit_code(&report) {
+        0 => report.results.into_iter().flatten().collect(),
+        code => std::process::exit(code),
+    }
 }
 
 /// Parameter count of the model `cfg` actually simulates (the byte axes
@@ -267,6 +287,29 @@ mod tests {
         assert_eq!(cfg.nodes, 12);
         assert_eq!(cfg.rounds, 20);
         assert_eq!(cfg.seed, 9);
+    }
+
+    #[test]
+    fn a_failed_cell_ends_in_exit_code_1() {
+        use skiptrain_core::{CellFailure, FailureCause};
+        let clean = CampaignReport {
+            results: Vec::new(),
+            failures: Vec::new(),
+            restored: 0,
+        };
+        assert_eq!(report_exit_code(&clean), 0);
+        let failed = CampaignReport {
+            results: vec![None],
+            failures: vec![CellFailure {
+                index: 0,
+                name: "doomed".into(),
+                config_digest: 0,
+                attempts: 1,
+                cause: FailureCause::Panic("injected".into()),
+            }],
+            restored: 0,
+        };
+        assert_eq!(report_exit_code(&failed), 1);
     }
 
     #[test]

@@ -1,248 +1,42 @@
-//! Fluent, validating construction of experiments.
+//! Validated experiments: the one way to run one configuration.
 //!
-//! [`ExperimentBuilder`] assembles an
-//! [`ExperimentConfig`](crate::ExperimentConfig) field by field from
-//! sensible quick-scale defaults (or from an existing config), and
-//! [`ExperimentBuilder::build`] validates every cross-field invariant into
-//! a typed [`ConfigError`] instead of letting an `assert!` fire mid-run.
-//! The output is an [`Experiment`]: a proof-of-validity wrapper whose run
-//! methods cannot panic on configuration mistakes.
+//! An [`ExperimentConfig`] is plain data — a preset
+//! ([`cifar_config`](crate::presets::cifar_config),
+//! [`femnist_config`](crate::presets::femnist_config)) plus public fields.
+//! [`Experiment::from_config`] checks every cross-field invariant into a
+//! typed [`ConfigError`] instead of letting an `assert!` fire mid-run, and
+//! the [`Experiment`] it returns is the proof of validity
+//! [`Experiment::run`] consumes.
 //!
 //! ```
-//! use skiptrain_core::{AlgorithmSpec, Experiment, Schedule, TopologySpec};
+//! use skiptrain_core::presets::{cifar_config, Scale};
+//! use skiptrain_core::{AlgorithmSpec, Experiment, ExperimentConfig, Schedule, TopologySpec};
 //!
-//! let experiment = Experiment::builder()
-//!     .name("quick-demo")
-//!     .nodes(16)
-//!     .rounds(24)
-//!     .algorithm(AlgorithmSpec::SkipTrain(Schedule::new(4, 4)))
-//!     .topology(TopologySpec::Regular { degree: 4 })
-//!     .build()
-//!     .expect("valid configuration");
+//! let experiment = Experiment::from_config(ExperimentConfig {
+//!     name: "quick-demo".into(),
+//!     nodes: 16,
+//!     rounds: 24,
+//!     algorithm: AlgorithmSpec::SkipTrain(Schedule::new(4, 4)),
+//!     topology: TopologySpec::Regular { degree: 4 },
+//!     ..cifar_config(Scale::Quick, 42)
+//! })
+//! .expect("valid configuration");
 //! assert_eq!(experiment.config().nodes, 16);
 //! ```
 
-use crate::error::ConfigError;
-use crate::experiment::{
-    AlgorithmSpec, BatterySpec, ChurnSpec, CompressionSpec, DataBundle, DataSpec, EnergySpec,
-    ExperimentConfig, ExperimentResult, TimingSpec, TopologyScheduleSpec, TopologySpec,
-};
+use crate::error::{ConfigError, RunError};
+use crate::experiment::{DataBundle, ExperimentConfig, ExperimentResult};
 use crate::runner;
-use skiptrain_engine::observer::RoundObserver;
-use skiptrain_engine::{CompressionPolicy, TransportKind};
-
-/// Fluent builder for [`ExperimentConfig`] (see the module docs).
-#[derive(Debug, Clone)]
-pub struct ExperimentBuilder {
-    config: ExperimentConfig,
-}
-
-impl Default for ExperimentBuilder {
-    /// Quick-scale CIFAR-like defaults: 24 nodes, 64 rounds, D-PSGD on a
-    /// 6-regular graph.
-    fn default() -> Self {
-        Self {
-            config: crate::presets::cifar_config(crate::presets::Scale::Quick, 42),
-        }
-    }
-}
-
-macro_rules! setter {
-    ($(#[$doc:meta] $name:ident: $ty:ty),* $(,)?) => {$(
-        #[$doc]
-        pub fn $name(mut self, $name: $ty) -> Self {
-            self.config.$name = $name;
-            self
-        }
-    )*};
-}
-
-impl ExperimentBuilder {
-    /// Starts from the quick-scale defaults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts from an existing configuration (e.g. a preset).
-    pub fn from_config(config: ExperimentConfig) -> Self {
-        Self { config }
-    }
-
-    /// Sets the report label.
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.config.name = name.into();
-        self
-    }
-
-    setter! {
-        /// Sets the node count.
-        nodes: usize,
-        /// Sets the total round count `T`.
-        rounds: usize,
-        /// Sets the algorithm under test.
-        algorithm: AlgorithmSpec,
-        /// Sets the communication topology.
-        topology: TopologySpec,
-        /// Sets the dataset family and scale.
-        data: DataSpec,
-        /// Sets the hidden width of the per-node MLP (0 = softmax regression).
-        hidden_dim: usize,
-        /// Sets the mini-batch size.
-        batch_size: usize,
-        /// Sets the local SGD steps per training round.
-        local_steps: usize,
-        /// Sets the SGD learning rate.
-        learning_rate: f32,
-        /// Sets the master seed.
-        seed: u64,
-        /// Sets the evaluation cadence (every N rounds).
-        eval_every: usize,
-        /// Caps evaluation samples per eval point (`usize::MAX` = full set).
-        eval_max_samples: usize,
-        /// Sets the energy accounting / budget model.
-        energy: EnergySpec,
-        /// Sets the message transport.
-        transport: TransportKind,
-        /// Enables/disables the averaged-model curve of Figure 1.
-        record_mean_model: bool,
-    }
-
-    /// Enables the closed-loop battery subsystem: per-node charge states
-    /// drained by the energy ledger's actual spend, recharged by the
-    /// spec's harvest profile, with a participation policy gating both
-    /// training and gossip per round. Validation rejects non-positive
-    /// capacities ([`ConfigError::NonPositiveBatteryCapacity`]), inverted
-    /// hysteresis bands ([`ConfigError::InvertedHysteresisBands`]),
-    /// out-of-range thresholds, malformed harvest profiles, and
-    /// out-of-range phase jitter.
-    pub fn battery(mut self, spec: BatterySpec) -> Self {
-        self.config.battery = Some(spec);
-        self
-    }
-
-    /// Sets the virtual-time realism knobs for the event-driven engine:
-    /// a per-node compute profile (homogeneous / per-node speed factors /
-    /// straggler tail) and a per-link latency model (zero / constant /
-    /// seeded jitter). The default is trivial timing, which reproduces
-    /// the legacy lockstep results bit for bit. Validation rejects
-    /// mis-sized or non-positive per-node factors
-    /// ([`ConfigError::ComputeProfileArityMismatch`],
-    /// [`ConfigError::InvalidComputeProfile`]) and out-of-range latency
-    /// jitter ([`ConfigError::InvalidLatencyJitter`]).
-    pub fn timing(mut self, timing: TimingSpec) -> Self {
-        self.config.timing = timing;
-        self
-    }
-
-    /// Enables node churn: each round, present nodes leave with
-    /// probability `leave_prob` and absent nodes rejoin with probability
-    /// `rejoin_prob` (seeded, deterministic). Absent nodes freeze — no
-    /// training, messages, or energy — and their mixing rows collapse to
-    /// identity, so ledger conservation holds exactly. Validation rejects
-    /// probabilities outside `[0, 1]`
-    /// ([`ConfigError::InvalidChurnRate`]).
-    pub fn churn(mut self, leave_prob: f64, rejoin_prob: f64) -> Self {
-        self.config.churn = Some(ChurnSpec {
-            leave_prob,
-            rejoin_prob,
-        });
-        self
-    }
-
-    /// Sets the round→graph topology schedule (time-varying topologies).
-    /// Non-static schedules regenerate doubly stochastic
-    /// Metropolis–Hastings weights per scheduled round and charge energy
-    /// only for the edges that fired. Validation rejects out-of-range
-    /// dropout probabilities ([`ConfigError::InvalidEdgeDropout`]) and
-    /// cycles that are empty or mis-sized for the node count
-    /// ([`ConfigError::EmptyTopologyCycle`],
-    /// [`ConfigError::TopologyCycleSizeMismatch`]).
-    pub fn topology_schedule(mut self, schedule: TopologyScheduleSpec) -> Self {
-        self.config.topology_schedule = schedule;
-        self
-    }
-
-    /// Sets the per-directed-link codec selection policy. Uniform
-    /// policies reproduce the legacy global codec bit for bit; adaptive
-    /// policies ([`CompressionPolicy::PerLink`],
-    /// [`CompressionPolicy::RarityAdaptive`],
-    /// [`CompressionPolicy::EnergyAdaptive`]) resolve a codec per link
-    /// per round and charge each link's ledger bytes from the codec it
-    /// actually used. Keeps any previously configured γ and feedback
-    /// settings.
-    pub fn compression_policy(mut self, policy: CompressionPolicy) -> Self {
-        let legacy = self.config.codec;
-        self.config
-            .compression
-            .get_or_insert_with(|| CompressionSpec::uniform(legacy))
-            .policy = policy;
-        self
-    }
-
-    /// Replaces the whole compression subsystem spec: policy, consensus
-    /// stepsize γ, and error-feedback settings in one value. Validation
-    /// checks the spec's invariants (γ ∈ (0, 1], well-formed tier/link
-    /// tables, nonzero top-k everywhere).
-    pub fn compression_spec(mut self, spec: CompressionSpec) -> Self {
-        self.config.compression = Some(spec);
-        self
-    }
-
-    /// Sets the consensus stepsize γ ∈ (0, 1] applied after aggregation:
-    /// `x^t = x^{t−½} + γ (Σ_j W_ji x_j^{t−½} − x^{t−½})`. The default
-    /// `1.0` is the paper's plain mixing update; γ < 1 damps consensus,
-    /// which keeps extreme sparsity stable. Validation rejects values
-    /// outside `(0, 1]` with [`ConfigError::InvalidConsensusGamma`].
-    pub fn consensus_gamma(mut self, gamma: f32) -> Self {
-        let legacy = self.config.codec;
-        self.config
-            .compression
-            .get_or_insert_with(|| CompressionSpec::uniform(legacy))
-            .gamma = gamma;
-        self
-    }
-
-    /// Caps the per-receiver error-feedback replica count (bounds
-    /// feedback memory at `nodes × cap` model vectors under time-varying
-    /// topologies; the stalest link is evicted and restarts cold). The
-    /// unset default adapts to the base graph (`max(max degree, 16)`)
-    /// and never evicts; an explicit cap below the in-degree trades
-    /// residual memory for a hard bound — at the extreme, feedback
-    /// degrades toward plain masked compression. Validation rejects
-    /// `cap == 0` with [`ConfigError::ZeroReplicaCap`].
-    pub fn feedback_replica_cap(mut self, cap: usize) -> Self {
-        self.config.feedback_replica_cap = Some(cap);
-        self
-    }
-
-    /// Validates and builds the raw configuration.
-    pub fn build_config(self) -> Result<ExperimentConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-
-    /// Validates and builds a runnable [`Experiment`].
-    pub fn build(self) -> Result<Experiment, ConfigError> {
-        Ok(Experiment {
-            config: self.build_config()?,
-        })
-    }
-}
 
 /// A validated experiment: the only way to obtain one is through
-/// validation, so its run methods never panic on configuration errors.
+/// validation, so running it cannot fail on a configuration error.
 #[derive(Debug, Clone)]
 pub struct Experiment {
     config: ExperimentConfig,
 }
 
 impl Experiment {
-    /// Starts a fluent builder with quick-scale defaults.
-    pub fn builder() -> ExperimentBuilder {
-        ExperimentBuilder::new()
-    }
-
-    /// Validates an existing configuration into an `Experiment`.
+    /// Validates a configuration into an `Experiment`.
     pub fn from_config(config: ExperimentConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         Ok(Self { config })
@@ -263,40 +57,35 @@ impl Experiment {
         self.config.data.build(self.config.nodes, self.config.seed)
     }
 
-    /// Runs end to end: generates data, executes every round, returns the
-    /// collected result.
+    /// Runs end to end on the experiment's own data: generates the bundle,
+    /// executes every round, returns the collected result. A mid-run
+    /// engine failure (an internal scheduling bug) is the typed
+    /// [`RunError`] naming the round it broke on.
     ///
-    /// # Panics
-    /// Panics if the engine fails mid-run (an internal scheduling bug);
-    /// use [`Campaign::run_resilient`](crate::Campaign::run_resilient)
-    /// for the fault-isolating path.
-    pub fn run(&self) -> ExperimentResult {
-        let data = self.build_data();
-        // lint:allow(no_panic, "documented '# Panics' contract: run_resilient is the fault-isolating path")
-        runner::execute(&self.config, &data, &mut []).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs on a pre-built bundle (campaigns and sweeps share bundles
-    /// across runs).
-    pub fn run_on(&self, data: &DataBundle) -> Result<ExperimentResult, ConfigError> {
-        runner::run_with_observers(&self.config, data, &mut [])
-    }
-
-    /// Runs with caller-supplied observers hooked into the round loop.
-    pub fn run_observed(
-        &self,
-        data: &DataBundle,
-        observers: &mut [&mut dyn RoundObserver],
-    ) -> Result<ExperimentResult, ConfigError> {
-        runner::run_with_observers(&self.config, data, observers)
+    /// To share one bundle across runs or to attach observers, call
+    /// [`run_with_observers`](crate::run_with_observers); to run many
+    /// configurations, build a [`Campaign`](crate::Campaign).
+    pub fn run(&self) -> Result<ExperimentResult, RunError> {
+        runner::execute(&self.config, &self.build_data(), &mut [])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{
+        AlgorithmSpec, ChurnSpec, CompressionSpec, DataSpec, EnergySpec, TimingSpec, TopologySpec,
+    };
+    use crate::presets::{cifar_config, Scale};
     use crate::schedule::Schedule;
-    use skiptrain_engine::ModelCodec;
+    use skiptrain_data::Partition;
+    use skiptrain_engine::{CompressionPolicy, ModelCodec};
+
+    /// The quick-scale preset every case below edits with struct-update
+    /// syntax.
+    fn base() -> ExperimentConfig {
+        cifar_config(Scale::Quick, 42)
+    }
 
     /// Top-k (k = 64) on every link with error feedback at `beta`.
     fn top_k_feedback(beta: f32) -> CompressionSpec {
@@ -307,20 +96,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_are_valid() {
-        let experiment = Experiment::builder()
-            .build()
-            .expect("defaults must validate");
-        assert!(experiment.config().nodes > 0);
-    }
-
-    #[test]
     fn constrained_without_battery_fraction_is_a_typed_error() {
-        let err = Experiment::builder()
-            .algorithm(AlgorithmSpec::SkipTrainConstrained(Schedule::new(4, 4)))
-            .energy(EnergySpec::cifar10()) // no battery fraction
-            .build()
-            .unwrap_err();
+        let err = Experiment::from_config(ExperimentConfig {
+            algorithm: AlgorithmSpec::SkipTrainConstrained(Schedule::new(4, 4)),
+            energy: EnergySpec::cifar10(), // no battery fraction
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(
             err,
             ConfigError::MissingBatteryFraction {
@@ -331,10 +113,11 @@ mod tests {
 
     #[test]
     fn greedy_without_battery_fraction_is_a_typed_error() {
-        let err = Experiment::builder()
-            .algorithm(AlgorithmSpec::Greedy)
-            .build()
-            .unwrap_err();
+        let err = Experiment::from_config(ExperimentConfig {
+            algorithm: AlgorithmSpec::Greedy,
+            ..base()
+        })
+        .unwrap_err();
         assert!(matches!(err, ConfigError::MissingBatteryFraction { .. }));
     }
 
@@ -349,18 +132,20 @@ mod tests {
             r#"{"SkipTrainConstrained":{"gamma_train":0,"gamma_sync":4}}"#,
         ] {
             let algorithm: AlgorithmSpec = serde_json::from_str(json).unwrap();
-            let builder = Experiment::builder()
-                .algorithm(algorithm)
-                .energy(energy.clone());
+            let cfg = ExperimentConfig {
+                algorithm,
+                energy: energy.clone(),
+                ..base()
+            };
             // the policy constructors would panic on it: the typed-error
             // path must answer before reaching them, validated or not
             assert_eq!(
-                builder.config.try_build_policy().err(),
+                cfg.try_build_policy().err(),
                 Some(ConfigError::ZeroGammaTrain),
                 "{json}"
             );
             assert_eq!(
-                builder.build().unwrap_err(),
+                Experiment::from_config(cfg).unwrap_err(),
                 ConfigError::ZeroGammaTrain,
                 "{json}"
             );
@@ -370,22 +155,27 @@ mod tests {
     #[test]
     fn zero_rounds_and_nodes_are_rejected() {
         assert_eq!(
-            Experiment::builder().rounds(0).build().unwrap_err(),
+            Experiment::from_config(ExperimentConfig {
+                rounds: 0,
+                ..base()
+            })
+            .unwrap_err(),
             ConfigError::ZeroRounds
         );
         assert_eq!(
-            Experiment::builder().nodes(0).build().unwrap_err(),
+            Experiment::from_config(ExperimentConfig { nodes: 0, ..base() }).unwrap_err(),
             ConfigError::ZeroNodes
         );
     }
 
     #[test]
     fn impossible_regular_topology_is_rejected() {
-        let err = Experiment::builder()
-            .nodes(6)
-            .topology(TopologySpec::Regular { degree: 6 })
-            .build()
-            .unwrap_err();
+        let err = Experiment::from_config(ExperimentConfig {
+            nodes: 6,
+            topology: TopologySpec::Regular { degree: 6 },
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(
             err,
             ConfigError::DegreeTooLarge {
@@ -394,11 +184,12 @@ mod tests {
             }
         );
 
-        let err = Experiment::builder()
-            .nodes(7)
-            .topology(TopologySpec::Regular { degree: 3 })
-            .build()
-            .unwrap_err();
+        let err = Experiment::from_config(ExperimentConfig {
+            nodes: 7,
+            topology: TopologySpec::Regular { degree: 3 },
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(
             err,
             ConfigError::OddDegreeProduct {
@@ -410,33 +201,43 @@ mod tests {
 
     #[test]
     fn zero_top_k_compression_is_a_typed_error() {
-        let err = Experiment::builder()
-            .compression_policy(CompressionPolicy::Uniform(ModelCodec::TopK { k: 0 }))
-            .build()
-            .unwrap_err();
+        let err = Experiment::from_config(ExperimentConfig {
+            compression: Some(CompressionSpec {
+                policy: CompressionPolicy::Uniform(ModelCodec::TopK { k: 0 }),
+                ..CompressionSpec::default()
+            }),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::ZeroTopK);
         let top_k = CompressionPolicy::Uniform(ModelCodec::TopK { k: 64 });
-        let ok = Experiment::builder()
-            .compression_policy(top_k.clone())
-            .build()
-            .expect("positive k validates");
+        let ok = Experiment::from_config(ExperimentConfig {
+            compression: Some(CompressionSpec {
+                policy: top_k.clone(),
+                ..CompressionSpec::default()
+            }),
+            ..base()
+        })
+        .expect("positive k validates");
         assert_eq!(ok.config().effective_compression().policy, top_k);
     }
 
     #[test]
     fn out_of_range_feedback_beta_is_a_typed_error() {
         for bad in [0.0f32, -0.5, 1.5, f32::NAN, f32::INFINITY] {
-            let err = Experiment::builder()
-                .compression_spec(top_k_feedback(bad))
-                .build()
-                .unwrap_err();
+            let err = Experiment::from_config(ExperimentConfig {
+                compression: Some(top_k_feedback(bad)),
+                ..base()
+            })
+            .unwrap_err();
             assert_eq!(err, ConfigError::InvalidFeedbackBeta, "beta {bad}");
         }
         for good in [1.0f32, 0.5, 1e-3] {
-            let ok = Experiment::builder()
-                .compression_spec(top_k_feedback(good))
-                .build()
-                .expect("beta in (0,1] validates");
+            let ok = Experiment::from_config(ExperimentConfig {
+                compression: Some(top_k_feedback(good)),
+                ..base()
+            })
+            .expect("beta in (0,1] validates");
             assert_eq!(
                 ok.config().effective_compression().feedback_beta,
                 Some(good)
@@ -450,26 +251,26 @@ mod tests {
         use skiptrain_topology::Graph;
 
         for bad_p in [1.0f64, 1.5, -0.1, f64::NAN] {
-            let err = Experiment::builder()
-                .topology_schedule(TopologyScheduleSpec::EdgeDropout { p: bad_p })
-                .build()
-                .unwrap_err();
+            let err = Experiment::from_config(ExperimentConfig {
+                topology_schedule: TopologyScheduleSpec::EdgeDropout { p: bad_p },
+                ..base()
+            })
+            .unwrap_err();
             assert_eq!(err, ConfigError::InvalidEdgeDropout, "p = {bad_p}");
         }
-        let err = Experiment::builder()
-            .topology_schedule(TopologyScheduleSpec::Cycle(vec![]))
-            .build()
-            .unwrap_err();
+        let err = Experiment::from_config(ExperimentConfig {
+            topology_schedule: TopologyScheduleSpec::Cycle(vec![]),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::EmptyTopologyCycle);
 
-        let err = Experiment::builder()
-            .nodes(16)
-            .topology_schedule(TopologyScheduleSpec::Cycle(vec![
-                Graph::ring(16),
-                Graph::ring(12),
-            ]))
-            .build()
-            .unwrap_err();
+        let err = Experiment::from_config(ExperimentConfig {
+            nodes: 16,
+            topology_schedule: TopologyScheduleSpec::Cycle(vec![Graph::ring(16), Graph::ring(12)]),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(
             err,
             ConfigError::TopologyCycleSizeMismatch {
@@ -479,11 +280,12 @@ mod tests {
             }
         );
 
-        let ok = Experiment::builder()
-            .nodes(16)
-            .topology_schedule(TopologyScheduleSpec::EdgeDropout { p: 0.5 })
-            .build()
-            .expect("valid dropout schedule");
+        let ok = Experiment::from_config(ExperimentConfig {
+            nodes: 16,
+            topology_schedule: TopologyScheduleSpec::EdgeDropout { p: 0.5 },
+            ..base()
+        })
+        .expect("valid dropout schedule");
         assert_eq!(
             ok.config().topology_schedule,
             TopologyScheduleSpec::EdgeDropout { p: 0.5 }
@@ -492,17 +294,19 @@ mod tests {
 
     #[test]
     fn zero_replica_cap_is_a_typed_error() {
-        let err = Experiment::builder()
-            .compression_spec(top_k_feedback(1.0))
-            .feedback_replica_cap(0)
-            .build()
-            .unwrap_err();
+        let err = Experiment::from_config(ExperimentConfig {
+            compression: Some(top_k_feedback(1.0)),
+            feedback_replica_cap: Some(0),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::ZeroReplicaCap);
-        let ok = Experiment::builder()
-            .compression_spec(top_k_feedback(1.0))
-            .feedback_replica_cap(4)
-            .build()
-            .expect("positive cap validates");
+        let ok = Experiment::from_config(ExperimentConfig {
+            compression: Some(top_k_feedback(1.0)),
+            feedback_replica_cap: Some(4),
+            ..base()
+        })
+        .expect("positive cap validates");
         assert_eq!(ok.config().feedback_replica_cap, Some(4));
     }
 
@@ -542,7 +346,7 @@ mod tests {
         cfg.topology = TopologySpec::Complete; // in-degree 19 > 16
         cfg.codec = ModelCodec::TopK { k: 32 };
         cfg.feedback_beta = Some(1.0);
-        let result = cfg.run();
+        let result = Experiment::from_config(cfg).unwrap().run().unwrap();
         assert_eq!(result.rounds, 3);
         assert!(result.final_mean_model.iter().all(|v| v.is_finite()));
     }
@@ -609,41 +413,45 @@ mod tests {
             policy: BatteryPolicy::Threshold { min_fraction: 0.2 },
             node_policies: None,
         };
-        Experiment::builder()
-            .battery(valid.clone())
-            .build()
-            .expect("valid battery spec must validate");
+        Experiment::from_config(ExperimentConfig {
+            battery: Some(valid.clone()),
+            ..base()
+        })
+        .expect("valid battery spec must validate");
 
         for bad_wh in [0.0f64, -1.0, f64::NAN, f64::INFINITY] {
-            let err = Experiment::builder()
-                .battery(BatterySpec {
+            let err = Experiment::from_config(ExperimentConfig {
+                battery: Some(BatterySpec {
                     capacity: BatteryCapacitySpec::Uniform { wh: bad_wh },
                     ..valid.clone()
-                })
-                .build()
-                .unwrap_err();
+                }),
+                ..base()
+            })
+            .unwrap_err();
             assert_eq!(err, ConfigError::NonPositiveBatteryCapacity, "wh {bad_wh}");
         }
-        let err = Experiment::builder()
-            .battery(BatterySpec {
+        let err = Experiment::from_config(ExperimentConfig {
+            battery: Some(BatterySpec {
                 capacity: BatteryCapacitySpec::Fleet { fraction: 1.5 },
                 ..valid.clone()
-            })
-            .build()
-            .unwrap_err();
+            }),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::NonPositiveBatteryCapacity);
 
         for (suspend, resume) in [(0.5, 0.5), (0.6, 0.4), (-0.1, 0.5), (0.2, 1.1)] {
-            let err = Experiment::builder()
-                .battery(BatterySpec {
+            let err = Experiment::from_config(ExperimentConfig {
+                battery: Some(BatterySpec {
                     policy: BatteryPolicy::Hysteresis {
                         suspend_fraction: suspend,
                         resume_fraction: resume,
                     },
                     ..valid.clone()
-                })
-                .build()
-                .unwrap_err();
+                }),
+                ..base()
+            })
+            .unwrap_err();
             assert_eq!(
                 err,
                 ConfigError::InvertedHysteresisBands,
@@ -651,63 +459,69 @@ mod tests {
             );
         }
         // ordered bands validate
-        Experiment::builder()
-            .battery(BatterySpec {
+        Experiment::from_config(ExperimentConfig {
+            battery: Some(BatterySpec {
                 policy: BatteryPolicy::Hysteresis {
                     suspend_fraction: 0.2,
                     resume_fraction: 0.4,
                 },
                 ..valid.clone()
-            })
-            .build()
-            .expect("ordered hysteresis bands validate");
+            }),
+            ..base()
+        })
+        .expect("ordered hysteresis bands validate");
 
-        let err = Experiment::builder()
-            .battery(BatterySpec {
+        let err = Experiment::from_config(ExperimentConfig {
+            battery: Some(BatterySpec {
                 policy: BatteryPolicy::Threshold { min_fraction: 0.0 },
                 ..valid.clone()
-            })
-            .build()
-            .unwrap_err();
+            }),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::InvalidBatteryPolicyFraction);
 
-        let err = Experiment::builder()
-            .battery(BatterySpec {
+        let err = Experiment::from_config(ExperimentConfig {
+            battery: Some(BatterySpec {
                 initial_fraction: 1.5,
                 ..valid.clone()
-            })
-            .build()
-            .unwrap_err();
+            }),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::InvalidBatteryInitialFraction);
 
-        let err = Experiment::builder()
-            .battery(BatterySpec {
+        let err = Experiment::from_config(ExperimentConfig {
+            battery: Some(BatterySpec {
                 harvest: HarvestProfile::Piecewise { watts: vec![] },
                 ..valid.clone()
-            })
-            .build()
-            .unwrap_err();
+            }),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::InvalidHarvestProfile);
 
-        let err = Experiment::builder()
-            .battery(BatterySpec {
+        let err = Experiment::from_config(ExperimentConfig {
+            battery: Some(BatterySpec {
                 harvest: HarvestProfile::Diurnal {
                     peak_watts: 1.0,
                     period_rounds: 0.0,
                 },
                 ..valid.clone()
-            })
-            .build()
-            .unwrap_err();
+            }),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::InvalidHarvestProfile);
 
-        let err = Experiment::builder()
-            .battery(BatterySpec {
+        let err = Experiment::from_config(ExperimentConfig {
+            battery: Some(BatterySpec {
                 harvest_jitter: 2.0,
                 ..valid
-            })
-            .build()
-            .unwrap_err();
+            }),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::InvalidHarvestJitter);
     }
 
@@ -736,16 +550,17 @@ mod tests {
     fn bad_timing_and_churn_specs_are_typed_errors() {
         use skiptrain_engine::{ComputeProfile, LatencyModel};
 
-        let err = Experiment::builder()
-            .nodes(16)
-            .timing(TimingSpec {
+        let err = Experiment::from_config(ExperimentConfig {
+            nodes: 16,
+            timing: TimingSpec {
                 compute: ComputeProfile::PerNode {
                     factors: vec![1.0; 4],
                 },
                 latency: LatencyModel::Zero,
-            })
-            .build()
-            .unwrap_err();
+            },
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(
             err,
             ConfigError::ComputeProfileArityMismatch {
@@ -754,9 +569,9 @@ mod tests {
             }
         );
 
-        let err = Experiment::builder()
-            .nodes(16)
-            .timing(TimingSpec {
+        let err = Experiment::from_config(ExperimentConfig {
+            nodes: 16,
+            timing: TimingSpec {
                 compute: ComputeProfile::PerNode {
                     factors: vec![
                         1.0, -2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
@@ -764,51 +579,72 @@ mod tests {
                     ],
                 },
                 latency: LatencyModel::Zero,
-            })
-            .build()
-            .unwrap_err();
+            },
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::InvalidComputeProfile { value: -2.0 });
 
-        let err = Experiment::builder()
-            .timing(TimingSpec {
+        let err = Experiment::from_config(ExperimentConfig {
+            timing: TimingSpec {
                 compute: ComputeProfile::StragglerTail {
                     tail_prob: 1.5,
                     tail_factor: 4.0,
                 },
                 latency: LatencyModel::Zero,
-            })
-            .build()
-            .unwrap_err();
+            },
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::InvalidComputeProfile { value: 1.5 });
 
-        let err = Experiment::builder()
-            .timing(TimingSpec {
+        let err = Experiment::from_config(ExperimentConfig {
+            timing: TimingSpec {
                 compute: ComputeProfile::Homogeneous,
                 latency: LatencyModel::Seeded {
                     mean_ticks: 1000,
                     jitter: 2.0,
                 },
-            })
-            .build()
-            .unwrap_err();
+            },
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::InvalidLatencyJitter { value: 2.0 });
 
-        let err = Experiment::builder().churn(1.2, 0.5).build().unwrap_err();
+        let err = Experiment::from_config(ExperimentConfig {
+            churn: Some(ChurnSpec {
+                leave_prob: 1.2,
+                rejoin_prob: 0.5,
+            }),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::InvalidChurnRate { value: 1.2 });
-        let err = Experiment::builder().churn(0.1, -0.5).build().unwrap_err();
+        let err = Experiment::from_config(ExperimentConfig {
+            churn: Some(ChurnSpec {
+                leave_prob: 0.1,
+                rejoin_prob: -0.5,
+            }),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::InvalidChurnRate { value: -0.5 });
 
-        let ok = Experiment::builder()
-            .timing(TimingSpec {
+        let ok = Experiment::from_config(ExperimentConfig {
+            timing: TimingSpec {
                 compute: ComputeProfile::StragglerTail {
                     tail_prob: 0.2,
                     tail_factor: 4.0,
                 },
                 latency: LatencyModel::Constant { ticks: 500 },
-            })
-            .churn(0.05, 0.5)
-            .build()
-            .expect("valid timing and churn validate");
+            },
+            churn: Some(ChurnSpec {
+                leave_prob: 0.05,
+                rejoin_prob: 0.5,
+            }),
+            ..base()
+        })
+        .expect("valid timing and churn validate");
         assert_ne!(ok.config().timing, TimingSpec::default());
         assert_eq!(ok.config().churn.unwrap().leave_prob, 0.05);
     }
@@ -827,11 +663,12 @@ mod tests {
             policy: BatteryPolicy::AlwaysOn,
             node_policies: Some(vec![BatteryPolicy::AlwaysOn; 4]),
         };
-        let err = Experiment::builder()
-            .nodes(16)
-            .battery(spec.clone())
-            .build()
-            .unwrap_err();
+        let err = Experiment::from_config(ExperimentConfig {
+            nodes: 16,
+            battery: Some(spec.clone()),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(
             err,
             ConfigError::BatteryPolicyArityMismatch {
@@ -847,20 +684,22 @@ mod tests {
                 .chain(std::iter::repeat_n(BatteryPolicy::AlwaysOn, 15))
                 .collect(),
         );
-        let err = Experiment::builder()
-            .nodes(16)
-            .battery(bad_entry)
-            .build()
-            .unwrap_err();
+        let err = Experiment::from_config(ExperimentConfig {
+            nodes: 16,
+            battery: Some(bad_entry),
+            ..base()
+        })
+        .unwrap_err();
         assert_eq!(err, ConfigError::InvalidBatteryPolicyFraction);
 
         let mut ok = spec;
         ok.node_policies = Some(vec![BatteryPolicy::AlwaysOn; 16]);
-        Experiment::builder()
-            .nodes(16)
-            .battery(ok)
-            .build()
-            .expect("matched per-node policy list validates");
+        Experiment::from_config(ExperimentConfig {
+            nodes: 16,
+            battery: Some(ok),
+            ..base()
+        })
+        .expect("matched per-node policy list validates");
     }
 
     #[test]
@@ -890,35 +729,185 @@ mod tests {
     }
 
     #[test]
-    fn compression_knob_reaches_the_config() {
-        let quantized = CompressionPolicy::Uniform(ModelCodec::QuantizedU8);
-        let experiment = Experiment::builder()
-            .compression_policy(quantized.clone())
-            .build()
-            .unwrap();
-        assert_eq!(
-            experiment.config().effective_compression().policy,
-            quantized
-        );
+    fn hostile_values_are_typed_errors_and_their_neighbours_run() {
+        // every value below used to pass `validate` and then trip an
+        // `assert!` in `topology` / `data` while the cell was being built
+        let small = || ExperimentConfig {
+            nodes: 8,
+            rounds: 1,
+            eval_max_samples: 50,
+            ..base()
+        };
+        let cifar_like = |feature_dim, shards_per_node, modes_per_class| DataSpec::CifarLike {
+            feature_dim,
+            samples_per_node: 20,
+            test_samples: 100,
+            shards_per_node,
+            separation: 1.2,
+            noise: 0.8,
+            modes_per_class,
+        };
+        let partitioned = |partition, samples_per_node, test_samples| DataSpec::CifarPartitioned {
+            feature_dim: 8,
+            samples_per_node,
+            test_samples,
+            partition,
+            separation: 1.2,
+            noise: 0.8,
+            modes_per_class: 1,
+        };
+        let regular = |nodes, degree| ExperimentConfig {
+            nodes,
+            topology: TopologySpec::Regular { degree },
+            ..small()
+        };
+        let with_data = |data| ExperimentConfig { data, ..small() };
+        let dirichlet = |alpha| with_data(partitioned(Partition::Dirichlet { alpha }, 20, 100));
+
+        let mut rejected = vec![
+            (regular(8, 0), ConfigError::ZeroDegree),
+            (
+                ExperimentConfig {
+                    nodes: 2,
+                    topology: TopologySpec::Ring,
+                    ..small()
+                },
+                ConfigError::RingTooSmall { nodes: 2 },
+            ),
+            (with_data(cifar_like(0, 2, 1)), ConfigError::ZeroFeatureDim),
+            (
+                with_data(cifar_like(8, 2, 0)),
+                ConfigError::ZeroModesPerClass,
+            ),
+            (
+                with_data(cifar_like(8, 0, 1)),
+                ConfigError::InvalidShardsPerNode {
+                    shards_per_node: 0,
+                    samples_per_node: 20,
+                },
+            ),
+            (
+                with_data(partitioned(
+                    Partition::Shards { shards_per_node: 0 },
+                    20,
+                    100,
+                )),
+                ConfigError::InvalidShardsPerNode {
+                    shards_per_node: 0,
+                    samples_per_node: 20,
+                },
+            ),
+            (
+                with_data(cifar_like(8, 21, 1)),
+                ConfigError::InvalidShardsPerNode {
+                    shards_per_node: 21,
+                    samples_per_node: 20,
+                },
+            ),
+            // the cases `validate` already typed
+            (regular(0, 4), ConfigError::ZeroNodes),
+            (
+                ExperimentConfig {
+                    rounds: 0,
+                    ..small()
+                },
+                ConfigError::ZeroRounds,
+            ),
+            (
+                ExperimentConfig {
+                    batch_size: 0,
+                    ..small()
+                },
+                ConfigError::ZeroBatchSize,
+            ),
+            (
+                ExperimentConfig {
+                    local_steps: 0,
+                    ..small()
+                },
+                ConfigError::ZeroLocalSteps,
+            ),
+            (
+                ExperimentConfig {
+                    learning_rate: 0.0,
+                    ..small()
+                },
+                ConfigError::NonPositiveLearningRate,
+            ),
+            (
+                regular(8, 8),
+                ConfigError::DegreeTooLarge {
+                    degree: 8,
+                    nodes: 8,
+                },
+            ),
+            (
+                regular(7, 3),
+                ConfigError::OddDegreeProduct {
+                    degree: 3,
+                    nodes: 7,
+                },
+            ),
+            (
+                with_data(partitioned(Partition::Iid, 0, 100)),
+                ConfigError::EmptyNodeData,
+            ),
+            (
+                with_data(partitioned(Partition::Iid, 20, 0)),
+                ConfigError::EmptyEvalData,
+            ),
+        ];
+        for alpha in [0.0f32, -1.0, f32::NAN, f32::INFINITY] {
+            rejected.push((
+                dirichlet(alpha),
+                ConfigError::InvalidDirichletAlpha { value: alpha },
+            ));
+        }
+        for (cfg, want) in rejected {
+            let got = Experiment::from_config(cfg).unwrap_err();
+            // compared as text: a NaN payload is not equal to itself
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            assert!(!got.to_string().is_empty());
+        }
+
+        let accepted = [
+            regular(8, 1),
+            ExperimentConfig {
+                nodes: 3,
+                topology: TopologySpec::Ring,
+                ..small()
+            },
+            with_data(cifar_like(8, 2, 1)),
+            with_data(cifar_like(8, 1, 1)),
+            with_data(cifar_like(1, 20, 1)),
+            dirichlet(0.5),
+        ];
+        for cfg in accepted {
+            let label = format!("{:?} / {:?}", cfg.topology, cfg.data);
+            let result = Experiment::from_config(cfg)
+                .unwrap_or_else(|e| panic!("{label}: {e}"))
+                .run()
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(result.rounds, 1, "{label}");
+        }
     }
 
     #[test]
-    fn builder_round_trips_an_existing_config() {
-        let base = crate::presets::cifar_config(crate::presets::Scale::Quick, 7);
-        let rebuilt = ExperimentBuilder::from_config(base.clone())
-            .seed(9)
-            .build_config()
-            .unwrap();
-        assert_eq!(rebuilt.nodes, base.nodes);
-        assert_eq!(rebuilt.seed, 9);
-    }
-
-    #[test]
-    fn run_on_reports_arity_mismatch() {
-        let experiment = Experiment::builder().nodes(12).rounds(2).build().unwrap();
-        let other = Experiment::builder().nodes(10).rounds(2).build().unwrap();
+    fn a_mismatched_bundle_is_a_typed_error() {
+        let experiment = Experiment::from_config(ExperimentConfig {
+            nodes: 12,
+            rounds: 2,
+            ..base()
+        })
+        .unwrap();
+        let other = Experiment::from_config(ExperimentConfig {
+            nodes: 10,
+            rounds: 2,
+            ..base()
+        })
+        .unwrap();
         let bundle = other.build_data();
-        let err = experiment.run_on(&bundle).unwrap_err();
+        let err = runner::run_with_observers(experiment.config(), &bundle, &mut []).unwrap_err();
         assert!(matches!(
             err,
             ConfigError::ArityMismatch {

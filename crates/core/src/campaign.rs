@@ -19,13 +19,14 @@
 //!   [`RoundObserver`]s into every run, and `on_result` / `on_failure`
 //!   callbacks stream completions and terminal failures as they happen.
 //!
-//! # Fail-fast vs. resilient execution
+//! # All-or-nothing vs. resilient execution
 //!
 //! There is one cell loop, [`Campaign::run_resilient`]: it isolates every
 //! cell behind `catch_unwind` and returns a [`CampaignReport`] where
-//! cell-level trouble is *data*. [`Campaign::run`] is that loop with a
-//! fail-fast ending — it panics on the first failed cell of the report
-//! and otherwise unwraps the results. In the report:
+//! cell-level trouble is *data*. [`Campaign::run`] is that loop with an
+//! all-or-nothing ending — [`CampaignReport::into_results`], which turns
+//! the lowest-index failed cell into [`CampaignRunError::Cell`] and
+//! otherwise unwraps the results. Neither panics. In the report:
 //!
 //! * a failing cell becomes a typed [`CellFailure`] (index, config
 //!   digest, attempt count, [`FailureCause`]) instead of taking its
@@ -88,11 +89,6 @@ pub struct RetrySpec {
 }
 
 impl RetrySpec {
-    /// No retries: one attempt (the default).
-    pub fn none() -> Self {
-        Self { max_attempts: 1 }
-    }
-
     /// `max_attempts` total attempts, each retry starting at once: a
     /// cell is a deterministic in-process computation, so waiting cannot
     /// change its outcome — only the reseed can.
@@ -104,8 +100,9 @@ impl RetrySpec {
 }
 
 impl Default for RetrySpec {
+    /// No retries: one attempt.
     fn default() -> Self {
-        Self::none()
+        Self { max_attempts: 1 }
     }
 }
 
@@ -187,28 +184,29 @@ impl CampaignReport {
         self.failures.is_empty() && self.results.iter().all(Option::is_some)
     }
 
-    /// The results, unwrapped — only valid when [`Self::is_complete`].
-    ///
-    /// # Panics
-    /// Panics if any cell failed.
-    pub fn into_results(self) -> Vec<ExperimentResult> {
-        self.results
-            .into_iter()
-            .enumerate()
-            // lint:allow(no_panic, "documented '# Panics' API contract: caller asserted every cell succeeded")
-            .map(|(i, r)| r.unwrap_or_else(|| panic!("cell #{i} has no result")))
-            .collect()
+    /// All or nothing: every result in input order, or the failed cell
+    /// with the lowest index.
+    pub fn into_results(self) -> Result<Vec<ExperimentResult>, CellFailure> {
+        match self.failures.into_iter().min_by_key(|f| f.index) {
+            Some(failure) => Err(failure),
+            None => Ok(self.results.into_iter().flatten().collect()),
+        }
     }
 }
 
-/// Why [`Campaign::run_resilient`] could not start (distinct from cell
-/// failures, which it reports *inside* the [`CampaignReport`]).
+/// Why a campaign returned no results. [`Campaign::run_resilient`] fails
+/// only when it cannot start (`Config`, `Journal`) and reports cell
+/// failures *inside* the [`CampaignReport`]; the all-or-nothing
+/// [`Campaign::run`] adds `Cell`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignRunError {
     /// A configuration failed validation.
     Config(CampaignError),
     /// The checkpoint journal could not be opened, resumed, or written.
     Journal(JournalError),
+    /// A cell failed every attempt ([`Campaign::run`] only): the failed
+    /// cell with the lowest index.
+    Cell(CellFailure),
 }
 
 impl std::fmt::Display for CampaignRunError {
@@ -216,6 +214,7 @@ impl std::fmt::Display for CampaignRunError {
         match self {
             CampaignRunError::Config(e) => e.fmt(f),
             CampaignRunError::Journal(e) => e.fmt(f),
+            CampaignRunError::Cell(e) => write!(f, "campaign {e}"),
         }
     }
 }
@@ -225,6 +224,7 @@ impl std::error::Error for CampaignRunError {
         match self {
             CampaignRunError::Config(e) => Some(e),
             CampaignRunError::Journal(e) => Some(e),
+            CampaignRunError::Cell(_) => None,
         }
     }
 }
@@ -238,6 +238,12 @@ impl From<CampaignError> for CampaignRunError {
 impl From<JournalError> for CampaignRunError {
     fn from(e: JournalError) -> Self {
         CampaignRunError::Journal(e)
+    }
+}
+
+impl From<CellFailure> for CampaignRunError {
+    fn from(e: CellFailure) -> Self {
+        CampaignRunError::Cell(e)
     }
 }
 
@@ -378,31 +384,18 @@ impl Campaign {
         Ok(())
     }
 
-    /// Executes every run and returns results in input order, failing
-    /// fast: [`Campaign::run_resilient`] with a panic for an ending.
+    /// Executes every run and returns results in input order, all or
+    /// nothing: [`Campaign::run_resilient`] ending in
+    /// [`CampaignReport::into_results`].
     ///
     /// The cells go through the resilient loop under the campaign's own
     /// [`RetrySpec`] and checkpoint (defaults: one attempt, no journal),
     /// so every sibling cell finishes and [`Campaign::on_failure`] fires
-    /// before a failed cell aborts the campaign.
-    ///
-    /// # Panics
-    /// Panics with `campaign cell #{index}: {cause}` for the lowest-index
-    /// cell that failed every attempt, and with the journal's message when
-    /// a [`Campaign::with_checkpoint`] journal cannot be opened or
-    /// written. Long or flaky sweeps should call
+    /// for every failed cell before the lowest-index one comes back as
+    /// [`CampaignRunError::Cell`]. Long or flaky sweeps should call
     /// [`Campaign::run_resilient`] and read the report instead.
-    pub fn run(&self) -> Result<Vec<ExperimentResult>, CampaignError> {
-        let fatal = match self.run_resilient() {
-            Err(CampaignRunError::Config(e)) => return Err(e),
-            Err(CampaignRunError::Journal(e)) => format!("campaign journal: {e}"),
-            Ok(report) => match report.failures.first() {
-                Some(failed) => format!("campaign cell #{}: {}", failed.index, failed.cause),
-                None => return Ok(report.into_results()),
-            },
-        };
-        // lint:allow(no_panic, "documented '# Panics' contract of the fail-fast entry point; run_resilient is the typed-error path")
-        panic!("{fatal}")
+    pub fn run(&self) -> Result<Vec<ExperimentResult>, CampaignRunError> {
+        Ok(self.run_resilient()?.into_results()?)
     }
 
     /// Executes every run with per-cell failure isolation, seeded retry,
@@ -427,7 +420,8 @@ impl Campaign {
     ///
     /// Returns an error only when the campaign cannot *start* (invalid
     /// config, unusable journal) or when the journal broke mid-run —
-    /// cell-level trouble is data, not an error.
+    /// cell-level trouble is data, not an error, and never
+    /// [`CampaignRunError::Cell`].
     pub fn run_resilient(&self) -> Result<CampaignReport, CampaignRunError> {
         self.validate()?;
         let digests: Vec<u64> = self.configs.iter().map(config_digest).collect();
@@ -573,17 +567,15 @@ impl Campaign {
         cfg: &ExperimentConfig,
         bundle: &DataBundle,
     ) -> Result<ExperimentResult, RunError> {
-        match &self.observer_factory {
-            None => runner::execute(cfg, bundle, &mut []),
-            Some(factory) => {
-                let mut boxed = factory(run, cfg);
-                let mut refs: Vec<&mut dyn RoundObserver> = Vec::with_capacity(boxed.len());
-                for observer in &mut boxed {
-                    refs.push(observer.as_mut());
-                }
-                runner::execute(cfg, bundle, &mut refs)
-            }
+        let mut boxed = match &self.observer_factory {
+            Some(factory) => factory(run, cfg),
+            None => Vec::new(),
+        };
+        let mut refs: Vec<&mut dyn RoundObserver> = Vec::with_capacity(boxed.len());
+        for observer in &mut boxed {
+            refs.push(observer.as_mut());
         }
+        runner::execute(cfg, bundle, &mut refs)
     }
 
     /// One lazy cache slot per distinct `(DataSpec, nodes, seed)` triple
@@ -785,9 +777,12 @@ mod tests {
         let mut bad = micro(1);
         bad.rounds = 0;
         bad.name = "broken".into();
-        let err = Campaign::from_configs(vec![micro(1), bad])
+        let CampaignRunError::Config(err) = Campaign::from_configs(vec![micro(1), bad])
             .run()
-            .unwrap_err();
+            .unwrap_err()
+        else {
+            panic!("an invalid run is a config error");
+        };
         assert_eq!(err.run, 1);
         assert_eq!(err.name, "broken");
         assert_eq!(err.source, ConfigError::ZeroRounds);
@@ -843,17 +838,22 @@ mod tests {
 
     #[test]
     fn run_resilient_matches_strict_run_bitwise() {
-        // `run` is this loop with a fail-fast ending, so the reference is
-        // each cell run on its own, outside any campaign.
+        // `run` is this loop with an all-or-nothing ending, so the
+        // reference is each cell run on its own, outside any campaign.
         let configs = vec![micro(11), micro(12), micro(13), micro_gossip(14)];
         let serial: Vec<ExperimentResult> = configs
             .iter()
-            .map(|cfg| crate::Experiment::from_config(cfg.clone()).unwrap().run())
+            .map(|cfg| {
+                crate::Experiment::from_config(cfg.clone())
+                    .unwrap()
+                    .run()
+                    .unwrap()
+            })
             .collect();
         let report = Campaign::from_configs(configs).run_resilient().unwrap();
         assert!(report.is_complete());
         assert_eq!(report.restored, 0);
-        for (a, b) in serial.iter().zip(report.into_results().iter()) {
+        for (a, b) in serial.iter().zip(report.into_results().unwrap().iter()) {
             assert_eq!(result_bits(a), result_bits(b));
             assert_eq!(a.node_train_events, b.node_train_events);
         }
@@ -919,10 +919,17 @@ mod tests {
             .on_failure(move |_| {
                 f2.fetch_add(1, Ordering::SeqCst);
             });
-        let payload = catch_unwind(AssertUnwindSafe(|| campaign.run())).unwrap_err();
+        let Err(CampaignRunError::Cell(failure)) = campaign.run() else {
+            panic!("a failed cell is `CampaignRunError::Cell`");
+        };
+        assert_eq!(failure.index, 1, "the lowest failed cell");
         assert_eq!(
-            panic_message(payload.as_ref()),
-            "campaign cell #1: panic: injected cell fault"
+            failure.cause,
+            FailureCause::Panic("injected cell fault".into())
+        );
+        assert_eq!(
+            CampaignRunError::Cell(failure).to_string(),
+            "campaign cell #1 (`doomed`) failed after 1 attempt(s): panic: injected cell fault"
         );
         assert_eq!(completed.load(Ordering::SeqCst), 2);
         assert_eq!(failed.load(Ordering::SeqCst), 2);

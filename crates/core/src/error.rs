@@ -2,8 +2,10 @@
 //!
 //! The legacy API validated configurations with scattered `assert!`s that
 //! fired mid-run, after minutes of dataset synthesis. [`ConfigError`]
-//! centralizes every invariant so builders and campaigns reject invalid
-//! configurations *before* any work starts, with a diagnosable reason.
+//! centralizes every invariant so
+//! [`Experiment::from_config`](crate::Experiment::from_config) and campaigns
+//! reject invalid configurations *before* any work starts, with a
+//! diagnosable reason.
 
 use serde::{Deserialize, Serialize};
 
@@ -51,6 +53,13 @@ pub enum ConfigError {
     DegreeTooLarge {
         /// Configured degree.
         degree: usize,
+        /// Configured node count.
+        nodes: usize,
+    },
+    /// A regular topology of degree 0 has no edges to gossip over.
+    ZeroDegree,
+    /// A ring topology needs at least 3 nodes.
+    RingTooSmall {
         /// Configured node count.
         nodes: usize,
     },
@@ -134,6 +143,26 @@ pub enum ConfigError {
     EmptyNodeData,
     /// The dataset spec would generate no evaluation samples.
     EmptyEvalData,
+    /// The dataset spec has `feature_dim == 0`.
+    ZeroFeatureDim,
+    /// The dataset spec has `modes_per_class == 0`: a class needs at least
+    /// one cluster to draw samples from.
+    ZeroModesPerClass,
+    /// A shards partition must deal each node between 1 and
+    /// `samples_per_node` shards: the pool of `nodes · samples_per_node`
+    /// samples is cut into `nodes · shards_per_node` non-empty shards.
+    InvalidShardsPerNode {
+        /// Configured shards per node.
+        shards_per_node: usize,
+        /// Configured training samples per node.
+        samples_per_node: usize,
+    },
+    /// A Dirichlet partition's concentration α is not a positive finite
+    /// number.
+    InvalidDirichletAlpha {
+        /// The offending concentration.
+        value: f32,
+    },
     /// A pre-built data bundle does not match the configuration.
     ArityMismatch {
         /// What disagreed (e.g. `"node datasets"`).
@@ -239,6 +268,12 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "a {degree}-regular topology needs more than {degree} nodes, got {nodes}"
             ),
+            ConfigError::ZeroDegree => {
+                write!(f, "a regular topology needs a degree of at least 1")
+            }
+            ConfigError::RingTooSmall { nodes } => {
+                write!(f, "a ring topology needs at least 3 nodes, got {nodes}")
+            }
             ConfigError::OddDegreeProduct { degree, nodes } => write!(
                 f,
                 "a {degree}-regular graph on {nodes} nodes does not exist \
@@ -301,6 +336,24 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptyEvalData => {
                 write!(f, "dataset spec generates zero evaluation samples")
             }
+            ConfigError::ZeroFeatureDim => {
+                write!(f, "dataset spec needs at least one feature dimension")
+            }
+            ConfigError::ZeroModesPerClass => {
+                write!(f, "dataset spec needs at least one mode per class")
+            }
+            ConfigError::InvalidShardsPerNode {
+                shards_per_node,
+                samples_per_node,
+            } => write!(
+                f,
+                "shards per node must lie in 1..={samples_per_node} \
+                 (the samples per node), got {shards_per_node}"
+            ),
+            ConfigError::InvalidDirichletAlpha { value } => write!(
+                f,
+                "dirichlet concentration alpha {value} must be a positive finite number"
+            ),
             ConfigError::ArityMismatch {
                 what,
                 expected,
@@ -382,12 +435,9 @@ impl std::error::Error for CampaignError {
 /// A round-execution failure surfaced from the engine mid-run: which
 /// round broke and why.
 ///
-/// The round executors ([`run_with_observers`](crate::run_with_observers)
-/// and the campaign cells built on it) return this instead of panicking,
-/// so a resilient campaign can record the cell as a typed
-/// [`CellFailure`](crate::CellFailure) and keep going. The legacy
-/// infallible entry points (`ExperimentConfig::run`) still panic, with
-/// this error's `Display` as the message.
+/// [`Experiment::run`](crate::Experiment::run) returns it, and a campaign
+/// cell that meets it is recorded as a typed
+/// [`CellFailure`](crate::CellFailure) while its siblings keep going.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunError {
     /// Round index (0-based) at which execution failed.

@@ -3,10 +3,11 @@
 //! An [`ExperimentConfig`] fully describes one run of the paper's evaluation
 //! pipeline — dataset synthesis and partitioning, topology and mixing
 //! matrix, per-node models, the algorithm (policy), energy traces. Configs
-//! are built fluently via [`ExperimentBuilder`](crate::ExperimentBuilder),
-//! validated into typed [`ConfigError`](crate::ConfigError)s, and executed
-//! one at a time ([`ExperimentConfig::run`]) or in parallel batches over
-//! shared data ([`Campaign`](crate::Campaign)).
+//! are assembled from a preset plus public fields, validated into typed
+//! [`ConfigError`](crate::ConfigError)s by
+//! [`Experiment::from_config`](crate::Experiment::from_config), and executed
+//! one at a time ([`Experiment::run`](crate::Experiment::run)) or in
+//! parallel batches over shared data ([`Campaign`](crate::Campaign)).
 
 use crate::error::ConfigError;
 use crate::policy::{
@@ -455,6 +456,53 @@ impl DataSpec {
             separation: *separation,
             noise: *noise,
         }
+    }
+
+    /// The invariants the generators and partitioners assert.
+    fn check(&self) -> Result<(), ConfigError> {
+        let samples_per_node = self.samples_per_node();
+        if samples_per_node == 0 {
+            return Err(ConfigError::EmptyNodeData);
+        }
+        if self.test_samples() == 0 {
+            return Err(ConfigError::EmptyEvalData);
+        }
+        if self.feature_dim() == 0 {
+            return Err(ConfigError::ZeroFeatureDim);
+        }
+        if self.mixture_spec().modes_per_class == 0 {
+            return Err(ConfigError::ZeroModesPerClass);
+        }
+        match self {
+            DataSpec::CifarLike {
+                shards_per_node, ..
+            }
+            | DataSpec::CifarPartitioned {
+                partition: Partition::Shards { shards_per_node },
+                ..
+            } => {
+                if !(1..=samples_per_node).contains(shards_per_node) {
+                    return Err(ConfigError::InvalidShardsPerNode {
+                        shards_per_node: *shards_per_node,
+                        samples_per_node,
+                    });
+                }
+            }
+            DataSpec::CifarPartitioned {
+                partition: Partition::Dirichlet { alpha },
+                ..
+            } => {
+                if !(alpha.is_finite() && *alpha > 0.0) {
+                    return Err(ConfigError::InvalidDirichletAlpha { value: *alpha });
+                }
+            }
+            DataSpec::CifarPartitioned {
+                partition: Partition::Iid,
+                ..
+            }
+            | DataSpec::FemnistLike { .. } => {}
+        }
+        Ok(())
     }
 
     /// Generates per-node datasets plus validation/test splits.
@@ -1101,12 +1149,15 @@ impl ExperimentConfig {
 
     /// Builds the policy for this config.
     ///
+    /// Kept because `benchmark/src/probes.rs:336` calls it; it leaves with
+    /// ROADMAP item 4.1.
+    ///
     /// # Panics
     /// Panics on every error [`ExperimentConfig::try_build_policy`]
     /// reports; prefer it or the validating
     /// [`Experiment`](crate::Experiment) API.
     pub fn build_policy(&self) -> Box<dyn RoundPolicy> {
-        // lint:allow(no_panic, "documented '# Panics' contract; try_build_policy is the typed-error path")
+        // lint:allow(no_panic, "documented '# Panics' contract pinned by benchmark/src/probes.rs:336; try_build_policy is the typed-error path")
         self.try_build_policy().unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -1152,6 +1203,9 @@ impl ExperimentConfig {
             return Err(ConfigError::NonPositiveLearningRate);
         }
         if let TopologySpec::Regular { degree } = self.topology {
+            if degree == 0 {
+                return Err(ConfigError::ZeroDegree);
+            }
             if degree >= self.nodes {
                 return Err(ConfigError::DegreeTooLarge {
                     degree,
@@ -1165,12 +1219,10 @@ impl ExperimentConfig {
                 });
             }
         }
-        if self.data.samples_per_node() == 0 {
-            return Err(ConfigError::EmptyNodeData);
+        if self.topology == TopologySpec::Ring && self.nodes < 3 {
+            return Err(ConfigError::RingTooSmall { nodes: self.nodes });
         }
-        if self.data.test_samples() == 0 {
-            return Err(ConfigError::EmptyEvalData);
-        }
+        self.data.check()?;
         if let Some(fraction) = self.energy.battery_fraction {
             if !(fraction > 0.0 && fraction <= 1.0) {
                 return Err(ConfigError::InvalidBatteryFraction);
@@ -1244,34 +1296,6 @@ impl ExperimentConfig {
             });
         }
         Ok(())
-    }
-
-    /// Runs this experiment end to end: generates data, executes every
-    /// round, returns the collected result.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration; use
-    /// [`Experiment`](crate::Experiment) for the fallible, pre-validated
-    /// path.
-    pub fn run(&self) -> ExperimentResult {
-        self.validate()
-            // lint:allow(no_panic, "documented '# Panics' contract; Experiment is the validating path")
-            .unwrap_or_else(|e| panic!("invalid experiment config: {e}"));
-        let data = self.data.build(self.nodes, self.seed);
-        // lint:allow(no_panic, "documented '# Panics' contract; Experiment is the validating path")
-        crate::runner::execute(self, &data, &mut []).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs this experiment on pre-built data (sweeps and multi-algorithm
-    /// comparisons reuse one generated bundle).
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration or a mismatched bundle; see
-    /// [`ExperimentConfig::run`].
-    pub fn run_on(&self, data: &DataBundle) -> ExperimentResult {
-        crate::runner::run_with_observers(self, data, &mut [])
-            // lint:allow(no_panic, "documented '# Panics' contract; Experiment is the validating path")
-            .unwrap_or_else(|e| panic!("invalid experiment config: {e}"))
     }
 }
 

@@ -213,8 +213,8 @@ mod tests {
         cfg.eval_max_samples = 200;
         cfg.energy = EnergySpec::cifar10_constrained().scaled_for_rounds(cfg.rounds, 1000);
         cfg.algorithm = AlgorithmSpec::SkipTrainConstrained(crate::Schedule::new(2, 2));
-        let result = cfg.run();
         let data = cfg.data.build(cfg.nodes, cfg.seed);
+        let result = crate::run_with_observers(&cfg, &data, &mut []).unwrap();
         let report = analyze(&result, &cfg.model_kind(), &data.test, &cfg.energy);
         assert_eq!(report.class_recall.len(), 10);
         assert_eq!(report.groups.len(), 4);

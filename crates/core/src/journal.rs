@@ -336,7 +336,7 @@ mod tests {
         cfg.hidden_dim = 6;
         cfg.local_steps = 1;
         cfg.topology = crate::experiment::TopologySpec::Regular { degree: 2 };
-        cfg.run()
+        crate::Experiment::from_config(cfg).unwrap().run().unwrap()
     }
 
     fn tmp_path(tag: &str) -> PathBuf {

@@ -9,12 +9,13 @@
 //! * [`prob`] — energy-budget training probabilities (§3.2, Eq. 5),
 //! * [`policy`] — the algorithms as round policies: D-PSGD, SkipTrain,
 //!   SkipTrain-constrained, Greedy, async pairwise gossip,
-//! * [`builder`] — fluent, validating experiment construction
-//!   ([`Experiment::builder`]) with typed [`ConfigError`]s,
+//! * [`builder`] — [`Experiment`], a configuration validated into typed
+//!   [`ConfigError`]s ([`Experiment::from_config`]) and the one way to run
+//!   one config on its own data ([`Experiment::run`]),
 //! * [`runner`] — the one observer-driven round loop, its round
 //!   semantics derived from the algorithm
-//!   ([`RoundObserver`](skiptrain_engine::RoundObserver) hooks for curve
-//!   recording, energy streaming, early stopping),
+//!   ([`RoundObserver`](skiptrain_engine::RoundObserver) hooks for
+//!   recording and early stopping),
 //! * [`campaign`] — [`Campaign`], the parallel multi-run executor that
 //!   deduplicates data bundles and returns results in input order, with
 //!   fault-tolerant execution ([`Campaign::run_resilient`]: per-cell
@@ -27,21 +28,23 @@
 //!
 //! # Quick example
 //!
-//! Build one validated experiment and a small campaign on top of a preset:
+//! Validate one experiment and assemble a small campaign on top of a preset:
 //!
 //! ```
 //! use skiptrain_core::presets::{cifar_config, with_algorithm, Scale};
-//! use skiptrain_core::{AlgorithmSpec, Campaign, Experiment, Schedule};
+//! use skiptrain_core::{AlgorithmSpec, Campaign, Experiment, ExperimentConfig, Schedule};
 //!
-//! // Fluent single-experiment construction with typed validation.
-//! let experiment = Experiment::builder()
-//!     .name("demo")
-//!     .nodes(16)
-//!     .rounds(8)
-//!     .algorithm(AlgorithmSpec::SkipTrain(Schedule::new(4, 4)))
-//!     .build()
-//!     .expect("valid config");
+//! // A preset plus fields, validated into typed errors.
+//! let experiment = Experiment::from_config(ExperimentConfig {
+//!     name: "demo".into(),
+//!     nodes: 16,
+//!     rounds: 8,
+//!     algorithm: AlgorithmSpec::SkipTrain(Schedule::new(4, 4)),
+//!     ..cifar_config(Scale::Quick, 42)
+//! })
+//! .expect("valid config");
 //! assert_eq!(experiment.config().algorithm.name(), "skiptrain");
+//! // experiment.run() returns Result<ExperimentResult, RunError>.
 //!
 //! // A two-run campaign comparing algorithms on one shared dataset.
 //! let base = cifar_config(Scale::Quick, 42);
@@ -52,16 +55,18 @@
 //! // campaign.run() executes both in parallel over one data bundle.
 //! ```
 //!
-//! Invalid configurations fail at build time with a typed error instead of
-//! panicking mid-run:
+//! Invalid configurations are typed errors before any work starts instead
+//! of panics mid-run:
 //!
 //! ```
-//! use skiptrain_core::{AlgorithmSpec, ConfigError, Experiment};
+//! use skiptrain_core::presets::{cifar_config, Scale};
+//! use skiptrain_core::{AlgorithmSpec, ConfigError, Experiment, ExperimentConfig};
 //!
-//! let err = Experiment::builder()
-//!     .algorithm(AlgorithmSpec::Greedy) // needs a battery budget
-//!     .build()
-//!     .unwrap_err();
+//! let err = Experiment::from_config(ExperimentConfig {
+//!     algorithm: AlgorithmSpec::Greedy, // needs a battery budget
+//!     ..cifar_config(Scale::Quick, 42)
+//! })
+//! .unwrap_err();
 //! assert!(matches!(err, ConfigError::MissingBatteryFraction { .. }));
 //! ```
 
@@ -78,7 +83,7 @@ pub mod runner;
 pub mod schedule;
 pub mod sweep;
 
-pub use builder::{Experiment, ExperimentBuilder};
+pub use builder::Experiment;
 pub use campaign::{
     retry_seed, Campaign, CampaignReport, CampaignRunError, CellFailure, FailureCause, RetrySpec,
 };

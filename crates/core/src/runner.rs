@@ -9,9 +9,9 @@
 //! touching this loop.
 //!
 //! [`execute`] is the only function that drives a
-//! [`skiptrain_engine::EventEngine`], and every way of running a config
-//! ([`Experiment`](crate::Experiment), [`Campaign`](crate::Campaign),
-//! [`run_with_observers`]) ends in it. What a round waits for and how it
+//! [`skiptrain_engine::EventEngine`], and each of the three ways of running
+//! a config ([`Experiment::run`](crate::Experiment::run),
+//! [`run_with_observers`], a [`Campaign`](crate::Campaign) cell) ends in it. What a round waits for and how it
 //! mixes are derived from `cfg.algorithm`, not passed in: the synchronous
 //! algorithms run barrier rounds over the configured (static or scheduled)
 //! topology; [`AlgorithmSpec::AsyncGossip`] runs deadline rounds
@@ -129,13 +129,13 @@ fn battery_summary(sim: &Simulation) -> Option<BatterySummary> {
 /// Runs `cfg` on a pre-built bundle with caller-supplied observers, after
 /// validating both.
 ///
-/// This is the validated entry point used by
-/// [`Experiment`](crate::Experiment) and [`Campaign`](crate::Campaign).
-/// Configuration problems surface as [`ConfigError`]s before any work
-/// starts; a mid-run engine failure (an internal scheduling bug) still
-/// panics here with the typed [`RunError`]'s message — the resilient
-/// campaign path ([`Campaign::run_resilient`](crate::Campaign::run_resilient))
-/// is the API that converts those into typed cell failures instead.
+/// The way to run one config on a shared bundle and/or with observers.
+///
+/// # Panics
+/// A mid-run engine failure (an internal scheduling bug) panics with the
+/// [`RunError`]'s message, which [`Experiment::run`](crate::Experiment::run)
+/// and campaign cells return instead: `benchmark/src/run.rs:9` imports
+/// this signature, so it is frozen until ROADMAP item 4.1.
 pub fn run_with_observers(
     cfg: &ExperimentConfig,
     data: &DataBundle,
@@ -149,7 +149,7 @@ pub fn run_with_observers(
             got: data.node_datasets.len(),
         });
     }
-    // lint:allow(no_panic, "legacy infallible contract: config was validated above, an engine failure here is a scheduling bug")
+    // lint:allow(no_panic, "documented '# Panics' contract pinned by benchmark/src/run.rs:9: the Result<_, ConfigError> signature has no slot for a RunError")
     Ok(execute(cfg, data, observers).unwrap_or_else(|e| panic!("{e}")))
 }
 
@@ -357,6 +357,10 @@ mod tests {
         cfg
     }
 
+    fn run_shared(cfg: &ExperimentConfig, data: &DataBundle) -> ExperimentResult {
+        run_with_observers(cfg, data, &mut []).expect("valid config")
+    }
+
     fn gossip(mut cfg: ExperimentConfig, activation_prob: f64) -> ExperimentConfig {
         cfg.algorithm = AlgorithmSpec::AsyncGossip { activation_prob };
         cfg
@@ -366,7 +370,7 @@ mod tests {
     fn async_gossip_learns() {
         let cfg = gossip(tiny(), 0.5);
         let data = cfg.data.build(cfg.nodes, cfg.seed);
-        let result = cfg.run_on(&data);
+        let result = run_shared(&cfg, &data);
         assert_eq!(result.algorithm, "async-gossip");
         assert!(
             result.final_test.mean_accuracy > 0.3,
@@ -379,8 +383,8 @@ mod tests {
     fn activation_prob_controls_training_energy() {
         let cfg = tiny();
         let data = cfg.data.build(cfg.nodes, cfg.seed);
-        let half = gossip(cfg.clone(), 0.5).run_on(&data);
-        let quarter = gossip(cfg.clone(), 0.25).run_on(&data);
+        let half = run_shared(&gossip(cfg.clone(), 0.5), &data);
+        let quarter = run_shared(&gossip(cfg.clone(), 0.25), &data);
         let expected_half = 0.5 * (cfg.nodes * cfg.rounds) as f64;
         assert!(
             (half.node_train_events as f64 - expected_half).abs() < expected_half * 0.35,
@@ -395,7 +399,7 @@ mod tests {
     fn zero_activation_never_trains() {
         let cfg = gossip(tiny(), 0.0);
         let data = cfg.data.build(cfg.nodes, cfg.seed);
-        let result = cfg.run_on(&data);
+        let result = run_shared(&cfg, &data);
         assert_eq!(result.node_train_events, 0);
         assert_eq!(result.total_training_wh, 0.0);
     }
@@ -431,7 +435,7 @@ mod tests {
         // bounded by 1/6 of the legacy figure.
         let cfg = gossip(tiny(), 0.5);
         let data = cfg.data.build(cfg.nodes, cfg.seed);
-        let r = cfg.run_on(&data);
+        let r = run_shared(&cfg, &data);
         let comm = skiptrain_energy::comm::CommEnergyModel::paper_fit();
         let bytes =
             skiptrain_engine::ModelCodec::DenseF32.message_bytes(cfg.energy.workload.model_params);
@@ -462,7 +466,7 @@ mod tests {
         let run = |schedule: Schedule| {
             let mut cfg = cfg.clone();
             cfg.algorithm = AlgorithmSpec::SkipTrain(schedule);
-            cfg.run_on(&data)
+            run_shared(&cfg, &data)
         };
         for offset in [0usize, 1, 4, 7] {
             let schedule = Schedule::new(4, 4).with_offset(offset);
@@ -490,7 +494,7 @@ mod tests {
         cfg.codec = skiptrain_engine::ModelCodec::TopK { k: 256 };
         cfg.feedback_beta = Some(1.0);
         let data = cfg.data.build(cfg.nodes, cfg.seed);
-        let a = cfg.run_on(&data);
+        let a = run_shared(&cfg, &data);
         assert!(
             a.final_mean_model.iter().all(|v| v.is_finite()),
             "feedback under per-round matchings must stay finite"
@@ -500,7 +504,7 @@ mod tests {
             "async gossip with top-k feedback failed to learn: {}",
             a.final_test.mean_accuracy
         );
-        let b = cfg.run_on(&data);
+        let b = run_shared(&cfg, &data);
         assert_eq!(
             a.final_test.mean_accuracy.to_bits(),
             b.final_test.mean_accuracy.to_bits()
@@ -515,11 +519,11 @@ mod tests {
         // the result stays deterministic.
         let cfg = gossip(tiny(), 0.5);
         let data = cfg.data.build(cfg.nodes, cfg.seed);
-        let static_run = cfg.run_on(&data);
+        let static_run = run_shared(&cfg, &data);
 
         let mut dropped_cfg = cfg.clone();
         dropped_cfg.topology_schedule = TopologyScheduleSpec::EdgeDropout { p: 0.8 };
-        let dropped = dropped_cfg.run_on(&data);
+        let dropped = run_shared(&dropped_cfg, &data);
         assert!(
             dropped.total_comm_wh < static_run.total_comm_wh,
             "dropping 80% of edges must shrink matchings: {} vs {}",
@@ -527,7 +531,7 @@ mod tests {
             static_run.total_comm_wh
         );
         assert!(dropped.total_comm_wh > 0.0, "some pairs must still fire");
-        let again = dropped_cfg.run_on(&data);
+        let again = run_shared(&dropped_cfg, &data);
         assert_eq!(
             dropped.final_test.mean_accuracy.to_bits(),
             again.final_test.mean_accuracy.to_bits()
@@ -542,8 +546,8 @@ mod tests {
     fn async_gossip_is_deterministic() {
         let cfg = gossip(tiny(), 0.5);
         let data = cfg.data.build(cfg.nodes, cfg.seed);
-        let a = cfg.run_on(&data);
-        let b = cfg.run_on(&data);
+        let a = run_shared(&cfg, &data);
+        let b = run_shared(&cfg, &data);
         assert_eq!(
             a.final_test.mean_accuracy.to_bits(),
             b.final_test.mean_accuracy.to_bits()

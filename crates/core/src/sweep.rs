@@ -6,7 +6,7 @@
 //! ran cells serially). Results are deterministic and identical to serial
 //! execution, cell for cell.
 
-use crate::campaign::Campaign;
+use crate::campaign::{Campaign, CampaignRunError};
 use crate::experiment::{AlgorithmSpec, ExperimentConfig};
 use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
@@ -80,15 +80,17 @@ pub fn grid_campaign(base: &ExperimentConfig, gammas: &[usize]) -> Campaign {
 /// once from `base`, with cells executing in parallel.
 ///
 /// The base config's algorithm is replaced by `SkipTrain(Γt, Γs)` per cell.
+/// An invalid base configuration or a failed cell is the campaign's typed
+/// error ([`Campaign::run`]).
 ///
 /// # Panics
-/// Panics when `gammas` is empty or the base configuration is invalid.
-pub fn grid_search(base: &ExperimentConfig, gammas: &[usize]) -> SweepResult {
+/// Panics when `gammas` is empty.
+pub fn grid_search(
+    base: &ExperimentConfig,
+    gammas: &[usize],
+) -> Result<SweepResult, CampaignRunError> {
     assert!(!gammas.is_empty(), "empty gamma grid");
-    let results = grid_campaign(base, gammas)
-        .run()
-        // lint:allow(no_panic, "documented '# Panics' contract for the convenience grid API")
-        .unwrap_or_else(|e| panic!("invalid sweep configuration: {e}"));
+    let results = grid_campaign(base, gammas).run()?;
     let cells = results
         .iter()
         .enumerate()
@@ -100,10 +102,10 @@ pub fn grid_search(base: &ExperimentConfig, gammas: &[usize]) -> SweepResult {
             training_energy_wh: result.total_training_wh,
         })
         .collect();
-    SweepResult {
+    Ok(SweepResult {
         cells,
         gammas: gammas.to_vec(),
-    }
+    })
 }
 
 #[cfg(test)]

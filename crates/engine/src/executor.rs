@@ -361,13 +361,6 @@ impl Simulation {
         &self.graph
     }
 
-    /// Mutable configuration access (crate-internal: tests tweak energy
-    /// accounting mid-run).
-    #[cfg(test)]
-    pub(crate) fn config_mut(&mut self) -> &mut SimulationConfig {
-        &mut self.config
-    }
-
     /// The energy ledger.
     pub fn ledger(&self) -> &EnergyLedger {
         &self.ledger

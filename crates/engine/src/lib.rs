@@ -128,9 +128,9 @@
 //!
 //! Drivers hook into the round loop through
 //! [`RoundObserver`](observer::RoundObserver) callbacks (round start/end,
-//! periodic evaluation) — curve recording, energy streaming, and early
-//! stopping are [`observer`] implementations rather than executor
-//! concerns. Per-node datasets sit behind `Arc` so many simulations can
+//! periodic evaluation) — curve recording is an [`observer`]
+//! implementation and stopping early is an observer's `Break`, not
+//! executor concerns. Per-node datasets sit behind `Arc` so many simulations can
 //! share one materialized dataset (see
 //! [`Simulation::with_shared_data`](executor::Simulation::with_shared_data)).
 
@@ -153,8 +153,7 @@ pub use events::{
 pub use executor::{RoundAction, Simulation, SimulationConfig};
 pub use metrics::{AccuracyPoint, EvalStats};
 pub use observer::{
-    CurveObserver, EarlyStop, EnergyTraceObserver, EvalReport, MeanModelObserver, RoundCtx,
-    RoundObserver, RoundReport,
+    CurveObserver, EvalReport, MeanModelObserver, RoundCtx, RoundObserver, RoundReport,
 };
 pub use transport::{
     rarity_k, tier_codec, CompressionPolicy, DecodeScratch, EncodeScratch, EnergyTier,

@@ -8,12 +8,9 @@
 //! (mean-model accuracy, consensus disagreement, battery state) without the
 //! driver hard-coding them.
 //!
-//! The built-in observers are the two the runner attaches to every run —
+//! The built-in observers are the two the runner attaches to every run:
 //! the accuracy/energy learning curve ([`CurveObserver`]) and the
-//! averaged-model curve of Figure 1 ([`MeanModelObserver`]) — and the two
-//! the campaign tests drive the hook mechanism through: per-round energy
-//! streaming ([`EnergyTraceObserver`]) and stopping at a target accuracy
-//! ([`EarlyStop`]).
+//! averaged-model curve of Figure 1 ([`MeanModelObserver`]).
 //!
 //! `on_round_end` and `on_eval` return [`ControlFlow`]: `Break(())` stops
 //! the experiment after the current round, letting observers implement
@@ -160,88 +157,6 @@ impl RoundObserver for MeanModelObserver {
     }
 }
 
-/// One row of the per-round energy stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoundEnergy {
-    /// Round index (0-based).
-    pub round: usize,
-    /// Nodes that trained this round.
-    pub trained_nodes: usize,
-    /// Training energy of this round (Wh).
-    pub training_wh: f64,
-    /// Communication energy of this round (Wh).
-    pub comm_wh: f64,
-}
-
-/// Streams per-round energy spending — the observer form of the energy
-/// tallies the legacy driver only exposed as end-of-run totals.
-#[derive(Debug, Default)]
-pub struct EnergyTraceObserver {
-    rows: Vec<RoundEnergy>,
-}
-
-impl EnergyTraceObserver {
-    /// An empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The per-round rows recorded so far.
-    pub fn rows(&self) -> &[RoundEnergy] {
-        &self.rows
-    }
-
-    /// Total training energy across recorded rounds (Wh).
-    pub fn total_training_wh(&self) -> f64 {
-        self.rows.iter().map(|r| r.training_wh).sum()
-    }
-}
-
-impl RoundObserver for EnergyTraceObserver {
-    fn on_round_end(&mut self, _sim: &mut Simulation, report: &RoundReport<'_>) -> ControlFlow<()> {
-        self.rows.push(RoundEnergy {
-            round: report.round,
-            trained_nodes: report.trained_nodes,
-            training_wh: report.round_training_wh,
-            comm_wh: report.round_comm_wh,
-        });
-        ControlFlow::Continue(())
-    }
-}
-
-/// Stops the run once mean test accuracy reaches a target.
-#[derive(Debug)]
-pub struct EarlyStop {
-    target_accuracy: f32,
-    triggered_at: Option<usize>,
-}
-
-impl EarlyStop {
-    /// Stops when `stats.mean_accuracy >= target_accuracy`.
-    pub fn at_accuracy(target_accuracy: f32) -> Self {
-        Self {
-            target_accuracy,
-            triggered_at: None,
-        }
-    }
-
-    /// The round count at which the stop triggered, if it did.
-    pub fn triggered_at(&self) -> Option<usize> {
-        self.triggered_at
-    }
-}
-
-impl RoundObserver for EarlyStop {
-    fn on_eval(&mut self, _sim: &mut Simulation, report: &EvalReport<'_>) -> ControlFlow<()> {
-        if report.stats.mean_accuracy >= self.target_accuracy {
-            self.triggered_at.get_or_insert(report.round);
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,49 +225,5 @@ mod tests {
         // rounds are recorded in execution order
         assert_eq!(mean[0].0, 1);
         assert_eq!(points[2].round, 3);
-    }
-
-    #[test]
-    fn early_stop_breaks_once_target_reached() {
-        let (mut sim, test) = tiny_sim(6);
-        let mut stop = EarlyStop::at_accuracy(0.0); // any accuracy satisfies
-        sim.run_round(&[RoundAction::Train; 6]);
-        let mut observers: [&mut dyn RoundObserver; 1] = [&mut stop];
-        assert!(eval_and_notify(&mut sim, &test, &mut observers).is_break());
-        assert_eq!(stop.triggered_at(), Some(1));
-    }
-
-    #[test]
-    fn energy_trace_streams_round_deltas() {
-        let (mut sim, _test) = tiny_sim(4);
-        sim.config_mut().training_energy_wh = vec![1.0, 2.0, 3.0, 4.0];
-        let mut trace = EnergyTraceObserver::new();
-        let mut prev_train = 0.0;
-        let mut prev_comm = 0.0;
-        for round in 0..2 {
-            let actions = if round == 0 {
-                vec![RoundAction::Train; 4]
-            } else {
-                vec![RoundAction::SyncOnly; 4]
-            };
-            sim.run_round(&actions);
-            let report = RoundReport {
-                round,
-                actions: &actions,
-                trained_nodes: if round == 0 { 4 } else { 0 },
-                train_loss: sim.last_train_loss(),
-                round_training_wh: sim.ledger().total_training_wh() - prev_train,
-                round_comm_wh: sim.ledger().total_comm_wh() - prev_comm,
-                cumulative_wh: sim.ledger().total_wh(),
-            };
-            prev_train = sim.ledger().total_training_wh();
-            prev_comm = sim.ledger().total_comm_wh();
-            let flow = trace.on_round_end(&mut sim, &report);
-            assert!(flow.is_continue());
-        }
-        assert_eq!(trace.rows().len(), 2);
-        assert!((trace.rows()[0].training_wh - 10.0).abs() < 1e-9);
-        assert_eq!(trace.rows()[1].training_wh, 0.0);
-        assert!((trace.total_training_wh() - 10.0).abs() < 1e-9);
     }
 }

@@ -110,7 +110,6 @@
 //! unchanged by feedback (a top-k frame simply carries delta values
 //! instead of absolute ones).
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use skiptrain_linalg::compress::{
     dequantize_one, dequantize_u16, dequantize_u8, gather_into, quantize_u16_into,
@@ -716,21 +715,6 @@ impl ErrorFeedbackState {
     }
 }
 
-/// Decoded model payload, after dequantization.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Payload {
-    /// A full (possibly lossily reconstructed) parameter vector.
-    Dense(Vec<f32>),
-    /// Top-k sparsified parameters: ascending indices with their values.
-    /// Coordinates not listed were never transmitted.
-    Sparse {
-        /// Ascending parameter indices present in the message.
-        indices: Vec<u32>,
-        /// Parameter values at `indices`.
-        values: Vec<f32>,
-    },
-}
-
 /// Decode error taxonomy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
@@ -748,19 +732,6 @@ pub enum DecodeError {
     IndexOutOfRange,
     /// Checksum mismatch (corrupted payload).
     BadChecksum,
-}
-
-/// Decoded message header + payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodedMessage {
-    /// Sender node id.
-    pub sender: u32,
-    /// Round the model was produced in.
-    pub round: u32,
-    /// Dense parameter count of the original model.
-    pub param_count: usize,
-    /// The (lossily) reconstructed model.
-    pub payload: Payload,
 }
 
 fn checksum_of(payload: &[u8]) -> u32 {
@@ -848,21 +819,6 @@ pub fn encode_message_with(
     debug_assert_eq!(buf.len() as u64, codec.message_bytes(params.len()));
 }
 
-/// Encodes a flat model into a framed message under `codec` (see the
-/// module docs for the wire layout).
-pub fn encode_message(codec: ModelCodec, sender: u32, round: u32, params: &[f32]) -> Bytes {
-    let mut buf = Vec::new();
-    encode_message_with(
-        codec,
-        sender,
-        round,
-        params,
-        &mut buf,
-        &mut EncodeScratch::default(),
-    );
-    Bytes::from(buf)
-}
-
 /// Byte-slice cursor used by [`decode_frame_into`]; bounds were validated
 /// against the header before parsing starts.
 struct Reader<'a> {
@@ -921,8 +877,7 @@ pub enum PayloadRef<'a> {
     },
 }
 
-/// Decoded message header + borrowed payload (the allocation-free
-/// counterpart of [`DecodedMessage`]).
+/// Decoded message header + borrowed payload.
 #[derive(Debug, PartialEq)]
 pub struct DecodedMessageRef<'a> {
     /// Sender node id.
@@ -1043,27 +998,6 @@ pub fn decode_frame_into<'a>(
     })
 }
 
-/// Decodes a frame produced by [`encode_message`], dequantizing lossy
-/// payloads into the values the receiver will aggregate.
-pub fn decode_message(frame: Bytes) -> Result<DecodedMessage, DecodeError> {
-    let mut scratch = DecodeScratch::default();
-    let msg = decode_frame_into(frame.as_slice(), &mut scratch)?;
-    let (sender, round, param_count) = (msg.sender, msg.round, msg.param_count);
-    let payload = match msg.payload {
-        PayloadRef::Sparse { .. } => Payload::Sparse {
-            indices: scratch.indices,
-            values: scratch.values,
-        },
-        PayloadRef::Dense(_) => Payload::Dense(scratch.dense),
-    };
-    Ok(DecodedMessage {
-        sender,
-        round,
-        param_count,
-        payload,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1074,6 +1008,19 @@ mod tests {
         ModelCodec::QuantizedU16,
         ModelCodec::TopK { k: 3 },
     ];
+
+    /// One frame through the scratch encoder, fresh buffers.
+    fn encode(codec: ModelCodec, sender: u32, round: u32, params: &[f32]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        let mut scratch = EncodeScratch::default();
+        encode_message_with(codec, sender, round, params, &mut frame, &mut scratch);
+        frame
+    }
+
+    /// The error the scratch decoder reports for `frame`.
+    fn decode_err(frame: &[u8]) -> DecodeError {
+        decode_frame_into(frame, &mut DecodeScratch::default()).unwrap_err()
+    }
 
     #[test]
     fn tier_codec_walks_the_table_top_down() {
@@ -1163,24 +1110,27 @@ mod tests {
     #[test]
     fn roundtrip_preserves_bits() {
         let params = vec![1.5f32, -0.25, f32::MIN_POSITIVE, 0.0, 1e30];
-        let frame = encode_message(ModelCodec::DenseF32, 7, 42, &params);
-        let decoded = decode_message(frame).unwrap();
+        let frame = encode(ModelCodec::DenseF32, 7, 42, &params);
+        let mut scratch = DecodeScratch::default();
+        let decoded = decode_frame_into(&frame, &mut scratch).unwrap();
         assert_eq!(decoded.sender, 7);
         assert_eq!(decoded.round, 42);
-        assert_eq!(decoded.payload, Payload::Dense(params));
+        assert_eq!(decoded.payload, PayloadRef::Dense(&params));
     }
 
     #[test]
     fn empty_model_roundtrips() {
-        let decoded = decode_message(encode_message(ModelCodec::DenseF32, 0, 0, &[])).unwrap();
-        assert_eq!(decoded.payload, Payload::Dense(Vec::new()));
+        let frame = encode(ModelCodec::DenseF32, 0, 0, &[]);
+        let mut scratch = DecodeScratch::default();
+        let decoded = decode_frame_into(&frame, &mut scratch).unwrap();
+        assert_eq!(decoded.payload, PayloadRef::Dense(&[]));
     }
 
     #[test]
     fn frame_lengths_match_message_bytes() {
         let params: Vec<f32> = (0..37).map(|i| (i as f32).cos()).collect();
         for codec in ALL_CODECS {
-            let frame = encode_message(codec, 1, 2, &params);
+            let frame = encode(codec, 1, 2, &params);
             assert_eq!(
                 frame.len() as u64,
                 codec.message_bytes(params.len()),
@@ -1237,8 +1187,8 @@ mod tests {
         let (mut enc, mut dec) = (EncodeScratch::default(), DecodeScratch::default());
         let mut wire_scratch = DecodeScratch::default();
         for codec in ALL_CODECS {
-            let frame = encode_message(codec, 0, 0, &params);
-            let wire = decode_frame_into(frame.as_slice(), &mut wire_scratch).unwrap();
+            let frame = encode(codec, 0, 0, &params);
+            let wire = decode_frame_into(&frame, &mut wire_scratch).unwrap();
             assert_eq!(
                 wire.payload,
                 codec.transform_into(&params, &mut enc, &mut dec),
@@ -1250,13 +1200,14 @@ mod tests {
     #[test]
     fn quantized_decode_error_is_bounded() {
         let params: Vec<f32> = (0..512).map(|i| (i as f32 * 0.11).sin() * 2.0).collect();
-        let decoded =
-            decode_message(encode_message(ModelCodec::QuantizedU8, 0, 0, &params)).unwrap();
-        let Payload::Dense(decoded) = decoded.payload else {
+        let frame = encode(ModelCodec::QuantizedU8, 0, 0, &params);
+        let mut scratch = DecodeScratch::default();
+        let decoded = decode_frame_into(&frame, &mut scratch).unwrap();
+        let PayloadRef::Dense(decoded) = decoded.payload else {
             panic!("quantized frames decode to a dense payload");
         };
         let step = (4.0f32) / 255.0; // range [-2, 2] over 255 steps
-        for (a, b) in params.iter().zip(&decoded) {
+        for (a, b) in params.iter().zip(decoded) {
             assert!(
                 (a - b).abs() <= step,
                 "error {} > step {step}",
@@ -1268,12 +1219,14 @@ mod tests {
     #[test]
     fn top_k_payload_is_sorted_and_maximal() {
         let params = [0.1f32, -9.0, 0.2, 5.0, -0.3];
-        let msg = decode_message(encode_message(ModelCodec::TopK { k: 2 }, 0, 0, &params)).unwrap();
+        let frame = encode(ModelCodec::TopK { k: 2 }, 0, 0, &params);
+        let mut scratch = DecodeScratch::default();
+        let msg = decode_frame_into(&frame, &mut scratch).unwrap();
         assert_eq!(msg.param_count, 5);
         match msg.payload {
-            Payload::Sparse { indices, values } => {
-                assert_eq!(indices, vec![1, 3]);
-                assert_eq!(values, vec![-9.0, 5.0]);
+            PayloadRef::Sparse { indices, values } => {
+                assert_eq!(indices, [1, 3]);
+                assert_eq!(values, [-9.0, 5.0]);
             }
             other => panic!("expected sparse payload, got {other:?}"),
         }
@@ -1284,85 +1237,65 @@ mod tests {
         // checksum is verified before parsing, so a flipped payload byte
         // reports BadChecksum deterministically for every codec
         for codec in ALL_CODECS {
-            let frame = encode_message(codec, 1, 2, &[1.0, 2.0, 3.0, -4.0]);
-            let mut bytes = frame.to_vec();
+            let mut bytes = encode(codec, 1, 2, &[1.0, 2.0, 3.0, -4.0]);
             let mid = FRAME_OVERHEAD as usize / 2 + 12; // inside the payload
             bytes[mid] ^= 0xFF;
-            let err = decode_message(Bytes::from(bytes)).unwrap_err();
-            assert_eq!(err, DecodeError::BadChecksum, "{codec:?}");
+            assert_eq!(decode_err(&bytes), DecodeError::BadChecksum, "{codec:?}");
         }
     }
 
     #[test]
     fn truncation_is_detected() {
-        let frame = encode_message(ModelCodec::DenseF32, 1, 2, &[1.0]);
-        let short = frame.slice(0..10);
-        assert_eq!(decode_message(short).unwrap_err(), DecodeError::Truncated);
+        let frame = encode(ModelCodec::DenseF32, 1, 2, &[1.0]);
+        assert_eq!(decode_err(&frame[..10]), DecodeError::Truncated);
         // clipping shifts payload bytes into the checksum slot, which the
         // up-front checksum verification catches before any length logic
-        let clipped = frame.slice(0..frame.len() - 4);
         assert_eq!(
-            decode_message(clipped).unwrap_err(),
+            decode_err(&frame[..frame.len() - 4]),
             DecodeError::BadChecksum
         );
         // a length lie with a *valid* checksum is what LengthMismatch is for
         let lied = retamper(frame, |bytes| bytes[19] = 2); // count 1 -> 2
-        assert_eq!(
-            decode_message(lied).unwrap_err(),
-            DecodeError::LengthMismatch
-        );
+        assert_eq!(decode_err(&lied), DecodeError::LengthMismatch);
     }
 
     #[test]
     fn bad_magic_and_unknown_codec_are_detected() {
-        let frame = encode_message(ModelCodec::DenseF32, 1, 2, &[1.0]);
-        let mut bytes = frame.to_vec();
+        let frame = encode(ModelCodec::DenseF32, 1, 2, &[1.0]);
+        let mut bytes = frame.clone();
         bytes[0] = 0;
-        assert_eq!(
-            decode_message(Bytes::from(bytes)).unwrap_err(),
-            DecodeError::BadMagic
-        );
-        let mut bytes = frame.to_vec();
+        assert_eq!(decode_err(&bytes), DecodeError::BadMagic);
+        let mut bytes = frame;
         bytes[7] = 99; // codec discriminant (big-endian u32 at offset 4)
-        assert_eq!(
-            decode_message(Bytes::from(bytes)).unwrap_err(),
-            DecodeError::UnknownCodec
-        );
+        assert_eq!(decode_err(&bytes), DecodeError::UnknownCodec);
     }
 
     /// Tampers with a frame's payload and rewrites a valid trailing
     /// checksum, so decode exercises the semantic checks behind it.
-    fn retamper(frame: Bytes, patch: impl FnOnce(&mut [u8])) -> Bytes {
-        let mut bytes = frame.to_vec();
+    fn retamper(mut bytes: Vec<u8>, patch: impl FnOnce(&mut [u8])) -> Vec<u8> {
         let payload_end = bytes.len() - 4;
         patch(&mut bytes);
         let checksum = checksum_of(&bytes[20..payload_end]);
         bytes[payload_end..].copy_from_slice(&checksum.to_be_bytes());
-        Bytes::from(bytes)
+        bytes
     }
 
     #[test]
     fn out_of_range_sparse_index_is_rejected() {
         let params = [1.0f32, 2.0, 3.0];
-        let frame = encode_message(ModelCodec::TopK { k: 2 }, 0, 0, &params);
+        let frame = encode(ModelCodec::TopK { k: 2 }, 0, 0, &params);
         // first index is at header 20 + k field 4 = offset 24, LE
         let bad = retamper(frame, |bytes| bytes[24] = 200);
-        assert_eq!(
-            decode_message(bad).unwrap_err(),
-            DecodeError::IndexOutOfRange
-        );
+        assert_eq!(decode_err(&bad), DecodeError::IndexOutOfRange);
     }
 
     #[test]
     fn duplicate_sparse_indices_are_rejected() {
         let params = [5.0f32, 4.0, 3.0];
-        let frame = encode_message(ModelCodec::TopK { k: 2 }, 0, 0, &params);
+        let frame = encode(ModelCodec::TopK { k: 2 }, 0, 0, &params);
         // encoded indices are [0, 1]; duplicate the first (offsets 24, 28)
         let dup = retamper(frame, |bytes| bytes[28] = bytes[24]);
-        assert_eq!(
-            decode_message(dup).unwrap_err(),
-            DecodeError::IndexOutOfRange
-        );
+        assert_eq!(decode_err(&dup), DecodeError::IndexOutOfRange);
     }
 
     #[test]
@@ -1654,13 +1587,11 @@ mod tests {
             ModelCodec::TopK { k: 32 },
         ] {
             for r in 0..16usize {
-                let mut frame = encode_message(codec, 3, r as u32, &params).to_vec();
+                let mut frame = encode(codec, 3, r as u32, &params);
                 corrupt_frame_in_place(&mut frame, 77, r, 3, 5);
-                assert!(
-                    matches!(
-                        decode_frame_into(&frame, &mut DecodeScratch::default()),
-                        Err(DecodeError::BadChecksum)
-                    ),
+                assert_eq!(
+                    decode_err(&frame),
+                    DecodeError::BadChecksum,
                     "corrupted {codec:?} frame round {r} must fail checksum"
                 );
             }
@@ -1670,7 +1601,7 @@ mod tests {
     #[test]
     fn corruption_bit_flip_is_deterministic_and_self_inverse() {
         let params: Vec<f32> = (0..64).map(|i| i as f32).collect();
-        let clean = encode_message(ModelCodec::DenseF32, 1, 4, &params).to_vec();
+        let clean = encode(ModelCodec::DenseF32, 1, 4, &params);
         let mut a = clean.clone();
         let mut b = clean.clone();
         corrupt_frame_in_place(&mut a, 5, 4, 1, 2);

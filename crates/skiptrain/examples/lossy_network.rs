@@ -38,7 +38,9 @@ fn main() {
         "{:>10} {:>12} {:>12} {:>14}",
         "drop rate", "accuracy", "std", "comm energy Wh"
     );
-    let results = campaign.run().expect("valid campaign");
+    // an invalid drop rate or a failed cell comes back as a typed
+    // `CampaignRunError`, not a panic inside the library
+    let results = campaign.run().expect("valid campaign, no failed cell");
     for (drop_prob, result) in drop_probs.iter().zip(&results) {
         println!(
             "{:>10} {:>11.1}% {:>11.1}% {:>14.3}",

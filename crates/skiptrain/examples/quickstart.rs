@@ -9,25 +9,23 @@ use skiptrain::prelude::*;
 
 fn main() {
     // A ready-made small configuration: 24 nodes, 2-shard non-IID data,
-    // 6-regular topology, smartphone energy traces. The builder validates
-    // the configuration up front — invalid setups fail here with a typed
-    // error, not mid-run.
-    let dpsgd = Experiment::builder()
-        .name("quickstart/d-psgd")
-        .build()
-        .expect("valid config")
-        .into_config();
+    // 6-regular topology, smartphone energy traces.
+    let dpsgd = ExperimentConfig {
+        name: "quickstart/d-psgd".into(),
+        ..cifar_config(Scale::Quick, 42)
+    };
 
     // SkipTrain replaces half the training rounds with synchronization
     // rounds (Γ_train = Γ_sync = 4, the paper's 6-regular optimum).
-    let skiptrain = Experiment::builder()
-        .name("quickstart/skiptrain")
-        .algorithm(AlgorithmSpec::SkipTrain(Schedule::new(4, 4)))
-        .build()
-        .expect("valid config")
-        .into_config();
+    let skiptrain = ExperimentConfig {
+        name: "quickstart/skiptrain".into(),
+        algorithm: AlgorithmSpec::SkipTrain(Schedule::new(4, 4)),
+        ..dpsgd.clone()
+    };
 
     // Both runs share one materialized dataset and execute in parallel.
+    // The campaign validates every configuration up front — an invalid
+    // setup or a failed cell comes back as a typed `CampaignRunError`.
     println!(
         "running D-PSGD and SkipTrain in parallel ({} nodes, {} rounds)...",
         dpsgd.nodes, dpsgd.rounds
@@ -36,7 +34,7 @@ fn main() {
         .push(dpsgd)
         .push(skiptrain)
         .run()
-        .expect("valid campaign");
+        .expect("valid campaign, no failed cell");
     let (dpsgd, skiptrain) = (&results[0], &results[1]);
 
     println!("\n             {:>12} {:>12}", "D-PSGD", "SkipTrain");

@@ -13,16 +13,18 @@
 //! ```
 //! use skiptrain::prelude::*;
 //!
-//! // Fluent, validated experiment construction; invalid configs are typed
-//! // errors at build time, not mid-run panics.
-//! let experiment = Experiment::builder()
-//!     .name("demo")
-//!     .nodes(16)
-//!     .rounds(8)
-//!     .algorithm(AlgorithmSpec::SkipTrain(Schedule::new(4, 4)))
-//!     .build()
-//!     .expect("valid config");
+//! // A preset plus fields, validated up front; invalid configs are typed
+//! // errors before any work starts, not mid-run panics.
+//! let experiment = Experiment::from_config(ExperimentConfig {
+//!     name: "demo".into(),
+//!     nodes: 16,
+//!     rounds: 8,
+//!     algorithm: AlgorithmSpec::SkipTrain(Schedule::new(4, 4)),
+//!     ..cifar_config(Scale::Quick, 42)
+//! })
+//! .expect("valid config");
 //! assert_eq!(experiment.config().algorithm.name(), "skiptrain");
+//! // experiment.run() returns Result<ExperimentResult, RunError>.
 //!
 //! // Multi-run comparisons execute in parallel over shared data bundles.
 //! let campaign = Campaign::new().push(experiment.into_config());
@@ -68,7 +70,8 @@ pub mod prelude {
         cifar_config, femnist_config, tuned_schedule, with_algorithm, Scale,
     };
     pub use skiptrain_core::{
-        Campaign, CampaignError, ConfigError, Experiment, ExperimentBuilder, Schedule,
+        run_with_observers, Campaign, CampaignError, CampaignRunError, ConfigError, Experiment,
+        RunError, Schedule,
     };
     pub use skiptrain_data::{Dataset, MinibatchSampler, Partition};
     pub use skiptrain_energy::{
@@ -76,8 +79,7 @@ pub mod prelude {
         HarvestProfile, HarvestTrace, WorkloadSpec,
     };
     pub use skiptrain_engine::observer::{
-        CurveObserver, EarlyStop, EnergyTraceObserver, EvalReport, MeanModelObserver, RoundCtx,
-        RoundObserver, RoundReport,
+        CurveObserver, EvalReport, MeanModelObserver, RoundCtx, RoundObserver, RoundReport,
     };
     pub use skiptrain_engine::{
         ChurnModel, CompressionPolicy, ComputeProfile, EnergyTier, EventEngine, EventStats,

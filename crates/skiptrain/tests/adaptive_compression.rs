@@ -6,6 +6,9 @@
 //! DEAL-style energy-adaptive tier table must beat every fixed codec on
 //! accuracy per harvested watt-hour on a diurnal battery fleet.
 
+mod common;
+
+use common::run_shared;
 use skiptrain::prelude::*;
 
 fn tiny(seed: u64) -> ExperimentConfig {
@@ -26,7 +29,7 @@ fn run_with_threads(cfg: &ExperimentConfig, data: &DataBundle, threads: usize) -
         .num_threads(threads)
         .build()
         .expect("pool")
-        .install(|| cfg.run_on(data))
+        .install(|| run_shared(cfg, data))
 }
 
 fn assert_bitwise_equal(a: &ExperimentResult, b: &ExperimentResult, what: &str) {
@@ -140,9 +143,9 @@ fn consensus_gamma_damps_mixing_without_breaking_determinism() {
             gamma,
             ..CompressionSpec::default()
         });
-        cfg.run_on(&data)
+        run_shared(&cfg, &data)
     };
-    let plain = base.run_on(&data);
+    let plain = run_shared(&base, &data);
     let unit = run_gamma(1.0);
     assert_bitwise_equal(&plain, &unit, "gamma=1 vs legacy");
 
@@ -317,8 +320,8 @@ fn legacy_json_without_compression_field_runs_bit_identically() {
     assert_eq!(effective.feedback_beta, Some(1.0));
 
     let data = cfg.data.build(cfg.nodes, cfg.seed);
-    let a = cfg.run_on(&data);
-    let b = legacy.run_on(&data);
+    let a = run_shared(&cfg, &data);
+    let b = run_shared(&legacy, &data);
     assert_bitwise_equal(&a, &b, "legacy JSON vs modern config");
 }
 

@@ -2,6 +2,9 @@
 //! uniform complete-graph mixing equals the exact global average; sync-only
 //! rounds preserve the mean model; repeated gossip reaches consensus.
 
+mod common;
+
+use common::run;
 use skiptrain::prelude::*;
 use skiptrain_data::synth::{MixtureSpec, MixtureTask};
 use skiptrain_topology::regular::random_regular;
@@ -153,8 +156,8 @@ fn dpsgd_on_complete_graph_beats_sparse_on_skewed_data() {
     let mut complete_cfg = sparse_cfg.clone();
     complete_cfg.topology = TopologySpec::Complete;
 
-    let sparse = sparse_cfg.run();
-    let complete = complete_cfg.run();
+    let sparse = run(&sparse_cfg);
+    let complete = run(&complete_cfg);
     assert!(
         complete.final_test.mean_accuracy > sparse.final_test.mean_accuracy,
         "complete {} should beat ring {}",

@@ -8,6 +8,9 @@
 //! policy reaches strictly higher accuracy per harvested watt-hour at
 //! bit-identical harvest accounting.
 
+mod common;
+
+use common::{run, run_shared};
 use skiptrain::energy::device::fleet;
 use skiptrain::energy::trace::round_duration_s;
 use skiptrain::prelude::*;
@@ -70,7 +73,7 @@ fn charge_aware_policies_beat_always_on_per_harvested_wh() {
     let run = |policy: BatteryPolicy| {
         let mut c = cfg.clone();
         c.battery = Some(starved_spec(&cfg, policy));
-        c.run_on(&data)
+        run_shared(&c, &data)
     };
 
     // Gating at 0.6 of a 2·max-cost capacity banks 1.2× the most
@@ -139,7 +142,7 @@ fn battery_runs_are_deterministic_across_thread_counts() {
                     resume_fraction: 0.3,
                 },
             ));
-            cfg.run()
+            run(&cfg)
         })
     };
     let one = run_with_threads(1);
@@ -179,7 +182,7 @@ fn fully_gated_runs_charge_zero_energy() {
         policy: BatteryPolicy::Threshold { min_fraction: 0.2 },
         node_policies: None,
     });
-    let result = cfg.run();
+    let result = run(&cfg);
     assert_eq!(result.total_training_wh, 0.0);
     assert_eq!(
         result.total_comm_wh, 0.0,
@@ -197,7 +200,7 @@ fn battery_free_runs_report_no_summary_and_async_gossip_composes() {
     cfg.rounds = 8;
     cfg.eval_every = 8;
     let data = cfg.data.build(cfg.nodes, cfg.seed);
-    let plain = cfg.run_on(&data);
+    let plain = run_shared(&cfg, &data);
     assert!(plain.battery.is_none(), "no battery configured, no summary");
 
     // gating applies to pairwise ticks exactly as to synchronous rounds,
@@ -221,7 +224,7 @@ fn battery_free_runs_report_no_summary_and_async_gossip_composes() {
         AlgorithmSpec::DPsgd,
     ] {
         gated.algorithm = algorithm;
-        let result = gated.run_on(&data);
+        let result = run_shared(&gated, &data);
         let label = &result.algorithm;
         assert_eq!(
             result.total_comm_wh, 0.0,
@@ -258,7 +261,7 @@ fn conservation_holds_through_the_full_pipeline() {
         &cfg,
         BatteryPolicy::Threshold { min_fraction: 0.3 },
     ));
-    let result = cfg.run();
+    let result = run(&cfg);
     let s = result.battery.expect("battery summary recorded");
     // initial_fraction = 0 ⇒ initial charge 0
     let reconstructed = s.harvested_wh - s.wasted_wh - s.drained_wh;

@@ -1,11 +1,14 @@
-//! Equivalence guarantees for the redesigned experiment layer: the
-//! builder/`Experiment`/`Campaign` path must reproduce
-//! `ExperimentConfig::run` results byte for byte, and the parallel
-//! `grid_search` must match serial per-cell execution exactly.
+//! Equivalence guarantees for the experiment layer: the three ways of
+//! running a config (`Experiment::run`, `run_with_observers`, a one-cell
+//! `Campaign`) must agree byte for byte, and the parallel `grid_search`
+//! must match serial per-cell execution exactly.
 
+mod common;
+
+use common::{run, run_shared};
 use skiptrain::prelude::*;
 use skiptrain_core::sweep::grid_search;
-use skiptrain_core::ExperimentBuilder;
+use std::ops::ControlFlow;
 
 fn quick(seed: u64) -> ExperimentConfig {
     let mut cfg = cifar_config(Scale::Quick, seed);
@@ -49,31 +52,30 @@ fn gossip(mut cfg: ExperimentConfig) -> ExperimentConfig {
 #[test]
 fn builder_and_campaign_reproduce_legacy_results_byte_identically() {
     for cfg in [quick(3), gossip(quick(3))] {
-        let legacy = cfg.run();
+        // (A) one config on its own data
+        let experiment = Experiment::from_config(cfg.clone()).expect("valid");
+        let own_data = experiment.run().expect("run completes");
 
-        let via_experiment = Experiment::from_config(cfg.clone()).expect("valid").run();
+        // (B) one config on a bundle the caller holds
+        let data = experiment.build_data();
+        let shared_bundle = run_with_observers(&cfg, &data, &mut []).expect("valid");
 
-        let via_builder = ExperimentBuilder::from_config(cfg.clone())
-            .build()
-            .expect("valid")
-            .run();
-
+        // (C) many configs, here one
         let via_campaign = Campaign::new()
             .push(cfg.clone())
             .run()
             .expect("valid")
             .remove(0);
 
-        let reference = serde_json::to_string(&legacy).unwrap();
+        let reference = serde_json::to_string(&own_data).unwrap();
         for (label, result) in [
-            ("Experiment::run", &via_experiment),
-            ("ExperimentBuilder", &via_builder),
+            ("run_with_observers", &shared_bundle),
             ("Campaign", &via_campaign),
         ] {
             let serialized = serde_json::to_string(result).unwrap();
             assert_eq!(
                 serialized, reference,
-                "{}: {label} diverged from the legacy runner",
+                "{}: {label} diverged from Experiment::run",
                 cfg.name
             );
         }
@@ -86,10 +88,7 @@ fn gossip_cells_match_the_per_cell_grid_and_resume_from_a_journal() {
     // per-cell `Experiment::run` grid, land in the journal, and a resumed
     // campaign restores them without re-running — byte for byte.
     let configs = vec![quick(21), gossip(quick(21)), gossip(quick(22))];
-    let grid: Vec<ExperimentResult> = configs
-        .iter()
-        .map(|cfg| Experiment::from_config(cfg.clone()).expect("valid").run())
-        .collect();
+    let grid: Vec<ExperimentResult> = configs.iter().map(run).collect();
     assert!(
         grid[1].events.late_messages > 0 && grid[1].events.leaves > 0,
         "the gossip fixture must exercise the deadline and churn"
@@ -157,13 +156,13 @@ fn parallel_grid_search_matches_serial_baseline_cell_for_cell() {
             cfg.algorithm = AlgorithmSpec::SkipTrain(Schedule::new(gt, gs));
             cfg.name = format!("{}/sweep-gt{gt}-gs{gs}", base.name);
             cfg.eval_every = usize::MAX;
-            let result = cfg.run_on(&data);
+            let result = run_shared(&cfg, &data);
             serial.push((gt, gs, result));
         }
     }
 
     // Parallel path: grid_search runs the same cells through a Campaign.
-    let sweep = grid_search(&base, &gammas);
+    let sweep = grid_search(&base, &gammas).expect("valid grid, no failed cell");
     assert_eq!(sweep.cells.len(), serial.len());
 
     for ((gt, gs, reference), cell) in serial.iter().zip(&sweep.cells) {
@@ -252,7 +251,7 @@ fn resilient_campaign_with_faults_matches_clean_run_on_surviving_cells() {
                 // Recovered on the retry seed: equal to a fresh run there.
                 let mut fresh = configs[1].clone();
                 fresh.seed = skiptrain_core::retry_seed(201, 2);
-                let fresh = fresh.run();
+                let fresh = run(&fresh);
                 assert_eq!(
                     serde_json::to_string(cell.as_ref().unwrap()).unwrap(),
                     serde_json::to_string(&fresh).unwrap(),
@@ -269,43 +268,91 @@ fn resilient_campaign_with_faults_matches_clean_run_on_surviving_cells() {
     }
 }
 
+/// Breaks at the first evaluation.
+struct StopAtFirstEval {
+    triggered_at: Option<usize>,
+}
+
+impl RoundObserver for StopAtFirstEval {
+    fn on_eval(&mut self, _sim: &mut Simulation, report: &EvalReport<'_>) -> ControlFlow<()> {
+        self.triggered_at.get_or_insert(report.round);
+        ControlFlow::Break(())
+    }
+}
+
+/// Breaks at the end of round `self.0` (0-based).
+struct StopAfterRound(usize);
+
+impl RoundObserver for StopAfterRound {
+    fn on_round_end(&mut self, _sim: &mut Simulation, report: &RoundReport<'_>) -> ControlFlow<()> {
+        if report.round == self.0 {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
 #[test]
 fn early_stop_observer_truncates_the_run() {
     let cfg = quick(13);
-    let experiment = Experiment::from_config(cfg).expect("valid");
-    let data = experiment.build_data();
+    let data = cfg.data.build(cfg.nodes, cfg.seed);
 
-    let mut stop = EarlyStop::at_accuracy(0.0); // first evaluation triggers
-    let result = experiment
-        .run_observed(&data, &mut [&mut stop])
-        .expect("valid run");
+    let mut stop = StopAtFirstEval { triggered_at: None };
+    let result = run_with_observers(&cfg, &data, &mut [&mut stop]).expect("valid run");
     // eval_every = 4 -> the first evaluation happens after round 4 and
     // stops the run there.
-    assert_eq!(stop.triggered_at(), Some(4));
+    assert_eq!(stop.triggered_at, Some(4));
     assert_eq!(result.rounds, 4);
     assert_eq!(result.test_curve.len(), 1);
 
+    // An `on_round_end` break stops at that round too, off the evaluation
+    // cadence, and the stopped run still gets its final evaluation.
+    let mut stop = StopAfterRound(6);
+    let result = run_with_observers(&cfg, &data, &mut [&mut stop]).expect("valid run");
+    assert_eq!(result.rounds, 7);
+    let evaluated: Vec<usize> = result.test_curve.iter().map(|p| p.round).collect();
+    assert_eq!(evaluated, [4, 7]);
+
     // Without the observer the same experiment runs to completion.
-    let full = experiment.run_on(&data).expect("valid run");
+    let full = run_shared(&cfg, &data);
     assert_eq!(full.rounds, 12);
+}
+
+/// Collects every round's `RoundReport` deltas.
+#[derive(Default)]
+struct RoundDeltas {
+    trained_nodes: Vec<usize>,
+    training_wh: f64,
+    comm_wh: f64,
+}
+
+impl RoundObserver for RoundDeltas {
+    fn on_round_end(&mut self, _sim: &mut Simulation, report: &RoundReport<'_>) -> ControlFlow<()> {
+        self.trained_nodes.push(report.trained_nodes);
+        self.training_wh += report.round_training_wh;
+        self.comm_wh += report.round_comm_wh;
+        ControlFlow::Continue(())
+    }
 }
 
 #[test]
 fn energy_trace_observer_matches_ledger_totals() {
     let cfg = quick(17);
-    let experiment = Experiment::from_config(cfg.clone()).expect("valid");
-    let data = experiment.build_data();
+    let data = cfg.data.build(cfg.nodes, cfg.seed);
 
-    let mut trace = EnergyTraceObserver::new();
-    let result = experiment
-        .run_observed(&data, &mut [&mut trace])
-        .expect("valid run");
+    let mut trace = RoundDeltas::default();
+    let result = run_with_observers(&cfg, &data, &mut [&mut trace]).expect("valid run");
 
-    assert_eq!(trace.rows().len(), cfg.rounds);
+    assert_eq!(trace.trained_nodes.len(), cfg.rounds);
     assert!(
-        (trace.total_training_wh() - result.total_training_wh).abs() < 1e-9,
+        (trace.training_wh - result.total_training_wh).abs() < 1e-9,
         "per-round stream must sum to the end-of-run total"
     );
-    let streamed_events: u64 = trace.rows().iter().map(|r| r.trained_nodes as u64).sum();
+    assert!(
+        (trace.comm_wh - result.total_comm_wh).abs() < 1e-9,
+        "per-round comm stream must sum to the end-of-run total"
+    );
+    let streamed_events: u64 = trace.trained_nodes.iter().map(|&n| n as u64).sum();
     assert_eq!(streamed_events, result.node_train_events);
 }

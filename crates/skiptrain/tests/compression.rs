@@ -3,6 +3,9 @@
 //! energy axis, and the lossless codec must reproduce the uncompressed
 //! baseline bit-for-bit.
 
+mod common;
+
+use common::{run, run_shared};
 use skiptrain::prelude::*;
 
 fn tiny(seed: u64) -> ExperimentConfig {
@@ -23,8 +26,8 @@ fn dense_codec_is_a_bitwise_noop() {
     let base = tiny(1);
     let mut explicit = base.clone();
     explicit.codec = ModelCodec::DenseF32;
-    let a = base.run();
-    let b = explicit.run();
+    let a = run(&base);
+    let b = run(&explicit);
     assert_eq!(
         a.final_test.mean_accuracy.to_bits(),
         b.final_test.mean_accuracy.to_bits()
@@ -52,7 +55,7 @@ fn frontier_comm_energy_drops_monotonically_with_bounded_accuracy_loss() {
         .map(|&codec| {
             let mut cfg = base.clone();
             cfg.codec = codec;
-            cfg.run_on(&data)
+            run_shared(&cfg, &data)
         })
         .collect();
 
@@ -92,7 +95,7 @@ fn quantized_comm_energy_matches_codec_bytes_analytically() {
     // the codec's per-message bytes for the nominal model size.
     let mut cfg = tiny(3);
     cfg.codec = ModelCodec::QuantizedU8;
-    let result = cfg.run();
+    let result = run(&cfg);
     let comm = skiptrain::energy::comm::CommEnergyModel::paper_fit();
     let bytes = ModelCodec::QuantizedU8.message_bytes(cfg.energy.workload.model_params);
     let expected =
@@ -109,8 +112,8 @@ fn compressed_experiments_are_deterministic() {
     for codec in [ModelCodec::QuantizedU8, ModelCodec::TopK { k: 200 }] {
         let mut cfg = tiny(4);
         cfg.codec = codec;
-        let a = cfg.run();
-        let b = cfg.run();
+        let a = run(&cfg);
+        let b = run(&cfg);
         assert_eq!(
             a.final_test.mean_accuracy.to_bits(),
             b.final_test.mean_accuracy.to_bits(),
@@ -135,15 +138,15 @@ fn error_feedback_closes_top_k_accuracy_gap_at_unchanged_comm_energy() {
 
     let mut dense_cfg = base.clone();
     dense_cfg.codec = ModelCodec::DenseF32;
-    let dense = dense_cfg.run_on(&data);
+    let dense = run_shared(&dense_cfg, &data);
 
     let mut plain_cfg = base.clone();
     plain_cfg.codec = ModelCodec::TopK { k };
-    let plain = plain_cfg.run_on(&data);
+    let plain = run_shared(&plain_cfg, &data);
 
     let mut feedback_cfg = plain_cfg.clone();
     feedback_cfg.feedback_beta = Some(1.0);
-    let feedback = feedback_cfg.run_on(&data);
+    let feedback = run_shared(&feedback_cfg, &data);
 
     let dense_acc = dense.final_test.mean_accuracy;
     let plain_acc = plain.final_test.mean_accuracy;
@@ -185,7 +188,7 @@ fn feedback_runs_are_deterministic_across_thread_pools() {
             .num_threads(threads)
             .build()
             .expect("pool")
-            .install(|| cfg.run_on(&data))
+            .install(|| run_shared(&cfg, &data))
     };
     let reference = run_with(1);
     for threads in [2usize, 7] {
@@ -208,17 +211,16 @@ fn feedback_runs_are_deterministic_across_thread_pools() {
 
 #[test]
 fn builder_feedback_knob_runs_end_to_end() {
-    let result = Experiment::builder()
-        .name("compressed+ef")
-        .nodes(8)
-        .rounds(6)
-        .compression_spec(CompressionSpec {
+    let result = run(&ExperimentConfig {
+        name: "compressed+ef".into(),
+        nodes: 8,
+        rounds: 6,
+        compression: Some(CompressionSpec {
             feedback_beta: Some(1.0),
             ..CompressionSpec::uniform(ModelCodec::TopK { k: 64 })
-        })
-        .build()
-        .expect("valid feedback config")
-        .run();
+        }),
+        ..cifar_config(Scale::Quick, 42)
+    });
     assert_eq!(result.rounds, 6);
     assert!(result.total_comm_wh > 0.0);
     assert!(result.final_mean_model.iter().all(|v| v.is_finite()));
@@ -226,14 +228,13 @@ fn builder_feedback_knob_runs_end_to_end() {
 
 #[test]
 fn builder_compression_knob_runs_end_to_end() {
-    let result = Experiment::builder()
-        .name("compressed")
-        .nodes(8)
-        .rounds(6)
-        .compression_policy(CompressionPolicy::Uniform(ModelCodec::QuantizedU16))
-        .build()
-        .expect("valid compressed config")
-        .run();
+    let result = run(&ExperimentConfig {
+        name: "compressed".into(),
+        nodes: 8,
+        rounds: 6,
+        compression: Some(CompressionSpec::uniform(ModelCodec::QuantizedU16)),
+        ..cifar_config(Scale::Quick, 42)
+    });
     assert_eq!(result.rounds, 6);
     assert!(result.total_comm_wh > 0.0);
 }

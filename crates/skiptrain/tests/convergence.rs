@@ -2,6 +2,9 @@
 //! instance, and the headline energy relation (SkipTrain = half of D-PSGD)
 //! holds exactly.
 
+mod common;
+
+use common::run;
 use skiptrain::prelude::*;
 
 fn tiny(seed: u64) -> ExperimentConfig {
@@ -26,7 +29,7 @@ fn tiny(seed: u64) -> ExperimentConfig {
 
 #[test]
 fn dpsgd_learns_above_chance() {
-    let result = tiny(1).run();
+    let result = run(&tiny(1));
     // 10 classes → chance is 10%
     assert!(
         result.final_test.mean_accuracy > 0.35,
@@ -41,8 +44,11 @@ fn dpsgd_learns_above_chance() {
 #[test]
 fn skiptrain_learns_and_halves_energy() {
     let base = tiny(2);
-    let dpsgd = base.run();
-    let skiptrain = with_algorithm(base, AlgorithmSpec::SkipTrain(Schedule::new(4, 4))).run();
+    let dpsgd = run(&base);
+    let skiptrain = run(&with_algorithm(
+        base,
+        AlgorithmSpec::SkipTrain(Schedule::new(4, 4)),
+    ));
     assert!(skiptrain.final_test.mean_accuracy > 0.35);
     // (4,4) over 32 rounds = exactly half the training rounds
     assert_eq!(skiptrain.node_train_events * 2, dpsgd.node_train_events);
@@ -55,8 +61,11 @@ fn skiptrain_not_much_worse_than_dpsgd_at_equal_rounds() {
     // The paper's headline: equal-or-better accuracy at half the energy.
     // At this toy scale we assert "within a few points or better".
     let base = tiny(3);
-    let dpsgd = base.run();
-    let skiptrain = with_algorithm(base, AlgorithmSpec::SkipTrain(Schedule::new(4, 4))).run();
+    let dpsgd = run(&base);
+    let skiptrain = run(&with_algorithm(
+        base,
+        AlgorithmSpec::SkipTrain(Schedule::new(4, 4)),
+    ));
     assert!(
         skiptrain.final_test.mean_accuracy > dpsgd.final_test.mean_accuracy - 0.08,
         "skiptrain {} far below dpsgd {}",
@@ -71,7 +80,7 @@ fn constrained_respects_budgets_and_learns() {
     cfg.energy = EnergySpec::cifar10_constrained().scaled_for_rounds(cfg.rounds, 1000);
     cfg.algorithm = AlgorithmSpec::SkipTrainConstrained(Schedule::new(4, 4));
     let budgets = cfg.energy.node_budgets(cfg.nodes);
-    let result = cfg.run();
+    let result = run(&cfg);
     let total_budget: u64 = budgets.iter().map(|&b| b as u64).sum();
     assert!(
         result.node_train_events <= total_budget,
@@ -87,7 +96,7 @@ fn greedy_respects_budgets() {
     cfg.energy = EnergySpec::cifar10_constrained().scaled_for_rounds(cfg.rounds, 1000);
     cfg.algorithm = AlgorithmSpec::Greedy;
     let budgets = cfg.energy.node_budgets(cfg.nodes);
-    let result = cfg.run();
+    let result = run(&cfg);
     let expected: u64 = budgets
         .iter()
         .map(|&b| (b as u64).min(cfg.rounds as u64))
@@ -102,7 +111,7 @@ fn femnist_like_setup_learns() {
     cfg.nodes = 16;
     cfg.rounds = 32;
     cfg.eval_max_samples = 300;
-    let result = cfg.run();
+    let result = run(&cfg);
     // 47 classes → chance ≈ 2%
     assert!(
         result.final_test.mean_accuracy > 0.3,
@@ -118,7 +127,7 @@ fn accuracy_improves_with_denser_topology() {
     for degree in [4usize, 10] {
         let mut cfg = tiny(7);
         cfg.topology = TopologySpec::Regular { degree };
-        accs.push(cfg.run().final_test.mean_accuracy);
+        accs.push(run(&cfg).final_test.mean_accuracy);
     }
     assert!(
         accs[1] > accs[0] - 0.05,

@@ -1,6 +1,9 @@
 //! Reproducibility: results are bit-identical across runs and across rayon
 //! thread counts (all randomness lives in per-node derived streams).
 
+mod common;
+
+use common::run;
 use skiptrain::prelude::*;
 
 fn config(seed: u64) -> ExperimentConfig {
@@ -15,8 +18,8 @@ fn config(seed: u64) -> ExperimentConfig {
 
 #[test]
 fn identical_runs_are_bit_identical() {
-    let a = config(11).run();
-    let b = config(11).run();
+    let a = run(&config(11));
+    let b = run(&config(11));
     assert_eq!(
         a.final_test.mean_accuracy.to_bits(),
         b.final_test.mean_accuracy.to_bits()
@@ -30,8 +33,8 @@ fn identical_runs_are_bit_identical() {
 
 #[test]
 fn different_seeds_differ() {
-    let a = config(11).run();
-    let b = config(12).run();
+    let a = run(&config(11));
+    let b = run(&config(12));
     assert_ne!(
         a.final_test.mean_accuracy.to_bits(),
         b.final_test.mean_accuracy.to_bits()
@@ -45,7 +48,7 @@ fn results_independent_of_thread_count() {
             .num_threads(threads)
             .build()
             .unwrap();
-        pool.install(|| config(13).run())
+        pool.install(|| run(&config(13)))
     };
     let single = run_with_threads(1);
     let multi = run_with_threads(8);
@@ -62,8 +65,8 @@ fn constrained_policy_is_deterministic_end_to_end() {
     let mut cfg = config(14);
     cfg.energy = EnergySpec::cifar10_constrained().scaled_for_rounds(cfg.rounds, 1000);
     cfg.algorithm = AlgorithmSpec::SkipTrainConstrained(Schedule::new(2, 2));
-    let a = cfg.run();
-    let b = cfg.run();
+    let a = run(&cfg);
+    let b = run(&cfg);
     assert_eq!(a.node_train_events, b.node_train_events);
     assert_eq!(
         a.final_test.mean_accuracy.to_bits(),
@@ -81,7 +84,7 @@ fn evaluation_cadence_moves_no_result() {
     often.eval_every = 2;
     let mut final_only = config(15);
     final_only.eval_every = usize::MAX;
-    let (a, b) = (often.run(), final_only.run());
+    let (a, b) = (run(&often), run(&final_only));
     assert!(a.test_curve.len() > b.test_curve.len());
     assert_eq!(a.final_mean_model.len(), b.final_mean_model.len());
     assert!(

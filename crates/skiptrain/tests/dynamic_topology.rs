@@ -6,6 +6,9 @@
 //! edge-dropout run with a tight cap must land within 1% accuracy of the
 //! uncapped baseline at bit-identical communication energy.
 
+mod common;
+
+use common::run_shared;
 use skiptrain::prelude::*;
 use skiptrain::topology::regular::random_regular;
 use skiptrain::topology::{Graph, ScheduledTopology, TopologySchedule};
@@ -23,11 +26,11 @@ fn tiny(seed: u64) -> ExperimentConfig {
 fn scheduled_experiments_learn_and_charge_fewer_effective_edges() {
     let base = tiny(1);
     let data = base.data.build(base.nodes, base.seed);
-    let static_run = base.run_on(&data);
+    let static_run = run_shared(&base, &data);
 
     let mut dropped = base.clone();
     dropped.topology_schedule = TopologyScheduleSpec::EdgeDropout { p: 0.5 };
-    let dropped_run = dropped.run_on(&data);
+    let dropped_run = run_shared(&dropped, &data);
 
     assert!(
         dropped_run.final_test.mean_accuracy > 0.25,
@@ -119,7 +122,7 @@ fn dynamic_feedback_runs_are_deterministic_across_thread_pools() {
             .num_threads(threads)
             .build()
             .expect("pool")
-            .install(|| cfg.run_on(&data))
+            .install(|| run_shared(&cfg, &data))
     };
     let reference = run_with(1);
     for threads in [2usize, 7] {
@@ -166,11 +169,11 @@ fn capped_replicas_converge_within_one_percent_of_uncapped_at_identical_comm_ene
 
     let mut capped = base.clone();
     capped.feedback_replica_cap = Some(4);
-    let capped_run = capped.run_on(&data);
+    let capped_run = run_shared(&capped, &data);
 
     let mut uncapped = base.clone();
     uncapped.feedback_replica_cap = Some(usize::MAX);
-    let uncapped_run = uncapped.run_on(&data);
+    let uncapped_run = run_shared(&uncapped, &data);
 
     // single-round accuracies oscillate at this learning rate; the
     // convergence condition reads the plateau — the mean over the final
@@ -214,11 +217,14 @@ fn bad_scheduled_graph_fails_the_campaign_cell_not_the_process() {
     let mut bad = tiny(9);
     bad.name = "bad-cycle".into();
     bad.topology_schedule = TopologyScheduleSpec::Cycle(vec![Graph::ring(8)]); // 12-node fleet
-    let err = Campaign::new()
+    let CampaignRunError::Config(err) = Campaign::new()
         .push(good)
         .push(bad)
         .run()
-        .expect_err("mis-sized cycle graph must be rejected");
+        .expect_err("mis-sized cycle graph must be rejected")
+    else {
+        panic!("a mis-sized cycle graph is a config error");
+    };
     assert_eq!(err.run, 1);
     assert_eq!(err.name, "bad-cycle");
     assert_eq!(
@@ -237,10 +243,10 @@ fn pairwise_matching_schedule_matches_async_gossip_energy_shape() {
     // energy is bounded by a 1/degree fraction of the static run's.
     let base = tiny(10);
     let data = base.data.build(base.nodes, base.seed);
-    let static_run = base.run_on(&data);
+    let static_run = run_shared(&base, &data);
     let mut matched = base.clone();
     matched.topology_schedule = TopologyScheduleSpec::PairwiseMatching;
-    let matched_run = matched.run_on(&data);
+    let matched_run = run_shared(&matched, &data);
     assert!(matched_run.total_comm_wh > 0.0);
     assert!(
         matched_run.total_comm_wh <= static_run.total_comm_wh / 6.0 + 1e-12,

@@ -1,6 +1,9 @@
 //! Cross-crate energy accounting: simulation ledgers must match analytic
 //! predictions from the energy substrate for every algorithm.
 
+mod common;
+
+use common::run;
 use skiptrain::energy::comm::{model_message_bytes, CommEnergyModel};
 use skiptrain::energy::device::fleet;
 use skiptrain::energy::trace::round_energy_wh;
@@ -18,7 +21,7 @@ fn tiny(seed: u64) -> ExperimentConfig {
 #[test]
 fn dpsgd_training_energy_matches_closed_form() {
     let cfg = tiny(1);
-    let result = cfg.run();
+    let result = run(&cfg);
     let per_round: f64 = fleet(cfg.nodes)
         .iter()
         .map(|d| round_energy_wh(&d.profile(), &cfg.energy.workload))
@@ -36,7 +39,7 @@ fn skiptrain_training_energy_matches_schedule_count() {
     let schedule = Schedule::new(3, 2);
     let mut cfg = tiny(2);
     cfg.algorithm = AlgorithmSpec::SkipTrain(schedule);
-    let result = cfg.run();
+    let result = run(&cfg);
     let per_round: f64 = fleet(cfg.nodes)
         .iter()
         .map(|d| round_energy_wh(&d.profile(), &cfg.energy.workload))
@@ -52,7 +55,7 @@ fn skiptrain_training_energy_matches_schedule_count() {
 #[test]
 fn comm_energy_matches_topology_and_rounds() {
     let cfg = tiny(3);
-    let result = cfg.run();
+    let result = run(&cfg);
     // 6-regular: every node sends and receives 6 messages per round.
     let comm = CommEnergyModel::paper_fit();
     let bytes = model_message_bytes(cfg.energy.workload.model_params);
@@ -70,15 +73,18 @@ fn comm_energy_is_schedule_independent() {
     // Sharing happens every round regardless of training: D-PSGD and
     // SkipTrain must report identical communication energy.
     let base = tiny(4);
-    let dpsgd = base.run();
-    let skiptrain = with_algorithm(base, AlgorithmSpec::SkipTrain(Schedule::new(4, 4))).run();
+    let dpsgd = run(&base);
+    let skiptrain = run(&with_algorithm(
+        base,
+        AlgorithmSpec::SkipTrain(Schedule::new(4, 4)),
+    ));
     assert!((dpsgd.total_comm_wh - skiptrain.total_comm_wh).abs() < 1e-12);
 }
 
 #[test]
 fn training_dominates_communication() {
     // §1's asymmetry must hold in-simulation, not just analytically.
-    let result = tiny(5).run();
+    let result = run(&tiny(5));
     assert!(
         result.total_training_wh > 100.0 * result.total_comm_wh,
         "training {} Wh vs comm {} Wh",
@@ -94,7 +100,7 @@ fn constrained_energy_never_exceeds_budget_energy() {
     cfg.algorithm = AlgorithmSpec::SkipTrainConstrained(Schedule::new(2, 2));
     let budgets = cfg.energy.node_budgets(cfg.nodes);
     let energies = cfg.energy.node_energies(cfg.nodes);
-    let result = cfg.run();
+    let result = run(&cfg);
     let max_energy: f64 = budgets
         .iter()
         .zip(&energies)

@@ -3,6 +3,9 @@
 //! across worker-thread counts, keep energy-ledger totals conservation-exact
 //! under churn, and make seeded-latency drops exactly reproducible.
 
+mod common;
+
+use common::{run, run_shared};
 use skiptrain::data::synth::{MixtureSpec, MixtureTask};
 use skiptrain::prelude::*;
 use skiptrain::topology::regular::random_regular;
@@ -135,7 +138,7 @@ fn barrier_semantics_stretch_time_but_never_results() {
 
 #[test]
 fn sync_runner_timing_is_metadata_only() {
-    let base = runner_config(11).run();
+    let base = run(&runner_config(11));
     let mut cfg = runner_config(11);
     cfg.timing = TimingSpec {
         compute: ComputeProfile::StragglerTail {
@@ -146,7 +149,7 @@ fn sync_runner_timing_is_metadata_only() {
             ticks: BASE_TRAIN_TICKS / 3,
         },
     };
-    let slow = cfg.run();
+    let slow = run(&cfg);
     assert_eq!(
         base.final_test.mean_accuracy.to_bits(),
         slow.final_test.mean_accuracy.to_bits(),
@@ -196,7 +199,7 @@ fn event_runs_are_thread_count_invariant() {
                 activation_prob: 0.6,
             };
             let data = cfg.data.build(cfg.nodes, cfg.seed);
-            cfg.run_on(&data)
+            run_shared(&cfg, &data)
         })
     };
     let r1 = run(1);
@@ -231,7 +234,7 @@ fn full_churn_starves_the_fleet_without_charging_energy() {
         policy: BatteryPolicy::AlwaysOn,
         node_policies: None,
     });
-    let r = cfg.run();
+    let r = run(&cfg);
     assert_eq!(
         r.total_training_wh, 0.0,
         "absent nodes must not accrue training energy"
@@ -317,7 +320,7 @@ fn seeded_latency_drops_are_reproducible() {
             activation_prob: 0.7,
         };
         let data = cfg.data.build(cfg.nodes, cfg.seed);
-        cfg.run_on(&data)
+        run_shared(&cfg, &data)
     };
     let jittered = LatencyModel::Seeded {
         mean_ticks: BASE_TRAIN_TICKS / 4,

@@ -1,5 +1,8 @@
 //! Failure-injection and edge-case behavior across crate boundaries.
 
+mod common;
+
+use common::run;
 use skiptrain::prelude::*;
 use skiptrain_data::synth::{MixtureSpec, MixtureTask};
 
@@ -55,7 +58,7 @@ fn zero_budget_fleet_never_trains() {
         comm_joules_per_byte: None,
     };
     cfg.algorithm = AlgorithmSpec::Greedy;
-    let result = cfg.run();
+    let result = run(&cfg);
     assert_eq!(
         result.node_train_events, 0,
         "zero-budget nodes must never train"
@@ -80,7 +83,7 @@ fn exhausted_constrained_run_becomes_sync_only() {
     };
     cfg.algorithm = AlgorithmSpec::SkipTrainConstrained(Schedule::new(4, 4));
     let budgets = cfg.energy.node_budgets(cfg.nodes);
-    let result = cfg.run();
+    let result = run(&cfg);
     let cap: u64 = budgets.iter().map(|&b| b as u64).sum();
     assert!(result.node_train_events <= cap);
 }
@@ -167,12 +170,22 @@ fn disconnected_topology_blocks_global_consensus() {
 
 #[test]
 fn corrupted_frame_is_rejected() {
-    use skiptrain::engine::transport::{decode_message, encode_message, DecodeError};
-    let frame = encode_message(ModelCodec::DenseF32, 3, 9, &[0.5, -1.5, 2.0]);
-    let mut raw = frame.to_vec();
+    use skiptrain::engine::transport::{decode_frame_into, encode_message_with, DecodeError};
+    use skiptrain::engine::{DecodeScratch, EncodeScratch};
+    let mut raw = Vec::new();
+    let mut scratch = EncodeScratch::default();
+    encode_message_with(
+        ModelCodec::DenseF32,
+        3,
+        9,
+        &[0.5, -1.5, 2.0],
+        &mut raw,
+        &mut scratch,
+    );
     let mid = raw.len() / 2;
     raw[mid] ^= 0x40;
-    let result = decode_message(bytes::Bytes::from(raw));
+    let mut scratch = DecodeScratch::default();
+    let result = decode_frame_into(&raw, &mut scratch);
     assert!(
         matches!(
             result,

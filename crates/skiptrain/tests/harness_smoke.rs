@@ -1,6 +1,9 @@
 //! Smoke tests for the figure/table regeneration machinery (the library
 //! entry points the bench binaries wrap).
 
+mod common;
+
+use common::run;
 use skiptrain::prelude::*;
 use skiptrain_core::sweep::grid_search;
 
@@ -26,7 +29,7 @@ fn micro(seed: u64) -> ExperimentConfig {
 
 #[test]
 fn grid_search_covers_all_cells_and_picks_a_best() {
-    let sweep = grid_search(&micro(1), &[1, 2]);
+    let sweep = grid_search(&micro(1), &[1, 2]).unwrap();
     assert_eq!(sweep.cells.len(), 4);
     for gt in [1, 2] {
         for gs in [1, 2] {
@@ -44,7 +47,7 @@ fn grid_search_covers_all_cells_and_picks_a_best() {
 
 #[test]
 fn grid_energy_depends_only_on_train_fraction() {
-    let sweep = grid_search(&micro(2), &[1, 2]);
+    let sweep = grid_search(&micro(2), &[1, 2]).unwrap();
     // (1,1) and (2,2) both train half the rounds → identical energy
     let e11 = sweep.cell(1, 1).unwrap().training_energy_wh;
     let e22 = sweep.cell(2, 2).unwrap().training_energy_wh;
@@ -57,7 +60,7 @@ fn grid_energy_depends_only_on_train_fraction() {
 fn mean_model_curve_is_recorded_when_enabled() {
     let mut cfg = micro(3);
     cfg.record_mean_model = true;
-    let result = cfg.run();
+    let result = run(&cfg);
     assert_eq!(result.mean_model_curve.len(), result.test_curve.len());
     // the averaged model never does *worse* than 10 points below the nodes
     for ((_, mean_acc), point) in result.mean_model_curve.iter().zip(&result.test_curve) {
@@ -67,7 +70,7 @@ fn mean_model_curve_is_recorded_when_enabled() {
 
 #[test]
 fn experiment_results_serialize_to_json() {
-    let result = micro(4).run();
+    let result = run(&micro(4));
     let json = serde_json::to_string(&result).expect("result must serialize");
     let value: serde_json::Value = serde_json::from_str(&json).unwrap();
     assert_eq!(value["nodes"], 10);

@@ -2,6 +2,9 @@
 //! serialize/decode path must produce bit-identical experiments when no
 //! messages are dropped.
 
+mod common;
+
+use common::run;
 use skiptrain::prelude::*;
 
 fn config(seed: u64, transport: TransportKind) -> ExperimentConfig {
@@ -17,15 +20,14 @@ fn config(seed: u64, transport: TransportKind) -> ExperimentConfig {
 
 #[test]
 fn serialized_lossless_is_bit_identical_to_memory() {
-    let mem = config(1, TransportKind::Memory).run();
-    let ser = config(
+    let mem = run(&config(1, TransportKind::Memory));
+    let ser = run(&config(
         1,
         TransportKind::Serialized {
             drop_prob: 0.0,
             corrupt_prob: 0.0,
         },
-    )
-    .run();
+    ));
     assert_eq!(
         mem.final_test.mean_accuracy.to_bits(),
         ser.final_test.mean_accuracy.to_bits(),
@@ -39,15 +41,14 @@ fn serialized_lossless_is_bit_identical_to_memory() {
 
 #[test]
 fn lossy_transport_changes_results_but_still_learns() {
-    let lossless = config(2, TransportKind::Memory).run();
-    let lossy = config(
+    let lossless = run(&config(2, TransportKind::Memory));
+    let lossy = run(&config(
         2,
         TransportKind::Serialized {
             drop_prob: 0.3,
             corrupt_prob: 0.0,
         },
-    )
-    .run();
+    ));
     assert_ne!(
         lossless.final_test.mean_accuracy.to_bits(),
         lossy.final_test.mean_accuracy.to_bits(),
@@ -62,22 +63,20 @@ fn lossy_transport_changes_results_but_still_learns() {
 
 #[test]
 fn lossy_transport_reports_less_rx_energy() {
-    let lossless = config(
+    let lossless = run(&config(
         3,
         TransportKind::Serialized {
             drop_prob: 0.0,
             corrupt_prob: 0.0,
         },
-    )
-    .run();
-    let lossy = config(
+    ));
+    let lossy = run(&config(
         3,
         TransportKind::Serialized {
             drop_prob: 0.5,
             corrupt_prob: 0.0,
         },
-    )
-    .run();
+    ));
     assert!(
         lossy.total_comm_wh < lossless.total_comm_wh,
         "dropped messages must not be charged at the receiver: {} vs {}",
@@ -93,22 +92,20 @@ fn corruption_is_accounted_exactly_like_drops_end_to_end() {
     // drop-only run loses — full experiments must be bit-identical in
     // accuracy, model, energy ledger, and events; only the corruption
     // counter differs.
-    let dropped = config(
+    let dropped = run(&config(
         5,
         TransportKind::Serialized {
             drop_prob: 0.35,
             corrupt_prob: 0.0,
         },
-    )
-    .run();
-    let corrupted = config(
+    ));
+    let corrupted = run(&config(
         5,
         TransportKind::Serialized {
             drop_prob: 0.0,
             corrupt_prob: 0.35,
         },
-    )
-    .run();
+    ));
     assert_eq!(
         dropped.final_test.mean_accuracy.to_bits(),
         corrupted.final_test.mean_accuracy.to_bits(),
@@ -130,22 +127,20 @@ fn corruption_is_accounted_exactly_like_drops_end_to_end() {
 
 #[test]
 fn corrupted_frames_charge_tx_but_never_rx() {
-    let lossless = config(
+    let lossless = run(&config(
         6,
         TransportKind::Serialized {
             drop_prob: 0.0,
             corrupt_prob: 0.0,
         },
-    )
-    .run();
-    let corrupted = config(
+    ));
+    let corrupted = run(&config(
         6,
         TransportKind::Serialized {
             drop_prob: 0.0,
             corrupt_prob: 0.5,
         },
-    )
-    .run();
+    ));
     assert!(
         corrupted.total_comm_wh < lossless.total_comm_wh,
         "corrupted messages must not be charged at the receiver: {} vs {}",
@@ -178,8 +173,8 @@ fn corruption_equivalence_holds_under_topk_and_error_feedback() {
         );
         corrupted_cfg.codec = ModelCodec::TopK { k: 32 };
         corrupted_cfg.feedback_beta = feedback;
-        let dropped = dropped_cfg.run();
-        let corrupted = corrupted_cfg.run();
+        let dropped = run(&dropped_cfg);
+        let corrupted = run(&corrupted_cfg);
         assert_eq!(
             dropped.final_test.mean_accuracy.to_bits(),
             corrupted.final_test.mean_accuracy.to_bits(),
@@ -195,15 +190,14 @@ fn corruption_equivalence_holds_under_topk_and_error_feedback() {
 
 #[test]
 fn heavy_loss_increases_node_disagreement() {
-    let lossless = config(4, TransportKind::Memory).run();
-    let lossy = config(
+    let lossless = run(&config(4, TransportKind::Memory));
+    let lossy = run(&config(
         4,
         TransportKind::Serialized {
             drop_prob: 0.6,
             corrupt_prob: 0.0,
         },
-    )
-    .run();
+    ));
     assert!(
         lossy.final_test.std_accuracy >= lossless.final_test.std_accuracy,
         "loss should not tighten consensus: {} vs {}",
