@@ -1,4 +1,4 @@
-//! The steady-state allocation pins: eleven hot-path scenarios that must
+//! The steady-state allocation pins: thirteen hot-path scenarios that must
 //! allocate **0 B per step** once warm, at a thread budget of one.
 //!
 //! Each scenario builds its state, runs `warmup` unmeasured steps so every
@@ -52,7 +52,7 @@ struct Pin {
     build: fn() -> Step,
 }
 
-const PINS: [Pin; 11] = [
+const PINS: [Pin; 13] = [
     Pin {
         name: "sgd_step_mlp_medium_90k",
         warmup: 10,
@@ -84,10 +84,22 @@ const PINS: [Pin; 11] = [
         build: || codec_roundtrip(ModelCodec::DenseF32),
     },
     Pin {
+        name: "codec_quantized_u8_roundtrip",
+        warmup: 5,
+        steps: 10,
+        build: || codec_roundtrip(ModelCodec::QuantizedU8),
+    },
+    Pin {
         name: "codec_quantized_u16_roundtrip",
         warmup: 5,
         steps: 10,
         build: || codec_roundtrip(ModelCodec::QuantizedU16),
+    },
+    Pin {
+        name: "codec_top_k_roundtrip",
+        warmup: 5,
+        steps: 10,
+        build: || codec_roundtrip(ModelCodec::TopK { k: 89_834 / 64 }),
     },
     Pin {
         name: "dynamic_topology_round",

@@ -9,17 +9,17 @@
 //!   accounted per effective edge so energy numbers are
 //!   transport-independent.
 //! * [`TransportKind::Serialized`] — every message is actually encoded to a
-//!   length-prefixed, checksummed byte frame (via the `bytes` crate),
-//!   optionally dropped with a seeded probability, and decoded at the
-//!   receiver. This path exists to (a) validate that the fidelity of the
-//!   in-memory shortcut is exact, (b) exercise lossy-network behavior, and
-//!   (c) measure serialization overhead in the benches.
+//!   length-prefixed, checksummed byte frame, optionally dropped with a
+//!   seeded probability, and decoded at the receiver. This path exists to
+//!   (a) validate that the fidelity of the in-memory shortcut is exact,
+//!   (b) exercise lossy-network behavior, and (c) measure serialization
+//!   overhead in the benches.
 //!
 //! # Codecs and the wire format
 //!
 //! A [`ModelCodec`] decides how a flat `f32` model is represented in a
-//! message. All codecs share one frame layout (all integers big-endian
-//! except the payload words, which are little-endian):
+//! message. All codecs share one frame layout (header words, `k` and the
+//! checksum big-endian; every other payload word little-endian):
 //!
 //! ```text
 //! [magic  u32]  0x5354524E ("STRN")
@@ -27,14 +27,27 @@
 //! [sender u32]
 //! [round  u32]
 //! [count  u32]  original (dense) parameter count
-//! --- codec-specific payload -------------------------------------------
+//! --- codec-specific payload, from byte 20 -----------------------------
 //! DenseF32:     count × f32 LE
 //! QuantizedU8:  min f32 LE, scale f32 LE, count × u8
 //! QuantizedU16: min f32 LE, scale f32 LE, count × u16 LE
-//! TopK:         k u32, k × (index u32 LE), k × (value f32 LE)
+//! TopK:         k u32 BE, k × (index u32 LE) ascending, k × (value f32 LE)
 //! ----------------------------------------------------------------------
-//! [checksum u32]  rotate-xor over the payload bytes
+//! [checksum u32]  over the payload bytes b₀ … bₙ₋₁ only
 //! ```
+//!
+//! The checksum is the recurrence `c ← rotl(c, 5) ⊕ bᵢ` from `c = 0`.
+//! Rotation and XOR are both linear over GF(2), so it unrolls to the
+//! closed form `⊕ᵢ rotl(bᵢ, 5·(n−1−i) mod 32)`, and since `rotl 5` applied
+//! 32 times is the identity (`5 · 32 ≡ 0 mod 32`), two bytes 32 apart get
+//! the same rotation. `checksum_of` therefore XORs whole 32-byte blocks
+//! together lane by lane, with no dependency between blocks, and runs the
+//! recurrence once over that one block and the `< 32`-byte tail: the same
+//! value at every length. Decode verifies it before it parses anything.
+//!
+//! Payload sections are written with one `resize` and a pass of whole-word
+//! stores, quantized codes are computed where they travel, and decode reads
+//! each section from the frame's bytes in one pass.
 //!
 //! The fixed overhead (magic + codec + sender + round + count + checksum)
 //! is 24 bytes and matches
@@ -112,8 +125,8 @@
 
 use serde::{Deserialize, Serialize};
 use skiptrain_linalg::compress::{
-    dequantize_one, dequantize_u16, dequantize_u8, gather_into, quantize_u16_into,
-    quantize_u8_into, top_k_indices_into, AffineParams,
+    affine_params, dequantize_le, gather_into, quantize_le, quantize_u16_into, quantize_u8_into,
+    top_k_indices_into, AffineParams,
 };
 use skiptrain_linalg::rng::derive_seed;
 
@@ -334,13 +347,13 @@ impl ModelCodec {
         match self {
             ModelCodec::DenseF32 => PayloadRef::Dense(params),
             ModelCodec::QuantizedU8 => {
-                let p = quantize_u8_into(params, &mut enc.codes8);
-                dequantize_u8(p, &enc.codes8, &mut dec.dense);
+                let p = quantize_u8_into(params, &mut enc.codes);
+                dequantize_le::<1>(p, &enc.codes, &mut dec.dense);
                 PayloadRef::Dense(&dec.dense)
             }
             ModelCodec::QuantizedU16 => {
-                let p = quantize_u16_into(params, &mut enc.codes16);
-                dequantize_u16(p, &enc.codes16, &mut dec.dense);
+                let p = quantize_u16_into(params, &mut enc.codes);
+                dequantize_le::<2>(p, &enc.codes, &mut dec.dense);
                 PayloadRef::Dense(&dec.dense)
             }
             ModelCodec::TopK { k } => {
@@ -734,30 +747,51 @@ pub enum DecodeError {
     BadChecksum,
 }
 
+/// The frame checksum `c ← rotl(c, 5) ⊕ b` over `payload` (see the module
+/// docs): whole 32-byte blocks XOR together as four 64-bit lanes, then the
+/// accumulated block and the tail go through the recurrence once.
 fn checksum_of(payload: &[u8]) -> u32 {
-    let mut c = 0u32;
-    for &b in payload {
-        c = c.rotate_left(5) ^ b as u32;
+    let (blocks, tail) = payload.as_chunks::<32>();
+    let mut lanes = [0u64; 4];
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks().0) {
+            *lane ^= u64::from_le_bytes(*word);
+        }
     }
-    c
+    lanes
+        .iter()
+        .flat_map(|lane| lane.to_le_bytes())
+        .chain(tail.iter().copied())
+        .fold(0u32, |c, b| c.rotate_left(5) ^ b as u32)
 }
 
-/// Reusable intermediate buffers for [`encode_message_with`]: quantization
-/// codes and top-k index scratch. Capacity is retained across calls, so a
-/// long-lived scratch makes lossy-codec encoding allocation-free at
-/// steady state (the dense codec never needs intermediates).
+/// Reusable intermediates of the codecs: top-k index scratch for
+/// [`encode_message_with`] (every other section is written straight into
+/// the frame) and the code bytes of the in-memory quantized transform.
+/// Capacity is retained across calls, so a long-lived scratch makes
+/// lossy-codec encoding allocation-free at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct EncodeScratch {
-    codes8: Vec<u8>,
-    codes16: Vec<u16>,
+    codes: Vec<u8>,
     indices: Vec<u32>,
 }
 
+/// Appends 4-byte `words` to `buf`: one `resize`, then one pass of
+/// whole-word stores.
+fn put_words(buf: &mut Vec<u8>, words: impl ExactSizeIterator<Item = [u8; 4]>) {
+    let start = buf.len();
+    buf.resize(start + 4 * words.len(), 0);
+    let (slots, _) = buf[start..].as_chunks_mut::<4>();
+    for (slot, word) in slots.iter_mut().zip(words) {
+        *slot = word;
+    }
+}
+
 /// Encodes a flat model into a framed message under `codec`, writing the
-/// frame into `buf` and routing every codec intermediate (quantization
-/// codes, top-k indices) through `scratch`. With both buffers reused
-/// across calls, encoding is allocation-free at steady state for every
-/// codec — the path the perf gate's codec roundtrip scenarios pin.
+/// frame into `buf`; the one codec intermediate (top-k indices) goes
+/// through `scratch`. With both buffers reused across calls, encoding is
+/// allocation-free at steady state for every codec — the path the perf
+/// gate's codec roundtrip scenarios pin.
 pub fn encode_message_with(
     codec: ModelCodec,
     sender: u32,
@@ -766,91 +800,55 @@ pub fn encode_message_with(
     buf: &mut Vec<u8>,
     scratch: &mut EncodeScratch,
 ) {
-    #[inline]
-    fn put_u32(buf: &mut Vec<u8>, v: u32) {
-        buf.extend_from_slice(&v.to_be_bytes());
-    }
-    #[inline]
-    fn put_u32_le(buf: &mut Vec<u8>, v: u32) {
-        buf.extend_from_slice(&v.to_le_bytes());
+    /// The quantized payload: fitted `min`, `scale`, then `W`-byte codes
+    /// quantised where they travel.
+    fn put_quantized<const W: usize>(buf: &mut Vec<u8>, params: &[f32]) {
+        let p = affine_params(params, 1 << (8 * W));
+        buf.extend_from_slice(&p.min.to_le_bytes());
+        buf.extend_from_slice(&p.scale.to_le_bytes());
+        quantize_le::<W>(params, p, buf);
     }
 
     buf.clear();
     buf.reserve(codec.message_bytes(params.len()) as usize);
-    put_u32(buf, MAGIC);
-    put_u32(buf, codec.id());
-    put_u32(buf, sender);
-    put_u32(buf, round);
-    put_u32(buf, params.len() as u32);
-    let payload_start = buf.len();
+    for word in [MAGIC, codec.id(), sender, round, params.len() as u32] {
+        buf.extend_from_slice(&word.to_be_bytes());
+    }
     match codec {
-        ModelCodec::DenseF32 => {
-            for &p in params {
-                put_u32_le(buf, p.to_bits());
-            }
-        }
-        ModelCodec::QuantizedU8 => {
-            let p = quantize_u8_into(params, &mut scratch.codes8);
-            put_u32_le(buf, p.min.to_bits());
-            put_u32_le(buf, p.scale.to_bits());
-            buf.extend_from_slice(&scratch.codes8);
-        }
-        ModelCodec::QuantizedU16 => {
-            let p = quantize_u16_into(params, &mut scratch.codes16);
-            put_u32_le(buf, p.min.to_bits());
-            put_u32_le(buf, p.scale.to_bits());
-            for &c in &scratch.codes16 {
-                buf.extend_from_slice(&c.to_le_bytes());
-            }
-        }
+        ModelCodec::DenseF32 => put_words(buf, params.iter().map(|v| v.to_le_bytes())),
+        ModelCodec::QuantizedU8 => put_quantized::<1>(buf, params),
+        ModelCodec::QuantizedU16 => put_quantized::<2>(buf, params),
         ModelCodec::TopK { k } => {
-            top_k_indices_into(params, k, &mut scratch.indices);
-            put_u32(buf, scratch.indices.len() as u32);
-            for &i in &scratch.indices {
-                put_u32_le(buf, i);
-            }
-            for &i in &scratch.indices {
-                put_u32_le(buf, params[i as usize].to_bits());
-            }
+            let indices = &mut scratch.indices;
+            top_k_indices_into(params, k, indices);
+            buf.extend_from_slice(&(indices.len() as u32).to_be_bytes());
+            put_words(buf, indices.iter().map(|i| i.to_le_bytes()));
+            put_words(
+                buf,
+                indices.iter().map(|&i| params[i as usize].to_le_bytes()),
+            );
         }
     }
-    let checksum = checksum_of(&buf[payload_start..]);
-    put_u32(buf, checksum);
+    let checksum = checksum_of(&buf[PAYLOAD_START..]);
+    buf.extend_from_slice(&checksum.to_be_bytes());
     debug_assert_eq!(buf.len() as u64, codec.message_bytes(params.len()));
 }
 
-/// Byte-slice cursor used by [`decode_frame_into`]; bounds were validated
-/// against the header before parsing starts.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Byte-slice cursor used by [`decode_frame_into`]: splits fixed words off
+/// the front, `None` once fewer than four bytes remain.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn word(&mut self) -> Option<[u8; 4]> {
+        let (word, rest) = self.0.split_first_chunk()?;
+        self.0 = rest;
+        Some(*word)
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        out
-    }
-
-    fn get_u32(&mut self) -> u32 {
-        // lint:allow(no_panic, "take(4) returns exactly 4 bytes, so the array conversion cannot fail")
-        u32::from_be_bytes(self.take(4).try_into().expect("4 bytes"))
-    }
-
-    fn get_u32_le(&mut self) -> u32 {
-        // lint:allow(no_panic, "take(4) returns exactly 4 bytes, so the array conversion cannot fail")
-        u32::from_le_bytes(self.take(4).try_into().expect("4 bytes"))
-    }
-
-    fn get_u16_le(&mut self) -> u16 {
-        // lint:allow(no_panic, "take(2) returns exactly 2 bytes, so the array conversion cannot fail")
-        u16::from_le_bytes(self.take(2).try_into().expect("2 bytes"))
-    }
-
-    fn get_u8(&mut self) -> u8 {
-        self.take(1)[0]
-    }
+/// The whole 4-byte words of `bytes`, in order.
+fn words(bytes: &[u8]) -> impl Iterator<Item = [u8; 4]> + '_ {
+    bytes.as_chunks().0.iter().copied()
 }
 
 /// Reusable decode-side payload buffers for [`decode_frame_into`].
@@ -895,94 +893,80 @@ pub struct DecodedMessageRef<'a> {
 /// borrows it. With a long-lived scratch this path performs no heap
 /// allocation, which is what keeps the perf gate's codec roundtrip
 /// scenarios at a zero alloc proxy.
+///
+/// No input panics it: every read splits a checked chunk off the slice,
+/// and every section length is checked against the header before a byte
+/// of it is copied, so `scratch` never grows past `4 × frame.len()` bytes.
 pub fn decode_frame_into<'a>(
     frame: &[u8],
     scratch: &'a mut DecodeScratch,
 ) -> Result<DecodedMessageRef<'a>, DecodeError> {
-    if frame.len() < FRAME_OVERHEAD as usize {
-        return Err(DecodeError::Truncated);
+    let mut r = Reader(frame);
+    let mut header = [0u32; PAYLOAD_START / 4];
+    for word in &mut header {
+        *word = u32::from_be_bytes(r.word().ok_or(DecodeError::Truncated)?);
     }
-    let mut r = Reader { buf: frame, pos: 0 };
-    if r.get_u32() != MAGIC {
+    let [magic, codec_id, sender, round, count] = header;
+    let (payload, checksum) = r.0.split_last_chunk().ok_or(DecodeError::Truncated)?;
+    if magic != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let codec_id = r.get_u32();
-    let sender = r.get_u32();
-    let round = r.get_u32();
-    let count = r.get_u32() as usize;
-    // All that remains is payload + 4-byte checksum. Verify the checksum
-    // *before* parsing: corruption then deterministically reports
-    // `BadChecksum`, and corrupt payloads are never allocated or
-    // dequantized.
-    let body = &frame[r.pos..];
-    if body.len() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let payload_len = body.len() - 4;
-    // lint:allow(no_panic, "payload_len = body.len() - 4, so the trailing slice is exactly 4 bytes")
-    let expected = u32::from_be_bytes(body[payload_len..].try_into().expect("4 trailing bytes"));
-    if checksum_of(&body[..payload_len]) != expected {
+    // Verify the checksum *before* parsing: corruption then
+    // deterministically reports `BadChecksum`, and corrupt payloads are
+    // never allocated or dequantized.
+    if checksum_of(payload) != u32::from_be_bytes(*checksum) {
         return Err(DecodeError::BadChecksum);
     }
+    let count = count as usize;
+    // `fixed` payload bytes plus `width` per entry, `None` on overflow
+    let sized = |fixed: usize, n: usize, width: usize| n.checked_mul(width)?.checked_add(fixed);
     let payload = match codec_id {
         0 => {
-            if payload_len != count * 4 {
+            if sized(0, count, 4) != Some(payload.len()) {
                 return Err(DecodeError::LengthMismatch);
             }
             scratch.dense.clear();
-            scratch.dense.reserve(count);
-            for _ in 0..count {
-                scratch.dense.push(f32::from_bits(r.get_u32_le()));
-            }
+            scratch.dense.extend(words(payload).map(f32::from_le_bytes));
             PayloadRef::Dense(&scratch.dense)
         }
         1 | 2 => {
-            let width = if codec_id == 1 { 1 } else { 2 };
-            if payload_len != 8 + count * width {
+            let width = codec_id as usize;
+            if sized(8, count, width) != Some(payload.len()) {
                 return Err(DecodeError::LengthMismatch);
             }
-            let p = AffineParams {
-                min: f32::from_bits(r.get_u32_le()),
-                scale: f32::from_bits(r.get_u32_le()),
+            let mut r = Reader(payload);
+            let mut field = || r.word().map(f32::from_le_bytes);
+            let (Some(min), Some(scale)) = (field(), field()) else {
+                return Err(DecodeError::LengthMismatch);
             };
-            scratch.dense.clear();
-            scratch.dense.reserve(count);
-            if codec_id == 1 {
-                for _ in 0..count {
-                    scratch.dense.push(dequantize_one(p, r.get_u8() as u32));
-                }
+            let p = AffineParams { min, scale };
+            if width == 1 {
+                dequantize_le::<1>(p, r.0, &mut scratch.dense);
             } else {
-                for _ in 0..count {
-                    scratch.dense.push(dequantize_one(p, r.get_u16_le() as u32));
-                }
+                dequantize_le::<2>(p, r.0, &mut scratch.dense);
             }
             PayloadRef::Dense(&scratch.dense)
         }
         3 => {
-            if payload_len < 4 {
+            let mut r = Reader(payload);
+            let k = r.word().ok_or(DecodeError::LengthMismatch)?;
+            let k = u32::from_be_bytes(k) as usize;
+            if sized(0, k, 8) != Some(r.0.len()) {
                 return Err(DecodeError::LengthMismatch);
             }
-            let k = r.get_u32() as usize;
-            if payload_len != 4 + 8 * k {
-                return Err(DecodeError::LengthMismatch);
-            }
+            let (indices, values) = r.0.split_at(r.0.len() / 2);
             scratch.indices.clear();
-            scratch.indices.reserve(k);
-            for _ in 0..k {
-                let idx = r.get_u32_le();
-                // strictly ascending: rejects out-of-range *and* duplicate
-                // indices, which would double-apply in the scatter kernels
-                if idx as usize >= count || scratch.indices.last().is_some_and(|&prev| prev >= idx)
-                {
-                    return Err(DecodeError::IndexOutOfRange);
-                }
-                scratch.indices.push(idx);
+            scratch
+                .indices
+                .extend(words(indices).map(u32::from_le_bytes));
+            // strictly ascending: rejects out-of-range *and* duplicate
+            // indices, which would double-apply in the scatter kernels
+            let ascending = scratch.indices.windows(2).all(|w| w[0] < w[1]);
+            if !ascending || scratch.indices.last().is_some_and(|&i| i as usize >= count) {
+                return Err(DecodeError::IndexOutOfRange);
             }
             scratch.values.clear();
-            scratch.values.reserve(k);
-            for _ in 0..k {
-                scratch.values.push(f32::from_bits(r.get_u32_le()));
-            }
+            scratch.values.extend(words(values).map(f32::from_le_bytes));
             PayloadRef::Sparse {
                 indices: &scratch.indices,
                 values: &scratch.values,
@@ -1001,6 +985,7 @@ pub fn decode_frame_into<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const ALL_CODECS: [ModelCodec; 4] = [
         ModelCodec::DenseF32,
@@ -1020,6 +1005,343 @@ mod tests {
     /// The error the scratch decoder reports for `frame`.
     fn decode_err(frame: &[u8]) -> DecodeError {
         decode_frame_into(frame, &mut DecodeScratch::default()).unwrap_err()
+    }
+
+    // ---- the per-byte and per-element loops the bulk forms replaced, ----
+    // ---- kept as oracles --------------------------------------------------
+
+    /// The checksum as its recurrence, one byte at a time.
+    fn checksum_ref(payload: &[u8]) -> u32 {
+        let mut c = 0u32;
+        for &b in payload {
+            c = c.rotate_left(5) ^ b as u32;
+        }
+        c
+    }
+
+    /// The frame written one element at a time.
+    fn encode_ref(codec: ModelCodec, sender: u32, round: u32, params: &[f32]) -> Vec<u8> {
+        fn put_u32(buf: &mut Vec<u8>, v: u32) {
+            buf.extend_from_slice(&v.to_be_bytes());
+        }
+        fn put_u32_le(buf: &mut Vec<u8>, v: u32) {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        let mut buf = Vec::new();
+        put_u32(&mut buf, MAGIC);
+        put_u32(&mut buf, codec.id());
+        put_u32(&mut buf, sender);
+        put_u32(&mut buf, round);
+        put_u32(&mut buf, params.len() as u32);
+        let mut codes = Vec::new();
+        match codec {
+            ModelCodec::DenseF32 => {
+                for &p in params {
+                    put_u32_le(&mut buf, p.to_bits());
+                }
+            }
+            ModelCodec::QuantizedU8 | ModelCodec::QuantizedU16 => {
+                let p = if codec == ModelCodec::QuantizedU8 {
+                    quantize_u8_into(params, &mut codes)
+                } else {
+                    quantize_u16_into(params, &mut codes)
+                };
+                put_u32_le(&mut buf, p.min.to_bits());
+                put_u32_le(&mut buf, p.scale.to_bits());
+                for &c in &codes {
+                    buf.push(c);
+                }
+            }
+            ModelCodec::TopK { k } => {
+                let mut indices = Vec::new();
+                top_k_indices_into(params, k, &mut indices);
+                put_u32(&mut buf, indices.len() as u32);
+                for &i in &indices {
+                    put_u32_le(&mut buf, i);
+                }
+                for &i in &indices {
+                    put_u32_le(&mut buf, params[i as usize].to_bits());
+                }
+            }
+        }
+        let checksum = checksum_ref(&buf[PAYLOAD_START..]);
+        put_u32(&mut buf, checksum);
+        buf
+    }
+
+    /// What a frame decodes to, floats as bits so NaN payloads compare.
+    #[derive(Debug, PartialEq)]
+    struct Decoded {
+        sender: u32,
+        round: u32,
+        count: usize,
+        dense: Option<Vec<u32>>,
+        sparse: Option<(Vec<u32>, Vec<u32>)>,
+    }
+
+    fn decoded(frame: &[u8], scratch: &mut DecodeScratch) -> Result<Decoded, DecodeError> {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let msg = decode_frame_into(frame, scratch)?;
+        let (dense, sparse) = match msg.payload {
+            PayloadRef::Dense(values) => (Some(bits(values)), None),
+            PayloadRef::Sparse { indices, values } => {
+                (None, Some((indices.to_vec(), bits(values))))
+            }
+        };
+        Ok(Decoded {
+            sender: msg.sender,
+            round: msg.round,
+            count: msg.param_count,
+            dense,
+            sparse,
+        })
+    }
+
+    /// The decoder that read one element at a time through an indexing
+    /// cursor, with every check it made in the order it made them.
+    fn decode_ref(frame: &[u8]) -> Result<Decoded, DecodeError> {
+        struct Cursor<'a>(&'a [u8], usize);
+        impl Cursor<'_> {
+            fn bytes<const N: usize>(&mut self) -> [u8; N] {
+                let out = self.0[self.1..self.1 + N].try_into().unwrap();
+                self.1 += N;
+                out
+            }
+            fn be(&mut self) -> u32 {
+                u32::from_be_bytes(self.bytes())
+            }
+            fn le(&mut self) -> u32 {
+                u32::from_le_bytes(self.bytes())
+            }
+        }
+        if frame.len() < FRAME_OVERHEAD as usize {
+            return Err(DecodeError::Truncated);
+        }
+        let mut r = Cursor(frame, 0);
+        if r.be() != MAGIC {
+            return Err(DecodeError::BadMagic);
+        }
+        let (codec_id, sender, round, count) = (r.be(), r.be(), r.be(), r.be() as usize);
+        let body = &frame[r.1..];
+        let payload_len = body.len() - 4;
+        let expected = u32::from_be_bytes(body[payload_len..].try_into().unwrap());
+        if checksum_ref(&body[..payload_len]) != expected {
+            return Err(DecodeError::BadChecksum);
+        }
+        let (mut dense, mut sparse) = (None, None);
+        match codec_id {
+            0 => {
+                if payload_len as u128 != count as u128 * 4 {
+                    return Err(DecodeError::LengthMismatch);
+                }
+                dense = Some((0..count).map(|_| r.le()).collect());
+            }
+            1 | 2 => {
+                let width = codec_id as u128;
+                if payload_len as u128 != 8 + count as u128 * width {
+                    return Err(DecodeError::LengthMismatch);
+                }
+                let p = AffineParams {
+                    min: f32::from_bits(r.le()),
+                    scale: f32::from_bits(r.le()),
+                };
+                let code = |r: &mut Cursor| match codec_id {
+                    1 => r.bytes::<1>()[0] as u32,
+                    _ => u16::from_le_bytes(r.bytes()) as u32,
+                };
+                dense = Some(
+                    (0..count)
+                        .map(|_| {
+                            skiptrain_linalg::compress::dequantize_one(p, code(&mut r)).to_bits()
+                        })
+                        .collect(),
+                );
+            }
+            3 => {
+                if payload_len < 4 {
+                    return Err(DecodeError::LengthMismatch);
+                }
+                let k = r.be() as usize;
+                if payload_len as u128 != 4 + 8 * k as u128 {
+                    return Err(DecodeError::LengthMismatch);
+                }
+                let mut indices: Vec<u32> = Vec::new();
+                for _ in 0..k {
+                    let idx = r.le();
+                    if idx as usize >= count || indices.last().is_some_and(|&prev| prev >= idx) {
+                        return Err(DecodeError::IndexOutOfRange);
+                    }
+                    indices.push(idx);
+                }
+                sparse = Some((indices, (0..k).map(|_| r.le()).collect()));
+            }
+            _ => return Err(DecodeError::UnknownCodec),
+        }
+        Ok(Decoded {
+            sender,
+            round,
+            count,
+            dense,
+            sparse,
+        })
+    }
+
+    /// `frame` decodes to what the element-at-a-time decoder made of it,
+    /// error for error, and a fresh scratch stays within `4 × frame.len()`
+    /// bytes however the header lies.
+    fn check_decode_against_reference(frame: &[u8]) -> Result<Decoded, DecodeError> {
+        let mut scratch = DecodeScratch::default();
+        let got = decoded(frame, &mut scratch);
+        assert_eq!(got, decode_ref(frame), "{frame:?}");
+        // 4-byte elements: `held` of them are 4 × `held` bytes
+        let held =
+            scratch.dense.capacity() + scratch.indices.capacity() + scratch.values.capacity();
+        assert!(held <= frame.len(), "{held} elements for {frame:?}");
+        got
+    }
+
+    /// FNV-1a, as the benchmark hashes its digests.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The `adaptive_fleet` model size, from an integer stream (no libm).
+    fn fleet_model() -> Vec<f32> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        (0..1042)
+            .map(|_| {
+                state = derive_seed(state, 1);
+                ((state >> 40) as f32 / (1u64 << 23) as f32 - 1.0) * 0.37
+            })
+            .collect()
+    }
+
+    /// CIFAR-10 model size from Table 1, as `alloc_pins` builds it.
+    fn table1_params() -> Vec<f32> {
+        (0..89_834).map(|i| ((i as f32) * 0.11).sin()).collect()
+    }
+
+    /// Sampled words as floats covering NaN, ±∞, ±0, subnormals, ±MAX and
+    /// raw bit patterns next to ordinary values in `[−8, 8)`.
+    fn hostile(words: &[u32]) -> Vec<f32> {
+        words
+            .iter()
+            .map(|&w| match w % 32 {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => 0.0,
+                4 => -0.0,
+                5 => f32::from_bits((w >> 9 & 0x007F_FFFF) | (w & 0x8000_0000)),
+                6 => f32::MAX.copysign(f32::from_bits(w)),
+                7 => f32::from_bits(w),
+                _ => (w >> 8) as f32 / (1u32 << 20) as f32 - 8.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checksum_matches_the_serial_recurrence_at_every_length() {
+        let mut state = 7u64;
+        let bytes: Vec<u8> = (0..100_003)
+            .map(|_| {
+                state = derive_seed(state, 3);
+                (state >> 56) as u8
+            })
+            .collect();
+        // every block count 0..=6 with every tail, at shifting offsets
+        for n in 0..=200 {
+            assert_eq!(checksum_of(&bytes[..n]), checksum_ref(&bytes[..n]), "{n}");
+            assert_eq!(
+                checksum_of(&bytes[n..2 * n]),
+                checksum_ref(&bytes[n..2 * n])
+            );
+        }
+        for n in [4_168, 4_169, 65_536, 99_999, 100_003] {
+            assert_eq!(checksum_of(&bytes[..n]), checksum_ref(&bytes[..n]), "{n}");
+        }
+        // the closed form: byte i contributes rotl(b, 5·(n−1−i) mod 32)
+        let short = &bytes[..77];
+        let closed = short.iter().enumerate().fold(0u32, |c, (i, &b)| {
+            c ^ (b as u32).rotate_left((5 * (short.len() - 1 - i) % 32) as u32)
+        });
+        assert_eq!(checksum_of(short), closed);
+    }
+
+    /// Frame hashes **recorded from the parent commit** (`065b94e`), before
+    /// any kernel changed: the four codecs over the `adaptive_fleet` model
+    /// size and over the paper's Table 1 size, sender 3, round 7, top-k at
+    /// the DEAL default `k = P / 64`.
+    #[test]
+    fn golden_frames_are_byte_identical_to_the_parent_commit() {
+        let golden = [
+            (
+                fleet_model(),
+                [
+                    (4_192, 0x81f9_03ee_bb2d_bb00),
+                    (1_074, 0x35cd_b65f_530d_0ddf),
+                    (2_116, 0xe4ab_e0ae_e6bb_f884),
+                    (156, 0x2016_aafa_f11a_fc98),
+                ],
+            ),
+            (
+                table1_params(),
+                [
+                    (359_360, 0xb51a_caf3_a482_0877),
+                    (89_866, 0xcfa8_4649_fc65_3165),
+                    (179_700, 0xff64_ce0a_617f_29d8),
+                    (11_252, 0x0e35_aee8_5092_53f5),
+                ],
+            ),
+        ];
+        for (model, frames) in golden {
+            let codecs = [
+                ModelCodec::DenseF32,
+                ModelCodec::QuantizedU8,
+                ModelCodec::QuantizedU16,
+                ModelCodec::TopK {
+                    k: model.len() / 64,
+                },
+            ];
+            for (codec, (len, hash)) in codecs.into_iter().zip(frames) {
+                let frame = encode(codec, 3, 7, &model);
+                assert_eq!(frame.len(), len, "{codec:?}");
+                assert_eq!(fnv1a(&frame), hash, "{codec:?} P = {}", model.len());
+                assert_eq!(frame, encode_ref(codec, 3, 7, &model), "{codec:?}");
+                check_decode_against_reference(&frame).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_short_frame_is_caught() {
+        let params = [1.0f32, -2.5, 3.25, 0.0, -4.0];
+        for codec in [
+            ModelCodec::DenseF32,
+            ModelCodec::QuantizedU8,
+            ModelCodec::QuantizedU16,
+            ModelCodec::TopK { k: 2 },
+        ] {
+            let clean = encode(codec, 3, 7, &params);
+            let intact = check_decode_against_reference(&clean).unwrap();
+            for bit in 0..clean.len() * 8 {
+                let mut frame = clean.clone();
+                frame[bit / 8] ^= 1 << (bit % 8);
+                let got = check_decode_against_reference(&frame);
+                if bit / 8 >= PAYLOAD_START {
+                    // payload and trailer: one flipped bit moves exactly
+                    // one bit of the checksum, or is one bit of it
+                    assert_eq!(got, Err(DecodeError::BadChecksum), "{codec:?} bit {bit}");
+                } else {
+                    // the header is not summed: a flip there is a typed
+                    // error or a visibly different message, never the
+                    // intact one
+                    assert_ne!(got.as_ref(), Ok(&intact), "{codec:?} bit {bit}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1622,5 +1944,103 @@ mod tests {
         let before = short.clone();
         corrupt_frame_in_place(&mut short, 1, 2, 3, 4);
         assert_eq!(short, before);
+    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_frames_match_the_element_at_a_time_codec(
+            words in proptest::collection::vec(0u32..u32::MAX, 0..160),
+            k in 0usize..200
+        ) {
+            let params = hostile(&words);
+            let (mut frame, mut enc) = (vec![0xEE; 7], EncodeScratch::default());
+            let (mut mem, mut wire) = (DecodeScratch::default(), DecodeScratch::default());
+            for codec in [
+                ModelCodec::DenseF32,
+                ModelCodec::QuantizedU8,
+                ModelCodec::QuantizedU16,
+                ModelCodec::TopK { k },
+            ] {
+                encode_message_with(codec, 9, 11, &params, &mut frame, &mut enc);
+                prop_assert_eq!(&frame, &encode_ref(codec, 9, 11, &params), "{:?}", codec);
+                prop_assert!(check_decode_against_reference(&frame).is_ok());
+                // the in-memory transform is the same kernels, bit for bit
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let sides = (
+                    codec.transform_into(&params, &mut enc, &mut mem),
+                    decode_frame_into(&frame, &mut wire).unwrap().payload,
+                );
+                match sides {
+                    (PayloadRef::Dense(a), PayloadRef::Dense(b)) => {
+                        prop_assert_eq!(bits(a), bits(b));
+                    }
+                    (
+                        PayloadRef::Sparse { indices: ia, values: va },
+                        PayloadRef::Sparse { indices: ib, values: vb },
+                    ) => prop_assert_eq!((ia, bits(va)), (ib, bits(vb))),
+                    other => prop_assert!(false, "payload kinds differ: {:?}", other),
+                }
+            }
+        }
+
+        #[test]
+        fn prop_decode_never_panics_and_never_overallocates(
+            body in proptest::collection::vec(0u32..256, 0..160),
+            shape in 0u32..u32::MAX,
+            lie in 0u32..u32::MAX
+        ) {
+            let body: Vec<u8> = body.iter().map(|&b| b as u8).collect();
+            // arbitrary bytes, as they are
+            let _ = check_decode_against_reference(&body);
+
+            // a hostile header over them, under a *valid* checksum
+            let codec_id = [0, 1, 2, 3, 3, 3, 4][shape as usize % 7];
+            let mut payload = body;
+            if (shape >> 12) % 4 != 0 {
+                // mostly a length the codec could have written
+                let len = payload.len();
+                payload.truncate(match codec_id {
+                    0 => len / 4 * 4,
+                    2 if len >= 8 => len / 2 * 2,
+                    3 if len >= 4 => 4 + (len - 4) / 8 * 8,
+                    _ => len,
+                });
+            }
+            let honest_count = match codec_id {
+                0 => payload.len() / 4,
+                1 => payload.len().saturating_sub(8),
+                2 => payload.len().saturating_sub(8) / 2,
+                _ => payload.len(),
+            } as u32;
+            let count = [honest_count, honest_count, lie % 64, lie, u32::MAX, 0][(shape >> 3) as usize % 6];
+            if codec_id == 3 && payload.len() >= 4 {
+                let honest_k = (payload.len() as u32 - 4) / 8;
+                let k = [honest_k, honest_k, honest_k, lie, u32::MAX][(shape >> 6) as usize % 5];
+                payload[..4].copy_from_slice(&k.to_be_bytes());
+                let indices = payload[4..4 + 4 * honest_k as usize].chunks_exact_mut(4);
+                for (i, word) in indices.enumerate() {
+                    // small indices: ascending three times in four, else
+                    // unsorted with repeats
+                    let idx = match (shape >> 9) % 4 {
+                        0 => word[0] as u32 % 16,
+                        _ => 3 * i as u32 + word[0] as u32 % 3,
+                    };
+                    word.copy_from_slice(&idx.to_le_bytes());
+                }
+            }
+            let magic = if (shape >> 10) % 8 == 0 { lie } else { MAGIC };
+            let mut frame = Vec::new();
+            for word in [magic, codec_id, 1, 2, count] {
+                frame.extend_from_slice(&word.to_be_bytes());
+            }
+            frame.extend_from_slice(&payload);
+            frame.extend_from_slice(&checksum_ref(&payload).to_be_bytes());
+            let _ = check_decode_against_reference(&frame);
+            // and every truncation of it
+            for cut in [1, 3, 4, 5, 23] {
+                let _ = check_decode_against_reference(&frame[..frame.len().saturating_sub(cut)]);
+            }
+        }
     }
 }

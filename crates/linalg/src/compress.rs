@@ -8,7 +8,15 @@
 //!
 //! * **Affine quantization** maps a tensor to `levels` evenly spaced codes
 //!   over `[min, max]`; reconstruction error is bounded by half a step,
-//!   `|x − dequant(quant(x))| ≤ scale / 2` (plus f32 rounding).
+//!   `|x − dequant(quant(x))| ≤ scale / 2` (plus f32 rounding). Codes are
+//!   `W`-byte little-endian integers, the form they travel in, so the wire
+//!   and the in-memory transform run one kernel per width
+//!   ([`quantize_le`], [`dequantize_le`]). Both the fit and the quantiser
+//!   are written so every element is independent — a lane-parallel range
+//!   scan, and a code computed by clamping *then* rounding in float adds
+//!   and compares only (`code_of` has the identity and the 2²³ rounding
+//!   with its valid range) — and produce the bits of the scalar
+//!   definitions the tests keep as oracles.
 //! * **Top-k selection** returns the indices of the `k` largest-magnitude
 //!   entries (deterministic tie-break: lower index wins), sorted ascending
 //!   so downstream scatter kernels stream through memory in order.
@@ -31,9 +39,9 @@
 //!   *unstable* under masked gossip: the backlog re-counts the full model
 //!   value every deferred round and overshoots on delivery.
 //!
-//! Every feedback kernel is deterministic and allocation-free at steady
-//! state: callers pass reusable output buffers, and all of them retain
-//! capacity across calls.
+//! Every kernel is deterministic and allocation-free at steady state:
+//! callers pass reusable output buffers, and all of them retain capacity
+//! across calls.
 
 /// Affine (asymmetric) quantization parameters for one tensor:
 /// `value ≈ min + scale · code`.
@@ -43,6 +51,47 @@ pub struct AffineParams {
     pub min: f32,
     /// Reconstruction step between adjacent codes.
     pub scale: f32,
+}
+
+/// Lanes of the range scan: independent running extremes, so the compare
+/// chain is `len / LANES` long and each step is one vector `min` / `max`.
+const LANES: usize = 16;
+
+/// Smallest and largest finite entries of `src`; `(+∞, −∞)` when it has
+/// none. A non-finite entry is replaced by `+∞` for the minimum and `−∞`
+/// for the maximum, which never win. `min` / `max` over a set do not depend
+/// on the order taken, except between `+0.0` and `−0.0`, which compare
+/// equal and of which IEEE 754 lets `min` return either. The sign of a
+/// zero minimum travels in the frame, so it is pinned: `−0.0` whenever
+/// `src` holds one. (Both zeros reconstruct the same values.)
+fn finite_range(src: &[f32]) -> (f32, f32) {
+    #[inline(always)]
+    fn widen(lo: &mut f32, hi: &mut f32, v: f32) {
+        let finite = v.abs() < f32::INFINITY;
+        let (below, above) = if finite {
+            (v, v)
+        } else {
+            (f32::INFINITY, f32::NEG_INFINITY)
+        };
+        *lo = if below < *lo { below } else { *lo };
+        *hi = if above > *hi { above } else { *hi };
+    }
+    let (mut lo, mut hi) = ([f32::INFINITY; LANES], [f32::NEG_INFINITY; LANES]);
+    let (blocks, tail) = src.as_chunks::<LANES>();
+    for block in blocks {
+        for ((lo, hi), &v) in lo.iter_mut().zip(&mut hi).zip(block) {
+            widen(lo, hi, v);
+        }
+    }
+    for ((lo, hi), &v) in lo.iter_mut().zip(&mut hi).zip(tail) {
+        widen(lo, hi, v);
+    }
+    let mut min = lo.into_iter().fold(f32::INFINITY, f32::min);
+    let max = hi.into_iter().fold(f32::NEG_INFINITY, f32::max);
+    if min == 0.0 && src.iter().any(|v| v.to_bits() == (-0.0f32).to_bits()) {
+        min = -0.0;
+    }
+    (min, max)
 }
 
 /// Computes affine parameters for quantizing `src` to `levels` codes
@@ -57,14 +106,10 @@ pub struct AffineParams {
 /// Panics if `levels < 2`.
 pub fn affine_params(src: &[f32], levels: u32) -> AffineParams {
     assert!(levels >= 2, "affine quantization needs at least 2 levels");
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in src {
-        if v.is_finite() {
-            lo = lo.min(v as f64);
-            hi = hi.max(v as f64);
-        }
-    }
+    // the scan runs in f32 and is widened once: f32 → f64 is exact and
+    // monotone, so these are the extremes an f64 scan would have found
+    let (lo, hi) = finite_range(src);
+    let (lo, hi) = (lo as f64, hi as f64);
     // lo >= hi covers empty/constant/all-non-finite inputs (lo = +∞ then)
     if lo >= hi {
         return AffineParams {
@@ -81,46 +126,69 @@ pub fn affine_params(src: &[f32], levels: u32) -> AffineParams {
     }
 }
 
-#[inline]
-fn encode_one(v: f32, p: AffineParams, max_code: u32) -> u32 {
+/// 2²³: adding it to a float in `[0, 2²³)` leaves a value whose spacing is
+/// exactly 1, so the sum is the addend rounded to an integer (ties to even)
+/// and its low 23 mantissa bits are that integer.
+const TWO_POW_23: f32 = 8_388_608.0;
+
+/// The code of `v`: `(v − min) / scale` clamped to `[0, max_code]`, then
+/// rounded half away from zero. NaN maps to code 0 and ±∞ saturate, so
+/// non-finite inputs cannot panic mid-round.
+///
+/// Clamp-then-round equals round-then-clamp (the textbook order): rounding
+/// is monotone and maps the integers `0` and `max_code` to themselves, so
+/// it commutes with a clamp to `[0, max_code]`. After the clamp `q` is in
+/// `[0, 65 535]`, far inside `[0, 2²³)`, where rounding needs no libm call
+/// and no float → int cast: `r = (q + 2²³) − 2²³` is the nearest integer,
+/// `floor = r − [r > q]`, the fraction `q − floor` is exact, the code is
+/// `floor + [q − floor ≥ ½]`, and its integer value is the mantissa of
+/// `code + 2²³`. Every step is a float add, compare or select, which the
+/// vectoriser takes at any lane width.
+#[inline(always)]
+fn code_of(v: f32, p: AffineParams, max_code: f32) -> u32 {
+    let q = (v - p.min) / p.scale;
+    let q = if q > 0.0 { q } else { 0.0 };
+    let q = if q < max_code { q } else { max_code };
+    let r = (q + TWO_POW_23) - TWO_POW_23;
+    let floor = r - f32::from(r > q);
+    let code = floor + f32::from(q - floor >= 0.5);
+    (code + TWO_POW_23).to_bits() & 0x007F_FFFF
+}
+
+/// Appends the codes of `src` under `p` to `out` as `W`-byte little-endian
+/// integers (`W` = 1: 256 levels, `W` = 2: 65 536) — the form they travel
+/// in, so a frame's code section is quantised in place. `p.scale == 0`
+/// (constant tensor) encodes every entry as code 0.
+pub fn quantize_le<const W: usize>(src: &[f32], p: AffineParams, out: &mut Vec<u8>) {
+    const { assert!(W == 1 || W == 2) };
+    let start = out.len();
+    out.resize(start + W * src.len(), 0);
     if p.scale == 0.0 {
-        return 0;
+        return;
     }
-    let code = ((v - p.min) / p.scale).round();
-    // clamp handles f32 rounding at the range edges; NaN maps to code 0
-    // and ±∞ saturate, so non-finite inputs cannot panic mid-round
-    (code.max(0.0) as u32).min(max_code)
+    let max_code = ((1u32 << (8 * W)) - 1) as f32;
+    let (codes, _) = out[start..].as_chunks_mut::<W>();
+    for (code, &v) in codes.iter_mut().zip(src) {
+        code.copy_from_slice(&code_of(v, p, max_code).to_le_bytes()[..W]);
+    }
 }
 
-/// Quantizes `src` to `u8` codes (256 levels); returns the affine
-/// parameters and one code per entry.
-pub fn quantize_u8(src: &[f32]) -> (AffineParams, Vec<u8>) {
-    let mut codes = Vec::new();
-    let p = quantize_u8_into(src, &mut codes);
-    (p, codes)
-}
-
-/// Allocation-free form of [`quantize_u8`]: writes the codes into a
-/// reusable buffer (cleared first; capacity retained across calls).
+/// Quantizes `src` to one-byte codes (256 levels) in a reusable buffer
+/// (cleared first; capacity retained across calls) and returns the fitted
+/// parameters.
 pub fn quantize_u8_into(src: &[f32], codes: &mut Vec<u8>) -> AffineParams {
     let p = affine_params(src, 256);
     codes.clear();
-    codes.extend(src.iter().map(|&v| encode_one(v, p, 255) as u8));
+    quantize_le::<1>(src, p, codes);
     p
 }
 
-/// Quantizes `src` to `u16` codes (65 536 levels).
-pub fn quantize_u16(src: &[f32]) -> (AffineParams, Vec<u16>) {
-    let mut codes = Vec::new();
-    let p = quantize_u16_into(src, &mut codes);
-    (p, codes)
-}
-
-/// Allocation-free form of [`quantize_u16`].
-pub fn quantize_u16_into(src: &[f32], codes: &mut Vec<u16>) -> AffineParams {
+/// Quantizes `src` to two-byte little-endian codes (65 536 levels), as
+/// [`quantize_u8_into`] does for one byte.
+pub fn quantize_u16_into(src: &[f32], codes: &mut Vec<u8>) -> AffineParams {
     let p = affine_params(src, 65_536);
     codes.clear();
-    codes.extend(src.iter().map(|&v| encode_one(v, p, 65_535) as u16));
+    quantize_le::<2>(src, p, codes);
     p
 }
 
@@ -132,19 +200,23 @@ pub fn dequantize_one(p: AffineParams, code: u32) -> f32 {
     (p.min as f64 + p.scale as f64 * code as f64) as f32
 }
 
-/// Reconstructs values from `u8` codes into `out` (resized to fit).
-pub fn dequantize_u8(p: AffineParams, codes: &[u8], out: &mut Vec<f32>) {
+/// Reconstructs values from `W`-byte little-endian codes (what
+/// [`quantize_le`] wrote, or a frame's code section read where it lies)
+/// into `out`, cleared first. Bytes past the last whole code are ignored.
+pub fn dequantize_le<const W: usize>(p: AffineParams, codes: &[u8], out: &mut Vec<f32>) {
+    const { assert!(W == 1 || W == 2) };
+    let (codes, _) = codes.as_chunks::<W>();
     out.clear();
-    out.extend(codes.iter().map(|&c| dequantize_one(p, c as u32)));
+    out.extend(codes.iter().map(|code| {
+        let mut word = [0u8; 4];
+        word[..W].copy_from_slice(code);
+        dequantize_one(p, u32::from_le_bytes(word))
+    }));
 }
 
-/// Reconstructs values from `u16` codes into `out` (resized to fit).
-pub fn dequantize_u16(p: AffineParams, codes: &[u16], out: &mut Vec<f32>) {
-    out.clear();
-    out.extend(codes.iter().map(|&c| dequantize_one(p, c as u32)));
-}
-
-/// Indices of the `k` largest-magnitude entries of `src`, ascending.
+/// Writes the indices of the `k` largest-magnitude entries of `src` into
+/// `out`, ascending. The selection runs inside `out` (cleared first;
+/// capacity retained), so steady-state callers pay zero heap traffic.
 ///
 /// `k` is clamped to `src.len()`. Ties break toward the lower index so the
 /// selection is deterministic across platforms and thread counts. The
@@ -152,15 +224,6 @@ pub fn dequantize_u16(p: AffineParams, codes: &[u16], out: &mut Vec<f32>) {
 /// every finite value — a diverged coordinate is transmitted (and thus
 /// propagates to receivers exactly like the dense codec) instead of
 /// panicking mid-round.
-pub fn top_k_indices(src: &[f32], k: usize) -> Vec<u32> {
-    let mut order = Vec::new();
-    top_k_indices_into(src, k, &mut order);
-    order
-}
-
-/// Allocation-free form of [`top_k_indices`]: the selection runs inside
-/// `out` (cleared first; capacity retained), so steady-state callers pay
-/// zero heap traffic per selection.
 pub fn top_k_indices_into(src: &[f32], k: usize, out: &mut Vec<u32>) {
     out.clear();
     let k = k.min(src.len());
@@ -179,14 +242,7 @@ pub fn top_k_indices_into(src: &[f32], k: usize, out: &mut Vec<u32>) {
     out.sort_unstable();
 }
 
-/// Gathers `src[indices]` into a dense value list (the top-k payload).
-pub fn gather(src: &[f32], indices: &[u32]) -> Vec<f32> {
-    let mut out = Vec::new();
-    gather_into(src, indices, &mut out);
-    out
-}
-
-/// Allocation-free form of [`gather`].
+/// Gathers `src[indices]` into `out` (cleared first) — the top-k payload.
 pub fn gather_into(src: &[f32], indices: &[u32], out: &mut Vec<f32>) {
     out.clear();
     out.extend(indices.iter().map(|&i| src[i as usize]));
@@ -240,6 +296,135 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    // ---- the loops the bulk kernels replaced, kept as oracles ----------
+
+    /// The serial range fit: one `f64` min/max chain behind an `is_finite`
+    /// branch.
+    fn affine_params_ref(src: &[f32], levels: u32) -> AffineParams {
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        for &v in src {
+            if v.is_finite() {
+                lo = lo.min(v as f64);
+                hi = hi.max(v as f64);
+            }
+        }
+        if lo >= hi {
+            return AffineParams {
+                min: if lo.is_finite() { lo as f32 } else { 0.0 },
+                scale: 0.0,
+            };
+        }
+        AffineParams {
+            min: lo as f32,
+            scale: (((hi - lo) / (levels - 1) as f64) as f32).min(f32::MAX),
+        }
+    }
+
+    /// Round (libm), then clamp through a saturating cast.
+    fn encode_one(v: f32, p: AffineParams, max_code: u32) -> u32 {
+        if p.scale == 0.0 {
+            return 0;
+        }
+        let code = ((v - p.min) / p.scale).round();
+        (code.max(0.0) as u32).min(max_code)
+    }
+
+    /// Per-element little-endian code writer over [`encode_one`].
+    fn quantize_ref<const W: usize>(src: &[f32], p: AffineParams) -> Vec<u8> {
+        let max_code = (1u32 << (8 * W)) - 1;
+        let mut out = Vec::new();
+        for &v in src {
+            out.extend_from_slice(&encode_one(v, p, max_code).to_le_bytes()[..W]);
+        }
+        out
+    }
+
+    /// Per-element little-endian code reader over [`dequantize_one`].
+    fn dequantize_ref<const W: usize>(p: AffineParams, codes: &[u8]) -> Vec<f32> {
+        let mut out = Vec::new();
+        for code in codes.chunks_exact(W) {
+            let code = code.iter().rev().fold(0u32, |c, &b| c << 8 | b as u32);
+            out.push(dequantize_one(p, code));
+        }
+        out
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Fit, codes and reconstruction of `src` at width `W` against the
+    /// oracles, bit for bit. The one licence: when the minimum is a zero
+    /// and `src` holds both zeros, the fit pins `−0.0` where the serial
+    /// chain kept whichever came first.
+    fn check_against_reference<const W: usize>(src: &[f32]) {
+        let levels = 1u32 << (8 * W);
+        let (got, want) = (affine_params(src, levels), affine_params_ref(src, levels));
+        assert_eq!(got.scale.to_bits(), want.scale.to_bits(), "{src:?}");
+        assert_eq!(got.min, want.min, "{src:?}");
+        let neg_zero = src.iter().any(|v| v.to_bits() == (-0.0f32).to_bits());
+        if want.min == 0.0 {
+            assert_eq!(got.min.is_sign_negative(), neg_zero, "{src:?}");
+        } else {
+            assert_eq!(got.min.to_bits(), want.min.to_bits(), "{src:?}");
+        }
+        // dirty prefix: the kernel appends and must leave it alone
+        let mut codes = vec![0xAB; 3];
+        quantize_le::<W>(src, got, &mut codes);
+        assert_eq!(&codes[..3], [0xAB; 3]);
+        assert_eq!(&codes[3..], quantize_ref::<W>(src, want), "{src:?}");
+        let mut back = vec![f32::NAN; 5];
+        dequantize_le::<W>(got, &codes[3..], &mut back);
+        assert_eq!(bits(&back), bits(&dequantize_ref::<W>(got, &codes[3..])));
+    }
+
+    /// Maps sampled words to floats that cover the hostile classes: one
+    /// word in four becomes NaN, ±∞, ±0, a subnormal, ±`f32::MAX` or an
+    /// arbitrary bit pattern; the rest land in `[−8, 8)`.
+    fn hostile(words: &[u32]) -> Vec<f32> {
+        words
+            .iter()
+            .map(|&w| match w % 32 {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => 0.0,
+                4 => -0.0,
+                5 => f32::from_bits(w >> 9 & 0x007F_FFFF | (w & 0x8000_0000)),
+                6 => f32::MAX.copysign(f32::from_bits(w)),
+                7 => f32::from_bits(w),
+                _ => (w >> 8) as f32 / (1u32 << 20) as f32 - 8.0,
+            })
+            .collect()
+    }
+
+    // ---- fresh-buffer calls of the `_into` kernels ---------------------
+
+    fn quantize_u8(src: &[f32]) -> (AffineParams, Vec<u8>) {
+        let mut codes = Vec::new();
+        let p = quantize_u8_into(src, &mut codes);
+        (p, codes)
+    }
+
+    fn quantize_u16(src: &[f32]) -> (AffineParams, Vec<u8>) {
+        let mut codes = Vec::new();
+        let p = quantize_u16_into(src, &mut codes);
+        (p, codes)
+    }
+
+    fn top_k_indices(src: &[f32], k: usize) -> Vec<u32> {
+        let mut order = Vec::new();
+        top_k_indices_into(src, k, &mut order);
+        order
+    }
+
+    fn gather(src: &[f32], indices: &[u32]) -> Vec<f32> {
+        let mut out = Vec::new();
+        gather_into(src, indices, &mut out);
+        out
+    }
+
     #[test]
     fn u8_roundtrip_error_is_half_step_bounded() {
         let src: Vec<f32> = (0..1000)
@@ -247,7 +432,7 @@ mod tests {
             .collect();
         let (p, codes) = quantize_u8(&src);
         let mut back = Vec::new();
-        dequantize_u8(p, &codes, &mut back);
+        dequantize_le::<1>(p, &codes, &mut back);
         let bound = p.scale / 2.0 + 1e-4;
         for (a, b) in src.iter().zip(&back) {
             assert!(
@@ -264,8 +449,8 @@ mod tests {
         let (p8, c8) = quantize_u8(&src);
         let (p16, c16) = quantize_u16(&src);
         let (mut b8, mut b16) = (Vec::new(), Vec::new());
-        dequantize_u8(p8, &c8, &mut b8);
-        dequantize_u16(p16, &c16, &mut b16);
+        dequantize_le::<1>(p8, &c8, &mut b8);
+        dequantize_le::<2>(p16, &c16, &mut b16);
         let err = |back: &[f32]| -> f32 {
             src.iter()
                 .zip(back)
@@ -286,7 +471,7 @@ mod tests {
         let (p, codes) = quantize_u8(&src);
         assert_eq!(p.scale, 0.0);
         let mut back = Vec::new();
-        dequantize_u8(p, &codes, &mut back);
+        dequantize_le::<1>(p, &codes, &mut back);
         assert_eq!(back, src);
     }
 
@@ -302,7 +487,7 @@ mod tests {
         let src = [-2.0f32, 0.1, 3.0];
         let (p, codes) = quantize_u8(&src);
         let mut back = Vec::new();
-        dequantize_u8(p, &codes, &mut back);
+        dequantize_le::<1>(p, &codes, &mut back);
         assert_eq!(back[0], -2.0, "minimum must be exact (code 0)");
         assert!(
             (back[2] - 3.0).abs() < 1e-5,
@@ -324,7 +509,7 @@ mod tests {
         // range fitted over finite values only
         assert_eq!(p.min, -2.0);
         let mut back = Vec::new();
-        dequantize_u8(p, &codes, &mut back);
+        dequantize_le::<1>(p, &codes, &mut back);
         assert!(back.iter().all(|v| v.is_finite()));
         assert!((back[4] - 3.0).abs() < 1e-5, "finite max stays on range");
         let all_bad = [f32::NAN, f32::INFINITY];
@@ -341,7 +526,7 @@ mod tests {
         let (p, codes) = quantize_u8(&src);
         assert!(p.scale.is_finite());
         let mut back = Vec::new();
-        dequantize_u8(p, &codes, &mut back);
+        dequantize_le::<1>(p, &codes, &mut back);
         assert!(back.iter().all(|v| v.is_finite()), "{back:?}");
         assert!(back[0] < -2.9e38 && back[2] > 2.9e38);
     }
@@ -387,16 +572,174 @@ mod tests {
         let src: Vec<f32> = (0..257)
             .map(|i| ((i * 29) % 61) as f32 * 0.3 - 9.0)
             .collect();
-        let (mut codes8, mut codes16, mut order) = (Vec::new(), Vec::new(), Vec::new());
+        // reused buffers arrive dirty; a fresh buffer is the reference
+        let (mut codes8, mut codes16, mut order) = (vec![7u8; 9], vec![7u8; 600], vec![7u32; 300]);
         assert_eq!(quantize_u8_into(&src, &mut codes8), quantize_u8(&src).0);
         assert_eq!(codes8, quantize_u8(&src).1);
         assert_eq!(quantize_u16_into(&src, &mut codes16), quantize_u16(&src).0);
         assert_eq!(codes16, quantize_u16(&src).1);
         top_k_indices_into(&src, 7, &mut order);
         assert_eq!(order, top_k_indices(&src, 7));
-        let mut vals = Vec::new();
+        let mut vals = vec![7.0f32; 2];
         gather_into(&src, &order, &mut vals);
         assert_eq!(vals, gather(&src, &order));
+    }
+
+    #[test]
+    fn kernels_match_the_scalar_reference_across_every_tail() {
+        // every length up to past four range-scan blocks: each lane count
+        // of the fit's tail and each remainder of the vectorised loops
+        let src: Vec<f32> = (0..4 * LANES + 9)
+            .map(|i| ((i * 37) % 113) as f32 / 7.0 - 8.0)
+            .collect();
+        for n in 0..=src.len() {
+            check_against_reference::<1>(&src[..n]);
+            check_against_reference::<2>(&src[n..]);
+        }
+    }
+
+    #[test]
+    fn rounding_ties_and_range_edges_match_the_reference() {
+        // min 0, scale 1: entries are their own `q`, so halves are exact
+        // ties and the ends sit on and past both clamps
+        let mut src = vec![
+            0.0f32, 255.0, 0.5, 1.5, 2.5, 253.5, 254.5, 254.49998, 0.49999997,
+        ];
+        check_against_reference::<1>(&src);
+        src.extend([f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+        check_against_reference::<1>(&src);
+        let mut src = vec![0.0f32, 65_535.0, 0.5, 1.5, 65_533.5, 65_534.5, 32_767.5];
+        check_against_reference::<2>(&src);
+        src.extend([f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+        check_against_reference::<2>(&src);
+        // a fixed step that overshoots the fitted range on both sides
+        let p = AffineParams {
+            min: 1.0,
+            scale: 0.25,
+        };
+        let far = [-1e30f32, -3.0, 0.9, 1.0, 1.124, 1.125, 70.0, 1e30, f32::NAN];
+        let mut codes = Vec::new();
+        quantize_le::<1>(&far, p, &mut codes);
+        assert_eq!(codes, quantize_ref::<1>(&far, p));
+        assert_eq!(codes, [0, 0, 0, 0, 0, 1, 255, 255, 0]);
+    }
+
+    #[test]
+    fn zero_sign_of_the_minimum_is_pinned() {
+        // +0.0 == −0.0, so a min/max chain may keep either; the fit keeps
+        // −0.0 whenever one is present, wherever it sits
+        let neg = (-0.0f32).to_bits();
+        for src in [
+            vec![0.0f32, -0.0, 1.0],
+            vec![-0.0f32, 0.0, 1.0],
+            vec![-0.0f32, 2.0],
+            vec![0.0f32, -0.0],
+        ] {
+            assert_eq!(affine_params(&src, 256).min.to_bits(), neg, "{src:?}");
+        }
+        let mut wide = vec![0.0f32; 3 * LANES + 5];
+        wide[2 * LANES + 3] = -0.0;
+        wide[1] = 4.0;
+        assert_eq!(affine_params(&wide, 256).min.to_bits(), neg);
+        assert_eq!(affine_params(&[0.0, 1.0], 256).min.to_bits(), 0);
+        assert_eq!(affine_params(&[0.0, -0.0, -1.0], 256).min, -1.0);
+        // either zero decodes to the same values
+        let (plus, minus) = (
+            AffineParams {
+                min: 0.0,
+                scale: 0.5,
+            },
+            AffineParams {
+                min: -0.0,
+                scale: 0.5,
+            },
+        );
+        for code in [0, 1, 255] {
+            assert_eq!(
+                dequantize_one(plus, code).to_bits(),
+                dequantize_one(minus, code).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn degenerate_inputs_give_the_reference_values() {
+        let all_bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let zeros = [0.0f32, -0.0, 0.0];
+        let extremes = [f32::MAX, -f32::MAX, 0.0, f32::MIN_POSITIVE];
+        for src in [&[][..], &[2.5; 40], &all_bad, &zeros, &extremes] {
+            check_against_reference::<1>(src);
+            check_against_reference::<2>(src);
+        }
+        // the values themselves, not only agreement
+        assert_eq!(
+            affine_params(&[], 256),
+            AffineParams {
+                min: 0.0,
+                scale: 0.0
+            }
+        );
+        assert_eq!(
+            affine_params(&all_bad, 256),
+            AffineParams {
+                min: 0.0,
+                scale: 0.0
+            }
+        );
+        assert_eq!(
+            affine_params(&[2.5; 40], 65_536),
+            AffineParams {
+                min: 2.5,
+                scale: 0.0
+            }
+        );
+        let p = affine_params(&extremes, 256);
+        assert_eq!(p.min, -f32::MAX);
+        assert!(p.scale.is_finite() && p.scale > 2.6e36);
+        assert_eq!(quantize_u8(&extremes).1, [255, 0, 128, 128]);
+        assert_eq!(quantize_u8(&all_bad).1, [0, 0, 0]);
+        let mut back = vec![1.0f32];
+        dequantize_le::<1>(p, &[], &mut back);
+        assert!(back.is_empty());
+        // a trailing half code is not a code
+        dequantize_le::<2>(
+            AffineParams {
+                min: 1.0,
+                scale: 1.0,
+            },
+            &[2, 0, 9],
+            &mut back,
+        );
+        assert_eq!(back, [3.0]);
+
+        // selection and gather: k = 0, k > len, empty source
+        let src = [1.0f32, -3.0, 2.0];
+        let mut order = vec![9u32];
+        top_k_indices_into(&src, 0, &mut order);
+        assert!(order.is_empty());
+        top_k_indices_into(&src, 99, &mut order);
+        assert_eq!(order, [0, 1, 2]);
+        top_k_indices_into(&[], 4, &mut order);
+        assert!(order.is_empty());
+        top_k_indices_into(&[0.0, -0.0, 0.0], 2, &mut order);
+        assert_eq!(order, [0, 1], "equal magnitudes: lower index wins");
+        let mut vals = vec![9.0f32];
+        gather_into(&src, &[], &mut vals);
+        assert!(vals.is_empty());
+
+        // the feedback kernels on nothing, and on the extremes
+        let mut out = [1.0f32, 2.0];
+        sparse_blend_axpy(&mut out, &[0.0, 0.0], &[], &[], 0.5);
+        scatter_axpy(&mut out, &[], &[], 1.0);
+        assert_eq!(out, [1.0, 2.0]);
+        let mut delta = vec![9.0f32];
+        accumulate_delta(&[], &[], &mut delta);
+        assert!(delta.is_empty());
+        accumulate_delta(&[f32::MAX, 0.0], &[-f32::MAX, -0.0], &mut delta);
+        assert_eq!(bits(&delta), bits(&[f32::INFINITY, 0.0]));
+        let mut replica = [f32::MAX, -1.0];
+        scatter_axpy(&mut replica, &[0, 1], &[f32::MAX, 1.0], 1.0);
+        assert_eq!(bits(&replica), bits(&[f32::INFINITY, 0.0]));
     }
 
     #[test]
@@ -415,11 +758,20 @@ mod tests {
         ) {
             let (p, codes) = quantize_u8(&xs);
             let mut back = Vec::new();
-            dequantize_u8(p, &codes, &mut back);
+            dequantize_le::<1>(p, &codes, &mut back);
             let bound = p.scale / 2.0 + p.scale * 1e-3 + 1e-5;
             for (a, b) in xs.iter().zip(&back) {
                 prop_assert!((a - b).abs() <= bound);
             }
+        }
+
+        #[test]
+        fn prop_kernels_match_the_scalar_reference_on_hostile_floats(
+            words in proptest::collection::vec(0u32..u32::MAX, 0..200)
+        ) {
+            let src = hostile(&words);
+            check_against_reference::<1>(&src);
+            check_against_reference::<2>(&src);
         }
 
         #[test]

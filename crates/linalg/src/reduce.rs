@@ -32,9 +32,19 @@ pub fn std_dev(x: &[f32]) -> f32 {
 }
 
 /// Index of the maximum element (first occurrence wins); `None` when empty.
+/// NaNs are ignored unless all elements are NaN, in which case index 0 is
+/// returned.
 pub fn argmax(x: &[f32]) -> Option<usize> {
     if x.is_empty() {
         return None;
+    }
+    if x[0].is_nan() {
+        // `v > NaN` is never true, so a NaN seed would win against
+        // everything after it: scan from the first non-NaN element
+        let Some(first) = x.iter().position(|v| !v.is_nan()) else {
+            return Some(0);
+        };
+        return argmax(&x[first..]).map(|i| first + i);
     }
     let mut best = 0;
     let mut best_v = x[0];
@@ -114,6 +124,51 @@ mod tests {
     fn argmax_first_occurrence() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), Some(1));
         assert_eq!(argmax(&[]), None);
+    }
+
+    #[test]
+    fn argmax_and_max_ignore_nans_wherever_they_sit() {
+        let nan = f32::NAN;
+        // leading: `v > NaN` is never true, so a NaN seed would never lose
+        assert_eq!(argmax(&[nan, 1.0]), Some(1));
+        assert_eq!(max(&[nan, 1.0]), Some(1.0));
+        assert_eq!(argmax(&[nan, nan, -2.0, 5.0, 5.0]), Some(3));
+        // trailing and interior
+        assert_eq!(argmax(&[1.0, 4.0, nan]), Some(1));
+        assert_eq!(argmax(&[1.0, nan, 4.0, nan, 2.0]), Some(2));
+        assert_eq!(max(&[1.0, nan, 4.0, nan, 2.0]), Some(4.0));
+        assert_eq!(argmax(&[nan, f32::NEG_INFINITY]), Some(1));
+        // all NaN: index 0, and `max` hands the NaN back
+        assert_eq!(argmax(&[nan, nan, nan]), Some(0));
+        assert!(max(&[nan, nan]).is_some_and(f32::is_nan));
+        assert_eq!(argmax(&[nan]), Some(0));
+    }
+
+    #[test]
+    fn degenerate_slices_give_the_documented_values() {
+        assert_eq!(
+            (sum(&[]), mean(&[]), variance(&[]), std_dev(&[])),
+            (0.0, 0.0, 0.0, 0.0)
+        );
+        assert_eq!((max(&[]), min(&[]), argmax(&[])), (None, None, None));
+        assert_eq!(mean_std(&[]), (0.0, 0.0));
+        assert_eq!(mean_std(&[3.5; 9]), (3.5, 0.0));
+        assert_eq!(argmax(&[2.0; 4]), Some(0), "constant: first occurrence");
+        // ±0 compare equal: the first one stays
+        assert_eq!(argmax(&[0.0, -0.0]), Some(0));
+        assert_eq!(
+            max(&[-0.0, 0.0]).map(f32::to_bits),
+            Some((-0.0f32).to_bits())
+        );
+        assert_eq!(min(&[0.0, -0.0]).map(f32::to_bits), Some(0));
+        let extremes = [f32::MAX, -f32::MAX, f32::INFINITY, f32::NEG_INFINITY];
+        assert_eq!(argmax(&extremes), Some(2));
+        assert_eq!(min(&extremes), Some(f32::NEG_INFINITY));
+        assert_eq!(max(&extremes[..2]), Some(f32::MAX));
+        // f32::MAX² overflows an f32 accumulator but not mean_std's f64 one
+        let (m, s) = mean_std(&[f32::MAX, -f32::MAX]);
+        assert_eq!(m, 0.0);
+        assert_eq!(s, f32::MAX);
     }
 
     #[test]
