@@ -121,6 +121,13 @@ fn hostile_configs_exit_2_naming_the_run_with_or_without_retries() {
         ("shards-0", cifar_like(32, 0, 4)),
         ("shards-over-samples", cifar_like(32, 81, 4)),
         ("dirichlet-alpha-0", dirichlet(0.0)),
+        (
+            "eval-samples-0",
+            ExperimentConfig {
+                eval_max_samples: 0,
+                ..template()
+            },
+        ),
     ];
     for (tag, cfg) in hostile {
         let (plain, _) = run_config(tag, &cfg, &[]);

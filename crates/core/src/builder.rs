@@ -827,6 +827,14 @@ mod tests {
                 },
                 ConfigError::ZeroLocalSteps,
             ),
+            // validated, and then every accuracy read 0 % with exit 0
+            (
+                ExperimentConfig {
+                    eval_max_samples: 0,
+                    ..small()
+                },
+                ConfigError::ZeroEvalSamples,
+            ),
             (
                 ExperimentConfig {
                     learning_rate: 0.0,

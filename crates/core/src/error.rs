@@ -20,6 +20,9 @@ pub enum ConfigError {
     ZeroBatchSize,
     /// `local_steps == 0`.
     ZeroLocalSteps,
+    /// `eval_max_samples == 0`: every evaluation would score no sample and
+    /// report 0 % accuracy.
+    ZeroEvalSamples,
     /// Learning rate is not a positive finite number.
     NonPositiveLearningRate,
     /// A budget-constrained algorithm was configured without
@@ -231,6 +234,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroLocalSteps => {
                 write!(f, "local SGD steps per training round must be positive")
             }
+            ConfigError::ZeroEvalSamples => write!(
+                f,
+                "`eval_max_samples` must be at least 1: an evaluation over no \
+                 samples reports 0 % accuracy"
+            ),
             ConfigError::NonPositiveLearningRate => {
                 write!(f, "learning rate must be a positive finite number")
             }
@@ -514,6 +522,7 @@ mod tests {
             },
             ConfigError::InvalidActivationProbability { value: 1.5 },
             ConfigError::ZeroGammaTrain,
+            ConfigError::ZeroEvalSamples,
         ] {
             assert!(!e.to_string().is_empty());
             let json = serde_json::to_string(&e).unwrap();

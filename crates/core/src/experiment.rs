@@ -1187,17 +1187,16 @@ impl ExperimentConfig {
 
     /// Checks every configuration invariant, returning the first violation.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.nodes == 0 {
-            return Err(ConfigError::ZeroNodes);
-        }
-        if self.rounds == 0 {
-            return Err(ConfigError::ZeroRounds);
-        }
-        if self.batch_size == 0 {
-            return Err(ConfigError::ZeroBatchSize);
-        }
-        if self.local_steps == 0 {
-            return Err(ConfigError::ZeroLocalSteps);
+        for (count, zero) in [
+            (self.nodes, ConfigError::ZeroNodes),
+            (self.rounds, ConfigError::ZeroRounds),
+            (self.batch_size, ConfigError::ZeroBatchSize),
+            (self.local_steps, ConfigError::ZeroLocalSteps),
+            (self.eval_max_samples, ConfigError::ZeroEvalSamples),
+        ] {
+            if count == 0 {
+                return Err(zero);
+            }
         }
         if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
             return Err(ConfigError::NonPositiveLearningRate);

@@ -204,7 +204,7 @@ pub(crate) fn execute(
         }
 
         let mut node_train_events = 0u64;
-        let mut executed_rounds = 0usize;
+        let mut last_eval = None;
         let mut prev_training_wh = 0.0f64;
         let mut prev_comm_wh = 0.0f64;
 
@@ -245,7 +245,6 @@ pub(crate) fn execute(
             // resilient campaign can fail this one cell and keep going.
             sim.try_run_round(&actions, mixing, Some(&mut engine))
                 .map_err(|source| RunError { round: t, source })?;
-            executed_rounds = t + 1;
             // what ran, not what `actions` requested: battery and churn
             // gating demote nodes after the policy has decided
             let trained_nodes = sim.last_trained_nodes();
@@ -267,9 +266,7 @@ pub(crate) fn execute(
 
             let mut stop = false;
             for obs in observers.iter_mut() {
-                if obs.on_round_end(&mut sim, &report).is_break() {
-                    stop = true;
-                }
+                stop |= obs.on_round_end(&mut sim, &report).is_break();
             }
 
             let at_eval = (t + 1) % cfg.eval_every.max(1) == 0 || t + 1 == cfg.rounds || stop;
@@ -282,17 +279,20 @@ pub(crate) fn execute(
                     training_wh: sim.ledger().total_training_wh(),
                 };
                 for obs in observers.iter_mut() {
-                    if obs.on_eval(&mut sim, &eval).is_break() {
-                        stop = true;
-                    }
+                    stop |= obs.on_eval(&mut sim, &eval).is_break();
                 }
+                last_eval = Some(stats);
             }
             if stop {
                 break;
             }
         }
 
-        let final_test = sim.evaluate(&data.test, cfg.eval_max_samples);
+        // already evaluated by the loop, unless an observer ran the fleet on
+        let final_test = match last_eval {
+            Some(stats) if stats.round == sim.round() => stats,
+            _ => sim.evaluate(&data.test, cfg.eval_max_samples),
+        };
         let final_val = sim.evaluate(&data.validation, cfg.eval_max_samples);
         let final_mean_model = sim.mean_params();
         let node_class_sets = data
@@ -314,7 +314,7 @@ pub(crate) fn execute(
             name: cfg.name.clone(),
             algorithm: cfg.algorithm.name().to_string(),
             nodes: cfg.nodes,
-            rounds: executed_rounds,
+            rounds: sim.round(),
             test_curve: curve.into_points(),
             mean_model_curve: mean_model
                 .map(MeanModelObserver::into_curve)

@@ -77,13 +77,14 @@ pub fn evaluate_model(
     evaluate_chunks(model, loss, &gather_chunks(dataset, idx))
 }
 
-/// Evaluates every node's model replica, loaded with its row of `params`,
-/// on the same `indices` of `dataset`, in parallel over nodes. The rows are
+/// Evaluates every node's model replica, lent its row of `params` for the
+/// forward passes (the rows come back untouched, in the same buffers), on
+/// the same `indices` of `dataset`, in parallel over nodes. The rows are
 /// gathered once and shared — per-node results equal [`evaluate_model`]'s
 /// exactly (same rows, same chunking, same recombination).
 pub(crate) fn evaluate_fleet(
     nodes: &mut [Node],
-    params: &[Vec<f32>],
+    params: &mut [Vec<f32>],
     loss: &SoftmaxCrossEntropy,
     dataset: &Dataset,
     indices: &[usize],
@@ -91,10 +92,13 @@ pub(crate) fn evaluate_fleet(
     let batches = gather_chunks(dataset, indices);
     nodes
         .par_iter_mut()
-        .zip(params.par_iter())
+        .zip(params.par_iter_mut())
         .map(|(node, p)| {
-            node.model_mut().load_params(p);
-            evaluate_chunks(node.model_mut(), loss, &batches)
+            let model = node.model_mut();
+            model.swap_params(p);
+            let result = evaluate_chunks(model, loss, &batches);
+            model.swap_params(p);
+            result
         })
         .collect()
 }

@@ -6,7 +6,7 @@ use crate::eval::{evaluate_fleet, evaluate_model, fixed_subsample, EVAL_CHUNK};
 use crate::events::EventEngine;
 use crate::gate::Gate;
 use crate::metrics::EvalStats;
-use crate::node::Node;
+use crate::node::{train_fleet, Node};
 use crate::plan::{Entry, Fate, PlanRow, RoundPlan};
 use crate::transport::{
     corrupt_frame_in_place, decode_frame_into, encode_message_with, CompressionPolicy,
@@ -184,7 +184,8 @@ pub struct Simulation {
     graph: Graph,
     mixing: MixingMatrix,
     /// One flat vector per node: the committed models `x^t`, and from the
-    /// compute pass to the commit swap the half-step models `x^{t−½}`.
+    /// compute pass to the commit swap the half-step models `x^{t−½}`. A
+    /// node's model holds no copy; training and evaluation borrow the row.
     params: Vec<Vec<f32>>,
     /// Aggregation output buffers (swapped into `params` at round end).
     next: Vec<Vec<f32>>,
@@ -215,10 +216,9 @@ pub struct Simulation {
     /// Cumulative count of on-time messages the transport corrupted (each
     /// rejected by the receive-side checksum and degraded to a drop).
     corrupted_frames: u64,
-    /// Per-node local-loss slots for the compute pass (`None` for
-    /// sync-only nodes), reused every round so the pass stays
-    /// allocation-free.
-    loss_scratch: Vec<Option<f32>>,
+    /// Gradient workspaces for the compute pass: each block of nodes a
+    /// worker trains accumulates into the slot of its block index.
+    grad_scratch: Vec<Vec<f32>>,
 }
 
 impl Simulation {
@@ -252,7 +252,7 @@ impl Simulation {
     /// # Panics
     /// Panics on any arity or shape mismatch (see [`Simulation::new`]).
     pub fn with_shared_data(
-        models: Vec<Sequential>,
+        mut models: Vec<Sequential>,
         datasets: Vec<Arc<Dataset>>,
         graph: Graph,
         mixing: MixingMatrix,
@@ -277,7 +277,16 @@ impl Simulation {
         );
         let num_classes = models[0].output_dim();
 
-        let params: Vec<Vec<f32>> = models.iter().map(|m| m.flat_params()).collect();
+        // the engine takes every model's vector: from here on a node's model
+        // is an architecture that trains and evaluates `params[i]` on loan
+        let params: Vec<Vec<f32>> = models
+            .iter_mut()
+            .map(|model| {
+                let mut x = Vec::new();
+                model.swap_params(&mut x);
+                x
+            })
+            .collect();
         let next = params.clone();
         let nodes: Vec<Node> = models
             .into_iter()
@@ -331,7 +340,7 @@ impl Simulation {
             mean_scratch: Vec::new(),
             feedback,
             corrupted_frames: 0,
-            loss_scratch: vec![None; n],
+            grad_scratch: vec![Vec::new(); n],
             config,
         }
     }
@@ -408,12 +417,6 @@ impl Simulation {
     /// Current committed model of `node`.
     pub fn node_params(&self, node: usize) -> &[f32] {
         &self.params[node]
-    }
-
-    /// Overwrites the committed model of `node` (tests, warm starts).
-    pub fn set_node_params(&mut self, node: usize, params: &[f32]) {
-        assert_eq!(params.len(), self.param_count, "parameter length mismatch");
-        self.params[node].copy_from_slice(params);
     }
 
     /// Mean training loss over training nodes in the last round.
@@ -554,29 +557,18 @@ impl Simulation {
         Ok(())
     }
 
-    /// Local compute (parallel over nodes): a training node runs `E` local
+    /// Local compute ([`train_fleet`]): a training node runs `E` local
     /// steps on `params[i]` in place, `x^t` → `x^{t−½}`; a sync-only node's
     /// `x^{t−½}` *is* its `x^t`, so it does nothing. Every later pass up to
-    /// the commit swap reads `params` as the half-step models. Losses land
-    /// in reusable slots — no per-round collection.
+    /// the commit swap reads `params` as the half-step models.
     fn compute(&mut self) {
-        let local_steps = self.config.local_steps;
-        self.nodes
-            .par_iter_mut()
-            .zip(self.loss_scratch.par_iter_mut())
-            .zip(self.params.par_iter_mut())
-            .zip(self.gate.actions.par_iter())
-            .for_each(|(((node, loss_i), params_i), action)| {
-                *loss_i = match action {
-                    RoundAction::Train => Some(node.train_in_place(params_i, local_steps)),
-                    RoundAction::SyncOnly => None,
-                };
-            });
-        let (loss_sum, trained) = self
-            .loss_scratch
-            .iter()
-            .flatten()
-            .fold((0.0f32, 0usize), |(s, c), &l| (s + l, c + 1));
+        let (loss_sum, trained) = train_fleet(
+            &mut self.nodes,
+            &mut self.params,
+            &mut self.grad_scratch,
+            &self.gate.actions,
+            self.config.local_steps,
+        );
         self.last_train_loss = (trained > 0).then(|| loss_sum / trained as f32);
         self.last_trained_nodes = trained;
     }
@@ -834,7 +826,7 @@ impl Simulation {
         let indices = fixed_subsample(dataset.len(), max_samples, self.config.seed);
         let results = evaluate_fleet(
             &mut self.nodes,
-            &self.params,
+            &mut self.params,
             &self.loss_fn,
             dataset,
             &indices,
@@ -903,6 +895,15 @@ mod tests {
     };
     use skiptrain_data::synth::{MixtureSpec, MixtureTask};
     use skiptrain_topology::regular::random_regular;
+
+    impl Simulation {
+        /// Overwrites the committed model of `node`. Test-only: outside
+        /// this module a fleet moves only through a round.
+        fn set_node_params(&mut self, node: usize, params: &[f32]) {
+            assert_eq!(params.len(), self.param_count, "parameter length mismatch");
+            self.params[node].copy_from_slice(params);
+        }
+    }
 
     fn tiny_sim_full(
         n: usize,
@@ -1298,10 +1299,10 @@ mod tests {
         }
     }
 
-    /// A trainable layer with exactly one parameter: `out = gain · in`.
+    /// A trainable layer with exactly one parameter: `out = gain · in`,
+    /// starting from `initial`.
     struct Gain {
-        gain: [f32; 1],
-        grad: [f32; 1],
+        initial: f32,
     }
 
     impl skiptrain_nn::Layer for Gain {
@@ -1314,48 +1315,42 @@ mod tests {
         fn output_dim(&self) -> usize {
             2
         }
+        fn param_count(&self) -> usize {
+            1
+        }
+        fn init_params(&self, params: &mut [f32], _init: &mut skiptrain_nn::zoo::InitRng) {
+            params[0] = self.initial;
+        }
         fn forward(
             &mut self,
+            gain: &[f32],
             input: &skiptrain_linalg::Matrix,
             output: &mut skiptrain_linalg::Matrix,
             _train: bool,
         ) {
             output.resize_zeroed(input.rows(), 2);
             for (o, &i) in output.as_mut_slice().iter_mut().zip(input.as_slice()) {
-                *o = self.gain[0] * i;
+                *o = gain[0] * i;
             }
         }
         fn backward(
             &mut self,
+            gain: &[f32],
+            grad: &mut [f32],
             input: &skiptrain_linalg::Matrix,
             _output: &skiptrain_linalg::Matrix,
             grad_out: &skiptrain_linalg::Matrix,
             grad_in: Option<&mut skiptrain_linalg::Matrix>,
         ) {
             for (&go, &x) in grad_out.as_slice().iter().zip(input.as_slice()) {
-                self.grad[0] += go * x;
+                grad[0] += go * x;
             }
             if let Some(grad_in) = grad_in {
                 grad_in.resize_zeroed(grad_out.rows(), 2);
                 for (gi, &go) in grad_in.as_mut_slice().iter_mut().zip(grad_out.as_slice()) {
-                    *gi = self.gain[0] * go;
+                    *gi = gain[0] * go;
                 }
             }
-        }
-        fn params(&self) -> &[f32] {
-            &self.gain
-        }
-        fn params_mut(&mut self) -> &mut [f32] {
-            &mut self.gain
-        }
-        fn grads(&self) -> &[f32] {
-            &self.grad
-        }
-        fn grads_mut(&mut self) -> &mut [f32] {
-            &mut self.grad
-        }
-        fn params_and_grads(&mut self) -> (&mut [f32], &[f32]) {
-            (&mut self.gain, &self.grad)
         }
     }
 
@@ -1379,10 +1374,10 @@ mod tests {
         let datasets: Vec<Dataset> = (0..n).map(|i| task.sample(24, 40 + i as u64)).collect();
         let models: Vec<Sequential> = (0..n)
             .map(|i| match features {
-                0 => Sequential::new(vec![Box::new(Gain {
-                    gain: [0.5 + i as f32],
-                    grad: [0.0],
-                })]),
+                0 => {
+                    let initial = 0.5 + i as f32;
+                    Sequential::new(vec![Box::new(Gain { initial })], 0)
+                }
                 _ => skiptrain_nn::zoo::logistic_regression(features, classes, 90 + i as u64),
             })
             .collect();
@@ -1528,7 +1523,7 @@ mod tests {
     #[test]
     fn sync_only_compute_moves_nothing_and_masked_nodes_keep_their_model() {
         let n = 6;
-        let (mut sim, _) = tiny_sim(n, 21, TransportKind::Memory);
+        let (mut sim, test) = tiny_sim(n, 21, TransportKind::Memory);
         sim.run_round(&vec![RoundAction::Train; n]);
         let committed: Vec<*const f32> = sim.params.iter().map(|p| p.as_ptr()).collect();
         let models: Vec<Vec<f32>> = sim.params.clone();
@@ -1538,6 +1533,30 @@ mod tests {
             assert_eq!(half.as_ptr(), committed[i], "node {i}: buffer moved");
             assert_eq!(bits(half), bits(&models[i]), "node {i}: model rewritten");
         }
+        // an all-train pass trains, and an evaluation reads, the engine's
+        // own buffers: same storage before and after, no model-sized copy.
+        // (A whole round is the wrong bracket: its commit swaps `params`
+        // with `next`.)
+        let storage = |sim: &Simulation| -> Vec<(*const f32, usize)> {
+            let row = |p: &Vec<f32>| (p.as_ptr(), p.capacity());
+            sim.params.iter().map(row).collect()
+        };
+        let lent = storage(&sim);
+        sim.gate.actions.fill(RoundAction::Train);
+        sim.compute();
+        assert_eq!(storage(&sim), lent, "training moved a buffer");
+        assert_eq!(sim.last_trained_nodes(), n);
+        for (i, half) in sim.params.iter().enumerate() {
+            assert_ne!(bits(half), bits(&models[i]), "node {i} did not train");
+        }
+        let trained = sim.params.clone();
+        let stats = sim.evaluate(&test, usize::MAX);
+        assert_eq!(stats.per_node_accuracy.len(), n);
+        assert_eq!(storage(&sim), lent, "evaluation moved a buffer");
+        assert_eq!(sim.params, trained, "evaluation rewrote a model");
+        // one workspace for the block(s) that trained, none per node
+        let grown = sim.grad_scratch.iter().filter(|g| !g.is_empty()).count();
+        assert!(grown <= rayon::current_num_threads().min(n), "{grown}");
         // a full all-sync round in which node 2 is masked out (identity row)
         let (mut sim, _) = tiny_sim(n, 21, TransportKind::Memory);
         sim.run_round(&vec![RoundAction::Train; n]);

@@ -87,8 +87,10 @@
 //!    private dataset, turning its model buffer from `x^t` into the
 //!    half-step model `x^{t−½}` in place (a *training* round), or does
 //!    nothing (a *synchronization* round): its `x^{t−½}` is its `x^t`.
-//!    A node's model sits in two round buffers, this one and the
-//!    aggregation output the round commits by swapping the two;
+//!    A node's model sits in two round buffers and nowhere else: this
+//!    one, which its layers borrow for the steps, and the aggregation
+//!    output the round commits by swapping the two. Gradients accumulate
+//!    in one workspace per block of nodes a worker trains;
 //! 3. **share + aggregate** — every `Delivered` row carries the sender's
 //!    `x^{t−½}` through the [`transport`](transport::TransportKind)
 //!    (in-memory kernels, or a full encode → decode of the wire frame)

@@ -1,5 +1,7 @@
-//! Per-node training state.
+//! Per-node training state, and the fleet-level training pass over it.
 
+use crate::executor::RoundAction;
+use rayon::prelude::*;
 use skiptrain_data::{Dataset, MinibatchSampler};
 use skiptrain_linalg::Matrix;
 use skiptrain_nn::sgd::SgdConfig;
@@ -8,6 +10,11 @@ use std::sync::Arc;
 
 /// A simulated node: its model replica, private dataset, optimizer state
 /// and reusable minibatch buffers.
+///
+/// The model is an architecture that trains whatever parameter vector it is
+/// lent ([`Node::train_in_place`]); inside a
+/// [`Simulation`](crate::Simulation) it holds none of its own — the engine
+/// keeps every node's vector and lends it for each pass.
 ///
 /// The dataset sits behind an `Arc` so that many simulations (e.g. every
 /// run of a [`Campaign`](https://docs.rs/skiptrain-core)) share one
@@ -24,6 +31,11 @@ pub struct Node {
     batch_y: Vec<u32>,
     batch_idx: Vec<usize>,
     grad_logits: Matrix,
+    /// Mean loss of the node's last [`train_fleet`] pass (`None` when it
+    /// did not train). Kept here, not in a fleet-wide slice, so the pass
+    /// zips one slice fewer: the vendored rayon allocates the zipped
+    /// iterator's bytes per worker.
+    last_loss: Option<f32>,
 }
 
 impl Node {
@@ -64,6 +76,7 @@ impl Node {
             batch_y: Vec::new(),
             batch_idx: Vec::new(),
             grad_logits: Matrix::zeros(0, 0),
+            last_loss: None,
         }
     }
 
@@ -84,9 +97,11 @@ impl Node {
 
     /// Runs `local_steps` SGD steps on `params` in place: `x^t` goes in,
     /// `x^{t−½}` comes out in the same buffer (Lines 8–10 of Algorithm 2).
-    /// Returns the mean training loss across the steps.
+    /// The buffer is lent to the model for the steps, not copied — every
+    /// kernel reads and updates `params` where it lies. Returns the mean
+    /// training loss across the steps.
     pub fn train_in_place(&mut self, params: &mut Vec<f32>, local_steps: usize) -> f32 {
-        self.model.load_params(params);
+        self.model.swap_params(params);
         let mut loss_sum = 0.0f64;
         for _ in 0..local_steps {
             self.sampler.sample_into(&mut self.batch_idx);
@@ -102,7 +117,7 @@ impl Node {
             self.sgd.step(&mut self.model);
             loss_sum += loss_value as f64;
         }
-        self.model.copy_params_to(params);
+        self.model.swap_params(params);
         (loss_sum / local_steps.max(1) as f64) as f32
     }
 
@@ -119,7 +134,8 @@ impl Node {
         self.train_in_place(params_out, local_steps)
     }
 
-    /// Evaluates accuracy and loss of `params` on the given samples.
+    /// Evaluates accuracy and loss of a copy of `params` on the given
+    /// samples.
     pub fn evaluate(&mut self, params: &[f32], features: &Matrix, labels: &[u32]) -> (f32, f32) {
         self.model.load_params(params);
         let logits = self.model.forward(features, false);
@@ -127,6 +143,45 @@ impl Node {
         let loss = self.loss.loss(logits, labels);
         (acc, loss)
     }
+}
+
+/// The fleet-level training pass (parallel over contiguous blocks of
+/// nodes): a [`RoundAction::Train`] node runs `local_steps` steps on its
+/// row of `params` in place, a sync-only node does nothing (`actions` is
+/// read by node id: a fleet's ids are its indices). Block `b` — the
+/// `len.div_ceil(threads)` blocking of the dense aggregate — accumulates
+/// its gradients in `workspaces[b]` alone (the caller keeps one slot per
+/// node so that any thread budget finds its blocks'; a slot grows to the
+/// model size when a block first trains into it), which stays
+/// cache-resident from node to node. The workspace is zeroed before every
+/// step, so nothing depends on the blocking. Returns the sum of the
+/// training nodes' mean losses, folded in node order, and their count.
+pub(crate) fn train_fleet(
+    nodes: &mut [Node],
+    params: &mut [Vec<f32>],
+    workspaces: &mut [Vec<f32>],
+    actions: &[RoundAction],
+    local_steps: usize,
+) -> (f32, usize) {
+    let block = nodes.len().div_ceil(rayon::current_num_threads());
+    nodes
+        .par_chunks_mut(block)
+        .zip(params.par_chunks_mut(block))
+        .zip(workspaces.par_iter_mut())
+        .for_each(|((nodes, params), grads)| {
+            for (node, x) in nodes.iter_mut().zip(params) {
+                node.last_loss = (actions[node.id] == RoundAction::Train).then(|| {
+                    node.model.swap_grads(grads);
+                    let loss = node.train_in_place(x, local_steps);
+                    node.model.swap_grads(grads);
+                    loss
+                });
+            }
+        });
+    nodes
+        .iter()
+        .filter_map(|node| node.last_loss)
+        .fold((0.0, 0), |(sum, trained), loss| (sum + loss, trained + 1))
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ impl Layer for Relu {
         self.dim
     }
 
-    fn forward(&mut self, input: &Matrix, output: &mut Matrix, _train: bool) {
+    fn forward(&mut self, _params: &[f32], input: &Matrix, output: &mut Matrix, _train: bool) {
         assert_eq!(input.cols(), self.dim, "relu forward: dim mismatch");
         ensure_shape(output, input.rows(), self.dim);
         for (o, &i) in output.as_mut_slice().iter_mut().zip(input.as_slice()) {
@@ -42,6 +42,8 @@ impl Layer for Relu {
 
     fn backward(
         &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
         _input: &Matrix,
         output: &Matrix,
         grad_out: &Matrix,
@@ -92,7 +94,7 @@ impl Layer for Tanh {
         self.dim
     }
 
-    fn forward(&mut self, input: &Matrix, output: &mut Matrix, _train: bool) {
+    fn forward(&mut self, _params: &[f32], input: &Matrix, output: &mut Matrix, _train: bool) {
         assert_eq!(input.cols(), self.dim, "tanh forward: dim mismatch");
         ensure_shape(output, input.rows(), self.dim);
         for (o, &i) in output.as_mut_slice().iter_mut().zip(input.as_slice()) {
@@ -102,6 +104,8 @@ impl Layer for Tanh {
 
     fn backward(
         &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
         _input: &Matrix,
         output: &Matrix,
         grad_out: &Matrix,
@@ -134,7 +138,7 @@ mod tests {
         let mut relu = Relu::new(4);
         let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -0.5]);
         let mut y = Matrix::zeros(0, 0);
-        relu.forward(&x, &mut y, false);
+        relu.forward(&[], &x, &mut y, false);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
     }
 
@@ -143,10 +147,10 @@ mod tests {
         let mut relu = Relu::new(3);
         let x = Matrix::from_vec(1, 3, vec![-1.0, 1.0, 3.0]);
         let mut y = Matrix::zeros(0, 0);
-        relu.forward(&x, &mut y, true);
+        relu.forward(&[], &x, &mut y, true);
         let g = Matrix::from_vec(1, 3, vec![5.0, 5.0, 5.0]);
         let mut gi = Matrix::zeros(0, 0);
-        relu.backward(&x, &y, &g, Some(&mut gi));
+        relu.backward(&[], &mut [], &x, &y, &g, Some(&mut gi));
         assert_eq!(gi.as_slice(), &[0.0, 5.0, 5.0]);
     }
 
@@ -156,10 +160,10 @@ mod tests {
         let mut relu = Relu::new(1);
         let x = Matrix::from_vec(1, 1, vec![0.0]);
         let mut y = Matrix::zeros(0, 0);
-        relu.forward(&x, &mut y, true);
+        relu.forward(&[], &x, &mut y, true);
         let g = Matrix::from_vec(1, 1, vec![1.0]);
         let mut gi = Matrix::zeros(0, 0);
-        relu.backward(&x, &y, &g, Some(&mut gi));
+        relu.backward(&[], &mut [], &x, &y, &g, Some(&mut gi));
         assert_eq!(gi.as_slice(), &[0.0]);
     }
 
@@ -168,7 +172,7 @@ mod tests {
         let mut t = Tanh::new(2);
         let x = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
         let mut y = Matrix::zeros(0, 0);
-        t.forward(&x, &mut y, false);
+        t.forward(&[], &x, &mut y, false);
         assert!((y.row(0)[0] - 0.5f32.tanh()).abs() < 1e-6);
         assert!((y.row(0)[1] + 0.5f32.tanh()).abs() < 1e-6);
     }
@@ -178,10 +182,10 @@ mod tests {
         let mut t = Tanh::new(1);
         let x = Matrix::from_vec(1, 1, vec![0.0]);
         let mut y = Matrix::zeros(0, 0);
-        t.forward(&x, &mut y, true);
+        t.forward(&[], &x, &mut y, true);
         let g = Matrix::from_vec(1, 1, vec![2.0]);
         let mut gi = Matrix::zeros(0, 0);
-        t.backward(&x, &y, &g, Some(&mut gi));
+        t.backward(&[], &mut [], &x, &y, &g, Some(&mut gi));
         // tanh(0)=0, derivative = 1
         assert!((gi.row(0)[0] - 2.0).abs() < 1e-6);
     }

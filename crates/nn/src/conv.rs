@@ -7,6 +7,7 @@
 //! kernels use.
 
 use crate::layer::{ensure_shape, Layer};
+use crate::zoo::InitRng;
 use skiptrain_linalg::{gemm_at_b_into, gemm_into, Matrix};
 
 /// Spatial geometry of a convolution / pooling input.
@@ -130,12 +131,12 @@ impl ConvGeom {
 
 /// 2-D convolution with square kernels.
 ///
-/// Parameters are packed as `[W (out_c × in_c·k·k) | b (out_c)]`.
+/// Parameters are packed as `[W (out_c × in_c·k·k) | b (out_c)]`, one span
+/// of the model's flat parameter vector; the layer owns only its unfold
+/// scratch.
 pub struct Conv2d {
     geom: ConvGeom,
     out_channels: usize,
-    params: Vec<f32>,
-    grads: Vec<f32>,
     /// Workhorse im2col buffer: `in_c·k·k × out_h·out_w`.
     cols: Vec<f32>,
     /// Workhorse column-gradient buffer, same shape as `cols`.
@@ -145,7 +146,8 @@ pub struct Conv2d {
 }
 
 impl Conv2d {
-    /// Creates a convolution layer.
+    /// Creates a convolution layer; [`Layer::init_params`] draws He-uniform
+    /// weights and leaves the bias zero.
     ///
     /// # Panics
     /// Panics if the geometry does not produce at least a 1×1 output.
@@ -155,7 +157,6 @@ impl Conv2d {
         kernel: usize,
         stride: usize,
         padding: usize,
-        init: &mut crate::zoo::InitRng,
     ) -> Self {
         assert!(
             kernel >= 1 && stride >= 1,
@@ -168,12 +169,6 @@ impl Conv2d {
         let out_h = (input.height + 2 * padding - kernel) / stride + 1;
         let out_w = (input.width + 2 * padding - kernel) / stride + 1;
         let ckk = input.channels * kernel * kernel;
-        let n = out_channels * ckk + out_channels;
-        let mut params = vec![0.0f32; n];
-        let bound = (6.0f32 / ckk as f32).sqrt();
-        for w in params[..out_channels * ckk].iter_mut() {
-            *w = init.uniform(-bound, bound);
-        }
         Self {
             geom: ConvGeom {
                 input,
@@ -184,8 +179,6 @@ impl Conv2d {
                 out_w,
             },
             out_channels,
-            params,
-            grads: vec![0.0f32; n],
             cols: vec![0.0f32; ckk * out_h * out_w],
             dcols: vec![0.0f32; ckk * out_h * out_w],
             dw_tmp: vec![0.0f32; out_channels * ckk],
@@ -222,7 +215,16 @@ impl Layer for Conv2d {
         self.out_channels * self.out_len()
     }
 
-    fn forward(&mut self, input: &Matrix, output: &mut Matrix, _train: bool) {
+    fn param_count(&self) -> usize {
+        self.out_channels * self.ckk() + self.out_channels
+    }
+
+    fn init_params(&self, params: &mut [f32], init: &mut InitRng) {
+        let ckk = self.ckk();
+        init.he_uniform(&mut params[..self.out_channels * ckk], ckk);
+    }
+
+    fn forward(&mut self, params: &[f32], input: &Matrix, output: &mut Matrix, _train: bool) {
         let batch = input.rows();
         assert_eq!(
             input.cols(),
@@ -235,13 +237,13 @@ impl Layer for Conv2d {
         let in_dim = self.input_dim();
         let ckk = self.ckk();
         let l = self.out_len();
+        let (w, bias) = params.split_at(self.out_channels * ckk);
         for s in 0..batch {
             // unfold straight out of the caller's batch row — no copy
             geom.im2col(
                 &input.as_slice()[s * in_dim..(s + 1) * in_dim],
                 &mut self.cols,
             );
-            let (w, bias) = self.params.split_at(self.out_channels * ckk);
             let out_row = output.row_mut(s);
             // out (out_c × L) = W (out_c × ckk) · cols (ckk × L)
             gemm_into(self.out_channels, ckk, l, w, &self.cols, out_row);
@@ -256,6 +258,8 @@ impl Layer for Conv2d {
 
     fn backward(
         &mut self,
+        params: &[f32],
+        grads: &mut [f32],
         input: &Matrix,
         _output: &Matrix,
         grad_out: &Matrix,
@@ -296,13 +300,13 @@ impl Layer for Conv2d {
                 &self.cols,
                 &mut self.dw_tmp,
             );
-            for (g, d) in self.grads[..wlen].iter_mut().zip(&self.dw_tmp) {
+            for (g, d) in grads[..wlen].iter_mut().zip(&self.dw_tmp) {
                 *g += d;
             }
             // db += row sums of dY
             for oc in 0..self.out_channels {
                 let sum: f32 = dy[oc * l..(oc + 1) * l].iter().sum();
-                self.grads[wlen + oc] += sum;
+                grads[wlen + oc] += sum;
             }
             // dX, only when a layer below reads it.
             // dcols = Wᵀ · dY : accumulate kernel needs zeroed target
@@ -312,33 +316,13 @@ impl Layer for Conv2d {
                     ckk,
                     self.out_channels,
                     l,
-                    &self.params[..wlen],
+                    &params[..wlen],
                     dy,
                     &mut self.dcols,
                 );
                 geom.col2im(&self.dcols, grad_in.row_mut(s));
             }
         }
-    }
-
-    fn params(&self) -> &[f32] {
-        &self.params
-    }
-
-    fn params_mut(&mut self) -> &mut [f32] {
-        &mut self.params
-    }
-
-    fn grads(&self) -> &[f32] {
-        &self.grads
-    }
-
-    fn grads_mut(&mut self) -> &mut [f32] {
-        &mut self.grads
-    }
-
-    fn params_and_grads(&mut self) -> (&mut [f32], &[f32]) {
-        (&mut self.params, &self.grads)
     }
 }
 
@@ -393,7 +377,7 @@ impl Layer for MaxPool2d {
         self.input.channels * self.out_h * self.out_w
     }
 
-    fn forward(&mut self, input: &Matrix, output: &mut Matrix, train: bool) {
+    fn forward(&mut self, _params: &[f32], input: &Matrix, output: &mut Matrix, train: bool) {
         let batch = input.rows();
         assert_eq!(
             input.cols(),
@@ -444,6 +428,8 @@ impl Layer for MaxPool2d {
 
     fn backward(
         &mut self,
+        _params: &[f32],
+        _grads: &mut [f32],
         _input: &Matrix,
         _output: &Matrix,
         grad_out: &Matrix,
@@ -473,12 +459,18 @@ impl Layer for MaxPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo::InitRng;
+
+    /// The seed's initial parameters of `c` — the storage a model would
+    /// lend it.
+    fn init_params(c: &Conv2d, seed: u64) -> Vec<f32> {
+        let mut params = vec![0.0; c.param_count()];
+        c.init_params(&mut params, &mut InitRng::new(seed));
+        params
+    }
 
     #[test]
     fn conv_output_geometry() {
-        let mut init = InitRng::new(1);
-        let c = Conv2d::new(Shape2d::new(3, 32, 32), 16, 5, 1, 2, &mut init);
+        let c = Conv2d::new(Shape2d::new(3, 32, 32), 16, 5, 1, 2);
         assert_eq!(c.output_shape(), Shape2d::new(16, 32, 32));
         assert_eq!(c.param_count(), 16 * 3 * 25 + 16);
     }
@@ -486,28 +478,28 @@ mod tests {
     #[test]
     fn conv_identity_kernel_passthrough() {
         // 1x1 kernel, single channel, weight 1, bias 0 → identity map.
-        let mut init = InitRng::new(2);
-        let mut c = Conv2d::new(Shape2d::new(1, 3, 3), 1, 1, 1, 0, &mut init);
-        c.params_mut()[0] = 1.0;
-        c.params_mut()[1] = 0.0;
+        let mut c = Conv2d::new(Shape2d::new(1, 3, 3), 1, 1, 1, 0);
+        let mut params = init_params(&c, 2);
+        params[0] = 1.0;
+        params[1] = 0.0;
         let x = Matrix::from_fn(1, 9, |_, i| i as f32);
         let mut y = Matrix::zeros(0, 0);
-        c.forward(&x, &mut y, false);
+        c.forward(&params, &x, &mut y, false);
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
     #[test]
     fn conv_known_3x3_sum_kernel() {
         // 3x3 all-ones kernel, no padding, on a 3x3 input sums the input.
-        let mut init = InitRng::new(3);
-        let mut c = Conv2d::new(Shape2d::new(1, 3, 3), 1, 3, 1, 0, &mut init);
-        for w in c.params_mut()[..9].iter_mut() {
+        let mut c = Conv2d::new(Shape2d::new(1, 3, 3), 1, 3, 1, 0);
+        let mut params = init_params(&c, 3);
+        for w in params[..9].iter_mut() {
             *w = 1.0;
         }
-        c.params_mut()[9] = 0.5; // bias
+        params[9] = 0.5; // bias
         let x = Matrix::from_fn(1, 9, |_, i| (i + 1) as f32);
         let mut y = Matrix::zeros(0, 0);
-        c.forward(&x, &mut y, false);
+        c.forward(&params, &x, &mut y, false);
         assert_eq!(y.shape(), (1, 1));
         assert!((y.row(0)[0] - 45.5).abs() < 1e-5);
     }
@@ -515,15 +507,15 @@ mod tests {
     #[test]
     fn conv_padding_zero_extends() {
         // 3x3 ones kernel with padding 1 on a 1x1 input: output = input value.
-        let mut init = InitRng::new(4);
-        let mut c = Conv2d::new(Shape2d::new(1, 1, 1), 1, 3, 1, 1, &mut init);
-        for w in c.params_mut()[..9].iter_mut() {
+        let mut c = Conv2d::new(Shape2d::new(1, 1, 1), 1, 3, 1, 1);
+        let mut params = init_params(&c, 4);
+        for w in params[..9].iter_mut() {
             *w = 1.0;
         }
-        c.params_mut()[9] = 0.0;
+        params[9] = 0.0;
         let x = Matrix::from_vec(1, 1, vec![7.0]);
         let mut y = Matrix::zeros(0, 0);
-        c.forward(&x, &mut y, false);
+        c.forward(&params, &x, &mut y, false);
         assert_eq!(y.as_slice(), &[7.0]);
     }
 
@@ -533,7 +525,7 @@ mod tests {
         let mut p = MaxPool2d::new(p_in, 2);
         let x = Matrix::from_fn(1, 16, |_, i| i as f32);
         let mut y = Matrix::zeros(0, 0);
-        p.forward(&x, &mut y, false);
+        p.forward(&[], &x, &mut y, false);
         assert_eq!(y.as_slice(), &[5.0, 7.0, 13.0, 15.0]);
     }
 
@@ -542,10 +534,10 @@ mod tests {
         let mut p = MaxPool2d::new(Shape2d::new(1, 2, 2), 2);
         let x = Matrix::from_vec(1, 4, vec![1.0, 9.0, 3.0, 2.0]);
         let mut y = Matrix::zeros(0, 0);
-        p.forward(&x, &mut y, true);
+        p.forward(&[], &x, &mut y, true);
         let g = Matrix::from_vec(1, 1, vec![4.0]);
         let mut gi = Matrix::zeros(0, 0);
-        p.backward(&x, &y, &g, Some(&mut gi));
+        p.backward(&[], &mut [], &x, &y, &g, Some(&mut gi));
         assert_eq!(gi.as_slice(), &[0.0, 4.0, 0.0, 0.0]);
     }
 
@@ -558,37 +550,37 @@ mod tests {
         let nan = f32::NAN;
         let x = Matrix::from_vec(1, 8, vec![1.0, 2.0, 3.0, 4.0, nan, nan, nan, nan]);
         let mut y = Matrix::zeros(0, 0);
-        p.forward(&x, &mut y, true);
+        p.forward(&[], &x, &mut y, true);
         assert_eq!(y.row(0)[0], 4.0);
         assert!(y.row(0)[1].is_nan(), "NaN window must propagate");
         let g = Matrix::from_vec(1, 2, vec![10.0, 7.0]);
         let mut gi = Matrix::zeros(0, 0);
-        p.backward(&x, &y, &g, Some(&mut gi));
+        p.backward(&[], &mut [], &x, &y, &g, Some(&mut gi));
         assert_eq!(gi.as_slice(), &[0.0, 0.0, 0.0, 10.0, 7.0, 0.0, 0.0, 0.0]);
 
         // same for a window of −∞ only
         let ninf = f32::NEG_INFINITY;
         let x = Matrix::from_vec(1, 8, vec![1.0, 2.0, 3.0, 4.0, ninf, ninf, ninf, ninf]);
-        p.forward(&x, &mut y, true);
+        p.forward(&[], &x, &mut y, true);
         assert_eq!(y.as_slice(), &[4.0, ninf]);
-        p.backward(&x, &y, &g, Some(&mut gi));
+        p.backward(&[], &mut [], &x, &y, &g, Some(&mut gi));
         assert_eq!(gi.as_slice(), &[0.0, 0.0, 0.0, 10.0, 7.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn conv_batch_matches_single_sample_runs() {
-        let mut init = InitRng::new(5);
-        let mut c = Conv2d::new(Shape2d::new(2, 5, 5), 3, 3, 1, 1, &mut init);
+        let mut c = Conv2d::new(Shape2d::new(2, 5, 5), 3, 3, 1, 1);
+        let params = init_params(&c, 5);
         let x = Matrix::from_fn(2, 50, |r, i| ((r * 50 + i) as f32).sin());
         let mut y_batch = Matrix::zeros(0, 0);
-        c.forward(&x, &mut y_batch, false);
+        c.forward(&params, &x, &mut y_batch, false);
 
         let x0 = Matrix::from_vec(1, 50, x.row(0).to_vec());
         let x1 = Matrix::from_vec(1, 50, x.row(1).to_vec());
         let mut y0 = Matrix::zeros(0, 0);
         let mut y1 = Matrix::zeros(0, 0);
-        c.forward(&x0, &mut y0, false);
-        c.forward(&x1, &mut y1, false);
+        c.forward(&params, &x0, &mut y0, false);
+        c.forward(&params, &x1, &mut y1, false);
         assert_eq!(y_batch.row(0), y0.row(0));
         assert_eq!(y_batch.row(1), y1.row(0));
     }

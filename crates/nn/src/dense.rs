@@ -1,38 +1,29 @@
 //! Fully-connected (dense) layer.
 
 use crate::layer::{ensure_shape, Layer};
+use crate::zoo::InitRng;
 use skiptrain_linalg::{gemm_a_bt_into, gemm_at_b_into, Matrix};
 
 /// A dense layer computing `Y = X · W + b`.
 ///
 /// Parameters are packed contiguously as `[W (in×out, row-major) | b (out)]`
-/// so the model can expose one flat parameter vector for gossip exchange,
-/// and all three GEMMs of the layer run directly on the packed slice with no
-/// copies. The layer keeps no activation: the weight-gradient GEMM reads the
-/// forward input the caller hands back to `backward`.
+/// — one span of the model's flat parameter vector — and all three GEMMs of
+/// the layer run directly on the borrowed slice with no copies. The layer
+/// keeps neither parameters nor activations: the weight-gradient GEMM reads
+/// the forward input the caller hands back to `backward`.
 pub struct Dense {
     input_dim: usize,
     output_dim: usize,
-    /// `[W | b]`, `input_dim * output_dim + output_dim` values.
-    params: Vec<f32>,
-    grads: Vec<f32>,
 }
 
 impl Dense {
-    /// Creates a dense layer with He-uniform initialized weights and zero
-    /// bias (PyTorch's `nn.Linear` default family).
-    pub fn new(input_dim: usize, output_dim: usize, init: &mut crate::zoo::InitRng) -> Self {
-        let n = input_dim * output_dim + output_dim;
-        let mut params = vec![0.0f32; n];
-        let bound = (6.0f32 / input_dim as f32).sqrt();
-        for w in params[..input_dim * output_dim].iter_mut() {
-            *w = init.uniform(-bound, bound);
-        }
+    /// Creates a dense layer; [`Layer::init_params`] draws He-uniform
+    /// weights and leaves the bias zero (PyTorch's `nn.Linear` default
+    /// family).
+    pub fn new(input_dim: usize, output_dim: usize) -> Self {
         Self {
             input_dim,
             output_dim,
-            params,
-            grads: vec![0.0f32; n],
         }
     }
 
@@ -55,7 +46,15 @@ impl Layer for Dense {
         self.output_dim
     }
 
-    fn forward(&mut self, input: &Matrix, output: &mut Matrix, _train: bool) {
+    fn param_count(&self) -> usize {
+        self.weight_len() + self.output_dim
+    }
+
+    fn init_params(&self, params: &mut [f32], init: &mut InitRng) {
+        init.he_uniform(&mut params[..self.weight_len()], self.input_dim);
+    }
+
+    fn forward(&mut self, params: &[f32], input: &Matrix, output: &mut Matrix, _train: bool) {
         let batch = input.rows();
         assert_eq!(
             input.cols(),
@@ -64,7 +63,7 @@ impl Layer for Dense {
         );
         ensure_shape(output, batch, self.output_dim);
 
-        let (w, bias) = self.params.split_at(self.weight_len());
+        let (w, bias) = params.split_at(self.weight_len());
         // Y = X · W: batch-sized, so the direct tile reads X and W in place.
         skiptrain_linalg::gemm_into(
             batch,
@@ -84,6 +83,8 @@ impl Layer for Dense {
 
     fn backward(
         &mut self,
+        params: &[f32],
+        grads: &mut [f32],
         input: &Matrix,
         _output: &Matrix,
         grad_out: &Matrix,
@@ -102,7 +103,7 @@ impl Layer for Dense {
         );
 
         let wlen = self.weight_len();
-        let (dw, db) = self.grads.split_at_mut(wlen);
+        let (dw, db) = grads.split_at_mut(wlen);
         // dW += Xᵀ · dY
         gemm_at_b_into(
             self.input_dim,
@@ -127,52 +128,35 @@ impl Layer for Dense {
                 self.output_dim,
                 self.input_dim,
                 grad_out.as_slice(),
-                &self.params[..wlen],
+                &params[..wlen],
                 grad_in.as_mut_slice(),
             );
         }
-    }
-
-    fn params(&self) -> &[f32] {
-        &self.params
-    }
-
-    fn params_mut(&mut self) -> &mut [f32] {
-        &mut self.params
-    }
-
-    fn grads(&self) -> &[f32] {
-        &self.grads
-    }
-
-    fn grads_mut(&mut self) -> &mut [f32] {
-        &mut self.grads
-    }
-
-    fn params_and_grads(&mut self) -> (&mut [f32], &[f32]) {
-        (&mut self.params, &self.grads)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo::InitRng;
 
-    fn fixed_dense(input_dim: usize, output_dim: usize) -> Dense {
-        let mut init = InitRng::new(42);
-        Dense::new(input_dim, output_dim, &mut init)
+    /// A dense layer, its seed-42 initial parameters and a zeroed gradient
+    /// vector — the storage a model would lend it.
+    fn fixed_dense(input_dim: usize, output_dim: usize) -> (Dense, Vec<f32>, Vec<f32>) {
+        let d = Dense::new(input_dim, output_dim);
+        let mut params = vec![0.0; d.param_count()];
+        d.init_params(&mut params, &mut InitRng::new(42));
+        let grads = vec![0.0; d.param_count()];
+        (d, params, grads)
     }
 
     #[test]
     fn forward_matches_manual_computation() {
-        let mut d = fixed_dense(2, 3);
+        let (mut d, mut params, _) = fixed_dense(2, 3);
         // W = [[1,2,3],[4,5,6]], b = [.1,.2,.3]
-        d.params_mut()
-            .copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.1, 0.2, 0.3]);
+        params.copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.1, 0.2, 0.3]);
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let mut y = Matrix::zeros(0, 0);
-        d.forward(&x, &mut y, false);
+        d.forward(&params, &x, &mut y, false);
         assert_eq!(y.shape(), (1, 3));
         let row = y.row(0);
         assert!((row[0] - 5.1).abs() < 1e-6);
@@ -182,55 +166,54 @@ mod tests {
 
     #[test]
     fn input_gradient_matches_manual() {
-        let mut d = fixed_dense(2, 2);
+        let (mut d, mut params, mut grads) = fixed_dense(2, 2);
         // W = [[1,2],[3,4]], b = 0
-        d.params_mut()
-            .copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 0.0, 0.0]);
+        params.copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 0.0, 0.0]);
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let mut y = Matrix::zeros(0, 0);
-        d.forward(&x, &mut y, true);
+        d.forward(&params, &x, &mut y, true);
         let g = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
         let mut gi = Matrix::zeros(0, 0);
-        d.backward(&x, &y, &g, Some(&mut gi));
+        d.backward(&params, &mut grads, &x, &y, &g, Some(&mut gi));
         // dX = dY · Wᵀ = [1,0]·[[1,3],[2,4]]ᵀ... dX_j = Σ_o g_o W[j][o] = W[j][0]
         assert_eq!(gi.row(0), &[1.0, 3.0]);
         // dW[i][o] = x_i * g_o → [[1,0],[1,0]]; db = [1,0]
-        assert_eq!(&d.grads()[..4], &[1.0, 0.0, 1.0, 0.0]);
-        assert_eq!(&d.grads()[4..], &[1.0, 0.0]);
+        assert_eq!(&grads[..4], &[1.0, 0.0, 1.0, 0.0]);
+        assert_eq!(&grads[4..], &[1.0, 0.0]);
     }
 
     #[test]
     fn param_count_is_w_plus_b() {
-        let d = fixed_dense(7, 5);
+        let (d, ..) = fixed_dense(7, 5);
         assert_eq!(d.param_count(), 7 * 5 + 5);
     }
 
     #[test]
     fn init_is_deterministic_per_seed() {
-        let a = fixed_dense(4, 4);
-        let b = fixed_dense(4, 4);
-        assert_eq!(a.params(), b.params());
+        let (_, a, _) = fixed_dense(4, 4);
+        let (_, b, _) = fixed_dense(4, 4);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn bias_initialized_to_zero() {
-        let d = fixed_dense(3, 2);
-        assert_eq!(&d.params()[6..], &[0.0, 0.0]);
+        let (_, params, _) = fixed_dense(3, 2);
+        assert_eq!(&params[6..], &[0.0, 0.0]);
     }
 
     #[test]
     fn backward_accumulates_gradients() {
-        let mut d = fixed_dense(2, 2);
+        let (mut d, params, mut grads) = fixed_dense(2, 2);
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
         let mut y = Matrix::zeros(0, 0);
-        d.forward(&x, &mut y, true);
+        d.forward(&params, &x, &mut y, true);
         let g = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let mut gi = Matrix::zeros(0, 0);
-        d.backward(&x, &y, &g, Some(&mut gi));
-        let g1 = d.grads().to_vec();
-        d.forward(&x, &mut y, true);
-        d.backward(&x, &y, &g, Some(&mut gi));
-        for (a, b) in d.grads().iter().zip(&g1) {
+        d.backward(&params, &mut grads, &x, &y, &g, Some(&mut gi));
+        let g1 = grads.clone();
+        d.forward(&params, &x, &mut y, true);
+        d.backward(&params, &mut grads, &x, &y, &g, Some(&mut gi));
+        for (a, b) in grads.iter().zip(&g1) {
             assert!((a - 2.0 * b).abs() < 1e-5, "gradient did not accumulate");
         }
     }

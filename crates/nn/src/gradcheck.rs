@@ -106,7 +106,6 @@ mod tests {
     use crate::activations::{Relu, Tanh};
     use crate::conv::{Conv2d, MaxPool2d, Shape2d};
     use crate::dense::Dense;
-    use crate::zoo::InitRng;
     use rand::rngs::SmallRng;
     use rand::{RngExt, SeedableRng};
 
@@ -143,12 +142,14 @@ mod tests {
 
     #[test]
     fn tanh_mlp_gradients_verify() {
-        let mut init = InitRng::new(3);
-        let mut model = Sequential::new(vec![
-            Box::new(Dense::new(5, 7, &mut init)),
-            Box::new(Tanh::new(7)),
-            Box::new(Dense::new(7, 3, &mut init)),
-        ]);
+        let mut model = Sequential::new(
+            vec![
+                Box::new(Dense::new(5, 7)),
+                Box::new(Tanh::new(7)),
+                Box::new(Dense::new(7, 3)),
+            ],
+            3,
+        );
         let loss = SoftmaxCrossEntropy::new(3);
         let (x, y) = random_batch(4, 5, 3, 3);
         let report = check_gradients(&mut model, &loss, &x, &y, 1e-2, 80);
@@ -159,13 +160,15 @@ mod tests {
     fn gradients_verify_when_the_sweep_stops_above_layer_zero() {
         // the lowest layer with parameters is layer 1: it gets no input
         // gradient buffer and the activation below it is never visited
-        let mut init = InitRng::new(8);
-        let mut model = Sequential::new(vec![
-            Box::new(Tanh::new(5)),
-            Box::new(Dense::new(5, 7, &mut init)),
-            Box::new(Tanh::new(7)),
-            Box::new(Dense::new(7, 3, &mut init)),
-        ]);
+        let mut model = Sequential::new(
+            vec![
+                Box::new(Tanh::new(5)),
+                Box::new(Dense::new(5, 7)),
+                Box::new(Tanh::new(7)),
+                Box::new(Dense::new(7, 3)),
+            ],
+            8,
+        );
         let loss = SoftmaxCrossEntropy::new(3);
         let (x, y) = random_batch(4, 5, 3, 6);
         let report = check_gradients(&mut model, &loss, &x, &y, 1e-2, 80);
@@ -178,19 +181,21 @@ mod tests {
 
     #[test]
     fn conv_pool_gradients_verify() {
-        let mut init = InitRng::new(4);
         let s0 = Shape2d::new(2, 6, 6);
-        let c1 = Conv2d::new(s0, 3, 3, 1, 1, &mut init);
+        let c1 = Conv2d::new(s0, 3, 3, 1, 1);
         let s1 = c1.output_shape();
         let p1 = MaxPool2d::new(s1, 2);
         let s2 = p1.output_shape();
-        let fc = Dense::new(s2.len(), 4, &mut init);
-        let mut model = Sequential::new(vec![
-            Box::new(c1),
-            Box::new(Relu::new(s1.len())),
-            Box::new(p1),
-            Box::new(fc),
-        ]);
+        let fc = Dense::new(s2.len(), 4);
+        let mut model = Sequential::new(
+            vec![
+                Box::new(c1),
+                Box::new(Relu::new(s1.len())),
+                Box::new(p1),
+                Box::new(fc),
+            ],
+            4,
+        );
         let loss = SoftmaxCrossEntropy::new(4);
         let (x, y) = random_batch(3, s0.len(), 4, 4);
         let report = check_gradients(&mut model, &loss, &x, &y, 1e-2, 150);
@@ -199,16 +204,14 @@ mod tests {
 
     #[test]
     fn strided_conv_gradients_verify() {
-        let mut init = InitRng::new(6);
         let s0 = Shape2d::new(1, 7, 7);
-        let c1 = Conv2d::new(s0, 2, 3, 2, 0, &mut init);
+        let c1 = Conv2d::new(s0, 2, 3, 2, 0);
         let s1 = c1.output_shape();
-        let fc = Dense::new(s1.len(), 3, &mut init);
-        let mut model = Sequential::new(vec![
-            Box::new(c1),
-            Box::new(Relu::new(s1.len())),
-            Box::new(fc),
-        ]);
+        let fc = Dense::new(s1.len(), 3);
+        let mut model = Sequential::new(
+            vec![Box::new(c1), Box::new(Relu::new(s1.len())), Box::new(fc)],
+            6,
+        );
         let loss = SoftmaxCrossEntropy::new(3);
         let (x, y) = random_batch(2, s0.len(), 3, 5);
         let report = check_gradients(&mut model, &loss, &x, &y, 1e-2, 100);

@@ -5,6 +5,7 @@
 //! axis as a flattened `channels × height × width` volume; because the
 //! layout is row-major and contiguous, no reshapes are ever materialized.
 
+use crate::zoo::InitRng;
 use skiptrain_linalg::Matrix;
 
 /// A differentiable layer.
@@ -18,15 +19,18 @@ use skiptrain_linalg::Matrix;
 ///   layer ignores it.
 /// * [`backward`](Layer::backward) receives the `input` and `output` of the
 ///   last `forward` on this batch (unchanged since), consumes `grad_out`
-///   (`batch × output_dim`) and accumulates parameter gradients
-///   internally. With `grad_in = Some(g)` it also writes the gradient
+///   (`batch × output_dim`) and accumulates parameter gradients into
+///   `grads`. With `grad_in = Some(g)` it also writes the gradient
 ///   w.r.t. `input` into `g` (`batch × input_dim`); with `None` nobody
 ///   reads that gradient, so the layer must not compute it — a layer
 ///   without parameters then has nothing to do. For layers with
 ///   forward-only state it must follow a `forward` with `train = true`.
-/// * Parameters and their gradients are exposed as single contiguous slices
-///   so models can be flattened for gossip exchange without copying
-///   layer-by-layer structure around.
+/// * A layer is a shape plus its forward-only state: it owns neither its
+///   parameters nor their gradients. Both passes are handed `params`, and
+///   `backward` the aligned `grads`, as slices of exactly
+///   [`param_count`](Layer::param_count) values cut from the model's one
+///   flat vector of each — the vector that is trained, shared and averaged
+///   is the one the kernels read, wherever its owner keeps it.
 pub trait Layer: Send {
     /// Human-readable layer kind, used in the model's shape-mismatch message.
     fn name(&self) -> &'static str;
@@ -37,49 +41,28 @@ pub trait Layer: Send {
     /// Number of output features per sample.
     fn output_dim(&self) -> usize;
 
+    /// Number of trainable parameters (0 for stateless layers).
+    fn param_count(&self) -> usize {
+        0
+    }
+
+    /// Writes the layer's initial parameters into `params` (all zero on
+    /// entry), drawing from `init` in flatten order.
+    fn init_params(&self, _params: &mut [f32], _init: &mut InitRng) {}
+
     /// Forward pass. See trait docs for the buffer contract.
-    fn forward(&mut self, input: &Matrix, output: &mut Matrix, train: bool);
+    fn forward(&mut self, params: &[f32], input: &Matrix, output: &mut Matrix, train: bool);
 
     /// Backward pass. See trait docs for the buffer contract.
     fn backward(
         &mut self,
+        params: &[f32],
+        grads: &mut [f32],
         input: &Matrix,
         output: &Matrix,
         grad_out: &Matrix,
         grad_in: Option<&mut Matrix>,
     );
-
-    /// Flat view of the trainable parameters (empty for stateless layers).
-    fn params(&self) -> &[f32] {
-        &[]
-    }
-
-    /// Mutable flat view of the trainable parameters.
-    fn params_mut(&mut self) -> &mut [f32] {
-        &mut []
-    }
-
-    /// Flat view of the parameter gradients, aligned with [`params`](Layer::params).
-    fn grads(&self) -> &[f32] {
-        &[]
-    }
-
-    /// Mutable flat view of the parameter gradients.
-    fn grads_mut(&mut self) -> &mut [f32] {
-        &mut []
-    }
-
-    /// Mutable parameters together with their (read-only) gradients, for the
-    /// optimizer update. Layers with state implement this as a disjoint
-    /// field borrow; stateless layers return empty slices.
-    fn params_and_grads(&mut self) -> (&mut [f32], &[f32]) {
-        (&mut [], &[])
-    }
-
-    /// Number of trainable parameters.
-    fn param_count(&self) -> usize {
-        self.params().len()
-    }
 }
 
 /// Resizes `m` to `rows × cols` if needed, reusing the allocation when the
@@ -108,11 +91,13 @@ mod tests {
         fn output_dim(&self) -> usize {
             3
         }
-        fn forward(&mut self, input: &Matrix, output: &mut Matrix, _train: bool) {
+        fn forward(&mut self, _params: &[f32], input: &Matrix, output: &mut Matrix, _train: bool) {
             output.as_mut_slice().copy_from_slice(input.as_slice());
         }
         fn backward(
             &mut self,
+            _params: &[f32],
+            _grads: &mut [f32],
             _input: &Matrix,
             _output: &Matrix,
             grad_out: &Matrix,
@@ -126,11 +111,12 @@ mod tests {
 
     #[test]
     fn default_param_views_are_empty() {
-        let mut l = Stateless;
-        assert!(l.params().is_empty());
-        assert!(l.params_mut().is_empty());
-        assert!(l.grads().is_empty());
+        let l = Stateless;
         assert_eq!(l.param_count(), 0);
+        // a stateless layer draws nothing from the initializer stream
+        let (mut used, mut fresh) = (InitRng::new(1), InitRng::new(1));
+        l.init_params(&mut [], &mut used);
+        assert_eq!(used.uniform(0.0, 1.0), fresh.uniform(0.0, 1.0));
     }
 
     #[test]

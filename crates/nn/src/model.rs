@@ -1,13 +1,24 @@
-//! Sequential model container with flat parameter access.
+//! Sequential model container: an architecture over one flat parameter
+//! vector.
 //!
 //! Decentralized learning treats a model as an opaque parameter vector `x`
 //! that is trained locally, shared with neighbors, and averaged. The
-//! [`Sequential`] container therefore makes flatten/unflatten first-class:
-//! [`Sequential::copy_params_to`] and [`Sequential::load_params`] move the
-//! full parameter vector in and out without any per-layer bookkeeping on the
-//! caller's side.
+//! [`Sequential`] container therefore holds exactly that: **one** flat
+//! parameter vector and **one** flat gradient vector, of which every layer
+//! is handed its span for the duration of a pass. Layers own neither.
+//!
+//! A stand-alone model owns its vector: it is initialized at construction,
+//! [`Sequential::copy_params_to`] / [`Sequential::load_params`] copy it out
+//! and in. A caller that already keeps the vector somewhere — the engine
+//! keeps one per node, and one gradient workspace per block of nodes —
+//! *lends* it instead: [`Sequential::swap_params`] and
+//! [`Sequential::swap_grads`] exchange the storage in O(1), the passes run
+//! on the caller's buffer where it lies, and a second swap takes it back.
+//! While its parameters are lent out the model holds an empty vector and
+//! [`Sequential::forward`] refuses to run.
 
 use crate::layer::Layer;
+use crate::zoo::InitRng;
 use skiptrain_linalg::Matrix;
 
 /// A stack of layers executed in order.
@@ -18,6 +29,13 @@ use skiptrain_linalg::Matrix;
 /// layers cache neither.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// Layer `i`'s span of both flat vectors is `offsets[i]..offsets[i + 1]`.
+    offsets: Vec<usize>,
+    /// The flat parameter vector `x`; empty while lent out.
+    params: Vec<f32>,
+    /// The flat gradient vector, aligned with `params`; sized by the first
+    /// [`Sequential::zero_grads`] (or backward sweep), not at construction.
+    grads: Vec<f32>,
     /// Output activation buffer per layer (workhorse, reused across batches).
     acts: Vec<Matrix>,
     /// Ping-pong gradient buffers for the backward sweep.
@@ -30,12 +48,14 @@ pub struct Sequential {
 }
 
 impl Sequential {
-    /// Builds a model from layers.
+    /// Builds a model from layers and initializes its parameters: every
+    /// layer draws its span from one [`InitRng`] stream of `seed`, in
+    /// flatten order.
     ///
     /// # Panics
     /// Panics if `layers` is empty or if consecutive layer dimensions do not
     /// line up.
-    pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
+    pub fn new(layers: Vec<Box<dyn Layer>>, seed: u64) -> Self {
         assert!(!layers.is_empty(), "model needs at least one layer");
         for pair in layers.windows(2) {
             assert_eq!(
@@ -49,13 +69,26 @@ impl Sequential {
             );
         }
         let acts = layers.iter().map(|_| Matrix::zeros(0, 0)).collect();
-        let param_count = layers.iter().map(|l| l.param_count()).sum();
+        let mut param_count = 0;
+        let mut offsets = vec![0];
+        for layer in &layers {
+            param_count += layer.param_count();
+            offsets.push(param_count);
+        }
+        let mut params = vec![0.0f32; param_count];
+        let mut init = InitRng::new(seed);
+        for (layer, span) in layers.iter().zip(offsets.windows(2)) {
+            layer.init_params(&mut params[span[0]..span[1]], &mut init);
+        }
         let lowest_trainable = layers
             .iter()
             .position(|l| l.param_count() > 0)
             .unwrap_or(layers.len());
         Self {
             layers,
+            offsets,
+            params,
+            grads: Vec::new(),
             acts,
             gbuf_a: Matrix::zeros(0, 0),
             gbuf_b: Matrix::zeros(0, 0),
@@ -84,15 +117,24 @@ impl Sequential {
     ///
     /// With `train = true`, layers with forward-only state (pooling
     /// argmaxes) record what the backward pass must replay.
+    ///
+    /// # Panics
+    /// Panics if the input width is wrong or the parameters are lent out.
     pub fn forward(&mut self, input: &Matrix, train: bool) -> &Matrix {
         assert_eq!(
             input.cols(),
             self.input_dim(),
             "model forward: input dim mismatch"
         );
+        assert_eq!(
+            self.params.len(),
+            self.param_count,
+            "model forward: parameters are lent out"
+        );
         let mut src: &Matrix = input;
-        for (layer, act) in self.layers.iter_mut().zip(self.acts.iter_mut()) {
-            layer.forward(src, act, train);
+        for (i, (layer, act)) in self.layers.iter_mut().zip(&mut self.acts).enumerate() {
+            let span = self.offsets[i]..self.offsets[i + 1];
+            layer.forward(&self.params[span], src, act, train);
             src = act;
         }
         // lint:allow(no_panic, "provably infallible: acts is built one-to-one with the non-empty layer stack")
@@ -100,7 +142,8 @@ impl Sequential {
     }
 
     /// Runs the backward sweep from the logit gradient, accumulating
-    /// parameter gradients in every layer.
+    /// parameter gradients into the flat gradient vector (zeroed first if
+    /// it does not have the model's size yet).
     ///
     /// Must follow a `forward(input, train = true)` on the same `input`.
     /// The sweep walks from the top layer down to the lowest layer that has
@@ -109,8 +152,19 @@ impl Sequential {
     /// two-layer MLP step's multiply–adds) and the parameterless layers
     /// below it are not visited.
     pub fn backward(&mut self, input: &Matrix, grad_logits: &Matrix) {
+        assert_eq!(
+            self.params.len(),
+            self.param_count,
+            "model backward: parameters are lent out"
+        );
+        if self.grads.len() != self.param_count {
+            self.zero_grads();
+        }
         let Self {
             layers,
+            offsets,
+            params,
+            grads,
             acts,
             gbuf_a,
             gbuf_b,
@@ -124,74 +178,88 @@ impl Sequential {
         let mut cur: &mut Matrix = gbuf_a;
         let mut next: &mut Matrix = gbuf_b;
         for i in (*lowest_trainable..n).rev() {
+            let (lo, hi) = (offsets[i], offsets[i + 1]);
             let layer_in = if i == 0 { input } else { &acts[i - 1] };
             let grad_out = if i == n - 1 { grad_logits } else { &*next };
             let grad_in = (i > *lowest_trainable).then_some(&mut *cur);
-            layers[i].backward(layer_in, &acts[i], grad_out, grad_in);
+            layers[i].backward(
+                &params[lo..hi],
+                &mut grads[lo..hi],
+                layer_in,
+                &acts[i],
+                grad_out,
+                grad_in,
+            );
             std::mem::swap(&mut cur, &mut next);
         }
     }
 
-    /// Zeroes all accumulated parameter gradients.
+    /// Zeroes the flat gradient vector, sizing it to the model first.
     pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.grads_mut().fill(0.0);
-        }
+        self.grads.resize(self.param_count, 0.0);
+        self.grads.fill(0.0);
+    }
+
+    /// Exchanges the model's parameter storage with `other` in O(1): a
+    /// caller lends its own vector for the passes that follow and takes it
+    /// back with a second call, or takes the model's vector for good by
+    /// handing in an empty one.
+    ///
+    /// # Panics
+    /// Panics if `other` is neither empty nor `self.param_count()` long.
+    pub fn swap_params(&mut self, other: &mut Vec<f32>) {
+        assert!(
+            other.is_empty() || other.len() == self.param_count,
+            "flat parameter length mismatch"
+        );
+        std::mem::swap(&mut self.params, other);
+    }
+
+    /// Exchanges the model's gradient storage with `other` in O(1), so
+    /// several models can accumulate into one workspace in turn. Any length
+    /// is accepted: [`Sequential::zero_grads`] sizes what it is given.
+    pub fn swap_grads(&mut self, other: &mut Vec<f32>) {
+        std::mem::swap(&mut self.grads, other);
     }
 
     /// Copies the flattened parameter vector into `out` (resized to fit).
     pub fn copy_params_to(&self, out: &mut Vec<f32>) {
         out.clear();
-        out.reserve(self.param_count);
-        for layer in &self.layers {
-            out.extend_from_slice(layer.params());
-        }
+        out.extend_from_slice(&self.params);
     }
 
     /// Returns the flattened parameter vector.
     pub fn flat_params(&self) -> Vec<f32> {
-        let mut v = Vec::new();
-        self.copy_params_to(&mut v);
-        v
+        self.params.clone()
     }
 
     /// Copies the flattened gradient vector into `out` (resized to fit).
     pub fn copy_grads_to(&self, out: &mut Vec<f32>) {
         out.clear();
-        out.reserve(self.param_count);
-        for layer in &self.layers {
-            out.extend_from_slice(layer.grads());
-        }
+        out.extend_from_slice(&self.grads);
     }
 
     /// Loads a flattened parameter vector produced by [`copy_params_to`]
-    /// (e.g. an aggregated neighbor model).
+    /// (e.g. an aggregated neighbor model) by copying it.
     ///
     /// # Panics
     /// Panics if `flat.len() != self.param_count()`.
+    ///
+    /// [`copy_params_to`]: Sequential::copy_params_to
     pub fn load_params(&mut self, flat: &[f32]) {
         assert_eq!(
             flat.len(),
             self.param_count,
             "flat parameter length mismatch"
         );
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            let p = layer.params_mut();
-            p.copy_from_slice(&flat[offset..offset + p.len()]);
-            offset += p.len();
-        }
+        self.params.clear();
+        self.params.extend_from_slice(flat);
     }
 
-    /// Visits `(params, grads)` slices of every parameterized layer, in
-    /// flatten order — the optimizer hook.
-    pub fn for_each_param_block(&mut self, mut f: impl FnMut(&mut [f32], &[f32])) {
-        for layer in &mut self.layers {
-            let (params, grads) = layer.params_and_grads();
-            if !params.is_empty() {
-                f(params, grads);
-            }
-        }
+    /// The parameters together with their (read-only) gradients — the
+    /// optimizer's view.
+    pub(crate) fn params_and_grads(&mut self) -> (&mut [f32], &[f32]) {
+        (&mut self.params, &self.grads)
     }
 }
 
@@ -201,17 +269,18 @@ mod tests {
     use crate::activations::{Relu, Tanh};
     use crate::conv::{Conv2d, MaxPool2d, Shape2d};
     use crate::dense::Dense;
-    use crate::zoo::InitRng;
     use rand::rngs::SmallRng;
     use rand::{RngExt, SeedableRng};
 
     fn tiny_mlp(seed: u64) -> Sequential {
-        let mut init = InitRng::new(seed);
-        Sequential::new(vec![
-            Box::new(Dense::new(4, 6, &mut init)),
-            Box::new(Relu::new(6)),
-            Box::new(Dense::new(6, 3, &mut init)),
-        ])
+        Sequential::new(
+            vec![
+                Box::new(Dense::new(4, 6)),
+                Box::new(Relu::new(6)),
+                Box::new(Dense::new(6, 3)),
+            ],
+            seed,
+        )
     }
 
     #[test]
@@ -288,7 +357,6 @@ mod tests {
     /// and the index of the lowest one with parameters.
     fn random_stack(seed: u64) -> (Vec<Box<dyn Layer>>, usize) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut init = InitRng::new(seed);
         let mut layers: Vec<Box<dyn Layer>> = Vec::new();
         // `shape` is Some while the activations are still a c×h×w volume
         let mut shape = rng
@@ -301,8 +369,7 @@ mod tests {
             let layer: Box<dyn Layer> = match (rng.random_range(0..5u32), shape) {
                 (0, Some(s)) if s.height >= 3 => {
                     let (stride, padding) = (rng.random_range(1..3), rng.random_range(0..2));
-                    let conv =
-                        Conv2d::new(s, rng.random_range(1..4), 3, stride, padding, &mut init);
+                    let conv = Conv2d::new(s, rng.random_range(1..4), 3, stride, padding);
                     shape = Some(conv.output_shape());
                     Box::new(conv)
                 }
@@ -313,7 +380,7 @@ mod tests {
                 }
                 (0..=2, _) => {
                     shape = None;
-                    Box::new(Dense::new(dim, rng.random_range(2..9), &mut init))
+                    Box::new(Dense::new(dim, rng.random_range(2..9)))
                 }
                 (3, _) => Box::new(Relu::new(dim)),
                 _ => Box::new(Tanh::new(dim)),
@@ -330,11 +397,22 @@ mod tests {
     /// Reference sweep: every layer, top to bottom, is asked for its input
     /// gradient, into a fresh buffer.
     fn full_sweep(m: &mut Sequential, input: &Matrix, grad_logits: &Matrix) {
+        if m.grads.is_empty() {
+            m.zero_grads();
+        }
         let mut grad_out = grad_logits.clone();
         for i in (0..m.layers.len()).rev() {
+            let span = m.offsets[i]..m.offsets[i + 1];
             let layer_in = if i == 0 { input } else { &m.acts[i - 1] };
             let mut grad_in = Matrix::zeros(0, 0);
-            m.layers[i].backward(layer_in, &m.acts[i], &grad_out, Some(&mut grad_in));
+            m.layers[i].backward(
+                &m.params[span.clone()],
+                &mut m.grads[span],
+                layer_in,
+                &m.acts[i],
+                &grad_out,
+                Some(&mut grad_in),
+            );
             grad_out = grad_in;
         }
     }
@@ -349,8 +427,8 @@ mod tests {
             } else {
                 above_zero += 1;
             }
-            let mut short = Sequential::new(layers);
-            let mut full = Sequential::new(random_stack(seed).0);
+            let mut short = Sequential::new(layers, seed);
+            let mut full = Sequential::new(random_stack(seed).0, seed);
             assert_eq!(short.flat_params(), full.flat_params());
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xBAC);
             // two batches of different sizes without zeroing in between:
@@ -387,10 +465,58 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not feed")]
     fn rejects_mismatched_layers() {
-        let mut init = InitRng::new(1);
-        let _ = Sequential::new(vec![
-            Box::new(Dense::new(4, 6, &mut init)),
-            Box::new(Dense::new(5, 3, &mut init)),
-        ]);
+        let _ = Sequential::new(
+            vec![Box::new(Dense::new(4, 6)), Box::new(Dense::new(5, 3))],
+            1,
+        );
+    }
+
+    #[test]
+    fn a_lent_vector_is_trained_where_it_lies_and_comes_back() {
+        let mut owner = tiny_mlp(9);
+        let mut lender = tiny_mlp(9);
+        let x = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1);
+        let g = Matrix::full(3, 3, 0.5);
+        let step = |m: &mut Sequential| {
+            m.zero_grads();
+            let _ = m.forward(&x, true);
+            m.backward(&x, &g);
+            crate::Sgd::new(crate::sgd::SgdConfig::plain(0.1)).step(m);
+        };
+        step(&mut owner);
+
+        // take the vector for good, then lend it (and a cold workspace)
+        let (mut x_i, mut workspace) = (Vec::new(), Vec::new());
+        lender.swap_params(&mut x_i);
+        assert_eq!(x_i.len(), lender.param_count());
+        assert!(lender.flat_params().is_empty());
+        let at = (x_i.as_ptr(), x_i.capacity());
+        lender.swap_params(&mut x_i);
+        lender.swap_grads(&mut workspace);
+        step(&mut lender);
+        lender.swap_grads(&mut workspace);
+        lender.swap_params(&mut x_i);
+
+        assert_eq!((x_i.as_ptr(), x_i.capacity()), at, "trained in place");
+        assert_eq!(workspace.len(), x_i.len(), "zero_grads sizes a workspace");
+        let expected = owner.flat_params();
+        assert!(x_i
+            .iter()
+            .zip(&expected)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    #[test]
+    #[should_panic(expected = "model forward: parameters are lent out")]
+    fn forward_on_lent_out_parameters_fails_by_name() {
+        let mut m = tiny_mlp(2);
+        m.swap_params(&mut Vec::new());
+        let _ = m.forward(&Matrix::zeros(5, 4), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "flat parameter length mismatch")]
+    fn swap_params_rejects_a_vector_of_another_model() {
+        tiny_mlp(2).swap_params(&mut vec![0.0; 5]);
     }
 }

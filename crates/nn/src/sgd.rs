@@ -47,10 +47,8 @@ impl Sgd {
     /// Applies one update `w ← w − η g` using the gradients currently
     /// accumulated in the model.
     pub fn step(&mut self, model: &mut Sequential) {
-        let lr = self.config.lr;
-        model.for_each_param_block(|params, grads| {
-            skiptrain_linalg::ops::axpy(-lr, grads, params);
-        });
+        let (params, grads) = model.params_and_grads();
+        skiptrain_linalg::ops::axpy(-self.config.lr, grads, params);
     }
 }
 
@@ -58,12 +56,10 @@ impl Sgd {
 mod tests {
     use super::*;
     use crate::dense::Dense;
-    use crate::zoo::InitRng;
     use skiptrain_linalg::Matrix;
 
     fn one_layer() -> Sequential {
-        let mut init = InitRng::new(1);
-        Sequential::new(vec![Box::new(Dense::new(2, 2, &mut init))])
+        Sequential::new(vec![Box::new(Dense::new(2, 2))], 1)
     }
 
     fn run_backward(model: &mut Sequential) {

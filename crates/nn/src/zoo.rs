@@ -18,7 +18,8 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Deterministic initializer RNG handed to layer constructors.
+/// Deterministic initializer RNG: a model hands one stream to its layers'
+/// [`init_params`](crate::Layer::init_params), in flatten order.
 pub struct InitRng {
     rng: SmallRng,
 }
@@ -34,6 +35,15 @@ impl InitRng {
     /// Uniform sample in `[lo, hi)`.
     pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
         self.rng.random_range(lo..hi)
+    }
+
+    /// He-uniform weights for `fan_in` inputs per unit: every element of
+    /// `weights`, in order, uniform in `±sqrt(6 / fan_in)`.
+    pub fn he_uniform(&mut self, weights: &mut [f32], fan_in: usize) {
+        let bound = (6.0f32 / fan_in as f32).sqrt();
+        for w in weights {
+            *w = self.uniform(-bound, bound);
+        }
     }
 }
 
@@ -93,47 +103,47 @@ impl ModelKind {
 /// Panics if fewer than two dims are given.
 pub fn mlp(dims: &[usize], seed: u64) -> Sequential {
     assert!(dims.len() >= 2, "mlp needs at least input and output dims");
-    let mut init = InitRng::new(seed);
     let mut layers: Vec<Box<dyn crate::Layer>> = Vec::new();
     for (i, pair) in dims.windows(2).enumerate() {
-        layers.push(Box::new(Dense::new(pair[0], pair[1], &mut init)));
+        layers.push(Box::new(Dense::new(pair[0], pair[1])));
         if i + 2 < dims.len() {
             layers.push(Box::new(Relu::new(pair[1])));
         }
     }
-    Sequential::new(layers)
+    Sequential::new(layers, seed)
 }
 
 /// Softmax regression: one dense layer from inputs to class logits.
 pub fn logistic_regression(input_dim: usize, classes: usize, seed: u64) -> Sequential {
-    let mut init = InitRng::new(seed);
-    Sequential::new(vec![Box::new(Dense::new(input_dim, classes, &mut init))])
+    Sequential::new(vec![Box::new(Dense::new(input_dim, classes))], seed)
 }
 
 /// CIFAR-10-shaped CNN: `conv5×5/32 → relu → pool2 → conv5×5/64 → relu →
 /// pool2 → fc(4096→10)`; 94 666 parameters (Table 1 reports 89 834 for the
 /// paper's unspecified architecture — within 5.4 %).
 pub fn cifar_cnn(seed: u64) -> Sequential {
-    let mut init = InitRng::new(seed);
     let s0 = Shape2d::new(3, 32, 32);
-    let c1 = Conv2d::new(s0, 32, 5, 1, 2, &mut init);
+    let c1 = Conv2d::new(s0, 32, 5, 1, 2);
     let s1 = c1.output_shape();
     let p1 = MaxPool2d::new(s1, 2);
     let s2 = p1.output_shape();
-    let c2 = Conv2d::new(s2, 64, 5, 1, 2, &mut init);
+    let c2 = Conv2d::new(s2, 64, 5, 1, 2);
     let s3 = c2.output_shape();
     let p2 = MaxPool2d::new(s3, 2);
     let s4 = p2.output_shape();
-    let fc = Dense::new(s4.len(), 10, &mut init);
-    Sequential::new(vec![
-        Box::new(c1),
-        Box::new(Relu::new(s1.len())),
-        Box::new(p1),
-        Box::new(c2),
-        Box::new(Relu::new(s3.len())),
-        Box::new(p2),
-        Box::new(fc),
-    ])
+    let fc = Dense::new(s4.len(), 10);
+    Sequential::new(
+        vec![
+            Box::new(c1),
+            Box::new(Relu::new(s1.len())),
+            Box::new(p1),
+            Box::new(c2),
+            Box::new(Relu::new(s3.len())),
+            Box::new(p2),
+            Box::new(fc),
+        ],
+        seed,
+    )
 }
 
 /// The LEAF FEMNIST CNN: `conv5×5/32 → relu → pool2 → conv5×5/64 → relu →
@@ -142,29 +152,31 @@ pub fn cifar_cnn(seed: u64) -> Sequential {
 /// Parameter count: 832 + 51 264 + 1 606 144 + 31 806 = **1 690 046**,
 /// matching Table 1 of the paper exactly.
 pub fn femnist_cnn(seed: u64) -> Sequential {
-    let mut init = InitRng::new(seed);
     let s0 = Shape2d::new(1, 28, 28);
-    let c1 = Conv2d::new(s0, 32, 5, 1, 2, &mut init);
+    let c1 = Conv2d::new(s0, 32, 5, 1, 2);
     let s1 = c1.output_shape();
     let p1 = MaxPool2d::new(s1, 2);
     let s2 = p1.output_shape();
-    let c2 = Conv2d::new(s2, 64, 5, 1, 2, &mut init);
+    let c2 = Conv2d::new(s2, 64, 5, 1, 2);
     let s3 = c2.output_shape();
     let p2 = MaxPool2d::new(s3, 2);
     let s4 = p2.output_shape();
-    let fc1 = Dense::new(s4.len(), 512, &mut init);
-    let fc2 = Dense::new(512, 62, &mut init);
-    Sequential::new(vec![
-        Box::new(c1),
-        Box::new(Relu::new(s1.len())),
-        Box::new(p1),
-        Box::new(c2),
-        Box::new(Relu::new(s3.len())),
-        Box::new(p2),
-        Box::new(fc1),
-        Box::new(Relu::new(512)),
-        Box::new(fc2),
-    ])
+    let fc1 = Dense::new(s4.len(), 512);
+    let fc2 = Dense::new(512, 62);
+    Sequential::new(
+        vec![
+            Box::new(c1),
+            Box::new(Relu::new(s1.len())),
+            Box::new(p1),
+            Box::new(c2),
+            Box::new(Relu::new(s3.len())),
+            Box::new(p2),
+            Box::new(fc1),
+            Box::new(Relu::new(512)),
+            Box::new(fc2),
+        ],
+        seed,
+    )
 }
 
 /// Parameter count of the paper's CIFAR-10 model, per Table 1.

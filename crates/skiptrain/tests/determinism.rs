@@ -61,6 +61,51 @@ fn results_independent_of_thread_count() {
 }
 
 #[test]
+fn training_blocks_that_do_not_divide_the_fleet_move_no_result() {
+    // A worker trains one contiguous block of nodes in one gradient
+    // workspace. 10 nodes are one block of 10 at budget 1, 5 + 5 at 2 and
+    // 2 + 2 + 2 + 2 + 2 at 7 (two workers idle); SkipTrain-constrained
+    // trains a different subset each training round, so blocks also start
+    // and end on nodes that skip. Every round's models, the training-loss
+    // curve's inputs and the energy must not see the blocking.
+    let run_with_threads = |threads: usize| {
+        let mut cfg = config(17);
+        cfg.nodes = 10;
+        cfg.eval_every = 4;
+        cfg.energy = EnergySpec::cifar10_constrained().scaled_for_rounds(cfg.rounds, 1000);
+        cfg.algorithm = AlgorithmSpec::SkipTrainConstrained(Schedule::new(3, 1));
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| run(&cfg))
+    };
+    let single = run_with_threads(1);
+    assert!(single.node_train_events > 10, "the runs must train");
+    for threads in [2, 7] {
+        let multi = run_with_threads(threads);
+        assert_eq!(single.node_train_events, multi.node_train_events);
+        assert!(
+            single
+                .final_mean_model
+                .iter()
+                .zip(&multi.final_mean_model)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{threads} threads moved a parameter"
+        );
+        assert_eq!(
+            serde_json::to_string(&single.test_curve).unwrap(),
+            serde_json::to_string(&multi.test_curve).unwrap(),
+            "{threads} threads moved the curve"
+        );
+        assert_eq!(
+            single.total_training_wh.to_bits(),
+            multi.total_training_wh.to_bits()
+        );
+    }
+}
+
+#[test]
 fn constrained_policy_is_deterministic_end_to_end() {
     let mut cfg = config(14);
     cfg.energy = EnergySpec::cifar10_constrained().scaled_for_rounds(cfg.rounds, 1000);
