@@ -1,4 +1,4 @@
-//! The steady-state allocation pins: thirteen hot-path scenarios that must
+//! The steady-state allocation pins: twelve hot-path scenarios that must
 //! allocate **0 B per step** once warm, at a thread budget of one.
 //!
 //! Each scenario builds its state, runs `warmup` unmeasured steps so every
@@ -52,18 +52,12 @@ struct Pin {
     build: fn() -> Step,
 }
 
-const PINS: [Pin; 13] = [
+const PINS: [Pin; 12] = [
     Pin {
         name: "sgd_step_mlp_medium_90k",
         warmup: 10,
         steps: 30,
         build: || sgd_step(skiptrain_nn::zoo::mlp(&[128, 512, 128, 10], 1), 32, 10),
-    },
-    Pin {
-        name: "sgd_step_cnn_femnist",
-        warmup: 2,
-        steps: 3,
-        build: || sgd_step(skiptrain_nn::zoo::femnist_cnn(1), 16, 62),
     },
     Pin {
         name: "round_loop_train_64",
@@ -182,8 +176,8 @@ fn table1_params() -> Vec<f32> {
 }
 
 /// One SGD step (forward + backward + update) on a synthetic batch: the
-/// model's activation and gradient buffers, the layers' forward-only state
-/// and the GEMM packing buffers are all reused from the first step on.
+/// model's activation and gradient buffers and the GEMM packing buffers are
+/// all reused from the first step on.
 fn sgd_step(mut model: Sequential, batch: usize, classes: usize) -> Step {
     let loss = SoftmaxCrossEntropy::new(classes);
     let mut opt = Sgd::new(SgdConfig::plain(0.1));
@@ -195,7 +189,7 @@ fn sgd_step(mut model: Sequential, batch: usize, classes: usize) -> Step {
     Box::new(move || {
         model.zero_grads();
         let value = {
-            let logits = model.forward(&x, true);
+            let logits = model.forward(&x);
             loss.loss_and_grad(logits, &y, &mut grad)
         };
         model.backward(&x, &grad);

@@ -4,7 +4,7 @@
 //! pipeline — dataset synthesis and partitioning, topology and mixing
 //! matrix, per-node models, the algorithm (policy), energy traces. Configs
 //! are assembled from a preset plus public fields, validated into typed
-//! [`ConfigError`](crate::ConfigError)s by
+//! [`ConfigError`]s by
 //! [`Experiment::from_config`](crate::Experiment::from_config), and executed
 //! one at a time ([`Experiment::run`](crate::Experiment::run)) or in
 //! parallel batches over shared data ([`Campaign`](crate::Campaign)).
@@ -690,7 +690,7 @@ pub enum BatteryCapacitySpec {
 /// Closed-loop battery setup, in serializable configuration form.
 ///
 /// This is the experiment-layer face of
-/// [`BatterySetup`](skiptrain_energy::battery::BatterySetup): node
+/// [`BatterySetup`]: node
 /// batteries drain from the energy ledger's actual per-round spend,
 /// recharge from the harvest profile, and the policy gates both training
 /// *and* gossip per round (see the engine crate docs for the exact round

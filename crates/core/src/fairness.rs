@@ -23,7 +23,7 @@ use skiptrain_nn::zoo::ModelKind;
 pub fn per_class_recall(model_kind: &ModelKind, params: &[f32], test: &Dataset) -> Vec<f32> {
     let mut model = model_kind.build(0);
     model.load_params(params);
-    let logits = model.forward(test.features(), false).clone();
+    let logits = model.forward(test.features()).clone();
     let classes = test.num_classes();
     let mut correct = vec![0usize; classes];
     let mut total = vec![0usize; classes];

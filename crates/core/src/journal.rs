@@ -24,7 +24,7 @@
 //!   middle of the file means outside interference and is reported as
 //!   [`JournalError::Corrupt`].
 //! * **Completion order.** Cells are appended as workers finish, in any
-//!   order; [`Journal::open`] returns restored results keyed by cell
+//!   order; `Journal::open` returns restored results keyed by cell
 //!   index, and the campaign reassembles input order.
 
 use crate::experiment::{ExperimentConfig, ExperimentResult};

@@ -8,7 +8,7 @@
 //! harness can add its own recording (or stop the run early) without
 //! touching this loop.
 //!
-//! [`execute`] is the only function that drives a
+//! `execute` is the only function that drives a
 //! [`skiptrain_engine::EventEngine`], and each of the three ways of running
 //! a config ([`Experiment::run`](crate::Experiment::run),
 //! [`run_with_observers`], a [`Campaign`](crate::Campaign) cell) ends in it. What a round waits for and how it

@@ -15,7 +15,9 @@ pub const MOBILENET_V2_PARAMS: usize = 3_538_984;
 pub const FEDSCALE_TRAIN_MULTIPLIER: f64 = 3.0;
 
 /// A training workload as the energy model sees it: the paper's Table 1
-/// hyperparameters.
+/// hyperparameters. This is where Table 1's model sizes enter a run — the
+/// fleet trains an MLP or softmax regression on synthetic features, and
+/// training and communication are priced at `model_params`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {
     /// Model parameter count `|x|`.
@@ -37,6 +39,10 @@ impl WorkloadSpec {
     }
 
     /// The FEMNIST workload of Table 1: |x| = 1 690 046, |ξ| = 16, E = 7.
+    ///
+    /// |x| is exactly the LEAF FEMNIST CNN (conv5×5/32 → pool → conv5×5/64
+    /// → pool → fc512 → fc62): 832 + 51 264 + 1 606 144 + 31 806 weights
+    /// and biases. The paper does not name its CIFAR-10 architecture.
     pub fn femnist() -> Self {
         Self {
             model_params: 1_690_046,
@@ -137,7 +143,7 @@ pub fn table2() -> Vec<TraceRow> {
 }
 
 /// Stream index for the per-node harvest phase jitter (chained through
-/// [`derive_seed`] so harvest randomness never collides with model, data,
+/// [`derive_seed`](skiptrain_linalg::rng::derive_seed) so harvest randomness never collides with model, data,
 /// or topology streams).
 pub const HARVEST_PHASE_STREAM: u64 = 0x0BA7_7E21;
 

@@ -1,6 +1,6 @@
 //! Model evaluation helpers.
 //!
-//! Evaluation runs forward in bounded-size chunks so CNN activation buffers
+//! Evaluation runs forward in bounded-size chunks so activation buffers
 //! stay small even when the test set is large, and supports evaluating on a
 //! fixed subsample for cheap periodic accuracy tracking. The rows are
 //! gathered once per call into [`EVAL_CHUNK`]-row batches; a fleet
@@ -47,7 +47,7 @@ fn evaluate_chunks(
     let mut correct = 0usize;
     let mut loss_sum = 0.0f64;
     for (x, y) in batches {
-        let logits = model.forward(x, false);
+        let logits = model.forward(x);
         correct += (skiptrain_nn::loss::accuracy(logits, y) * y.len() as f32).round() as usize;
         loss_sum += loss.loss(logits, y) as f64 * y.len() as f64;
     }
@@ -164,7 +164,7 @@ mod tests {
         let loss = SoftmaxCrossEntropy::new(10);
         let (acc_all, loss_all) = evaluate_model(&mut model, &loss, &data, None);
         // manual single pass
-        let logits = model.forward(data.features(), false);
+        let logits = model.forward(data.features());
         let acc_ref = skiptrain_nn::loss::accuracy(logits, data.labels());
         assert!((acc_all - acc_ref).abs() < 1e-3, "{acc_all} vs {acc_ref}");
         assert!(loss_all > 0.0);

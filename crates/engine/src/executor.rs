@@ -1322,11 +1322,10 @@ mod tests {
             params[0] = self.initial;
         }
         fn forward(
-            &mut self,
+            &self,
             gain: &[f32],
             input: &skiptrain_linalg::Matrix,
             output: &mut skiptrain_linalg::Matrix,
-            _train: bool,
         ) {
             output.resize_zeroed(input.rows(), 2);
             for (o, &i) in output.as_mut_slice().iter_mut().zip(input.as_slice()) {
@@ -1334,7 +1333,7 @@ mod tests {
             }
         }
         fn backward(
-            &mut self,
+            &self,
             gain: &[f32],
             grad: &mut [f32],
             input: &skiptrain_linalg::Matrix,

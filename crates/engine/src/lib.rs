@@ -67,7 +67,7 @@
 //!    only place the transport's loss stream
 //!    ([`TransportKind::fate`](transport::TransportKind::fate)), the event
 //!    engine's late-edge set, the
-//!    [`CompressionPolicy`](transport::CompressionPolicy) and the byte
+//!    [`CompressionPolicy`] and the byte
 //!    quote
 //!    ([`ModelCodec::charged_message_bytes`](transport::ModelCodec::charged_message_bytes))
 //!    are consulted; no later pass sees a mixing matrix. The fate of a row:
@@ -94,7 +94,7 @@
 //! 3. **share + aggregate** — every `Delivered` row carries the sender's
 //!    `x^{t−½}` through the [`transport`](transport::TransportKind)
 //!    (in-memory kernels, or a full encode → decode of the wire frame)
-//!    under the row's [`ModelCodec`](transport::ModelCodec), and every
+//!    under the row's [`ModelCodec`], and every
 //!    receiver computes `x^t = Σ_j W_ji · x_j^{t−½}` over what it decoded,
 //!    its own model standing in for every row that did not deliver and for
 //!    the coordinates a top-k message did not carry. When the policy is
@@ -108,7 +108,7 @@
 //!    read by all its `degree + 1` receivers from cache, each element
 //!    still accumulated in mixing-row order; otherwise
 //!    every edge is carried on its own — with per-link CHOCO-SGD error
-//!    feedback ([`ErrorFeedbackState`](transport::ErrorFeedbackState)) the
+//!    feedback ([`ErrorFeedbackState`]) the
 //!    message is the link's accumulated residual and the receiver
 //!    aggregates its replica, at identical wire bytes. Then the consensus
 //!    stepsize applies:
@@ -123,13 +123,13 @@
 //!
 //! Which of train/sync each node performs per round is decided by the
 //! *policies* in `skiptrain-core`; the engine is policy-agnostic and simply
-//! executes [`RoundAction`](executor::RoundAction)s. Nodes execute in
+//! executes [`RoundAction`]s. Nodes execute in
 //! parallel with rayon; the event layer is serial and all randomness is
 //! derived from per-node seeded streams, so results are independent of
 //! the thread count.
 //!
 //! Drivers hook into the round loop through
-//! [`RoundObserver`](observer::RoundObserver) callbacks (round start/end,
+//! [`RoundObserver`] callbacks (round start/end,
 //! periodic evaluation) — curve recording is an [`observer`]
 //! implementation and stopping early is an observer's `Break`, not
 //! executor concerns. Per-node datasets sit behind `Arc` so many simulations can

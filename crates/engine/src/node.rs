@@ -109,7 +109,7 @@ impl Node {
                 .gather_batch(&self.batch_idx, &mut self.batch_x, &mut self.batch_y);
             self.model.zero_grads();
             let loss_value = {
-                let logits = self.model.forward(&self.batch_x, true);
+                let logits = self.model.forward(&self.batch_x);
                 self.loss
                     .loss_and_grad(logits, &self.batch_y, &mut self.grad_logits)
             };
@@ -138,7 +138,7 @@ impl Node {
     /// samples.
     pub fn evaluate(&mut self, params: &[f32], features: &Matrix, labels: &[u32]) -> (f32, f32) {
         self.model.load_params(params);
-        let logits = self.model.forward(features, false);
+        let logits = self.model.forward(features);
         let acc = skiptrain_nn::loss::accuracy(logits, labels);
         let loss = self.loss.loss(logits, labels);
         (acc, loss)

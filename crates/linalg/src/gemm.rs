@@ -10,7 +10,7 @@
 //! materialized by callers. The primitive kernels operate on plain
 //! row-major slices ([`gemm_into`], [`gemm_at_b_into`], [`gemm_a_bt_into`])
 //! so that callers storing parameters in packed buffers (the NN layers)
-//! multiply without any copies; [`Matrix`] wrappers are provided on top.
+//! multiply without any copies.
 //!
 //! # Blocked kernel design
 //!
@@ -38,10 +38,9 @@
 //! Both compile twice from one source, for the baseline and for AVX2
 //! (`with_avx2`). `Aᵀ·B` accumulates: the direct tile continues each chain
 //! from the `C` it finds, the packed driver adds a from-zero chain to it.
-//! They agree bit for bit on a zeroed `C`, which both library callers pass
-//! (`Dense::backward` after `zero_grads`, `Conv2d`'s zero-filled `dcols`),
-//! so no pinned result moves when a shape changes driver; the packed order
-//! is deliberately left as it is.
+//! They agree bit for bit on a zeroed `C`, which the library caller passes
+//! (`Dense::backward` after `zero_grads`), so no pinned result moves when a
+//! shape changes driver; the packed order is deliberately left as it is.
 //!
 //! No kernel skips a zero term, so `0 · ∞` is `NaN` at every size. For
 //! finite operands skipping would change no bit: a chain started at `+0.0`
@@ -580,47 +579,6 @@ pub fn gemm_a_bt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
     }
 }
 
-/// `C = A · B` where `A` is `m×k` and `B` is `k×n`.
-///
-/// # Panics
-/// Panics if `A.cols() != B.rows()` or if `C` is not `m×n`.
-pub fn matmul(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "matmul inner dimension mismatch: {k} vs {kb}");
-    assert_eq!(c.shape(), (m, n), "matmul output shape mismatch");
-    gemm_into(m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice());
-}
-
-/// `C = Aᵀ · B` where `A` is `k×m` and `B` is `k×n` (so `C` is `m×n`).
-///
-/// Used for weight gradients: `dW = Xᵀ · dY`. Overwrites `C`.
-///
-/// # Panics
-/// Panics if `A.rows() != B.rows()` or if `C` is not `m×n`.
-pub fn matmul_at_b(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (k, m) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "matmul_at_b inner dimension mismatch: {k} vs {kb}");
-    assert_eq!(c.shape(), (m, n), "matmul_at_b output shape mismatch");
-    c.fill_zero();
-    gemm_at_b_into(m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice());
-}
-
-/// `C = A · Bᵀ` where `A` is `m×k` and `B` is `n×k` (so `C` is `m×n`).
-///
-/// Used for input gradients: `dX = dY · Wᵀ`.
-///
-/// # Panics
-/// Panics if `A.cols() != B.cols()` or if `C` is not `m×n`.
-pub fn matmul_a_bt(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (m, k) = a.shape();
-    let (n, kb) = b.shape();
-    assert_eq!(k, kb, "matmul_a_bt inner dimension mismatch: {k} vs {kb}");
-    assert_eq!(c.shape(), (m, n), "matmul_a_bt output shape mismatch");
-    gemm_a_bt_into(m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice());
-}
-
 /// Naive triple-loop reference used by tests and property checks.
 pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
@@ -642,6 +600,43 @@ pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `C = A · B` through the slice kernel, shapes read from the matrices.
+    fn matmul(a: &Matrix, b: &Matrix, c: &mut Matrix) {
+        gemm_into(
+            a.rows(),
+            a.cols(),
+            b.cols(),
+            a.as_slice(),
+            b.as_slice(),
+            c.as_mut_slice(),
+        );
+    }
+
+    /// `C = Aᵀ · B` (`A` is `k×m`): a zeroed `C` plus the accumulating kernel.
+    fn matmul_at_b(a: &Matrix, b: &Matrix, c: &mut Matrix) {
+        c.as_mut_slice().fill(0.0);
+        gemm_at_b_into(
+            a.cols(),
+            a.rows(),
+            b.cols(),
+            a.as_slice(),
+            b.as_slice(),
+            c.as_mut_slice(),
+        );
+    }
+
+    /// `C = A · Bᵀ` (`B` is `n×k`).
+    fn matmul_a_bt(a: &Matrix, b: &Matrix, c: &mut Matrix) {
+        gemm_a_bt_into(
+            a.rows(),
+            a.cols(),
+            b.rows(),
+            a.as_slice(),
+            b.as_slice(),
+            c.as_mut_slice(),
+        );
+    }
 
     fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         use rand::rngs::SmallRng;
@@ -1059,7 +1054,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "inner dimension mismatch")]
+    #[should_panic(expected = "gemm_into: B length mismatch")]
     fn matmul_rejects_bad_shapes() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);

@@ -1,7 +1,7 @@
 //! Dense `f32` linear-algebra kernels for the SkipTrain decentralized-learning
 //! simulator.
 //!
-//! The neural-network substrate ([`skiptrain-nn`]), the synthetic dataset
+//! The neural-network substrate (`skiptrain-nn`), the synthetic dataset
 //! generators and the gossip-aggregation kernels of the execution engine are
 //! all built on the row-major [`Matrix`] type and the fused vector kernels in
 //! [`ops`]. The design goals, in order:
@@ -26,6 +26,6 @@ pub mod ops;
 pub mod reduce;
 pub mod rng;
 
-pub use gemm::{gemm_a_bt_into, gemm_at_b_into, gemm_into, matmul, matmul_a_bt, matmul_at_b};
+pub use gemm::{gemm_a_bt_into, gemm_at_b_into, gemm_into};
 pub use matrix::Matrix;
 pub use rng::GaussianSampler;

@@ -151,11 +151,6 @@ impl Matrix {
         out
     }
 
-    /// Sets every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Reshapes to `rows × cols` with all elements zeroed, reusing the
     /// existing storage when its capacity suffices — the
     /// allocation-free way to recycle one scratch matrix across shapes

@@ -103,8 +103,8 @@ pub fn norm(x: &[f32]) -> f32 {
 ///
 /// This is the gossip-aggregation kernel (Line 8 of D-PSGD / Line 13 of
 /// SkipTrain): node `i` computes `Σ_j W_ji · x_j` over its neighborhood.
-/// The sum is register-fused (see [`weighted_sum_core`]): every
-/// [`WSUM_BLOCK`]-float block of `out` is accumulated over the inputs in
+/// The sum is register-fused (see `weighted_sum_core`): every
+/// `WSUM_BLOCK`-float block of `out` is accumulated over the inputs in
 /// registers and stored once, so `out` is written once and never read
 /// back, and every input is streamed through exactly once. Each element
 /// is `((w₀·x₀) + w₁·x₁) + …` with a separate multiply and add — the
@@ -163,7 +163,7 @@ pub const WSUM_TILE: usize = 2048;
 /// receiver fetches it from memory that many times. Here the loop is
 /// parameter tile outermost, receiver innermost: a [`WSUM_TILE`]-float
 /// span of all the senders' models is fetched once and served to all its
-/// readers from L2. Each tile of each receiver is one [`weighted_sum_core`]
+/// readers from L2. Each tile of each receiver is one `weighted_sum_core`
 /// call, which is element-wise, so neither the tile length nor how
 /// receivers are grouped into blocks can change a result bit.
 ///

@@ -54,7 +54,7 @@ impl Layer for Dense {
         init.he_uniform(&mut params[..self.weight_len()], self.input_dim);
     }
 
-    fn forward(&mut self, params: &[f32], input: &Matrix, output: &mut Matrix, _train: bool) {
+    fn forward(&self, params: &[f32], input: &Matrix, output: &mut Matrix) {
         let batch = input.rows();
         assert_eq!(
             input.cols(),
@@ -82,7 +82,7 @@ impl Layer for Dense {
     }
 
     fn backward(
-        &mut self,
+        &self,
         params: &[f32],
         grads: &mut [f32],
         input: &Matrix,
@@ -151,12 +151,12 @@ mod tests {
 
     #[test]
     fn forward_matches_manual_computation() {
-        let (mut d, mut params, _) = fixed_dense(2, 3);
+        let (d, mut params, _) = fixed_dense(2, 3);
         // W = [[1,2,3],[4,5,6]], b = [.1,.2,.3]
         params.copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.1, 0.2, 0.3]);
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let mut y = Matrix::zeros(0, 0);
-        d.forward(&params, &x, &mut y, false);
+        d.forward(&params, &x, &mut y);
         assert_eq!(y.shape(), (1, 3));
         let row = y.row(0);
         assert!((row[0] - 5.1).abs() < 1e-6);
@@ -166,12 +166,12 @@ mod tests {
 
     #[test]
     fn input_gradient_matches_manual() {
-        let (mut d, mut params, mut grads) = fixed_dense(2, 2);
+        let (d, mut params, mut grads) = fixed_dense(2, 2);
         // W = [[1,2],[3,4]], b = 0
         params.copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 0.0, 0.0]);
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let mut y = Matrix::zeros(0, 0);
-        d.forward(&params, &x, &mut y, true);
+        d.forward(&params, &x, &mut y);
         let g = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
         let mut gi = Matrix::zeros(0, 0);
         d.backward(&params, &mut grads, &x, &y, &g, Some(&mut gi));
@@ -203,15 +203,15 @@ mod tests {
 
     #[test]
     fn backward_accumulates_gradients() {
-        let (mut d, params, mut grads) = fixed_dense(2, 2);
+        let (d, params, mut grads) = fixed_dense(2, 2);
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
         let mut y = Matrix::zeros(0, 0);
-        d.forward(&params, &x, &mut y, true);
+        d.forward(&params, &x, &mut y);
         let g = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let mut gi = Matrix::zeros(0, 0);
         d.backward(&params, &mut grads, &x, &y, &g, Some(&mut gi));
         let g1 = grads.clone();
-        d.forward(&params, &x, &mut y, true);
+        d.forward(&params, &x, &mut y);
         d.backward(&params, &mut grads, &x, &y, &g, Some(&mut gi));
         for (a, b) in grads.iter().zip(&g1) {
             assert!((a - 2.0 * b).abs() < 1e-5, "gradient did not accumulate");

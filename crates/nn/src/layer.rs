@@ -1,9 +1,7 @@
 //! The layer abstraction.
 //!
 //! Layers process batch-major activations: a `Matrix` with one sample per
-//! row and `features` columns. Convolutional layers interpret the feature
-//! axis as a flattened `channels × height × width` volume; because the
-//! layout is row-major and contiguous, no reshapes are ever materialized.
+//! row and `features` columns.
 
 use crate::zoo::InitRng;
 use skiptrain_linalg::Matrix;
@@ -14,23 +12,20 @@ use skiptrain_linalg::Matrix;
 /// * [`forward`](Layer::forward) consumes `input` (`batch × input_dim`) and
 ///   writes `output` (`batch × output_dim`). Layers keep no copy of either:
 ///   the caller owns both buffers and hands them back to `backward`.
-///   `train` matters only to a layer whose forward pass selects something
-///   the backward pass must replay (`MaxPool2d`'s argmax); every other
-///   layer ignores it.
 /// * [`backward`](Layer::backward) receives the `input` and `output` of the
 ///   last `forward` on this batch (unchanged since), consumes `grad_out`
 ///   (`batch × output_dim`) and accumulates parameter gradients into
 ///   `grads`. With `grad_in = Some(g)` it also writes the gradient
 ///   w.r.t. `input` into `g` (`batch × input_dim`); with `None` nobody
 ///   reads that gradient, so the layer must not compute it — a layer
-///   without parameters then has nothing to do. For layers with
-///   forward-only state it must follow a `forward` with `train = true`.
-/// * A layer is a shape plus its forward-only state: it owns neither its
-///   parameters nor their gradients. Both passes are handed `params`, and
-///   `backward` the aligned `grads`, as slices of exactly
-///   [`param_count`](Layer::param_count) values cut from the model's one
-///   flat vector of each — the vector that is trained, shared and averaged
-///   is the one the kernels read, wherever its owner keeps it.
+///   without parameters then has nothing to do.
+/// * A layer is a shape: it owns neither its parameters nor their
+///   gradients and keeps no state between passes, so both take `&self`.
+///   Both passes are handed `params`, and `backward` the aligned `grads`,
+///   as slices of exactly [`param_count`](Layer::param_count) values cut
+///   from the model's one flat vector of each — the vector that is
+///   trained, shared and averaged is the one the kernels read, wherever
+///   its owner keeps it.
 pub trait Layer: Send {
     /// Human-readable layer kind, used in the model's shape-mismatch message.
     fn name(&self) -> &'static str;
@@ -51,11 +46,11 @@ pub trait Layer: Send {
     fn init_params(&self, _params: &mut [f32], _init: &mut InitRng) {}
 
     /// Forward pass. See trait docs for the buffer contract.
-    fn forward(&mut self, params: &[f32], input: &Matrix, output: &mut Matrix, train: bool);
+    fn forward(&self, params: &[f32], input: &Matrix, output: &mut Matrix);
 
     /// Backward pass. See trait docs for the buffer contract.
     fn backward(
-        &mut self,
+        &self,
         params: &[f32],
         grads: &mut [f32],
         input: &Matrix,
@@ -91,11 +86,11 @@ mod tests {
         fn output_dim(&self) -> usize {
             3
         }
-        fn forward(&mut self, _params: &[f32], input: &Matrix, output: &mut Matrix, _train: bool) {
+        fn forward(&self, _params: &[f32], input: &Matrix, output: &mut Matrix) {
             output.as_mut_slice().copy_from_slice(input.as_slice());
         }
         fn backward(
-            &mut self,
+            &self,
             _params: &[f32],
             _grads: &mut [f32],
             _input: &Matrix,

@@ -104,8 +104,7 @@ impl Sequential {
 
     /// Number of output features (logits) per sample.
     pub fn output_dim(&self) -> usize {
-        // lint:allow(no_panic, "provably infallible: the constructor asserts at least one layer")
-        self.layers.last().unwrap().output_dim()
+        self.layers.last().map_or(0, |l| l.output_dim())
     }
 
     /// Total number of trainable parameters (the paper's `|x|`).
@@ -115,12 +114,9 @@ impl Sequential {
 
     /// Runs the forward pass and returns the logits for the batch.
     ///
-    /// With `train = true`, layers with forward-only state (pooling
-    /// argmaxes) record what the backward pass must replay.
-    ///
     /// # Panics
     /// Panics if the input width is wrong or the parameters are lent out.
-    pub fn forward(&mut self, input: &Matrix, train: bool) -> &Matrix {
+    pub fn forward<'a>(&'a mut self, input: &'a Matrix) -> &'a Matrix {
         assert_eq!(
             input.cols(),
             self.input_dim(),
@@ -132,20 +128,19 @@ impl Sequential {
             "model forward: parameters are lent out"
         );
         let mut src: &Matrix = input;
-        for (i, (layer, act)) in self.layers.iter_mut().zip(&mut self.acts).enumerate() {
+        for (i, (layer, act)) in self.layers.iter().zip(&mut self.acts).enumerate() {
             let span = self.offsets[i]..self.offsets[i + 1];
-            layer.forward(&self.params[span], src, act, train);
+            layer.forward(&self.params[span], src, act);
             src = act;
         }
-        // lint:allow(no_panic, "provably infallible: acts is built one-to-one with the non-empty layer stack")
-        self.acts.last().unwrap()
+        src
     }
 
     /// Runs the backward sweep from the logit gradient, accumulating
     /// parameter gradients into the flat gradient vector (zeroed first if
     /// it does not have the model's size yet).
     ///
-    /// Must follow a `forward(input, train = true)` on the same `input`.
+    /// Must follow a `forward(input)` on the same `input`.
     /// The sweep walks from the top layer down to the lowest layer that has
     /// parameters and stops there: that layer gets `grad_in = None` (the
     /// gradient w.r.t. its input would be dropped unread — a quarter of a
@@ -266,8 +261,7 @@ impl Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activations::{Relu, Tanh};
-    use crate::conv::{Conv2d, MaxPool2d, Shape2d};
+    use crate::activations::Relu;
     use crate::dense::Dense;
     use rand::rngs::SmallRng;
     use rand::{RngExt, SeedableRng};
@@ -293,7 +287,7 @@ mod tests {
     fn forward_produces_logit_shape() {
         let mut m = tiny_mlp(2);
         let x = Matrix::zeros(5, 4);
-        let y = m.forward(&x, false);
+        let y = m.forward(&x);
         assert_eq!(y.shape(), (5, 3));
     }
 
@@ -312,11 +306,11 @@ mod tests {
         let mut a = tiny_mlp(5);
         let mut b = tiny_mlp(6);
         let x = Matrix::from_fn(2, 4, |r, c| (r + c) as f32 * 0.3);
-        let ya = a.forward(&x, false).clone();
+        let ya = a.forward(&x).clone();
         let flat_b = b.flat_params();
         a.load_params(&flat_b);
-        let ya2 = a.forward(&x, false).clone();
-        let yb = b.forward(&x, false).clone();
+        let ya2 = a.forward(&x).clone();
+        let yb = b.forward(&x).clone();
         assert!(ya.max_abs_diff(&ya2) > 1e-6, "loading params had no effect");
         assert!(
             ya2.max_abs_diff(&yb) < 1e-6,
@@ -328,7 +322,7 @@ mod tests {
     fn zero_grads_clears_accumulation() {
         let mut m = tiny_mlp(7);
         let x = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1);
-        let _ = m.forward(&x, true);
+        let _ = m.forward(&x);
         let g = Matrix::full(3, 3, 0.5);
         m.backward(&x, &g);
         let mut grads = Vec::new();
@@ -347,43 +341,25 @@ mod tests {
     fn backward_rejects_an_input_of_another_batch_size() {
         let mut m = tiny_mlp(7);
         let x = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1);
-        let _ = m.forward(&x, true);
+        let _ = m.forward(&x);
         let other = Matrix::zeros(2, 4);
         m.backward(&other, &Matrix::full(3, 3, 0.5));
     }
 
-    /// A random stack over every layer kind: dense / conv widths, kernel,
-    /// stride and padding, pooling, both activations. Returns the layers
-    /// and the index of the lowest one with parameters.
+    /// A random Dense/ReLU stack: widths, depth, and how many ReLUs sit
+    /// below the first dense layer (none for about half the seeds). Returns
+    /// the layers and the index of the lowest one with parameters.
     fn random_stack(seed: u64) -> (Vec<Box<dyn Layer>>, usize) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut layers: Vec<Box<dyn Layer>> = Vec::new();
-        // `shape` is Some while the activations are still a c×h×w volume
-        let mut shape = rng
-            .random_bool(0.5)
-            .then(|| Shape2d::new(rng.random_range(1..3), 6, 6));
-        let mut dim = shape.map_or(rng.random_range(2..9), |s| s.len());
+        let mut dim = rng.random_range(2..9);
         let mut lowest = None;
         let depth = rng.random_range(2..8);
         while layers.len() < depth || lowest.is_none() {
-            let layer: Box<dyn Layer> = match (rng.random_range(0..5u32), shape) {
-                (0, Some(s)) if s.height >= 3 => {
-                    let (stride, padding) = (rng.random_range(1..3), rng.random_range(0..2));
-                    let conv = Conv2d::new(s, rng.random_range(1..4), 3, stride, padding);
-                    shape = Some(conv.output_shape());
-                    Box::new(conv)
-                }
-                (1, Some(s)) if s.height >= 2 => {
-                    let pool = MaxPool2d::new(s, 2);
-                    shape = Some(pool.output_shape());
-                    Box::new(pool)
-                }
-                (0..=2, _) => {
-                    shape = None;
-                    Box::new(Dense::new(dim, rng.random_range(2..9)))
-                }
-                (3, _) => Box::new(Relu::new(dim)),
-                _ => Box::new(Tanh::new(dim)),
+            let layer: Box<dyn Layer> = if rng.random_bool(0.5) {
+                Box::new(Dense::new(dim, rng.random_range(2..9)))
+            } else {
+                Box::new(Relu::new(dim))
             };
             if layer.param_count() > 0 && lowest.is_none() {
                 lowest = Some(layers.len());
@@ -441,8 +417,8 @@ mod tests {
                 let g = Matrix::from_fn(batch, short.output_dim(), |_, _| {
                     rng.random_range(-1.0f32..1.0)
                 });
-                let _ = short.forward(&x, true);
-                let _ = full.forward(&x, true);
+                let _ = short.forward(&x);
+                let _ = full.forward(&x);
                 short.backward(&x, &g);
                 full_sweep(&mut full, &x, &g);
                 let (mut gs, mut gf) = (Vec::new(), Vec::new());
@@ -479,7 +455,7 @@ mod tests {
         let g = Matrix::full(3, 3, 0.5);
         let step = |m: &mut Sequential| {
             m.zero_grads();
-            let _ = m.forward(&x, true);
+            let _ = m.forward(&x);
             m.backward(&x, &g);
             crate::Sgd::new(crate::sgd::SgdConfig::plain(0.1)).step(m);
         };
@@ -511,7 +487,7 @@ mod tests {
     fn forward_on_lent_out_parameters_fails_by_name() {
         let mut m = tiny_mlp(2);
         m.swap_params(&mut Vec::new());
-        let _ = m.forward(&Matrix::zeros(5, 4), false);
+        let _ = m.forward(&Matrix::zeros(5, 4));
     }
 
     #[test]

@@ -64,7 +64,7 @@ mod tests {
 
     fn run_backward(model: &mut Sequential) {
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let _ = model.forward(&x, true);
+        let _ = model.forward(&x);
         let g = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
         model.backward(&x, &g);
     }

@@ -1,17 +1,12 @@
-//! Model zoo: the architectures used by the paper's evaluation plus the
-//! reduced synthetic-scale models used in tests and quick presets.
+//! Model zoo: the models an experiment configuration names.
 //!
-//! Table 1 of the paper reports two model sizes: |x| = 89 834 for CIFAR-10
-//! and |x| = 1 690 046 for FEMNIST. The FEMNIST model here is the standard
-//! LEAF CNN (conv5×5/32 → pool → conv5×5/64 → pool → fc512 → fc62), which
-//! reproduces the paper's parameter count **exactly**. The paper does not
-//! spell out its CIFAR-10 architecture; [`cifar_cnn`] is the closest
-//! conventional CNN family (conv5×5/32 → pool → conv5×5/64 → pool → fc10,
-//! 94 666 parameters, within 5.4 % of Table 1) and the energy model takes the
-//! nominal Table 1 sizes as input, so the energy reproduction is unaffected.
+//! A run trains one of two models on the synthetic feature vectors of
+//! `data::synth`: an MLP with ReLU between dense layers, or a softmax
+//! regression. The paper's CNNs are not built here; their sizes from
+//! Table 1 (|x| = 89 834 for CIFAR-10, 1 690 046 for FEMNIST) enter the
+//! energy model through the energy crate's `WorkloadSpec`.
 
 use crate::activations::Relu;
-use crate::conv::{Conv2d, MaxPool2d, Shape2d};
 use crate::dense::Dense;
 use crate::model::Sequential;
 use rand::rngs::SmallRng;
@@ -55,10 +50,6 @@ pub enum ModelKind {
     Mlp { dims: Vec<usize> },
     /// Softmax regression (a single dense layer).
     Logistic { input_dim: usize, classes: usize },
-    /// The CIFAR-10-shaped CNN (3×32×32 input, 10 classes, 94 666 params).
-    CifarCnn,
-    /// The FEMNIST LEAF CNN (1×28×28 input, 62 classes, 1 690 046 params).
-    FemnistCnn,
 }
 
 impl ModelKind {
@@ -69,8 +60,6 @@ impl ModelKind {
             ModelKind::Logistic { input_dim, classes } => {
                 logistic_regression(*input_dim, *classes, seed)
             }
-            ModelKind::CifarCnn => cifar_cnn(seed),
-            ModelKind::FemnistCnn => femnist_cnn(seed),
         }
     }
 
@@ -79,19 +68,14 @@ impl ModelKind {
         match self {
             ModelKind::Mlp { dims } => dims[0],
             ModelKind::Logistic { input_dim, .. } => *input_dim,
-            ModelKind::CifarCnn => 3 * 32 * 32,
-            ModelKind::FemnistCnn => 28 * 28,
         }
     }
 
     /// Number of output classes.
     pub fn num_classes(&self) -> usize {
         match self {
-            // lint:allow(no_panic, "mlp() asserts at least two dims before any Mlp model is usable")
-            ModelKind::Mlp { dims } => *dims.last().unwrap(),
+            ModelKind::Mlp { dims } => dims.last().copied().unwrap_or(0),
             ModelKind::Logistic { classes, .. } => *classes,
-            ModelKind::CifarCnn => 10,
-            ModelKind::FemnistCnn => 62,
         }
     }
 }
@@ -118,93 +102,9 @@ pub fn logistic_regression(input_dim: usize, classes: usize, seed: u64) -> Seque
     Sequential::new(vec![Box::new(Dense::new(input_dim, classes))], seed)
 }
 
-/// CIFAR-10-shaped CNN: `conv5×5/32 → relu → pool2 → conv5×5/64 → relu →
-/// pool2 → fc(4096→10)`; 94 666 parameters (Table 1 reports 89 834 for the
-/// paper's unspecified architecture — within 5.4 %).
-pub fn cifar_cnn(seed: u64) -> Sequential {
-    let s0 = Shape2d::new(3, 32, 32);
-    let c1 = Conv2d::new(s0, 32, 5, 1, 2);
-    let s1 = c1.output_shape();
-    let p1 = MaxPool2d::new(s1, 2);
-    let s2 = p1.output_shape();
-    let c2 = Conv2d::new(s2, 64, 5, 1, 2);
-    let s3 = c2.output_shape();
-    let p2 = MaxPool2d::new(s3, 2);
-    let s4 = p2.output_shape();
-    let fc = Dense::new(s4.len(), 10);
-    Sequential::new(
-        vec![
-            Box::new(c1),
-            Box::new(Relu::new(s1.len())),
-            Box::new(p1),
-            Box::new(c2),
-            Box::new(Relu::new(s3.len())),
-            Box::new(p2),
-            Box::new(fc),
-        ],
-        seed,
-    )
-}
-
-/// The LEAF FEMNIST CNN: `conv5×5/32 → relu → pool2 → conv5×5/64 → relu →
-/// pool2 → fc(3136→512) → relu → fc(512→62)`.
-///
-/// Parameter count: 832 + 51 264 + 1 606 144 + 31 806 = **1 690 046**,
-/// matching Table 1 of the paper exactly.
-pub fn femnist_cnn(seed: u64) -> Sequential {
-    let s0 = Shape2d::new(1, 28, 28);
-    let c1 = Conv2d::new(s0, 32, 5, 1, 2);
-    let s1 = c1.output_shape();
-    let p1 = MaxPool2d::new(s1, 2);
-    let s2 = p1.output_shape();
-    let c2 = Conv2d::new(s2, 64, 5, 1, 2);
-    let s3 = c2.output_shape();
-    let p2 = MaxPool2d::new(s3, 2);
-    let s4 = p2.output_shape();
-    let fc1 = Dense::new(s4.len(), 512);
-    let fc2 = Dense::new(512, 62);
-    Sequential::new(
-        vec![
-            Box::new(c1),
-            Box::new(Relu::new(s1.len())),
-            Box::new(p1),
-            Box::new(c2),
-            Box::new(Relu::new(s3.len())),
-            Box::new(p2),
-            Box::new(fc1),
-            Box::new(Relu::new(512)),
-            Box::new(fc2),
-        ],
-        seed,
-    )
-}
-
-/// Parameter count of the paper's CIFAR-10 model, per Table 1.
-pub const PAPER_CIFAR10_PARAMS: usize = 89_834;
-/// Parameter count of the paper's FEMNIST model, per Table 1.
-pub const PAPER_FEMNIST_PARAMS: usize = 1_690_046;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn femnist_cnn_matches_table1_exactly() {
-        let m = femnist_cnn(0);
-        assert_eq!(m.param_count(), PAPER_FEMNIST_PARAMS);
-    }
-
-    #[test]
-    fn cifar_cnn_is_close_to_table1() {
-        let m = cifar_cnn(0);
-        let rel = (m.param_count() as f64 - PAPER_CIFAR10_PARAMS as f64).abs()
-            / PAPER_CIFAR10_PARAMS as f64;
-        assert!(
-            rel < 0.06,
-            "cifar cnn params {} too far from Table 1",
-            m.param_count()
-        );
-    }
 
     #[test]
     fn mlp_dims_chain_correctly() {
