@@ -1,27 +1,20 @@
 //! Figure 3: the (Γ_train, Γ_sync) ∈ {1..4}² grid search — validation
-//! accuracy heatmaps for the 6/8/10-regular topologies plus the energy
-//! heatmap, with the paper's grids printed alongside.
+//! accuracy heatmaps for the 6/8/10-regular topologies, with the paper's
+//! grids printed alongside. The energy heatmap is schedule arithmetic;
+//! `paper_claims` checks it cell by cell.
 
-use skiptrain_bench::paper::{
-    FIG3_ENERGY_WH, FIG3_VAL_ACC_10REG, FIG3_VAL_ACC_6REG, FIG3_VAL_ACC_8REG,
-};
+use skiptrain_bench::paper::{DEGREES, FIG3_VAL_ACC};
 use skiptrain_bench::{banner, exit_unusable, render_table, HarnessArgs};
 use skiptrain_core::presets::cifar_config;
 use skiptrain_core::sweep::grid_search;
 use skiptrain_core::{CampaignRunError, Schedule, TopologySpec};
-use skiptrain_energy::device::fleet;
-use skiptrain_energy::trace::round_energy_wh;
 
 fn main() {
     let args = HarnessArgs::parse();
     let gammas = [1usize, 2, 3, 4];
     let mut summaries = Vec::new();
 
-    for (degree, paper_grid) in [
-        (6usize, FIG3_VAL_ACC_6REG),
-        (8, FIG3_VAL_ACC_8REG),
-        (10, FIG3_VAL_ACC_10REG),
-    ] {
+    for (degree, paper_grid) in DEGREES.into_iter().zip(&FIG3_VAL_ACC) {
         let mut base = cifar_config(args.scale, args.seed);
         args.apply(&mut base);
         base.topology = TopologySpec::Regular { degree };
@@ -63,17 +56,13 @@ fn main() {
                 &rows
             )
         );
-        let best = sweep.best();
+        let (best, tuned) = (sweep.best(), Schedule::tuned_for_degree(degree));
+        let (gt, gs) = (tuned.gamma_train, tuned.gamma_sync);
+        let (paper_best, acc) = (paper_grid[gs - 1][gt - 1], best.val_accuracy * 100.0);
         println!(
-            "best: Γtrain={} Γsync={} at {:.1}% val accuracy (paper best for {degree}-regular: {})",
-            best.gamma_train,
-            best.gamma_sync,
-            best.val_accuracy * 100.0,
-            match degree {
-                6 => "(4,4) at 66.1%",
-                8 => "(3,3) at 66.3%",
-                _ => "(4,2) at 66.8%",
-            }
+            "best: Γtrain={} Γsync={} at {acc:.1}% val accuracy (paper best for {degree}-regular: \
+             Γtrain={gt} Γsync={gs} at {paper_best:.1}%)",
+            best.gamma_train, best.gamma_sync
         );
         summaries.push(serde_json::json!({
             "degree": degree,
@@ -81,42 +70,6 @@ fn main() {
             "best": [best.gamma_train, best.gamma_sync],
         }));
     }
-
-    // Energy heatmap: training energy depends only on T_train (§4.3), so it
-    // is computed analytically for the paper's 256-node, 1000-round setting.
-    banner("Figure 3 (right): energy heatmap, 256 nodes × 1000 rounds, Wh");
-    let per_round: f64 = fleet(256)
-        .iter()
-        .map(|d| {
-            round_energy_wh(
-                &d.profile(),
-                &skiptrain_energy::trace::WorkloadSpec::cifar10(),
-            )
-        })
-        .sum();
-    let mut rows = Vec::new();
-    for &gs in &gammas {
-        let mut row = vec![format!("Γsync={gs}")];
-        for &gt in &gammas {
-            let schedule = Schedule::new(gt, gs);
-            let wh = schedule.count_train_rounds(1000) as f64 * per_round;
-            row.push(format!("{:.0} ({:.0})", wh, FIG3_ENERGY_WH[gs - 1][gt - 1]));
-        }
-        rows.push(row);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "measured (paper) Wh",
-                "Γtrain=1",
-                "Γtrain=2",
-                "Γtrain=3",
-                "Γtrain=4"
-            ],
-            &rows
-        )
-    );
 
     args.maybe_write_json(&serde_json::json!({
         "experiment": "fig3_grid",

@@ -3,20 +3,13 @@
 //! batches (models biased toward local shards, std across nodes rises) and
 //! recovers during synchronization batches (std falls).
 
-use skiptrain_bench::{banner, render_table, run_cells, HarnessArgs};
-use skiptrain_core::experiment::AlgorithmSpec;
-use skiptrain_core::presets::cifar_config;
-use skiptrain_core::Schedule;
+use skiptrain_bench::{
+    banner, render_table, run_cells, sawtooth_config, sawtooth_split, HarnessArgs, SAWTOOTH,
+};
 
 fn main() {
     let args = HarnessArgs::parse();
-    let schedule = Schedule::new(4, 4);
-    let mut cfg = cifar_config(args.scale, args.seed);
-    args.apply(&mut cfg);
-    cfg.name = "fig4-sawtooth".into();
-    cfg.algorithm = AlgorithmSpec::SkipTrain(schedule);
-    cfg.eval_every = 2; // the paper evaluates every 2 rounds here
-
+    let cfg = sawtooth_config(&args);
     banner(&format!(
         "Figure 4: SkipTrain accuracy every 2 rounds ({} nodes, {} rounds, Γ=(4,4))",
         cfg.nodes, cfg.rounds
@@ -30,7 +23,7 @@ fn main() {
     let rows: Vec<Vec<String>> = tail
         .iter()
         .map(|p| {
-            let phase = if schedule.is_train_round(p.round.saturating_sub(1)) {
+            let phase = if SAWTOOTH.is_train_round(p.round.saturating_sub(1)) {
                 "train"
             } else {
                 "sync"
@@ -48,30 +41,13 @@ fn main() {
         render_table(&["round", "phase", "mean acc%", "std acc pp"], &rows)
     );
 
-    // Quantify the sawtooth: average accuracy and std at points that follow
-    // sync rounds vs points that follow train rounds.
-    let (mut sync_acc, mut train_acc) = (Vec::new(), Vec::new());
-    let (mut sync_std, mut train_std) = (Vec::new(), Vec::new());
-    let start = points.len() / 2; // use the converged half
-    for p in &points[start..] {
-        if schedule.is_train_round(p.round.saturating_sub(1)) {
-            train_acc.push(p.mean_accuracy);
-            train_std.push(p.std_accuracy);
-        } else {
-            sync_acc.push(p.mean_accuracy);
-            sync_std.push(p.std_accuracy);
-        }
-    }
-    let mean = |v: &[f32]| v.iter().sum::<f32>() / v.len().max(1) as f32;
+    let [(sync_acc, sync_std), (train_acc, train_std)] = sawtooth_split(result);
     println!(
         "\nafter-sync:  acc {:.1}%  std {:.2} pp\nafter-train: acc {:.1}%  std {:.2} pp",
-        mean(&sync_acc) * 100.0,
-        mean(&sync_std) * 100.0,
-        mean(&train_acc) * 100.0,
-        mean(&train_std) * 100.0
-    );
-    println!(
-        "paper shape: accuracy rises / std falls during sync rounds, opposite during training"
+        sync_acc * 100.0,
+        sync_std * 100.0,
+        train_acc * 100.0,
+        train_std * 100.0
     );
 
     args.maybe_write_json(&serde_json::json!({

@@ -11,8 +11,9 @@
 //! --json PATH                  also dump results as JSON
 //! ```
 //!
-//! Binaries print the paper's reported numbers next to the measured ones so
-//! the reproduction can be judged at a glance.
+//! The figure binaries print what they measure; `paper_claims` is the one
+//! binary that sets measured numbers against the paper's ([`paper`]). The
+//! grids several binaries run are defined here once.
 //!
 //! The crate measures no speed: that is the repo benchmark's job
 //! (`benchmark/run.sh`). [`perf`] holds the counting allocator behind the
@@ -24,8 +25,11 @@
 // SAFETY-commented block even inside `unsafe fn` bodies.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use skiptrain_core::presets::Scale;
-use skiptrain_core::{Campaign, CampaignReport, ExperimentConfig, ExperimentResult};
+use skiptrain_core::presets::{cifar_config, femnist_config, Scale};
+use skiptrain_core::{
+    AlgorithmSpec, Campaign, CampaignReport, EnergySpec, ExperimentConfig, ExperimentResult,
+    Schedule, TopologySpec,
+};
 use skiptrain_engine::AccuracyPoint;
 use std::path::PathBuf;
 
@@ -80,25 +84,9 @@ impl HarnessArgs {
                     out.scale =
                         Scale::parse(&v).unwrap_or_else(|| usage(&format!("unknown scale '{v}'")));
                 }
-                "--seed" => {
-                    out.seed = value("--seed")
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --seed"))
-                }
-                "--nodes" => {
-                    out.nodes = Some(
-                        value("--nodes")
-                            .parse()
-                            .unwrap_or_else(|_| usage("bad --nodes")),
-                    )
-                }
-                "--rounds" => {
-                    out.rounds = Some(
-                        value("--rounds")
-                            .parse()
-                            .unwrap_or_else(|_| usage("bad --rounds")),
-                    )
-                }
+                "--seed" => out.seed = number(value("--seed"), "--seed"),
+                "--nodes" => out.nodes = Some(number(value("--nodes"), "--nodes")),
+                "--rounds" => out.rounds = Some(number(value("--rounds"), "--rounds")),
                 "--json" => out.json = Some(PathBuf::from(value("--json"))),
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag '{other}'")),
@@ -129,6 +117,13 @@ impl HarnessArgs {
             eprintln!("wrote {}", path.display());
         }
     }
+}
+
+/// `value` parsed as a number, or a usage error naming `flag`.
+fn number<T: std::str::FromStr>(value: String, flag: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("bad {flag}")))
 }
 
 fn usage(msg: &str) -> ! {
@@ -230,6 +225,118 @@ pub fn accuracy_at_energy(
         .iter()
         .rfind(|p| energy(p) <= budget_wh + 1e-9)
         .map(|p| (p.round, p.mean_accuracy))
+}
+
+/// D-PSGD's `(round, accuracy)` at a training-energy level: it is not
+/// energy-aware, so Figure 6 and Table 4 read its curve at the Wh the
+/// constrained algorithms spent or were allowed (its first point when even
+/// that costs more).
+pub fn dpsgd_at_wh(result: &ExperimentResult, budget_wh: f64) -> (usize, f32) {
+    accuracy_at_energy(result, |p| p.training_energy_wh, budget_wh)
+        .unwrap_or((0, result.test_curve[0].mean_accuracy))
+}
+
+/// Each of [`paper::DATASETS`]' preset at `scale` and `seed`.
+pub fn dataset_presets(scale: Scale, seed: u64) -> [ExperimentConfig; 2] {
+    [cifar_config(scale, seed), femnist_config(scale, seed)]
+}
+
+/// The cells of the paper's Figure 5 / 6 grids in [`paper::DATASETS`] →
+/// [`paper::DEGREES`] order: a base config (the degree's topology, named
+/// `{dataset}-{degree}reg`, evaluated once per period of the degree's tuned
+/// Γ), that Γ, and the dataset's §4.2 constrained energy with its battery
+/// fraction rescaled so τ/T_train at the base's rounds is the paper's.
+fn grid_cells(args: &HarnessArgs) -> Vec<(ExperimentConfig, Schedule, EnergySpec)> {
+    let tags = ["cifar", "femnist"];
+    let constrained = [
+        EnergySpec::cifar10_constrained(),
+        EnergySpec::femnist_constrained(),
+    ];
+    let paper = dataset_presets(Scale::Paper, args.seed);
+    let mut cells = Vec::new();
+    for (d, preset) in dataset_presets(args.scale, args.seed).iter().enumerate() {
+        for degree in paper::DEGREES {
+            let mut base = preset.clone();
+            args.apply(&mut base);
+            let schedule = Schedule::tuned_for_degree(degree);
+            let scaled = constrained[d].scaled_for_rounds(base.rounds, paper[d].rounds);
+            base.name = format!("{}-{degree}reg", tags[d]);
+            base.topology = TopologySpec::Regular { degree };
+            base.eval_every = schedule.period();
+            cells.push((base, schedule, scaled));
+        }
+    }
+    cells
+}
+
+fn grid_run(base: &ExperimentConfig, algo: AlgorithmSpec, energy: &EnergySpec) -> ExperimentConfig {
+    let mut cfg = base.clone();
+    cfg.name = format!("{}-{}", base.name, algo.name());
+    (cfg.algorithm, cfg.energy) = (algo, energy.clone());
+    cfg
+}
+
+/// Figure 5's grid, whose end points are Table 3: per cell, D-PSGD then
+/// SkipTrain at the degree's tuned Γ (12 configs).
+pub fn unconstrained_grid(args: &HarnessArgs) -> Vec<ExperimentConfig> {
+    let mut configs = Vec::new();
+    for (base, schedule, _) in grid_cells(args) {
+        let skiptrain = AlgorithmSpec::SkipTrain(schedule);
+        configs.push(grid_run(&base, AlgorithmSpec::DPsgd, &base.energy));
+        configs.push(grid_run(&base, skiptrain, &base.energy));
+    }
+    configs
+}
+
+/// Figure 6's grid, whose end points are Table 4: per cell, unconstrained
+/// D-PSGD, then Greedy and SkipTrain-constrained on the cell's budgets (18
+/// configs); and per cell the training Wh Table 4 reads D-PSGD at, the Wh
+/// the fleet is allowed: every node's budget τ_i at its round cost.
+pub fn constrained_grid(args: &HarnessArgs) -> (Vec<ExperimentConfig>, Vec<f64>) {
+    let (mut configs, mut allowed) = (Vec::new(), Vec::new());
+    for (base, schedule, scaled) in grid_cells(args) {
+        let budgets = scaled.node_budgets(base.nodes).into_iter().map(f64::from);
+        let energies = scaled.node_energies(base.nodes);
+        allowed.push(budgets.zip(energies).map(|(b, e)| b * e).sum());
+        let constrained = AlgorithmSpec::SkipTrainConstrained(schedule);
+        configs.push(grid_run(&base, AlgorithmSpec::DPsgd, &base.energy));
+        configs.push(grid_run(&base, AlgorithmSpec::Greedy, &scaled));
+        configs.push(grid_run(&base, constrained, &scaled));
+    }
+    (configs, allowed)
+}
+
+/// Figure 4's schedule, Γ = (4, 4).
+pub const SAWTOOTH: Schedule = Schedule {
+    gamma_train: 4,
+    gamma_sync: 4,
+    phase_offset: 0,
+};
+
+/// Figure 4's run: CIFAR-10 SkipTrain at [`SAWTOOTH`], evaluated every 2
+/// rounds as the paper does there.
+pub fn sawtooth_config(args: &HarnessArgs) -> ExperimentConfig {
+    let mut cfg = cifar_config(args.scale, args.seed);
+    args.apply(&mut cfg);
+    cfg.name = "fig4-sawtooth".into();
+    (cfg.algorithm, cfg.eval_every) = (AlgorithmSpec::SkipTrain(SAWTOOTH), 2);
+    cfg
+}
+
+/// Figure 4's sawtooth in numbers: mean `(accuracy, std)` over the
+/// converged second half of the curve, at the points that follow a sync
+/// round, then at those that follow a train round.
+pub fn sawtooth_split(result: &ExperimentResult) -> [(f32, f32); 2] {
+    let points = &result.test_curve[result.test_curve.len() / 2..];
+    let follows_train = |p: &AccuracyPoint| SAWTOOTH.is_train_round(p.round.saturating_sub(1));
+    [false, true].map(|after_train| {
+        let side = points.iter().filter(|p| follows_train(p) == after_train);
+        let (n, acc, std) = side.fold((0usize, 0.0f32, 0.0f32), |(n, a, s), p| {
+            (n + 1, a + p.mean_accuracy, s + p.std_accuracy)
+        });
+        let n = n.max(1) as f32;
+        (acc / n, std / n)
+    })
 }
 
 /// Formats a fraction as a percentage with one decimal.
