@@ -56,7 +56,8 @@ fn main() {
                 &rows
             )
         );
-        let (best, tuned) = (sweep.best(), Schedule::tuned_for_degree(degree));
+        let best = sweep.best().expect("a 4 × 4 grid has cells");
+        let tuned = Schedule::tuned_for_degree(degree);
         let (gt, gs) = (tuned.gamma_train, tuned.gamma_sync);
         let (paper_best, acc) = (paper_grid[gs - 1][gt - 1], best.val_accuracy * 100.0);
         println!(

@@ -520,9 +520,9 @@ impl Campaign {
         slots: &BTreeMap<String, BundleSlot>,
     ) -> Result<(ExperimentResult, usize), CellFailure> {
         let cfg = &self.configs[run];
-        let max_attempts = self.retry.max_attempts.max(1);
-        let mut last_cause = None;
-        for attempt in 1..=max_attempts {
+        let mut attempt = 0;
+        let cause = loop {
+            attempt += 1;
             let outcome = if attempt == 1 {
                 let slot = &slots[&data_key(&cfg.data, cfg.nodes, cfg.seed)];
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -543,21 +543,21 @@ impl Campaign {
                     self.execute_one(run, &reseeded, &bundle)
                 }))
             };
-            match outcome {
+            let cause = match outcome {
                 Ok(Ok(result)) => return Ok((result, attempt)),
-                Ok(Err(run_error)) => last_cause = Some(FailureCause::Engine(run_error)),
-                Err(payload) => {
-                    last_cause = Some(FailureCause::Panic(panic_message(payload.as_ref())))
-                }
+                Ok(Err(run_error)) => FailureCause::Engine(run_error),
+                Err(payload) => FailureCause::Panic(panic_message(payload.as_ref())),
+            };
+            if attempt >= self.retry.max_attempts {
+                break cause;
             }
-        }
+        };
         Err(CellFailure {
             index: run,
             name: cfg.name.clone(),
             config_digest: config_digest(cfg),
-            attempts: max_attempts,
-            // lint:allow(no_panic, "max_attempts.max(1) forces at least one loop iteration, which either returns Ok or sets last_cause")
-            cause: last_cause.expect("at least one attempt ran"),
+            attempts: attempt,
+            cause,
         })
     }
 

@@ -37,17 +37,13 @@ pub struct SweepResult {
 
 impl SweepResult {
     /// The best cell: highest validation accuracy, ties broken by lower
-    /// energy (§4.3's tie-break rule).
-    pub fn best(&self) -> &SweepCell {
-        self.cells
-            .iter()
-            .max_by(|a, b| {
-                a.val_accuracy
-                    .total_cmp(&b.val_accuracy)
-                    .then(b.training_energy_wh.total_cmp(&a.training_energy_wh))
-            })
-            // lint:allow(no_panic, "grid_search asserts a non-empty gamma grid, so every SweepResult holds at least one cell")
-            .expect("sweep has at least one cell")
+    /// energy (§4.3's tie-break rule); `None` for an empty grid.
+    pub fn best(&self) -> Option<&SweepCell> {
+        self.cells.iter().max_by(|a, b| {
+            a.val_accuracy
+                .total_cmp(&b.val_accuracy)
+                .then(b.training_energy_wh.total_cmp(&a.training_energy_wh))
+        })
     }
 
     /// Cell lookup.
@@ -81,15 +77,11 @@ pub fn grid_campaign(base: &ExperimentConfig, gammas: &[usize]) -> Campaign {
 ///
 /// The base config's algorithm is replaced by `SkipTrain(Γt, Γs)` per cell.
 /// An invalid base configuration or a failed cell is the campaign's typed
-/// error ([`Campaign::run`]).
-///
-/// # Panics
-/// Panics when `gammas` is empty.
+/// error ([`Campaign::run`]); an empty grid is an empty result.
 pub fn grid_search(
     base: &ExperimentConfig,
     gammas: &[usize],
 ) -> Result<SweepResult, CampaignRunError> {
-    assert!(!gammas.is_empty(), "empty gamma grid");
     let results = grid_campaign(base, gammas).run()?;
     let cells = results
         .iter()
@@ -140,12 +132,18 @@ mod tests {
             ],
             gammas: vec![1, 2, 3],
         };
-        let best = sweep.best();
+        let best = sweep.best().expect("three cells");
         assert_eq!(
             (best.gamma_train, best.gamma_sync),
             (2, 1),
             "tie must break toward low energy"
         );
+    }
+
+    #[test]
+    fn an_empty_result_has_no_best_cell() {
+        let sweep: SweepResult = serde_json::from_str(r#"{"cells": [], "gammas": []}"#).unwrap();
+        assert!(sweep.best().is_none());
     }
 
     #[test]

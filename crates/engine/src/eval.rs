@@ -138,12 +138,12 @@ mod tests {
             3,
         );
         let data = task.sample(100, 1);
-        let mut model = skiptrain_nn::zoo::logistic_regression(2, 2, 1);
+        let mut model = skiptrain_nn::zoo::mlp(&[2, 2], 1);
         let loss = SoftmaxCrossEntropy::new(2);
         // train briefly — separable task should reach 100%
         let mut node = crate::node::Node::new(
             0,
-            skiptrain_nn::zoo::logistic_regression(2, 2, 1),
+            skiptrain_nn::zoo::mlp(&[2, 2], 1),
             data.clone(),
             16,
             skiptrain_nn::sgd::SgdConfig::plain(0.5),

@@ -1299,63 +1299,9 @@ mod tests {
         }
     }
 
-    /// A trainable layer with exactly one parameter: `out = gain · in`,
-    /// starting from `initial`.
-    struct Gain {
-        initial: f32,
-    }
-
-    impl skiptrain_nn::Layer for Gain {
-        fn name(&self) -> &'static str {
-            "gain"
-        }
-        fn input_dim(&self) -> usize {
-            2
-        }
-        fn output_dim(&self) -> usize {
-            2
-        }
-        fn param_count(&self) -> usize {
-            1
-        }
-        fn init_params(&self, params: &mut [f32], _init: &mut skiptrain_nn::zoo::InitRng) {
-            params[0] = self.initial;
-        }
-        fn forward(
-            &self,
-            gain: &[f32],
-            input: &skiptrain_linalg::Matrix,
-            output: &mut skiptrain_linalg::Matrix,
-        ) {
-            output.resize_zeroed(input.rows(), 2);
-            for (o, &i) in output.as_mut_slice().iter_mut().zip(input.as_slice()) {
-                *o = gain[0] * i;
-            }
-        }
-        fn backward(
-            &self,
-            gain: &[f32],
-            grad: &mut [f32],
-            input: &skiptrain_linalg::Matrix,
-            _output: &skiptrain_linalg::Matrix,
-            grad_out: &skiptrain_linalg::Matrix,
-            grad_in: Option<&mut skiptrain_linalg::Matrix>,
-        ) {
-            for (&go, &x) in grad_out.as_slice().iter().zip(input.as_slice()) {
-                grad[0] += go * x;
-            }
-            if let Some(grad_in) = grad_in {
-                grad_in.resize_zeroed(grad_out.rows(), 2);
-                for (gi, &go) in grad_in.as_mut_slice().iter_mut().zip(grad_out.as_slice()) {
-                    *gi = gain[0] * go;
-                }
-            }
-        }
-    }
-
-    /// `n` one-layer models on a 4-regular graph: softmax regression with
-    /// exactly `classes · (features + 1)` parameters, or — `features == 0`
-    /// — the one-parameter [`Gain`] over two features and classes.
+    /// `n` one-layer models on a 4-regular graph: softmax regression
+    /// (`mlp(&[features, classes])`) with exactly `classes · (features + 1)`
+    /// parameters.
     fn sized_fleet(
         n: usize,
         features: usize,
@@ -1363,8 +1309,8 @@ mod tests {
         transport: TransportKind,
     ) -> Simulation {
         let spec = MixtureSpec {
-            num_classes: classes.max(2),
-            feature_dim: features.max(2),
+            num_classes: classes,
+            feature_dim: features,
             modes_per_class: 1,
             separation: 1.6,
             noise: 0.5,
@@ -1372,13 +1318,7 @@ mod tests {
         let task = MixtureTask::new(spec, 7);
         let datasets: Vec<Dataset> = (0..n).map(|i| task.sample(24, 40 + i as u64)).collect();
         let models: Vec<Sequential> = (0..n)
-            .map(|i| match features {
-                0 => {
-                    let initial = 0.5 + i as f32;
-                    Sequential::new(vec![Box::new(Gain { initial })], 0)
-                }
-                _ => skiptrain_nn::zoo::logistic_regression(features, classes, 90 + i as u64),
-            })
+            .map(|i| skiptrain_nn::zoo::mlp(&[features, classes], 90 + i as u64))
             .collect();
         let graph = random_regular(n, 4, 5);
         let mixing = MixingMatrix::metropolis_hastings(&graph);
@@ -1473,12 +1413,12 @@ mod tests {
             [S, T, S, T, S, T, S],
             [S; 7],
         ];
-        // classes · (features + 1) parameters: 1, tile − 1, tile, tile + 1, 3·tile + 5
+        // classes · (features + 1) parameters: 4, tile − 1, tile, tile + 1, 3·tile + 5
         assert_eq!(
             WSUM_TILE, 2048,
             "re-derive the shapes below for a new tile length"
         );
-        for (features, classes) in [(0, 1), (88, 23), (255, 8), (682, 3), (558, 11)] {
+        for (features, classes) in [(1, 2), (88, 23), (255, 8), (682, 3), (558, 11)] {
             for (transport, override_mixing) in [
                 (TransportKind::Memory, None),
                 (lossy, None),

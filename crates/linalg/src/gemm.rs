@@ -39,8 +39,8 @@
 //! (`with_avx2`). `Aᵀ·B` accumulates: the direct tile continues each chain
 //! from the `C` it finds, the packed driver adds a from-zero chain to it.
 //! They agree bit for bit on a zeroed `C`, which the library caller passes
-//! (`Dense::backward` after `zero_grads`), so no pinned result moves when a
-//! shape changes driver; the packed order is deliberately left as it is.
+//! (`Sequential::backward` after `zero_grads`): no pinned result moves when
+//! a shape changes driver; the packed order is deliberately left as it is.
 //!
 //! No kernel skips a zero term, so `0 · ∞` is `NaN` at every size. For
 //! finite operands skipping would change no bit: a chain started at `+0.0`

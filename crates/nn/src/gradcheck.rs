@@ -1,9 +1,10 @@
 //! Finite-difference gradient verification.
 //!
 //! Manual backpropagation is the highest-risk code in the substrate, so the
-//! test suite verifies every layer type end-to-end against central
-//! differences. The checker is public so downstream users adding custom
-//! layers can reuse it.
+//! test suite verifies the model's gradients end-to-end against central
+//! differences — with and without hidden layers, and with more than one.
+//! The checker is public so downstream code can verify any model it
+//! builds.
 
 use crate::loss::SoftmaxCrossEntropy;
 use crate::model::Sequential;
@@ -103,8 +104,7 @@ pub fn check_gradients(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activations::Relu;
-    use crate::dense::Dense;
+    use crate::zoo::mlp;
     use rand::rngs::SmallRng;
     use rand::{RngExt, SeedableRng};
 
@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn mlp_gradients_verify() {
-        let mut model = crate::zoo::mlp(&[6, 10, 4], 11);
+        let mut model = mlp(&[6, 10, 4], 11);
         let loss = SoftmaxCrossEntropy::new(4);
         let (x, y) = random_batch(5, 6, 4, 1);
         let report = check_gradients(&mut model, &loss, &x, &y, 1e-2, 120);
@@ -128,7 +128,7 @@ mod tests {
 
     #[test]
     fn logistic_gradients_verify() {
-        let mut model = crate::zoo::logistic_regression(8, 3, 5);
+        let mut model = mlp(&[8, 3], 5);
         let loss = SoftmaxCrossEntropy::new(3);
         let (x, y) = random_batch(7, 8, 3, 2);
         let report = check_gradients(&mut model, &loss, &x, &y, 1e-2, 60);
@@ -140,24 +140,16 @@ mod tests {
     }
 
     #[test]
-    fn gradients_verify_when_the_sweep_stops_above_layer_zero() {
-        // the lowest layer with parameters is layer 1: it gets no input
-        // gradient buffer and the activation below it is never visited
-        let mut model = Sequential::new(
-            vec![
-                Box::new(Relu::new(5)),
-                Box::new(Dense::new(5, 7)),
-                Box::new(Relu::new(7)),
-                Box::new(Dense::new(7, 3)),
-            ],
-            8,
-        );
+    fn deep_mlp_gradients_verify() {
+        // two hidden layers: the masked input gradient of layer 2 is what
+        // layer 1 trains on
+        let mut model = mlp(&[5, 7, 6, 3], 8);
         let loss = SoftmaxCrossEntropy::new(3);
         let (x, y) = random_batch(4, 5, 3, 6);
         let report = check_gradients(&mut model, &loss, &x, &y, 1e-2, 80);
         assert!(
             report.passes(2e-2),
-            "parameterless-bottom stack gradcheck failed: {:?}",
+            "deep mlp gradcheck failed: {:?}",
             report
         );
     }

@@ -40,7 +40,7 @@ impl SoftmaxCrossEntropy {
         );
         assert_eq!(labels.len(), batch, "labels length != batch");
         assert!(batch > 0, "empty batch");
-        crate::layer::ensure_shape(grad, batch, self.num_classes);
+        crate::model::ensure_shape(grad, batch, self.num_classes);
 
         let inv_b = 1.0 / batch as f32;
         let mut total = 0.0f64;

@@ -1,11 +1,12 @@
-//! Sequential model container: an architecture over one flat parameter
+//! The model: an MLP described by its widths, over one flat parameter
 //! vector.
 //!
 //! Decentralized learning treats a model as an opaque parameter vector `x`
 //! that is trained locally, shared with neighbors, and averaged. The
-//! [`Sequential`] container therefore holds exactly that: **one** flat
-//! parameter vector and **one** flat gradient vector, of which every layer
-//! is handed its span for the duration of a pass. Layers own neither.
+//! [`Sequential`] model therefore holds exactly that: **one** flat
+//! parameter vector and **one** flat gradient vector, laid out layer after
+//! layer as `[W_l (in×out, row-major) | b_l]`, and every pass reads its
+//! layer's span of them where it lies.
 //!
 //! A stand-alone model owns its vector: it is initialized at construction,
 //! [`Sequential::copy_params_to`] / [`Sequential::load_params`] copy it out
@@ -17,19 +18,20 @@
 //! While its parameters are lent out the model holds an empty vector and
 //! [`Sequential::forward`] refuses to run.
 
-use crate::layer::Layer;
-use crate::zoo::InitRng;
-use skiptrain_linalg::Matrix;
+use rand::rngs::SmallRng;
+use rand::{RngExt, SeedableRng};
+use skiptrain_linalg::{gemm_a_bt_into, gemm_at_b_into, gemm_into, Matrix};
 
-/// A stack of layers executed in order.
+/// An MLP `dims[0] → dims[1] → … → dims[L]`: dense layers `Y = X·W + b`
+/// with a ReLU after every layer but the last.
 ///
-/// The container owns every activation (`acts[i]` is layer `i`'s output of
-/// the last forward pass) and the caller owns the batch, so the backward
-/// sweep hands each layer its forward input and output by reference —
-/// layers cache neither.
+/// The model owns every activation (`acts[l]` is layer `l`'s output of the
+/// last forward pass, after its ReLU) and the caller owns the batch, so the
+/// backward sweep reads both where they lie.
 pub struct Sequential {
-    layers: Vec<Box<dyn Layer>>,
-    /// Layer `i`'s span of both flat vectors is `offsets[i]..offsets[i + 1]`.
+    /// Layer widths: layer `l` maps `dims[l]` features to `dims[l + 1]`.
+    dims: Vec<usize>,
+    /// Layer `l`'s span of both flat vectors is `offsets[l]..offsets[l + 1]`.
     offsets: Vec<usize>,
     /// The flat parameter vector `x`; empty while lent out.
     params: Vec<f32>,
@@ -41,82 +43,58 @@ pub struct Sequential {
     /// Ping-pong gradient buffers for the backward sweep.
     gbuf_a: Matrix,
     gbuf_b: Matrix,
-    param_count: usize,
-    /// Index of the lowest layer with parameters (`layers.len()` if none):
-    /// where the backward sweep stops.
-    lowest_trainable: usize,
 }
 
 impl Sequential {
-    /// Builds a model from layers and initializes its parameters: every
-    /// layer draws its span from one [`InitRng`] stream of `seed`, in
-    /// flatten order.
+    /// Builds the MLP over `dims` (see [`crate::zoo::mlp`]) and initializes
+    /// its parameters from one stream of `seed`: layer by layer, He-uniform
+    /// weights in `±sqrt(6 / dims[l])`, in flatten order, and zero biases.
     ///
     /// # Panics
-    /// Panics if `layers` is empty or if consecutive layer dimensions do not
-    /// line up.
-    pub fn new(layers: Vec<Box<dyn Layer>>, seed: u64) -> Self {
-        assert!(!layers.is_empty(), "model needs at least one layer");
-        for pair in layers.windows(2) {
-            assert_eq!(
-                pair[0].output_dim(),
-                pair[1].input_dim(),
-                "layer {} output ({}) does not feed layer {} input ({})",
-                pair[0].name(),
-                pair[0].output_dim(),
-                pair[1].name(),
-                pair[1].input_dim()
-            );
+    /// Panics if fewer than two widths are given.
+    pub(crate) fn new(dims: &[usize], seed: u64) -> Self {
+        assert!(dims.len() >= 2, "mlp needs at least input and output dims");
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // exact capacity: the engine takes this vector as a node's model
+        let count = dims.windows(2).map(|p| p[0] * p[1] + p[1]).sum();
+        let (mut params, mut offsets) = (Vec::with_capacity(count), vec![0]);
+        for pair in dims.windows(2) {
+            let bound = (6.0f32 / pair[0] as f32).sqrt();
+            params.extend((0..pair[0] * pair[1]).map(|_| rng.random_range(-bound..bound)));
+            params.resize(params.len() + pair[1], 0.0);
+            offsets.push(params.len());
         }
-        let acts = layers.iter().map(|_| Matrix::zeros(0, 0)).collect();
-        let mut param_count = 0;
-        let mut offsets = vec![0];
-        for layer in &layers {
-            param_count += layer.param_count();
-            offsets.push(param_count);
-        }
-        let mut params = vec![0.0f32; param_count];
-        let mut init = InitRng::new(seed);
-        for (layer, span) in layers.iter().zip(offsets.windows(2)) {
-            layer.init_params(&mut params[span[0]..span[1]], &mut init);
-        }
-        let lowest_trainable = layers
-            .iter()
-            .position(|l| l.param_count() > 0)
-            .unwrap_or(layers.len());
         Self {
-            layers,
+            dims: dims.to_vec(),
             offsets,
             params,
             grads: Vec::new(),
-            acts,
+            acts: dims[1..].iter().map(|_| Matrix::zeros(0, 0)).collect(),
             gbuf_a: Matrix::zeros(0, 0),
             gbuf_b: Matrix::zeros(0, 0),
-            param_count,
-            lowest_trainable,
         }
     }
 
     /// Number of input features per sample.
     pub fn input_dim(&self) -> usize {
-        self.layers[0].input_dim()
+        self.dims[0]
     }
 
     /// Number of output features (logits) per sample.
     pub fn output_dim(&self) -> usize {
-        self.layers.last().map_or(0, |l| l.output_dim())
+        self.dims[self.dims.len() - 1]
     }
 
     /// Total number of trainable parameters (the paper's `|x|`).
     pub fn param_count(&self) -> usize {
-        self.param_count
+        self.offsets[self.offsets.len() - 1]
     }
 
     /// Runs the forward pass and returns the logits for the batch.
     ///
     /// # Panics
     /// Panics if the input width is wrong or the parameters are lent out.
-    pub fn forward<'a>(&'a mut self, input: &'a Matrix) -> &'a Matrix {
+    pub fn forward(&mut self, input: &Matrix) -> &Matrix {
         assert_eq!(
             input.cols(),
             self.input_dim(),
@@ -124,74 +102,93 @@ impl Sequential {
         );
         assert_eq!(
             self.params.len(),
-            self.param_count,
+            self.param_count(),
             "model forward: parameters are lent out"
         );
-        let mut src: &Matrix = input;
-        for (i, (layer, act)) in self.layers.iter().zip(&mut self.acts).enumerate() {
-            let span = self.offsets[i]..self.offsets[i + 1];
-            layer.forward(&self.params[span], src, act);
-            src = act;
+        let top = self.acts.len() - 1;
+        for l in 0..=top {
+            let (below, here) = self.acts.split_at_mut(l);
+            let (x, y) = (below.last().unwrap_or(input), &mut here[0]);
+            let (k, n) = (self.dims[l], self.dims[l + 1]);
+            let (w, b) = self.params[self.offsets[l]..self.offsets[l + 1]].split_at(k * n);
+            ensure_shape(y, x.rows(), n);
+            // Y = X · W: batch-sized, so the direct tile reads X and W in place.
+            gemm_into(x.rows(), k, n, x.as_slice(), w, y.as_mut_slice());
+            add_bias_relu(y, b, l < top);
         }
-        src
+        &self.acts[top]
     }
 
     /// Runs the backward sweep from the logit gradient, accumulating
     /// parameter gradients into the flat gradient vector (zeroed first if
     /// it does not have the model's size yet).
     ///
-    /// Must follow a `forward(input)` on the same `input`.
-    /// The sweep walks from the top layer down to the lowest layer that has
-    /// parameters and stops there: that layer gets `grad_in = None` (the
-    /// gradient w.r.t. its input would be dropped unread — a quarter of a
-    /// two-layer MLP step's multiply–adds) and the parameterless layers
-    /// below it are not visited.
+    /// Must follow a `forward(input)` on the same `input`. The sweep walks
+    /// from the top layer down; layer 0 computes no input gradient, since
+    /// nobody reads it (a quarter of a two-layer MLP step's multiply–adds).
     pub fn backward(&mut self, input: &Matrix, grad_logits: &Matrix) {
         assert_eq!(
             self.params.len(),
-            self.param_count,
+            self.param_count(),
             "model backward: parameters are lent out"
         );
-        if self.grads.len() != self.param_count {
+        if self.grads.len() != self.param_count() {
             self.zero_grads();
         }
         let Self {
-            layers,
+            dims,
             offsets,
             params,
             grads,
             acts,
             gbuf_a,
             gbuf_b,
-            lowest_trainable,
-            ..
         } = self;
-        let n = layers.len();
-        debug_assert_eq!(acts.len(), n);
+        let (top, batch) = (acts.len() - 1, grad_logits.rows());
+        assert_eq!(
+            grad_logits.shape(),
+            acts[top].shape(),
+            "model backward: grad is not the shape of this batch's logits"
+        );
+        assert_eq!(
+            input.shape(),
+            (batch, dims[0]),
+            "model backward: input is not the forward input of this batch"
+        );
         // `cur` receives the gradient w.r.t. the current layer's input;
         // `next` holds the gradient produced by the layer above.
-        let mut cur: &mut Matrix = gbuf_a;
-        let mut next: &mut Matrix = gbuf_b;
-        for i in (*lowest_trainable..n).rev() {
-            let (lo, hi) = (offsets[i], offsets[i + 1]);
-            let layer_in = if i == 0 { input } else { &acts[i - 1] };
-            let grad_out = if i == n - 1 { grad_logits } else { &*next };
-            let grad_in = (i > *lowest_trainable).then_some(&mut *cur);
-            layers[i].backward(
-                &params[lo..hi],
-                &mut grads[lo..hi],
-                layer_in,
-                &acts[i],
-                grad_out,
-                grad_in,
-            );
-            std::mem::swap(&mut cur, &mut next);
+        let (mut cur, mut next) = (gbuf_a, gbuf_b);
+        for l in (0..=top).rev() {
+            let (k, n) = (dims[l], dims[l + 1]);
+            let x = if l == 0 { input } else { &acts[l - 1] };
+            let dy = if l == top { grad_logits } else { &*next };
+            let (dw, db) = grads[offsets[l]..offsets[l + 1]].split_at_mut(k * n);
+            // dW += Xᵀ · dY
+            gemm_at_b_into(k, batch, n, x.as_slice(), dy.as_slice(), dw);
+            // db += column sums of dY
+            for r in 0..batch {
+                for (g, d) in db.iter_mut().zip(dy.row(r)) {
+                    *g += d;
+                }
+            }
+            if l > 0 {
+                // dX = dY · Wᵀ (W is in×out row-major, exactly the n×k `B`
+                // a_bt wants), masked by the ReLU below: its output `x` is
+                // positive exactly where it passed its input through.
+                ensure_shape(cur, batch, k);
+                let w = &params[offsets[l]..][..k * n];
+                gemm_a_bt_into(batch, n, k, dy.as_slice(), w, cur.as_mut_slice());
+                for (g, &y) in cur.as_mut_slice().iter_mut().zip(x.as_slice()) {
+                    *g = if y > 0.0 { *g } else { 0.0 };
+                }
+                std::mem::swap(&mut cur, &mut next);
+            }
         }
     }
 
     /// Zeroes the flat gradient vector, sizing it to the model first.
     pub fn zero_grads(&mut self) {
-        self.grads.resize(self.param_count, 0.0);
+        self.grads.resize(self.param_count(), 0.0);
         self.grads.fill(0.0);
     }
 
@@ -204,7 +201,7 @@ impl Sequential {
     /// Panics if `other` is neither empty nor `self.param_count()` long.
     pub fn swap_params(&mut self, other: &mut Vec<f32>) {
         assert!(
-            other.is_empty() || other.len() == self.param_count,
+            other.is_empty() || other.len() == self.param_count(),
             "flat parameter length mismatch"
         );
         std::mem::swap(&mut self.params, other);
@@ -244,7 +241,7 @@ impl Sequential {
     pub fn load_params(&mut self, flat: &[f32]) {
         assert_eq!(
             flat.len(),
-            self.param_count,
+            self.param_count(),
             "flat parameter length mismatch"
         );
         self.params.clear();
@@ -258,29 +255,150 @@ impl Sequential {
     }
 }
 
+/// `Y += b` row by row and, on a hidden layer, the ReLU select in place,
+/// one pass while the block is hot. The order is the GEMM's chain, then
+/// `+ b`, then `max(0, ·)` (a NaN becomes 0): the trained bits depend on it.
+fn add_bias_relu(y: &mut Matrix, bias: &[f32], relu: bool) {
+    for r in 0..y.rows() {
+        for (v, b) in y.row_mut(r).iter_mut().zip(bias) {
+            let s = *v + b;
+            *v = if !relu || s > 0.0 { s } else { 0.0 };
+        }
+    }
+}
+
+/// Resizes `m` to `rows × cols` if needed, reusing the allocation when the
+/// total element count already matches.
+pub(crate) fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
+    if m.shape() != (rows, cols) {
+        // capacity-preserving: a scratch matrix cycled across layer widths
+        // (e.g. the model's two backward gradient buffers) stops
+        // reallocating once it has seen the largest shape
+        m.resize_zeroed(rows, cols);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activations::Relu;
-    use crate::dense::Dense;
-    use rand::rngs::SmallRng;
-    use rand::{RngExt, SeedableRng};
+    use crate::zoo::mlp;
 
     fn tiny_mlp(seed: u64) -> Sequential {
-        Sequential::new(
-            vec![
-                Box::new(Dense::new(4, 6)),
-                Box::new(Relu::new(6)),
-                Box::new(Dense::new(6, 3)),
-            ],
-            seed,
-        )
+        mlp(&[4, 6, 3], seed)
+    }
+
+    /// `model` with `params` loaded, after one forward pass on `x` and one
+    /// backward pass of `g` into zeroed gradients; returns the gradients.
+    fn grads_of(model: &mut Sequential, params: &[f32], x: &[f32], g: &[f32]) -> Vec<f32> {
+        model.load_params(params);
+        let x = Matrix::from_vec(1, model.input_dim(), x.to_vec());
+        let _ = model.forward(&x);
+        model.zero_grads();
+        model.backward(&x, &Matrix::from_vec(1, model.output_dim(), g.to_vec()));
+        let mut grads = Vec::new();
+        model.copy_grads_to(&mut grads);
+        grads
     }
 
     #[test]
     fn param_count_sums_layers() {
         let m = tiny_mlp(1);
         assert_eq!(m.param_count(), (4 * 6 + 6) + (6 * 3 + 3));
+    }
+
+    #[test]
+    fn param_count_is_w_plus_b() {
+        assert_eq!(mlp(&[7, 5], 42).param_count(), 7 * 5 + 5);
+    }
+
+    #[test]
+    fn init_is_deterministic_per_seed() {
+        assert_eq!(
+            mlp(&[4, 4], 42).flat_params(),
+            mlp(&[4, 4], 42).flat_params()
+        );
+    }
+
+    #[test]
+    fn bias_initialized_to_zero() {
+        // [W0 (3×4) | b0 (4) | W1 (4×2) | b1 (2)]
+        let params = mlp(&[3, 4, 2], 42).flat_params();
+        assert!(params[..12].iter().all(|&v| v != 0.0));
+        assert_eq!(&params[12..16], &[0.0; 4]);
+        assert_eq!(&params[24..], &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn forward_matches_manual_computation() {
+        let mut m = mlp(&[2, 3], 42);
+        // W = [[1,2,3],[4,5,6]], b = [.1,.2,.3]
+        m.load_params(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.1, 0.2, 0.3]);
+        let y = m.forward(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
+        assert_eq!(y.shape(), (1, 3));
+        let row = y.row(0);
+        assert!((row[0] - 5.1).abs() < 1e-6);
+        assert!((row[1] - 7.2).abs() < 1e-6);
+        assert!((row[2] - 9.3).abs() < 1e-6);
+    }
+
+    #[test]
+    fn input_gradient_matches_manual() {
+        // layer 0 is the identity (its ReLU passes [1, 1] through), layer 1
+        // W = [[1,2],[3,4]], b = 0; layer 1's input gradient is what layer
+        // 0's bias gradient accumulates
+        let params = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 0.0];
+        let grads = grads_of(&mut mlp(&[2, 2, 2], 1), &params, &[1.0, 1.0], &[1.0, 0.0]);
+        // dX = dY · Wᵀ: dX_j = Σ_o g_o W[j][o] = W[j][0]
+        assert_eq!(&grads[4..6], &[1.0, 3.0]);
+        // layer 1: dW[i][o] = h_i * g_o → [[1,0],[1,0]]; db = [1,0]
+        assert_eq!(&grads[6..10], &[1.0, 0.0, 1.0, 0.0]);
+        assert_eq!(&grads[10..], &[1.0, 0.0]);
+        // layer 0: dW = xᵀ · dX
+        assert_eq!(&grads[..4], &[1.0, 3.0, 1.0, 3.0]);
+    }
+
+    #[test]
+    fn backward_accumulates_gradients() {
+        let mut m = mlp(&[2, 2], 42);
+        let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
+        let g = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
+        let _ = m.forward(&x);
+        m.backward(&x, &g);
+        let mut g1 = Vec::new();
+        m.copy_grads_to(&mut g1);
+        let _ = m.forward(&x);
+        m.backward(&x, &g);
+        for (a, b) in m.grads.iter().zip(&g1) {
+            assert!((a - 2.0 * b).abs() < 1e-5, "gradient did not accumulate");
+        }
+    }
+
+    #[test]
+    fn relu_clamps_negatives() {
+        // one input of 1 and W0 = the pre-activations, b0 = 0
+        let mut m = mlp(&[1, 4, 2], 1);
+        let mut params = m.flat_params();
+        params[..4].copy_from_slice(&[-1.0, 0.0, 2.0, -0.5]);
+        m.load_params(&params);
+        let _ = m.forward(&Matrix::from_vec(1, 1, vec![1.0]));
+        assert_eq!(m.acts[0].as_slice(), &[0.0, 0.0, 2.0, 0.0]);
+    }
+
+    #[test]
+    fn relu_gradient_masks_inactive_units() {
+        // pre-activations [-1, 1, 3], W1 = [1, 1, 1]: layer 1's input
+        // gradient is [5, 5, 5] and reaches layer 0's bias masked
+        let params = [-1.0, 1.0, 3.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0];
+        let grads = grads_of(&mut mlp(&[1, 3, 1], 1), &params, &[1.0], &[5.0]);
+        assert_eq!(&grads[3..6], &[0.0, 5.0, 5.0]);
+    }
+
+    #[test]
+    fn relu_zero_input_has_zero_gradient() {
+        // the kink: subgradient at 0 chosen as 0, consistent forward/backward
+        let params = [0.0, 0.0, 1.0, 0.0];
+        let grads = grads_of(&mut mlp(&[1, 1, 1], 1), &params, &[1.0], &[1.0]);
+        assert_eq!(&grads[..2], &[0.0, 0.0]);
     }
 
     #[test]
@@ -337,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dense backward: input is not the forward input of this batch")]
+    #[should_panic(expected = "model backward: input is not the forward input of this batch")]
     fn backward_rejects_an_input_of_another_batch_size() {
         let mut m = tiny_mlp(7);
         let x = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1);
@@ -346,105 +464,90 @@ mod tests {
         m.backward(&other, &Matrix::full(3, 3, 0.5));
     }
 
-    /// A random Dense/ReLU stack: widths, depth, and how many ReLUs sit
-    /// below the first dense layer (none for about half the seeds). Returns
-    /// the layers and the index of the lowest one with parameters.
-    fn random_stack(seed: u64) -> (Vec<Box<dyn Layer>>, usize) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut layers: Vec<Box<dyn Layer>> = Vec::new();
-        let mut dim = rng.random_range(2..9);
-        let mut lowest = None;
-        let depth = rng.random_range(2..8);
-        while layers.len() < depth || lowest.is_none() {
-            let layer: Box<dyn Layer> = if rng.random_bool(0.5) {
-                Box::new(Dense::new(dim, rng.random_range(2..9)))
-            } else {
-                Box::new(Relu::new(dim))
-            };
-            if layer.param_count() > 0 && lowest.is_none() {
-                lowest = Some(layers.len());
-            }
-            dim = layer.output_dim();
-            layers.push(layer);
-        }
-        (layers, lowest.unwrap())
-    }
-
-    /// Reference sweep: every layer, top to bottom, is asked for its input
-    /// gradient, into a fresh buffer.
+    /// Reference sweep: every layer, layer 0 included, computes its input
+    /// gradient into a fresh buffer, masked by the ReLU below it if any.
     fn full_sweep(m: &mut Sequential, input: &Matrix, grad_logits: &Matrix) {
         if m.grads.is_empty() {
             m.zero_grads();
         }
-        let mut grad_out = grad_logits.clone();
-        for i in (0..m.layers.len()).rev() {
-            let span = m.offsets[i]..m.offsets[i + 1];
-            let layer_in = if i == 0 { input } else { &m.acts[i - 1] };
-            let mut grad_in = Matrix::zeros(0, 0);
-            m.layers[i].backward(
-                &m.params[span.clone()],
-                &mut m.grads[span],
-                layer_in,
-                &m.acts[i],
-                &grad_out,
-                Some(&mut grad_in),
-            );
-            grad_out = grad_in;
+        let mut dy = grad_logits.clone();
+        for l in (0..m.acts.len()).rev() {
+            let (k, n, batch) = (m.dims[l], m.dims[l + 1], dy.rows());
+            let x = if l == 0 { input } else { &m.acts[l - 1] };
+            let span = m.offsets[l]..m.offsets[l + 1];
+            let (dw, db) = m.grads[span.clone()].split_at_mut(k * n);
+            gemm_at_b_into(k, batch, n, x.as_slice(), dy.as_slice(), dw);
+            for r in 0..batch {
+                for (g, d) in db.iter_mut().zip(dy.row(r)) {
+                    *g += d;
+                }
+            }
+            let mut dx = Matrix::zeros(batch, k);
+            let w = &m.params[span][..k * n];
+            gemm_a_bt_into(batch, n, k, dy.as_slice(), w, dx.as_mut_slice());
+            if l > 0 {
+                for (g, &y) in dx.as_mut_slice().iter_mut().zip(x.as_slice()) {
+                    *g = if y > 0.0 { *g } else { 0.0 };
+                }
+            }
+            dy = dx;
         }
     }
 
     #[test]
     fn shortened_sweep_gives_the_full_sweeps_parameter_gradients_bit_for_bit() {
-        let (mut at_zero, mut above_zero, mut live) = (0, 0, 0);
+        use rand::rngs::SmallRng;
+        use rand::{RngExt, SeedableRng};
+        let (mut per_depth, mut live) = ([0usize; 5], 0);
         for seed in 0..300u64 {
-            let (layers, lowest) = random_stack(seed);
-            if lowest == 0 {
-                at_zero += 1;
-            } else {
-                above_zero += 1;
-            }
-            let mut short = Sequential::new(layers, seed);
-            let mut full = Sequential::new(random_stack(seed).0, seed);
-            assert_eq!(short.flat_params(), full.flat_params());
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xBAC);
+            // depth 1–4, widths 2–8
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let depth = rng.random_range(1..5);
+            let dims: Vec<usize> = (0..=depth).map(|_| rng.random_range(2..9)).collect();
+            per_depth[depth] += 1;
+            let (mut short, mut full) = (mlp(&dims, seed), mlp(&dims, seed));
             // two batches of different sizes without zeroing in between:
             // accumulation and the reuse of the ping-pong buffers across
             // shapes are part of the property
             for batch in [3, 5] {
-                let x = Matrix::from_fn(batch, short.input_dim(), |_, _| {
-                    rng.random_range(-1.0f32..1.0)
-                });
-                let g = Matrix::from_fn(batch, short.output_dim(), |_, _| {
-                    rng.random_range(-1.0f32..1.0)
-                });
+                let x = Matrix::from_fn(batch, dims[0], |_, _| rng.random_range(-1.0f32..1.0));
+                let g = Matrix::from_fn(batch, dims[depth], |_, _| rng.random_range(-1.0f32..1.0));
                 let _ = short.forward(&x);
                 let _ = full.forward(&x);
                 short.backward(&x, &g);
                 full_sweep(&mut full, &x, &g);
-                let (mut gs, mut gf) = (Vec::new(), Vec::new());
-                short.copy_grads_to(&mut gs);
-                full.copy_grads_to(&mut gf);
-                live += usize::from(gs.iter().any(|&v| v != 0.0));
+                live += usize::from(short.grads.iter().any(|&v| v != 0.0));
                 assert!(
-                    gs.iter().zip(&gf).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "seed {seed}: gradients differ"
+                    short
+                        .grads
+                        .iter()
+                        .zip(&full.grads)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "seed {seed}, dims {dims:?}: gradients differ"
                 );
             }
         }
         assert!(
-            at_zero > 30 && above_zero > 30,
-            "generator must cover both: {at_zero} stacks train layer 0, {above_zero} do not"
+            per_depth[1..].iter().all(|&count| count > 30),
+            "generator must cover every depth: {per_depth:?}"
         );
         assert!(live > 500, "only {live} of 600 sweeps produced a gradient");
     }
 
     #[test]
-    #[should_panic(expected = "does not feed")]
-    fn rejects_mismatched_layers() {
-        let _ = Sequential::new(
-            vec![Box::new(Dense::new(4, 6)), Box::new(Dense::new(5, 3))],
-            1,
-        );
+    #[should_panic(expected = "mlp needs at least input and output dims")]
+    fn rejects_a_width_list_without_a_layer() {
+        let _ = mlp(&[4], 1);
+    }
+
+    #[test]
+    fn ensure_shape_reallocates_only_on_mismatch() {
+        let mut m = Matrix::zeros(2, 3);
+        ensure_shape(&mut m, 2, 3);
+        assert_eq!(m.shape(), (2, 3));
+        ensure_shape(&mut m, 4, 5);
+        assert_eq!(m.shape(), (4, 5));
+        assert!(m.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

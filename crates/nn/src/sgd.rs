@@ -55,11 +55,10 @@ impl Sgd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::Dense;
     use skiptrain_linalg::Matrix;
 
     fn one_layer() -> Sequential {
-        Sequential::new(vec![Box::new(Dense::new(2, 2))], 1)
+        crate::zoo::mlp(&[2, 2], 1)
     }
 
     fn run_backward(model: &mut Sequential) {

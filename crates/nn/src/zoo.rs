@@ -1,46 +1,13 @@
 //! Model zoo: the models an experiment configuration names.
 //!
-//! A run trains one of two models on the synthetic feature vectors of
-//! `data::synth`: an MLP with ReLU between dense layers, or a softmax
-//! regression. The paper's CNNs are not built here; their sizes from
+//! A run trains an MLP with ReLU between dense layers on the synthetic
+//! feature vectors of `data::synth`; a softmax regression is the MLP with
+//! no hidden layer. The paper's CNNs are not built here; their sizes from
 //! Table 1 (|x| = 89 834 for CIFAR-10, 1 690 046 for FEMNIST) enter the
 //! energy model through the energy crate's `WorkloadSpec`.
 
-use crate::activations::Relu;
-use crate::dense::Dense;
 use crate::model::Sequential;
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// Deterministic initializer RNG: a model hands one stream to its layers'
-/// [`init_params`](crate::Layer::init_params), in flatten order.
-pub struct InitRng {
-    rng: SmallRng,
-}
-
-impl InitRng {
-    /// Creates an initializer stream from a seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Uniform sample in `[lo, hi)`.
-    pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
-        self.rng.random_range(lo..hi)
-    }
-
-    /// He-uniform weights for `fan_in` inputs per unit: every element of
-    /// `weights`, in order, uniform in `±sqrt(6 / fan_in)`.
-    pub fn he_uniform(&mut self, weights: &mut [f32], fan_in: usize) {
-        let bound = (6.0f32 / fan_in as f32).sqrt();
-        for w in weights {
-            *w = self.uniform(-bound, bound);
-        }
-    }
-}
 
 /// Declarative model description, serializable for experiment configs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,7 +15,7 @@ pub enum ModelKind {
     /// Multi-layer perceptron with ReLU between dense layers;
     /// `dims = [input, hidden..., classes]`.
     Mlp { dims: Vec<usize> },
-    /// Softmax regression (a single dense layer).
+    /// Softmax regression: the MLP `[input_dim, classes]`.
     Logistic { input_dim: usize, classes: usize },
 }
 
@@ -57,9 +24,7 @@ impl ModelKind {
     pub fn build(&self, seed: u64) -> Sequential {
         match self {
             ModelKind::Mlp { dims } => mlp(dims, seed),
-            ModelKind::Logistic { input_dim, classes } => {
-                logistic_regression(*input_dim, *classes, seed)
-            }
+            ModelKind::Logistic { input_dim, classes } => mlp(&[*input_dim, *classes], seed),
         }
     }
 
@@ -81,25 +46,13 @@ impl ModelKind {
 }
 
 /// Builds an MLP `dims[0] -> dims[1] -> ... -> dims[last]` with ReLU between
-/// dense layers.
+/// dense layers: He-uniform weights drawn from one stream of `seed`, zero
+/// biases.
 ///
 /// # Panics
 /// Panics if fewer than two dims are given.
 pub fn mlp(dims: &[usize], seed: u64) -> Sequential {
-    assert!(dims.len() >= 2, "mlp needs at least input and output dims");
-    let mut layers: Vec<Box<dyn crate::Layer>> = Vec::new();
-    for (i, pair) in dims.windows(2).enumerate() {
-        layers.push(Box::new(Dense::new(pair[0], pair[1])));
-        if i + 2 < dims.len() {
-            layers.push(Box::new(Relu::new(pair[1])));
-        }
-    }
-    Sequential::new(layers, seed)
-}
-
-/// Softmax regression: one dense layer from inputs to class logits.
-pub fn logistic_regression(input_dim: usize, classes: usize, seed: u64) -> Sequential {
-    Sequential::new(vec![Box::new(Dense::new(input_dim, classes))], seed)
+    Sequential::new(dims, seed)
 }
 
 #[cfg(test)]
@@ -116,9 +69,34 @@ mod tests {
 
     #[test]
     fn logistic_is_single_layer() {
-        let m = logistic_regression(10, 3, 1);
+        let m = ModelKind::Logistic {
+            input_dim: 10,
+            classes: 3,
+        }
+        .build(1);
         // one dense layer and nothing else: 10·3 weights + 3 biases
         assert_eq!(m.param_count(), 33);
+    }
+
+    #[test]
+    fn logistic_and_a_two_width_mlp_draw_the_same_bits() {
+        for (input_dim, classes) in [(1, 2), (2, 2), (10, 3), (32, 10), (88, 23)] {
+            for seed in [0, 1, 42, 90, u64::MAX] {
+                let logistic = ModelKind::Logistic { input_dim, classes }.build(seed);
+                let mlp = ModelKind::Mlp {
+                    dims: vec![input_dim, classes],
+                }
+                .build(seed);
+                let bits = |m: &Sequential| -> Vec<u32> {
+                    m.flat_params().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(
+                    bits(&logistic),
+                    bits(&mlp),
+                    "{input_dim}×{classes}, seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

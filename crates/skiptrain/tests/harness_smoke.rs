@@ -38,7 +38,7 @@ fn grid_search_covers_all_cells_and_picks_a_best() {
             assert!(cell.training_energy_wh > 0.0);
         }
     }
-    let best = sweep.best();
+    let best = sweep.best().expect("a 2 × 2 grid has a best cell");
     assert!(sweep
         .cells
         .iter()
