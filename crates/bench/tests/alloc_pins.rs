@@ -1,4 +1,4 @@
-//! The steady-state allocation pins: twelve hot-path scenarios that must
+//! The steady-state allocation pins: thirteen hot-path scenarios that must
 //! allocate **0 B per step** once warm, at a thread budget of one.
 //!
 //! Each scenario builds its state, runs `warmup` unmeasured steps so every
@@ -17,6 +17,7 @@
 //! pack scratch to grow.
 
 use skiptrain_bench::perf::{allocated_bytes, CountingAllocator};
+use skiptrain_core::{AsyncGossipPolicy, RoundPolicy};
 use skiptrain_data::synth::{MixtureSpec, MixtureTask};
 use skiptrain_energy::battery::{BatteryPolicy, BatterySetup, BatteryState};
 use skiptrain_energy::trace::{HarvestProfile, HarvestTrace};
@@ -33,6 +34,7 @@ use skiptrain_nn::sgd::SgdConfig;
 use skiptrain_nn::zoo::ModelKind;
 use skiptrain_nn::{Sequential, Sgd, SoftmaxCrossEntropy};
 use skiptrain_topology::regular::random_regular;
+use skiptrain_topology::schedule::round_seed;
 use skiptrain_topology::{Graph, MixingMatrix, ScheduledTopology, TopologySchedule};
 use std::hint::black_box;
 
@@ -52,7 +54,7 @@ struct Pin {
     build: fn() -> Step,
 }
 
-const PINS: [Pin; 12] = [
+const PINS: [Pin; 13] = [
     Pin {
         name: "sgd_step_mlp_medium_90k",
         warmup: 10,
@@ -127,6 +129,12 @@ const PINS: [Pin; 12] = [
         warmup: 5,
         steps: 10,
         build: corrupt_frame_round,
+    },
+    Pin {
+        name: "gossip_round",
+        warmup: 16,
+        steps: 24,
+        build: gossip_round,
     },
 ];
 
@@ -440,5 +448,43 @@ fn corrupt_frame_round() -> Step {
         }
         assert!(corrupted > 0, "every round must exercise the reject path");
         black_box(&frame);
+    })
+}
+
+/// One asynchronous-gossip tick as the runner drives it: the schedule
+/// regenerates the round's edge-dropout graph (30 % of a 64-node 6-regular
+/// base), draws a random maximal matching of it and writes that matching's
+/// pairwise mixing; `AsyncGossipPolicy` activates each node with
+/// probability ½; the deadline round (seeded latency straddling the slack,
+/// so some matched edges arrive late) trains, shares over the matched pairs
+/// and aggregates. The pin is that the graph, the matching, its graph and
+/// the matrix are all regenerated in the schedule's reusable slots.
+fn gossip_round() -> Step {
+    let n = 64;
+    let graph = random_regular(n, 6, 17);
+    let mut sim = build_sim_on(graph.clone(), 17, SimulationConfig::minimal(17, 16, 5, 0.5));
+    let mut sched =
+        ScheduledTopology::new(graph, TopologySchedule::EdgeDropout { p: 0.3, seed: 17 });
+    let mut policy = AsyncGossipPolicy::new(0.5, 17);
+    let mut engine = EventEngine::new(
+        n,
+        17,
+        ComputeProfile::Homogeneous,
+        LatencyModel::Seeded {
+            mean_ticks: BASE_TRAIN_TICKS / 4,
+            jitter: 0.8,
+        },
+        None,
+        RoundSemantics::Deadline {
+            slack_ticks: BASE_TRAIN_TICKS / 4,
+        },
+    );
+    let mut actions = vec![RoundAction::SyncOnly; n];
+    Box::new(move || {
+        let t = sim.round();
+        policy.decide(t, &mut actions);
+        let mixing = sched.pairwise_mixing_for_round(t, round_seed(17, 16, t));
+        sim.try_run_round(black_box(&actions), Some(mixing), Some(&mut engine))
+            .expect("the matching spans the fleet");
     })
 }

@@ -9,8 +9,11 @@
 //! line and exit 1.
 
 use skiptrain_core::presets::{cifar_config, Scale};
-use skiptrain_core::{AlgorithmSpec, DataSpec, ExperimentConfig, Schedule, TopologySpec};
+use skiptrain_core::{
+    AlgorithmSpec, DataSpec, ExperimentConfig, Schedule, TopologyScheduleSpec, TopologySpec,
+};
 use skiptrain_data::Partition;
+use skiptrain_topology::Graph;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -125,6 +128,15 @@ fn hostile_configs_exit_2_naming_the_run_with_or_without_retries() {
             "eval-samples-0",
             ExperimentConfig {
                 eval_max_samples: 0,
+                ..template()
+            },
+        ),
+        (
+            "cycle-graph-without-adjacency",
+            ExperimentConfig {
+                topology_schedule: TopologyScheduleSpec::Cycle(vec![
+                    serde_json::from_str::<Graph>(r#"{"n": 8, "adj": []}"#).unwrap(),
+                ]),
                 ..template()
             },
         ),

@@ -280,6 +280,23 @@ mod tests {
             }
         );
 
+        // A deserialized graph bypasses the constructors: missing
+        // adjacency lists used to panic in the cell, and a one-sided edge
+        // (node 1 drops node 0 from a ring) ran on a non-symmetric mixing.
+        let ring = serde_json::to_string(&Graph::ring(12)).unwrap();
+        let one_sided = ring.replacen("[0,2]", "[2]", 1);
+        assert_ne!(one_sided, ring, "node 1's list is [0,2]");
+        for json in [r#"{"n":12,"adj":[]}"#, one_sided.as_str()] {
+            let malformed: Graph = serde_json::from_str(json).unwrap();
+            let err = Experiment::from_config(ExperimentConfig {
+                nodes: 12,
+                topology_schedule: TopologyScheduleSpec::Cycle(vec![Graph::ring(12), malformed]),
+                ..base()
+            })
+            .unwrap_err();
+            assert_eq!(err, ConfigError::MalformedCycleGraph { index: 1 }, "{json}");
+        }
+
         let ok = Experiment::from_config(ExperimentConfig {
             nodes: 16,
             topology_schedule: TopologyScheduleSpec::EdgeDropout { p: 0.5 },
@@ -372,7 +389,10 @@ mod tests {
         }
         let legacy: crate::ExperimentConfig =
             serde_json::from_str(&serde_json::to_string(&json).unwrap()).unwrap();
-        assert!(legacy.topology_schedule.is_static());
+        assert_eq!(
+            legacy.topology_schedule,
+            crate::TopologyScheduleSpec::Static
+        );
         assert_eq!(legacy.feedback_replica_cap, None);
         legacy.validate().expect("legacy config still validates");
     }

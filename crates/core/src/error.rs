@@ -95,6 +95,13 @@ pub enum ConfigError {
         /// Node count the graph has.
         got: usize,
     },
+    /// A cycling topology schedule contains a graph that fails
+    /// [`Graph::validate`](skiptrain_topology::Graph::validate): not one
+    /// sorted, in-range, loop-free, symmetric adjacency list per node.
+    MalformedCycleGraph {
+        /// Index of the offending graph in the cycle.
+        index: usize,
+    },
     /// The error-feedback replica cap is zero (no link could ever hold a
     /// replica).
     ZeroReplicaCap,
@@ -306,6 +313,11 @@ impl std::fmt::Display for ConfigError {
             } => write!(
                 f,
                 "cycle graph #{index} has {got} nodes, experiment has {expected}"
+            ),
+            ConfigError::MalformedCycleGraph { index } => write!(
+                f,
+                "cycle graph #{index} is not a simple undirected graph \
+                 (one sorted, in-range, loop-free, symmetric list per node)"
             ),
             ConfigError::ZeroReplicaCap => {
                 write!(f, "error-feedback replica cap must be at least 1")

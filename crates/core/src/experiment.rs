@@ -123,12 +123,6 @@ pub enum TopologyScheduleSpec {
 }
 
 impl TopologyScheduleSpec {
-    /// True for the static schedule (the runner keeps the legacy
-    /// byte-compatible fast path).
-    pub fn is_static(&self) -> bool {
-        matches!(self, TopologyScheduleSpec::Static)
-    }
-
     /// Short name for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -162,6 +156,9 @@ impl TopologyScheduleSpec {
                             got: g.len(),
                         });
                     }
+                    if g.validate().is_err() {
+                        return Err(ConfigError::MalformedCycleGraph { index });
+                    }
                 }
                 Ok(())
             }
@@ -185,28 +182,19 @@ impl TopologyScheduleSpec {
         }
     }
 
-    /// Binds the schedule to a built base graph — the driver the runner
-    /// (and async gossip) steps each round. Returns `None` for the static
-    /// schedule, whose rounds take the engine's fast path.
+    /// Binds the schedule to a built base graph — the one producer of every
+    /// round's mixing the runner steps, the static schedule included (its
+    /// one periodic matrix is the base graph's MH matrix).
     ///
     /// # Panics
     /// Panics with the schedule's own diagnosis (e.g. a mis-sized cycle
     /// graph) when the spec does not fit `base` — run
     /// [`TopologyScheduleSpec::validate`] first (the runner and campaign
     /// paths do) to get the typed [`ConfigError`] instead.
-    pub fn bind(
-        &self,
-        base: &Graph,
-        master_seed: u64,
-    ) -> Option<skiptrain_topology::ScheduledTopology> {
-        if self.is_static() {
-            return None;
-        }
-        Some(
-            skiptrain_topology::ScheduledTopology::try_new(base.clone(), self.build(master_seed))
-                // lint:allow(no_panic, "schedule parameters were validated by cfg.validate() before this point")
-                .unwrap_or_else(|e| panic!("invalid topology schedule: {e}")),
-        )
+    pub fn bind(&self, base: &Graph, master_seed: u64) -> skiptrain_topology::ScheduledTopology {
+        skiptrain_topology::ScheduledTopology::try_new(base.clone(), self.build(master_seed))
+            // lint:allow(no_panic, "schedule parameters were validated by cfg.validate() before this point")
+            .unwrap_or_else(|e| panic!("invalid topology schedule: {e}"))
     }
 }
 

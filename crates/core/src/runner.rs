@@ -1,21 +1,24 @@
-//! The observer-driven experiment runner: the one round loop.
+//! The experiment runner: the one round loop.
 //!
 //! One experiment = build per-node models and topology, loop rounds under a
-//! [`RoundPolicy`](crate::policy::RoundPolicy), and notify
-//! [`RoundObserver`]s at the hook points. Everything a result carries —
-//! learning-curve recording, the mean-model curve, energy tallies — flows
-//! through the same observer interface external callers use, so a figure
-//! harness can add its own recording (or stop the run early) without
-//! touching this loop.
+//! [`RoundPolicy`](crate::policy::RoundPolicy), record the result, and
+//! notify caller [`RoundObserver`]s at the hook points. The loop records
+//! what a result carries itself — the learning curve and, when
+//! `record_mean_model` is set, the mean-model curve at each evaluation,
+//! before any observer's `on_eval` — so an observer sees a fully recorded
+//! state and a figure harness can add its own recording (or stop the run
+//! early) without touching this loop.
 //!
 //! `execute` is the only function that drives a
 //! [`skiptrain_engine::EventEngine`], and each of the three ways of running
 //! a config ([`Experiment::run`](crate::Experiment::run),
 //! [`run_with_observers`], a [`Campaign`](crate::Campaign) cell) ends in it. What a round waits for and how it
-//! mixes are derived from `cfg.algorithm`, not passed in: the synchronous
-//! algorithms run barrier rounds over the configured (static or scheduled)
-//! topology; [`AlgorithmSpec::AsyncGossip`] runs deadline rounds
-//! (`GOSSIP_SLACK_TICKS`) over a fresh random maximal matching per tick.
+//! mixes are derived from `cfg.algorithm`, not passed in, and every round's
+//! mixing comes from the bound [`ScheduledTopology`]: the synchronous
+//! algorithms run barrier rounds over its scheduled mixing;
+//! [`AlgorithmSpec::AsyncGossip`] runs deadline rounds
+//! (`GOSSIP_SLACK_TICKS`) over its pairwise mixing, a random maximal
+//! matching of the scheduled round graph per tick.
 //! With trivial timing (homogeneous compute, zero latency, no churn) every
 //! participation mask is all-true and a run is bit-identical to the
 //! lockstep loop.
@@ -27,15 +30,13 @@ use crate::experiment::{
 };
 use skiptrain_engine::observer::{EvalReport, RoundCtx, RoundObserver, RoundReport};
 use skiptrain_engine::{
-    CurveObserver, EventEngine, MeanModelObserver, RoundAction, RoundSemantics, Simulation,
-    SimulationConfig, BASE_TRAIN_TICKS,
+    AccuracyPoint, EventEngine, RoundAction, RoundSemantics, Simulation, SimulationConfig,
+    BASE_TRAIN_TICKS,
 };
 use skiptrain_linalg::rng::derive_seed;
 use skiptrain_nn::sgd::SgdConfig;
-use skiptrain_topology::matching::random_maximal_matching;
 use skiptrain_topology::schedule::round_seed;
-use skiptrain_topology::{Graph, MixingMatrix, ScheduledTopology};
-use std::sync::Arc;
+use skiptrain_topology::{MixingMatrix, ScheduledTopology};
 
 /// Deadline slack for async-gossip ticks, in virtual ticks: a message may
 /// trail the tick's slowest completion by a quarter of a nominal training
@@ -54,13 +55,9 @@ const GOSSIP_MATCHING_STREAM: u64 = 16;
 /// The round-loop prologue: per-node models, topology and mixing, engine
 /// configuration (including the battery runtime lowered from
 /// `cfg.battery`), and schedule binding. Returns the fully configured
-/// simulation, the bound topology schedule (`None` for the static fast
-/// path) and the base graph (async gossip matches over it). Assumes `cfg`
-/// is valid and `data` matches it.
-fn build_simulation(
-    cfg: &ExperimentConfig,
-    data: &DataBundle,
-) -> (Simulation, Option<ScheduledTopology>, Graph) {
+/// simulation and the bound topology schedule that produces every round's
+/// mixing. Assumes `cfg` is valid and `data` matches it.
+fn build_simulation(cfg: &ExperimentConfig, data: &DataBundle) -> (Simulation, ScheduledTopology) {
     let kind = cfg.model_kind();
     let models: Vec<_> = (0..cfg.nodes)
         .map(|i| kind.build(derive_seed(cfg.seed, 0x4000 + i as u64)))
@@ -101,17 +98,15 @@ fn build_simulation(
             .as_ref()
             .map(|spec| spec.build(cfg.nodes, cfg.seed, &cfg.energy.workload)),
     };
-    // A non-static topology schedule regenerates (cached) doubly
-    // stochastic mixing per round; the static default passes no override.
     let schedule = cfg.topology_schedule.bind(&graph, cfg.seed);
     let sim = Simulation::with_shared_data(
         models,
         data.node_datasets.clone(),
-        graph.clone(),
+        graph,
         mixing,
         sim_config,
     );
-    (sim, schedule, graph)
+    (sim, schedule)
 }
 
 /// End-of-run battery totals, when the simulation was battery-gated.
@@ -164,10 +159,10 @@ pub fn run_with_observers(
 pub(crate) fn execute(
     cfg: &ExperimentConfig,
     data: &DataBundle,
-    extra_observers: &mut [&mut dyn RoundObserver],
+    observers: &mut [&mut dyn RoundObserver],
 ) -> Result<ExperimentResult, RunError> {
     let mut policy = cfg.build_policy();
-    let (mut sim, mut schedule, graph) = build_simulation(cfg, data);
+    let (mut sim, mut schedule) = build_simulation(cfg, data);
     let gossip = matches!(cfg.algorithm, AlgorithmSpec::AsyncGossip { .. });
     let semantics = if gossip {
         RoundSemantics::Deadline {
@@ -186,158 +181,141 @@ pub(crate) fn execute(
     );
 
     let mut actions = vec![RoundAction::SyncOnly; cfg.nodes];
+    let mut test_curve = Vec::new();
+    let mut mean_model_curve = Vec::new();
+    let mut node_train_events = 0u64;
+    let mut last_eval = None;
+    let mut prev_training_wh = 0.0f64;
+    let mut prev_comm_wh = 0.0f64;
 
-    // Built-in observers reimplement the legacy driver's recording; they run
-    // before caller observers so callers see a fully recorded state.
-    let mut curve = CurveObserver::new();
-    let mut mean_model = cfg
-        .record_mean_model
-        .then(|| MeanModelObserver::new(Arc::clone(&data.test), cfg.eval_max_samples));
-    {
-        let mut observers: Vec<&mut dyn RoundObserver> = Vec::new();
-        observers.push(&mut curve);
-        if let Some(mean) = mean_model.as_mut() {
-            observers.push(mean);
-        }
-        for obs in extra_observers.iter_mut() {
-            observers.push(&mut **obs);
-        }
+    for t in 0..cfg.rounds {
+        policy.decide(t, &mut actions);
 
-        let mut node_train_events = 0u64;
-        let mut last_eval = None;
-        let mut prev_training_wh = 0.0f64;
-        let mut prev_comm_wh = 0.0f64;
-
-        for t in 0..cfg.rounds {
-            policy.decide(t, &mut actions);
-
-            {
-                let ctx = RoundCtx {
-                    round: t,
-                    actions: &actions,
-                };
-                for obs in observers.iter_mut() {
-                    obs.on_round_start(&sim, &ctx);
-                }
-            }
-
-            let gossip_mixing;
-            let mixing = if gossip {
-                // Per-tick matching seeds are chained over (schedule id,
-                // round) like every other per-round stream; matchings
-                // compose with a configured topology schedule by pairing
-                // over the *scheduled* round graph.
-                let matching_seed = round_seed(cfg.seed ^ 0x3A7C, GOSSIP_MATCHING_STREAM, t);
-                let pairs = match schedule.as_mut() {
-                    None => random_maximal_matching(&graph, matching_seed),
-                    Some(sched) => {
-                        random_maximal_matching(&sched.graph_for_round(t), matching_seed)
-                    }
-                };
-                gossip_mixing = MixingMatrix::pairwise(cfg.nodes, &pairs);
-                Some(&gossip_mixing)
-            } else {
-                schedule.as_mut().map(|sched| sched.mixing_for_round(t))
-            };
-            // Sizes were validated with the config; a mismatch here would
-            // be an internal scheduling bug, reported with the typed
-            // engine error's diagnosis (and the round it broke on) so a
-            // resilient campaign can fail this one cell and keep going.
-            sim.try_run_round(&actions, mixing, Some(&mut engine))
-                .map_err(|source| RunError { round: t, source })?;
-            // what ran, not what `actions` requested: battery and churn
-            // gating demote nodes after the policy has decided
-            let trained_nodes = sim.last_trained_nodes();
-            node_train_events += trained_nodes as u64;
-
-            let training_wh = sim.ledger().total_training_wh();
-            let comm_wh = sim.ledger().total_comm_wh();
-            let report = RoundReport {
-                round: t,
-                actions: &actions,
-                trained_nodes,
-                train_loss: sim.last_train_loss(),
-                round_training_wh: training_wh - prev_training_wh,
-                round_comm_wh: comm_wh - prev_comm_wh,
-                cumulative_wh: training_wh + comm_wh,
-            };
-            prev_training_wh = training_wh;
-            prev_comm_wh = comm_wh;
-
-            let mut stop = false;
-            for obs in observers.iter_mut() {
-                stop |= obs.on_round_end(&mut sim, &report).is_break();
-            }
-
-            let at_eval = (t + 1) % cfg.eval_every.max(1) == 0 || t + 1 == cfg.rounds || stop;
-            if at_eval {
-                let stats = sim.evaluate(&data.test, cfg.eval_max_samples);
-                let eval = EvalReport {
-                    round: t + 1,
-                    stats: &stats,
-                    total_wh: sim.ledger().total_wh(),
-                    training_wh: sim.ledger().total_training_wh(),
-                };
-                for obs in observers.iter_mut() {
-                    stop |= obs.on_eval(&mut sim, &eval).is_break();
-                }
-                last_eval = Some(stats);
-            }
-            if stop {
-                break;
-            }
-        }
-
-        // already evaluated by the loop, unless an observer ran the fleet on
-        let final_test = match last_eval {
-            Some(stats) if stats.round == sim.round() => stats,
-            _ => sim.evaluate(&data.test, cfg.eval_max_samples),
+        let ctx = RoundCtx {
+            round: t,
+            actions: &actions,
         };
-        let final_val = sim.evaluate(&data.validation, cfg.eval_max_samples);
-        let final_mean_model = sim.mean_params();
-        let node_class_sets = data
-            .node_datasets
-            .iter()
-            .map(|d| {
-                d.class_histogram()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, c)| *c > 0)
-                    .map(|(class, _)| class as u32)
-                    .collect()
-            })
-            .collect();
-        drop(observers);
+        for obs in observers.iter_mut() {
+            obs.on_round_start(&sim, &ctx);
+        }
 
-        let stats = engine.stats();
-        Ok(ExperimentResult {
-            name: cfg.name.clone(),
-            algorithm: cfg.algorithm.name().to_string(),
-            nodes: cfg.nodes,
-            rounds: sim.round(),
-            test_curve: curve.into_points(),
-            mean_model_curve: mean_model
-                .map(MeanModelObserver::into_curve)
-                .unwrap_or_default(),
-            final_test,
-            final_val_accuracy: final_val.mean_accuracy,
-            total_training_wh: sim.ledger().total_training_wh(),
-            total_comm_wh: sim.ledger().total_comm_wh(),
-            node_train_events,
-            final_mean_model,
-            node_class_sets,
-            battery: battery_summary(&sim),
-            events: EventSummary {
-                virtual_ticks: engine.now(),
-                events: stats.events,
-                late_messages: stats.late_messages,
-                joins: stats.joins,
-                leaves: stats.leaves,
-            },
-            corrupted_messages: sim.corrupted_frames(),
-            total_wire_bytes: sim.ledger().total_tx_bytes(),
-        })
+        // Per-tick matching seeds are chained over (schedule id, round)
+        // like every other per-round stream; matchings compose with a
+        // configured topology schedule by pairing over the *scheduled*
+        // round graph.
+        let mixing = if gossip {
+            let seed = round_seed(cfg.seed ^ 0x3A7C, GOSSIP_MATCHING_STREAM, t);
+            schedule.pairwise_mixing_for_round(t, seed)
+        } else {
+            schedule.mixing_for_round(t)
+        };
+        // Sizes were validated with the config; a mismatch here would be an
+        // internal scheduling bug, reported with the typed engine error's
+        // diagnosis (and the round it broke on) so a resilient campaign can
+        // fail this one cell and keep going.
+        sim.try_run_round(&actions, Some(mixing), Some(&mut engine))
+            .map_err(|source| RunError { round: t, source })?;
+        // what ran, not what `actions` requested: battery and churn gating
+        // demote nodes after the policy has decided
+        let trained_nodes = sim.last_trained_nodes();
+        node_train_events += trained_nodes as u64;
+
+        let training_wh = sim.ledger().total_training_wh();
+        let comm_wh = sim.ledger().total_comm_wh();
+        let report = RoundReport {
+            round: t,
+            actions: &actions,
+            trained_nodes,
+            train_loss: sim.last_train_loss(),
+            round_training_wh: training_wh - prev_training_wh,
+            round_comm_wh: comm_wh - prev_comm_wh,
+            cumulative_wh: training_wh + comm_wh,
+        };
+        prev_training_wh = training_wh;
+        prev_comm_wh = comm_wh;
+
+        let mut stop = false;
+        for obs in observers.iter_mut() {
+            stop |= obs.on_round_end(&mut sim, &report).is_break();
+        }
+
+        let at_eval = (t + 1) % cfg.eval_every.max(1) == 0 || t + 1 == cfg.rounds || stop;
+        if at_eval {
+            let stats = sim.evaluate(&data.test, cfg.eval_max_samples);
+            let eval = EvalReport {
+                round: t + 1,
+                stats: &stats,
+                total_wh: sim.ledger().total_wh(),
+                training_wh: sim.ledger().total_training_wh(),
+            };
+            // recorded before any observer's `on_eval` sees the state
+            test_curve.push(AccuracyPoint {
+                round: stats.round,
+                mean_accuracy: stats.mean_accuracy,
+                std_accuracy: stats.std_accuracy,
+                mean_loss: stats.mean_loss,
+                cumulative_energy_wh: eval.total_wh,
+                training_energy_wh: eval.training_wh,
+            });
+            if cfg.record_mean_model {
+                let (accuracy, _) = sim.evaluate_mean_model(&data.test, cfg.eval_max_samples);
+                mean_model_curve.push((t + 1, accuracy));
+            }
+            for obs in observers.iter_mut() {
+                stop |= obs.on_eval(&mut sim, &eval).is_break();
+            }
+            last_eval = Some(stats);
+        }
+        if stop {
+            break;
+        }
     }
+
+    // already evaluated by the loop, unless an observer ran the fleet on
+    let final_test = match last_eval {
+        Some(stats) if stats.round == sim.round() => stats,
+        _ => sim.evaluate(&data.test, cfg.eval_max_samples),
+    };
+    let final_val = sim.evaluate(&data.validation, cfg.eval_max_samples);
+    let node_class_sets = data
+        .node_datasets
+        .iter()
+        .map(|d| {
+            d.class_histogram()
+                .iter()
+                .enumerate()
+                .filter(|&(_, c)| *c > 0)
+                .map(|(class, _)| class as u32)
+                .collect()
+        })
+        .collect();
+
+    let stats = engine.stats();
+    Ok(ExperimentResult {
+        name: cfg.name.clone(),
+        algorithm: cfg.algorithm.name().to_string(),
+        nodes: cfg.nodes,
+        rounds: sim.round(),
+        test_curve,
+        mean_model_curve,
+        final_test,
+        final_val_accuracy: final_val.mean_accuracy,
+        total_training_wh: sim.ledger().total_training_wh(),
+        total_comm_wh: sim.ledger().total_comm_wh(),
+        node_train_events,
+        final_mean_model: sim.mean_params(),
+        node_class_sets,
+        battery: battery_summary(&sim),
+        events: EventSummary {
+            virtual_ticks: engine.now(),
+            events: stats.events,
+            late_messages: stats.late_messages,
+            joins: stats.joins,
+            leaves: stats.leaves,
+        },
+        corrupted_messages: sim.corrupted_frames(),
+        total_wire_bytes: sim.ledger().total_tx_bytes(),
+    })
 }
 
 #[cfg(test)]

@@ -1118,7 +1118,7 @@ mod tests {
         // exactly 2 messages (one each way), not n·6.
         let n = 12;
         let (mut sim, _) = tiny_sim_full(n, 11, TransportKind::Memory, ModelCodec::DenseF32, 6);
-        let mixing = MixingMatrix::pairwise(n, &[(2, 7)]);
+        let mixing = MixingMatrix::metropolis_hastings(&Graph::from_edges(n, &[(2, 7)]));
         sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(&mixing), None)
             .unwrap();
 
@@ -1226,7 +1226,7 @@ mod tests {
             4,
         );
         let pairs = [(0u32, 3u32), (1, 6), (2, 5)];
-        let mixing = MixingMatrix::pairwise(n, &pairs);
+        let mixing = MixingMatrix::metropolis_hastings(&Graph::from_edges(n, &pairs));
         let rounds = 9;
         for _ in 0..rounds {
             sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(&mixing), None)
@@ -1687,7 +1687,7 @@ mod tests {
             1.0,
         );
         assert_eq!(sim.feedback().unwrap().active_links(), 0);
-        let mixing = MixingMatrix::pairwise(n, &[(1, 4)]);
+        let mixing = MixingMatrix::metropolis_hastings(&Graph::from_edges(n, &[(1, 4)]));
         sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(&mixing), None)
             .unwrap();
         assert_eq!(
@@ -1700,7 +1700,7 @@ mod tests {
         assert!(sim.feedback().unwrap().replica(0, 1).is_none());
         // a second, different matching adds exactly two more links and
         // leaves the first pair's residuals in place
-        let mixing2 = MixingMatrix::pairwise(n, &[(2, 6)]);
+        let mixing2 = MixingMatrix::metropolis_hastings(&Graph::from_edges(n, &[(2, 6)]));
         sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(&mixing2), None)
             .unwrap();
         assert_eq!(sim.feedback().unwrap().active_links(), 4);
@@ -1765,7 +1765,7 @@ mod tests {
             if a == b || !sim.graph().has_edge(a as usize, b as usize) {
                 continue;
             }
-            let mixing = MixingMatrix::pairwise(n, &[(a, b)]);
+            let mixing = MixingMatrix::metropolis_hastings(&Graph::from_edges(n, &[(a, b)]));
             sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(&mixing), None)
                 .unwrap();
         }

@@ -130,7 +130,7 @@
 //!
 //! Drivers hook into the round loop through
 //! [`RoundObserver`] callbacks (round start/end,
-//! periodic evaluation) — curve recording is an [`observer`]
+//! periodic evaluation) — a caller's extra recording is an [`observer`]
 //! implementation and stopping early is an observer's `Break`, not
 //! executor concerns. Per-node datasets sit behind `Arc` so many simulations can
 //! share one materialized dataset (see
@@ -154,9 +154,7 @@ pub use events::{
 };
 pub use executor::{RoundAction, Simulation, SimulationConfig};
 pub use metrics::{AccuracyPoint, EvalStats};
-pub use observer::{
-    CurveObserver, EvalReport, MeanModelObserver, RoundCtx, RoundObserver, RoundReport,
-};
+pub use observer::{EvalReport, RoundCtx, RoundObserver, RoundReport};
 pub use transport::{
     rarity_k, tier_codec, CompressionPolicy, DecodeScratch, EncodeScratch, EnergyTier,
     ErrorFeedbackState, LinkCodec, ModelCodec, TransportKind, DEFAULT_REPLICA_CAP,

@@ -78,9 +78,7 @@ pub mod prelude {
         BatteryPolicy, BatterySetup, BatteryState, BudgetTracker, DeviceKind, EnergyLedger,
         HarvestProfile, HarvestTrace, WorkloadSpec,
     };
-    pub use skiptrain_engine::observer::{
-        CurveObserver, EvalReport, MeanModelObserver, RoundCtx, RoundObserver, RoundReport,
-    };
+    pub use skiptrain_engine::observer::{EvalReport, RoundCtx, RoundObserver, RoundReport};
     pub use skiptrain_engine::{
         ChurnModel, CompressionPolicy, ComputeProfile, EnergyTier, EventEngine, EventStats,
         LatencyModel, LinkCodec, ModelCodec, RoundAction, RoundSemantics, Simulation,

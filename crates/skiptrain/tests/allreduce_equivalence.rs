@@ -125,7 +125,7 @@ fn per_round_mixing_override_preserves_mean_and_contracts() {
     // 30 asynchronous pairwise ticks
     for t in 0..30u64 {
         let pairs = random_maximal_matching(&graph, t);
-        let pairwise = MixingMatrix::pairwise(n, &pairs);
+        let pairwise = MixingMatrix::metropolis_hastings(&Graph::from_edges(n, &pairs));
         sim.try_run_round(&vec![RoundAction::SyncOnly; n], Some(&pairwise), None)
             .expect("matching-sized mixing and one action per node");
     }

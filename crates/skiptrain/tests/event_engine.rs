@@ -308,6 +308,124 @@ fn churned_ledger_totals_stay_conservation_exact() {
     );
 }
 
+/// FNV-1a over a stream of bit patterns, byte by byte.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn async_gossip_is_pinned_bit_for_bit_under_every_schedule() {
+    // Recorded before gossip took its matchings from the schedule's
+    // in-place path: the matching seed, the scheduled round graph it is
+    // drawn over and the pairwise mixing all stay where they were.
+    let mut base = cifar_config(Scale::Quick, 42);
+    base.nodes = 12;
+    base.rounds = 12;
+    base.eval_every = 4;
+    base.eval_max_samples = 200;
+    base.record_mean_model = true;
+    base.algorithm = AlgorithmSpec::AsyncGossip {
+        activation_prob: 0.5,
+    };
+    let with_schedule = |schedule: TopologyScheduleSpec| ExperimentConfig {
+        topology_schedule: schedule,
+        ..base.clone()
+    };
+    let mut late = base.clone();
+    late.timing.latency = LatencyModel::Seeded {
+        mean_ticks: BASE_TRAIN_TICKS / 4,
+        jitter: 0.8,
+    };
+    // (cell, config, final accuracy bits, comm Wh bits, train events,
+    // late messages, FNV-1a of the final mean model and both curves)
+    let cells = [
+        (
+            "static",
+            base.clone(),
+            0x3e8f5c29,
+            0x3f457a80c6af3c71,
+            85,
+            0,
+            0x8c80364b9c22ddf2,
+        ),
+        (
+            "edge-dropout",
+            with_schedule(TopologyScheduleSpec::EdgeDropout { p: 0.5 }),
+            0x3e733333,
+            0x3f4100fb47f5652f,
+            85,
+            0,
+            0x61fa12459548c9d3,
+        ),
+        (
+            "pairwise-matching",
+            with_schedule(TopologyScheduleSpec::PairwiseMatching),
+            0x3e8147ae,
+            0x3f43b04b60cb4cbd,
+            85,
+            0,
+            0xe216fc7f584db043,
+        ),
+        (
+            "cycle",
+            with_schedule(TopologyScheduleSpec::Cycle(vec![
+                random_regular(12, 4, 1),
+                Graph::ring(12),
+            ])),
+            0x3e755555,
+            0x3f42cb30add954e4,
+            85,
+            0,
+            0x915716b6a69f1476,
+        ),
+        (
+            "static + late edges",
+            late,
+            0x3e577777,
+            0x3f41accf4e2adf13,
+            85,
+            51,
+            0x8934feb8c478c882,
+        ),
+    ];
+    let data = base.data.build(base.nodes, base.seed);
+    for (name, cfg, accuracy, comm_wh, train_events, late_messages, digest) in cells {
+        let r = run_shared(&cfg, &data);
+        let curves = fnv1a(
+            r.final_mean_model
+                .iter()
+                .map(|v| u64::from(v.to_bits()))
+                .chain(r.test_curve.iter().flat_map(|p| {
+                    [
+                        p.round as u64,
+                        u64::from(p.mean_accuracy.to_bits()),
+                        u64::from(p.std_accuracy.to_bits()),
+                        u64::from(p.mean_loss.to_bits()),
+                        p.cumulative_energy_wh.to_bits(),
+                        p.training_energy_wh.to_bits(),
+                    ]
+                }))
+                .chain(
+                    r.mean_model_curve
+                        .iter()
+                        .flat_map(|&(round, acc)| [round as u64, u64::from(acc.to_bits())]),
+                ),
+        );
+        assert_eq!(r.final_test.mean_accuracy.to_bits(), accuracy, "{name}");
+        assert_eq!(r.total_comm_wh.to_bits(), comm_wh, "{name}");
+        assert_eq!(r.node_train_events, train_events, "{name}");
+        assert_eq!(r.events.late_messages, late_messages, "{name}");
+        assert_eq!(r.mean_model_curve.len(), 3, "{name}: one point per eval");
+        assert_eq!(curves, digest, "{name}: models or curves moved");
+    }
+}
+
 #[test]
 fn seeded_latency_drops_are_reproducible() {
     let run = |latency: LatencyModel| {

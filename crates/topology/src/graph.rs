@@ -226,8 +226,14 @@ impl Graph {
         Some(diameter)
     }
 
-    /// Checks all representation invariants; used by property tests.
+    /// Checks all representation invariants: exactly `n` adjacency lists,
+    /// each strictly ascending, in range and self-loop-free, and symmetric.
+    /// A deserialized graph bypasses the constructors; configs check theirs
+    /// with this.
     pub fn validate(&self) -> Result<(), String> {
+        if self.adj.len() != self.n {
+            return Err(format!("{} lists for {} nodes", self.adj.len(), self.n));
+        }
         for (i, neigh) in self.adj.iter().enumerate() {
             if !neigh.windows(2).all(|w| w[0] < w[1]) {
                 return Err(format!("node {i}: neighbors not strictly sorted"));
@@ -302,6 +308,23 @@ mod tests {
     #[should_panic(expected = "duplicate edge")]
     fn rejects_duplicate_edge() {
         let _ = Graph::from_edges(3, &[(0, 1), (1, 0)]);
+    }
+
+    #[test]
+    fn validate_rejects_malformed_deserialized_graphs() {
+        let parse = |json: &str| serde_json::from_str::<Graph>(json).unwrap();
+        assert!(parse(r#"{"n":3,"adj":[[1,2],[0,2],[0,1]]}"#)
+            .validate()
+            .is_ok());
+        for bad in [
+            r#"{"n":3,"adj":[]}"#,                // missing lists
+            r#"{"n":3,"adj":[[1,2],[2],[0,1]]}"#, // 1 drops 0
+            r#"{"n":3,"adj":[[2,1],[0],[0]]}"#,   // unsorted
+            r#"{"n":3,"adj":[[1,3],[0],[]]}"#,    // out of range
+            r#"{"n":3,"adj":[[0,1],[0],[]]}"#,    // self-loop
+        ] {
+            assert!(parse(bad).validate().is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -5,16 +5,20 @@
 //! duty-cycled radios, mobility, energy-harvesting devices (cf.
 //! *Decentralized Federated Learning With Energy Harvesting Devices*). A
 //! [`TopologySchedule`] maps each round to the graph in effect that round;
-//! [`ScheduledTopology`] drives a schedule against a base graph and
-//! regenerates Metropolis–Hastings mixing weights per scheduled round, so
-//! every effective round's matrix stays symmetric and doubly stochastic —
-//! the condition D-PSGD-style analyses need, per round, on time-varying
-//! graphs. A periodic schedule (static, cycle) keeps its matrices by
-//! *position in the period*: `round % period` already names the graph, so
-//! a cycling schedule pays the MH construction once per listed graph, not
-//! once per round, and looks a matrix up without comparing graphs. The
-//! period is known when the schedule is bound, so there is one slot per
-//! position and no capacity to size or evict against.
+//! [`ScheduledTopology`] drives a schedule against a base graph and is the
+//! one producer of a round's mixing: Metropolis–Hastings weights over the
+//! round's graph ([`ScheduledTopology::mixing_for_round`]), or over a
+//! random maximal matching of it for asynchronous pairwise gossip
+//! ([`ScheduledTopology::pairwise_mixing_for_round`]). Every round's matrix
+//! is symmetric and doubly stochastic — the condition D-PSGD-style analyses
+//! need, per round, on time-varying graphs. Randomized round graphs,
+//! matchings and matrices are regenerated into reusable slots, so a warm
+//! round allocates nothing. A periodic schedule (static, cycle) keeps its
+//! matrices by *position in the period*: `round % period` already names
+//! the graph, so a cycling schedule pays the MH construction once per
+//! listed graph, not once per round, and looks a matrix up without
+//! comparing graphs. The period is known when the schedule is bound, so
+//! there is one slot per position and no capacity to size or evict against.
 //!
 //! # Seed chaining
 //!
@@ -27,10 +31,9 @@
 //! be independent.
 
 use crate::graph::Graph;
-use crate::matching::{random_maximal_matching, random_maximal_matching_into, MatchingScratch};
+use crate::matching::{random_maximal_matching_into, MatchingScratch};
 use crate::weights::MixingMatrix;
 use skiptrain_linalg::rng::derive_seed;
-use std::borrow::Cow;
 
 /// Stream tag separating topology-schedule randomness from every other
 /// seed-derivation domain in the workspace.
@@ -67,7 +70,7 @@ pub enum TopologySchedule {
     },
     /// Each round, a random maximal matching of the base graph fires
     /// (pairwise gossip as a *graph* schedule, reusing
-    /// [`random_maximal_matching`]).
+    /// [`random_maximal_matching_into`]).
     PairwiseMatching {
         /// Schedule seed; per-round streams are chained from it.
         seed: u64,
@@ -86,53 +89,74 @@ impl TopologySchedule {
     }
 }
 
-/// The graph `schedule` puts in effect at `round` over `base` — the one
-/// generation path shared by [`ScheduledTopology::graph_for_round`] and
-/// [`ScheduledTopology::mixing_for_round`] (a free function over the
-/// fields, so the latter can split-borrow its matrix slots mutably).
-fn generate_round_graph<'a>(
-    base: &'a Graph,
-    schedule: &'a TopologySchedule,
-    round: usize,
-) -> Cow<'a, Graph> {
-    match schedule {
-        TopologySchedule::Static => Cow::Borrowed(base),
-        TopologySchedule::Cycle(graphs) => Cow::Borrowed(&graphs[round % graphs.len()]),
-        TopologySchedule::EdgeDropout { p, seed } => {
-            let rs = round_seed(*seed, schedule.schedule_id(), round);
-            Cow::Owned(dropout_graph(base, *p, rs))
-        }
-        TopologySchedule::PairwiseMatching { seed } => {
-            let rs = round_seed(*seed, schedule.schedule_id(), round);
-            let pairs = random_maximal_matching(base, rs);
-            Cow::Owned(Graph::from_edges(base.len(), &pairs))
+/// A schedule over its base graph: the one generator of the graph in effect
+/// each round. Kept apart from the matrix slots so a round's graph can be
+/// borrowed while they are written.
+#[derive(Debug)]
+struct RoundGraphs {
+    base: Graph,
+    schedule: TopologySchedule,
+    /// Edge-dropout and matching rounds regenerate their edges here
+    /// instead of building a fresh adjacency structure every round.
+    slot: Graph,
+    /// Buffers for a `PairwiseMatching` round's matching sweep.
+    matching: MatchingScratch,
+}
+
+impl RoundGraphs {
+    /// The graph in effect at `round`: borrowed for static and cycling
+    /// schedules, regenerated into the slot for randomized ones.
+    fn round_graph(&mut self, round: usize) -> &Graph {
+        match &self.schedule {
+            TopologySchedule::Static => &self.base,
+            TopologySchedule::Cycle(graphs) => &graphs[round % graphs.len()],
+            TopologySchedule::EdgeDropout { p, seed } => {
+                let rs = round_seed(*seed, self.schedule.schedule_id(), round);
+                dropout_graph_into(&self.base, *p, rs, &mut self.slot);
+                &self.slot
+            }
+            TopologySchedule::PairwiseMatching { seed } => {
+                let rs = round_seed(*seed, self.schedule.schedule_id(), round);
+                random_maximal_matching_into(&self.base, rs, &mut self.matching);
+                matching_graph_into(&self.matching.matching, &mut self.slot);
+                &self.slot
+            }
         }
     }
 }
 
+/// Rewrites `g` to hold exactly the edges of `pairs` (capacity retained).
+fn matching_graph_into(pairs: &[(u32, u32)], g: &mut Graph) {
+    g.clear_edges();
+    for &(a, b) in pairs {
+        g.add_edge(a, b);
+    }
+}
+
 /// A [`TopologySchedule`] bound to its base graph, with per-round mixing
-/// generation and caching — the object the experiment runner drives.
+/// generation and caching — the object the experiment runner drives. Every
+/// reusable slot is sized from the base graph when the schedule is bound:
+/// base degrees bound every dropout and matching graph's, so no slot grows
+/// on a later round.
 #[derive(Debug)]
 pub struct ScheduledTopology {
-    base: Graph,
-    schedule: TopologySchedule,
+    graphs: RoundGraphs,
     /// One matrix slot per position in the period — one for `Static`, one
     /// per `Cycle` graph, none for randomized schedules — filled the first
     /// time its position comes round.
     periodic: Vec<Option<MixingMatrix>>,
-    /// Rounds served from a filled `periodic` slot.
+    /// Rounds [`ScheduledTopology::mixing_for_round`] served from a filled
+    /// `periodic` slot.
     hits: u64,
-    /// MH constructions: one per `periodic` slot, one per randomized round.
+    /// Its MH constructions: one per `periodic` slot, one per randomized
+    /// round.
     misses: u64,
-    /// Reusable mixing slot for randomized (non-periodic) schedules,
-    /// whose graphs essentially never repeat, so there is nothing to keep.
-    scratch: Option<MixingMatrix>,
-    /// Reusable graph for randomized schedules: edge-dropout and
-    /// matching rounds regenerate edges into this slot instead of
-    /// building a fresh adjacency structure every round.
-    graph_scratch: Option<Graph>,
-    /// Buffers for the per-round maximal-matching sweep.
-    matching_scratch: MatchingScratch,
+    /// Reusable matrix for randomized schedules and gossip matchings, whose
+    /// graphs essentially never repeat, so there is nothing to keep.
+    mixing: MixingMatrix,
+    /// A gossip tick's matching sweep and the graph of its pairs.
+    gossip: MatchingScratch,
+    pairs: Graph,
 }
 
 impl ScheduledTopology {
@@ -170,27 +194,32 @@ impl ScheduledTopology {
             TopologySchedule::EdgeDropout { .. } | TopologySchedule::PairwiseMatching { .. } => 0,
         };
         Ok(Self {
-            base,
-            schedule,
             periodic: vec![None; period],
             hits: 0,
             misses: 0,
-            scratch: None,
-            graph_scratch: None,
-            matching_scratch: MatchingScratch::default(),
+            mixing: MixingMatrix::metropolis_hastings(&base),
+            gossip: MatchingScratch::default(),
+            pairs: base.empty_like(),
+            graphs: RoundGraphs {
+                slot: base.empty_like(),
+                base,
+                schedule,
+                matching: MatchingScratch::default(),
+            },
         })
     }
 
-    /// `(hits, misses)`: rounds served from a kept matrix, and MH
-    /// constructions (tests assert periodic schedules hit).
+    /// `(hits, misses)` of [`ScheduledTopology::mixing_for_round`]: rounds
+    /// served from a kept matrix, and MH constructions (tests assert
+    /// periodic schedules hit).
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
-    /// The graph in effect at `round` (borrowed for static/cycling
-    /// schedules, generated for randomized ones).
-    pub fn graph_for_round(&self, round: usize) -> Cow<'_, Graph> {
-        generate_round_graph(&self.base, &self.schedule, round)
+    /// The graph in effect at `round`: borrowed for static and cycling
+    /// schedules, regenerated in place for randomized ones.
+    pub fn graph_for_round(&mut self, round: usize) -> &Graph {
+        self.graphs.round_graph(round)
     }
 
     /// The Metropolis–Hastings mixing matrix for `round`'s graph —
@@ -199,71 +228,43 @@ impl ScheduledTopology {
     /// Periodic schedules keep one matrix per position in the period;
     /// randomized ones compute into a reusable slot.
     pub fn mixing_for_round(&mut self, round: usize) -> &MixingMatrix {
-        // Split borrows: the graph may borrow `base`/`schedule` while the
-        // periodic or scratch slots are mutated.
-        let graph: &Graph = match &self.schedule {
-            // `round % period` names the slot (the index
-            // `generate_round_graph` uses); no graph is compared.
-            TopologySchedule::Static | TopologySchedule::Cycle(_) => {
-                let slot = round % self.periodic.len();
-                if self.periodic[slot].is_some() {
-                    self.hits += 1;
-                } else {
-                    self.misses += 1;
-                }
-                let graph = generate_round_graph(&self.base, &self.schedule, round);
-                return self.periodic[slot]
-                    .get_or_insert_with(|| MixingMatrix::metropolis_hastings(&graph));
+        let graph = self.graphs.round_graph(round);
+        // `round % period` names the slot (the index `round_graph` uses);
+        // no graph is compared.
+        let period = self.periodic.len();
+        if period > 0 {
+            let slot = &mut self.periodic[round % period];
+            if slot.is_some() {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
             }
-            // Randomized schedules regenerate edges into a reusable graph
-            // slot (and MH weights into a reusable matrix slot), so the
-            // steady-state round loop performs no heap allocation at all.
-            TopologySchedule::EdgeDropout { p, seed } => {
-                let rs = round_seed(*seed, self.schedule.schedule_id(), round);
-                let g = self
-                    .graph_scratch
-                    .get_or_insert_with(|| self.base.empty_like());
-                dropout_graph_into(&self.base, *p, rs, g);
-                g
-            }
-            TopologySchedule::PairwiseMatching { seed } => {
-                let rs = round_seed(*seed, self.schedule.schedule_id(), round);
-                random_maximal_matching_into(&self.base, rs, &mut self.matching_scratch);
-                let g = self
-                    .graph_scratch
-                    .get_or_insert_with(|| self.base.empty_like());
-                g.clear_edges();
-                for &(a, b) in &self.matching_scratch.matching {
-                    g.add_edge(a, b);
-                }
-                g
-            }
-        };
+            return slot.get_or_insert_with(|| MixingMatrix::metropolis_hastings(graph));
+        }
         self.misses += 1;
-        // Seed the slot from the base graph: base degrees bound every
-        // subgraph's, so the rows never grow on a later round that hits
-        // a fresh per-node degree maximum.
-        let slot = self
-            .scratch
-            .get_or_insert_with(|| MixingMatrix::metropolis_hastings(&self.base));
-        MixingMatrix::metropolis_hastings_into(graph, slot);
-        slot
+        MixingMatrix::metropolis_hastings_into(graph, &mut self.mixing);
+        &self.mixing
+    }
+
+    /// Asynchronous pairwise gossip's mixing for `round`: a random maximal
+    /// matching of `round`'s graph, drawn from `seed`, whose matched pairs
+    /// average ½/½ while every other node keeps its model (MH on a
+    /// degree-≤1 graph). Matching, its graph and the matrix are all
+    /// regenerated in reusable slots, so a warm tick allocates nothing.
+    pub fn pairwise_mixing_for_round(&mut self, round: usize, seed: u64) -> &MixingMatrix {
+        let graph = self.graphs.round_graph(round);
+        random_maximal_matching_into(graph, seed, &mut self.gossip);
+        matching_graph_into(&self.gossip.matching, &mut self.pairs);
+        MixingMatrix::metropolis_hastings_into(&self.pairs, &mut self.mixing);
+        &self.mixing
     }
 }
 
-/// The per-round edge-dropout graph: every base edge survives
-/// independently with probability `1 − p`, decided by a chained
-/// per-edge stream (canonical direction `i < j`, so the decision is
+/// The per-round edge-dropout graph into a caller-owned graph (cleared
+/// first, adjacency capacity retained): every base edge survives
+/// independently with probability `1 − p`, decided by a chained per-edge
+/// stream (canonical direction `i < j`, so the decision is
 /// order-independent and symmetric).
-fn dropout_graph(base: &Graph, p: f64, rs: u64) -> Graph {
-    let mut g = Graph::empty(base.len());
-    dropout_graph_into(base, p, rs, &mut g);
-    g
-}
-
-/// [`dropout_graph`] into a caller-owned graph (cleared first, adjacency
-/// capacity retained) — the allocation-free per-round path. Bit-identical
-/// to the allocating form for any `(base, p, rs)`.
 fn dropout_graph_into(base: &Graph, p: f64, rs: u64, g: &mut Graph) {
     debug_assert_eq!(g.len(), base.len(), "scratch graph sized to base");
     g.clear_edges();
@@ -284,8 +285,34 @@ fn dropout_graph_into(base: &Graph, p: f64, rs: u64, g: &mut Graph) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matching::random_maximal_matching;
     use crate::regular::random_regular;
     use proptest::prelude::*;
+
+    /// The allocating edge-dropout graph: a fresh graph per call, so a
+    /// scratch slot carrying an earlier round's edges is checked against
+    /// a clean construction.
+    fn dropout_graph(base: &Graph, p: f64, rs: u64) -> Graph {
+        let mut g = Graph::empty(base.len());
+        dropout_graph_into(base, p, rs, &mut g);
+        g
+    }
+
+    /// A fresh, allocating construction of the graph `schedule` puts in
+    /// effect at `round` — the oracle for the in-place `round_graph`.
+    fn generate_round_graph(base: &Graph, schedule: &TopologySchedule, round: usize) -> Graph {
+        match schedule {
+            TopologySchedule::Static => base.clone(),
+            TopologySchedule::Cycle(graphs) => graphs[round % graphs.len()].clone(),
+            TopologySchedule::EdgeDropout { p, seed } => {
+                dropout_graph(base, *p, round_seed(*seed, schedule.schedule_id(), round))
+            }
+            TopologySchedule::PairwiseMatching { seed } => {
+                let rs = round_seed(*seed, schedule.schedule_id(), round);
+                Graph::from_edges(base.len(), &random_maximal_matching(base, rs))
+            }
+        }
+    }
 
     fn check_mixing(w: &MixingMatrix) {
         assert!(w.symmetry_error() < 1e-5, "symmetry {}", w.symmetry_error());
@@ -302,7 +329,7 @@ mod tests {
         let base = random_regular(16, 4, 1);
         let mut sched = ScheduledTopology::new(base.clone(), TopologySchedule::Static);
         for r in 0..5 {
-            assert_eq!(*sched.graph_for_round(r), base);
+            assert_eq!(sched.graph_for_round(r), &base);
         }
         let w0 = sched.mixing_for_round(0).clone();
         assert_eq!(sched.mixing_for_round(3), &w0);
@@ -318,9 +345,9 @@ mod tests {
             a.clone(),
             TopologySchedule::Cycle(vec![a.clone(), b.clone()]),
         );
-        assert_eq!(*sched.graph_for_round(0), a);
-        assert_eq!(*sched.graph_for_round(1), b);
-        assert_eq!(*sched.graph_for_round(2), a);
+        assert_eq!(sched.graph_for_round(0), &a);
+        assert_eq!(sched.graph_for_round(1), &b);
+        assert_eq!(sched.graph_for_round(2), &a);
         for r in 0..10 {
             check_mixing(sched.mixing_for_round(r));
         }
@@ -346,14 +373,14 @@ mod tests {
     #[test]
     fn edge_dropout_is_a_deterministic_subgraph() {
         let base = random_regular(24, 6, 3);
-        let sched = ScheduledTopology::new(
+        let mut sched = ScheduledTopology::new(
             base.clone(),
             TopologySchedule::EdgeDropout { p: 0.4, seed: 9 },
         );
-        let g1 = sched.graph_for_round(7).into_owned();
-        let g2 = sched.graph_for_round(7).into_owned();
+        let g1 = sched.graph_for_round(7).clone();
+        let g2 = sched.graph_for_round(7).clone();
         assert_eq!(g1, g2, "per-round graphs are deterministic");
-        let other = sched.graph_for_round(8).into_owned();
+        let other = sched.graph_for_round(8).clone();
         assert_ne!(g1, other, "different rounds draw different graphs");
         g1.validate().unwrap();
         assert!(g1.edge_count() < base.edge_count());
@@ -367,7 +394,7 @@ mod tests {
     #[test]
     fn edge_dropout_rate_tracks_probability() {
         let base = Graph::complete(32); // 496 edges
-        let sched = ScheduledTopology::new(
+        let mut sched = ScheduledTopology::new(
             base.clone(),
             TopologySchedule::EdgeDropout { p: 0.3, seed: 5 },
         );
@@ -383,7 +410,7 @@ mod tests {
     #[test]
     fn pairwise_matching_schedule_yields_disjoint_degree_one_graphs() {
         let base = random_regular(20, 4, 2);
-        let sched = ScheduledTopology::new(
+        let mut sched = ScheduledTopology::new(
             base.clone(),
             TopologySchedule::PairwiseMatching { seed: 11 },
         );
@@ -401,27 +428,30 @@ mod tests {
 
     #[test]
     fn scratch_mixing_matches_fresh_construction() {
-        // mixing_for_round's reusable graph/matrix slots must reproduce
+        // The reusable graph, matching and matrix slots must reproduce
         // exactly what a fresh per-round construction yields, round after
-        // round, for every randomized schedule kind
+        // round, for every schedule kind — with the scheduled and the
+        // gossip mixing interleaved, so each reads slots the other wrote.
+        let base = random_regular(24, 6, 3);
         for schedule in [
+            TopologySchedule::Static,
+            TopologySchedule::Cycle(vec![Graph::ring(24), base.clone()]),
             TopologySchedule::EdgeDropout { p: 0.4, seed: 9 },
             TopologySchedule::PairwiseMatching { seed: 11 },
         ] {
-            let base = random_regular(24, 6, 3);
             let mut sched = ScheduledTopology::new(base.clone(), schedule);
             for r in 0..8 {
-                let expect = MixingMatrix::metropolis_hastings(&sched.graph_for_round(r));
-                let got = sched.mixing_for_round(r);
-                for i in 0..24 {
-                    for j in 0..24 {
-                        assert_eq!(
-                            got.get(i, j),
-                            expect.get(i, j),
-                            "round {r}: W[{i}][{j}] diverged from fresh construction"
-                        );
-                    }
-                }
+                let fresh = generate_round_graph(&base, &sched.graphs.schedule, r);
+                assert_eq!(sched.graph_for_round(r), &fresh, "round {r}: graph");
+                let pairs = random_maximal_matching(&fresh, r as u64 ^ 0x5EED);
+                let gossip = MixingMatrix::metropolis_hastings(&Graph::from_edges(24, &pairs));
+                assert_eq!(
+                    sched.pairwise_mixing_for_round(r, r as u64 ^ 0x5EED),
+                    &gossip,
+                    "round {r}: gossip mixing"
+                );
+                let expect = MixingMatrix::metropolis_hastings(&fresh);
+                assert_eq!(sched.mixing_for_round(r), &expect, "round {r}: mixing");
             }
         }
     }
@@ -429,25 +459,22 @@ mod tests {
     #[test]
     fn pairwise_matching_mixing_is_exact_pairwise_averaging() {
         // MH on a degree-≤1 graph is the ½/½ pairwise matrix — the same
-        // operator async gossip applies.
+        // operator async gossip applies: a matched pair's rows are
+        // `[(min, ½), (max, ½)]`, an unmatched node's row is `[(i, 1)]`.
         let base = random_regular(16, 4, 8);
-        let rs = round_seed(11, 3, 2);
-        let pairs = random_maximal_matching(&base, rs);
-        let mut sched = ScheduledTopology::new(
-            base.clone(),
-            TopologySchedule::PairwiseMatching { seed: 11 },
-        );
+        let pairs = random_maximal_matching(&base, round_seed(11, 3, 2));
+        assert!(pairs.len() >= 4, "a 4-regular graph matches most nodes");
+        let mut expect: Vec<Vec<(u32, f32)>> = (0..16).map(|i| vec![(i, 1.0)]).collect();
+        for &(a, b) in &pairs {
+            let row = vec![(a.min(b), 0.5), (a.max(b), 0.5)];
+            expect[a as usize] = row.clone();
+            expect[b as usize] = row;
+        }
+        let mut sched =
+            ScheduledTopology::new(base, TopologySchedule::PairwiseMatching { seed: 11 });
         let mh = sched.mixing_for_round(2);
-        let pw = MixingMatrix::pairwise(16, &pairs);
-        for i in 0..16 {
-            for j in 0..16 {
-                assert!(
-                    (mh.get(i, j) - pw.get(i, j)).abs() < 1e-6,
-                    "W[{i}][{j}]: MH {} vs pairwise {}",
-                    mh.get(i, j),
-                    pw.get(i, j)
-                );
-            }
+        for (i, row) in expect.iter().enumerate() {
+            assert_eq!(mh.row(i), &row[..], "row {i}");
         }
     }
 

@@ -81,30 +81,6 @@ impl MixingMatrix {
         Self { n, rows }
     }
 
-    /// Pairwise-averaging matrix for a set of disjoint node pairs
-    /// (asynchronous gossip): matched nodes average with their partner
-    /// (`W_ii = W_ij = ½`), unmatched nodes keep their model (`W_ii = 1`).
-    /// Symmetric and doubly stochastic by construction.
-    ///
-    /// # Panics
-    /// Panics on out-of-range or non-disjoint pairs.
-    pub fn pairwise(n: usize, pairs: &[(u32, u32)]) -> Self {
-        assert!(n > 0, "empty mixing matrix");
-        let mut rows: Vec<Vec<(u32, f32)>> = (0..n as u32).map(|i| vec![(i, 1.0f32)]).collect();
-        let mut matched = vec![false; n];
-        for &(a, b) in pairs {
-            let (ai, bi) = (a as usize, b as usize);
-            assert!(ai < n && bi < n, "pair endpoint out of range");
-            assert!(ai != bi, "self-pair");
-            assert!(!matched[ai] && !matched[bi], "node matched twice");
-            matched[ai] = true;
-            matched[bi] = true;
-            rows[ai] = vec![(a.min(b), 0.5), (a.max(b), 0.5)];
-            rows[bi] = rows[ai].clone();
-        }
-        Self { n, rows }
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.n
@@ -348,7 +324,9 @@ mod tests {
 
     #[test]
     fn pairwise_averages_matched_nodes_only() {
-        let w = MixingMatrix::pairwise(5, &[(0, 3), (1, 4)]);
+        // MH on a matching graph: matched pairs average ½/½, the rest
+        // keep their model
+        let w = MixingMatrix::metropolis_hastings(&Graph::from_edges(5, &[(0, 3), (1, 4)]));
         assert!(w.symmetry_error() < 1e-7);
         assert!(w.stochasticity_error() < 1e-6);
         let y = w.apply_scalar(&[10.0, 2.0, 7.0, 0.0, 4.0]);
@@ -357,15 +335,9 @@ mod tests {
 
     #[test]
     fn pairwise_empty_matching_is_identity() {
-        let w = MixingMatrix::pairwise(3, &[]);
+        let w = MixingMatrix::metropolis_hastings(&Graph::empty(3));
         let x = vec![1.0, 2.0, 3.0];
         assert_eq!(w.apply_scalar(&x), x);
-    }
-
-    #[test]
-    #[should_panic(expected = "matched twice")]
-    fn pairwise_rejects_overlapping_pairs() {
-        let _ = MixingMatrix::pairwise(4, &[(0, 1), (1, 2)]);
     }
 
     #[test]
@@ -461,7 +433,7 @@ mod tests {
             prop_assume!(d < n);
             let g = crate::regular::random_regular(n, d, seed);
             let m = crate::matching::random_maximal_matching(&g, seed ^ 0x99);
-            let w = MixingMatrix::pairwise(n, &m);
+            let w = MixingMatrix::metropolis_hastings(&Graph::from_edges(n, &m));
             prop_assert!(w.symmetry_error() < 1e-6);
             prop_assert!(w.stochasticity_error() < 1e-5);
             // pairwise mixing never increases variance
