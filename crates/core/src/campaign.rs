@@ -430,10 +430,8 @@ impl Campaign {
         results.resize_with(self.configs.len(), || None);
         let journal = match &self.checkpoint {
             Some(path) => {
-                let (journal, restored_cells) = Journal::open(path, &digests)?;
-                for (slot, cell) in results.iter_mut().zip(restored_cells) {
-                    *slot = cell.map(|c| c.result);
-                }
+                let (journal, restored) = Journal::open(path, &digests)?;
+                results = restored;
                 Some(journal)
             }
             None => None,

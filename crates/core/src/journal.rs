@@ -119,16 +119,6 @@ enum JournalRecord {
     },
 }
 
-/// A successfully restored cell.
-#[derive(Debug)]
-pub(crate) struct RestoredCell {
-    /// Attempts recorded for the cell when it originally completed.
-    #[allow(dead_code)]
-    pub attempts: usize,
-    /// The restored result.
-    pub result: ExperimentResult,
-}
-
 /// An open, append-ready checkpoint journal (see the module docs).
 #[derive(Debug)]
 pub(crate) struct Journal {
@@ -146,12 +136,12 @@ impl Journal {
     pub fn open(
         path: &Path,
         digests: &[u64],
-    ) -> Result<(Self, Vec<Option<RestoredCell>>), JournalError> {
+    ) -> Result<(Self, Vec<Option<ExperimentResult>>), JournalError> {
         let io_err = |e: std::io::Error| JournalError::Io {
             path: path.to_path_buf(),
             detail: e.to_string(),
         };
-        let mut restored: Vec<Option<RestoredCell>> = Vec::new();
+        let mut restored: Vec<Option<ExperimentResult>> = Vec::new();
         restored.resize_with(digests.len(), || None);
 
         let existing_len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
@@ -207,8 +197,8 @@ impl Journal {
                     Ok(JournalRecord::Cell {
                         index,
                         digest,
-                        attempts,
                         result,
+                        ..
                     }) => {
                         if index >= digests.len() || digest != digests[index] {
                             return Err(JournalError::Corrupt {
@@ -216,7 +206,7 @@ impl Journal {
                                 detail: format!("cell {index} digest does not match the manifest"),
                             });
                         }
-                        restored[index] = Some(RestoredCell { attempts, result });
+                        restored[index] = Some(result);
                     }
                     Ok(JournalRecord::Manifest { .. }) => {
                         return Err(JournalError::Corrupt {
@@ -372,13 +362,18 @@ mod tests {
             assert!(restored.iter().all(Option::is_none));
             journal.record(1, 22, 2, &result).unwrap();
         }
+        // the line carries the attempts; a restore needs only the result
+        let raw = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            raw.contains("\"index\":1,\"digest\":22,\"attempts\":2,"),
+            "{raw}"
+        );
         let (_, restored) = Journal::open(&path, &digests).unwrap();
         assert!(restored[0].is_none() && restored[2].is_none());
         let cell = restored[1].as_ref().unwrap();
-        assert_eq!(cell.attempts, 2);
-        assert_eq!(cell.result.name, "cell-1");
+        assert_eq!(cell.name, "cell-1");
         assert_eq!(
-            cell.result.final_test.mean_accuracy.to_bits(),
+            cell.final_test.mean_accuracy.to_bits(),
             result.final_test.mean_accuracy.to_bits()
         );
         let _ = std::fs::remove_file(&path);

@@ -97,7 +97,7 @@ pub use journal::{config_digest, JournalError};
 pub use policy::{
     AsyncGossipPolicy, ConstrainedPolicy, DPsgdPolicy, GreedyPolicy, RoundPolicy, SkipTrainPolicy,
 };
-pub use presets::{cifar_config, femnist_config, tuned_schedule, with_algorithm, Scale};
+pub use presets::{cifar_config, femnist_config, with_algorithm, Scale};
 pub use runner::run_with_observers;
 pub use schedule::Schedule;
 pub use skiptrain_engine::{CompressionPolicy, EnergyTier, LinkCodec, ModelCodec, TransportKind};

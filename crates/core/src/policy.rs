@@ -29,11 +29,6 @@ pub trait RoundPolicy: Send {
     /// Fills `actions[i]` for every node for round `t` (0-based), updating
     /// any internal budget state.
     fn decide(&mut self, round: usize, actions: &mut [RoundAction]);
-
-    /// Remaining training budget of a node, if this policy tracks budgets.
-    fn remaining_budget(&self, _node: usize) -> Option<u32> {
-        None
-    }
 }
 
 /// D-PSGD (Algorithm 1): every node trains every round.
@@ -58,11 +53,6 @@ impl SkipTrainPolicy {
     /// Creates the policy for a schedule.
     pub fn new(schedule: Schedule) -> Self {
         Self { schedule }
-    }
-
-    /// The schedule in force.
-    pub fn schedule(&self) -> Schedule {
-        self.schedule
     }
 }
 
@@ -141,10 +131,6 @@ impl RoundPolicy for ConstrainedPolicy {
             };
         }
     }
-
-    fn remaining_budget(&self, node: usize) -> Option<u32> {
-        Some(self.budget.remaining(node))
-    }
 }
 
 /// The Greedy baseline (§3.2): each node trains every round until its
@@ -180,10 +166,6 @@ impl RoundPolicy for GreedyPolicy {
                 RoundAction::SyncOnly
             };
         }
-    }
-
-    fn remaining_budget(&self, node: usize) -> Option<u32> {
-        Some(self.budget.remaining(node))
     }
 }
 
@@ -283,7 +265,7 @@ mod tests {
             trained[0]
         );
         assert_eq!(trained[1], 0, "node 1 has zero budget");
-        assert_eq!(p.remaining_budget(1), Some(0));
+        assert_eq!(p.budget().remaining(1), 0);
     }
 
     #[test]

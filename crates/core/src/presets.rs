@@ -9,7 +9,6 @@ use crate::experiment::{
     AlgorithmSpec, DataSpec, EnergySpec, ExperimentConfig, TimingSpec, TopologyScheduleSpec,
     TopologySpec,
 };
-use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
 use skiptrain_engine::{ModelCodec, TransportKind};
 
@@ -144,26 +143,18 @@ pub fn femnist_config(scale: Scale, seed: u64) -> ExperimentConfig {
     }
 }
 
-/// Applies an algorithm with the paper's tuned schedule for the config's
-/// topology degree (§4.3), returning the modified config.
+/// Sets the config's algorithm and appends its name to the config's name,
+/// returning the modified config.
 pub fn with_algorithm(mut cfg: ExperimentConfig, algorithm: AlgorithmSpec) -> ExperimentConfig {
     cfg.name = format!("{}/{}", cfg.name, algorithm.name());
     cfg.algorithm = algorithm;
     cfg
 }
 
-/// The tuned SkipTrain schedule for a topology (§4.3 grid-search winners).
-pub fn tuned_schedule(topology: &TopologySpec) -> Schedule {
-    match topology {
-        TopologySpec::Regular { degree } => Schedule::tuned_for_degree(*degree),
-        TopologySpec::Complete => Schedule::new(4, 1),
-        TopologySpec::Ring => Schedule::new(4, 6),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Schedule;
 
     #[test]
     fn paper_scale_matches_table1() {
@@ -205,17 +196,5 @@ mod tests {
         );
         assert!(cfg.name.contains("skiptrain"));
         assert_eq!(cfg.algorithm, AlgorithmSpec::SkipTrain(Schedule::new(4, 4)));
-    }
-
-    #[test]
-    fn tuned_schedules_follow_section_4_3() {
-        assert_eq!(
-            tuned_schedule(&TopologySpec::Regular { degree: 6 }),
-            Schedule::new(4, 4)
-        );
-        assert_eq!(
-            tuned_schedule(&TopologySpec::Regular { degree: 10 }),
-            Schedule::new(4, 2)
-        );
     }
 }

@@ -258,7 +258,7 @@ pub(crate) fn execute(
                 training_energy_wh: eval.training_wh,
             });
             if cfg.record_mean_model {
-                let (accuracy, _) = sim.evaluate_mean_model(&data.test, cfg.eval_max_samples);
+                let accuracy = sim.evaluate_mean_model(&data.test, cfg.eval_max_samples);
                 mean_model_curve.push((t + 1, accuracy));
             }
             for obs in observers.iter_mut() {

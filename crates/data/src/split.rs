@@ -21,12 +21,6 @@ pub fn split_eval(test_pool: &Dataset, seed: u64) -> EvalSplits {
     EvalSplits { validation, test }
 }
 
-/// Splits with an arbitrary validation fraction.
-pub fn split_eval_frac(test_pool: &Dataset, validation_frac: f64, seed: u64) -> EvalSplits {
-    let (validation, test) = test_pool.split(validation_frac, seed);
-    EvalSplits { validation, test }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,9 +52,9 @@ mod tests {
 
     #[test]
     fn custom_fraction_respected() {
-        let p = pool(100);
-        let s = split_eval_frac(&p, 0.2, 2);
-        assert_eq!(s.validation.len(), 20);
-        assert_eq!(s.test.len(), 80);
+        // the split under `split_eval` at a fraction other than one half
+        let (validation, test) = pool(100).split(0.2, 2);
+        assert_eq!(validation.len(), 20);
+        assert_eq!(test.len(), 80);
     }
 }

@@ -7,14 +7,6 @@
 use crate::dataset::Dataset;
 use std::borrow::Borrow;
 
-/// Per-node class histogram: `result[node][class]` = sample count.
-pub fn class_distribution<D: Borrow<Dataset>>(node_datasets: &[D]) -> Vec<Vec<usize>> {
-    node_datasets
-        .iter()
-        .map(|d| d.borrow().class_histogram())
-        .collect()
-}
-
 /// Average number of distinct classes held per node.
 pub fn mean_distinct_classes<D: Borrow<Dataset>>(node_datasets: &[D]) -> f64 {
     if node_datasets.is_empty() {
@@ -127,12 +119,5 @@ mod tests {
         assert!(rows.iter().all(|&(n, _, _)| n < 2));
         assert_eq!(rows.iter().filter(|&&(n, _, _)| n == 0).count(), 1);
         assert_eq!(rows.iter().filter(|&&(n, _, _)| n == 1).count(), 4);
-    }
-
-    #[test]
-    fn class_distribution_shape() {
-        let nodes = vec![uniform_node(2, 3)];
-        let dist = class_distribution(&nodes);
-        assert_eq!(dist, vec![vec![2, 2, 2]]);
     }
 }

@@ -33,27 +33,33 @@ fn gather_chunks(dataset: &Dataset, indices: &[usize]) -> Vec<EvalBatch> {
         .collect()
 }
 
-/// Runs `model` forward over gathered batches and combines them by sample
-/// count. Returns `(top-1 accuracy, mean loss)`, `(0, 0)` on no batches.
+/// Runs `model` forward over gathered batches. Returns the raw sums
+/// `(correct, loss_sum, rows)`: top-1 hits, the per-row loss summed in
+/// `f64`, and the rows evaluated.
 fn evaluate_chunks(
     model: &mut Sequential,
     loss: &SoftmaxCrossEntropy,
     batches: &[EvalBatch],
-) -> (f32, f32) {
-    let total: usize = batches.iter().map(|(_, y)| y.len()).sum();
-    if total == 0 {
-        return (0.0, 0.0);
-    }
-    let mut correct = 0usize;
-    let mut loss_sum = 0.0f64;
+) -> (usize, f64, usize) {
+    let (mut correct, mut loss_sum, mut rows) = (0usize, 0.0f64, 0usize);
     for (x, y) in batches {
         let logits = model.forward(x);
         correct += (skiptrain_nn::loss::accuracy(logits, y) * y.len() as f32).round() as usize;
         loss_sum += loss.loss(logits, y) as f64 * y.len() as f64;
+        rows += y.len();
+    }
+    (correct, loss_sum, rows)
+}
+
+/// `(top-1 accuracy, mean loss)` from [`evaluate_chunks`]' sums, `(0, 0)`
+/// on no rows.
+fn per_row((correct, loss_sum, rows): (usize, f64, usize)) -> (f32, f32) {
+    if rows == 0 {
+        return (0.0, 0.0);
     }
     (
-        correct as f32 / total as f32,
-        (loss_sum / total as f64) as f32,
+        correct as f32 / rows as f32,
+        (loss_sum / rows as f64) as f32,
     )
 }
 
@@ -74,7 +80,7 @@ pub fn evaluate_model(
             &owned
         }
     };
-    evaluate_chunks(model, loss, &gather_chunks(dataset, idx))
+    per_row(evaluate_chunks(model, loss, &gather_chunks(dataset, idx)))
 }
 
 /// Evaluates every node's model replica, lent its row of `params` for the
@@ -96,11 +102,43 @@ pub(crate) fn evaluate_fleet(
         .map(|(node, p)| {
             let model = node.model_mut();
             model.swap_params(p);
-            let result = evaluate_chunks(model, loss, &batches);
+            let sums = evaluate_chunks(model, loss, &batches);
             model.swap_params(p);
-            result
+            per_row(sums)
         })
         .collect()
+}
+
+/// Top-1 accuracy of one parameter vector `params` (the fleet's mean
+/// model) on the same `indices` of `dataset`. The rows are gathered once
+/// and the batches split into at most one contiguous group per node; each
+/// group runs on that node's model replica, loaded with `params`, in
+/// parallel. The hits are summed in group order, so the result is the
+/// accuracy one replica reports over all the batches.
+pub(crate) fn evaluate_across(
+    nodes: &mut [Node],
+    params: &[f32],
+    loss: &SoftmaxCrossEntropy,
+    dataset: &Dataset,
+    indices: &[usize],
+) -> f32 {
+    let batches = gather_chunks(dataset, indices);
+    if batches.is_empty() {
+        return 0.0;
+    }
+    let groups: Vec<&[EvalBatch]> = batches
+        .chunks(batches.len().div_ceil(nodes.len()))
+        .collect();
+    let correct: Vec<usize> = nodes[..groups.len()]
+        .par_iter_mut()
+        .zip(groups.par_iter())
+        .map(|(node, group)| {
+            let model = node.model_mut();
+            model.load_params(params);
+            evaluate_chunks(model, loss, group).0
+        })
+        .collect();
+    (correct.iter().sum::<usize>() as f64 / indices.len() as f64) as f32
 }
 
 /// A fixed, seed-deterministic subsample of `0..n` of size `max` (or all of

@@ -2,7 +2,7 @@
 //! compute, share/aggregate and account as single passes over it.
 
 use crate::error::EngineError;
-use crate::eval::{evaluate_fleet, evaluate_model, fixed_subsample, EVAL_CHUNK};
+use crate::eval::{evaluate_across, evaluate_fleet, fixed_subsample};
 use crate::events::EventEngine;
 use crate::gate::Gate;
 use crate::metrics::EvalStats;
@@ -122,8 +122,8 @@ impl SimulationConfig {
     }
 }
 
-/// One node's reusable wire buffers: codec intermediates, the decoded
-/// payload, and the serialized transport's frame. Under a shared payload
+/// One node's reusable wire buffers: the encoder's scratch, the frame and
+/// the decoded payload. Under a shared payload
 /// they are indexed by *sender* (each node's one message is compressed
 /// once and read by all its receivers); under per-edge payloads by
 /// *receiver* (every in-edge passes through in turn). Capacity is kept
@@ -144,11 +144,10 @@ struct NodeScratch {
 }
 
 /// Carries `model` from `sender` over `transport` under `codec` and
-/// returns what the receiver decodes: a genuine encode → decode of the
-/// wire frame on the serialized transport (the frame header carries the
-/// codec id, so heterogeneous links need no coordination), the
-/// equivalent in-memory kernels otherwise — bit-identical by the codec
-/// contract.
+/// returns what the receiver decodes. A lossless model on the in-memory
+/// transport is read in place; every other message is encoded into
+/// `wire.frame` and decoded from it (the frame header carries the codec
+/// id, so heterogeneous links need no coordination).
 fn transmit<'a>(
     transport: TransportKind,
     codec: ModelCodec,
@@ -157,23 +156,21 @@ fn transmit<'a>(
     model: &'a [f32],
     wire: &'a mut WireScratch,
 ) -> PayloadRef<'a> {
-    match transport {
-        TransportKind::Memory => codec.transform_into(model, &mut wire.enc, &mut wire.dec),
-        TransportKind::Serialized { .. } => {
-            encode_message_with(
-                codec,
-                sender,
-                round as u32,
-                model,
-                &mut wire.frame,
-                &mut wire.enc,
-            );
-            decode_frame_into(&wire.frame, &mut wire.dec)
-                // lint:allow(no_panic, "frame was written by encode_message_with on the line above; a fresh in-process frame always decodes")
-                .expect("in-process frame must decode")
-                .payload
-        }
+    if matches!(transport, TransportKind::Memory) && codec.is_lossless() {
+        return PayloadRef::Dense(model);
     }
+    encode_message_with(
+        codec,
+        sender,
+        round as u32,
+        model,
+        &mut wire.frame,
+        &mut wire.enc,
+    );
+    decode_frame_into(&wire.frame, &mut wire.dec)
+        // lint:allow(no_panic, "frame was written by encode_message_with on the line above; a fresh in-process frame always decodes")
+        .expect("in-process frame must decode")
+        .payload
 }
 
 /// The synchronous decentralized simulation: nodes, their model replicas as
@@ -834,62 +831,25 @@ impl Simulation {
         EvalStats::from_node_results(self.round, &results)
     }
 
-    /// Evaluates the *average* of all node models (the Figure-1 all-reduce
-    /// curve evaluates this quantity).
-    ///
-    /// The forward pass is parallelized the same way [`Simulation::evaluate`]
-    /// is: the evaluation subsample is split into [`EVAL_CHUNK`]-sized
-    /// spans, each loaded onto a different node's model replica (all
-    /// replicas get the same mean parameters) and evaluated concurrently.
-    /// The mean itself is accumulated into a reusable buffer rather than a
-    /// fresh allocation per call.
-    pub fn evaluate_mean_model(&mut self, dataset: &Dataset, max_samples: usize) -> (f32, f32) {
+    /// Top-1 accuracy of the *average* of all node models (the Figure-1
+    /// all-reduce curve evaluates this quantity) on (a fixed subsample of)
+    /// `dataset`. The mean is built in a reusable buffer; the rows are
+    /// gathered once and their batches shared out, one contiguous group per
+    /// node's model replica, each replica loaded with the mean.
+    pub fn evaluate_mean_model(&mut self, dataset: &Dataset, max_samples: usize) -> f32 {
         let indices = fixed_subsample(dataset.len(), max_samples, self.config.seed);
-        if indices.is_empty() {
-            return (0.0, 0.0);
-        }
-        let mut mean_scratch = std::mem::take(&mut self.mean_scratch);
-        self.mean_params_into(&mut mean_scratch);
-        self.mean_scratch = mean_scratch;
-
-        // One contiguous index span per participating replica; chunks are
-        // at least EVAL_CHUNK samples so small evaluations stay on one
-        // replica (one load_params) like before.
-        let chunk = EVAL_CHUNK.max(indices.len().div_ceil(self.nodes.len()));
-        let spans: Vec<(usize, usize)> = (0..indices.len())
-            .step_by(chunk)
-            .map(|s| (s, (s + chunk).min(indices.len())))
-            .collect();
-        let mean = &self.mean_scratch;
-        let loss_fn = &self.loss_fn;
-        let indices = &indices;
-        let results: Vec<(f32, f32, usize)> = self.nodes[..spans.len()]
-            .par_iter_mut()
-            .zip(spans.par_iter())
-            .map(|(node, &(s, e))| {
-                node.model_mut().load_params(mean);
-                let (acc, loss) =
-                    evaluate_model(node.model_mut(), loss_fn, dataset, Some(&indices[s..e]));
-                (acc, loss, e - s)
-            })
-            .collect();
-
-        // Recombine the per-span (accuracy, loss) pairs exactly the way
-        // evaluate_model combines its internal chunks: by sample counts.
-        let total = indices.len() as f64;
-        let mut correct = 0.0f64;
-        let mut loss_sum = 0.0f64;
-        for (acc, loss, len) in results {
-            correct += (acc as f64 * len as f64).round();
-            loss_sum += loss as f64 * len as f64;
-        }
-        ((correct / total) as f32, (loss_sum / total) as f32)
+        let mut mean = std::mem::take(&mut self.mean_scratch);
+        self.mean_params_into(&mut mean);
+        let accuracy = evaluate_across(&mut self.nodes, &mean, &self.loss_fn, dataset, &indices);
+        self.mean_scratch = mean;
+        accuracy
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{evaluate_model, EVAL_CHUNK};
     use crate::events::{
         ChurnModel, ComputeProfile, LatencyModel, RoundSemantics, BASE_TRAIN_TICKS,
     };
@@ -925,7 +885,10 @@ mod tests {
         let models: Vec<Sequential> = (0..n)
             .map(|i| skiptrain_nn::zoo::mlp(&[6, 12, 4], seed + i as u64))
             .collect();
-        let graph = random_regular(n, degree, seed);
+        let graph = match degree {
+            0 => Graph::empty(n),
+            _ => random_regular(n, degree, seed),
+        };
         let mixing = MixingMatrix::metropolis_hastings(&graph);
         let mut config = SimulationConfig::minimal(seed, 8, 2, 0.1);
         config.transport = transport;
@@ -1031,8 +994,8 @@ mod tests {
                 "node {i} diverged between transports"
             );
         }
-        let (am, _) = mem.evaluate_mean_model(&test, usize::MAX);
-        let (as_, _) = ser.evaluate_mean_model(&test, usize::MAX);
+        let am = mem.evaluate_mean_model(&test, usize::MAX);
+        let as_ = ser.evaluate_mean_model(&test, usize::MAX);
         assert_eq!(am, as_);
     }
 
@@ -1522,8 +1485,8 @@ mod tests {
 
     #[test]
     fn lossy_codecs_identical_across_transports() {
-        // Memory-transport codec transforms must equal the full wire
-        // round trip, so large experiments can stay on the fast path.
+        // A lossy message is a frame on either transport: the executor's
+        // Memory and Serialized branches must commit the same models.
         for codec in [
             ModelCodec::QuantizedU8,
             ModelCodec::QuantizedU16,
@@ -1603,6 +1566,7 @@ mod tests {
 
     #[test]
     fn feedback_codecs_identical_across_transports() {
+        // the same, for residual frames under error feedback
         for codec in [
             ModelCodec::QuantizedU8,
             ModelCodec::QuantizedU16,
@@ -2215,16 +2179,40 @@ mod tests {
 
     #[test]
     fn mean_model_eval_uses_average() {
-        let (mut sim, test) = tiny_sim(4, 9, TransportKind::Memory);
-        let mean = sim.mean_params();
-        let (acc_direct, _) = sim.evaluate_mean_model(&test, usize::MAX);
-        // setting every node to the mean and evaluating gives the same
-        for i in 0..4 {
-            sim.set_node_params(i, &mean);
+        // The mean model scores what one replica loaded with the mean
+        // scores, bit for bit, at every eval size (one to four gathered
+        // batches, ragged or whole), fleet size and thread budget.
+        for n in [1, 3, 7] {
+            let (mut sim, test) = tiny_sim(n, 9, TransportKind::Memory);
+            for _ in 0..2 {
+                sim.run_round(&vec![RoundAction::Train; n]);
+            }
+            let mut replica = skiptrain_nn::zoo::mlp(&[6, 12, 4], 0);
+            replica.load_params(&sim.mean_params());
+            for size in [
+                1,
+                EVAL_CHUNK - 1,
+                EVAL_CHUNK,
+                EVAL_CHUNK + 1,
+                3 * EVAL_CHUNK + 7,
+            ] {
+                let rows: Vec<usize> = (0..size).map(|r| r % test.len()).collect();
+                let test = test.subset(&rows);
+                let (want, _) = evaluate_model(&mut replica, &sim.loss_fn, &test, None);
+                for threads in [1, 2, 7] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .expect("pool");
+                    let got = pool.install(|| sim.evaluate_mean_model(&test, usize::MAX));
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{n} nodes, {size} rows, {threads} threads"
+                    );
+                }
+            }
         }
-        let stats = sim.evaluate(&test, usize::MAX);
-        assert!((stats.mean_accuracy - acc_direct).abs() < 1e-6);
-        assert!(stats.std_accuracy < 1e-9);
     }
 
     #[test]

@@ -93,8 +93,9 @@
 //!    in one workspace per block of nodes a worker trains;
 //! 3. **share + aggregate** — every `Delivered` row carries the sender's
 //!    `x^{t−½}` through the [`transport`](transport::TransportKind)
-//!    (in-memory kernels, or a full encode → decode of the wire frame)
-//!    under the row's [`ModelCodec`], and every
+//!    under the row's [`ModelCodec`] (a lossless model in memory is read in
+//!    place; every other message is encoded to a wire frame and decoded),
+//!    and every
 //!    receiver computes `x^t = Σ_j W_ji · x_j^{t−½}` over what it decoded,
 //!    its own model standing in for every row that did not deliver and for
 //!    the coordinates a top-k message did not carry. When the policy is

@@ -3,17 +3,15 @@
 //!
 //! # Transports
 //!
-//! * [`TransportKind::Memory`] — neighbors read each other's half-step
-//!   models directly (zero copies when the codec is lossless). This is the
-//!   fast path used for large experiments; message sizes are still
-//!   accounted per effective edge so energy numbers are
-//!   transport-independent.
-//! * [`TransportKind::Serialized`] — every message is actually encoded to a
-//!   length-prefixed, checksummed byte frame, optionally dropped with a
-//!   seeded probability, and decoded at the receiver. This path exists to
-//!   (a) validate that the fidelity of the in-memory shortcut is exact,
-//!   (b) exercise lossy-network behavior, and (c) measure serialization
-//!   overhead in the benches.
+//! * [`TransportKind::Memory`] — a lossless model is read in place, with
+//!   zero copies; every lossy message is a frame, written and decoded
+//!   exactly as below. Message sizes are still accounted per effective
+//!   edge, so energy numbers are transport-independent.
+//! * [`TransportKind::Serialized`] — every message is encoded to a
+//!   length-prefixed, checksummed byte frame, optionally dropped or
+//!   corrupted with a seeded probability, and decoded at the receiver.
+//!   This path exists to exercise lossy-network behavior and to measure
+//!   serialization overhead in the benches.
 //!
 //! # Codecs and the wire format
 //!
@@ -125,8 +123,7 @@
 
 use serde::{Deserialize, Serialize};
 use skiptrain_linalg::compress::{
-    affine_params, dequantize_le, gather_into, quantize_le, quantize_u16_into, quantize_u8_into,
-    top_k_indices_into, AffineParams,
+    affine_params, dequantize_le, quantize_le, top_k_indices_into, AffineParams,
 };
 use skiptrain_linalg::rng::derive_seed;
 
@@ -329,41 +326,6 @@ impl ModelCodec {
                 ModelCodec::TopK { k: scaled.max(1) }.message_bytes(charged_params)
             }
             _ => self.message_bytes(charged_params),
-        }
-    }
-
-    /// Applies the codec's lossy transform in memory, without framing —
-    /// the `Memory`-transport equivalent of an encode/decode round trip,
-    /// yielding exactly what [`decode_frame_into`] would for a frame
-    /// encoded from `params` (asserted by tests). Runs through reusable
-    /// scratch: allocation-free at steady state, and zero-copy for the
-    /// lossless codec (the returned payload borrows `params` itself).
-    pub(crate) fn transform_into<'a>(
-        &self,
-        params: &'a [f32],
-        enc: &mut EncodeScratch,
-        dec: &'a mut DecodeScratch,
-    ) -> PayloadRef<'a> {
-        match self {
-            ModelCodec::DenseF32 => PayloadRef::Dense(params),
-            ModelCodec::QuantizedU8 => {
-                let p = quantize_u8_into(params, &mut enc.codes);
-                dequantize_le::<1>(p, &enc.codes, &mut dec.dense);
-                PayloadRef::Dense(&dec.dense)
-            }
-            ModelCodec::QuantizedU16 => {
-                let p = quantize_u16_into(params, &mut enc.codes);
-                dequantize_le::<2>(p, &enc.codes, &mut dec.dense);
-                PayloadRef::Dense(&dec.dense)
-            }
-            ModelCodec::TopK { k } => {
-                top_k_indices_into(params, *k, &mut dec.indices);
-                gather_into(params, &dec.indices, &mut dec.values);
-                PayloadRef::Sparse {
-                    indices: &dec.indices,
-                    values: &dec.values,
-                }
-            }
         }
     }
 }
@@ -765,14 +727,12 @@ fn checksum_of(payload: &[u8]) -> u32 {
         .fold(0u32, |c, b| c.rotate_left(5) ^ b as u32)
 }
 
-/// Reusable intermediates of the codecs: top-k index scratch for
-/// [`encode_message_with`] (every other section is written straight into
-/// the frame) and the code bytes of the in-memory quantized transform.
-/// Capacity is retained across calls, so a long-lived scratch makes
-/// lossy-codec encoding allocation-free at steady state.
+/// Reusable top-k index scratch for [`encode_message_with`] (every other
+/// section is written straight into the frame). Capacity is retained
+/// across calls, so a long-lived scratch makes lossy-codec encoding
+/// allocation-free at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct EncodeScratch {
-    codes: Vec<u8>,
     indices: Vec<u32>,
 }
 
@@ -986,6 +946,7 @@ pub fn decode_frame_into<'a>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use skiptrain_linalg::compress::{quantize_u16_into, quantize_u8_into};
 
     const ALL_CODECS: [ModelCodec; 4] = [
         ModelCodec::DenseF32,
@@ -1502,24 +1463,6 @@ mod tests {
     }
 
     #[test]
-    fn transform_matches_wire_roundtrip_for_all_codecs() {
-        let params: Vec<f32> = (0..200)
-            .map(|i| ((i * 13 % 29) as f32 - 14.0) / 3.0)
-            .collect();
-        let (mut enc, mut dec) = (EncodeScratch::default(), DecodeScratch::default());
-        let mut wire_scratch = DecodeScratch::default();
-        for codec in ALL_CODECS {
-            let frame = encode(codec, 0, 0, &params);
-            let wire = decode_frame_into(&frame, &mut wire_scratch).unwrap();
-            assert_eq!(
-                wire.payload,
-                codec.transform_into(&params, &mut enc, &mut dec),
-                "{codec:?}"
-            );
-        }
-    }
-
-    #[test]
     fn quantized_decode_error_is_bounded() {
         let params: Vec<f32> = (0..512).map(|i| (i as f32 * 0.11).sin() * 2.0).collect();
         let frame = encode(ModelCodec::QuantizedU8, 0, 0, &params);
@@ -1955,7 +1898,6 @@ mod tests {
         ) {
             let params = hostile(&words);
             let (mut frame, mut enc) = (vec![0xEE; 7], EncodeScratch::default());
-            let (mut mem, mut wire) = (DecodeScratch::default(), DecodeScratch::default());
             for codec in [
                 ModelCodec::DenseF32,
                 ModelCodec::QuantizedU8,
@@ -1965,22 +1907,6 @@ mod tests {
                 encode_message_with(codec, 9, 11, &params, &mut frame, &mut enc);
                 prop_assert_eq!(&frame, &encode_ref(codec, 9, 11, &params), "{:?}", codec);
                 prop_assert!(check_decode_against_reference(&frame).is_ok());
-                // the in-memory transform is the same kernels, bit for bit
-                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                let sides = (
-                    codec.transform_into(&params, &mut enc, &mut mem),
-                    decode_frame_into(&frame, &mut wire).unwrap().payload,
-                );
-                match sides {
-                    (PayloadRef::Dense(a), PayloadRef::Dense(b)) => {
-                        prop_assert_eq!(bits(a), bits(b));
-                    }
-                    (
-                        PayloadRef::Sparse { indices: ia, values: va },
-                        PayloadRef::Sparse { indices: ib, values: vb },
-                    ) => prop_assert_eq!((ia, bits(va)), (ib, bits(vb))),
-                    other => prop_assert!(false, "payload kinds differ: {:?}", other),
-                }
             }
         }
 

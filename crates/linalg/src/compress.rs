@@ -9,8 +9,8 @@
 //! * **Affine quantization** maps a tensor to `levels` evenly spaced codes
 //!   over `[min, max]`; reconstruction error is bounded by half a step,
 //!   `|x − dequant(quant(x))| ≤ scale / 2` (plus f32 rounding). Codes are
-//!   `W`-byte little-endian integers, the form they travel in, so the wire
-//!   and the in-memory transform run one kernel per width
+//!   `W`-byte little-endian integers, the form they travel in, so the
+//!   wire's encoder and decoder run one kernel per width
 //!   ([`quantize_le`], [`dequantize_le`]). Both the fit and the quantiser
 //!   are written so every element is independent — a lane-parallel range
 //!   scan, and a code computed by clamping *then* rounding in float adds
@@ -242,12 +242,6 @@ pub fn top_k_indices_into(src: &[f32], k: usize, out: &mut Vec<u32>) {
     out.sort_unstable();
 }
 
-/// Gathers `src[indices]` into `out` (cleared first) — the top-k payload.
-pub fn gather_into(src: &[f32], indices: &[u32], out: &mut Vec<f32>) {
-    out.clear();
-    out.extend(indices.iter().map(|&i| src[i as usize]));
-}
-
 /// Sparse-blend accumulation for masked gossip aggregation:
 /// `out[idx] += w · (values[idx] − base[idx])` for each sparse entry.
 ///
@@ -419,12 +413,6 @@ mod tests {
         order
     }
 
-    fn gather(src: &[f32], indices: &[u32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        gather_into(src, indices, &mut out);
-        out
-    }
-
     #[test]
     fn u8_roundtrip_error_is_half_step_bounded() {
         let src: Vec<f32> = (0..1000)
@@ -554,12 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_follows_indices() {
-        let src = [10.0f32, 20.0, 30.0];
-        assert_eq!(gather(&src, &[2, 0]), vec![30.0, 10.0]);
-    }
-
-    #[test]
     fn sparse_blend_moves_only_listed_coordinates() {
         let base = [1.0f32, 2.0, 3.0, 4.0];
         let mut out = base;
@@ -580,9 +562,6 @@ mod tests {
         assert_eq!(codes16, quantize_u16(&src).1);
         top_k_indices_into(&src, 7, &mut order);
         assert_eq!(order, top_k_indices(&src, 7));
-        let mut vals = vec![7.0f32; 2];
-        gather_into(&src, &order, &mut vals);
-        assert_eq!(vals, gather(&src, &order));
     }
 
     #[test]
@@ -712,7 +691,7 @@ mod tests {
         );
         assert_eq!(back, [3.0]);
 
-        // selection and gather: k = 0, k > len, empty source
+        // selection: k = 0, k > len, empty source
         let src = [1.0f32, -3.0, 2.0];
         let mut order = vec![9u32];
         top_k_indices_into(&src, 0, &mut order);
@@ -723,9 +702,6 @@ mod tests {
         assert!(order.is_empty());
         top_k_indices_into(&[0.0, -0.0, 0.0], 2, &mut order);
         assert_eq!(order, [0, 1], "equal magnitudes: lower index wins");
-        let mut vals = vec![9.0f32];
-        gather_into(&src, &[], &mut vals);
-        assert!(vals.is_empty());
 
         // the feedback kernels on nothing, and on the extremes
         let mut out = [1.0f32, 2.0];

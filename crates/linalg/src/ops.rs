@@ -18,8 +18,9 @@ pub(crate) const LANES: usize = 8;
 /// the `gossip_mixing` bench (the chunked mutable iterator blocks
 /// vectorization of a loop that loads and stores every element anyway).
 /// That is a finding about this loop shape: a kernel that accumulates
-/// many inputs in registers and stores once ([`weighted_sum_into`]) is a
-/// different shape, and explicit blocks are what make it fast.
+/// many inputs in registers and stores once
+/// ([`weighted_sum_indexed_into`]) is a different shape, and explicit
+/// blocks are what make it fast.
 ///
 /// # Panics
 /// Panics if `x.len() != y.len()`.
@@ -98,8 +99,9 @@ pub fn norm(x: &[f32]) -> f32 {
     dot(x, x).sqrt()
 }
 
-/// Weighted sum of many equal-length vectors into `out`:
-/// `out = Σ_k weights[k] * inputs[k]`.
+/// Weighted sum of an indexed family of equal-length vectors into `out`:
+/// `out = Σ_t weights[t] · fetch(indices[t])`, straight out of the
+/// caller's own storage.
 ///
 /// This is the gossip-aggregation kernel (Line 8 of D-PSGD / Line 13 of
 /// SkipTrain): node `i` computes `Σ_j W_ji · x_j` over its neighborhood.
@@ -110,24 +112,6 @@ pub fn norm(x: &[f32]) -> f32 {
 /// is `((w₀·x₀) + w₁·x₁) + …` with a separate multiply and add — the
 /// order of the plain `scaled_copy` + `axpy` chain, which the tests keep
 /// as the bitwise reference.
-///
-/// # Panics
-/// Panics if `weights.len() != inputs.len()`, or if any input length differs
-/// from `out.len()`.
-pub fn weighted_sum_into(out: &mut [f32], inputs: &[&[f32]], weights: &[f32]) {
-    assert_eq!(
-        inputs.len(),
-        weights.len(),
-        "weighted_sum_into arity mismatch"
-    );
-    weighted_sum_core(out, weights, |t| inputs[t]);
-}
-
-/// [`weighted_sum_into`] over an indexed family of vectors: for each `t`,
-/// the summed vector is `fetch(indices[t])` with weight `weights[t]`.
-///
-/// This variant lets callers aggregate straight out of their own storage
-/// without materializing a `Vec<&[f32]>` per call.
 ///
 /// # Panics
 /// Panics if `indices.len() != weights.len()` or any fetched vector's
@@ -350,19 +334,20 @@ mod tests {
 
     #[test]
     fn weighted_sum_matches_manual() {
-        let a = [1.0, 0.0];
-        let b = [0.0, 1.0];
-        let c = [1.0, 1.0];
+        let store = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]];
         let mut out = [0.0, 0.0];
-        weighted_sum_into(&mut out, &[&a, &b, &c], &[0.5, 0.25, 0.25]);
+        weighted_sum_indexed_into(&mut out, &[0, 1, 2], &[0.5, 0.25, 0.25], |j| {
+            &store[j as usize]
+        });
         assert_eq!(out, [0.75, 0.5]);
     }
 
     #[test]
     fn weighted_sum_empty_inputs_zeroes_out() {
-        let mut out = [3.0, 4.0];
-        weighted_sum_into(&mut out, &[], &[]);
-        assert_eq!(out, [0.0, 0.0]);
+        // a receiver block whose row is empty
+        let mut outs = vec![vec![3.0f32, 4.0]];
+        weighted_sum_block_into(&mut outs, &[(Vec::new(), Vec::new())], |_, _| &[]);
+        assert_eq!(outs, [vec![0.0f32; 2]]);
     }
 
     #[test]
@@ -373,13 +358,14 @@ mod tests {
         let inputs: Vec<Vec<f32>> = (0..5)
             .map(|t| (0..21).map(|j| ((t * 31 + j) as f32).sin()).collect())
             .collect();
-        let refs: Vec<&[f32]> = inputs.iter().map(|v| v.as_slice()).collect();
         let weights = [0.3f32, 0.1, 0.25, 0.15, 0.2];
         let mut blocked = vec![0.0f32; 21];
-        weighted_sum_into(&mut blocked, &refs, &weights);
+        weighted_sum_indexed_into(&mut blocked, &[0, 1, 2, 3, 4], &weights, |j| {
+            &inputs[j as usize]
+        });
         let mut chain = vec![0.0f32; 21];
-        scaled_copy(weights[0], refs[0], &mut chain);
-        for (x, &w) in refs.iter().zip(&weights).skip(1) {
+        scaled_copy(weights[0], &inputs[0], &mut chain);
+        for (x, &w) in inputs.iter().zip(&weights).skip(1) {
             axpy(w, x, &mut chain);
         }
         for (b, c) in blocked.iter().zip(&chain) {
@@ -452,10 +438,6 @@ mod tests {
             // stale contents must never leak into the result
             let dirty = vec![f32::NAN; len];
 
-            let mut direct = dirty.clone();
-            weighted_sum_into(&mut direct, &refs, &weights);
-            prop_assert_eq!(bits(&direct), expected.clone(), "weighted_sum_into");
-
             let mut indexed = dirty.clone();
             weighted_sum_indexed_into(&mut indexed, &indices, &weights, |j| &store[j as usize]);
             prop_assert_eq!(bits(&indexed), expected.clone(), "weighted_sum_indexed_into");
@@ -502,19 +484,16 @@ mod tests {
 
     #[test]
     fn weighted_sum_indexed_matches_direct() {
+        // indices out of order, one vector skipped: each element is the
+        // directly computed 0.5·(20 + j) + 0.25·j + 0.25·(30 + j), exact
         let store: Vec<Vec<f32>> = (0..4)
             .map(|t| (0..10).map(|j| (t * 10 + j) as f32).collect())
             .collect();
-        let indices = [2u32, 0, 3];
-        let weights = [0.5f32, 0.25, 0.25];
         let mut indexed = vec![0.0f32; 10];
-        weighted_sum_indexed_into(&mut indexed, &indices, &weights, |j| &store[j as usize]);
-        let refs: Vec<&[f32]> = indices
-            .iter()
-            .map(|&j| store[j as usize].as_slice())
-            .collect();
-        let mut direct = vec![0.0f32; 10];
-        weighted_sum_into(&mut direct, &refs, &weights);
+        weighted_sum_indexed_into(&mut indexed, &[2, 0, 3], &[0.5, 0.25, 0.25], |j| {
+            &store[j as usize]
+        });
+        let direct: Vec<f32> = (0..10).map(|j| 17.5 + j as f32).collect();
         assert_eq!(indexed, direct);
     }
 

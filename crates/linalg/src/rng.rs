@@ -66,12 +66,6 @@ impl GaussianSampler {
         r * theta.cos()
     }
 
-    /// Draws one sample from `N(mean, std²)`.
-    #[inline]
-    pub fn sample_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.sample()
-    }
-
     /// Fills `out` with i.i.d. `N(0, 1)` samples.
     pub fn fill(&mut self, out: &mut [f32]) {
         for v in out {
@@ -119,14 +113,6 @@ mod tests {
         let beyond_3: usize = (0..50_000).filter(|_| g.sample().abs() > 3.0).count();
         // P(|Z| > 3) ≈ 0.27%; allow generous slack.
         assert!(beyond_3 < 500, "too many 3-sigma outliers: {beyond_3}");
-    }
-
-    #[test]
-    fn sample_with_shifts_and_scales() {
-        let mut g = GaussianSampler::new(13);
-        let xs: Vec<f32> = (0..20_000).map(|_| g.sample_with(5.0, 2.0)).collect();
-        assert!((mean(&xs) - 5.0).abs() < 0.06);
-        assert!((std_dev(&xs) - 2.0).abs() < 0.06);
     }
 
     #[test]

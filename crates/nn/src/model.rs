@@ -9,7 +9,7 @@
 //! layer's span of them where it lies.
 //!
 //! A stand-alone model owns its vector: it is initialized at construction,
-//! [`Sequential::copy_params_to`] / [`Sequential::load_params`] copy it out
+//! [`Sequential::flat_params`] / [`Sequential::load_params`] copy it out
 //! and in. A caller that already keeps the vector somewhere — the engine
 //! keeps one per node, and one gradient workspace per block of nodes —
 //! *lends* it instead: [`Sequential::swap_params`] and
@@ -214,12 +214,6 @@ impl Sequential {
         std::mem::swap(&mut self.grads, other);
     }
 
-    /// Copies the flattened parameter vector into `out` (resized to fit).
-    pub fn copy_params_to(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend_from_slice(&self.params);
-    }
-
     /// Returns the flattened parameter vector.
     pub fn flat_params(&self) -> Vec<f32> {
         self.params.clone()
@@ -231,13 +225,12 @@ impl Sequential {
         out.extend_from_slice(&self.grads);
     }
 
-    /// Loads a flattened parameter vector produced by [`copy_params_to`]
-    /// (e.g. an aggregated neighbor model) by copying it.
+    /// Loads a flattened parameter vector produced by
+    /// [`Sequential::flat_params`] (e.g. an aggregated neighbor model) by
+    /// copying it.
     ///
     /// # Panics
     /// Panics if `flat.len() != self.param_count()`.
-    ///
-    /// [`copy_params_to`]: Sequential::copy_params_to
     pub fn load_params(&mut self, flat: &[f32]) {
         assert_eq!(
             flat.len(),

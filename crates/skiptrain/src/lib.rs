@@ -66,9 +66,7 @@ pub mod prelude {
         AsyncGossipPolicy, ConstrainedPolicy, DPsgdPolicy, GreedyPolicy, RoundPolicy,
         SkipTrainPolicy,
     };
-    pub use skiptrain_core::presets::{
-        cifar_config, femnist_config, tuned_schedule, with_algorithm, Scale,
-    };
+    pub use skiptrain_core::presets::{cifar_config, femnist_config, with_algorithm, Scale};
     pub use skiptrain_core::{
         run_with_observers, Campaign, CampaignError, CampaignRunError, ConfigError, Experiment,
         RunError, Schedule,

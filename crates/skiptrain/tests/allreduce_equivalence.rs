@@ -107,7 +107,7 @@ fn mean_model_matches_allreduce_on_complete_graph() {
     sim.run_round(&vec![RoundAction::Train; n]);
     sim.run_round(&vec![RoundAction::SyncOnly; n]);
     let stats = sim.evaluate(&test, usize::MAX);
-    let (mean_acc, _) = sim.evaluate_mean_model(&test, usize::MAX);
+    let mean_acc = sim.evaluate_mean_model(&test, usize::MAX);
     assert!((stats.mean_accuracy - mean_acc).abs() < 1e-6);
     assert!(stats.std_accuracy < 1e-9);
 }

@@ -191,41 +191,6 @@ impl Graph {
         count == self.n
     }
 
-    /// Graph diameter via BFS from every node; `None` if disconnected.
-    ///
-    /// O(n·m) — intended for analysis at simulation scale, not for huge
-    /// graphs.
-    pub fn diameter(&self) -> Option<usize> {
-        if self.n == 0 {
-            return Some(0);
-        }
-        let mut diameter = 0usize;
-        let mut dist = vec![usize::MAX; self.n];
-        let mut queue = std::collections::VecDeque::new();
-        for start in 0..self.n {
-            dist.fill(usize::MAX);
-            dist[start] = 0;
-            queue.clear();
-            queue.push_back(start);
-            while let Some(u) = queue.pop_front() {
-                for &v in &self.adj[u] {
-                    let v = v as usize;
-                    if dist[v] == usize::MAX {
-                        dist[v] = dist[u] + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            // lint:allow(no_panic, "provably infallible: dist has one entry per node and n > 0 here")
-            let far = *dist.iter().max().unwrap();
-            if far == usize::MAX {
-                return None;
-            }
-            diameter = diameter.max(far);
-        }
-        Some(diameter)
-    }
-
     /// Checks all representation invariants: exactly `n` adjacency lists,
     /// each strictly ascending, in range and self-loop-free, and symmetric.
     /// A deserialized graph bypasses the constructors; configs check theirs
@@ -264,7 +229,6 @@ mod tests {
         assert_eq!(g.edge_count(), 6);
         assert!(g.is_regular(2));
         assert!(g.is_connected());
-        assert_eq!(g.diameter(), Some(3));
         g.validate().unwrap();
     }
 
@@ -273,7 +237,6 @@ mod tests {
         let g = Graph::complete(5);
         assert_eq!(g.edge_count(), 10);
         assert!(g.is_regular(4));
-        assert_eq!(g.diameter(), Some(1));
         g.validate().unwrap();
     }
 
@@ -281,14 +244,12 @@ mod tests {
     fn empty_graph_is_disconnected_when_multi_node() {
         let g = Graph::empty(3);
         assert!(!g.is_connected());
-        assert_eq!(g.diameter(), None);
     }
 
     #[test]
     fn single_node_graph_is_connected() {
         let g = Graph::empty(1);
         assert!(g.is_connected());
-        assert_eq!(g.diameter(), Some(0));
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl MixingMatrix {
     }
 
     /// Applies `y = Wᵀ x = W x` (symmetric) to a scalar per node — used by
-    /// spectral analysis and consensus tests.
+    /// consensus tests.
     pub fn apply_scalar(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n, "vector length mismatch");
         let mut y = vec![0.0f64; self.n];
