@@ -1,4 +1,4 @@
-//! The steady-state allocation pins: thirteen hot-path scenarios that must
+//! The steady-state allocation pins: fourteen hot-path scenarios that must
 //! allocate **0 B per step** once warm, at a thread budget of one.
 //!
 //! Each scenario builds its state, runs `warmup` unmeasured steps so every
@@ -54,7 +54,7 @@ struct Pin {
     build: fn() -> Step,
 }
 
-const PINS: [Pin; 13] = [
+const PINS: [Pin; 14] = [
     Pin {
         name: "sgd_step_mlp_medium_90k",
         warmup: 10,
@@ -67,11 +67,19 @@ const PINS: [Pin; 13] = [
         steps: 6,
         build: || round_loop(64, 1, RoundAction::Train),
     },
+    // the dense in-place mix reading the models themselves, through a
+    // stage of 256 × WSUM_TILE floats
     Pin {
         name: "round_loop_sync_256",
         warmup: 10,
         steps: 20,
         build: || round_loop(256, 2, RoundAction::SyncOnly),
+    },
+    Pin {
+        name: "framed_sync_round_64",
+        warmup: 4,
+        steps: 8,
+        build: framed_sync_round,
     },
     Pin {
         name: "codec_dense_roundtrip",
@@ -238,6 +246,25 @@ fn round_loop(n: usize, seed: u64, action: RoundAction) -> Step {
     let graph = random_regular(n, 6, seed);
     let mut sim = build_sim_on(graph, seed, SimulationConfig::minimal(seed, 16, 5, 0.5));
     let actions = vec![action; n];
+    Box::new(move || sim.run_round(black_box(&actions)))
+}
+
+/// The dense in-place mix reading decoded frames: a 64-node 6-regular
+/// sync-only fleet on the serialized transport at 10 % drops, under the
+/// uniform lossless codec — every sender's model is encoded and decoded
+/// once into its wire scratch, and each receiver mixes its own row with
+/// its delivered neighbours' decoded frames, the dropped weight folded
+/// onto itself.
+fn framed_sync_round() -> Step {
+    let n = 64;
+    let mut config = SimulationConfig::minimal(19, 16, 5, 0.5);
+    config.transport = TransportKind::Serialized {
+        drop_prob: 0.1,
+        corrupt_prob: 0.0,
+    };
+    config.compression = CompressionPolicy::Uniform(ModelCodec::DenseF32);
+    let mut sim = build_sim_on(random_regular(n, 6, 19), 19, config);
+    let actions = vec![RoundAction::SyncOnly; n];
     Box::new(move || sim.run_round(black_box(&actions)))
 }
 

@@ -1,20 +1,24 @@
-//! Resident-memory pin: a fleet holds every node's model **twice** — the
-//! two round buffers `params[i]` and `next[i]` — plus one gradient
-//! workspace per block of nodes a worker trains, and nothing else that is
+//! Resident-memory pin: a fleet holds every node's model **once** — its
+//! round buffer `params[i]`, mixed in place by a dense round — plus one
+//! gradient workspace, one aggregation stage and one evaluation replica's
+//! activations per block of nodes a worker runs, and nothing else that is
 //! model-sized.
 //!
-//! Layers used to own a parameter and a gradient vector each, so a node's
-//! model sat in four places (two round buffers, its layers' parameters,
-//! its layers' gradients) and a 64-node fleet of the paper's model peaked
-//! at 112.9 MB. The test builds a 16-node fleet of that model (the
+//! Layers used to own a parameter and a gradient vector each, and the
+//! aggregation wrote into a second round buffer per node, so a node's model
+//! sat in four places and a 64-node fleet of the paper's model peaked at
+//! 112.9 MB; every node's replica also grew its own evaluation-batch
+//! activations. The test builds a 16-node fleet of that model (the
 //! Table-1-sized MLP of the `sync_wide64` workload, 128-640-10 = 88 970
 //! parameters) through `Simulation::with_shared_data`, runs one all-`Train`
-//! round and one evaluation at one thread, and reads the live heap through
-//! the counting global allocator.
+//! round, one all-sync round and one evaluation of the `sync_wide64` eval
+//! batch at one thread, and reads the live heap through the counting global
+//! allocator. Scoring the mean model afterwards must leave nothing behind.
 
 use skiptrain_bench::perf::{live_bytes, CountingAllocator};
 use skiptrain_data::synth::{MixtureSpec, MixtureTask};
 use skiptrain_engine::{RoundAction, Simulation, SimulationConfig};
+use skiptrain_linalg::ops::WSUM_TILE;
 use skiptrain_nn::zoo::ModelKind;
 use skiptrain_topology::regular::random_regular;
 use skiptrain_topology::MixingMatrix;
@@ -25,15 +29,20 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 const NODES: usize = 16;
 const BATCH: usize = 8;
+/// The `sync_wide64` evaluation batch, 6× the training batch.
+const EVAL_ROWS: usize = 6 * BATCH;
 /// Everything a node keeps that is not a model: its 32-sample dataset
 /// (16 KB), its minibatch, and the activations and backward buffers of a
-/// `BATCH`-row pass through 640 hidden units (3 × 20 KB) — under 128 KB
-/// against the model's 356 KB. The evaluation below scores `BATCH` rows so
-/// that it grows none of them.
-const PER_NODE_ALLOWANCE: u64 = 128 * 1024;
+/// `BATCH`-row pass through 640 hidden units (3 × 20 KB) — under 96 KB
+/// against the model's 356 KB. An `EVAL_ROWS`-row pass would add 125 KB
+/// to every node that ran one.
+const PER_NODE_ALLOWANCE: u64 = 96 * 1024;
+/// The one evaluation replica's `EVAL_ROWS`-row activations (48 × 650
+/// floats) and the gathered batch (48 × 128 floats), with room to spare.
+const EVAL_REPLICA_ALLOWANCE: u64 = 192 * 1024;
 
 #[test]
-fn a_fleet_holds_two_model_vectors_per_node_and_one_workspace_per_block() {
+fn a_fleet_holds_one_model_vector_per_node_and_one_workspace_and_stage_per_block() {
     let kind = ModelKind::Mlp {
         dims: vec![128, 640, 10],
     };
@@ -50,7 +59,7 @@ fn a_fleet_holds_two_model_vectors_per_node_and_one_workspace_per_block() {
     let datasets = (0..NODES)
         .map(|i| Arc::new(task.sample(32, i as u64)))
         .collect();
-    let test = task.sample(48, 1000);
+    let test = task.sample(EVAL_ROWS, 1000);
     let models: Vec<_> = (0..NODES).map(|i| kind.build(50 + i as u64)).collect();
     let model_bytes = 4 * models[0].param_count() as u64;
     assert_eq!(model_bytes, 4 * 88_970);
@@ -65,15 +74,21 @@ fn a_fleet_holds_two_model_vectors_per_node_and_one_workspace_per_block() {
         .expect("the pool builder is infallible");
     let stats = one_thread.install(|| {
         sim.run_round(&[RoundAction::Train; NODES]);
-        sim.evaluate(&test, BATCH)
+        sim.run_round(&[RoundAction::SyncOnly; NODES]);
+        sim.evaluate(&test, EVAL_ROWS)
     });
-    assert_eq!(sim.last_trained_nodes(), NODES);
+    assert_eq!(sim.last_trained_nodes(), 0);
     assert_eq!(stats.per_node_accuracy.len(), NODES);
 
-    // 2 n round buffers + the one block's workspace at one thread, and one
-    // vector of headroom; at four vectors per node this reads ≈ 4 n.
+    // n round buffers + the one block's workspace at one thread, and one
+    // vector of headroom; with a second round buffer per node this reads
+    // ≈ 2 n, with per-node evaluation activations ≈ 4 vectors more.
     let resident = live_bytes() - before;
-    let bound = (2 * NODES as u64 + 2) * model_bytes + NODES as u64 * PER_NODE_ALLOWANCE;
+    let stage_bytes = 4 * (NODES * WSUM_TILE) as u64;
+    let bound = (NODES as u64 + 2) * model_bytes
+        + NODES as u64 * PER_NODE_ALLOWANCE
+        + stage_bytes
+        + EVAL_REPLICA_ALLOWANCE;
     assert!(
         resident <= bound,
         "fleet keeps {resident} B live = {:.1} model vectors for {NODES} nodes (bound {bound} B = {:.1})",
@@ -81,8 +96,18 @@ fn a_fleet_holds_two_model_vectors_per_node_and_one_workspace_per_block() {
         bound as f64 / model_bytes as f64,
     );
     assert!(
-        resident >= 2 * NODES as u64 * model_bytes,
-        "the two round buffers alone are {} B, read {resident} B: the counter is off",
-        2 * NODES as u64 * model_bytes
+        resident >= NODES as u64 * model_bytes,
+        "the round buffers alone are {} B, read {resident} B: the counter is off",
+        NODES as u64 * model_bytes
+    );
+
+    // the mean model is scored through a lent copy that goes back after
+    let held = live_bytes();
+    let accuracy = one_thread.install(|| sim.evaluate_mean_model(&test, EVAL_ROWS));
+    assert!((0.0..=1.0).contains(&accuracy));
+    assert_eq!(
+        live_bytes(),
+        held,
+        "scoring the mean model left bytes resident"
     );
 }

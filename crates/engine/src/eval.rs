@@ -83,11 +83,16 @@ pub fn evaluate_model(
     per_row(evaluate_chunks(model, loss, &gather_chunks(dataset, idx)))
 }
 
-/// Evaluates every node's model replica, lent its row of `params` for the
-/// forward passes (the rows come back untouched, in the same buffers), on
-/// the same `indices` of `dataset`, in parallel over nodes. The rows are
-/// gathered once and shared — per-node results equal [`evaluate_model`]'s
-/// exactly (same rows, same chunking, same recombination).
+/// Evaluates every node's row of `params` on the same `indices` of
+/// `dataset`, in parallel over the blocks of nodes [`train_fleet`] trains
+/// (`len.div_ceil(threads)` nodes each): a block's rows are lent in turn
+/// to its first node's replica, so evaluation-batch activations are grown
+/// once per block, not once per node, and the rows come back untouched, in
+/// the same buffers. The rows are gathered once and shared — per-node
+/// results equal [`evaluate_model`]'s exactly (same rows, same chunking,
+/// same recombination).
+///
+/// [`train_fleet`]: crate::node::train_fleet
 pub(crate) fn evaluate_fleet(
     nodes: &mut [Node],
     params: &mut [Vec<f32>],
@@ -96,25 +101,30 @@ pub(crate) fn evaluate_fleet(
     indices: &[usize],
 ) -> Vec<(f32, f32)> {
     let batches = gather_chunks(dataset, indices);
+    let block = nodes.len().div_ceil(rayon::current_num_threads());
+    let mut results = vec![(0.0, 0.0); nodes.len()];
     nodes
-        .par_iter_mut()
-        .zip(params.par_iter_mut())
-        .map(|(node, p)| {
-            let model = node.model_mut();
-            model.swap_params(p);
-            let sums = evaluate_chunks(model, loss, &batches);
-            model.swap_params(p);
-            per_row(sums)
-        })
-        .collect()
+        .par_chunks_mut(block)
+        .zip(params.par_chunks_mut(block))
+        .zip(results.par_chunks_mut(block))
+        .for_each(|((nodes, params), results)| {
+            let model = nodes[0].model_mut();
+            for (p, result) in params.iter_mut().zip(results) {
+                model.swap_params(p);
+                *result = per_row(evaluate_chunks(model, loss, &batches));
+                model.swap_params(p);
+            }
+        });
+    results
 }
 
 /// Top-1 accuracy of one parameter vector `params` (the fleet's mean
 /// model) on the same `indices` of `dataset`. The rows are gathered once
-/// and the batches split into at most one contiguous group per node; each
-/// group runs on that node's model replica, loaded with `params`, in
-/// parallel. The hits are summed in group order, so the result is the
-/// accuracy one replica reports over all the batches.
+/// and the batches split into at most one contiguous group per block of
+/// nodes (as [`evaluate_fleet`] blocks them); each group runs on a copy of
+/// `params` lent to its block's first replica, in parallel, and the copy
+/// is dropped after scoring. The hits are summed in group order, so the
+/// result is the accuracy one replica reports over all the batches.
 pub(crate) fn evaluate_across(
     nodes: &mut [Node],
     params: &[f32],
@@ -126,16 +136,20 @@ pub(crate) fn evaluate_across(
     if batches.is_empty() {
         return 0.0;
     }
+    let block = nodes.len().div_ceil(rayon::current_num_threads());
     let groups: Vec<&[EvalBatch]> = batches
-        .chunks(batches.len().div_ceil(nodes.len()))
+        .chunks(batches.len().div_ceil(nodes.len().div_ceil(block)))
         .collect();
-    let correct: Vec<usize> = nodes[..groups.len()]
-        .par_iter_mut()
+    let correct: Vec<usize> = nodes
+        .par_chunks_mut(block)
         .zip(groups.par_iter())
-        .map(|(node, group)| {
-            let model = node.model_mut();
-            model.load_params(params);
-            evaluate_chunks(model, loss, group).0
+        .map(|(nodes, group)| {
+            let model = nodes[0].model_mut();
+            let mut copy = params.to_vec();
+            model.swap_params(&mut copy);
+            let hits = evaluate_chunks(model, loss, group).0;
+            model.swap_params(&mut copy);
+            hits
         })
         .collect();
     (correct.iter().sum::<usize>() as f64 / indices.len() as f64) as f32

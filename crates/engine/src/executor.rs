@@ -19,7 +19,7 @@ use skiptrain_energy::battery::{BatterySetup, BatteryState};
 use skiptrain_energy::comm::CommEnergyModel;
 use skiptrain_energy::EnergyLedger;
 use skiptrain_linalg::compress::{accumulate_delta, scatter_axpy, sparse_blend_axpy};
-use skiptrain_linalg::ops::weighted_sum_block_into;
+use skiptrain_linalg::ops::{consensus_blend, mix_in_place};
 use skiptrain_nn::sgd::SgdConfig;
 use skiptrain_nn::{Sequential, SoftmaxCrossEntropy};
 use skiptrain_topology::{Graph, MixingMatrix};
@@ -180,12 +180,17 @@ pub struct Simulation {
     nodes: Vec<Node>,
     graph: Graph,
     mixing: MixingMatrix,
-    /// One flat vector per node: the committed models `x^t`, and from the
-    /// compute pass to the commit swap the half-step models `x^{t−½}`. A
-    /// node's model holds no copy; training and evaluation borrow the row.
+    /// One flat vector per node, the only copy of its model: the committed
+    /// model, turned into the half-step `x^{t−½}` by the compute pass, then
+    /// mixed in place by a dense shared round or replaced by `mixed` after
+    /// `account`. Training and evaluation borrow the row.
     params: Vec<Vec<f32>>,
-    /// Aggregation output buffers (swapped into `params` at round end).
-    next: Vec<Vec<f32>>,
+    /// The top-k and per-edge paths' out-of-place outputs (their receivers
+    /// read whole half-step rows through codecs), empty until one of them
+    /// first runs and swapped into `params` after `account`.
+    mixed: Vec<Vec<f32>>,
+    /// One stage per worker of the dense in-place mix ([`mix_in_place`]).
+    stages: Vec<Vec<f32>>,
     ledger: EnergyLedger,
     round: usize,
     param_count: usize,
@@ -203,8 +208,6 @@ pub struct Simulation {
     /// Reusable per-node `(sender indices, mixing weights)` scratch for the
     /// dense kernel.
     agg_rows: Vec<(Vec<u32>, Vec<f32>)>,
-    /// Reusable mean-model buffer for [`Simulation::evaluate_mean_model`].
-    mean_scratch: Vec<f32>,
     /// Per-directed-link error-feedback replicas, when enabled.
     feedback: Option<ErrorFeedbackState>,
     /// The round's participation decision (churn ∧ battery) and the
@@ -284,7 +287,6 @@ impl Simulation {
                 x
             })
             .collect();
-        let next = params.clone();
         let nodes: Vec<Node> = models
             .into_iter()
             .zip(datasets)
@@ -319,7 +321,8 @@ impl Simulation {
             plan: RoundPlan::new(n, edges, param_count, &config.compression),
             mixing,
             params,
-            next,
+            mixed: vec![Vec::new(); n],
+            stages: vec![Vec::new(); n],
             ledger: EnergyLedger::new(n),
             round: 0,
             param_count,
@@ -334,7 +337,6 @@ impl Simulation {
             agg_rows: (0..n)
                 .map(|_| (Vec::with_capacity(n), Vec::with_capacity(n)))
                 .collect(),
-            mean_scratch: Vec::new(),
             feedback,
             corrupted_frames: 0,
             grad_scratch: vec![Vec::new(); n],
@@ -428,22 +430,12 @@ impl Simulation {
 
     /// Element-wise mean of all node models.
     pub fn mean_params(&self) -> Vec<f32> {
-        let mut mean = Vec::new();
-        self.mean_params_into(&mut mean);
-        mean
-    }
-
-    /// Accumulates the element-wise mean of all node models into `out`
-    /// (resized to the parameter count) — the allocation-free form
-    /// behind [`Simulation::mean_params`] and the reusable mean buffer of
-    /// [`Simulation::evaluate_mean_model`].
-    fn mean_params_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.resize(self.param_count, 0.0);
+        let mut mean = vec![0.0; self.param_count];
         let scale = 1.0 / self.len() as f32;
         for p in &self.params {
-            skiptrain_linalg::ops::axpy(scale, p, out);
+            skiptrain_linalg::ops::axpy(scale, p, &mut mean);
         }
+        mean
     }
 
     /// Mean squared distance of node models to the mean model, normalized by
@@ -487,7 +479,7 @@ impl Simulation {
     /// and mixing (the round closes on the slowest participant; only an
     /// edge that fires can be late) → **resolve** (late edges become
     /// `Late` plan rows, degrading like drops) → compute → share/aggregate
-    /// → γ blend → account → commit → battery settle.
+    /// with the γ step → account → commit → battery settle.
     ///
     /// With every node taking part the gated inputs equal the caller's bit
     /// for bit, and under barrier timing (or deadline timing at zero
@@ -545,10 +537,11 @@ impl Simulation {
             self.gate.battery.as_ref().map(|b| &b.setup.state),
         );
         self.compute();
-        self.share_aggregate();
-        self.blend_consensus_gamma();
+        let out_of_place = self.share_aggregate();
         self.account(round_end);
-        std::mem::swap(&mut self.params, &mut self.next);
+        if out_of_place {
+            std::mem::swap(&mut self.params, &mut self.mixed);
+        }
         self.round += 1;
         self.gate.settle(&self.ledger);
         Ok(())
@@ -556,8 +549,8 @@ impl Simulation {
 
     /// Local compute ([`train_fleet`]): a training node runs `E` local
     /// steps on `params[i]` in place, `x^t` → `x^{t−½}`; a sync-only node's
-    /// `x^{t−½}` *is* its `x^t`, so it does nothing. Every later pass up to
-    /// the commit swap reads `params` as the half-step models.
+    /// `x^{t−½}` *is* its `x^t`, so it does nothing. The share pass reads
+    /// `params` as the half-step models.
     fn compute(&mut self) {
         let (loss_sum, trained) = train_fleet(
             &mut self.nodes,
@@ -570,20 +563,24 @@ impl Simulation {
         self.last_trained_nodes = trained;
     }
 
-    /// Share + aggregate `x^t = Σ_j W_ji x_j^{t−½}` over the plan
-    /// (receiver-parallel). Every non-delivered row's weight falls back
-    /// onto the receiver's own model, as do the coordinates a top-k
-    /// message did not carry, so each row stays stochastic per coordinate.
+    /// Share + aggregate `x^t = Σ_j W_ji x_j^{t−½}` over the plan, then the
+    /// consensus step `x^{t−½} + γ (x^t − x^{t−½})` (skipped at γ = 1).
+    /// Every non-delivered row's weight falls back onto the receiver's own
+    /// model, as do the coordinates a top-k message did not carry, so each
+    /// row stays stochastic per coordinate. Returns true when the result is
+    /// in `mixed`, to be swapped in after `account`.
     ///
     /// Bit-identity pins three accumulation orders. Which one runs follows
     /// from the plan's `shared_payload` — an observable of the round, not
     /// an option: one payload per sender costs `degree`× less codec work
     /// than one per edge wherever it is possible at all.
-    fn share_aggregate(&mut self) {
-        match self.plan.shared_payload() {
-            Some(codec) => self.aggregate_shared(codec),
-            None => self.aggregate_per_edge(),
-        }
+    fn share_aggregate(&mut self) -> bool {
+        let Some(codec) = self.plan.shared_payload() else {
+            self.aggregate_per_edge();
+            return true;
+        };
+        self.aggregate_shared(codec);
+        matches!(codec, ModelCodec::TopK { .. })
     }
 
     /// Shared payload: every sender's message is carried once into its own
@@ -592,20 +589,20 @@ impl Simulation {
     /// carry and receivers read the half-step models (`params`) directly.
     ///
     /// * sparse (top-k) — `row_sum · own`, then a masked blend per
-    ///   delivered row;
+    ///   delivered row, into `mixed`;
     /// * dense — the indexed weighted sum in mixing-row order, with the
     ///   fallback weight added to the self entry where it sits (appended
-    ///   when the row has none). Each worker takes one contiguous block of
-    ///   receivers and sums it parameter tile by parameter tile, so a
-    ///   sender's tile leaves memory once per block, not once per reader.
+    ///   when the row has none), mixed into `params` in place
+    ///   ([`mix_in_place`]): parameter tile by parameter tile, so a
+    ///   sender's tile leaves memory once, not once per reader.
     fn aggregate_shared(&mut self, codec: ModelCodec) {
         let plan = &self.plan;
-        let half = &self.params;
         let transport = self.config.transport;
-        let round = self.round;
+        let (round, gamma) = (self.round, self.config.consensus_gamma);
         let direct = matches!(transport, TransportKind::Memory) && codec.is_lossless();
         if !direct {
-            half.par_iter()
+            self.params
+                .par_iter()
                 .zip(self.scratch.par_iter_mut())
                 .enumerate()
                 .for_each(|(j, (model, scratch))| {
@@ -616,8 +613,10 @@ impl Simulation {
         }
         let sent = &self.scratch;
         if matches!(codec, ModelCodec::TopK { .. }) {
-            self.next.par_iter_mut().enumerate().for_each(|(i, out)| {
+            let half = &self.params;
+            self.mixed.par_iter_mut().enumerate().for_each(|(i, out)| {
                 let own = &half[i];
+                out.resize(own.len(), 0.0);
                 let row_sum: f32 = plan.entries(i).map(|e| e.weight()).sum();
                 skiptrain_linalg::ops::scaled_copy(row_sum, own, out);
                 for entry in plan.entries(i) {
@@ -629,34 +628,32 @@ impl Simulation {
                         _ => {}
                     }
                 }
+                consensus_blend(gamma, own, out);
             });
             return;
         }
-        let block = self.next.len().div_ceil(rayon::current_num_threads());
-        self.next
-            .par_chunks_mut(block)
-            .zip(self.agg_rows.par_chunks_mut(block))
-            .enumerate()
-            .for_each(|(b, (outs, rows))| {
-                let base = b * block;
-                for (i, (indices, weights)) in (base..).zip(rows.iter_mut()) {
-                    plan.dense_row_into(i, indices, weights);
-                }
-                weighted_sum_block_into(outs, rows, |r, j| {
-                    let j = j as usize;
-                    if direct || j == base + r {
-                        &half[j]
-                    } else {
-                        &sent[j].wire.dec.dense
-                    }
-                });
-            });
+        for (i, (indices, weights)) in self.agg_rows.iter_mut().enumerate() {
+            plan.dense_row_into(i, indices, weights);
+        }
+        // a receiver reads its own row, and its neighbours' decoded frames
+        // unless the models themselves are the messages
+        let stand_in = |i: usize, j: u32| {
+            let j = j as usize;
+            (!direct && j != i).then(|| &sent[j].wire.dec.dense[..])
+        };
+        mix_in_place(
+            &mut self.params,
+            &self.agg_rows,
+            gamma,
+            stand_in,
+            &mut self.stages,
+        );
     }
 
     /// Per-edge payload (an adaptive policy, or a lossy codec under error
     /// feedback): zero, then each delivered row in row order through the
     /// receiver's wire scratch, own model last with the summed fallback
-    /// weight.
+    /// weight, into `mixed`.
     ///
     /// With error feedback the message is the link residual
     /// `x_j^{t−½} − x̂_{j→i}`, the decoded payload advances the replica by
@@ -671,7 +668,7 @@ impl Simulation {
         let plan = &self.plan;
         let half = &self.params;
         let transport = self.config.transport;
-        let round = self.round;
+        let (round, gamma) = (self.round, self.config.consensus_gamma);
         let (beta, cap) = self
             .feedback
             .as_ref()
@@ -681,7 +678,8 @@ impl Simulation {
                        scratch: &mut NodeScratch,
                        mut links: Option<&mut LinkMap>| {
             let own = &half[i];
-            out.fill(0.0);
+            out.clear();
+            out.resize(own.len(), 0.0);
             let mut self_weight = 0.0f32;
             for entry in plan.entries(i) {
                 let row = match entry {
@@ -720,8 +718,9 @@ impl Simulation {
                 skiptrain_linalg::ops::axpy(row.weight, replica, out);
             }
             skiptrain_linalg::ops::axpy(self_weight, own, out);
+            consensus_blend(gamma, own, out);
         };
-        let outs = self.next.par_iter_mut().zip(self.scratch.par_iter_mut());
+        let outs = self.mixed.par_iter_mut().zip(self.scratch.par_iter_mut());
         match self.feedback.as_mut() {
             Some(fb) => outs
                 .zip(fb.incoming_mut().par_iter_mut())
@@ -731,25 +730,6 @@ impl Simulation {
                 .enumerate()
                 .for_each(|(i, (out, scratch))| receive(i, out, scratch, None)),
         }
-    }
-
-    /// Applies the consensus stepsize after aggregation, in place on the
-    /// `next` buffers: `x^t = x^{t−½} + γ (x_mixed − x^{t−½})`. γ = 1
-    /// (the default) skips entirely, keeping the plain mixing update
-    /// bit-identical to the pre-γ executor.
-    fn blend_consensus_gamma(&mut self) {
-        let gamma = self.config.consensus_gamma;
-        if gamma == 1.0 {
-            return;
-        }
-        self.next
-            .par_iter_mut()
-            .zip(self.params.par_iter())
-            .for_each(|(out, base)| {
-                for (o, &b) in out.iter_mut().zip(base.iter()) {
-                    *o = b + gamma * (*o - b);
-                }
-            });
     }
 
     /// Records the round's energy from the plan: training per gated action,
@@ -833,16 +813,14 @@ impl Simulation {
 
     /// Top-1 accuracy of the *average* of all node models (the Figure-1
     /// all-reduce curve evaluates this quantity) on (a fixed subsample of)
-    /// `dataset`. The mean is built in a reusable buffer; the rows are
-    /// gathered once and their batches shared out, one contiguous group per
-    /// node's model replica, each replica loaded with the mean.
+    /// `dataset`. The rows are gathered once and their batches shared out,
+    /// one contiguous group per worker block, each scored by a copy of the
+    /// mean lent to the block's first replica; nothing model-sized
+    /// outlives the call.
     pub fn evaluate_mean_model(&mut self, dataset: &Dataset, max_samples: usize) -> f32 {
         let indices = fixed_subsample(dataset.len(), max_samples, self.config.seed);
-        let mut mean = std::mem::take(&mut self.mean_scratch);
-        self.mean_params_into(&mut mean);
-        let accuracy = evaluate_across(&mut self.nodes, &mean, &self.loss_fn, dataset, &indices);
-        self.mean_scratch = mean;
-        accuracy
+        let mean = self.mean_params();
+        evaluate_across(&mut self.nodes, &mean, &self.loss_fn, dataset, &indices)
     }
 }
 
@@ -1293,8 +1271,9 @@ mod tests {
     /// The deliberately naive dense round the engine must equal bit for
     /// bit: fresh `Vec`s, an explicit copy for `SyncOnly`, each receiver's
     /// row re-derived from the mixing matrix and the transport's delivery
-    /// decisions, one untiled `scaled_copy` + `axpy` chain per receiver.
-    /// `twin` lends only its nodes' training state, seed and transport.
+    /// decisions, one untiled `scaled_copy` + `axpy` chain per receiver,
+    /// then `b + γ (o − b)` against its half-step model `b` when γ ≠ 1.
+    /// `twin` lends only its nodes' training state, seed, transport and γ.
     fn naive_round(
         twin: &mut Simulation,
         params: &[Vec<f32>],
@@ -1302,10 +1281,11 @@ mod tests {
         actions: &[RoundAction],
         mixing: &MixingMatrix,
     ) -> Vec<Vec<f32>> {
-        let (seed, transport, steps) = (
+        let (seed, transport, steps, gamma) = (
             twin.config.seed,
             twin.config.transport,
             twin.config.local_steps,
+            twin.config.consensus_gamma,
         );
         let half: Vec<Vec<f32>> = (0..params.len())
             .map(|i| match actions[i] {
@@ -1344,6 +1324,11 @@ mod tests {
                         skiptrain_linalg::ops::axpy(w, &half[j], &mut out);
                     }
                 }
+                if gamma != 1.0 {
+                    for (o, &b) in out.iter_mut().zip(&half[i]) {
+                        *o = b + gamma * (*o - b);
+                    }
+                }
                 out
             })
             .collect()
@@ -1356,7 +1341,9 @@ mod tests {
     #[test]
     fn tiled_swapping_rounds_equal_a_naive_round_bitwise() {
         use skiptrain_linalg::ops::WSUM_TILE;
-        let n = 7; // budget 2 → blocks of 4 + 3, budget 7 → one receiver each
+        // budget 2 splits the largest model's 4 tiles 2 + 2, budget 7 gives
+        // each tile its own worker; the others fit one tile or two
+        let n = 7;
         let lossy = TransportKind::Serialized {
             drop_prob: 0.4,
             corrupt_prob: 0.0,
@@ -1378,16 +1365,22 @@ mod tests {
         ];
         // classes · (features + 1) parameters: 4, tile − 1, tile, tile + 1, 3·tile + 5
         assert_eq!(
-            WSUM_TILE, 2048,
+            WSUM_TILE, 1024,
             "re-derive the shapes below for a new tile length"
         );
-        for (features, classes) in [(1, 2), (88, 23), (255, 8), (682, 3), (558, 11)] {
+        let shapes = [(1, 2), (32, 31), (127, 8), (40, 25), (180, 17)];
+        for ((features, classes), gamma) in shapes.into_iter().flat_map(|s| [(s, 1.0), (s, 0.5)]) {
             for (transport, override_mixing) in [
                 (TransportKind::Memory, None),
                 (lossy, None),
                 (lossy, Some(&ring)),
             ] {
-                let mut twin = sized_fleet(n, features, classes, transport);
+                let fleet = || {
+                    let mut sim = sized_fleet(n, features, classes, transport);
+                    sim.config.consensus_gamma = gamma;
+                    sim
+                };
+                let mut twin = fleet();
                 let mixing = override_mixing.unwrap_or(&twin.mixing).clone();
                 // reference[t] = every node's model before round t
                 let mut reference = vec![twin.params.clone()];
@@ -1396,7 +1389,7 @@ mod tests {
                     reference.push(next);
                 }
                 for threads in [1usize, 2, 7] {
-                    let mut sim = sized_fleet(n, features, classes, transport);
+                    let mut sim = fleet();
                     assert_eq!(sim.param_count(), classes * (features + 1));
                     let pool = rayon::ThreadPoolBuilder::new()
                         .num_threads(threads)
@@ -1409,7 +1402,7 @@ mod tests {
                             assert_eq!(
                                 bits(sim.node_params(i)),
                                 bits(want),
-                                "{} params, {transport:?}, ring {}, {threads} threads, round {round}, node {i}",
+                                "{} params, γ {gamma}, {transport:?}, ring {}, {threads} threads, round {round}, node {i}",
                                 sim.param_count(),
                                 override_mixing.is_some()
                             );
@@ -1435,10 +1428,9 @@ mod tests {
             assert_eq!(half.as_ptr(), committed[i], "node {i}: buffer moved");
             assert_eq!(bits(half), bits(&models[i]), "node {i}: model rewritten");
         }
-        // an all-train pass trains, and an evaluation reads, the engine's
-        // own buffers: same storage before and after, no model-sized copy.
-        // (A whole round is the wrong bracket: its commit swaps `params`
-        // with `next`.)
+        // an all-train pass trains, an evaluation reads, and a whole dense
+        // round mixes the engine's own buffers: same storage before and
+        // after, no model-sized copy
         let storage = |sim: &Simulation| -> Vec<(*const f32, usize)> {
             let row = |p: &Vec<f32>| (p.as_ptr(), p.capacity());
             sim.params.iter().map(row).collect()
@@ -1456,6 +1448,19 @@ mod tests {
         assert_eq!(stats.per_node_accuracy.len(), n);
         assert_eq!(storage(&sim), lent, "evaluation moved a buffer");
         assert_eq!(sim.params, trained, "evaluation rewrote a model");
+        for action in [RoundAction::Train, RoundAction::SyncOnly] {
+            sim.run_round(&vec![action; n]);
+            assert_eq!(
+                storage(&sim),
+                lent,
+                "a dense {action:?} round moved a buffer"
+            );
+        }
+        assert_ne!(sim.params, trained, "the rounds mixed nothing");
+        assert!(
+            sim.mixed.iter().all(Vec::is_empty),
+            "an out-of-place output grew"
+        );
         // one workspace for the block(s) that trained, none per node
         let grown = sim.grad_scratch.iter().filter(|g| !g.is_empty()).count();
         assert!(grown <= rayon::current_num_threads().min(n), "{grown}");

@@ -87,10 +87,12 @@
 //!    private dataset, turning its model buffer from `x^t` into the
 //!    half-step model `x^{t−½}` in place (a *training* round), or does
 //!    nothing (a *synchronization* round): its `x^{t−½}` is its `x^t`.
-//!    A node's model sits in two round buffers and nowhere else: this
-//!    one, which its layers borrow for the steps, and the aggregation
-//!    output the round commits by swapping the two. Gradients accumulate
-//!    in one workspace per block of nodes a worker trains;
+//!    A node's model sits in this one buffer and nowhere else: its layers
+//!    borrow it for the steps and evaluation, and a dense shared round
+//!    mixes it in place (the other aggregation paths below add one
+//!    out-of-place output per node). Gradients accumulate in one
+//!    workspace per block of nodes a worker trains, and evaluation-batch
+//!    activations grow in one replica per block;
 //! 3. **share + aggregate** — every `Delivered` row carries the sender's
 //!    `x^{t−½}` through the [`transport`](transport::TransportKind)
 //!    under the row's [`ModelCodec`] (a lossless model in memory is read in
@@ -101,18 +103,19 @@
 //!    the coordinates a top-k message did not carry. When the policy is
 //!    uniform and no per-link replica makes payloads differ, each sender's
 //!    message is compressed once and shared by its receivers — and a dense
-//!    shared payload is summed receiver-block × parameter-tile: one worker
-//!    takes one contiguous block of receivers and walks the models tile by
-//!    tile
-//!    ([`weighted_sum_block_into`](skiptrain_linalg::ops::weighted_sum_block_into)),
-//!    so a tile of every sender's model is fetched from memory once and
-//!    read by all its `degree + 1` receivers from cache, each element
-//!    still accumulated in mixing-row order; otherwise
-//!    every edge is carried on its own — with per-link CHOCO-SGD error
-//!    feedback ([`ErrorFeedbackState`]) the
-//!    message is the link's accumulated residual and the receiver
-//!    aggregates its replica, at identical wire bytes. Then the consensus
-//!    stepsize applies:
+//!    shared payload is mixed **in place**, parameter tile outermost
+//!    ([`mix_in_place`](skiptrain_linalg::ops::mix_in_place)): a tile of
+//!    every model is fetched from memory once and read by all its
+//!    `degree + 1` receivers from cache, each receiver's sum (still in
+//!    mixing-row order) lands in a per-worker stage, and the tile is
+//!    written back over the models once every receiver has read it, each
+//!    worker owning a contiguous range of tiles across every model;
+//!    otherwise every edge is carried on its own — with per-link CHOCO-SGD
+//!    error feedback ([`ErrorFeedbackState`]) the message is the link's
+//!    accumulated residual and the receiver aggregates its replica, at
+//!    identical wire bytes — into one out-of-place output per node,
+//!    swapped in after **account**. Either way the consensus stepsize
+//!    applies as the result is written:
 //!    `x^t = x^{t−½} + γ (Σ_j W_ji · x_j^{t−½} − x^{t−½})` with γ = 1
 //!    by default;
 //! 4. **account** — the energy ledger records training per gated action, one tx

@@ -149,7 +149,7 @@ impl Node {
 /// nodes): a [`RoundAction::Train`] node runs `local_steps` steps on its
 /// row of `params` in place, a sync-only node does nothing (`actions` is
 /// read by node id: a fleet's ids are its indices). Block `b` — the
-/// `len.div_ceil(threads)` blocking of the dense aggregate — accumulates
+/// `len.div_ceil(threads)` blocking fleet evaluation shares — accumulates
 /// its gradients in `workspaces[b]` alone (the caller keeps one slot per
 /// node so that any thread budget finds its blocks'; a slot grows to the
 /// model size when a block first trains into it), which stays

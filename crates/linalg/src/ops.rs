@@ -6,6 +6,8 @@
 //! type. Every kernel panics on length mismatch — in this codebase a length
 //! mismatch is always a programming error, never a data error.
 
+use rayon::prelude::*;
+
 /// Accumulator-lane count of the reduction kernels ([`dot`], and the small
 /// `A·Bᵀ` GEMM kernel that reproduces `dot`'s order).
 pub(crate) const LANES: usize = 8;
@@ -128,76 +130,175 @@ where
     weighted_sum_core(out, weights, |t| fetch(indices[t]));
 }
 
-/// Parameter-tile length (in `f32`s) of [`weighted_sum_block_into`]: one
-/// tile of every sender's model plus one of every receiver's output must
-/// stay in a core's L2 while the receivers take turns on it — 8 KiB per
-/// vector, 1 MiB for a 64-node fleet. Measured there (64 nodes × 88 970
-/// parameters, one thread): 512 / 2048 / 8192 floats run within 2 % of
-/// each other, 32 768 (16 MiB of tiles, past L2) loses 16 %. Hence a
-/// constant, not a setting; public so callers' tests can straddle a tile
-/// boundary.
-pub const WSUM_TILE: usize = 2048;
+/// The consensus step `mixed ← base + γ·(mixed − base)`, element by
+/// element; γ = 1 leaves `mixed` as it is.
+///
+/// # Panics
+/// Panics if `base.len() != mixed.len()`.
+#[inline]
+pub fn consensus_blend(gamma: f32, base: &[f32], mixed: &mut [f32]) {
+    assert_eq!(base.len(), mixed.len(), "consensus_blend length mismatch");
+    if gamma == 1.0 {
+        return;
+    }
+    for (m, &b) in mixed.iter_mut().zip(base) {
+        *m = b + gamma * (*m - b);
+    }
+}
 
-/// [`weighted_sum_indexed_into`] for a whole block of receivers, tiled
-/// across them: with `(indices, weights) = &rows[r]`,
-/// `outs[r] = Σ_t weights[t] · fetch(r, indices[t])`.
+/// Parameter-tile length (in `f32`s) of [`mix_in_place`]: a tile of every
+/// model plus a worker's stage of `rows × WSUM_TILE` floats should stay in
+/// a core's L2 while the receivers take turns on it — 4 KiB per model, so
+/// 2 × 256 KiB for a 64-node fleet and 2 × 1 MiB for 256 nodes. Measured
+/// with 7-entry rows (a relabelled 6-regular ring) × 88 970 parameters,
+/// min of 40 interleaved runs, on a 2-vCPU AVX2 host with 2 MiB of L2 per
+/// core; the last column is the out-of-place receiver-block sum this
+/// kernel replaced, which needed a second model per node:
+///
+/// | nodes, threads | 512 | 1 024 | 2 048 | out of place, 2 048 |
+/// |---|---|---|---|---|
+/// | 64, 1 | 6.2 ms | 6.0 ms | 5.9 ms | 5.4 ms |
+/// | 64, 2 | 3.7 ms | 3.5 ms | 3.4 ms | 3.7 ms |
+/// | 256, 1 | 26.8 ms | 26.5 ms | 32.6 ms | 25.7 ms |
+/// | 256, 2 | 16.9 ms | 17.4 ms | 19.8 ms | 15.5 ms |
+///
+/// 1 024 is within 4 % of the best tile in every row; 2 048 loses 23 % at
+/// 256 nodes on one thread (a 2 MiB stage, past L2). Hence a constant,
+/// not a setting; public so callers' tests can straddle a tile boundary.
+pub const WSUM_TILE: usize = 1024;
+
+/// Mixes a fleet's models in place: with `(indices, weights) = &mix[i]`
+/// and every `x` the row as it was on entry,
+/// `rows[i] ← x_i + γ·(Σ_t weights[t] · x_{indices[t]} − x_i)`.
 ///
 /// A fleet's models do not fit the cache, and under gossip every model is
 /// read by each of its `degree + 1` neighbours; summing receiver by
 /// receiver fetches it from memory that many times. Here the loop is
 /// parameter tile outermost, receiver innermost: a [`WSUM_TILE`]-float
-/// span of all the senders' models is fetched once and served to all its
-/// readers from L2. Each tile of each receiver is one `weighted_sum_core`
-/// call, which is element-wise, so neither the tile length nor how
-/// receivers are grouped into blocks can change a result bit.
+/// span of every row is fetched once and served to all its readers from
+/// L2. Each receiver's span is summed by `weighted_sum_core` into the
+/// worker's stage, and the tile is written back over the rows — through
+/// [`consensus_blend`] — only once every receiver has read it, so each
+/// element sees exactly the operations of an out-of-place sum followed by
+/// the blend. Neither the tile length nor the thread budget can change a
+/// result bit.
 ///
-/// `fetch` is given the receiver's position in the block along with the
-/// sender index, so one sender may resolve to different storage per
-/// receiver (the executor reads a node's own model in place of its
-/// decoded wire copy).
+/// `stand_in(i, j)` may name a slice receiver `i` reads in place of row
+/// `j` (the executor's decoded wire copies); `None` reads the row.
+///
+/// Worker `c` owns a contiguous range of tiles across **every** row, so
+/// no span is read by one worker while another writes it. `stages` holds
+/// one stage per worker, grown to `rows × min(WSUM_TILE, len)` floats on
+/// first use; its length caps the worker count. At one worker the rows
+/// are mixed where they lie; at two or more each worker is handed views
+/// of its range of every row.
 ///
 /// # Panics
-/// Panics if `outs` and `rows` differ in length, if a receiver's index and
-/// weight lists differ in length, or if an output or fetched vector's
-/// length differs from `outs[0].len()`.
-pub fn weighted_sum_block_into<'a, F>(
-    outs: &mut [Vec<f32>],
-    rows: &[(Vec<u32>, Vec<f32>)],
-    fetch: F,
+/// Panics if `rows` and `mix` differ in length, if a receiver's index and
+/// weight lists differ in length, if a row or stand-in's length differs
+/// from `rows[0].len()`, or if `stages` is empty while there is something
+/// to mix.
+pub fn mix_in_place<'a, F>(
+    rows: &mut [Vec<f32>],
+    mix: &[(Vec<u32>, Vec<f32>)],
+    gamma: f32,
+    stand_in: F,
+    stages: &mut [Vec<f32>],
 ) where
-    F: Fn(usize, u32) -> &'a [f32],
+    F: Fn(usize, u32) -> Option<&'a [f32]> + Sync,
 {
-    weighted_sum_block_tiled(outs, rows, fetch, WSUM_TILE);
+    mix_in_place_tiled(rows, mix, gamma, stand_in, stages, WSUM_TILE);
 }
 
-/// [`weighted_sum_block_into`] at an explicit tile length (tests sweep it).
-fn weighted_sum_block_tiled<'a, F>(
-    outs: &mut [Vec<f32>],
-    rows: &[(Vec<u32>, Vec<f32>)],
-    fetch: F,
+/// [`mix_in_place`] at an explicit tile length (tests sweep it).
+fn mix_in_place_tiled<'a, F>(
+    rows: &mut [Vec<f32>],
+    mix: &[(Vec<u32>, Vec<f32>)],
+    gamma: f32,
+    stand_in: F,
+    stages: &mut [Vec<f32>],
     tile: usize,
 ) where
-    F: Fn(usize, u32) -> &'a [f32],
+    F: Fn(usize, u32) -> Option<&'a [f32]> + Sync,
 {
-    assert_eq!(outs.len(), rows.len(), "weighted_sum_block arity mismatch");
-    let n = outs.first().map_or(0, |out| out.len());
-    for (r, (out, (indices, weights))) in outs.iter().zip(rows).enumerate() {
-        assert_eq!(
-            indices.len(),
-            weights.len(),
-            "weighted_sum_block arity mismatch"
-        );
-        assert_eq!(out.len(), n, "weighted_sum length mismatch");
+    assert_eq!(rows.len(), mix.len(), "mix_in_place arity mismatch");
+    let len = rows.first().map_or(0, Vec::len);
+    for (i, (indices, weights)) in mix.iter().enumerate() {
+        assert_eq!(indices.len(), weights.len(), "mix_in_place arity mismatch");
+        assert_eq!(rows[i].len(), len, "weighted_sum length mismatch");
         for &j in indices {
-            assert_eq!(fetch(r, j).len(), n, "weighted_sum length mismatch");
+            let x = stand_in(i, j).unwrap_or(&rows[j as usize]);
+            assert_eq!(x.len(), len, "weighted_sum length mismatch");
         }
     }
-    for start in (0..n).step_by(tile) {
-        let end = (start + tile).min(n);
-        for (r, (out, (indices, weights))) in outs.iter_mut().zip(rows).enumerate() {
-            weighted_sum_core(&mut out[start..end], weights, |t| {
-                &fetch(r, indices[t])[start..end]
+    if len == 0 {
+        return;
+    }
+    assert!(!stages.is_empty(), "mix_in_place needs a stage");
+    let width = tile.min(len);
+    let tiles = len.div_ceil(tile);
+    let per = tiles.div_ceil(rayon::current_num_threads().min(stages.len()));
+    let workers = tiles.div_ceil(per);
+    for stage in &mut stages[..workers] {
+        stage.resize(rows.len() * width, 0.0);
+    }
+    if workers == 1 {
+        mix_tile_range(rows, 0, mix, gamma, &stand_in, &mut stages[0], tile);
+        return;
+    }
+    let per = per * tile;
+    // lint:allow(hot_path_alloc, "budget ≥ 2 only: each worker's views of its range of every row (16 B per row), the safe way to split rows at the range boundaries")
+    let mut views: Vec<Vec<&mut [f32]>> = (0..workers).map(|_| Default::default()).collect();
+    for row in rows.iter_mut() {
+        for (view, piece) in views.iter_mut().zip(row.chunks_mut(per)) {
+            view.push(piece);
+        }
+    }
+    views
+        .par_iter_mut()
+        .zip(stages.par_iter_mut())
+        .enumerate()
+        .for_each(|(c, (view, stage))| {
+            mix_tile_range(view, c * per, mix, gamma, &stand_in, stage, tile);
+        });
+}
+
+/// One worker's loop of [`mix_in_place`]: `rows[i]` is row `i`'s elements
+/// from `offset` on, walked tile by tile. A tile is summed for every
+/// receiver into `stage` (one `tile.min(len)` span per row) from the
+/// rows' untouched spans, then written back.
+fn mix_tile_range<'a, R, F>(
+    rows: &mut [R],
+    offset: usize,
+    mix: &[(Vec<u32>, Vec<f32>)],
+    gamma: f32,
+    stand_in: &F,
+    stage: &mut [f32],
+    tile: usize,
+) where
+    R: AsRef<[f32]> + AsMut<[f32]>,
+    F: Fn(usize, u32) -> Option<&'a [f32]>,
+{
+    let width = stage.len() / rows.len();
+    let len = rows.first().map_or(0, |row| row.as_ref().len());
+    for start in (0..len).step_by(tile) {
+        let end = (start + tile).min(len);
+        let (from, to) = (offset + start, offset + end);
+        let read = &*rows;
+        for (i, ((indices, weights), out)) in
+            mix.iter().zip(stage.chunks_exact_mut(width)).enumerate()
+        {
+            weighted_sum_core(&mut out[..end - start], weights, |t| {
+                match stand_in(i, indices[t]) {
+                    Some(x) => &x[from..to],
+                    None => &read[indices[t] as usize].as_ref()[start..end],
+                }
             });
+        }
+        for (row, mixed) in rows.iter_mut().zip(stage.chunks_exact_mut(width)) {
+            let (x, mixed) = (&mut row.as_mut()[start..end], &mut mixed[..end - start]);
+            consensus_blend(gamma, x, mixed);
+            x.copy_from_slice(mixed);
         }
     }
 }
@@ -344,10 +445,17 @@ mod tests {
 
     #[test]
     fn weighted_sum_empty_inputs_zeroes_out() {
-        // a receiver block whose row is empty
-        let mut outs = vec![vec![3.0f32, 4.0]];
-        weighted_sum_block_into(&mut outs, &[(Vec::new(), Vec::new())], |_, _| &[]);
-        assert_eq!(outs, [vec![0.0f32; 2]]);
+        // a receiver whose mixing row is empty
+        let mut rows = vec![vec![3.0f32, 4.0]];
+        let mut stages = vec![Vec::new()];
+        mix_in_place(
+            &mut rows,
+            &[(Vec::new(), Vec::new())],
+            1.0,
+            |_, _| None,
+            &mut stages,
+        );
+        assert_eq!(rows, [vec![0.0f32; 2]]);
     }
 
     #[test]
@@ -442,22 +550,73 @@ mod tests {
             weighted_sum_indexed_into(&mut indexed, &indices, &weights, |j| &store[j as usize]);
             prop_assert_eq!(bits(&indexed), expected.clone(), "weighted_sum_indexed_into");
 
-            // the block entry point over three receivers (the sampled row,
-            // an empty row, the row reversed): one tile, many tiles, and a
-            // tile length that does not divide the parameter count
-            let reversed: (Vec<u32>, Vec<f32>) = (
-                indices.iter().rev().copied().collect(),
-                weights.iter().rev().copied().collect(),
-            );
-            let rev_refs: Vec<&[f32]> = refs.iter().rev().copied().collect();
-            let block_expected =
-                [expected, chain(len, &[], &[]), chain(len, &rev_refs, &reversed.1)];
-            let rows = [(indices.clone(), weights.clone()), (Vec::new(), Vec::new()), reversed];
-            for tile in [WSUM_TILE, 16, 7, len.max(1), len + 1] {
-                let mut outs = vec![dirty.clone(); 3];
-                weighted_sum_block_tiled(&mut outs, &rows, |_, j| &store[j as usize], tile);
-                for (out, want) in outs.iter().zip(&block_expected) {
-                    prop_assert_eq!(&bits(out), want, "block entry point, tile {}", tile);
+            // the in-place kernel over the whole store as a fleet: receiver
+            // 0 takes the sampled row (with or without a self entry), 1 an
+            // empty row, 2 the row reversed, every other k the row shifted
+            // by k; some senders are read from stand-ins. Against the chain
+            // over the pre-update rows, then the blend, at one tile, many
+            // tiles and tile lengths that do not divide the parameter count,
+            // and at budgets 1, 2 and 7.
+            let m = store.len();
+            let alt: Vec<Vec<f32>> = (0..m)
+                .map(|_| (0..len).map(|_| palette(&mut state)).collect())
+                .collect();
+            let mix: Vec<(Vec<u32>, Vec<f32>)> = (0..m)
+                .map(|k| match k {
+                    1 => (Vec::new(), Vec::new()),
+                    2 => (
+                        indices.iter().rev().copied().collect(),
+                        weights.iter().rev().copied().collect(),
+                    ),
+                    _ => (
+                        indices.iter().map(|&j| ((j as usize + k) % m) as u32).collect(),
+                        weights.clone(),
+                    ),
+                })
+                .collect();
+            let stand_in = |i: usize, j: u32| {
+                let j = j as usize;
+                ((i + j).is_multiple_of(3) && i != j).then(|| alt[j].as_slice())
+            };
+            for gamma in [1.0f32, 0.5] {
+                let want: Vec<Vec<u32>> = mix
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (idx, w))| {
+                        let refs: Vec<&[f32]> = idx
+                            .iter()
+                            .map(|&j| stand_in(i, j).unwrap_or(&store[j as usize]))
+                            .collect();
+                        let mixed = chain(len, &refs, w);
+                        store[i]
+                            .iter()
+                            .zip(mixed)
+                            .map(|(&b, o)| {
+                                let o = f32::from_bits(o);
+                                if gamma == 1.0 { o } else { b + gamma * (o - b) }.to_bits()
+                            })
+                            .collect()
+                    })
+                    .collect();
+                for tile in [WSUM_TILE, 16, 7, len.max(1), len + 1] {
+                    for threads in [1usize, 2, 7] {
+                        let mut rows = store.clone();
+                        // stale stage contents must never leak either
+                        let mut stages = vec![vec![f32::NAN; 5]; 7];
+                        rayon::ThreadPoolBuilder::new()
+                            .num_threads(threads)
+                            .build()
+                            .unwrap()
+                            .install(|| {
+                                mix_in_place_tiled(&mut rows, &mix, gamma, stand_in, &mut stages, tile)
+                            });
+                        for (i, (row, want)) in rows.iter().zip(&want).enumerate() {
+                            prop_assert_eq!(
+                                &bits(row), want,
+                                "in place: receiver {}, tile {}, {} threads, γ {}", i, tile, threads, gamma
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -466,20 +625,28 @@ mod tests {
     #[test]
     fn weighted_sum_block_fetch_sees_the_receivers_position() {
         // receiver r reads sender 0 from its own private store
-        let stores = [vec![vec![1.0f32; 5]], vec![vec![2.0f32; 5]]];
-        let mut outs = vec![vec![9.0f32; 5]; 2];
-        let rows = vec![(vec![0u32, 0], vec![0.5f32, 0.25]); 2];
-        weighted_sum_block_into(&mut outs, &rows, |r, j| &stores[r][j as usize]);
-        assert_eq!(outs, [vec![0.75f32; 5], vec![1.5f32; 5]]);
+        let stores = [vec![1.0f32; 5], vec![2.0f32; 5]];
+        let mut rows = vec![vec![9.0f32; 5]; 2];
+        let mix = vec![(vec![0u32, 0], vec![0.5f32, 0.25]); 2];
+        let mut stages = vec![Vec::new()];
+        mix_in_place(&mut rows, &mix, 1.0, |r, _| Some(&stores[r]), &mut stages);
+        assert_eq!(rows, [vec![0.75f32; 5], vec![1.5f32; 5]]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn weighted_sum_block_rejects_a_longer_sender() {
         // a per-tile slice would silently truncate it
-        let long = vec![1.0f32; 9];
-        let mut outs = vec![vec![0.0f32; 5]];
-        weighted_sum_block_into(&mut outs, &[(vec![0], vec![1.0])], |_, _| &long);
+        let long = [1.0f32; 9];
+        let mut rows = vec![vec![0.0f32; 5]];
+        let mut stages = vec![Vec::new()];
+        mix_in_place(
+            &mut rows,
+            &[(vec![0], vec![1.0])],
+            1.0,
+            |_, _| Some(&long[..]),
+            &mut stages,
+        );
     }
 
     #[test]
