@@ -1,4 +1,4 @@
-//! The steady-state allocation pins: fourteen hot-path scenarios that must
+//! The steady-state allocation pins: fifteen hot-path scenarios that must
 //! allocate **0 B per step** once warm, at a thread budget of one.
 //!
 //! Each scenario builds its state, runs `warmup` unmeasured steps so every
@@ -54,7 +54,7 @@ struct Pin {
     build: fn() -> Step,
 }
 
-const PINS: [Pin; 14] = [
+const PINS: [Pin; 15] = [
     Pin {
         name: "sgd_step_mlp_medium_90k",
         warmup: 10,
@@ -67,13 +67,23 @@ const PINS: [Pin; 14] = [
         steps: 6,
         build: || round_loop(64, 1, RoundAction::Train),
     },
-    // the dense in-place mix reading the models themselves, through a
-    // stage of 256 × WSUM_TILE floats
+    // the dense in-place mix reading the models themselves: sync rounds
+    // fill the mixing window and every eighth settles it, through a stage
+    // of 256 × MIX_SUB_TILE floats
     Pin {
         name: "round_loop_sync_256",
         warmup: 10,
         steps: 20,
         build: || round_loop(256, 2, RoundAction::SyncOnly),
+    },
+    // SkipTrain 1:7: a training round settles the one-round window it
+    // finds, seven sync rounds wait in the window, the last fills and
+    // settles it; two periods measured
+    Pin {
+        name: "sync_window_64",
+        warmup: 8,
+        steps: 16,
+        build: sync_window,
     },
     Pin {
         name: "framed_sync_round_64",
@@ -247,6 +257,26 @@ fn round_loop(n: usize, seed: u64, action: RoundAction) -> Step {
     let mut sim = build_sim_on(graph, seed, SimulationConfig::minimal(seed, 16, 5, 0.5));
     let actions = vec![action; n];
     Box::new(move || sim.run_round(black_box(&actions)))
+}
+
+/// SkipTrain's 1:7 schedule on a 64-node 6-regular fleet, in memory under
+/// the lossless codec: every round's dense mix is deferred into the
+/// mixing window, which the training round and the window's eighth round
+/// settle.
+fn sync_window() -> Step {
+    let n = 64;
+    let mut config = SimulationConfig::minimal(23, 16, 5, 0.5);
+    config.compression = CompressionPolicy::Uniform(ModelCodec::DenseF32);
+    let mut sim = build_sim_on(random_regular(n, 6, 23), 23, config);
+    let (train, sync) = (vec![RoundAction::Train; n], vec![RoundAction::SyncOnly; n]);
+    Box::new(move || {
+        let actions = if sim.round().is_multiple_of(8) {
+            &train
+        } else {
+            &sync
+        };
+        sim.run_round(black_box(actions));
+    })
 }
 
 /// The dense in-place mix reading decoded frames: a 64-node 6-regular

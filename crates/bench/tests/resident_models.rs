@@ -18,7 +18,7 @@
 use skiptrain_bench::perf::{live_bytes, CountingAllocator};
 use skiptrain_data::synth::{MixtureSpec, MixtureTask};
 use skiptrain_engine::{RoundAction, Simulation, SimulationConfig};
-use skiptrain_linalg::ops::WSUM_TILE;
+use skiptrain_linalg::ops::MIX_SUB_TILE;
 use skiptrain_nn::zoo::ModelKind;
 use skiptrain_topology::regular::random_regular;
 use skiptrain_topology::MixingMatrix;
@@ -84,7 +84,7 @@ fn a_fleet_holds_one_model_vector_per_node_and_one_workspace_and_stage_per_block
     // vector of headroom; with a second round buffer per node this reads
     // ≈ 2 n, with per-node evaluation activations ≈ 4 vectors more.
     let resident = live_bytes() - before;
-    let stage_bytes = 4 * (NODES * WSUM_TILE) as u64;
+    let stage_bytes = 4 * (NODES * MIX_SUB_TILE) as u64;
     let bound = (NODES as u64 + 2) * model_bytes
         + NODES as u64 * PER_NODE_ALLOWANCE
         + stage_bytes

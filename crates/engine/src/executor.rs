@@ -19,7 +19,7 @@ use skiptrain_energy::battery::{BatterySetup, BatteryState};
 use skiptrain_energy::comm::CommEnergyModel;
 use skiptrain_energy::EnergyLedger;
 use skiptrain_linalg::compress::{accumulate_delta, scatter_axpy, sparse_blend_axpy};
-use skiptrain_linalg::ops::{consensus_blend, mix_in_place};
+use skiptrain_linalg::ops::{consensus_blend, MixWindow};
 use skiptrain_nn::sgd::SgdConfig;
 use skiptrain_nn::{Sequential, SoftmaxCrossEntropy};
 use skiptrain_topology::{Graph, MixingMatrix};
@@ -183,14 +183,15 @@ pub struct Simulation {
     /// One flat vector per node, the only copy of its model: the committed
     /// model, turned into the half-step `x^{t−½}` by the compute pass, then
     /// mixed in place by a dense shared round or replaced by `mixed` after
-    /// `account`. Training and evaluation borrow the row.
+    /// `account`. Training and evaluation borrow the row. A direct dense
+    /// round's mix waits in `window`, which every reader settles first.
     params: Vec<Vec<f32>>,
     /// The top-k and per-edge paths' out-of-place outputs (their receivers
     /// read whole half-step rows through codecs), empty until one of them
     /// first runs and swapped into `params` after `account`.
     mixed: Vec<Vec<f32>>,
-    /// One stage per worker of the dense in-place mix ([`mix_in_place`]).
-    stages: Vec<Vec<f32>>,
+    /// The dense mixes not yet applied to `params`.
+    window: MixWindow,
     ledger: EnergyLedger,
     round: usize,
     param_count: usize,
@@ -205,9 +206,6 @@ pub struct Simulation {
     plan: RoundPlan,
     /// Per-node wire and residual buffers for the share/aggregate pass.
     scratch: Vec<NodeScratch>,
-    /// Reusable per-node `(sender indices, mixing weights)` scratch for the
-    /// dense kernel.
-    agg_rows: Vec<(Vec<u32>, Vec<f32>)>,
     /// Per-directed-link error-feedback replicas, when enabled.
     feedback: Option<ErrorFeedbackState>,
     /// The round's participation decision (churn ∧ battery) and the
@@ -322,7 +320,7 @@ impl Simulation {
             mixing,
             params,
             mixed: vec![Vec::new(); n],
-            stages: vec![Vec::new(); n],
+            window: MixWindow::new(n, edges + n),
             ledger: EnergyLedger::new(n),
             round: 0,
             param_count,
@@ -330,13 +328,6 @@ impl Simulation {
             last_train_loss: None,
             last_trained_nodes: 0,
             scratch: vec![NodeScratch::default(); n],
-            // pre-sized to the hard bound (a mixing row holds at most n
-            // entries): time-varying graphs hit fresh degree maxima mid-
-            // campaign, and a growth realloc there would break the pinned
-            // zero-allocation round loop
-            agg_rows: (0..n)
-                .map(|_| (Vec::with_capacity(n), Vec::with_capacity(n)))
-                .collect(),
             feedback,
             corrupted_frames: 0,
             grad_scratch: vec![Vec::new(); n],
@@ -413,8 +404,9 @@ impl Simulation {
         self.gate.battery.as_ref().map(|b| b.brownouts)
     }
 
-    /// Current committed model of `node`.
-    pub fn node_params(&self, node: usize) -> &[f32] {
+    /// Current committed model of `node` (settles the mixing window).
+    pub fn node_params(&mut self, node: usize) -> &[f32] {
+        self.settle();
         &self.params[node]
     }
 
@@ -428,8 +420,9 @@ impl Simulation {
         self.last_trained_nodes
     }
 
-    /// Element-wise mean of all node models.
-    pub fn mean_params(&self) -> Vec<f32> {
+    /// Element-wise mean of all node models (settles the mixing window).
+    pub fn mean_params(&mut self) -> Vec<f32> {
+        self.settle();
         let mut mean = vec![0.0; self.param_count];
         let scale = 1.0 / self.len() as f32;
         for p in &self.params {
@@ -439,8 +432,9 @@ impl Simulation {
     }
 
     /// Mean squared distance of node models to the mean model, normalized by
-    /// the parameter count — the consensus-disagreement metric.
-    pub fn disagreement(&self) -> f64 {
+    /// the parameter count — the consensus-disagreement metric (settles the
+    /// mixing window).
+    pub fn disagreement(&mut self) -> f64 {
         let mean = self.mean_params();
         let mut acc = 0.0f64;
         for p in &self.params {
@@ -552,6 +546,9 @@ impl Simulation {
     /// `x^{t−½}` *is* its `x^t`, so it does nothing. The share pass reads
     /// `params` as the half-step models.
     fn compute(&mut self) {
+        if self.gate.actions.contains(&RoundAction::Train) {
+            self.settle();
+        }
         let (loss_sum, trained) = train_fleet(
             &mut self.nodes,
             &mut self.params,
@@ -583,6 +580,11 @@ impl Simulation {
         matches!(codec, ModelCodec::TopK { .. })
     }
 
+    /// Applies the pending dense mixes to `params`.
+    fn settle(&mut self) {
+        self.window.settle(&mut self.params, |_, _| None);
+    }
+
     /// Shared payload: every sender's message is carried once into its own
     /// wire scratch, then each receiver reads its delivered in-edges from
     /// there. On the in-memory transport the lossless codec has nothing to
@@ -592,26 +594,26 @@ impl Simulation {
     ///   delivered row, into `mixed`;
     /// * dense — the indexed weighted sum in mixing-row order, with the
     ///   fallback weight added to the self entry where it sits (appended
-    ///   when the row has none), mixed into `params` in place
-    ///   ([`mix_in_place`]): parameter tile by parameter tile, so a
-    ///   sender's tile leaves memory once, not once per reader.
+    ///   when the row has none), mixed into `params` in place through the
+    ///   [`MixWindow`]: a direct round waits there until the window is full
+    ///   or `params` is read, a framed one settles at once.
     fn aggregate_shared(&mut self, codec: ModelCodec) {
-        let plan = &self.plan;
         let transport = self.config.transport;
         let (round, gamma) = (self.round, self.config.consensus_gamma);
         let direct = matches!(transport, TransportKind::Memory) && codec.is_lossless();
         if !direct {
+            self.settle();
             self.params
                 .par_iter()
                 .zip(self.scratch.par_iter_mut())
                 .enumerate()
                 .for_each(|(j, (model, scratch))| {
-                    if plan.sends(j) {
+                    if self.plan.sends(j) {
                         transmit(transport, codec, j as u32, round, model, &mut scratch.wire);
                     }
                 });
         }
-        let sent = &self.scratch;
+        let (plan, sent) = (&self.plan, &self.scratch);
         if matches!(codec, ModelCodec::TopK { .. }) {
             let half = &self.params;
             self.mixed.par_iter_mut().enumerate().for_each(|(i, out)| {
@@ -632,8 +634,10 @@ impl Simulation {
             });
             return;
         }
-        for (i, (indices, weights)) in self.agg_rows.iter_mut().enumerate() {
-            plan.dense_row_into(i, indices, weights);
+        self.window
+            .push(gamma, |i, x, w| plan.dense_row_into(i, x, w));
+        if direct && !self.window.is_full() {
+            return;
         }
         // a receiver reads its own row, and its neighbours' decoded frames
         // unless the models themselves are the messages
@@ -641,13 +645,7 @@ impl Simulation {
             let j = j as usize;
             (!direct && j != i).then(|| &sent[j].wire.dec.dense[..])
         };
-        mix_in_place(
-            &mut self.params,
-            &self.agg_rows,
-            gamma,
-            stand_in,
-            &mut self.stages,
-        );
+        self.window.settle(&mut self.params, stand_in);
     }
 
     /// Per-edge payload (an adaptive policy, or a lossy codec under error
@@ -665,6 +663,7 @@ impl Simulation {
     /// and live in the receiver's slot of [`ErrorFeedbackState`], so the
     /// parallel loop mutates disjoint state.
     fn aggregate_per_edge(&mut self) {
+        self.settle();
         let plan = &self.plan;
         let half = &self.params;
         let transport = self.config.transport;
@@ -800,6 +799,7 @@ impl Simulation {
     /// Evaluates every node's model on (a fixed subsample of) `dataset`,
     /// in parallel. `max_samples = usize::MAX` evaluates the full set.
     pub fn evaluate(&mut self, dataset: &Dataset, max_samples: usize) -> EvalStats {
+        self.settle();
         let indices = fixed_subsample(dataset.len(), max_samples, self.config.seed);
         let results = evaluate_fleet(
             &mut self.nodes,
@@ -839,6 +839,7 @@ mod tests {
         /// this module a fleet moves only through a round.
         fn set_node_params(&mut self, node: usize, params: &[f32]) {
             assert_eq!(params.len(), self.param_count, "parameter length mismatch");
+            self.settle();
             self.params[node].copy_from_slice(params);
         }
     }
@@ -1270,16 +1271,18 @@ mod tests {
 
     /// The deliberately naive dense round the engine must equal bit for
     /// bit: fresh `Vec`s, an explicit copy for `SyncOnly`, each receiver's
-    /// row re-derived from the mixing matrix and the transport's delivery
-    /// decisions, one untiled `scaled_copy` + `axpy` chain per receiver,
-    /// then `b + γ (o − b)` against its half-step model `b` when γ ≠ 1.
-    /// `twin` lends only its nodes' training state, seed, transport and γ.
+    /// row re-derived from the mixing matrix, the sorted `(src, dst)` late
+    /// set and the transport's delivery decisions, one untiled
+    /// `scaled_copy` + `axpy` chain per receiver, then `b + γ (o − b)`
+    /// against its half-step model `b` when γ ≠ 1. `twin` lends only its
+    /// nodes' training state, seed, transport and γ.
     fn naive_round(
         twin: &mut Simulation,
         params: &[Vec<f32>],
         round: usize,
         actions: &[RoundAction],
         mixing: &MixingMatrix,
+        late: &[(u32, u32)],
     ) -> Vec<Vec<f32>> {
         let (seed, transport, steps, gamma) = (
             twin.config.seed,
@@ -1306,7 +1309,9 @@ mod tests {
                     if j == i {
                         self_at = Some(list.len());
                         list.push((i, w));
-                    } else if transport.delivered(seed, round, j, i) {
+                    } else if late.binary_search(&(j as u32, i as u32)).is_err()
+                        && transport.delivered(seed, round, j, i)
+                    {
                         list.push((j, w));
                     } else {
                         fallback += w;
@@ -1385,7 +1390,8 @@ mod tests {
                 // reference[t] = every node's model before round t
                 let mut reference = vec![twin.params.clone()];
                 for (round, actions) in schedule.iter().enumerate() {
-                    let next = naive_round(&mut twin, &reference[round], round, actions, &mixing);
+                    let next =
+                        naive_round(&mut twin, &reference[round], round, actions, &mixing, &[]);
                     reference.push(next);
                 }
                 for threads in [1usize, 2, 7] {
@@ -1486,6 +1492,276 @@ mod tests {
             &neighbour_before[..],
             "the others still mix"
         );
+    }
+
+    /// SkipTrain 1:7 as a fleet-wide schedule: everyone trains in rounds
+    /// 0, 8, 16, … and synchronises in the seven between.
+    fn one_to_seven(round: usize, n: usize) -> Vec<RoundAction> {
+        let action = match round % 8 {
+            0 => RoundAction::Train,
+            _ => RoundAction::SyncOnly,
+        };
+        vec![action; n]
+    }
+
+    /// Every node's model before each of `rounds` 1:7 rounds, by
+    /// [`naive_round`] over a fresh `fleet()`'s own mixing.
+    fn naive_one_to_seven(fleet: impl Fn() -> Simulation, rounds: usize) -> Vec<Vec<Vec<f32>>> {
+        let mut twin = fleet();
+        let (n, mixing) = (twin.len(), twin.mixing.clone());
+        let mut reference = vec![twin.params.clone()];
+        for round in 0..rounds {
+            let actions = one_to_seven(round, n);
+            let next = naive_round(&mut twin, &reference[round], round, &actions, &mixing, &[]);
+            reference.push(next);
+        }
+        reference
+    }
+
+    fn assert_fleet(sim: &mut Simulation, want: &[Vec<f32>], what: &str) {
+        for (i, want) in want.iter().enumerate() {
+            assert_eq!(bits(sim.node_params(i)), bits(want), "{what}, node {i}");
+        }
+    }
+
+    #[test]
+    fn readers_mid_window_settle_to_the_naive_rounds() {
+        // 3 077 parameters: three tiles and a few sub-tiles, γ = ½
+        let (n, features, classes) = (7, 180, 17);
+        let fleet = || {
+            let mut sim = sized_fleet(n, features, classes, TransportKind::Memory);
+            sim.config.consensus_gamma = 0.5;
+            sim
+        };
+        let reference = naive_one_to_seven(fleet, 20);
+        let spec = MixtureSpec {
+            num_classes: classes,
+            feature_dim: features,
+            modes_per_class: 1,
+            separation: 1.6,
+            noise: 0.5,
+        };
+        let test = MixtureTask::new(spec, 7).sample(40, 999);
+        let mut sim = fleet();
+        for round in 0..20 {
+            sim.try_run_round(&one_to_seven(round, n), None, None)
+                .unwrap();
+            match round {
+                // nothing has read the fleet: the training round's mix and
+                // two sync mixes wait
+                2 => assert_eq!(sim.window.pending(), 3),
+                // a node's model
+                3 => assert_fleet(&mut sim, &reference[4], "node_params at round 3"),
+                // an evaluation, two rounds into the next window, against
+                // a fresh fleet holding the reference models
+                5 => {
+                    assert_eq!(sim.window.pending(), 2);
+                    let mut settled = fleet();
+                    for (i, want) in reference[6].iter().enumerate() {
+                        settled.set_node_params(i, want);
+                    }
+                    let (got, want) = (sim.evaluate(&test, 30), settled.evaluate(&test, 30));
+                    assert_eq!(sim.window.pending(), 0);
+                    assert_eq!(got.per_node_accuracy, want.per_node_accuracy);
+                    assert_eq!(got.mean_loss.to_bits(), want.mean_loss.to_bits());
+                    assert_fleet(&mut sim, &reference[6], "evaluate at round 5");
+                }
+                // rounds 6 and 7 wait; round 8 trains, so it settles them
+                7 => assert_eq!(sim.window.pending(), 2),
+                // the mean model and the disagreement
+                12 => {
+                    let scale = 1.0 / n as f32;
+                    let mut mean = vec![0.0f32; sim.param_count()];
+                    for p in &reference[13] {
+                        skiptrain_linalg::ops::axpy(scale, p, &mut mean);
+                    }
+                    assert_eq!(sim.window.pending(), 5);
+                    assert_eq!(bits(&sim.mean_params()), bits(&mean));
+                    assert_eq!(sim.window.pending(), 0);
+                    assert!(sim.disagreement() > 0.0);
+                }
+                _ => {}
+            }
+        }
+        assert_fleet(&mut sim, &reference[20], "after 20 rounds");
+    }
+
+    #[test]
+    fn a_framed_top_k_or_per_edge_round_settles_the_pending_mixes_first() {
+        // three deferred in-memory sync rounds, then two rounds down another
+        // path, against a fleet that settles after every round
+        let n = 7;
+        let lossy = TransportKind::Serialized {
+            drop_prob: 0.3,
+            corrupt_prob: 0.0,
+        };
+        let fleet = || sized_fleet(n, 40, 25, TransportKind::Memory);
+        for path in 0..3 {
+            let switch = |sim: &mut Simulation| match path {
+                0 => sim.config.transport = lossy,
+                1 => {
+                    sim.config.compression = CompressionPolicy::Uniform(ModelCodec::TopK { k: 64 })
+                }
+                _ => {
+                    sim.config.compression = CompressionPolicy::RarityAdaptive {
+                        base_k: 16,
+                        max_k: 256,
+                    }
+                }
+            };
+            let (mut sim, mut eager) = (fleet(), fleet());
+            let sync = vec![RoundAction::SyncOnly; n];
+            for round in 0..5 {
+                if round == 3 {
+                    assert_eq!(sim.window.pending(), 3, "path {path}");
+                    switch(&mut sim);
+                    switch(&mut eager);
+                }
+                sim.try_run_round(&sync, None, None).unwrap();
+                eager.try_run_round(&sync, None, None).unwrap();
+                eager.settle();
+            }
+            let want = eager.params.clone();
+            assert_fleet(&mut sim, &want, &format!("path {path}"));
+            if path == 0 {
+                // and the framed dense rounds against the naive ones
+                let mut twin = fleet();
+                let mixing = twin.mixing.clone();
+                let mut models = twin.params.clone();
+                for round in 0..5 {
+                    if round == 3 {
+                        twin.config.transport = lossy;
+                    }
+                    models = naive_round(&mut twin, &models, round, &sync, &mixing, &[]);
+                }
+                assert_fleet(&mut sim, &models, "framed, naive");
+            }
+        }
+    }
+
+    #[test]
+    fn masked_and_late_rows_inside_a_window_match_the_naive_rounds() {
+        // nodes 2 and 5 sit below the battery threshold all run, and a
+        // seeded latency straddling the deadline makes some edges late:
+        // each round's mask and late set, read after it, feed the naive
+        // round, while the fleet itself is read only at the end
+        let (n, seed) = (8, 6);
+        let mut state = BatteryState::new(vec![1.0; n]);
+        for &i in &[2usize, 5] {
+            state.drain(i, 0.8);
+        }
+        let setup = BatterySetup {
+            state,
+            trace: no_harvest(n),
+            policy: BatteryPolicy::Threshold { min_fraction: 0.5 },
+            node_policies: None,
+        };
+        let mut sim = tiny_sim_battery(n, seed, setup, vec![1e-6; n]);
+        let mut engine = EventEngine::new(
+            n,
+            seed,
+            ComputeProfile::Homogeneous,
+            LatencyModel::Seeded {
+                mean_ticks: BASE_TRAIN_TICKS / 4,
+                jitter: 0.8,
+            },
+            None,
+            RoundSemantics::Deadline {
+                slack_ticks: BASE_TRAIN_TICKS / 4,
+            },
+        );
+        let (mut twin, _) = tiny_sim_full(n, seed, TransportKind::Memory, ModelCodec::DenseF32, 4);
+        let base = twin.mixing.clone();
+        let mut models = twin.params.clone();
+        let mut late_rows = 0;
+        for round in 0..12 {
+            let actions = one_to_seven(round, n);
+            sim.try_run_round(&actions, None, Some(&mut engine))
+                .unwrap();
+            let active = sim.battery_active().unwrap().to_vec();
+            let gated: Vec<RoundAction> = (0..n)
+                .map(|i| {
+                    if active[i] {
+                        actions[i]
+                    } else {
+                        RoundAction::SyncOnly
+                    }
+                })
+                .collect();
+            let late = engine.late_edges();
+            late_rows += late.len();
+            models = naive_round(
+                &mut twin,
+                &models,
+                round,
+                &gated,
+                &base.masked(&active),
+                late,
+            );
+            if round == 6 {
+                assert_eq!(sim.window.pending(), 7, "the masked rounds were deferred");
+            }
+        }
+        assert!(late_rows > 0, "no edge was late");
+        assert!(
+            sim.battery_active()
+                .unwrap()
+                .iter()
+                .filter(|a| !**a)
+                .count()
+                >= 2
+        );
+        assert_fleet(&mut sim, &models, "masked and late");
+    }
+
+    #[test]
+    fn a_failed_round_leaves_the_window_untouched() {
+        let n = 7;
+        let fleet = || sized_fleet(n, 40, 25, TransportKind::Memory);
+        let reference = naive_one_to_seven(fleet, 8);
+        let mut sim = fleet();
+        for round in 0..3 {
+            sim.try_run_round(&one_to_seven(round, n), None, None)
+                .unwrap();
+        }
+        let raw = sim.params.clone();
+        let wrong = MixingMatrix::metropolis_hastings(&Graph::empty(n + 1));
+        assert!(sim
+            .try_run_round(&one_to_seven(3, n + 1), None, None)
+            .is_err());
+        assert!(sim
+            .try_run_round(&one_to_seven(3, n), Some(&wrong), None)
+            .is_err());
+        assert_eq!(sim.window.pending(), 3);
+        assert_eq!(sim.params, raw, "a failed round moved the rows");
+        for round in 3..8 {
+            sim.try_run_round(&one_to_seven(round, n), None, None)
+                .unwrap();
+        }
+        assert_fleet(&mut sim, &reference[8], "after the failed rounds");
+    }
+
+    #[test]
+    fn one_to_seven_windows_are_identical_at_one_two_and_seven_threads() {
+        // 26 rounds: three full windows and the start of a fourth
+        let (n, rounds) = (7, 26);
+        let fleet = || sized_fleet(n, 180, 17, TransportKind::Memory);
+        let reference = naive_one_to_seven(fleet, rounds);
+        for threads in [1usize, 2, 7] {
+            let mut sim = fleet();
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for round in 0..rounds {
+                pool.install(|| sim.try_run_round(&one_to_seven(round, n), None, None))
+                    .unwrap();
+                assert_eq!(sim.window.pending(), (round + 1) % 8, "round {round}");
+            }
+            pool.install(|| {
+                assert_fleet(&mut sim, &reference[rounds], &format!("{threads} threads"))
+            });
+        }
     }
 
     #[test]
@@ -2228,6 +2504,8 @@ mod tests {
         for _ in 0..2 {
             sim.run_round(&[RoundAction::Train; 6]);
         }
+        // the reference below reads the rows directly
+        sim.settle();
         let rows: Vec<usize> = (0..EVAL_CHUNK + 37).map(|r| r % test.len()).collect();
         let test = test.subset(&rows);
         for max_samples in [usize::MAX, EVAL_CHUNK + 5] {

@@ -103,14 +103,22 @@
 //!    the coordinates a top-k message did not carry. When the policy is
 //!    uniform and no per-link replica makes payloads differ, each sender's
 //!    message is compressed once and shared by its receivers — and a dense
-//!    shared payload is mixed **in place**, parameter tile outermost
-//!    ([`mix_in_place`](skiptrain_linalg::ops::mix_in_place)): a tile of
-//!    every model is fetched from memory once and read by all its
-//!    `degree + 1` receivers from cache, each receiver's sum (still in
-//!    mixing-row order) lands in a per-worker stage, and the tile is
-//!    written back over the models once every receiver has read it, each
-//!    worker owning a contiguous range of tiles across every model;
-//!    otherwise every edge is carried on its own — with per-link CHOCO-SGD
+//!    shared payload is mixed **in place** through a
+//!    [`MixWindow`](skiptrain_linalg::ops::MixWindow). On the in-memory
+//!    transport the models themselves are the messages, so the round's
+//!    rows and γ only wait in the window, up to one SkipTrain 1:7 period
+//!    of rounds; the window settles when it is full or before anything
+//!    reads the models (a round in which a node trains, a framed, top-k or
+//!    per-edge round, an evaluation, `node_params`, `mean_params`,
+//!    `disagreement`), and a framed round settles its own mix at once,
+//!    reading the decoded frames. Settling runs parameter sub-tile
+//!    outermost: a sub-tile of every model is fetched from memory once
+//!    and goes through every pending round in cache, each receiver's sum
+//!    (still in mixing-row order, then the γ blend) alternating between
+//!    the models and a per-worker stage, each worker owning a contiguous
+//!    range of tiles across every model. Mixing updates each coordinate
+//!    on its own, so the bits are those of the rounds applied one at a
+//!    time; otherwise every edge is carried on its own — with per-link CHOCO-SGD
 //!    error feedback ([`ErrorFeedbackState`]) the message is the link's
 //!    accumulated residual and the receiver aggregates its replica, at
 //!    identical wire bytes — into one out-of-place output per node,

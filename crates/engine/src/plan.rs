@@ -267,18 +267,16 @@ impl RoundPlan {
             .chain(after.iter().map(Entry::Edge))
     }
 
-    /// Receiver `dst`'s row as the dense shared-payload kernel sums it:
-    /// the delivered entries in mixing-row order, with the weight of every
-    /// undelivered row folded onto the self entry where it sits (appended
-    /// when the row has none and something was lost).
+    /// Appends receiver `dst`'s row as the dense shared-payload kernel sums
+    /// it: the delivered entries in mixing-row order, with the weight of
+    /// every undelivered row folded onto the self entry where it sits
+    /// (appended when the row has none and something was lost).
     pub(crate) fn dense_row_into(
         &self,
         dst: usize,
         indices: &mut Vec<u32>,
         weights: &mut Vec<f32>,
     ) {
-        indices.clear();
-        weights.clear();
         let mut fallback = 0.0f32;
         let mut self_at = None;
         for entry in self.entries(dst) {

@@ -114,12 +114,12 @@ enum BStore<'a> {
 }
 
 /// Runs `f` compiled for AVX2 when the CPU has it, as written otherwise.
-/// Callers pass an `#[inline(always)]` closure around an `#[inline(always)]`
-/// kernel body, so `wide` holds a second compilation of the same source.
+/// Callers (here and in `ops`) pass an `#[inline(always)]` closure around an
+/// `#[inline(always)]` kernel body, so `wide` holds a second compilation.
 /// No intrinsics, no FMA: the same separate multiply and add in the same
 /// order, so the two agree bit for bit and the baseline one is the reference.
 #[inline(always)]
-fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
+pub(crate) fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
     #[cfg(target_arch = "x86_64")]
     {
         #[target_feature(enable = "avx2")]

@@ -6,6 +6,7 @@
 //! type. Every kernel panics on length mismatch — in this codebase a length
 //! mismatch is always a programming error, never a data error.
 
+use crate::gemm::with_avx2;
 use rayon::prelude::*;
 
 /// Accumulator-lane count of the reduction kernels ([`dot`], and the small
@@ -146,96 +147,233 @@ pub fn consensus_blend(gamma: f32, base: &[f32], mixed: &mut [f32]) {
     }
 }
 
-/// Parameter-tile length (in `f32`s) of [`mix_in_place`]: a tile of every
-/// model plus a worker's stage of `rows × WSUM_TILE` floats should stay in
-/// a core's L2 while the receivers take turns on it — 4 KiB per model, so
-/// 2 × 256 KiB for a 64-node fleet and 2 × 1 MiB for 256 nodes. Measured
-/// with 7-entry rows (a relabelled 6-regular ring) × 88 970 parameters,
-/// min of 40 interleaved runs, on a 2-vCPU AVX2 host with 2 MiB of L2 per
-/// core; the last column is the out-of-place receiver-block sum this
-/// kernel replaced, which needed a second model per node:
-///
-/// | nodes, threads | 512 | 1 024 | 2 048 | out of place, 2 048 |
-/// |---|---|---|---|---|
-/// | 64, 1 | 6.2 ms | 6.0 ms | 5.9 ms | 5.4 ms |
-/// | 64, 2 | 3.7 ms | 3.5 ms | 3.4 ms | 3.7 ms |
-/// | 256, 1 | 26.8 ms | 26.5 ms | 32.6 ms | 25.7 ms |
-/// | 256, 2 | 16.9 ms | 17.4 ms | 19.8 ms | 15.5 ms |
-///
-/// 1 024 is within 4 % of the best tile in every row; 2 048 loses 23 % at
-/// 256 nodes on one thread (a 2 MiB stage, past L2). Hence a constant,
-/// not a setting; public so callers' tests can straddle a tile boundary.
+/// Parameter-tile length (in `f32`s) of a window's mix: the unit a worker
+/// owns. Worker `c` takes a contiguous range of tiles across **every** row,
+/// so no span is read by one worker while another writes it. With the
+/// sub-tile at 512, a tile of 2 048 reads within 2 % of 1 024 in seven of
+/// the eight rows of [`MIX_SUB_TILE`]'s table and 5 % slower at 64 nodes,
+/// 2 threads, depth 1. Public so callers' tests can straddle a tile
+/// boundary.
 pub const WSUM_TILE: usize = 1024;
 
-/// Mixes a fleet's models in place: with `(indices, weights) = &mix[i]`
-/// and every `x` the row as it was on entry,
-/// `rows[i] ← x_i + γ·(Σ_t weights[t] · x_{indices[t]} − x_i)`.
+/// Sub-tile length (in `f32`s) of a window's mix: the unit the cache sees.
+/// A sub-tile of every row and the worker's stage of `rows × MIX_SUB_TILE`
+/// floats go through all of the window's rounds while they stay in a
+/// core's L2 — 2 × 128 KiB for a 64-node fleet, 2 × 512 KiB for 256 nodes.
+/// Measured per round of a window of `depth` rounds, with 7-entry rows (a
+/// relabelled 6-regular ring) × 88 970 parameters, tile 1 024, min of 20
+/// interleaved runs, on a 2-vCPU AVX2 host with 2 MiB of L2 per core. The
+/// first column is the kernel this one replaced, which mixed one round at
+/// a time with the tile as its cache unit:
 ///
-/// A fleet's models do not fit the cache, and under gossip every model is
-/// read by each of its `degree + 1` neighbours; summing receiver by
-/// receiver fetches it from memory that many times. Here the loop is
-/// parameter tile outermost, receiver innermost: a [`WSUM_TILE`]-float
-/// span of every row is fetched once and served to all its readers from
-/// L2. Each receiver's span is summed by `weighted_sum_core` into the
-/// worker's stage, and the tile is written back over the rows — through
-/// [`consensus_blend`] — only once every receiver has read it, so each
-/// element sees exactly the operations of an out-of-place sum followed by
-/// the blend. Neither the tile length nor the thread budget can change a
-/// result bit.
+/// | nodes, threads, depth | one round at a time | 256 | 512 | 1 024 |
+/// |---|---|---|---|---|
+/// | 64, 1, 1 | 5.44 ms | 5.48 ms | 4.92 ms | 4.84 ms |
+/// | 64, 1, 8 | 5.30 ms | 3.02 ms | 2.96 ms | 2.99 ms |
+/// | 64, 2, 1 | 3.78 ms | 3.18 ms | 2.91 ms | 2.90 ms |
+/// | 64, 2, 8 | 3.12 ms | 1.59 ms | 1.56 ms | 1.60 ms |
+/// | 256, 1, 1 | 25.9 ms | 24.8 ms | 22.8 ms | 24.1 ms |
+/// | 256, 1, 8 | 27.4 ms | 13.9 ms | 13.3 ms | 13.8 ms |
+/// | 256, 2, 1 | 14.1 ms | 13.0 ms | 12.0 ms | 12.8 ms |
+/// | 256, 2, 8 | 15.5 ms | 7.28 ms | 6.78 ms | 7.71 ms |
 ///
-/// `stand_in(i, j)` may name a slice receiver `i` reads in place of row
-/// `j` (the executor's decoded wire copies); `None` reads the row.
-///
-/// Worker `c` owns a contiguous range of tiles across **every** row, so
-/// no span is read by one worker while another writes it. `stages` holds
-/// one stage per worker, grown to `rows × min(WSUM_TILE, len)` floats on
-/// first use; its length caps the worker count. At one worker the rows
-/// are mixed where they lie; at two or more each worker is handed views
-/// of its range of every row.
-///
-/// # Panics
-/// Panics if `rows` and `mix` differ in length, if a receiver's index and
-/// weight lists differ in length, if a row or stand-in's length differs
-/// from `rows[0].len()`, or if `stages` is empty while there is something
-/// to mix.
-pub fn mix_in_place<'a, F>(
-    rows: &mut [Vec<f32>],
-    mix: &[(Vec<u32>, Vec<f32>)],
+/// 512 is the best or within 2 % of it in every row. Public so callers'
+/// tests can straddle it.
+pub const MIX_SUB_TILE: usize = 512;
+
+/// Rounds a [`MixWindow`] holds before it must settle: one SkipTrain
+/// period of one training round and seven synchronisation rounds.
+pub const MIX_WINDOW: usize = 8;
+
+/// One dense mixing round of a fleet, stored flat: receiver `i`'s senders
+/// and weights are the entries `ends[i − 1]..ends[i]` (from 0 for the
+/// first), and `gamma` is the round's consensus stepsize.
+#[derive(Debug)]
+struct MixRound {
     gamma: f32,
-    stand_in: F,
-    stages: &mut [Vec<f32>],
-) where
-    F: Fn(usize, u32) -> Option<&'a [f32]> + Sync,
-{
-    mix_in_place_tiled(rows, mix, gamma, stand_in, stages, WSUM_TILE);
+    ends: Vec<usize>,
+    indices: Vec<u32>,
+    weights: Vec<f32>,
 }
 
-/// [`mix_in_place`] at an explicit tile length (tests sweep it).
-fn mix_in_place_tiled<'a, F>(
-    rows: &mut [Vec<f32>],
-    mix: &[(Vec<u32>, Vec<f32>)],
-    gamma: f32,
-    stand_in: F,
-    stages: &mut [Vec<f32>],
-    tile: usize,
-) where
-    F: Fn(usize, u32) -> Option<&'a [f32]> + Sync,
-{
-    assert_eq!(rows.len(), mix.len(), "mix_in_place arity mismatch");
-    let len = rows.first().map_or(0, Vec::len);
-    for (i, (indices, weights)) in mix.iter().enumerate() {
-        assert_eq!(indices.len(), weights.len(), "mix_in_place arity mismatch");
-        assert_eq!(rows[i].len(), len, "weighted_sum length mismatch");
-        for &j in indices {
-            let x = stand_in(i, j).unwrap_or(&rows[j as usize]);
-            assert_eq!(x.len(), len, "weighted_sum length mismatch");
+impl MixRound {
+    /// Receiver `i`'s senders and weights.
+    #[inline(always)]
+    fn row(&self, i: usize) -> (&[u32], &[f32]) {
+        let from = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        let to = self.ends[i];
+        (&self.indices[from..to], &self.weights[from..to])
+    }
+}
+
+/// Dense mixing rounds waiting to be applied to a fleet's models, in
+/// order, and the per-worker stages that apply them.
+///
+/// Mixing updates every coordinate on its own, so a run of rounds that
+/// only mix can be applied one parameter sub-tile at a time: each
+/// [`MIX_SUB_TILE`]-float span of every row goes through all the pending
+/// rounds while it is in cache, instead of the whole fleet streaming
+/// through memory once per round. Each element still sees, round after
+/// round, `scaled_copy` and one `axpy` per input in row order, then the
+/// blend `x + γ·(Σ − x)` (skipped at γ = 1) — the operations and order of
+/// applying the rounds one at a time, so the window's depth, the tile,
+/// the sub-tile and the thread budget cannot change a result bit.
+///
+/// Whoever owns the rows must [`settle`](MixWindow::settle) the window
+/// before anything reads them, and whenever it [is full](MixWindow::is_full).
+/// Each slot keeps its entries flat, reserved at construction for the
+/// fleet's base entry count; a round with more entries grows its slot
+/// once and the slot keeps that capacity.
+#[derive(Debug)]
+pub struct MixWindow {
+    rows: usize,
+    rounds: Vec<MixRound>,
+    pending: usize,
+    /// One stage per worker, grown to `rows × min(MIX_SUB_TILE, len)`
+    /// floats on first use; its length caps the worker count.
+    stages: Vec<Vec<f32>>,
+}
+
+impl MixWindow {
+    /// An empty window for a fleet of `rows` models whose rounds hold
+    /// `entries` (sender, weight) pairs in all — `Σ (degree_i + 1)` for a
+    /// mixing matrix with a self entry per row.
+    pub fn new(rows: usize, entries: usize) -> Self {
+        let slot = || MixRound {
+            gamma: 1.0,
+            ends: Vec::with_capacity(rows),
+            indices: Vec::with_capacity(entries),
+            weights: Vec::with_capacity(entries),
+        };
+        Self {
+            rows,
+            rounds: (0..MIX_WINDOW).map(|_| slot()).collect(),
+            pending: 0,
+            stages: vec![Vec::new(); rows],
         }
     }
-    if len == 0 {
+
+    /// Rounds recorded and not yet applied.
+    pub fn pending(&self) -> usize {
+        self.pending
+    }
+
+    /// True when the window holds [`MIX_WINDOW`] rounds and must settle
+    /// before the next [`push`](MixWindow::push).
+    pub fn is_full(&self) -> bool {
+        self.pending == MIX_WINDOW
+    }
+
+    /// Records one round with consensus stepsize `gamma`:
+    /// `fill(i, indices, weights)` appends receiver `i`'s senders
+    /// and weights, in the order they are summed. A row may be empty (the
+    /// receiver's model becomes zero) and need not hold its receiver.
+    ///
+    /// # Panics
+    /// Panics if the window is full.
+    pub fn push<F>(&mut self, gamma: f32, mut fill: F)
+    where
+        F: FnMut(usize, &mut Vec<u32>, &mut Vec<f32>),
+    {
+        assert!(!self.is_full(), "settle a full mixing window first");
+        let round = &mut self.rounds[self.pending];
+        round.gamma = gamma;
+        round.ends.clear();
+        round.indices.clear();
+        round.weights.clear();
+        for i in 0..self.rows {
+            fill(i, &mut round.indices, &mut round.weights);
+            assert_eq!(
+                round.indices.len(),
+                round.weights.len(),
+                "mix_rounds_in_place arity mismatch"
+            );
+            round.ends.push(round.indices.len());
+        }
+        self.pending += 1;
+    }
+
+    /// Applies the pending rounds to `rows` in order and empties the
+    /// window: with `x` the rows as they are before each round,
+    /// `rows[i] ← x_i + γ·(Σ_t weights[t] · x_{indices[t]} − x_i)`.
+    ///
+    /// `stand_in(i, j)` may name a slice receiver `i` reads in place of
+    /// row `j` in the **first** pending round (the executor's decoded wire
+    /// copies, on a window of one round); `None` reads the row. Later
+    /// rounds read the rows the round before them wrote.
+    ///
+    /// # Panics
+    /// Panics if a round was recorded for another number of rows, if a
+    /// sender index is out of range, or if a row or stand-in's length
+    /// differs from `rows[0].len()`.
+    pub fn settle<'a, F>(&mut self, rows: &mut [Vec<f32>], stand_in: F)
+    where
+        F: Fn(usize, u32) -> Option<&'a [f32]> + Sync,
+    {
+        let pending = &self.rounds[..self.pending];
+        let (tile, sub) = (WSUM_TILE, MIX_SUB_TILE);
+        mix_rounds_in_place(rows, pending, &stand_in, &mut self.stages, tile, sub);
+        self.pending = 0;
+    }
+}
+
+/// Applies `rounds` to a fleet's models in place (see
+/// [`MixWindow::settle`]).
+///
+/// A fleet's models do not fit the cache, and under gossip every model is
+/// read by each of its `degree + 1` neighbours, once per round. Here the
+/// loop is parameter sub-tile outermost, round next, receiver innermost: a
+/// `sub`-float span of every row is fetched once, each round
+/// sums every receiver's span from the buffer the previous round wrote
+/// into the other one — the rows' span and the worker's stage take turns,
+/// so an even number of rounds ends in the rows and an odd one copies the
+/// stage back — and the span leaves the cache once every round has run.
+/// A receiver's sum is `weighted_sum_core` over its row in order, then
+/// [`consensus_blend`] against its own span of the round's input, so each
+/// element sees exactly the operations of the rounds applied one at a
+/// time. The sums run at a fixed arity per group of inputs, compiled for
+/// AVX2 when the CPU has it ([`weighted_sum_group`]).
+///
+/// Workers split the rows by `tile`, the cache by `sub` ([`WSUM_TILE`] and
+/// [`MIX_SUB_TILE`]; tests sweep both). `stand_in` is taken by reference
+/// so that every caller shares one compilation of the kernel. At one worker the rows are mixed
+/// where they lie; at two or more each worker is handed views of its range
+/// of every row, once per call.
+fn mix_rounds_in_place<'a>(
+    rows: &mut [Vec<f32>],
+    rounds: &[MixRound],
+    stand_in: &(dyn Fn(usize, u32) -> Option<&'a [f32]> + Sync),
+    stages: &mut [Vec<f32>],
+    tile: usize,
+    sub: usize,
+) {
+    let len = rows.first().map_or(0, Vec::len);
+    for row in rows.iter() {
+        assert_eq!(row.len(), len, "weighted_sum length mismatch");
+    }
+    for (k, round) in rounds.iter().enumerate() {
+        assert_eq!(
+            round.ends.len(),
+            rows.len(),
+            "mix_rounds_in_place arity mismatch"
+        );
+        for i in 0..rows.len() {
+            for &j in round.row(i).0 {
+                let x: &[f32] = &rows[j as usize];
+                let x = if k == 0 {
+                    stand_in(i, j).unwrap_or(x)
+                } else {
+                    x
+                };
+                assert_eq!(x.len(), len, "weighted_sum length mismatch");
+            }
+        }
+    }
+    if len == 0 || rounds.is_empty() {
         return;
     }
-    assert!(!stages.is_empty(), "mix_in_place needs a stage");
-    let width = tile.min(len);
+    assert!(!stages.is_empty(), "mix_rounds_in_place needs a stage");
+    let width = sub.min(len);
     let tiles = len.div_ceil(tile);
     let per = tiles.div_ceil(rayon::current_num_threads().min(stages.len()));
     let workers = tiles.div_ceil(per);
@@ -243,11 +381,11 @@ fn mix_in_place_tiled<'a, F>(
         stage.resize(rows.len() * width, 0.0);
     }
     if workers == 1 {
-        mix_tile_range(rows, 0, mix, gamma, &stand_in, &mut stages[0], tile);
+        mix_range(rows, 0, rounds, stand_in, &mut stages[0], sub);
         return;
     }
     let per = per * tile;
-    // lint:allow(hot_path_alloc, "budget ≥ 2 only: each worker's views of its range of every row (16 B per row), the safe way to split rows at the range boundaries")
+    // lint:allow(hot_path_alloc, "budget ≥ 2 only, once per window: each worker's views of its range of every row (16 B per row), the safe way to split rows at the range boundaries")
     let mut views: Vec<Vec<&mut [f32]>> = (0..workers).map(|_| Default::default()).collect();
     for row in rows.iter_mut() {
         for (view, piece) in views.iter_mut().zip(row.chunks_mut(per)) {
@@ -259,46 +397,60 @@ fn mix_in_place_tiled<'a, F>(
         .zip(stages.par_iter_mut())
         .enumerate()
         .for_each(|(c, (view, stage))| {
-            mix_tile_range(view, c * per, mix, gamma, &stand_in, stage, tile);
+            mix_range(view, c * per, rounds, stand_in, stage, sub);
         });
 }
 
-/// One worker's loop of [`mix_in_place`]: `rows[i]` is row `i`'s elements
-/// from `offset` on, walked tile by tile. A tile is summed for every
-/// receiver into `stage` (one `tile.min(len)` span per row) from the
-/// rows' untouched spans, then written back.
-fn mix_tile_range<'a, R, F>(
+/// One worker's loop of [`mix_rounds_in_place`]: `rows[i]` is row `i`'s
+/// elements from `offset` on, walked sub-tile by sub-tile; `stage` holds
+/// one `stage.len() / rows.len()`-float span per row. Even rounds read
+/// the rows and write the stage, odd rounds the other way round.
+fn mix_range<'a, R>(
     rows: &mut [R],
     offset: usize,
-    mix: &[(Vec<u32>, Vec<f32>)],
-    gamma: f32,
-    stand_in: &F,
+    rounds: &[MixRound],
+    stand_in: &(dyn Fn(usize, u32) -> Option<&'a [f32]> + Sync),
     stage: &mut [f32],
-    tile: usize,
+    sub: usize,
 ) where
     R: AsRef<[f32]> + AsMut<[f32]>,
-    F: Fn(usize, u32) -> Option<&'a [f32]>,
 {
     let width = stage.len() / rows.len();
     let len = rows.first().map_or(0, |row| row.as_ref().len());
-    for start in (0..len).step_by(tile) {
-        let end = (start + tile).min(len);
-        let (from, to) = (offset + start, offset + end);
-        let read = &*rows;
-        for (i, ((indices, weights), out)) in
-            mix.iter().zip(stage.chunks_exact_mut(width)).enumerate()
-        {
-            weighted_sum_core(&mut out[..end - start], weights, |t| {
-                match stand_in(i, indices[t]) {
-                    Some(x) => &x[from..to],
-                    None => &read[indices[t] as usize].as_ref()[start..end],
+    for start in (0..len).step_by(sub) {
+        let end = (start + sub).min(len);
+        let span = end - start;
+        for (k, round) in rounds.iter().enumerate() {
+            if k % 2 == 0 {
+                let read = &*rows;
+                for (i, out) in stage.chunks_exact_mut(width).enumerate() {
+                    let (indices, weights) = round.row(i);
+                    let out = &mut out[..span];
+                    weighted_sum_core(out, weights, |t| {
+                        let j = indices[t];
+                        match if k == 0 { stand_in(i, j) } else { None } {
+                            Some(x) => &x[offset + start..offset + end],
+                            None => &read[j as usize].as_ref()[start..end],
+                        }
+                    });
+                    consensus_blend(round.gamma, &read[i].as_ref()[start..end], out);
                 }
-            });
+            } else {
+                let read = &*stage;
+                for (i, row) in rows.iter_mut().enumerate() {
+                    let (indices, weights) = round.row(i);
+                    let out = &mut row.as_mut()[start..end];
+                    weighted_sum_core(out, weights, |t| {
+                        &read[indices[t] as usize * width..][..span]
+                    });
+                    consensus_blend(round.gamma, &read[i * width..][..span], out);
+                }
+            }
         }
-        for (row, mixed) in rows.iter_mut().zip(stage.chunks_exact_mut(width)) {
-            let (x, mixed) = (&mut row.as_mut()[start..end], &mut mixed[..end - start]);
-            consensus_blend(gamma, x, mixed);
-            x.copy_from_slice(mixed);
+        if rounds.len() % 2 == 1 {
+            for (row, mixed) in rows.iter_mut().zip(stage.chunks_exact(width)) {
+                row.as_mut()[start..end].copy_from_slice(&mixed[..span]);
+            }
         }
     }
 }
@@ -325,6 +477,7 @@ const WSUM_GROUP: usize = 8;
 /// multiply and add: blocks, groups and the scalar tail only decide
 /// *where* the running sum is held between two additions, never which
 /// additions happen or in what order.
+#[inline(always)]
 fn weighted_sum_core<'a, G>(out: &mut [f32], weights: &[f32], get: G)
 where
     G: Fn(usize) -> &'a [f32],
@@ -334,47 +487,92 @@ where
         return;
     }
     for (g, ws) in weights.chunks(WSUM_GROUP).enumerate() {
-        let mut xs: [&[f32]; WSUM_GROUP] = [&[]; WSUM_GROUP];
+        let mut xs = [&[][..]; WSUM_GROUP];
         for (t, x) in xs.iter_mut().enumerate().take(ws.len()) {
             *x = get(g * WSUM_GROUP + t);
             assert_eq!(x.len(), out.len(), "weighted_sum length mismatch");
         }
-        weighted_sum_group(out, &xs[..ws.len()], ws, g == 0);
+        weighted_sum_group(out, &xs, ws, g == 0);
     }
 }
 
 /// One group of [`weighted_sum_core`]: `out = Σ ws[t]·xs[t]` when `first`,
-/// `out += Σ ws[t]·xs[t]` otherwise, inputs added in order per element.
-#[inline]
-fn weighted_sum_group(out: &mut [f32], xs: &[&[f32]], ws: &[f32], first: bool) {
-    let full = out.len() - out.len() % WSUM_BLOCK;
-    let (body, tail) = out.split_at_mut(full);
-    // the first group's leading input initialises the block
-    let skip = usize::from(first);
-    for (b, block) in body.chunks_exact_mut(WSUM_BLOCK).enumerate() {
-        let at = b * WSUM_BLOCK;
+/// `out += Σ ws[t]·xs[t]` otherwise, over the first `ws.len()` (1 to
+/// [`WSUM_GROUP`]) inputs, each at its own fixed arity so the per-block
+/// loop over the inputs unrolls with the weights in registers. Compiled
+/// for AVX2 when the CPU has it (no intrinsics, no FMA: the same
+/// operations in the same order). Never inlined, so every caller shares
+/// the one pair of compilations.
+#[inline(never)]
+fn weighted_sum_group(out: &mut [f32], xs: &[&[f32]; WSUM_GROUP], ws: &[f32], first: bool) {
+    with_avx2(
+        #[inline(always)]
+        || group_at_arity(out, xs, ws, first),
+    );
+}
+
+/// [`weighted_sum_group`] as written, dispatched on the arity.
+#[inline(always)]
+fn group_at_arity(out: &mut [f32], xs: &[&[f32]; WSUM_GROUP], ws: &[f32], first: bool) {
+    match ws.len() {
+        1 => fixed_arity_group::<1>(out, xs, ws, first),
+        2 => fixed_arity_group::<2>(out, xs, ws, first),
+        3 => fixed_arity_group::<3>(out, xs, ws, first),
+        4 => fixed_arity_group::<4>(out, xs, ws, first),
+        5 => fixed_arity_group::<5>(out, xs, ws, first),
+        6 => fixed_arity_group::<6>(out, xs, ws, first),
+        7 => fixed_arity_group::<7>(out, xs, ws, first),
+        _ => fixed_arity_group::<WSUM_GROUP>(out, xs, ws, first),
+    }
+}
+
+/// [`weighted_sum_group`] at arity `N`.
+#[inline(always)]
+fn fixed_arity_group<const N: usize>(
+    out: &mut [f32],
+    xs: &[&[f32]; WSUM_GROUP],
+    ws: &[f32],
+    first: bool,
+) {
+    let len = out.len();
+    let (mut w, mut x) = ([0.0f32; N], [&[][..]; N]);
+    for t in 0..N {
+        (w[t], x[t]) = (ws[t], &xs[t][..len]);
+    }
+    let (body, tail) = out.as_chunks_mut::<WSUM_BLOCK>();
+    let blocks: [&[[f32; WSUM_BLOCK]]; N] =
+        std::array::from_fn(|t| &x[t].as_chunks::<WSUM_BLOCK>().0[..body.len()]);
+    for (b, block) in body.iter_mut().enumerate() {
         let mut acc = [0.0f32; WSUM_BLOCK];
+        let x0 = &blocks[0][b];
         if first {
-            let x = &xs[0][at..at + WSUM_BLOCK];
-            for (a, &v) in acc.iter_mut().zip(x) {
-                *a = ws[0] * v;
+            // the first group's leading input initialises the block
+            for e in 0..WSUM_BLOCK {
+                acc[e] = w[0] * x0[e];
             }
         } else {
-            acc.copy_from_slice(block);
-        }
-        for (x, &w) in xs[skip..].iter().zip(&ws[skip..]) {
-            let x = &x[at..at + WSUM_BLOCK];
-            for (a, &v) in acc.iter_mut().zip(x) {
-                *a += w * v;
+            for e in 0..WSUM_BLOCK {
+                acc[e] = block[e] + w[0] * x0[e];
             }
         }
-        block.copy_from_slice(&acc);
+        for t in 1..N {
+            let (wt, xt) = (w[t], &blocks[t][b]);
+            for e in 0..WSUM_BLOCK {
+                acc[e] += wt * xt[e];
+            }
+        }
+        *block = acc;
     }
+    let full = len - tail.len();
     for (e, o) in tail.iter_mut().enumerate() {
         let at = full + e;
-        let mut acc = if first { ws[0] * xs[0][at] } else { *o };
-        for (x, &w) in xs[skip..].iter().zip(&ws[skip..]) {
-            acc += w * x[at];
+        let mut acc = if first {
+            w[0] * x[0][at]
+        } else {
+            *o + w[0] * x[0][at]
+        };
+        for t in 1..N {
+            acc += w[t] * x[t][at];
         }
         *o = acc;
     }
@@ -447,14 +645,9 @@ mod tests {
     fn weighted_sum_empty_inputs_zeroes_out() {
         // a receiver whose mixing row is empty
         let mut rows = vec![vec![3.0f32, 4.0]];
-        let mut stages = vec![Vec::new()];
-        mix_in_place(
-            &mut rows,
-            &[(Vec::new(), Vec::new())],
-            1.0,
-            |_, _| None,
-            &mut stages,
-        );
+        let mut window = MixWindow::new(1, 0);
+        window.push(1.0, |_, _, _| {});
+        window.settle(&mut rows, |_, _| None);
         assert_eq!(rows, [vec![0.0f32; 2]]);
     }
 
@@ -522,6 +715,75 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// A flat round from one `(indices, weights)` pair per receiver.
+    fn flat(gamma: f32, mix: &[(Vec<u32>, Vec<f32>)]) -> MixRound {
+        let mut window = MixWindow::new(mix.len(), 0);
+        window.push(gamma, |i, indices, weights| {
+            indices.extend_from_slice(&mix[i].0);
+            weights.extend_from_slice(&mix[i].1);
+        });
+        window.rounds.swap_remove(0)
+    }
+
+    /// `rounds` applied one at a time, the way the engine applied them
+    /// before windows: per receiver the chain over the previous round's
+    /// rows (the first round reading stand-ins where `stand_in` has one),
+    /// then `b + γ (o − b)` against its own previous row when γ ≠ 1.
+    fn rounds_one_at_a_time<'a>(
+        rows: &[Vec<f32>],
+        rounds: &[MixRound],
+        stand_in: impl Fn(usize, u32) -> Option<&'a [f32]>,
+    ) -> Vec<Vec<u32>> {
+        let mut cur: Vec<Vec<f32>> = rows.to_vec();
+        for (k, round) in rounds.iter().enumerate() {
+            cur = (0..cur.len())
+                .map(|i| {
+                    let (indices, weights) = round.row(i);
+                    let refs: Vec<&[f32]> = indices
+                        .iter()
+                        .map(|&j| match stand_in(i, j) {
+                            Some(x) if k == 0 => x,
+                            _ => cur[j as usize].as_slice(),
+                        })
+                        .collect();
+                    let mixed = chain(cur[i].len(), &refs, weights);
+                    cur[i]
+                        .iter()
+                        .zip(mixed)
+                        .map(|(&b, o)| {
+                            let o = f32::from_bits(o);
+                            let g = round.gamma;
+                            if g == 1.0 {
+                                o
+                            } else {
+                                b + g * (o - b)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+        }
+        cur.iter().map(|row| bits(row)).collect()
+    }
+
+    /// `rounds` through the window kernel at an explicit tile, sub-tile
+    /// and thread budget, from stale (NaN) stages.
+    fn through_kernel<'a>(
+        rows: &[Vec<f32>],
+        rounds: &[MixRound],
+        stand_in: impl Fn(usize, u32) -> Option<&'a [f32]> + Sync,
+        (tile, sub, threads): (usize, usize, usize),
+    ) -> Vec<Vec<u32>> {
+        let mut rows = rows.to_vec();
+        let mut stages = vec![vec![f32::NAN; 5]; 7];
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(|| mix_rounds_in_place(&mut rows, rounds, &stand_in, &mut stages, tile, sub));
+        rows.iter().map(|row| bits(row)).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -550,13 +812,13 @@ mod tests {
             weighted_sum_indexed_into(&mut indexed, &indices, &weights, |j| &store[j as usize]);
             prop_assert_eq!(bits(&indexed), expected.clone(), "weighted_sum_indexed_into");
 
-            // the in-place kernel over the whole store as a fleet: receiver
+            // a one-round window over the whole store as a fleet: receiver
             // 0 takes the sampled row (with or without a self entry), 1 an
             // empty row, 2 the row reversed, every other k the row shifted
             // by k; some senders are read from stand-ins. Against the chain
             // over the pre-update rows, then the blend, at one tile, many
-            // tiles and tile lengths that do not divide the parameter count,
-            // and at budgets 1, 2 and 7.
+            // tiles, tile and sub-tile lengths that do not divide the
+            // parameter count, and at budgets 1, 2 and 7.
             let m = store.len();
             let alt: Vec<Vec<f32>> = (0..m)
                 .map(|_| (0..len).map(|_| palette(&mut state)).collect())
@@ -579,46 +841,159 @@ mod tests {
                 ((i + j).is_multiple_of(3) && i != j).then(|| alt[j].as_slice())
             };
             for gamma in [1.0f32, 0.5] {
-                let want: Vec<Vec<u32>> = mix
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (idx, w))| {
-                        let refs: Vec<&[f32]> = idx
-                            .iter()
-                            .map(|&j| stand_in(i, j).unwrap_or(&store[j as usize]))
-                            .collect();
-                        let mixed = chain(len, &refs, w);
-                        store[i]
-                            .iter()
-                            .zip(mixed)
-                            .map(|(&b, o)| {
-                                let o = f32::from_bits(o);
-                                if gamma == 1.0 { o } else { b + gamma * (o - b) }.to_bits()
-                            })
-                            .collect()
-                    })
-                    .collect();
-                for tile in [WSUM_TILE, 16, 7, len.max(1), len + 1] {
+                let round = [flat(gamma, &mix)];
+                let want = rounds_one_at_a_time(&store, &round, stand_in);
+                for tile in [(WSUM_TILE, MIX_SUB_TILE), (16, 16), (16, 5), (7, 3), (len.max(1), 64), (len + 1, len + 1)] {
                     for threads in [1usize, 2, 7] {
-                        let mut rows = store.clone();
-                        // stale stage contents must never leak either
-                        let mut stages = vec![vec![f32::NAN; 5]; 7];
-                        rayon::ThreadPoolBuilder::new()
-                            .num_threads(threads)
-                            .build()
-                            .unwrap()
-                            .install(|| {
-                                mix_in_place_tiled(&mut rows, &mix, gamma, stand_in, &mut stages, tile)
-                            });
-                        for (i, (row, want)) in rows.iter().zip(&want).enumerate() {
-                            prop_assert_eq!(
-                                &bits(row), want,
-                                "in place: receiver {}, tile {}, {} threads, γ {}", i, tile, threads, gamma
-                            );
-                        }
+                        let got = through_kernel(&store, &round, stand_in, (tile.0, tile.1, threads));
+                        prop_assert_eq!(
+                            &got, &want,
+                            "in place: tile {:?}, {} threads, γ {}", tile, threads, gamma
+                        );
                     }
                 }
             }
+        }
+
+        #[test]
+        fn prop_window_is_its_rounds_one_at_a_time_bitwise(
+            m in 2usize..15,
+            len in 0usize..90,
+            depth in 0usize..5,
+            seed in 0u64..u64::MAX
+        ) {
+            // k rounds of 1–12 entries per row (crossing the 8-input group
+            // boundary), with and without a self entry, γ 1 or ½ per
+            // round, weights bounded so nine rounds stay finite; against
+            // the rounds applied one at a time at tiles and sub-tiles that
+            // straddle the lengths, budgets 1, 2 and 7, and the baseline
+            // compilation of the worker loop
+            let k = [1usize, 2, 3, 8, 9][depth];
+            let mut state = seed;
+            let store: Vec<Vec<f32>> = (0..m)
+                .map(|_| (0..len).map(|_| palette(&mut state)).collect())
+                .collect();
+            let unit = |state: &mut u64| {
+                let v = palette(state);
+                if v.abs() > 1.0 { v / 1e17 } else { v }
+            };
+            let rounds: Vec<MixRound> = (0..k)
+                .map(|_| {
+                    let mix: Vec<(Vec<u32>, Vec<f32>)> = (0..m)
+                        .map(|i| {
+                            let entries = 1 + (palette(&mut state).to_bits() as usize) % 12;
+                            let own = palette(&mut state).to_bits().is_multiple_of(2);
+                            let indices = (0..entries)
+                                .map(|e| match e {
+                                    0 if own => i as u32,
+                                    _ => ((i + 1 + (e + (state >> 7) as usize) % (m - 1)) % m) as u32,
+                                })
+                                .collect();
+                            (indices, (0..entries).map(|_| unit(&mut state)).collect())
+                        })
+                        .collect();
+                    let gamma = if state.is_multiple_of(3) { 0.5 } else { 1.0 };
+                    flat(gamma, &mix)
+                })
+                .collect();
+            let alt: Vec<Vec<f32>> = (0..m)
+                .map(|_| (0..len).map(|_| palette(&mut state)).collect())
+                .collect();
+            let stand_in = |i: usize, j: u32| {
+                let j = j as usize;
+                ((i + j) % 3 == 1 && i != j).then(|| alt[j].as_slice())
+            };
+            let want = rounds_one_at_a_time(&store, &rounds, stand_in);
+            for tile in [(WSUM_TILE, MIX_SUB_TILE), (16, 7), (7, 16), (len.max(1), 5), (len + 1, len + 1)] {
+                for threads in [1usize, 2, 7] {
+                    let got = through_kernel(&store, &rounds, stand_in, (tile.0, tile.1, threads));
+                    prop_assert_eq!(&got, &want, "k {}, tile {:?}, {} threads", k, tile, threads);
+                }
+            }
+        }
+
+        #[test]
+        fn prop_avx2_and_baseline_groups_agree_bitwise(
+            arity in 1usize..9,
+            len in 0usize..80,
+            first in 0u8..2,
+            seed in 0u64..u64::MAX
+        ) {
+            let first = first == 1;
+            // the group as written (this test is compiled for the
+            // baseline) and through `with_avx2`, from the same `out`
+            let mut state = seed;
+            let store: Vec<Vec<f32>> = (0..arity)
+                .map(|_| (0..len).map(|_| palette(&mut state)).collect())
+                .collect();
+            let mut xs = [&[][..]; WSUM_GROUP];
+            for (x, row) in xs.iter_mut().zip(&store) {
+                *x = row;
+            }
+            let ws: Vec<f32> = (0..arity).map(|_| palette(&mut state)).collect();
+            let out0: Vec<f32> = (0..len).map(|_| palette(&mut state)).collect();
+            let (mut base, mut wide) = (out0.clone(), out0);
+            group_at_arity(&mut base, &xs, &ws, first);
+            weighted_sum_group(&mut wide, &xs, &ws, first);
+            prop_assert_eq!(bits(&base), bits(&wide));
+        }
+    }
+
+    #[test]
+    fn a_window_settles_its_rounds_in_order_and_empties() {
+        // two rounds on two rows: swap, then average with γ = ½
+        let mut rows = vec![vec![1.0f32, 2.0], vec![3.0, 5.0]];
+        let mut window = MixWindow::new(2, 2);
+        window.push(1.0, |i, indices, weights| {
+            indices.push(1 - i as u32);
+            weights.push(1.0);
+        });
+        window.push(0.5, |_, indices, weights| {
+            indices.extend([0, 1]);
+            weights.extend([0.5, 0.5]);
+        });
+        assert_eq!(window.pending(), 2);
+        assert!(!window.is_full());
+        window.settle(&mut rows, |_, _| None);
+        assert_eq!(window.pending(), 0);
+        assert_eq!(rows, [vec![2.5f32, 4.25], vec![1.5, 2.75]]);
+        // an empty window leaves the rows alone
+        window.settle(&mut rows, |_, _| None);
+        assert_eq!(rows, [vec![2.5f32, 4.25], vec![1.5, 2.75]]);
+    }
+
+    #[test]
+    fn a_denser_round_grows_its_slot_once() {
+        let (n, base) = (6usize, 3usize);
+        let mut window = MixWindow::new(n, n * base);
+        let dense = |_: usize, indices: &mut Vec<u32>, weights: &mut Vec<f32>| {
+            indices.extend(0..n as u32);
+            weights.extend(std::iter::repeat_n(1.0 / n as f32, n));
+        };
+        for _ in 0..MIX_WINDOW {
+            window.push(1.0, dense);
+        }
+        assert!(window.is_full());
+        let grown: Vec<usize> = window.rounds.iter().map(|r| r.indices.capacity()).collect();
+        assert!(grown.iter().all(|&c| c >= n * n), "{grown:?}");
+        let mut rows = vec![vec![1.0f32; 3]; n];
+        window.settle(&mut rows, |_, _| None);
+        for _ in 0..MIX_WINDOW {
+            window.push(1.0, dense);
+        }
+        let kept: Vec<usize> = window.rounds.iter().map(|r| r.indices.capacity()).collect();
+        assert_eq!(kept, grown, "a slot grew again");
+    }
+
+    #[test]
+    #[should_panic(expected = "settle a full mixing window first")]
+    fn a_full_window_refuses_another_round() {
+        let mut window = MixWindow::new(1, 1);
+        for _ in 0..=MIX_WINDOW {
+            window.push(1.0, |_, indices, weights| {
+                indices.push(0);
+                weights.push(1.0);
+            });
         }
     }
 
@@ -627,9 +1002,12 @@ mod tests {
         // receiver r reads sender 0 from its own private store
         let stores = [vec![1.0f32; 5], vec![2.0f32; 5]];
         let mut rows = vec![vec![9.0f32; 5]; 2];
-        let mix = vec![(vec![0u32, 0], vec![0.5f32, 0.25]); 2];
-        let mut stages = vec![Vec::new()];
-        mix_in_place(&mut rows, &mix, 1.0, |r, _| Some(&stores[r]), &mut stages);
+        let mut window = MixWindow::new(2, 4);
+        window.push(1.0, |_, indices, weights| {
+            indices.extend([0, 0]);
+            weights.extend([0.5, 0.25]);
+        });
+        window.settle(&mut rows, |r, _| Some(&stores[r]));
         assert_eq!(rows, [vec![0.75f32; 5], vec![1.5f32; 5]]);
     }
 
@@ -639,14 +1017,12 @@ mod tests {
         // a per-tile slice would silently truncate it
         let long = [1.0f32; 9];
         let mut rows = vec![vec![0.0f32; 5]];
-        let mut stages = vec![Vec::new()];
-        mix_in_place(
-            &mut rows,
-            &[(vec![0], vec![1.0])],
-            1.0,
-            |_, _| Some(&long[..]),
-            &mut stages,
-        );
+        let mut window = MixWindow::new(1, 1);
+        window.push(1.0, |_, indices, weights| {
+            indices.push(0);
+            weights.push(1.0);
+        });
+        window.settle(&mut rows, |_, _| Some(&long[..]));
     }
 
     #[test]

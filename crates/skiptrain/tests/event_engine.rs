@@ -47,7 +47,7 @@ fn runner_config(seed: u64) -> ExperimentConfig {
     cfg
 }
 
-fn assert_params_bit_identical(a: &Simulation, b: &Simulation, ctx: &str) {
+fn assert_params_bit_identical(a: &mut Simulation, b: &mut Simulation, ctx: &str) {
     for node in 0..a.len() {
         let (pa, pb) = (a.node_params(node), b.node_params(node));
         assert!(
@@ -78,7 +78,7 @@ fn event_path_at_zero_latency_is_bit_identical_to_lockstep() {
         event
             .try_run_round(&actions, None, Some(&mut engine))
             .expect("event round failed");
-        assert_params_bit_identical(&legacy, &event, &format!("round {round}"));
+        assert_params_bit_identical(&mut legacy, &mut event, &format!("round {round}"));
     }
     assert_eq!(
         legacy.ledger().total_wh().to_bits(),
@@ -121,7 +121,7 @@ fn barrier_semantics_stretch_time_but_never_results() {
         slow.try_run_round(&actions, None, Some(&mut engine))
             .expect("barrier round failed");
     }
-    assert_params_bit_identical(&legacy, &slow, "barrier");
+    assert_params_bit_identical(&mut legacy, &mut slow, "barrier");
     assert_eq!(
         legacy.ledger().total_wh().to_bits(),
         slow.ledger().total_wh().to_bits()
