@@ -13,6 +13,8 @@
 //!    row at a time, with a separate multiply and add per term (no FMA, by
 //!    design: one rounding per operation on every CPU, so the bits repeat);
 //!    large multiplies are packed and parallelized over row blocks with rayon.
+//!    [`exp_in_place`] is the one FMA build: its reference is not an order
+//!    but glibc's `expf`, which glibc itself builds with FMA on such CPUs.
 //! 3. **Zero allocation on hot paths** — all kernels write into caller-provided
 //!    buffers; the NN layers above keep workhorse buffers across rounds.
 //!
@@ -20,12 +22,14 @@
 //! substrate, not a general-purpose BLAS.
 
 pub mod compress;
+mod exp;
 pub mod gemm;
 pub mod matrix;
 pub mod ops;
 pub mod reduce;
 pub mod rng;
 
+pub use exp::exp_in_place;
 pub use gemm::{gemm_a_bt_into, gemm_at_b_into, gemm_into};
 pub use matrix::Matrix;
 pub use rng::GaussianSampler;

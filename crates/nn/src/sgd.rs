@@ -5,10 +5,9 @@
 //! hyperparameter.
 
 use crate::model::Sequential;
-use serde::{Deserialize, Serialize};
 
 /// SGD hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgdConfig {
     /// Learning rate η.
     pub lr: f32,
@@ -18,12 +17,6 @@ impl SgdConfig {
     /// Plain SGD at learning rate `lr` — the paper's optimizer.
     pub fn plain(lr: f32) -> Self {
         Self { lr }
-    }
-}
-
-impl Default for SgdConfig {
-    fn default() -> Self {
-        Self::plain(0.1)
     }
 }
 
@@ -37,11 +30,6 @@ impl Sgd {
     pub fn new(config: SgdConfig) -> Self {
         assert!(config.lr > 0.0, "learning rate must be positive");
         Self { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> SgdConfig {
-        self.config
     }
 
     /// Applies one update `w ← w − η g` using the gradients currently
