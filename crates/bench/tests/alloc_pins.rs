@@ -10,7 +10,7 @@
 //! The counter is process-wide, so this file holds exactly one `#[test]`
 //! (a second one would allocate into the first one's windows), and the
 //! whole table runs inside a one-thread pool: at a budget of two or more
-//! the vendored rayon spawns scoped threads per parallel op, which
+//! the fork (`rayon::for_each_part`) spawns a scoped thread per part, which
 //! allocates 1–25 KB per step (the ROADMAP's worker-pool item). The same
 //! test closes with one bracket taken inside a fresh thread: its first
 //! serial `A·B` and `Aᵀ·B` allocate 0 B, because the direct tile has no
@@ -177,8 +177,8 @@ fn steady_state_steps_allocate_zero_bytes_at_one_thread() {
         });
 
     // A serial `A·B` / `Aᵀ·B` has no pack scratch, so the *first* multiplies
-    // of a fresh thread — what every worker of a parallel region of the
-    // vendored spawn-per-op rayon is — allocate nothing either. Bracketed
+    // of a fresh thread — what every worker of a fork into two or more
+    // parts is — allocate nothing either. Bracketed
     // inside the thread, while this one only waits for it.
     let fresh = std::thread::spawn(|| {
         let (x, w) = (vec![0.5f32; 16 * 32], vec![0.25f32; 32 * 24]);

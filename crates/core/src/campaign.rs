@@ -57,7 +57,6 @@ use crate::error::{CampaignError, RunError};
 use crate::experiment::{DataBundle, DataSpec, ExperimentConfig, ExperimentResult};
 use crate::journal::{config_digest, Journal, JournalError};
 use crate::runner;
-use rayon::prelude::*;
 use skiptrain_engine::observer::RoundObserver;
 use skiptrain_linalg::rng::derive_seed;
 use std::collections::BTreeMap;
@@ -445,45 +444,43 @@ impl Campaign {
         // bundle until process exit.
         let slots = self.bundle_slots_for(&pending);
         let journal_error: Mutex<Option<JournalError>> = Mutex::new(None);
+        // one slot per pending cell, written in place by the cell's worker
+        let mut outcomes: Vec<Option<Result<ExperimentResult, CellFailure>>> = Vec::new();
+        outcomes.resize_with(pending.len(), || None);
+        let cells = (&pending[..], &mut outcomes[..]);
         let execute_all = || {
-            pending
-                .par_iter()
-                .map(|&run| {
-                    let outcome = self.execute_cell_with_retry(run, &slots);
-                    match outcome {
-                        Ok((result, attempts)) => {
-                            if let Some(journal) = &journal {
-                                if let Err(e) = journal.record(run, digests[run], attempts, &result)
-                                {
-                                    let mut slot = journal_error
-                                        .lock()
-                                        .unwrap_or_else(PoisonError::into_inner);
-                                    slot.get_or_insert(e);
-                                }
+            rayon::for_each(cells, |_, (&run, outcome)| {
+                *outcome = Some(match self.execute_cell_with_retry(run, &slots) {
+                    Ok((result, attempts)) => {
+                        if let Some(journal) = &journal {
+                            if let Err(e) = journal.record(run, digests[run], attempts, &result) {
+                                let mut slot =
+                                    journal_error.lock().unwrap_or_else(PoisonError::into_inner);
+                                slot.get_or_insert(e);
                             }
-                            if let Some(callback) = &self.on_result {
-                                callback(run, &result);
-                            }
-                            (run, Ok(result))
                         }
-                        Err(failure) => {
-                            if let Some(callback) = &self.on_failure {
-                                callback(&failure);
-                            }
-                            (run, Err(failure))
+                        if let Some(callback) = &self.on_result {
+                            callback(run, &result);
                         }
+                        Ok(result)
                     }
-                })
-                .collect::<Vec<_>>()
+                    Err(failure) => {
+                        if let Some(callback) = &self.on_failure {
+                            callback(&failure);
+                        }
+                        Err(failure)
+                    }
+                });
+            })
         };
-        let outcomes = match self.threads {
+        match self.threads {
             Some(threads) => rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap_or_else(|infallible| match infallible {})
                 .install(execute_all),
             None => execute_all(),
-        };
+        }
 
         if let Some(e) = journal_error
             .lock()
@@ -494,10 +491,12 @@ impl Campaign {
         }
 
         let mut failures = Vec::new();
-        for (run, outcome) in outcomes {
+        for (&run, outcome) in pending.iter().zip(outcomes) {
             match outcome {
-                Ok(result) => results[run] = Some(result),
-                Err(failure) => failures.push(failure),
+                Some(Ok(result)) => results[run] = Some(result),
+                Some(Err(failure)) => failures.push(failure),
+                // every slot is written: a cell's panic is caught in its retry loop
+                None => {}
             }
         }
         failures.sort_by_key(|f| f.index);

@@ -8,7 +8,6 @@
 
 use crate::node::Node;
 use rand::seq::SliceRandom;
-use rayon::prelude::*;
 use skiptrain_data::Dataset;
 use skiptrain_linalg::rng::stream_rng;
 use skiptrain_linalg::Matrix;
@@ -85,7 +84,7 @@ pub fn evaluate_model(
 
 /// Evaluates every node's row of `params` on the same `indices` of
 /// `dataset`, in parallel over the blocks of nodes [`train_fleet`] trains
-/// (`len.div_ceil(threads)` nodes each): a block's rows are lent in turn
+/// ([`rayon::block_len`] nodes each): a block's rows are lent in turn
 /// to its first node's replica, so evaluation-batch activations are grown
 /// once per block, not once per node, and the rows come back untouched, in
 /// the same buffers. The rows are gathered once and shared — per-node
@@ -101,20 +100,18 @@ pub(crate) fn evaluate_fleet(
     indices: &[usize],
 ) -> Vec<(f32, f32)> {
     let batches = gather_chunks(dataset, indices);
-    let block = nodes.len().div_ceil(rayon::current_num_threads());
+    let block = rayon::block_len(nodes.len());
     let mut results = vec![(0.0, 0.0); nodes.len()];
-    nodes
-        .par_chunks_mut(block)
-        .zip(params.par_chunks_mut(block))
-        .zip(results.par_chunks_mut(block))
-        .for_each(|((nodes, params), results)| {
-            let model = nodes[0].model_mut();
-            for (p, result) in params.iter_mut().zip(results) {
-                model.swap_params(p);
-                *result = per_row(evaluate_chunks(model, loss, &batches));
-                model.swap_params(p);
-            }
-        });
+    let blocks = nodes.chunks_mut(block).zip(params.chunks_mut(block));
+    let parts = blocks.zip(results.chunks_mut(block));
+    rayon::for_each_part(parts, |((nodes, params), results)| {
+        let model = nodes[0].model_mut();
+        for (p, result) in params.iter_mut().zip(results) {
+            model.swap_params(p);
+            *result = per_row(evaluate_chunks(model, loss, &batches));
+            model.swap_params(p);
+        }
+    });
     results
 }
 
@@ -136,22 +133,17 @@ pub(crate) fn evaluate_across(
     if batches.is_empty() {
         return 0.0;
     }
-    let block = nodes.len().div_ceil(rayon::current_num_threads());
-    let groups: Vec<&[EvalBatch]> = batches
-        .chunks(batches.len().div_ceil(nodes.len().div_ceil(block)))
-        .collect();
-    let correct: Vec<usize> = nodes
-        .par_chunks_mut(block)
-        .zip(groups.par_iter())
-        .map(|(nodes, group)| {
-            let model = nodes[0].model_mut();
-            let mut copy = params.to_vec();
-            model.swap_params(&mut copy);
-            let hits = evaluate_chunks(model, loss, group).0;
-            model.swap_params(&mut copy);
-            hits
-        })
-        .collect();
+    let block = rayon::block_len(nodes.len());
+    let groups = batches.chunks(batches.len().div_ceil(nodes.len().div_ceil(block)));
+    let mut correct = vec![0; groups.len()];
+    let parts = nodes.chunks_mut(block).zip(groups).zip(&mut correct);
+    rayon::for_each_part(parts, |((nodes, group), hits)| {
+        let model = nodes[0].model_mut();
+        let mut copy = params.to_vec();
+        model.swap_params(&mut copy);
+        *hits = evaluate_chunks(model, loss, group).0;
+        model.swap_params(&mut copy);
+    });
     (correct.iter().sum::<usize>() as f64 / indices.len() as f64) as f32
 }
 

@@ -13,7 +13,6 @@ use crate::transport::{
     DecodeScratch, EncodeScratch, ErrorFeedbackState, LinkMap, ModelCodec, PayloadRef,
     TransportKind,
 };
-use rayon::prelude::*;
 use skiptrain_data::Dataset;
 use skiptrain_energy::battery::{BatterySetup, BatteryState};
 use skiptrain_energy::comm::CommEnergyModel;
@@ -603,20 +602,17 @@ impl Simulation {
         let direct = matches!(transport, TransportKind::Memory) && codec.is_lossless();
         if !direct {
             self.settle();
-            self.params
-                .par_iter()
-                .zip(self.scratch.par_iter_mut())
-                .enumerate()
-                .for_each(|(j, (model, scratch))| {
-                    if self.plan.sends(j) {
-                        transmit(transport, codec, j as u32, round, model, &mut scratch.wire);
-                    }
-                });
+            let items = (&self.params[..], &mut self.scratch[..]);
+            rayon::for_each(items, |j, (model, scratch)| {
+                if self.plan.sends(j) {
+                    transmit(transport, codec, j as u32, round, model, &mut scratch.wire);
+                }
+            });
         }
         let (plan, sent) = (&self.plan, &self.scratch);
         if matches!(codec, ModelCodec::TopK { .. }) {
             let half = &self.params;
-            self.mixed.par_iter_mut().enumerate().for_each(|(i, out)| {
+            rayon::for_each(&mut self.mixed[..], |i, out| {
                 let own = &half[i];
                 out.resize(own.len(), 0.0);
                 let row_sum: f32 = plan.entries(i).map(|e| e.weight()).sum();
@@ -719,15 +715,12 @@ impl Simulation {
             skiptrain_linalg::ops::axpy(self_weight, own, out);
             consensus_blend(gamma, own, out);
         };
-        let outs = self.mixed.par_iter_mut().zip(self.scratch.par_iter_mut());
+        let outs = (&mut self.mixed[..], &mut self.scratch[..]);
         match self.feedback.as_mut() {
-            Some(fb) => outs
-                .zip(fb.incoming_mut().par_iter_mut())
-                .enumerate()
-                .for_each(|(i, ((out, scratch), links))| receive(i, out, scratch, Some(links))),
-            None => outs
-                .enumerate()
-                .for_each(|(i, (out, scratch))| receive(i, out, scratch, None)),
+            Some(fb) => rayon::for_each((outs, fb.incoming_mut()), |i, ((out, scratch), links)| {
+                receive(i, out, scratch, Some(links))
+            }),
+            None => rayon::for_each(outs, |i, (out, scratch)| receive(i, out, scratch, None)),
         }
     }
 

@@ -136,7 +136,7 @@
 //! Which of train/sync each node performs per round is decided by the
 //! *policies* in `skiptrain-core`; the engine is policy-agnostic and simply
 //! executes [`RoundAction`]s. Nodes execute in
-//! parallel with rayon; the event layer is serial and all randomness is
+//! parallel, one block of nodes per thread; the event layer is serial and all randomness is
 //! derived from per-node seeded streams, so results are independent of
 //! the thread count.
 //!

@@ -1,7 +1,6 @@
 //! Per-node training state, and the fleet-level training pass over it.
 
 use crate::executor::RoundAction;
-use rayon::prelude::*;
 use skiptrain_data::{Dataset, MinibatchSampler};
 use skiptrain_linalg::Matrix;
 use skiptrain_nn::sgd::SgdConfig;
@@ -33,8 +32,7 @@ pub struct Node {
     grad_logits: Matrix,
     /// Mean loss of the node's last [`train_fleet`] pass (`None` when it
     /// did not train). Kept here, not in a fleet-wide slice, so the pass
-    /// zips one slice fewer: the vendored rayon allocates the zipped
-    /// iterator's bytes per worker.
+    /// zips one slice fewer.
     last_loss: Option<f32>,
 }
 
@@ -149,7 +147,7 @@ impl Node {
 /// nodes): a [`RoundAction::Train`] node runs `local_steps` steps on its
 /// row of `params` in place, a sync-only node does nothing (`actions` is
 /// read by node id: a fleet's ids are its indices). Block `b` — the
-/// `len.div_ceil(threads)` blocking fleet evaluation shares — accumulates
+/// [`rayon::block_len`] blocking fleet evaluation shares — accumulates
 /// its gradients in `workspaces[b]` alone (the caller keeps one slot per
 /// node so that any thread budget finds its blocks'; a slot grows to the
 /// model size when a block first trains into it), which stays
@@ -163,21 +161,18 @@ pub(crate) fn train_fleet(
     actions: &[RoundAction],
     local_steps: usize,
 ) -> (f32, usize) {
-    let block = nodes.len().div_ceil(rayon::current_num_threads());
-    nodes
-        .par_chunks_mut(block)
-        .zip(params.par_chunks_mut(block))
-        .zip(workspaces.par_iter_mut())
-        .for_each(|((nodes, params), grads)| {
-            for (node, x) in nodes.iter_mut().zip(params) {
-                node.last_loss = (actions[node.id] == RoundAction::Train).then(|| {
-                    node.model.swap_grads(grads);
-                    let loss = node.train_in_place(x, local_steps);
-                    node.model.swap_grads(grads);
-                    loss
-                });
-            }
-        });
+    let block = rayon::block_len(nodes.len());
+    let blocks = nodes.chunks_mut(block).zip(params.chunks_mut(block));
+    rayon::for_each_part(blocks.zip(workspaces), |((nodes, params), grads)| {
+        for (node, x) in nodes.iter_mut().zip(params) {
+            node.last_loss = (actions[node.id] == RoundAction::Train).then(|| {
+                node.model.swap_grads(grads);
+                let loss = node.train_in_place(x, local_steps);
+                node.model.swap_grads(grads);
+                loss
+            });
+        }
+    });
     nodes
         .iter()
         .filter_map(|node| node.last_loss)

@@ -53,7 +53,7 @@
 //! `A·Bᵀ` has no row of `B` to stream (each output element is a dot
 //! product of two rows). At or below `A_BT_SMALL_FLOP_THRESHOLD` it
 //! transposes `B` once into the `B` pack scratch (allocated on first use,
-//! so also on a fresh worker of the vendored spawn-per-op rayon) and
+//! so also on a fresh worker of a fork into two or more parts) and
 //! produces [`NR`] output columns per pass over an `A` row (`small_a_bt`),
 //! each in [`ops::dot`](crate::ops::dot)'s order — eight lane sums combined
 //! by a fixed tree, then the tail — not the single chain: the small models'
@@ -62,7 +62,6 @@
 
 use crate::matrix::Matrix;
 use crate::ops::LANES;
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Rows per register tile of the micro-kernel.
@@ -361,18 +360,19 @@ fn gemv_row(
             dst.copy_from_slice(&acc[..cols]);
         }
     };
-    let full = (n / NR) * NR;
+    let (panels, full) = (n / NR, (n / NR) * NR);
     let (c_main, c_tail) = c.split_at_mut(full);
-    if parallel && full > NR {
-        c_main
-            .par_chunks_exact_mut(NR)
-            .zip(bpack.par_chunks_exact(k * NR))
-            .for_each(|(dst, panel)| kernel(panel, dst));
+    let per = if parallel {
+        rayon::block_len(panels)
     } else {
-        for (dst, panel) in c_main.chunks_exact_mut(NR).zip(bpack.chunks_exact(k * NR)) {
+        panels.max(1)
+    };
+    let parts = c_main.chunks_mut(per * NR).zip(bpack.chunks(per * k * NR));
+    rayon::for_each_part(parts, |(c, b)| {
+        for (dst, panel) in c.chunks_exact_mut(NR).zip(b.chunks_exact(k * NR)) {
             kernel(panel, dst);
         }
-    }
+    });
     if n > full {
         kernel(&bpack[(n / NR) * k * NR..], c_tail);
     }
@@ -502,19 +502,19 @@ fn blocked_gemm(
                     || tile_row(k, n, tile_a, bpack, c_rows, rows, accumulate),
                 )
             };
-            if parallel && tiles > 1 {
-                c_full
-                    .par_chunks_exact_mut(MR * n)
-                    .zip(apack.par_chunks_exact(k * MR))
-                    .for_each(|(c_rows, tile_a)| run(c_rows, tile_a, MR));
+            let per = if parallel {
+                rayon::block_len(tiles)
             } else {
-                for (c_rows, tile_a) in c_full
-                    .chunks_exact_mut(MR * n)
-                    .zip(apack.chunks_exact(k * MR))
-                {
+                tiles.max(1)
+            };
+            let parts = c_full
+                .chunks_mut(per * MR * n)
+                .zip(apack.chunks(per * k * MR));
+            rayon::for_each_part(parts, |(c, a)| {
+                for (c_rows, tile_a) in c.chunks_exact_mut(MR * n).zip(a.chunks_exact(k * MR)) {
                     run(c_rows, tile_a, MR);
                 }
-            }
+            });
             let tail_rows = m % MR;
             if tail_rows > 0 {
                 run(c_tail, &apack[tiles * k * MR..], tail_rows);

@@ -12,7 +12,7 @@
 //!    registers across the whole inner dimension and reads `B` a contiguous
 //!    row at a time, with a separate multiply and add per term (no FMA, by
 //!    design: one rounding per operation on every CPU, so the bits repeat);
-//!    large multiplies are packed and parallelized over row blocks with rayon.
+//!    large multiplies are packed and forked over row blocks (`rayon::for_each_part`).
 //!    [`exp_in_place`] is the one FMA build: its reference is not an order
 //!    but glibc's `expf`, which glibc itself builds with FMA on such CPUs.
 //! 3. **Zero allocation on hot paths** — all kernels write into caller-provided

@@ -7,7 +7,6 @@
 //! mismatch is always a programming error, never a data error.
 
 use crate::gemm::with_avx2;
-use rayon::prelude::*;
 
 /// Accumulator-lane count of the reduction kernels ([`dot`], and the small
 /// `A·Bᵀ` GEMM kernel that reproduces `dot`'s order).
@@ -392,13 +391,10 @@ fn mix_rounds_in_place<'a>(
             view.push(piece);
         }
     }
-    views
-        .par_iter_mut()
-        .zip(stages.par_iter_mut())
-        .enumerate()
-        .for_each(|(c, (view, stage))| {
-            mix_range(view, c * per, rounds, stand_in, stage, sub);
-        });
+    let parts = views.iter_mut().zip(stages).enumerate();
+    rayon::for_each_part(parts, |(c, (view, stage))| {
+        mix_range(view, c * per, rounds, stand_in, stage, sub);
+    });
 }
 
 /// One worker's loop of [`mix_rounds_in_place`]: `rows[i]` is row `i`'s
