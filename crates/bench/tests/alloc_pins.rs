@@ -1,4 +1,4 @@
-//! The steady-state allocation pins: fifteen hot-path scenarios that must
+//! The steady-state allocation pins: sixteen hot-path scenarios that must
 //! allocate **0 B per step** once warm, at a thread budget of one.
 //!
 //! Each scenario builds its state, runs `warmup` unmeasured steps so every
@@ -54,7 +54,7 @@ struct Pin {
     build: fn() -> Step,
 }
 
-const PINS: [Pin; 15] = [
+const PINS: [Pin; 16] = [
     Pin {
         name: "sgd_step_mlp_medium_90k",
         warmup: 10,
@@ -135,6 +135,14 @@ const PINS: [Pin; 15] = [
         warmup: 64,
         steps: 16,
         build: adaptive_link_round,
+    },
+    // `adaptive_fleet`'s share path: the same four-cycle warmup, then one
+    // cycle of per-edge error feedback over lossy frames
+    Pin {
+        name: "adaptive_feedback_round",
+        warmup: 64,
+        steps: 16,
+        build: adaptive_feedback_round,
     },
     Pin {
         name: "event_round",
@@ -422,6 +430,58 @@ fn adaptive_link_round() -> Step {
         let mixing = black_box(&mixings[sim.round() % mixings.len()]);
         sim.try_run_round(black_box(&actions), Some(mixing), None)
             .expect("cached scheduled graph matches the fleet");
+    })
+}
+
+/// The `adaptive_fleet` benchmark's round on a 64-node 6-regular fleet:
+/// SkipTrain 1:3 with one local step, DEAL tiers resolved from diurnally
+/// charged batteries, error feedback on every link, the serialized
+/// transport dropping 5 % and corrupting 2 % of frames, and the round's
+/// graph drawn live by the edge-dropout schedule. The harvest is weak
+/// enough that both quantized tiers carry frames in every cycle. Every
+/// delivered frame is decoded in the receiver's scratch and folded into
+/// its link replica and its sum, every corrupted one is encoded again and
+/// rejected; the pin is that replicas, frames and decode buffers all reach
+/// their high-water marks within the warmup.
+fn adaptive_feedback_round() -> Step {
+    let n = 64;
+    let graph = random_regular(n, 6, 17);
+    let mut config = SimulationConfig::minimal(17, 16, 1, 0.5);
+    config.compression = CompressionPolicy::deal_tiers(16);
+    config.feedback_beta = Some(1.0);
+    config.transport = TransportKind::Serialized {
+        drop_prob: 0.05,
+        corrupt_prob: 0.02,
+    };
+    config.training_energy_wh = vec![2e-4; n];
+    config.battery = Some(BatterySetup {
+        state: BatteryState::new(vec![2e-3; n]),
+        trace: HarvestTrace::new(
+            HarvestProfile::Diurnal {
+                peak_watts: 0.005,
+                period_rounds: 16.0,
+            },
+            60.0,
+            n,
+            17,
+            0.25,
+        ),
+        policy: BatteryPolicy::Threshold { min_fraction: 0.25 },
+        node_policies: None,
+    });
+    let mut sim = build_sim_on(graph.clone(), 17, config);
+    let mut sched =
+        ScheduledTopology::new(graph, TopologySchedule::EdgeDropout { p: 0.3, seed: 17 });
+    let (train, sync) = (vec![RoundAction::Train; n], vec![RoundAction::SyncOnly; n]);
+    Box::new(move || {
+        let mixing = sched.mixing_for_round(sim.round());
+        let actions = if sim.round().is_multiple_of(4) {
+            &train
+        } else {
+            &sync
+        };
+        sim.try_run_round(black_box(actions), Some(mixing), None)
+            .expect("scheduled graph matches the fleet");
     })
 }
 

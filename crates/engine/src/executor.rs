@@ -121,23 +121,22 @@ impl SimulationConfig {
     }
 }
 
-/// One node's reusable wire buffers: the encoder's scratch, the frame and
-/// the decoded payload. Under a shared payload
-/// they are indexed by *sender* (each node's one message is compressed
-/// once and read by all its receivers); under per-edge payloads by
-/// *receiver* (every in-edge passes through in turn). Capacity is kept
-/// across rounds, so steady-state rounds do not allocate.
+/// One node's encoder scratch and frame.
 #[derive(Debug, Clone, Default)]
 struct WireScratch {
     enc: EncodeScratch,
-    dec: DecodeScratch,
     frame: Vec<u8>,
 }
 
-/// Per-node round scratch.
+/// Per-node round scratch: the wire buffers and the decoded payload, under
+/// a shared payload indexed by *sender* (each node's one message is
+/// compressed once and read by all its receivers), under per-edge payloads
+/// by *receiver* (every in-edge passes through in turn). Capacity is kept
+/// across rounds, so steady-state rounds do not allocate.
 #[derive(Debug, Clone, Default)]
 struct NodeScratch {
     wire: WireScratch,
+    dec: DecodeScratch,
     /// Error-feedback residual `model − replica` of the edge in flight.
     delta: Vec<f32>,
 }
@@ -147,26 +146,21 @@ struct NodeScratch {
 /// transport is read in place; every other message is encoded into
 /// `wire.frame` and decoded from it (the frame header carries the codec
 /// id, so heterogeneous links need no coordination).
-fn transmit<'a>(
+fn transmit<'f, 's>(
     transport: TransportKind,
     codec: ModelCodec,
     sender: u32,
     round: usize,
-    model: &'a [f32],
-    wire: &'a mut WireScratch,
-) -> PayloadRef<'a> {
+    model: &'s [f32],
+    wire: &'f mut WireScratch,
+    dec: &'s mut DecodeScratch,
+) -> PayloadRef<'f, 's> {
     if matches!(transport, TransportKind::Memory) && codec.is_lossless() {
         return PayloadRef::Dense(model);
     }
-    encode_message_with(
-        codec,
-        sender,
-        round as u32,
-        model,
-        &mut wire.frame,
-        &mut wire.enc,
-    );
-    decode_frame_into(&wire.frame, &mut wire.dec)
+    let (frame, enc) = (&mut wire.frame, &mut wire.enc);
+    encode_message_with(codec, sender, round as u32, model, frame, enc);
+    decode_frame_into(frame, dec)
         // lint:allow(no_panic, "frame was written by encode_message_with on the line above; a fresh in-process frame always decodes")
         .expect("in-process frame must decode")
         .payload
@@ -605,7 +599,11 @@ impl Simulation {
             let items = (&self.params[..], &mut self.scratch[..]);
             rayon::for_each(items, |j, (model, scratch)| {
                 if self.plan.sends(j) {
-                    transmit(transport, codec, j as u32, round, model, &mut scratch.wire);
+                    let NodeScratch { wire, dec, .. } = scratch;
+                    let payload = transmit(transport, codec, j as u32, round, model, wire, dec);
+                    if let PayloadRef::Quantized(codes) = payload {
+                        codes.dequantize_into(&mut dec.dense);
+                    }
                 }
             });
         }
@@ -620,7 +618,7 @@ impl Simulation {
                 for entry in plan.entries(i) {
                     match entry {
                         Entry::Edge(row) if row.fate == Fate::Delivered => {
-                            let msg = &sent[row.src as usize].wire.dec;
+                            let msg = &sent[row.src as usize].dec;
                             sparse_blend_axpy(out, own, &msg.indices, &msg.values, row.weight);
                         }
                         _ => {}
@@ -639,7 +637,7 @@ impl Simulation {
         // unless the models themselves are the messages
         let stand_in = |i: usize, j: u32| {
             let j = j as usize;
-            (!direct && j != i).then(|| &sent[j].wire.dec.dense[..])
+            (!direct && j != i).then(|| &sent[j].dec.dense[..])
         };
         self.window.settle(&mut self.params, stand_in);
     }
@@ -651,7 +649,8 @@ impl Simulation {
     ///
     /// With error feedback the message is the link residual
     /// `x_j^{t−½} − x̂_{j→i}`, the decoded payload advances the replica by
-    /// β, and the *replica* aggregates in place of the neighbor model. A
+    /// β, and the *replica* aggregates in place of the neighbor model (a
+    /// quantized frame's codes do both in one pass, read where they lie). A
     /// cold link (first contact, or evicted under the replica cap) seeds
     /// from the receiver's own model, so never-delivered coordinates fall
     /// back to the receiver's values exactly like the plain masked blend.
@@ -684,16 +683,15 @@ impl Simulation {
                         continue;
                     }
                 };
-                let model = &half[row.src as usize];
+                let (model, w) = (&half[row.src as usize], row.weight);
+                let NodeScratch { wire, dec, delta } = &mut *scratch;
                 let Some(links) = links.as_deref_mut() else {
-                    let wire = &mut scratch.wire;
-                    match transmit(transport, row.codec, row.src, round, model, wire) {
-                        PayloadRef::Dense(recon) => {
-                            skiptrain_linalg::ops::axpy(row.weight, recon, out);
-                        }
+                    match transmit(transport, row.codec, row.src, round, model, wire, dec) {
+                        PayloadRef::Dense(recon) => skiptrain_linalg::ops::axpy(w, recon, out),
+                        PayloadRef::Quantized(codes) => codes.fold_into(None, w, out),
                         PayloadRef::Sparse { indices, values } => {
-                            sparse_blend_axpy(out, own, indices, values, row.weight);
-                            self_weight += row.weight;
+                            sparse_blend_axpy(out, own, indices, values, w);
+                            self_weight += w;
                         }
                     }
                     continue;
@@ -702,15 +700,19 @@ impl Simulation {
                     buf.clear();
                     buf.extend_from_slice(own);
                 });
-                accumulate_delta(model, replica, &mut scratch.delta);
-                let (delta, wire) = (&scratch.delta, &mut scratch.wire);
-                match transmit(transport, row.codec, row.src, round, delta, wire) {
+                accumulate_delta(model, replica, delta);
+                match transmit(transport, row.codec, row.src, round, delta, wire, dec) {
                     PayloadRef::Dense(recon) => skiptrain_linalg::ops::axpy(beta, recon, replica),
                     PayloadRef::Sparse { indices, values } => {
                         scatter_axpy(replica, indices, values, beta);
                     }
+                    // the replica step and this row's term in one pass
+                    PayloadRef::Quantized(codes) => {
+                        codes.fold_into(Some((beta, replica)), w, out);
+                        continue;
+                    }
                 }
-                skiptrain_linalg::ops::axpy(row.weight, replica, out);
+                skiptrain_linalg::ops::axpy(w, replica, out);
             }
             skiptrain_linalg::ops::axpy(self_weight, own, out);
             consensus_blend(gamma, own, out);
@@ -768,23 +770,17 @@ impl Simulation {
         self.corrupted_frames += 1;
         let (src, dst) = (row.src as usize, row.dst as usize);
         let (seed, round) = (self.config.seed, self.round);
-        let wire = if self.plan.shared_payload().is_some() {
-            &mut self.scratch[src].wire
+        let NodeScratch { wire, dec, .. } = if self.plan.shared_payload().is_some() {
+            &mut self.scratch[src]
         } else {
-            let wire = &mut self.scratch[dst].wire;
+            let scratch = &mut self.scratch[dst];
+            let (frame, enc) = (&mut scratch.wire.frame, &mut scratch.wire.enc);
             let model = &self.params[src];
-            encode_message_with(
-                row.codec,
-                row.src,
-                round as u32,
-                model,
-                &mut wire.frame,
-                &mut wire.enc,
-            );
-            wire
+            encode_message_with(row.codec, row.src, round as u32, model, frame, enc);
+            scratch
         };
         corrupt_frame_in_place(&mut wire.frame, seed, round, src, dst);
-        let rejected = decode_frame_into(&wire.frame, &mut wire.dec).is_err();
+        let rejected = decode_frame_into(&wire.frame, dec).is_err();
         corrupt_frame_in_place(&mut wire.frame, seed, round, src, dst);
         debug_assert!(rejected, "corrupted frame must fail the checksum verify");
     }

@@ -53,11 +53,12 @@
 //! sizes come from [`ModelCodec::message_bytes`] and feed the per-edge
 //! energy ledger.
 //!
-//! Quantized payloads dequantize at decode, so the values entering the
-//! receiver's aggregation carry genuine quantization error. Top-k payloads
-//! stay sparse: the aggregation substitutes the receiver's own parameters
-//! for untransmitted coordinates (see the executor), so sparsification
-//! error propagates through training too.
+//! A quantized payload decodes to a view of the verified frame's codes
+//! ([`PayloadRef::Quantized`]), reconstructed where the receiver uses
+//! them, so the values entering aggregation carry genuine quantization
+//! error. Top-k payloads stay sparse: the aggregation substitutes the
+//! receiver's own parameters for untransmitted coordinates (see the
+//! executor), so sparsification error propagates through training too.
 //!
 //! # Compression policies: which codec does a link use?
 //!
@@ -123,7 +124,7 @@
 
 use serde::{Deserialize, Serialize};
 use skiptrain_linalg::compress::{
-    affine_params, dequantize_le, quantize_le, top_k_indices_into, AffineParams,
+    affine_params, quantize_le, top_k_indices_into, AffineParams, QuantizedRef,
 };
 use skiptrain_linalg::rng::derive_seed;
 
@@ -181,10 +182,7 @@ impl TransportKind {
     ///
     /// The decision stream is derived by chaining [`derive_seed`] over the
     /// round, source, and destination, so every `(round, src, dst)` triple
-    /// gets an independent avalanche-mixed stream. (An earlier linear
-    /// combination `round·c + (src << 20) + dst` aliased distinct triples
-    /// onto one stream at scale, correlating drop decisions across node
-    /// pairs.)
+    /// gets an independent avalanche-mixed stream.
     ///
     /// A **single** uniform draw is partitioned over both loss modes:
     /// `u < drop_prob` → dropped, `u < drop_prob + corrupt_prob` →
@@ -239,17 +237,16 @@ impl TransportKind {
 ///
 /// Allocation-free: mutates the frame buffer in place.
 pub fn corrupt_frame_in_place(frame: &mut [u8], seed: u64, round: usize, src: usize, dst: usize) {
-    let payload_start = PAYLOAD_START;
-    if frame.len() <= payload_start {
+    if frame.len() <= PAYLOAD_START {
         return;
     }
     let h = derive_seed(
         derive_seed(derive_seed(seed ^ 0xC0F7, round as u64), src as u64),
         dst as u64,
     );
-    let payload_bits = ((frame.len() - payload_start) * 8) as u64;
+    let payload_bits = ((frame.len() - PAYLOAD_START) * 8) as u64;
     let bit = h % payload_bits;
-    frame[payload_start + (bit / 8) as usize] ^= 1u8 << (bit % 8);
+    frame[PAYLOAD_START + (bit / 8) as usize] ^= 1u8 << (bit % 8);
 }
 
 /// How a model is represented inside a message.
@@ -615,10 +612,7 @@ impl LinkMap {
 /// delivery — its replica re-seeds from the receiver's own pre-mixing
 /// model, exactly like a first contact — which preserves the
 /// masked-substitution aggregation semantics; only the link's deferred
-/// residual is forgotten. (Before the cap existed, a schedule cycling
-/// through many graphs grew one model-sized replica per distinct directed
-/// link, without bound, and long-dormant links compressed against
-/// arbitrarily stale replicas.)
+/// residual is forgotten.
 #[derive(Debug, Clone)]
 pub struct ErrorFeedbackState {
     beta: f32,
@@ -821,46 +815,54 @@ pub struct DecodeScratch {
     pub(crate) values: Vec<f32>,
 }
 
-/// A decoded payload borrowing a [`DecodeScratch`]'s buffers.
+/// A decoded payload: a quantized frame's codes where they lie in the
+/// frame (`'f`), any other payload in a [`DecodeScratch`]'s buffers (`'s`).
 #[derive(Debug, PartialEq)]
-pub enum PayloadRef<'a> {
-    /// A full (possibly lossily reconstructed) parameter vector.
-    Dense(&'a [f32]),
+pub enum PayloadRef<'f, 's> {
+    /// A full parameter vector.
+    Dense(&'s [f32]),
     /// Top-k sparsified parameters: ascending indices with their values.
     Sparse {
         /// Ascending parameter indices present in the message.
-        indices: &'a [u32],
+        indices: &'s [u32],
         /// Parameter values at `indices`.
-        values: &'a [f32],
+        values: &'s [f32],
     },
+    /// Affine codes read in place, exactly `param_count` of them: the
+    /// receiver reconstructs them where it uses them
+    /// ([`QuantizedRef::fold_into`], [`QuantizedRef::dequantize_into`]).
+    Quantized(QuantizedRef<'f>),
 }
 
 /// Decoded message header + borrowed payload.
 #[derive(Debug, PartialEq)]
-pub struct DecodedMessageRef<'a> {
+pub struct DecodedMessageRef<'f, 's> {
     /// Sender node id.
     pub sender: u32,
     /// Round the model was produced in.
     pub round: u32,
     /// Dense parameter count of the original model.
     pub param_count: usize,
-    /// The (lossily) reconstructed model, borrowing `scratch`.
-    pub payload: PayloadRef<'a>,
+    /// The model as sent, borrowing the frame or `scratch`.
+    pub payload: PayloadRef<'f, 's>,
 }
 
-/// Decodes a frame into reusable caller buffers: the payload lands in
-/// `scratch` (cleared first, capacity retained) and the returned message
-/// borrows it. With a long-lived scratch this path performs no heap
+/// Decodes a frame into reusable caller buffers: a dense or top-k payload
+/// lands in `scratch` (cleared first, capacity retained), a quantized one
+/// is a view of the frame's code section, and the returned message
+/// borrows them. With a long-lived scratch this path performs no heap
 /// allocation, which is what keeps the perf gate's codec roundtrip
 /// scenarios at a zero alloc proxy.
 ///
 /// No input panics it: every read splits a checked chunk off the slice,
-/// and every section length is checked against the header before a byte
-/// of it is copied, so `scratch` never grows past `4 × frame.len()` bytes.
-pub fn decode_frame_into<'a>(
-    frame: &[u8],
-    scratch: &'a mut DecodeScratch,
-) -> Result<DecodedMessageRef<'a>, DecodeError> {
+/// and the checksum and every section length are checked against the
+/// header before a byte of the section is copied or viewed, so `scratch`
+/// never grows past `4 × frame.len()` bytes and a view holds exactly
+/// `count` whole codes.
+pub fn decode_frame_into<'f, 's>(
+    frame: &'f [u8],
+    scratch: &'s mut DecodeScratch,
+) -> Result<DecodedMessageRef<'f, 's>, DecodeError> {
     let mut r = Reader(frame);
     let mut header = [0u32; PAYLOAD_START / 4];
     for word in &mut header {
@@ -899,13 +901,11 @@ pub fn decode_frame_into<'a>(
             let (Some(min), Some(scale)) = (field(), field()) else {
                 return Err(DecodeError::LengthMismatch);
             };
-            let p = AffineParams { min, scale };
-            if width == 1 {
-                dequantize_le::<1>(p, r.0, &mut scratch.dense);
-            } else {
-                dequantize_le::<2>(p, r.0, &mut scratch.dense);
-            }
-            PayloadRef::Dense(&scratch.dense)
+            PayloadRef::Quantized(QuantizedRef {
+                params: AffineParams { min, scale },
+                wide: width == 2,
+                codes: r.0,
+            })
         }
         3 => {
             let mut r = Reader(payload);
@@ -1045,6 +1045,14 @@ mod tests {
         let msg = decode_frame_into(frame, scratch)?;
         let (dense, sparse) = match msg.payload {
             PayloadRef::Dense(values) => (Some(bits(values)), None),
+            PayloadRef::Quantized(codes) => {
+                // a view holds exactly `count` whole codes
+                let width = 1 + codes.wide as usize;
+                assert_eq!(codes.codes.len(), width * msg.param_count);
+                let mut values = Vec::new();
+                codes.dequantize_into(&mut values);
+                (Some(bits(&values)), None)
+            }
             PayloadRef::Sparse { indices, values } => {
                 (None, Some((indices.to_vec(), bits(values))))
             }
@@ -1468,11 +1476,13 @@ mod tests {
         let frame = encode(ModelCodec::QuantizedU8, 0, 0, &params);
         let mut scratch = DecodeScratch::default();
         let decoded = decode_frame_into(&frame, &mut scratch).unwrap();
-        let PayloadRef::Dense(decoded) = decoded.payload else {
-            panic!("quantized frames decode to a dense payload");
+        let PayloadRef::Quantized(codes) = decoded.payload else {
+            panic!("quantized frames decode to a view of their codes");
         };
+        let mut decoded = Vec::new();
+        codes.dequantize_into(&mut decoded);
         let step = (4.0f32) / 255.0; // range [-2, 2] over 255 steps
-        for (a, b) in params.iter().zip(decoded) {
+        for (a, b) in params.iter().zip(&decoded) {
             assert!(
                 (a - b).abs() <= step,
                 "error {} > step {step}",
@@ -1511,17 +1521,26 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let frame = encode(ModelCodec::DenseF32, 1, 2, &[1.0]);
-        assert_eq!(decode_err(&frame[..10]), DecodeError::Truncated);
-        // clipping shifts payload bytes into the checksum slot, which the
-        // up-front checksum verification catches before any length logic
-        assert_eq!(
-            decode_err(&frame[..frame.len() - 4]),
-            DecodeError::BadChecksum
-        );
-        // a length lie with a *valid* checksum is what LengthMismatch is for
-        let lied = retamper(frame, |bytes| bytes[19] = 2); // count 1 -> 2
-        assert_eq!(decode_err(&lied), DecodeError::LengthMismatch);
+        // the quantized frames decode to a view, which is never built from
+        // a frame that fails any of these checks
+        for codec in [
+            ModelCodec::DenseF32,
+            ModelCodec::QuantizedU8,
+            ModelCodec::QuantizedU16,
+        ] {
+            let frame = encode(codec, 1, 2, &[1.0]);
+            assert_eq!(decode_err(&frame[..10]), DecodeError::Truncated);
+            // clipping shifts payload bytes into the checksum slot, which the
+            // up-front checksum verification catches before any length logic
+            assert_eq!(
+                decode_err(&frame[..frame.len() - 4]),
+                DecodeError::BadChecksum,
+                "{codec:?}"
+            );
+            // a length lie with a *valid* checksum is what LengthMismatch is for
+            let lied = retamper(frame, |bytes| bytes[19] = 2); // count 1 -> 2
+            assert_eq!(decode_err(&lied), DecodeError::LengthMismatch, "{codec:?}");
+        }
     }
 
     #[test]

@@ -42,6 +42,30 @@
 //! Every kernel is deterministic and allocation-free at steady state:
 //! callers pass reusable output buffers, and all of them retain capacity
 //! across calls.
+//!
+//! # Two compilations
+//!
+//! The codec kernels — the range scan under [`affine_params`], the
+//! quantiser in [`quantize_le`], reconstruction in [`dequantize_le`], and
+//! the fold of a delivered frame ([`QuantizedRef::fold_into`]) — run on
+//! every lossy edge of a round, and compile twice from one source, for the
+//! baseline and for AVX2 (through `gemm::with_avx2`, as the GEMM tiles and
+//! the weighted sum do): the same separate operations in the same order,
+//! so the two agree bit for bit, and the tests hold the baseline one as
+//! the reference. Each body is a plain loop the loop vectoriser takes at
+//! the width of the build (4 lanes, 8 under AVX2). The range scan is one
+//! too, which is why it keeps no lanes of its own: it reduces integer
+//! order keys, and an integer `min` / `max` is a reduction the vectoriser
+//! takes as written. A float `min` / `max` is one only under fast-math, so
+//! a float scan needs explicit lanes, which only the SLP vectoriser packs,
+//! and whether it does depends on the build. On the 1 042 floats of the
+//! fleet model (Intel Xeon, AVX2), 16 float lanes ran ≈ 320 ns compiled
+//! for the baseline but ≈ 650 ns for AVX2, the lanes kept in memory behind
+//! masked stores; 32 lanes were fast in one build context and masked in
+//! another. The key scan runs ≈ 210 ns under AVX2 and ≈ 600 ns for the
+//! baseline, which has no packed 32-bit `min`.
+
+use crate::gemm::with_avx2;
 
 /// Affine (asymmetric) quantization parameters for one tensor:
 /// `value ≈ min + scale · code`.
@@ -53,45 +77,31 @@ pub struct AffineParams {
     pub scale: f32,
 }
 
-/// Lanes of the range scan: independent running extremes, so the compare
-/// chain is `len / LANES` long and each step is one vector `min` / `max`.
-const LANES: usize = 16;
-
 /// Smallest and largest finite entries of `src`; `(+∞, −∞)` when it has
-/// none. A non-finite entry is replaced by `+∞` for the minimum and `−∞`
-/// for the maximum, which never win. `min` / `max` over a set do not depend
-/// on the order taken, except between `+0.0` and `−0.0`, which compare
-/// equal and of which IEEE 754 lets `min` return either. The sign of a
-/// zero minimum travels in the frame, so it is pinned: `−0.0` whenever
-/// `src` holds one. (Both zeros reconstruct the same values.)
+/// none. The scan runs on order keys: a float's bits as an `i32`, the low
+/// 31 flipped when the sign is set, order finite floats exactly as their
+/// values do and put `−0.0` just below `+0.0`; a non-finite entry counts as
+/// `i32::MAX` for the minimum and `i32::MIN` for the maximum, which never
+/// win. An integer minimum over a set is one value whatever the order it
+/// is taken in, so the sign of a zero minimum — it travels in the frame —
+/// is pinned: `−0.0` whenever `src` holds one. (Both zeros reconstruct the
+/// same values, and the sign of a zero maximum reaches no result.)
+#[inline(always)]
 fn finite_range(src: &[f32]) -> (f32, f32) {
-    #[inline(always)]
-    fn widen(lo: &mut f32, hi: &mut f32, v: f32) {
-        let finite = v.abs() < f32::INFINITY;
-        let (below, above) = if finite {
-            (v, v)
-        } else {
-            (f32::INFINITY, f32::NEG_INFINITY)
-        };
-        *lo = if below < *lo { below } else { *lo };
-        *hi = if above > *hi { above } else { *hi };
+    // the key map is its own inverse
+    let key = |bits: i32| bits ^ ((bits >> 31) & 0x7FFF_FFFF);
+    let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+    for &v in src {
+        let bits = v.to_bits() as i32;
+        let finite = bits & 0x7FFF_FFFF < 0x7F80_0000;
+        lo = lo.min(if finite { key(bits) } else { i32::MAX });
+        hi = hi.max(if finite { key(bits) } else { i32::MIN });
     }
-    let (mut lo, mut hi) = ([f32::INFINITY; LANES], [f32::NEG_INFINITY; LANES]);
-    let (blocks, tail) = src.as_chunks::<LANES>();
-    for block in blocks {
-        for ((lo, hi), &v) in lo.iter_mut().zip(&mut hi).zip(block) {
-            widen(lo, hi, v);
-        }
+    if lo == i32::MAX {
+        return (f32::INFINITY, f32::NEG_INFINITY);
     }
-    for ((lo, hi), &v) in lo.iter_mut().zip(&mut hi).zip(tail) {
-        widen(lo, hi, v);
-    }
-    let mut min = lo.into_iter().fold(f32::INFINITY, f32::min);
-    let max = hi.into_iter().fold(f32::NEG_INFINITY, f32::max);
-    if min == 0.0 && src.iter().any(|v| v.to_bits() == (-0.0f32).to_bits()) {
-        min = -0.0;
-    }
-    (min, max)
+    let value = |k: i32| f32::from_bits(key(k) as u32);
+    (value(lo), value(hi))
 }
 
 /// Computes affine parameters for quantizing `src` to `levels` codes
@@ -106,6 +116,15 @@ fn finite_range(src: &[f32]) -> (f32, f32) {
 /// Panics if `levels < 2`.
 pub fn affine_params(src: &[f32], levels: u32) -> AffineParams {
     assert!(levels >= 2, "affine quantization needs at least 2 levels");
+    with_avx2(
+        #[inline(always)]
+        || fit(src, levels),
+    )
+}
+
+/// [`affine_params`] as written.
+#[inline(always)]
+fn fit(src: &[f32], levels: u32) -> AffineParams {
     // the scan runs in f32 and is widened once: f32 → f64 is exact and
     // monotone, so these are the extremes an f64 scan would have found
     let (lo, hi) = finite_range(src);
@@ -166,8 +185,18 @@ pub fn quantize_le<const W: usize>(src: &[f32], p: AffineParams, out: &mut Vec<u
     if p.scale == 0.0 {
         return;
     }
+    let codes = &mut out[start..];
+    with_avx2(
+        #[inline(always)]
+        || encode_codes::<W>(src, p, codes),
+    );
+}
+
+/// The loop of [`quantize_le`] as written: the codes of `src` into `codes`.
+#[inline(always)]
+fn encode_codes<const W: usize>(src: &[f32], p: AffineParams, codes: &mut [u8]) {
     let max_code = ((1u32 << (8 * W)) - 1) as f32;
-    let (codes, _) = out[start..].as_chunks_mut::<W>();
+    let (codes, _) = codes.as_chunks_mut::<W>();
     for (code, &v) in codes.iter_mut().zip(src) {
         code.copy_from_slice(&code_of(v, p, max_code).to_le_bytes()[..W]);
     }
@@ -195,23 +224,132 @@ pub fn quantize_u16_into(src: &[f32], codes: &mut Vec<u8>) -> AffineParams {
 /// Reconstructs one value from its affine code. The multiply-add runs in
 /// f64 — `scale · code` alone can exceed `f32::MAX` for extreme-range
 /// tensors even though the reconstructed value is representable.
-#[inline]
+#[inline(always)]
 pub fn dequantize_one(p: AffineParams, code: u32) -> f32 {
     (p.min as f64 + p.scale as f64 * code as f64) as f32
 }
 
+/// The value of one `W`-byte little-endian code under `p`.
+#[inline(always)]
+fn value_of<const W: usize>(p: AffineParams, code: &[u8; W]) -> f32 {
+    let mut word = [0u8; 4];
+    word[..W].copy_from_slice(code);
+    dequantize_one(p, u32::from_le_bytes(word))
+}
+
 /// Reconstructs values from `W`-byte little-endian codes (what
 /// [`quantize_le`] wrote, or a frame's code section read where it lies)
-/// into `out`, cleared first. Bytes past the last whole code are ignored.
+/// into `out`, replacing its contents. Bytes past the last whole code are
+/// ignored.
 pub fn dequantize_le<const W: usize>(p: AffineParams, codes: &[u8], out: &mut Vec<f32>) {
     const { assert!(W == 1 || W == 2) };
     let (codes, _) = codes.as_chunks::<W>();
-    out.clear();
-    out.extend(codes.iter().map(|code| {
-        let mut word = [0u8; 4];
-        word[..W].copy_from_slice(code);
-        dequantize_one(p, u32::from_le_bytes(word))
-    }));
+    out.truncate(codes.len());
+    out.resize(codes.len(), 0.0);
+    with_avx2(
+        #[inline(always)]
+        || decode_codes::<W>(p, codes, out),
+    );
+}
+
+/// The loop of [`dequantize_le`] as written: one value per code into the
+/// equally long `out`.
+#[inline(always)]
+fn decode_codes<const W: usize>(p: AffineParams, codes: &[[u8; W]], out: &mut [f32]) {
+    for (v, code) in out.iter_mut().zip(codes) {
+        *v = value_of::<W>(p, code);
+    }
+}
+
+/// A quantized tensor read where it lies — a frame's code section: `W`-byte
+/// little-endian codes under `params`, `W` = 2 when `wide`, else 1.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QuantizedRef<'a> {
+    /// The affine map the codes were taken under.
+    pub params: AffineParams,
+    /// Two-byte codes (65 536 levels) rather than one-byte (256).
+    pub wide: bool,
+    /// The codes; bytes past the last whole code are ignored.
+    pub codes: &'a [u8],
+}
+
+impl QuantizedRef<'_> {
+    /// The reconstructed values into `out`, replacing its contents
+    /// ([`dequantize_le`] at the view's width).
+    pub fn dequantize_into(&self, out: &mut Vec<f32>) {
+        if self.wide {
+            dequantize_le::<2>(self.params, self.codes, out);
+        } else {
+            dequantize_le::<1>(self.params, self.codes, out);
+        }
+    }
+
+    /// Folds the reconstruction `v` into an aggregate without storing it:
+    /// with `feedback = Some((β, replica))`, `replica += β·v` and then
+    /// `out += w·replica` (error feedback's replica step, then the
+    /// receiver's weighted sum); with `None`, `out += w·v`. Per element
+    /// these are the separate operations of [`dequantize_le`] followed by
+    /// the [`axpy`](crate::ops::axpy)s, in that order, so the bits are
+    /// theirs; the codes are read once.
+    ///
+    /// # Panics
+    /// Panics unless the view holds exactly `out.len()` codes and the
+    /// replica is as long as `out`.
+    pub fn fold_into(&self, feedback: Option<(f32, &mut [f32])>, w: f32, out: &mut [f32]) {
+        if self.wide {
+            fold::<2>(self.params, self.codes, feedback, w, out);
+        } else {
+            fold::<1>(self.params, self.codes, feedback, w, out);
+        }
+    }
+}
+
+/// [`QuantizedRef::fold_into`] at width `W`, compiled for AVX2 when the
+/// CPU has it.
+#[inline(never)]
+fn fold<const W: usize>(
+    p: AffineParams,
+    codes: &[u8],
+    feedback: Option<(f32, &mut [f32])>,
+    w: f32,
+    out: &mut [f32],
+) {
+    let (codes, tail) = codes.as_chunks::<W>();
+    assert!(
+        codes.len() == out.len() && tail.is_empty(),
+        "fold length mismatch"
+    );
+    if let Some((_, replica)) = &feedback {
+        assert_eq!(replica.len(), out.len(), "fold replica length mismatch");
+    }
+    with_avx2(
+        #[inline(always)]
+        || fold_codes::<W>(p, codes, feedback, w, out),
+    );
+}
+
+/// The loop of [`fold`] as written.
+#[inline(always)]
+fn fold_codes<const W: usize>(
+    p: AffineParams,
+    codes: &[[u8; W]],
+    feedback: Option<(f32, &mut [f32])>,
+    w: f32,
+    out: &mut [f32],
+) {
+    match feedback {
+        Some((beta, replica)) => {
+            for ((o, r), code) in out.iter_mut().zip(replica.iter_mut()).zip(codes) {
+                *r += beta * value_of::<W>(p, code);
+                *o += w * *r;
+            }
+        }
+        None => {
+            for (o, code) in out.iter_mut().zip(codes) {
+                *o += w * value_of::<W>(p, code);
+            }
+        }
+    }
 }
 
 /// Writes the indices of the `k` largest-magnitude entries of `src` into
@@ -393,6 +531,94 @@ mod tests {
             .collect()
     }
 
+    /// Bits, with every NaN as one: which NaN operand an add propagates is
+    /// not specified, and a compilation may commute an add.
+    fn bits_nan_as_one(xs: &[f32]) -> Vec<u32> {
+        xs.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
+    }
+
+    /// Every codec kernel of width `W` as written (this module is compiled
+    /// for the baseline) against its entry through `with_avx2`, from the
+    /// same inputs, bit for bit: the fit of `src`, its codes, their values,
+    /// and the fold into `out` with and without a `replica`.
+    fn check_compilations_agree<const W: usize>(
+        src: &[f32],
+        replica: &[f32],
+        out: &[f32],
+        (beta, w): (f32, f32),
+    ) {
+        let levels = 1u32 << (8 * W);
+        let (base, p) = (fit(src, levels), affine_params(src, levels));
+        assert_eq!(bits(&[base.min, base.scale]), bits(&[p.min, p.scale]));
+        let mut codes = Vec::new();
+        quantize_le::<W>(src, p, &mut codes);
+        let mut base_codes = vec![0u8; codes.len()];
+        if p.scale != 0.0 {
+            encode_codes::<W>(src, p, &mut base_codes);
+        }
+        assert_eq!(base_codes, codes, "{src:?}");
+        let (chunks, _) = codes.as_chunks::<W>();
+        let mut base_values = vec![0.0f32; src.len()];
+        decode_codes::<W>(p, chunks, &mut base_values);
+        let mut values = vec![f32::NAN; 3];
+        dequantize_le::<W>(p, &codes, &mut values);
+        assert_eq!(bits(&base_values), bits(&values));
+        let view = QuantizedRef {
+            params: p,
+            wide: W == 2,
+            codes: &codes,
+        };
+        for feedback in [false, true] {
+            let (mut base_r, mut base_o) = (replica.to_vec(), out.to_vec());
+            let (mut r, mut o) = (replica.to_vec(), out.to_vec());
+            fold_codes::<W>(
+                p,
+                chunks,
+                feedback.then_some((beta, &mut base_r[..])),
+                w,
+                &mut base_o,
+            );
+            view.fold_into(feedback.then_some((beta, &mut r[..])), w, &mut o);
+            assert_eq!(bits_nan_as_one(&base_r), bits_nan_as_one(&r));
+            assert_eq!(bits_nan_as_one(&base_o), bits_nan_as_one(&o));
+        }
+    }
+
+    /// The fold of `codes` under `p` against its definition: the values,
+    /// then `axpy(β)` into the replica and `axpy(w)` of the replica into
+    /// `out` — or `axpy(w)` of the values without a replica — bit for bit.
+    fn check_fold_against_axpys<const W: usize>(
+        p: AffineParams,
+        codes: &[u8],
+        replica: &[f32],
+        out: &[f32],
+        (beta, w): (f32, f32),
+    ) {
+        let mut values = Vec::new();
+        dequantize_le::<W>(p, codes, &mut values);
+        let view = QuantizedRef {
+            params: p,
+            wide: W == 2,
+            codes,
+        };
+        let (mut want, mut got) = (out.to_vec(), out.to_vec());
+        crate::ops::axpy(w, &values, &mut want);
+        view.fold_into(None, w, &mut got);
+        assert_eq!(bits_nan_as_one(&want), bits_nan_as_one(&got), "{p:?}");
+        let (mut want_r, mut want_o) = (replica.to_vec(), out.to_vec());
+        crate::ops::axpy(beta, &values, &mut want_r);
+        crate::ops::axpy(w, &want_r, &mut want_o);
+        let (mut r, mut o) = (replica.to_vec(), out.to_vec());
+        view.fold_into(Some((beta, &mut r)), w, &mut o);
+        assert_eq!(bits_nan_as_one(&want_r), bits_nan_as_one(&r), "{p:?}");
+        assert_eq!(bits_nan_as_one(&want_o), bits_nan_as_one(&o), "{p:?}");
+    }
+
+    /// The longest tail the two-compilation properties walk.
+    const TAILS: usize = 80;
+
     // ---- fresh-buffer calls of the `_into` kernels ---------------------
 
     fn quantize_u8(src: &[f32]) -> (AffineParams, Vec<u8>) {
@@ -564,11 +790,14 @@ mod tests {
         assert_eq!(order, top_k_indices(&src, 7));
     }
 
+    /// The widest step of a vectorised loop here: 8 lanes, 4 interleaved.
+    const STEP: usize = 32;
+
     #[test]
     fn kernels_match_the_scalar_reference_across_every_tail() {
-        // every length up to past four range-scan blocks: each lane count
-        // of the fit's tail and each remainder of the vectorised loops
-        let src: Vec<f32> = (0..4 * LANES + 9)
+        // every length up to past four of the widest vector steps: each
+        // remainder of the vectorised loops in either compilation
+        let src: Vec<f32> = (0..4 * STEP + 9)
             .map(|i| ((i * 37) % 113) as f32 / 7.0 - 8.0)
             .collect();
         for n in 0..=src.len() {
@@ -616,8 +845,8 @@ mod tests {
         ] {
             assert_eq!(affine_params(&src, 256).min.to_bits(), neg, "{src:?}");
         }
-        let mut wide = vec![0.0f32; 3 * LANES + 5];
-        wide[2 * LANES + 3] = -0.0;
+        let mut wide = vec![0.0f32; 3 * STEP + 5];
+        wide[2 * STEP + 3] = -0.0;
         wide[1] = 4.0;
         assert_eq!(affine_params(&wide, 256).min.to_bits(), neg);
         assert_eq!(affine_params(&[0.0, 1.0], 256).min.to_bits(), 0);
@@ -719,6 +948,33 @@ mod tests {
     }
 
     #[test]
+    fn fold_rejects_a_view_of_another_length() {
+        let p = AffineParams {
+            min: 0.0,
+            scale: 1.0,
+        };
+        let view = QuantizedRef {
+            params: p,
+            wide: true,
+            codes: &[1, 0, 2, 0, 3],
+        };
+        let fold = |len: usize| {
+            let mut out = vec![0.0f32; len];
+            std::panic::catch_unwind(move || view.fold_into(None, 1.0, &mut out)).is_ok()
+        };
+        // two whole codes and a stray byte: no length folds it
+        assert!(!fold(2) && !fold(3));
+        let mut out = [0.5f32; 2];
+        let mut replica = [1.0f32; 2];
+        let short = QuantizedRef {
+            codes: &[1, 0, 2, 0],
+            ..view
+        };
+        short.fold_into(Some((0.5, &mut replica)), 2.0, &mut out);
+        assert_eq!((replica, out), ([1.5, 2.0], [3.5, 4.5]));
+    }
+
+    #[test]
     fn scatter_axpy_adds_at_listed_coordinates() {
         let mut replica = [1.0f32, 2.0, 3.0];
         scatter_axpy(&mut replica, &[0, 2], &[4.0, -1.0], 0.5);
@@ -748,6 +1004,45 @@ mod tests {
             let src = hostile(&words);
             check_against_reference::<1>(&src);
             check_against_reference::<2>(&src);
+        }
+
+        #[test]
+        fn prop_avx2_and_baseline_codec_kernels_agree_bitwise(
+            words in proptest::collection::vec(0u32..u32::MAX, 3 * TAILS + 2..3 * TAILS + 3)
+        ) {
+            let all = hostile(&words);
+            let (src, acc) = all.split_at(TAILS);
+            let (replica, out) = acc.split_at(TAILS);
+            let factors = (out[TAILS], out[TAILS + 1]);
+            for n in 0..TAILS {
+                check_compilations_agree::<1>(&src[..n], &replica[..n], &out[..n], factors);
+                check_compilations_agree::<2>(&src[..n], &replica[..n], &out[..n], factors);
+            }
+        }
+
+        #[test]
+        fn prop_fold_equals_dequantize_then_axpys(
+            words in proptest::collection::vec(0u32..u32::MAX, 3 * TAILS + 2..3 * TAILS + 3)
+        ) {
+            let all = hostile(&words);
+            let (src, acc) = all.split_at(TAILS);
+            let (replica, out) = acc.split_at(TAILS);
+            let factors = (out[TAILS], out[TAILS + 1]);
+            for n in 0..TAILS {
+                let (src, replica, out) = (&src[..n], &replica[..n], &out[..n]);
+                let (p8, p16) = (affine_params(src, 256), affine_params(src, 65_536));
+                let (mut c8, mut c16) = (Vec::new(), Vec::new());
+                quantize_le::<1>(src, p8, &mut c8);
+                quantize_le::<2>(src, p16, &mut c16);
+                // the fitted maps, a constant tensor's, and a −0.0 minimum
+                for (p, step) in [(p8, p8.scale), (p8, 0.0), (p16, p16.scale), (p16, 0.0)] {
+                    for min in [p.min, -0.0] {
+                        let p = AffineParams { min, scale: step };
+                        check_fold_against_axpys::<1>(p, &c8, replica, out, factors);
+                        check_fold_against_axpys::<2>(p, &c16, replica, out, factors);
+                    }
+                }
+            }
         }
 
         #[test]

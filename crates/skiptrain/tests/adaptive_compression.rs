@@ -104,18 +104,33 @@ fn adaptive_policies_are_deterministic_across_thread_pools() {
     let mut base = tiny(12);
     base.topology_schedule = TopologyScheduleSpec::EdgeDropout { p: 0.3 };
     let floor_k = sim_params(&base) / 64;
+    // the quantized per-edge paths too: frames folded into the sum
+    // (a per-link table) and into link replicas (error feedback)
+    let per_link = CompressionPolicy::PerLink {
+        default: ModelCodec::QuantizedU8,
+        links: Vec::new(),
+    };
     let policies = [
-        CompressionPolicy::deal_tiers(floor_k),
-        CompressionPolicy::RarityAdaptive {
-            base_k: floor_k,
-            max_k: sim_params(&base) / 8,
-        },
+        (CompressionPolicy::deal_tiers(floor_k), None),
+        (
+            CompressionPolicy::RarityAdaptive {
+                base_k: floor_k,
+                max_k: sim_params(&base) / 8,
+            },
+            None,
+        ),
+        (per_link, None),
+        (
+            CompressionPolicy::Uniform(ModelCodec::QuantizedU16),
+            Some(1.0),
+        ),
     ];
     let data = base.data.build(base.nodes, base.seed);
-    for policy in policies {
+    for (policy, feedback_beta) in policies {
         let mut cfg = base.clone();
         cfg.compression = Some(CompressionSpec {
             policy: policy.clone(),
+            feedback_beta,
             ..CompressionSpec::default()
         });
         let reference = run_with_threads(&cfg, &data, 1);

@@ -172,25 +172,43 @@ fn disconnected_topology_blocks_global_consensus() {
 fn corrupted_frame_is_rejected() {
     use skiptrain::engine::transport::{decode_frame_into, encode_message_with, DecodeError};
     use skiptrain::engine::{DecodeScratch, EncodeScratch};
-    let mut raw = Vec::new();
-    let mut scratch = EncodeScratch::default();
-    encode_message_with(
+    // the quantized codecs decode to a view of the frame's codes: a
+    // flipped, truncated or length-lying frame must fail before it is built
+    for codec in [
         ModelCodec::DenseF32,
-        3,
-        9,
-        &[0.5, -1.5, 2.0],
-        &mut raw,
-        &mut scratch,
-    );
-    let mid = raw.len() / 2;
-    raw[mid] ^= 0x40;
-    let mut scratch = DecodeScratch::default();
-    let result = decode_frame_into(&raw, &mut scratch);
-    assert!(
-        matches!(
-            result,
-            Err(DecodeError::BadChecksum) | Err(DecodeError::LengthMismatch)
-        ),
-        "corruption slipped through: {result:?}"
-    );
+        ModelCodec::QuantizedU8,
+        ModelCodec::QuantizedU16,
+    ] {
+        let mut raw = Vec::new();
+        let mut scratch = EncodeScratch::default();
+        encode_message_with(codec, 3, 9, &[0.5, -1.5, 2.0], &mut raw, &mut scratch);
+        let mut scratch = DecodeScratch::default();
+        let mut flipped = raw.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x40;
+        let result = decode_frame_into(&flipped, &mut scratch);
+        assert!(
+            matches!(
+                result,
+                Err(DecodeError::BadChecksum) | Err(DecodeError::LengthMismatch)
+            ),
+            "{codec:?}: corruption slipped through: {result:?}"
+        );
+        for cut in [1, 4, raw.len() - 8] {
+            let result = decode_frame_into(&raw[..raw.len() - cut], &mut scratch);
+            assert!(
+                matches!(
+                    result,
+                    Err(DecodeError::BadChecksum) | Err(DecodeError::Truncated)
+                ),
+                "{codec:?}: a frame cut by {cut} bytes decoded: {result:?}"
+            );
+        }
+        // the header's count is not summed: a lie there passes the
+        // checksum and must fail the length check
+        let mut lying = raw.clone();
+        lying[19] = 4;
+        let result = decode_frame_into(&lying, &mut scratch);
+        assert_eq!(result, Err(DecodeError::LengthMismatch), "{codec:?}");
+    }
 }
