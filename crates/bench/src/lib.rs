@@ -19,9 +19,9 @@
 //! (`benchmark/run.sh`). [`perf`] holds the counting allocator behind the
 //! 0 B-per-step test `tests/alloc_pins.rs`.
 
-// The workspace's unsafe is the counting allocator here and one call in
-// `skiptrain_linalg::gemm::with_avx2` (a detected `#[target_feature]`
-// function); force every unsafe operation of this crate into an explicit,
+// The workspace's unsafe is the counting allocator here and the two
+// dispatchers in `skiptrain_linalg::simd` (detected `#[target_feature]`
+// functions); force every unsafe operation of this crate into an explicit,
 // SAFETY-commented block even inside `unsafe fn` bodies.
 #![deny(unsafe_op_in_unsafe_fn)]
 

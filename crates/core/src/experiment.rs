@@ -1137,8 +1137,8 @@ impl ExperimentConfig {
 
     /// Builds the policy for this config.
     ///
-    /// Kept because `benchmark/src/probes.rs:336` calls it; it leaves with
-    /// ROADMAP item 4.1.
+    /// Kept because `benchmark/src/probes.rs:336` calls it; it leaves once
+    /// `benchmark/` moves to the typed calls.
     ///
     /// # Panics
     /// Panics on every error [`ExperimentConfig::try_build_policy`]

@@ -130,7 +130,7 @@ fn battery_summary(sim: &Simulation) -> Option<BatterySummary> {
 /// A mid-run engine failure (an internal scheduling bug) panics with the
 /// [`RunError`]'s message, which [`Experiment::run`](crate::Experiment::run)
 /// and campaign cells return instead: `benchmark/src/run.rs:9` imports
-/// this signature, so it is frozen until ROADMAP item 4.1.
+/// this signature, frozen until `benchmark/` moves to the typed calls.
 pub fn run_with_observers(
     cfg: &ExperimentConfig,
     data: &DataBundle,

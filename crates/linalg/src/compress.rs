@@ -10,8 +10,8 @@
 //!   over `[min, max]`; reconstruction error is bounded by half a step,
 //!   `|x − dequant(quant(x))| ≤ scale / 2` (plus f32 rounding). Codes are
 //!   `W`-byte little-endian integers, the form they travel in, so the
-//!   wire's encoder and decoder run one kernel per width
-//!   ([`quantize_le`], [`dequantize_le`]). Both the fit and the quantiser
+//!   wire's encoder and decoder run one kernel per width ([`quantize_le`],
+//!   [`QuantizedRef::dequantize_into`]). Both the fit and the quantiser
 //!   are written so every element is independent — a lane-parallel range
 //!   scan, and a code computed by clamping *then* rounding in float adds
 //!   and compares only (`code_of` has the identity and the 2²³ rounding
@@ -46,17 +46,17 @@
 //! # Two compilations
 //!
 //! The codec kernels — the range scan under [`affine_params`], the
-//! quantiser in [`quantize_le`], reconstruction in [`dequantize_le`], and
-//! the fold of a delivered frame ([`QuantizedRef::fold_into`]) — run on
-//! every lossy edge of a round, and compile twice from one source, for the
-//! baseline and for AVX2 (through `gemm::with_avx2`, as the GEMM tiles and
-//! the weighted sum do): the same separate operations in the same order,
-//! so the two agree bit for bit, and the tests hold the baseline one as
-//! the reference. Each body is a plain loop the loop vectoriser takes at
-//! the width of the build (4 lanes, 8 under AVX2). The range scan is one
-//! too, which is why it keeps no lanes of its own: it reduces integer
-//! order keys, and an integer `min` / `max` is a reduction the vectoriser
-//! takes as written. A float `min` / `max` is one only under fast-math, so
+//! quantiser in [`quantize_le`], reconstruction in
+//! [`QuantizedRef::dequantize_into`], and the fold of a delivered frame
+//! ([`QuantizedRef::fold_into`]) — run on every lossy edge of a round, and
+//! compile twice from one source, for the baseline and for AVX2 (through
+//! `simd::with_avx2`, as the GEMM tiles and the weighted sum do): the same
+//! separate operations in the same order, so the two agree bit for bit,
+//! and the tests hold the baseline one as the reference. Each body is a
+//! plain loop the loop vectoriser takes at the width of the build (4
+//! lanes, 8 under AVX2). The range scan is one too, which is why it keeps
+//! no lanes of its own: it reduces integer order keys, and an integer
+//! `min` / `max` is a reduction the vectoriser takes as written. A float `min` / `max` is one only under fast-math, so
 //! a float scan needs explicit lanes, which only the SLP vectoriser packs,
 //! and whether it does depends on the build. On the 1 042 floats of the
 //! fleet model (Intel Xeon, AVX2), 16 float lanes ran ≈ 320 ns compiled
@@ -65,7 +65,7 @@
 //! another. The key scan runs ≈ 210 ns under AVX2 and ≈ 600 ns for the
 //! baseline, which has no packed 32-bit `min`.
 
-use crate::gemm::with_avx2;
+use crate::simd::with_avx2;
 
 /// Affine (asymmetric) quantization parameters for one tensor:
 /// `value ≈ min + scale · code`.
@@ -237,23 +237,8 @@ fn value_of<const W: usize>(p: AffineParams, code: &[u8; W]) -> f32 {
     dequantize_one(p, u32::from_le_bytes(word))
 }
 
-/// Reconstructs values from `W`-byte little-endian codes (what
-/// [`quantize_le`] wrote, or a frame's code section read where it lies)
-/// into `out`, replacing its contents. Bytes past the last whole code are
-/// ignored.
-pub fn dequantize_le<const W: usize>(p: AffineParams, codes: &[u8], out: &mut Vec<f32>) {
-    const { assert!(W == 1 || W == 2) };
-    let (codes, _) = codes.as_chunks::<W>();
-    out.truncate(codes.len());
-    out.resize(codes.len(), 0.0);
-    with_avx2(
-        #[inline(always)]
-        || decode_codes::<W>(p, codes, out),
-    );
-}
-
-/// The loop of [`dequantize_le`] as written: one value per code into the
-/// equally long `out`.
+/// The loop of [`QuantizedRef::dequantize_into`] as written: one value per
+/// code into the equally long `out`.
 #[inline(always)]
 fn decode_codes<const W: usize>(p: AffineParams, codes: &[[u8; W]], out: &mut [f32]) {
     for (v, code) in out.iter_mut().zip(codes) {
@@ -274,61 +259,62 @@ pub struct QuantizedRef<'a> {
 }
 
 impl QuantizedRef<'_> {
-    /// The reconstructed values into `out`, replacing its contents
-    /// ([`dequantize_le`] at the view's width).
+    /// The reconstructed values into `out`, replacing its contents: one
+    /// per whole code (what [`quantize_le`] wrote, or a frame's code
+    /// section read where it lies).
     pub fn dequantize_into(&self, out: &mut Vec<f32>) {
-        if self.wide {
-            dequantize_le::<2>(self.params, self.codes, out);
-        } else {
-            dequantize_le::<1>(self.params, self.codes, out);
-        }
+        let (p, codes) = (self.params, self.codes);
+        let len = codes.len() / if self.wide { 2 } else { 1 };
+        out.truncate(len);
+        out.resize(len, 0.0);
+        with_avx2(
+            #[inline(always)]
+            || {
+                if self.wide {
+                    decode_codes::<2>(p, codes.as_chunks().0, out);
+                } else {
+                    decode_codes::<1>(p, codes.as_chunks().0, out);
+                }
+            },
+        );
     }
 
     /// Folds the reconstruction `v` into an aggregate without storing it:
     /// with `feedback = Some((β, replica))`, `replica += β·v` and then
     /// `out += w·replica` (error feedback's replica step, then the
     /// receiver's weighted sum); with `None`, `out += w·v`. Per element
-    /// these are the separate operations of [`dequantize_le`] followed by
+    /// these are the separate operations of
+    /// [`dequantize_into`](Self::dequantize_into) followed by
     /// the [`axpy`](crate::ops::axpy)s, in that order, so the bits are
     /// theirs; the codes are read once.
+    ///
+    /// Never inlined, so every caller shares one pair of compilations.
     ///
     /// # Panics
     /// Panics unless the view holds exactly `out.len()` codes and the
     /// replica is as long as `out`.
+    #[inline(never)]
     pub fn fold_into(&self, feedback: Option<(f32, &mut [f32])>, w: f32, out: &mut [f32]) {
-        if self.wide {
-            fold::<2>(self.params, self.codes, feedback, w, out);
-        } else {
-            fold::<1>(self.params, self.codes, feedback, w, out);
+        let (p, codes) = (self.params, self.codes);
+        let width = if self.wide { 2 } else { 1 };
+        assert_eq!(codes.len(), width * out.len(), "fold length mismatch");
+        if let Some((_, replica)) = &feedback {
+            assert_eq!(replica.len(), out.len(), "fold replica length mismatch");
         }
+        with_avx2(
+            #[inline(always)]
+            || {
+                if self.wide {
+                    fold_codes::<2>(p, codes.as_chunks().0, feedback, w, out);
+                } else {
+                    fold_codes::<1>(p, codes.as_chunks().0, feedback, w, out);
+                }
+            },
+        );
     }
 }
 
-/// [`QuantizedRef::fold_into`] at width `W`, compiled for AVX2 when the
-/// CPU has it.
-#[inline(never)]
-fn fold<const W: usize>(
-    p: AffineParams,
-    codes: &[u8],
-    feedback: Option<(f32, &mut [f32])>,
-    w: f32,
-    out: &mut [f32],
-) {
-    let (codes, tail) = codes.as_chunks::<W>();
-    assert!(
-        codes.len() == out.len() && tail.is_empty(),
-        "fold length mismatch"
-    );
-    if let Some((_, replica)) = &feedback {
-        assert_eq!(replica.len(), out.len(), "fold replica length mismatch");
-    }
-    with_avx2(
-        #[inline(always)]
-        || fold_codes::<W>(p, codes, feedback, w, out),
-    );
-}
-
-/// The loop of [`fold`] as written.
+/// The loop of [`QuantizedRef::fold_into`] as written.
 #[inline(always)]
 fn fold_codes<const W: usize>(
     p: AffineParams,
@@ -424,8 +410,10 @@ pub fn scatter_axpy(replica: &mut [f32], indices: &[u32], values: &[f32], beta: 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::simd::tests as table;
+    use crate::simd::tests::hostile_vec;
     use proptest::prelude::*;
 
     // ---- the loops the bulk kernels replaced, kept as oracles ----------
@@ -486,6 +474,16 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// [`QuantizedRef::dequantize_into`] at width `W`.
+    fn dequantize_le<const W: usize>(p: AffineParams, codes: &[u8], out: &mut Vec<f32>) {
+        let view = QuantizedRef {
+            params: p,
+            wide: W == 2,
+            codes,
+        };
+        view.dequantize_into(out);
+    }
+
     /// Fit, codes and reconstruction of `src` at width `W` against the
     /// oracles, bit for bit. The one licence: when the minimum is a zero
     /// and `src` holds both zeros, the fit pins `−0.0` where the serial
@@ -511,79 +509,12 @@ mod tests {
         assert_eq!(bits(&back), bits(&dequantize_ref::<W>(got, &codes[3..])));
     }
 
-    /// Maps sampled words to floats that cover the hostile classes: one
-    /// word in four becomes NaN, ±∞, ±0, a subnormal, ±`f32::MAX` or an
-    /// arbitrary bit pattern; the rest land in `[−8, 8)`.
-    fn hostile(words: &[u32]) -> Vec<f32> {
-        words
-            .iter()
-            .map(|&w| match w % 32 {
-                0 => f32::NAN,
-                1 => f32::INFINITY,
-                2 => f32::NEG_INFINITY,
-                3 => 0.0,
-                4 => -0.0,
-                5 => f32::from_bits(w >> 9 & 0x007F_FFFF | (w & 0x8000_0000)),
-                6 => f32::MAX.copysign(f32::from_bits(w)),
-                7 => f32::from_bits(w),
-                _ => (w >> 8) as f32 / (1u32 << 20) as f32 - 8.0,
-            })
-            .collect()
-    }
-
     /// Bits, with every NaN as one: which NaN operand an add propagates is
     /// not specified, and a compilation may commute an add.
     fn bits_nan_as_one(xs: &[f32]) -> Vec<u32> {
         xs.iter()
             .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
             .collect()
-    }
-
-    /// Every codec kernel of width `W` as written (this module is compiled
-    /// for the baseline) against its entry through `with_avx2`, from the
-    /// same inputs, bit for bit: the fit of `src`, its codes, their values,
-    /// and the fold into `out` with and without a `replica`.
-    fn check_compilations_agree<const W: usize>(
-        src: &[f32],
-        replica: &[f32],
-        out: &[f32],
-        (beta, w): (f32, f32),
-    ) {
-        let levels = 1u32 << (8 * W);
-        let (base, p) = (fit(src, levels), affine_params(src, levels));
-        assert_eq!(bits(&[base.min, base.scale]), bits(&[p.min, p.scale]));
-        let mut codes = Vec::new();
-        quantize_le::<W>(src, p, &mut codes);
-        let mut base_codes = vec![0u8; codes.len()];
-        if p.scale != 0.0 {
-            encode_codes::<W>(src, p, &mut base_codes);
-        }
-        assert_eq!(base_codes, codes, "{src:?}");
-        let (chunks, _) = codes.as_chunks::<W>();
-        let mut base_values = vec![0.0f32; src.len()];
-        decode_codes::<W>(p, chunks, &mut base_values);
-        let mut values = vec![f32::NAN; 3];
-        dequantize_le::<W>(p, &codes, &mut values);
-        assert_eq!(bits(&base_values), bits(&values));
-        let view = QuantizedRef {
-            params: p,
-            wide: W == 2,
-            codes: &codes,
-        };
-        for feedback in [false, true] {
-            let (mut base_r, mut base_o) = (replica.to_vec(), out.to_vec());
-            let (mut r, mut o) = (replica.to_vec(), out.to_vec());
-            fold_codes::<W>(
-                p,
-                chunks,
-                feedback.then_some((beta, &mut base_r[..])),
-                w,
-                &mut base_o,
-            );
-            view.fold_into(feedback.then_some((beta, &mut r[..])), w, &mut o);
-            assert_eq!(bits_nan_as_one(&base_r), bits_nan_as_one(&r));
-            assert_eq!(bits_nan_as_one(&base_o), bits_nan_as_one(&o));
-        }
     }
 
     /// The fold of `codes` under `p` against its definition: the values,
@@ -616,7 +547,7 @@ mod tests {
         assert_eq!(bits_nan_as_one(&want_o), bits_nan_as_one(&o), "{p:?}");
     }
 
-    /// The longest tail the two-compilation properties walk.
+    /// The longest tail the fold property walks.
     const TAILS: usize = 80;
 
     // ---- fresh-buffer calls of the `_into` kernels ---------------------
@@ -999,32 +930,17 @@ mod tests {
 
         #[test]
         fn prop_kernels_match_the_scalar_reference_on_hostile_floats(
-            words in proptest::collection::vec(0u32..u32::MAX, 0..200)
+            len in 0usize..200,
+            seed in 0u64..u64::MAX
         ) {
-            let src = hostile(&words);
+            let src = hostile_vec(len, seed, true);
             check_against_reference::<1>(&src);
             check_against_reference::<2>(&src);
         }
 
         #[test]
-        fn prop_avx2_and_baseline_codec_kernels_agree_bitwise(
-            words in proptest::collection::vec(0u32..u32::MAX, 3 * TAILS + 2..3 * TAILS + 3)
-        ) {
-            let all = hostile(&words);
-            let (src, acc) = all.split_at(TAILS);
-            let (replica, out) = acc.split_at(TAILS);
-            let factors = (out[TAILS], out[TAILS + 1]);
-            for n in 0..TAILS {
-                check_compilations_agree::<1>(&src[..n], &replica[..n], &out[..n], factors);
-                check_compilations_agree::<2>(&src[..n], &replica[..n], &out[..n], factors);
-            }
-        }
-
-        #[test]
-        fn prop_fold_equals_dequantize_then_axpys(
-            words in proptest::collection::vec(0u32..u32::MAX, 3 * TAILS + 2..3 * TAILS + 3)
-        ) {
-            let all = hostile(&words);
+        fn prop_fold_equals_dequantize_then_axpys(seed in 0u64..u64::MAX) {
+            let all = hostile_vec(3 * TAILS + 2, seed, true);
             let (src, acc) = all.split_at(TAILS);
             let (replica, out) = acc.split_at(TAILS);
             let factors = (out[TAILS], out[TAILS + 1]);
@@ -1066,5 +982,104 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// For the table's codec rows (`simd::tests`): the fitted map of `src`
+    /// at width `W`, and a map from the pool's own
+    /// values (any scale: zero, negative, subnormal, non-finite).
+    fn maps<const W: usize>(pool: &[f32], src: &[f32]) -> [AffineParams; 2] {
+        let (min, scale) = (pool[table::PARAMS], pool[table::PARAMS + 1]);
+        [fit(src, 1 << (8 * W)), AffineParams { min, scale }]
+    }
+
+    /// `W`-byte codes from the low bytes of the pool's bits.
+    fn codes<const W: usize>(pool: &[f32], len: usize) -> Vec<u8> {
+        let bytes = pool[table::C..][..W * len].iter();
+        bytes
+            .map(|v| (v.to_bits() ^ v.to_bits() >> 13) as u8)
+            .collect()
+    }
+
+    pub(crate) fn row_fit(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
+        let src = &pool[table::A..][..len];
+        let mut out = Vec::new();
+        for levels in [256, 65_536] {
+            let p = if wide {
+                affine_params(src, levels)
+            } else {
+                fit(src, levels)
+            };
+            out.extend([p.min, p.scale]);
+        }
+        out
+    }
+
+    pub(crate) fn row_quantize<const W: usize>(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
+        let src = &pool[table::A..][..len];
+        let mut out = Vec::new();
+        for p in maps::<W>(pool, src) {
+            let mut codes = Vec::new();
+            if wide {
+                quantize_le::<W>(src, p, &mut codes);
+            } else {
+                codes.resize(W * len, 0);
+                if p.scale != 0.0 {
+                    encode_codes::<W>(src, p, &mut codes);
+                }
+            }
+            out.extend(codes.into_iter().map(f32::from));
+        }
+        out
+    }
+
+    pub(crate) fn row_dequantize<const W: usize>(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
+        let codes = codes::<W>(pool, len);
+        let mut out = Vec::new();
+        for params in maps::<W>(pool, &pool[table::A..][..len]) {
+            let mut values = vec![f32::NAN; 3];
+            if wide {
+                let view = QuantizedRef {
+                    params,
+                    wide: W == 2,
+                    codes: &codes,
+                };
+                view.dequantize_into(&mut values);
+            } else {
+                values.resize(len, 0.0);
+                decode_codes::<W>(params, codes.as_chunks().0, &mut values);
+            }
+            out.extend(values);
+        }
+        out
+    }
+
+    /// The fold into an `out` (and a replica, with `FEEDBACK`) that start
+    /// from the pool; both, concatenated.
+    pub(crate) fn row_fold<const W: usize, const FEEDBACK: bool>(
+        pool: &[f32],
+        len: usize,
+        wide: bool,
+    ) -> Vec<f32> {
+        let codes = codes::<W>(pool, len);
+        let (beta, w) = (pool[table::PARAMS + 2], pool[table::PARAMS + 3]);
+        let mut out = Vec::new();
+        for params in maps::<W>(pool, &pool[table::A..][..len]) {
+            let mut replica = pool[table::B..][..len].to_vec();
+            let mut sum = pool[table::C + table::TAILS..][..len].to_vec();
+            let feedback = FEEDBACK.then_some((beta, &mut replica[..]));
+            if wide {
+                let view = QuantizedRef {
+                    params,
+                    wide: W == 2,
+                    codes: &codes,
+                };
+                view.fold_into(feedback, w, &mut sum);
+            } else {
+                fold_codes::<W>(params, codes.as_chunks().0, feedback, w, &mut sum);
+            }
+            out.extend(replica);
+            out.extend(sum);
+        }
+        out
     }
 }

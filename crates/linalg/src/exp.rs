@@ -31,10 +31,10 @@
 pub fn exp_in_place(xs: &mut [f32]) {
     #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
     if glibc::fma_build_is_libm() {
-        // SAFETY: `fma_build_is_libm` holds only where
-        // `is_x86_feature_detected!` found AVX2 and FMA, the features
-        // `exp_fma` is compiled for.
-        return unsafe { glibc::exp_fma(xs) };
+        return crate::simd::with_avx2_fma(
+            #[inline(always)]
+            || glibc::exp_blocks(xs),
+        );
     }
     xs.iter_mut().for_each(|x| *x = x.exp());
 }
@@ -88,8 +88,7 @@ mod glibc {
     pub(super) fn fma_build_is_libm() -> bool {
         static FMA_BUILD: OnceLock<bool> = OnceLock::new();
         *FMA_BUILD.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
+            crate::simd::has_avx2_fma()
                 && PROBES.iter().all(|&b| {
                     let x = f32::from_bits(b);
                     // `black_box`: the reference is libm's run-time answer,
@@ -99,12 +98,12 @@ mod glibc {
         })
     }
 
-    /// [`exp_one`] over `xs`, one [`BLOCK`] at a time, compiled for AVX2 +
-    /// FMA as glibc's FMA build is; a block holding any `|x| ≥ 88`, `±∞` or
-    /// NaN (glibc's test, `abstop ≥ top12(88)`) goes through `f32::exp`
-    /// instead.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn exp_fma(xs: &mut [f32]) {
+    /// [`exp_one`] over `xs`, one [`BLOCK`] at a time; a block holding any
+    /// `|x| ≥ 88`, `±∞` or NaN (glibc's test, `abstop ≥ top12(88)`) goes
+    /// through `f32::exp` instead. `exp_in_place` runs it compiled for
+    /// AVX2 + FMA, as glibc's FMA build is (`simd::with_avx2_fma`).
+    #[inline(always)]
+    pub(super) fn exp_blocks(xs: &mut [f32]) {
         for block in xs.chunks_mut(BLOCK) {
             let top = block
                 .iter()
@@ -118,7 +117,7 @@ mod glibc {
     }
 
     /// glibc's FMA `expf` for `|x| < 88`: each `a·b + c` of the reduction
-    /// and the polynomial is one fused multiply-add. Outside `exp_fma`,
+    /// and the polynomial is one fused multiply-add. Compiled without FMA,
     /// `mul_add` is libm's exactly rounded `fma`, so the bits are the same.
     #[inline(always)]
     pub(super) fn exp_one(x: f32) -> f32 {
@@ -133,8 +132,9 @@ mod glibc {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::simd::tests as table;
     use std::hint::black_box;
 
     /// `exp_in_place` against `f32::exp` element by element, by bits, a
@@ -209,7 +209,7 @@ mod tests {
             libm == 0x11fa2993 || libm == 0x11fa2992,
             "libm's expf is neither glibc build: {libm:#010x}"
         );
-        let cpu = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+        let cpu = crate::simd::has_avx2_fma();
         let copy = glibc::fma_build_is_libm();
         println!("exp kernel: {}", if copy { "FMA copy" } else { "f32::exp" });
         assert_eq!(copy, cpu && libm == 0x11fa2993, "libm gives {libm:#010x}");
@@ -258,11 +258,9 @@ mod tests {
     #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
     #[test]
     fn the_blocked_copy_equals_its_scalar_form_at_every_length() {
-        // `exp_fma` against `exp_one` called per element of each 64-value
-        // block without a special value, and `f32::exp` in the others
-        if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")) {
-            return;
-        }
+        // `exp_blocks` through its dispatcher against `exp_one` called per
+        // element of each 64-value block without a special value, and
+        // `f32::exp` in the others
         for len in 0..=130 {
             for seed in [1, 2] {
                 let xs = values(len, seed * 1000 + len as u64);
@@ -275,8 +273,10 @@ mod tests {
                     xs
                 };
                 let mut got = xs.clone();
-                // SAFETY: the CPU has AVX2 and FMA, checked above.
-                unsafe { glibc::exp_fma(&mut got) };
+                crate::simd::with_avx2_fma(
+                    #[inline(always)]
+                    || glibc::exp_blocks(&mut got),
+                );
                 let mut want = xs.clone();
                 for block in want.chunks_mut(glibc::BLOCK) {
                     let special = block.iter().any(|x| x.abs() >= 88.0 || x.is_nan());
@@ -329,5 +329,24 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(misses, 0, "inputs where exp_in_place differs from f32::exp");
+    }
+
+    /// The table's rows for exp's blocks (`simd::tests`): the pool, or the
+    /// pool `FOLDED` into `(−88, 88)`, where a block runs the polynomial
+    /// unless a non-finite value sits in it.
+    pub(crate) fn row_blocks<const FOLDED: bool>(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
+        // `v % 88` is `v` itself wherever `|v| < 88`
+        let fold = |&v: &f32| if FOLDED { v % 88.0 } else { v };
+        let mut xs: Vec<f32> = pool[table::A..][..len].iter().map(fold).collect();
+        #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+        if wide {
+            crate::simd::with_avx2_fma(
+                #[inline(always)]
+                || glibc::exp_blocks(&mut xs),
+            );
+        } else {
+            glibc::exp_blocks(&mut xs);
+        }
+        xs
     }
 }

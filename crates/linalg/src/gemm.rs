@@ -36,7 +36,7 @@
 //!    `m == 1`, so a skinny FLOP-heavy multiply is not serialized.
 //!
 //! Both compile twice from one source, for the baseline and for AVX2
-//! (`with_avx2`). `Aᵀ·B` accumulates: the direct tile continues each chain
+//! (`simd::with_avx2`). `Aᵀ·B` accumulates: the direct tile continues each chain
 //! from the `C` it finds, the packed driver adds a from-zero chain to it.
 //! They agree bit for bit on a zeroed `C`, which the library caller passes
 //! (`Sequential::backward` after `zero_grads`): no pinned result moves when
@@ -62,6 +62,7 @@
 
 use crate::matrix::Matrix;
 use crate::ops::LANES;
+use crate::simd::with_avx2;
 use std::cell::RefCell;
 
 /// Rows per register tile of the micro-kernel.
@@ -110,28 +111,6 @@ enum BStore<'a> {
     Rows(&'a [f32]),
     /// `n × k` row-major, logically transposed.
     Cols(&'a [f32]),
-}
-
-/// Runs `f` compiled for AVX2 when the CPU has it, as written otherwise.
-/// Callers (here and in `ops`) pass an `#[inline(always)]` closure around an
-/// `#[inline(always)]` kernel body, so `wide` holds a second compilation.
-/// No intrinsics, no FMA: the same separate multiply and add in the same
-/// order, so the two agree bit for bit and the baseline one is the reference.
-#[inline(always)]
-pub(crate) fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
-    #[cfg(target_arch = "x86_64")]
-    {
-        #[target_feature(enable = "avx2")]
-        fn wide<R>(f: impl FnOnce() -> R) -> R {
-            f()
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: `wide` requires only that the CPU supports AVX2,
-            // which `is_x86_feature_detected!("avx2")` just confirmed.
-            return unsafe { wide(f) };
-        }
-    }
-    f()
 }
 
 /// One `MR × W` block of `C`, operands read where they lie: accumulators in
@@ -597,8 +576,10 @@ pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::simd::tests as table;
+    use crate::simd::tests::hostile_vec;
     use proptest::prelude::*;
 
     /// `C = A · B` through the slice kernel, shapes read from the matrices.
@@ -638,6 +619,18 @@ mod tests {
         );
     }
 
+    /// The transpose of `m`, as a new matrix.
+    fn transposed(m: &Matrix) -> Matrix {
+        Matrix::from_fn(m.cols(), m.rows(), |r, c| m[(c, r)])
+    }
+
+    /// The largest absolute difference of two equally shaped matrices.
+    fn max_abs_diff(a: &Matrix, b: &Matrix) -> f32 {
+        assert_eq!(a.shape(), b.shape());
+        let pairs = a.as_slice().iter().zip(b.as_slice());
+        pairs.map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
+    }
+
     fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         use rand::rngs::SmallRng;
         use rand::{RngExt, SeedableRng};
@@ -657,10 +650,10 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = rand_matrix(5, 5, 42);
-        let id = Matrix::identity(5);
+        let id = Matrix::from_fn(5, 5, |r, c| if r == c { 1.0 } else { 0.0 });
         let mut c = Matrix::zeros(5, 5);
         matmul(&a, &id, &mut c);
-        assert!(c.max_abs_diff(&a) < 1e-6);
+        assert!(max_abs_diff(&c, &a) < 1e-6);
     }
 
     #[test]
@@ -669,7 +662,7 @@ mod tests {
         let b = rand_matrix(13, 5, 2);
         let mut c = Matrix::zeros(7, 5);
         matmul(&a, &b, &mut c);
-        assert!(c.max_abs_diff(&matmul_reference(&a, &b)) < 1e-4);
+        assert!(max_abs_diff(&c, &matmul_reference(&a, &b)) < 1e-4);
     }
 
     #[test]
@@ -679,7 +672,7 @@ mod tests {
         let b = rand_matrix(40, 300, 4);
         let mut c = Matrix::zeros(300, 300);
         matmul(&a, &b, &mut c);
-        assert!(c.max_abs_diff(&matmul_reference(&a, &b)) < 1e-3);
+        assert!(max_abs_diff(&c, &matmul_reference(&a, &b)) < 1e-3);
     }
 
     #[test]
@@ -688,14 +681,14 @@ mod tests {
         let b = rand_matrix(9, 6, 6);
         let mut c = Matrix::zeros(4, 6);
         matmul_at_b(&a, &b, &mut c);
-        assert!(c.max_abs_diff(&matmul_reference(&a.transposed(), &b)) < 1e-4);
+        assert!(max_abs_diff(&c, &matmul_reference(&transposed(&a), &b)) < 1e-4);
     }
 
     #[test]
     fn at_b_slice_kernel_accumulates() {
         let a = rand_matrix(3, 2, 11);
         let b = rand_matrix(3, 4, 12);
-        let reference = matmul_reference(&a.transposed(), &b);
+        let reference = matmul_reference(&transposed(&a), &b);
         let mut c = vec![0.0f32; 8];
         gemm_at_b_into(2, 3, 4, a.as_slice(), b.as_slice(), &mut c);
         gemm_at_b_into(2, 3, 4, a.as_slice(), b.as_slice(), &mut c);
@@ -710,7 +703,7 @@ mod tests {
         // small-multiply threshold).
         let a = rand_matrix(40, 24, 13);
         let b = rand_matrix(40, 24, 14);
-        let reference = matmul_reference(&a.transposed(), &b);
+        let reference = matmul_reference(&transposed(&a), &b);
         let mut c = vec![0.0f32; 24 * 24];
         blocked_gemm(
             24,
@@ -741,27 +734,7 @@ mod tests {
         let b = rand_matrix(3, 5, 8);
         let mut c = Matrix::zeros(8, 3);
         matmul_a_bt(&a, &b, &mut c);
-        assert!(c.max_abs_diff(&matmul_reference(&a, &b.transposed())) < 1e-4);
-    }
-
-    /// Values that expose a changed summation order or a sign-of-zero
-    /// slip: signed zeros, subnormals, magnitudes whose products absorb or
-    /// cancel one another (but stay finite), and ordinary fractions.
-    fn edge_values(len: usize, seed: u64) -> Vec<f32> {
-        use rand::rngs::SmallRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(seed);
-        (0..len)
-            .map(|_| match rng.random_range(0..8u32) {
-                0 => 0.0,
-                1 => -0.0,
-                2 => f32::from_bits(rng.random_range(1..0x0080_0000u32)),
-                3 => -f32::from_bits(rng.random_range(1..0x0080_0000u32)),
-                4 => rng.random_range(-1.0e18f32..1.0e18),
-                5 => rng.random_range(-1.0e-19f32..1.0e-19),
-                _ => rng.random_range(-1.0f32..1.0),
-            })
-            .collect()
+        assert!(max_abs_diff(&c, &matmul_reference(&a, &transposed(&b))) < 1e-4);
     }
 
     #[test]
@@ -769,8 +742,8 @@ mod tests {
         // The kernel itself, bypassing the threshold: every shape up to
         // 20 × 40 × 40, so k straddles the dot lanes (0, <8, 8, 8c + tail)
         // and n the column panels (1, <NR, NR, NR·c + tail).
-        let a_all = edge_values(20 * 40, 71);
-        let b_all = edge_values(40 * 40, 72);
+        let a_all = hostile_vec(20 * 40, 71, false);
+        let b_all = hostile_vec(40 * 40, 72, false);
         let mut c = vec![0.0f32; 20 * 40];
         for m in 1..=20usize {
             for k in 0..=40usize {
@@ -834,12 +807,12 @@ mod tests {
 
     /// Every shape that straddles the row band (0, < MR, MR, two bands and
     /// a tail), the column cut (every mix of 8 / 4 / 2 / 1) and the empty
-    /// axes, over `edge_values`.
+    /// axes, over finite `hostile_vec` values.
     fn for_each_tile_shape(mut f: impl FnMut(usize, usize, usize, &[f32], &[f32], &[f32])) {
         let (m_max, k_max, n_max) = (2 * MR + 1, 17, 2 * NR + 3);
-        let a_all = edge_values(m_max * k_max, 81);
-        let b_all = edge_values(k_max * n_max, 82);
-        let c_all = edge_values(m_max * n_max, 83);
+        let a_all = hostile_vec(m_max * k_max, 81, false);
+        let b_all = hostile_vec(k_max * n_max, 82, false);
+        let c_all = hostile_vec(m_max * n_max, 83, false);
         for m in 0..=m_max {
             for k in 0..=k_max {
                 for n in 0..=n_max {
@@ -897,66 +870,6 @@ mod tests {
     }
 
     #[test]
-    fn avx2_and_baseline_compilations_agree_bitwise() {
-        #[cfg(target_arch = "x86_64")]
-        let detected = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let detected = false;
-        if !detected {
-            println!("skipped: this CPU has no AVX2, with_avx2 runs the baseline compilation");
-            return;
-        }
-        // Each dispatched body as written (this test is compiled for the
-        // baseline) and through `wide`, from the same starting `C`.
-        #[inline(always)]
-        fn agree(c0: &[f32], what: &str, body: impl Fn(&mut [f32])) {
-            let (mut base, mut wide) = (c0.to_vec(), c0.to_vec());
-            body(&mut base);
-            with_avx2(
-                #[inline(always)]
-                || body(&mut wide),
-            );
-            assert_eq!(bits(&base), bits(&wide), "{what}");
-        }
-        for_each_tile_shape(|m, k, n, a, b, c0| {
-            let shape = format!("{m}x{k}x{n}");
-            agree(
-                c0,
-                &format!("tile, A·B {shape}"),
-                #[inline(always)]
-                |c| direct_gemm(m, n, |idx| a_rows(a, k, idx), b, c, false),
-            );
-            agree(
-                c0,
-                &format!("tile, Aᵀ·B {shape}"),
-                #[inline(always)]
-                |c| direct_gemm(m, n, |idx| a_cols(a, m, idx), b, c, true),
-            );
-            if m == 0 || n == 0 || k == 0 {
-                return;
-            }
-            let (mut apack, mut bpack) = (Vec::new(), Vec::new());
-            pack_a(m, k, AStore::Rows(a), &mut apack);
-            pack_b(k, n, BStore::Rows(b), &mut bpack);
-            let rows = MR.min(m);
-            for accumulate in [false, true] {
-                agree(
-                    &c0[..rows * n],
-                    &format!("tile_row {shape}"),
-                    #[inline(always)]
-                    |c| tile_row(k, n, &apack[..k * MR], &bpack, c, rows, accumulate),
-                );
-            }
-            agree(
-                c0,
-                &format!("a_bt_rows {shape}"),
-                #[inline(always)]
-                |c| a_bt_rows(k, n, a, &bpack, c),
-            );
-        });
-    }
-
-    #[test]
     fn gemm_a_bt_threshold_is_pinned() {
         // At or below 8 192 multiply–adds every element is `ops::dot`,
         // above it the packed driver's single chain. The two orders give
@@ -971,8 +884,8 @@ mod tests {
             (8, 10, 640, false),
         ] {
             assert_eq!(m * k * n <= 8 * 1024, small);
-            let a = edge_values(m * k, 91);
-            let b = edge_values(n * k, 92);
+            let a = hostile_vec(m * k, 91, false);
+            let b = hostile_vec(n * k, 92, false);
             let mut c = vec![f32::NAN; m * n];
             gemm_a_bt_into(m, k, n, &a, &b, &mut c);
             for i in 0..m {
@@ -1100,7 +1013,7 @@ mod tests {
             &mut c,
             true,
         );
-        let reference = matmul_reference(&at.transposed(), &b);
+        let reference = matmul_reference(&transposed(&at), &b);
         for (got, want) in c.iter().zip(reference.as_slice()) {
             assert!(
                 (got - want).abs() < tol,
@@ -1120,7 +1033,7 @@ mod tests {
             &mut c,
             false,
         );
-        let reference = matmul_reference(&a, &bt.transposed());
+        let reference = matmul_reference(&a, &transposed(&bt));
         for (got, want) in c.iter().zip(reference.as_slice()) {
             assert!(
                 (got - want).abs() < tol,
@@ -1228,7 +1141,7 @@ mod tests {
             let b = rand_matrix(k, n, seed.wrapping_add(1));
             let mut c = Matrix::zeros(m, n);
             matmul(&a, &b, &mut c);
-            prop_assert!(c.max_abs_diff(&matmul_reference(&a, &b)) < 1e-3);
+            prop_assert!(max_abs_diff(&c, &matmul_reference(&a, &b)) < 1e-3);
         }
 
         #[test]
@@ -1239,10 +1152,10 @@ mod tests {
             let b = rand_matrix(k, n, seed.wrapping_add(9));
             let mut c1 = Matrix::zeros(m, n);
             matmul_at_b(&a, &b, &mut c1);
-            let at = a.transposed();
+            let at = transposed(&a);
             let mut c2 = Matrix::zeros(m, n);
             matmul(&at, &b, &mut c2);
-            prop_assert!(c1.max_abs_diff(&c2) < 1e-3);
+            prop_assert!(max_abs_diff(&c1, &c2) < 1e-3);
         }
 
         #[test]
@@ -1253,7 +1166,7 @@ mod tests {
             let b = rand_matrix(n, k, seed.wrapping_add(17));
             let mut c = Matrix::zeros(m, n);
             matmul_a_bt(&a, &b, &mut c);
-            prop_assert!(c.max_abs_diff(&matmul_reference(&a, &b.transposed())) < 1e-3);
+            prop_assert!(max_abs_diff(&c, &matmul_reference(&a, &transposed(&b))) < 1e-3);
         }
 
         #[test]
@@ -1263,5 +1176,92 @@ mod tests {
             let edges = [1, MR - 1, MR, MR + 1, NR - 1, NR, NR + 1];
             check_blocked_all_shapes(edges[mi], edges[ki], edges[ni], seed);
         }
+    }
+
+    /// For the table's GEMM rows (`simd::tests`): `body(m, k, a, b, c)` on
+    /// the shapes `m × k × n`, `C` starting from
+    /// the pool; the `C`s, concatenated. `m` crosses two row bands and a
+    /// tail. `k` crosses two dot-lane blocks and a tail: every `k` while
+    /// `n` is below `2·NR + 4` (every cut of the column tiles), then the
+    /// one `k ≡ n (mod 18)`.
+    fn shapes(
+        pool: &[f32],
+        n: usize,
+        body: impl Fn(usize, usize, &[f32], &[f32], &mut [f32]),
+    ) -> Vec<f32> {
+        let ks = if n < 2 * NR + 4 {
+            0..18
+        } else {
+            n % 18..n % 18 + 1
+        };
+        let mut out = Vec::new();
+        for m in 0..=2 * MR + 1 {
+            for k in ks.clone() {
+                let mut c = pool[table::C..][..m * n].to_vec();
+                body(
+                    m,
+                    k,
+                    &pool[table::A..][..m * k],
+                    &pool[table::B..][..k * n],
+                    &mut c,
+                );
+                out.extend(c);
+            }
+        }
+        out
+    }
+
+    /// The direct tile, as `gemm_into` (`A·B`) and `gemm_at_b_into` (`Aᵀ·B`,
+    /// `A` stored `k × m`, continuing from `C`) run it below the packed
+    /// driver's threshold.
+    pub(crate) fn row_direct<const AT_B: bool>(pool: &[f32], n: usize, wide: bool) -> Vec<f32> {
+        shapes(pool, n, |m, k, a, b, c| match (AT_B, wide) {
+            (false, false) => direct_gemm(m, n, |idx| a_rows(a, k, idx), b, c, false),
+            (false, true) => gemm_into(m, k, n, a, b, c),
+            (true, false) => direct_gemm(m, n, |idx| a_cols(a, m, idx), b, c, true),
+            (true, true) => gemm_at_b_into(m, k, n, a, b, c),
+        })
+    }
+
+    /// The packed micro-kernel over a shape's first row tile.
+    pub(crate) fn row_tile_row<const ACCUMULATE: bool>(
+        pool: &[f32],
+        n: usize,
+        wide: bool,
+    ) -> Vec<f32> {
+        shapes(pool, n, |m, k, a, b, c| {
+            if m * n * k == 0 {
+                return;
+            }
+            let (mut apack, mut bpack) = (Vec::new(), Vec::new());
+            pack_a(m, k, AStore::Rows(a), &mut apack);
+            pack_b(k, n, BStore::Rows(b), &mut bpack);
+            let (tile_a, rows) = (&apack[..k * MR], MR.min(m));
+            let c = &mut c[..rows * n];
+            if wide {
+                with_avx2(
+                    #[inline(always)]
+                    || tile_row(k, n, tile_a, &bpack, c, rows, ACCUMULATE),
+                );
+            } else {
+                tile_row(k, n, tile_a, &bpack, c, rows, ACCUMULATE);
+            }
+        })
+    }
+
+    /// The small `A·Bᵀ` kernel after its transposition, and `small_a_bt`.
+    pub(crate) fn row_a_bt(pool: &[f32], n: usize, wide: bool) -> Vec<f32> {
+        shapes(pool, n, |m, k, a, b, c| {
+            if m * n * k == 0 {
+                return;
+            }
+            if wide {
+                small_a_bt(m, k, n, a, b, c);
+            } else {
+                let mut bpack = Vec::new();
+                pack_b(k, n, BStore::Cols(b), &mut bpack);
+                a_bt_rows(k, n, a, &bpack, c);
+            }
+        })
     }
 }

@@ -15,6 +15,8 @@
 //!    large multiplies are packed and forked over row blocks (`rayon::for_each_part`).
 //!    [`exp_in_place`] is the one FMA build: its reference is not an order
 //!    but glibc's `expf`, which glibc itself builds with FMA on such CPUs.
+//!    Every kernel compiled a second time for AVX2 picks its compilation in
+//!    one module, `linalg::simd`, which proves it equal to its baseline.
 //! 3. **Zero allocation on hot paths** — all kernels write into caller-provided
 //!    buffers; the NN layers above keep workhorse buffers across rounds.
 //!
@@ -28,6 +30,7 @@ pub mod matrix;
 pub mod ops;
 pub mod reduce;
 pub mod rng;
+mod simd;
 
 pub use exp::exp_in_place;
 pub use gemm::{gemm_a_bt_into, gemm_at_b_into, gemm_into};

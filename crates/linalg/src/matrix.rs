@@ -27,15 +27,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a `rows × cols` matrix filled with `value`.
-    pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Wraps an existing buffer as a `rows × cols` matrix.
     ///
     /// # Panics
@@ -59,15 +50,6 @@ impl Matrix {
             }
         }
         Self { rows, cols, data }
-    }
-
-    /// The `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
     }
 
     /// Number of rows.
@@ -140,17 +122,6 @@ impl Matrix {
         self.row_mut(dst).copy_from_slice(other.row(src));
     }
 
-    /// Returns the transpose as a new matrix.
-    pub fn transposed(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
-    }
-
     /// Reshapes to `rows × cols` with all elements zeroed, reusing the
     /// existing storage when its capacity suffices — the
     /// allocation-free way to recycle one scratch matrix across shapes
@@ -161,23 +132,6 @@ impl Matrix {
         self.cols = cols;
         self.data.clear();
         self.data.resize(rows * cols, 0.0);
-    }
-
-    /// Maximum absolute difference to another matrix of the same shape.
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
-        assert_eq!(
-            self.shape(),
-            other.shape(),
-            "shape mismatch in max_abs_diff"
-        );
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max)
     }
 }
 
@@ -250,23 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_roundtrip() {
-        let m = Matrix::from_fn(4, 7, |r, c| (r * 7 + c) as f32);
-        assert_eq!(m.transposed().transposed(), m);
-        assert_eq!(m.transposed()[(3, 2)], m[(2, 3)]);
-    }
-
-    #[test]
-    fn identity_is_diagonal() {
-        let id = Matrix::identity(5);
-        for r in 0..5 {
-            for c in 0..5 {
-                assert_eq!(id[(r, c)], if r == c { 1.0 } else { 0.0 });
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "does not match shape")]
     fn from_vec_rejects_bad_length() {
         let _ = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
@@ -279,12 +216,5 @@ mod tests {
         dst.copy_row_from(1, &src, 0);
         assert_eq!(dst.row(0), &[0.0, 0.0, 0.0]);
         assert_eq!(dst.row(1), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn max_abs_diff_finds_largest_gap() {
-        let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let b = Matrix::from_vec(1, 3, vec![1.5, 2.0, 1.0]);
-        assert!((a.max_abs_diff(&b) - 2.0).abs() < 1e-6);
     }
 }

@@ -6,7 +6,7 @@
 //! type. Every kernel panics on length mismatch — in this codebase a length
 //! mismatch is always a programming error, never a data error.
 
-use crate::gemm::with_avx2;
+use crate::simd::with_avx2;
 
 /// Accumulator-lane count of the reduction kernels ([`dot`], and the small
 /// `A·Bᵀ` GEMM kernel that reproduces `dot`'s order).
@@ -575,8 +575,10 @@ fn fixed_arity_group<const N: usize>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::simd::tests as table;
+    use crate::simd::tests::hostile;
     use proptest::prelude::*;
 
     fn close(a: f32, b: f32) -> bool {
@@ -667,30 +669,6 @@ mod tests {
         }
         for (b, c) in blocked.iter().zip(&chain) {
             assert_eq!(b.to_bits(), c.to_bits(), "accumulation order changed");
-        }
-    }
-
-    /// A value from a palette that stresses sign, rounding and range:
-    /// ±0.0, subnormals, tiny, ordinary and large magnitudes (bounded so 40
-    /// products cannot reach inf − inf = NaN, whose payload nothing pins).
-    fn palette(state: &mut u64) -> f32 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let unit = (z >> 40) as f32 / (1u64 << 24) as f32;
-        let magnitude = match (z >> 1) % 6 {
-            0 => 0.0,
-            1 => f32::from_bits(1 + ((z >> 8) as u32 & 0x007f_fffe)),
-            2 => unit * 1e17,
-            3 => unit * 1e-20,
-            _ => unit,
-        };
-        if z & 1 == 0 {
-            magnitude
-        } else {
-            -magnitude
         }
     }
 
@@ -793,9 +771,9 @@ mod tests {
             // 0..=100 every WSUM_BLOCK tail
             let mut state = seed;
             let store: Vec<Vec<f32>> = (0..arity + 3)
-                .map(|_| (0..len).map(|_| palette(&mut state)).collect())
+                .map(|_| (0..len).map(|_| hostile(&mut state, false)).collect())
                 .collect();
-            let weights: Vec<f32> = (0..arity).map(|_| palette(&mut state)).collect();
+            let weights: Vec<f32> = (0..arity).map(|_| hostile(&mut state, false)).collect();
             let indices: Vec<u32> = (0..arity)
                 .map(|t| ((seed >> (t % 48)) as usize % store.len()) as u32)
                 .collect();
@@ -817,7 +795,7 @@ mod tests {
             // parameter count, and at budgets 1, 2 and 7.
             let m = store.len();
             let alt: Vec<Vec<f32>> = (0..m)
-                .map(|_| (0..len).map(|_| palette(&mut state)).collect())
+                .map(|_| (0..len).map(|_| hostile(&mut state, false)).collect())
                 .collect();
             let mix: Vec<(Vec<u32>, Vec<f32>)> = (0..m)
                 .map(|k| match k {
@@ -867,18 +845,18 @@ mod tests {
             let k = [1usize, 2, 3, 8, 9][depth];
             let mut state = seed;
             let store: Vec<Vec<f32>> = (0..m)
-                .map(|_| (0..len).map(|_| palette(&mut state)).collect())
+                .map(|_| (0..len).map(|_| hostile(&mut state, false)).collect())
                 .collect();
             let unit = |state: &mut u64| {
-                let v = palette(state);
-                if v.abs() > 1.0 { v / 1e17 } else { v }
+                let v = hostile(state, false);
+                if v.abs() > 8.0 { v / 1e17 } else { v / 8.0 }
             };
             let rounds: Vec<MixRound> = (0..k)
                 .map(|_| {
                     let mix: Vec<(Vec<u32>, Vec<f32>)> = (0..m)
                         .map(|i| {
-                            let entries = 1 + (palette(&mut state).to_bits() as usize) % 12;
-                            let own = palette(&mut state).to_bits().is_multiple_of(2);
+                            let entries = 1 + (hostile(&mut state, false).to_bits() as usize) % 12;
+                            let own = hostile(&mut state, false).to_bits().is_multiple_of(2);
                             let indices = (0..entries)
                                 .map(|e| match e {
                                     0 if own => i as u32,
@@ -893,7 +871,7 @@ mod tests {
                 })
                 .collect();
             let alt: Vec<Vec<f32>> = (0..m)
-                .map(|_| (0..len).map(|_| palette(&mut state)).collect())
+                .map(|_| (0..len).map(|_| hostile(&mut state, false)).collect())
                 .collect();
             let stand_in = |i: usize, j: u32| {
                 let j = j as usize;
@@ -906,32 +884,6 @@ mod tests {
                     prop_assert_eq!(&got, &want, "k {}, tile {:?}, {} threads", k, tile, threads);
                 }
             }
-        }
-
-        #[test]
-        fn prop_avx2_and_baseline_groups_agree_bitwise(
-            arity in 1usize..9,
-            len in 0usize..80,
-            first in 0u8..2,
-            seed in 0u64..u64::MAX
-        ) {
-            let first = first == 1;
-            // the group as written (this test is compiled for the
-            // baseline) and through `with_avx2`, from the same `out`
-            let mut state = seed;
-            let store: Vec<Vec<f32>> = (0..arity)
-                .map(|_| (0..len).map(|_| palette(&mut state)).collect())
-                .collect();
-            let mut xs = [&[][..]; WSUM_GROUP];
-            for (x, row) in xs.iter_mut().zip(&store) {
-                *x = row;
-            }
-            let ws: Vec<f32> = (0..arity).map(|_| palette(&mut state)).collect();
-            let out0: Vec<f32> = (0..len).map(|_| palette(&mut state)).collect();
-            let (mut base, mut wide) = (out0.clone(), out0);
-            group_at_arity(&mut base, &xs, &ws, first);
-            weighted_sum_group(&mut wide, &xs, &ws, first);
-            prop_assert_eq!(bits(&base), bits(&wide));
         }
     }
 
@@ -1048,5 +1000,126 @@ mod tests {
     fn axpy_rejects_mismatch() {
         let mut y = [0.0];
         axpy(1.0, &[1.0, 2.0], &mut y);
+    }
+
+    /// The message `f` panics with, or `None` when it returns.
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        let text = err.downcast_ref::<&str>().map(|s| s.to_string());
+        text.or_else(|| err.downcast_ref::<String>().cloned())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn prop_degenerate_shapes_return_and_mismatches_panic_by_name(
+            len in 0usize..2,
+            seed in 0u64..u64::MAX
+        ) {
+            use crate::compress::*;
+            // every public kernel of `ops` and `compress` on vectors of
+            // length 0 and 1, zero rows and inputs, k = 0 and k > len
+            let mut state = seed;
+            let mut draw = |n: usize| (0..n).map(|_| hostile(&mut state, true)).collect::<Vec<f32>>();
+            let (x, mut y, w) = (draw(len), draw(len), draw(1)[0]);
+            axpy(w, &x, &mut y);
+            scaled_copy(w, &x, &mut y);
+            let _ = (dot(&x, &y), squared_distance(&x, &y), norm(&x));
+            consensus_blend(w, &x, &mut y);
+            weighted_sum_indexed_into(&mut y, &[], &[], |_| &x[..]);
+            prop_assert!(y.iter().all(|v| v.to_bits() == 0), "no inputs: zeros");
+            weighted_sum_indexed_into(&mut y, &[0, 0], &[w, w], |_| &x[..]);
+            let mut none: Vec<Vec<f32>> = Vec::new();
+            let mut window = MixWindow::new(0, 0);
+            window.push(w, |_, _, _| unreachable!("a window of no rows has no row"));
+            window.settle(&mut none, |_, _| None);
+            let mut rows = vec![x.clone(), y.clone()];
+            let mut window = MixWindow::new(2, 1);
+            window.push(w, |i, indices, weights| {
+                if i == 0 {
+                    indices.push(1);
+                    weights.push(w);
+                }
+            });
+            window.settle(&mut rows, |_, _| None);
+            prop_assert!(rows.iter().all(|row| row.len() == len));
+            let p = affine_params(&x, 256);
+            let mut codes = Vec::new();
+            quantize_le::<1>(&x, p, &mut codes);
+            quantize_le::<2>(&x, p, &mut codes);
+            prop_assert_eq!(codes.len(), 3 * len);
+            let _ = (dequantize_one(p, 0), dequantize_one(p, u32::MAX));
+            let mut order = vec![7];
+            for k in [0, len, len + 1, usize::MAX] {
+                top_k_indices_into(&x, k, &mut order);
+                prop_assert_eq!(order.len(), k.min(len));
+            }
+            let (indices, values) = (&[0u32][..len], &x[..len]);
+            sparse_blend_axpy(&mut y, &x, indices, values, w);
+            scatter_axpy(&mut y, indices, values, w);
+            let mut delta = vec![1.0; 3];
+            accumulate_delta(&x, &y, &mut delta);
+            prop_assert_eq!(delta.len(), len);
+
+            // a length one longer still panics, naming the kernel
+            let (long, mut out) = (draw(len + 1), draw(len));
+            type Call<'a> = Box<dyn FnOnce(&mut [f32]) + 'a>;
+            let mismatches: [(&str, Call); 10] = [
+                ("axpy length mismatch", Box::new(|y| axpy(w, &long, y))),
+                ("scaled_copy length mismatch", Box::new(|y| scaled_copy(w, &long, y))),
+                ("dot length mismatch", Box::new(|y| _ = dot(&long, y))),
+                ("squared_distance length mismatch", Box::new(|y| _ = squared_distance(&long, y))),
+                ("consensus_blend length mismatch", Box::new(|y| consensus_blend(w, &long, y))),
+                (
+                    "weighted_sum_indexed_into arity mismatch",
+                    Box::new(|y| weighted_sum_indexed_into(y, &[0], &[], |_| &long[..])),
+                ),
+                (
+                    "weighted_sum length mismatch",
+                    Box::new(|y| weighted_sum_indexed_into(y, &[0], &[w], |_| &long[..])),
+                ),
+                ("sparse arity mismatch", Box::new(|y| sparse_blend_axpy(y, &long, &[], &long, w))),
+                ("sparse arity mismatch", Box::new(|y| scatter_axpy(y, &[], &long, w))),
+                ("replica length mismatch", Box::new(|y| accumulate_delta(&long, y, &mut Vec::new()))),
+            ];
+            for (message, kernel) in mismatches {
+                let got = panic_message(|| kernel(&mut out));
+                prop_assert!(
+                    got.as_deref().is_some_and(|m| m.contains(message)),
+                    "{}: {:?}", message, got
+                );
+            }
+            let mut window = MixWindow::new(1, 1);
+            let got = panic_message(|| window.push(w, |_, indices, _| indices.push(0)));
+            prop_assert!(got.is_some_and(|m| m.contains("mix_rounds_in_place arity mismatch")));
+            let got = panic_message(|| {
+                window.push(w, |_, _, _| {});
+                window.settle(&mut [x.clone(), x.clone()], |_, _| None);
+            });
+            prop_assert!(got.is_some_and(|m| m.contains("mix_rounds_in_place arity mismatch")));
+        }
+    }
+
+    /// The table's row for one weighted-sum group of `N` inputs
+    /// (`simd::tests`), into an `out` that starts from the pool,
+    /// initialising it and adding to it.
+    pub(crate) fn row_group<const N: usize>(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
+        let mut xs = [&[][..]; WSUM_GROUP];
+        for (t, x) in xs.iter_mut().take(N).enumerate() {
+            *x = &pool[table::B + t * table::TAILS..][..len];
+        }
+        let ws = &pool[table::PARAMS..][..N];
+        let mut outs = Vec::new();
+        for first in [true, false] {
+            let mut out = pool[table::C..][..len].to_vec();
+            if wide {
+                weighted_sum_group(&mut out, &xs, ws, first);
+            } else {
+                group_at_arity(&mut out, &xs, ws, first);
+            }
+            outs.extend(out);
+        }
+        outs
     }
 }

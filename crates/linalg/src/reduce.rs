@@ -1,36 +1,5 @@
 //! Reductions and summary statistics over slices.
 
-/// Sum of all elements.
-#[inline]
-pub fn sum(x: &[f32]) -> f32 {
-    x.iter().sum()
-}
-
-/// Arithmetic mean; `0.0` for an empty slice.
-#[inline]
-pub fn mean(x: &[f32]) -> f32 {
-    if x.is_empty() {
-        0.0
-    } else {
-        sum(x) / x.len() as f32
-    }
-}
-
-/// Population variance; `0.0` for slices with fewer than two elements.
-pub fn variance(x: &[f32]) -> f32 {
-    if x.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(x);
-    x.iter().map(|v| (v - m) * (v - m)).sum::<f32>() / x.len() as f32
-}
-
-/// Population standard deviation.
-#[inline]
-pub fn std_dev(x: &[f32]) -> f32 {
-    variance(x).sqrt()
-}
-
 /// Index of the maximum element (first occurrence wins); `None` when empty.
 /// NaNs are ignored unless all elements are NaN, in which case index 0 is
 /// returned.
@@ -103,21 +72,22 @@ mod tests {
 
     #[test]
     fn sum_and_mean_basics() {
-        assert_eq!(sum(&[1.0, 2.0, 3.0]), 6.0);
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(mean(&[]), 0.0);
+        assert_eq!(mean_std(&[1.0, 2.0, 3.0]).0, 2.0);
+        assert_eq!(mean_std(&[-1.5, 1.5]).0, 0.0);
+        assert_eq!(mean_std(&[]).0, 0.0);
     }
 
     #[test]
     fn variance_of_constant_is_zero() {
-        assert_eq!(variance(&[5.0; 10]), 0.0);
-        assert_eq!(variance(&[1.0]), 0.0);
+        assert_eq!(mean_std(&[5.0; 10]).1, 0.0);
+        assert_eq!(mean_std(&[1.0]).1, 0.0);
     }
 
     #[test]
     fn variance_known_value() {
         // var([1,2,3,4]) = 1.25 (population)
-        assert!((variance(&[1.0, 2.0, 3.0, 4.0]) - 1.25).abs() < 1e-6);
+        let (_, s) = mean_std(&[1.0, 2.0, 3.0, 4.0]);
+        assert!((s * s - 1.25).abs() < 1e-6);
     }
 
     #[test]
@@ -146,10 +116,6 @@ mod tests {
 
     #[test]
     fn degenerate_slices_give_the_documented_values() {
-        assert_eq!(
-            (sum(&[]), mean(&[]), variance(&[]), std_dev(&[])),
-            (0.0, 0.0, 0.0, 0.0)
-        );
         assert_eq!((max(&[]), min(&[]), argmax(&[])), (None, None, None));
         assert_eq!(mean_std(&[]), (0.0, 0.0));
         assert_eq!(mean_std(&[3.5; 9]), (3.5, 0.0));
@@ -182,7 +148,9 @@ mod tests {
     fn mean_std_matches_two_pass() {
         let x: Vec<f32> = (0..100).map(|i| (i as f32).sin()).collect();
         let (m, s) = mean_std(&x);
-        assert!((m - mean(&x)).abs() < 1e-5);
-        assert!((s - std_dev(&x)).abs() < 1e-4);
+        let mean = x.iter().sum::<f32>() / x.len() as f32;
+        let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / x.len() as f32;
+        assert!((m - mean).abs() < 1e-5);
+        assert!((s - var.sqrt()).abs() < 1e-4);
     }
 }

@@ -36,14 +36,6 @@ pub struct GaussianSampler {
 }
 
 impl GaussianSampler {
-    /// Creates a sampler from a 64-bit seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: SmallRng::seed_from_u64(seed),
-            spare: None,
-        }
-    }
-
     /// Creates a sampler on a derived stream (see [`derive_seed`]).
     pub fn for_stream(seed: u64, stream: u64) -> Self {
         Self {
@@ -82,7 +74,7 @@ impl GaussianSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduce::{mean, std_dev};
+    use crate::reduce::mean_std;
 
     #[test]
     fn derive_seed_differs_per_stream() {
@@ -97,19 +89,16 @@ mod tests {
 
     #[test]
     fn gaussian_moments_are_plausible() {
-        let mut g = GaussianSampler::new(7);
+        let mut g = GaussianSampler::for_stream(7, 0);
         let xs: Vec<f32> = (0..20_000).map(|_| g.sample()).collect();
-        assert!(mean(&xs).abs() < 0.03, "mean {} too far from 0", mean(&xs));
-        assert!(
-            (std_dev(&xs) - 1.0).abs() < 0.03,
-            "std {} too far from 1",
-            std_dev(&xs)
-        );
+        let (mean, std) = mean_std(&xs);
+        assert!(mean.abs() < 0.03, "mean {mean} too far from 0");
+        assert!((std - 1.0).abs() < 0.03, "std {std} too far from 1");
     }
 
     #[test]
     fn gaussian_tail_mass_is_bounded() {
-        let mut g = GaussianSampler::new(11);
+        let mut g = GaussianSampler::for_stream(11, 0);
         let beyond_3: usize = (0..50_000).filter(|_| g.sample().abs() > 3.0).count();
         // P(|Z| > 3) ≈ 0.27%; allow generous slack.
         assert!(beyond_3 < 500, "too many 3-sigma outliers: {beyond_3}");

@@ -422,11 +422,12 @@ mod tests {
         a.load_params(&flat_b);
         let ya2 = a.forward(&x).clone();
         let yb = b.forward(&x).clone();
-        assert!(ya.max_abs_diff(&ya2) > 1e-6, "loading params had no effect");
+        let moved = ya.as_slice().iter().zip(ya2.as_slice());
         assert!(
-            ya2.max_abs_diff(&yb) < 1e-6,
-            "same params must predict identically"
+            moved.map(|(p, q)| (p - q).abs()).any(|d| d > 1e-6),
+            "loading params had no effect"
         );
+        assert_eq!(ya2, yb, "same params must predict identically");
     }
 
     #[test]
@@ -434,7 +435,7 @@ mod tests {
         let mut m = tiny_mlp(7);
         let x = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1);
         let _ = m.forward(&x);
-        let g = Matrix::full(3, 3, 0.5);
+        let g = Matrix::from_vec(3, 3, vec![0.5; 9]);
         m.backward(&x, &g);
         let mut grads = Vec::new();
         m.copy_grads_to(&mut grads);
@@ -454,7 +455,7 @@ mod tests {
         let x = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1);
         let _ = m.forward(&x);
         let other = Matrix::zeros(2, 4);
-        m.backward(&other, &Matrix::full(3, 3, 0.5));
+        m.backward(&other, &Matrix::from_vec(3, 3, vec![0.5; 9]));
     }
 
     /// Reference sweep: every layer, layer 0 included, computes its input
@@ -548,7 +549,7 @@ mod tests {
         let mut owner = tiny_mlp(9);
         let mut lender = tiny_mlp(9);
         let x = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1);
-        let g = Matrix::full(3, 3, 0.5);
+        let g = Matrix::from_vec(3, 3, vec![0.5; 9]);
         let step = |m: &mut Sequential| {
             m.zero_grads();
             let _ = m.forward(&x);
