@@ -985,14 +985,15 @@ pub(crate) mod tests {
     }
 
     /// For the table's codec rows (`simd::tests`): the fitted map of `src`
-    /// at width `W`, and a map from the pool's own
-    /// values (any scale: zero, negative, subnormal, non-finite).
+    /// at width `W`, and a map from the pool's own values (any scale: zero,
+    /// negative, subnormal, non-finite).
     fn maps<const W: usize>(pool: &[f32], src: &[f32]) -> [AffineParams; 2] {
         let (min, scale) = (pool[table::PARAMS], pool[table::PARAMS + 1]);
         [fit(src, 1 << (8 * W)), AffineParams { min, scale }]
     }
 
-    /// `W`-byte codes from the low bytes of the pool's bits.
+    /// `len` codes of `W` bytes, each byte mixed from the bits of one pool
+    /// value.
     fn codes<const W: usize>(pool: &[f32], len: usize) -> Vec<u8> {
         let bytes = pool[table::C..][..W * len].iter();
         bytes

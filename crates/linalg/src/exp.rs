@@ -31,10 +31,7 @@
 pub fn exp_in_place(xs: &mut [f32]) {
     #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
     if glibc::fma_build_is_libm() {
-        return crate::simd::with_avx2_fma(
-            #[inline(always)]
-            || glibc::exp_blocks(xs),
-        );
+        return glibc::exp_fma(xs);
     }
     xs.iter_mut().for_each(|x| *x = x.exp());
 }
@@ -98,10 +95,19 @@ mod glibc {
         })
     }
 
+    /// [`exp_blocks`] compiled for AVX2 + FMA, as glibc's FMA build is.
+    /// Never inlined, so `exp_in_place` stays small enough to inline.
+    #[inline(never)]
+    pub(super) fn exp_fma(xs: &mut [f32]) {
+        crate::simd::with_avx2_fma(
+            #[inline(always)]
+            || exp_blocks(xs),
+        );
+    }
+
     /// [`exp_one`] over `xs`, one [`BLOCK`] at a time; a block holding any
     /// `|x| ≥ 88`, `±∞` or NaN (glibc's test, `abstop ≥ top12(88)`) goes
-    /// through `f32::exp` instead. `exp_in_place` runs it compiled for
-    /// AVX2 + FMA, as glibc's FMA build is (`simd::with_avx2_fma`).
+    /// through `f32::exp` instead.
     #[inline(always)]
     pub(super) fn exp_blocks(xs: &mut [f32]) {
         for block in xs.chunks_mut(BLOCK) {
@@ -258,9 +264,8 @@ pub(crate) mod tests {
     #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
     #[test]
     fn the_blocked_copy_equals_its_scalar_form_at_every_length() {
-        // `exp_blocks` through its dispatcher against `exp_one` called per
-        // element of each 64-value block without a special value, and
-        // `f32::exp` in the others
+        // `exp_fma` against `exp_one` called per element of each 64-value
+        // block without a special value, and `f32::exp` in the others
         for len in 0..=130 {
             for seed in [1, 2] {
                 let xs = values(len, seed * 1000 + len as u64);
@@ -273,10 +278,7 @@ pub(crate) mod tests {
                     xs
                 };
                 let mut got = xs.clone();
-                crate::simd::with_avx2_fma(
-                    #[inline(always)]
-                    || glibc::exp_blocks(&mut got),
-                );
+                glibc::exp_fma(&mut got);
                 let mut want = xs.clone();
                 for block in want.chunks_mut(glibc::BLOCK) {
                     let special = block.iter().any(|x| x.abs() >= 88.0 || x.is_nan());
@@ -340,10 +342,7 @@ pub(crate) mod tests {
         let mut xs: Vec<f32> = pool[table::A..][..len].iter().map(fold).collect();
         #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
         if wide {
-            crate::simd::with_avx2_fma(
-                #[inline(always)]
-                || glibc::exp_blocks(&mut xs),
-            );
+            glibc::exp_fma(&mut xs);
         } else {
             glibc::exp_blocks(&mut xs);
         }

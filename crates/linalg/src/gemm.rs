@@ -1179,11 +1179,10 @@ pub(crate) mod tests {
     }
 
     /// For the table's GEMM rows (`simd::tests`): `body(m, k, a, b, c)` on
-    /// the shapes `m × k × n`, `C` starting from
-    /// the pool; the `C`s, concatenated. `m` crosses two row bands and a
-    /// tail. `k` crosses two dot-lane blocks and a tail: every `k` while
-    /// `n` is below `2·NR + 4` (every cut of the column tiles), then the
-    /// one `k ≡ n (mod 18)`.
+    /// the shapes `m × k × n`, `C` starting from the pool; the `C`s,
+    /// concatenated. `m` crosses two row bands and a tail. `k` crosses two
+    /// dot-lane blocks and a tail: every `k` while `n` is below `2·NR + 4`
+    /// (every cut of the column tiles), then the one `k ≡ n (mod 18)`.
     fn shapes(
         pool: &[f32],
         n: usize,

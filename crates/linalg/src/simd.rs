@@ -28,8 +28,7 @@ pub(crate) fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Whether the CPU has AVX2 and FMA: glibc's condition for its FMA `expf`
-/// build, and [`with_avx2_fma`]'s.
+/// Whether the CPU has AVX2 and FMA (glibc's condition for its FMA `expf`).
 pub(crate) fn has_avx2_fma() -> bool {
     #[cfg(target_arch = "x86_64")]
     return std::arch::is_x86_feature_detected!("avx2")
