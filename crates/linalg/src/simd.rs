@@ -1,20 +1,19 @@
-//! The one place the crate picks a compilation, and its only `unsafe`.
-//!
-//! A kernel worth a wider build is written once, as an `#[inline(always)]`
-//! body, and runs through a dispatcher here: compiled for the wider target
-//! when the CPU has it, as written otherwise. No intrinsics, so both
-//! compilations do the same operations in the same order and agree bit for
-//! bit; the tests hold every such kernel to its baseline from one table.
+//! The one place the crate picks a compilation, and its only `unsafe`: a
+//! kernel worth a wider build is an `#[inline(always)]` body run through a
+//! dispatcher here. No intrinsics, so both compilations agree bit for bit;
+//! the tests hold each kernel to its baseline from one table.
 
 /// Runs `f` compiled for AVX2 when the CPU has it, as written otherwise:
 /// the GEMM tiles, the weighted-sum groups and the codec kernels. Callers
 /// pass an `#[inline(always)]` closure around an `#[inline(always)]` kernel
-/// body, so `wide` holds a second compilation. No FMA: the same separate
-/// multiply and add in the same order.
+/// body, so `wide` holds a second compilation (no FMA: the same separate
+/// multiply and add in the same order). `#[inline]` gives each caller's
+/// codegen unit its own `wide`, beside the closures the body calls.
 #[inline(always)]
 pub(crate) fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
     #[cfg(target_arch = "x86_64")]
     {
+        #[inline]
         #[target_feature(enable = "avx2")]
         fn wide<R>(f: impl FnOnce() -> R) -> R {
             f()
@@ -45,6 +44,7 @@ pub(crate) fn has_avx2_fma() -> bool {
 pub(crate) fn with_avx2_fma<R>(f: impl FnOnce() -> R) -> R {
     #[cfg(target_arch = "x86_64")]
     {
+        #[inline]
         #[target_feature(enable = "avx2,fma")]
         fn wide<R>(f: impl FnOnce() -> R) -> R {
             f()
