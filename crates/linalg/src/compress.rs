@@ -984,7 +984,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// For the table's codec rows (`simd::tests`): the fitted map of `src`
+    /// For the codec rows ([`ROWS`]): the fitted map of `src`
     /// at width `W`, and a map from the pool's own values (any scale: zero,
     /// negative, subnormal, non-finite).
     fn maps<const W: usize>(pool: &[f32], src: &[f32]) -> [AffineParams; 2] {
@@ -1001,7 +1001,7 @@ pub(crate) mod tests {
             .collect()
     }
 
-    pub(crate) fn row_fit(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
+    fn row_fit(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
         let src = &pool[table::A..][..len];
         let mut out = Vec::new();
         for levels in [256, 65_536] {
@@ -1015,7 +1015,7 @@ pub(crate) mod tests {
         out
     }
 
-    pub(crate) fn row_quantize<const W: usize>(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
+    fn row_quantize<const W: usize>(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
         let src = &pool[table::A..][..len];
         let mut out = Vec::new();
         for p in maps::<W>(pool, src) {
@@ -1033,7 +1033,7 @@ pub(crate) mod tests {
         out
     }
 
-    pub(crate) fn row_dequantize<const W: usize>(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
+    fn row_dequantize<const W: usize>(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
         let codes = codes::<W>(pool, len);
         let mut out = Vec::new();
         for params in maps::<W>(pool, &pool[table::A..][..len]) {
@@ -1056,7 +1056,7 @@ pub(crate) mod tests {
 
     /// The fold into an `out` (and a replica, with `FEEDBACK`) that start
     /// from the pool; both, concatenated.
-    pub(crate) fn row_fold<const W: usize, const FEEDBACK: bool>(
+    fn row_fold<const W: usize, const FEEDBACK: bool>(
         pool: &[f32],
         len: usize,
         wide: bool,
@@ -1082,5 +1082,30 @@ pub(crate) mod tests {
             out.extend(sum);
         }
         out
+    }
+
+    /// The codec kernels, each as written and through its dispatcher.
+    const ROWS: [(&str, table::Row); 9] = [
+        ("fit", row_fit),
+        ("quantize, W = 1", row_quantize::<1>),
+        ("quantize, W = 2", row_quantize::<2>),
+        ("dequantize, W = 1", row_dequantize::<1>),
+        ("dequantize, W = 2", row_dequantize::<2>),
+        ("fold, W = 1", row_fold::<1, false>),
+        ("fold, W = 1, replica", row_fold::<1, true>),
+        ("fold, W = 2", row_fold::<2, false>),
+        ("fold, W = 2, replica", row_fold::<2, true>),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn prop_avx2_and_baseline_codec_kernels_agree_bitwise(
+            seed in 0u64..u64::MAX,
+            non_finite in 0u8..2
+        ) {
+            table::rows_agree_bitwise(&ROWS, seed, non_finite == 1)?;
+        }
     }
 }

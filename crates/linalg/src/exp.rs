@@ -141,6 +141,7 @@ mod glibc {
 pub(crate) mod tests {
     use super::*;
     use crate::simd::tests as table;
+    use proptest::prelude::*;
     use std::hint::black_box;
 
     /// `exp_in_place` against `f32::exp` element by element, by bits, a
@@ -333,10 +334,10 @@ pub(crate) mod tests {
         assert_eq!(misses, 0, "inputs where exp_in_place differs from f32::exp");
     }
 
-    /// The table's rows for exp's blocks (`simd::tests`): the pool, or the
+    /// The rows for exp's blocks ([`ROWS`]): the pool, or the
     /// pool `FOLDED` into `(−88, 88)`, where a block runs the polynomial
     /// unless a non-finite value sits in it.
-    pub(crate) fn row_blocks<const FOLDED: bool>(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
+    fn row_blocks<const FOLDED: bool>(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
         // `v % 88` is `v` itself wherever `|v| < 88`
         let fold = |&v: &f32| if FOLDED { v % 88.0 } else { v };
         let mut xs: Vec<f32> = pool[table::A..][..len].iter().map(fold).collect();
@@ -347,5 +348,23 @@ pub(crate) mod tests {
             glibc::exp_blocks(&mut xs);
         }
         xs
+    }
+
+    /// exp's blocks, as written and through the AVX2 + FMA dispatcher.
+    const ROWS: [(&str, table::Row); 2] = [
+        ("exp blocks in (−88, 88)", row_blocks::<true>),
+        ("exp blocks", row_blocks::<false>),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn prop_avx2_and_baseline_blocks_agree_bitwise(
+            seed in 0u64..u64::MAX,
+            non_finite in 0u8..2
+        ) {
+            table::rows_agree_bitwise(&ROWS, seed, non_finite == 1)?;
+        }
     }
 }

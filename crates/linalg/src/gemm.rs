@@ -1178,7 +1178,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// For the table's GEMM rows (`simd::tests`): `body(m, k, a, b, c)` on
+    /// For the GEMM rows ([`ROWS`]): `body(m, k, a, b, c)` on
     /// the shapes `m × k × n`, `C` starting from the pool; the `C`s,
     /// concatenated. `m` crosses two row bands and a tail. `k` crosses two
     /// dot-lane blocks and a tail: every `k` while `n` is below `2·NR + 4`
@@ -1213,7 +1213,7 @@ pub(crate) mod tests {
     /// The direct tile, as `gemm_into` (`A·B`) and `gemm_at_b_into` (`Aᵀ·B`,
     /// `A` stored `k × m`, continuing from `C`) run it below the packed
     /// driver's threshold.
-    pub(crate) fn row_direct<const AT_B: bool>(pool: &[f32], n: usize, wide: bool) -> Vec<f32> {
+    fn row_direct<const AT_B: bool>(pool: &[f32], n: usize, wide: bool) -> Vec<f32> {
         shapes(pool, n, |m, k, a, b, c| match (AT_B, wide) {
             (false, false) => direct_gemm(m, n, |idx| a_rows(a, k, idx), b, c, false),
             (false, true) => gemm_into(m, k, n, a, b, c),
@@ -1223,11 +1223,7 @@ pub(crate) mod tests {
     }
 
     /// The packed micro-kernel over a shape's first row tile.
-    pub(crate) fn row_tile_row<const ACCUMULATE: bool>(
-        pool: &[f32],
-        n: usize,
-        wide: bool,
-    ) -> Vec<f32> {
+    fn row_tile_row<const ACCUMULATE: bool>(pool: &[f32], n: usize, wide: bool) -> Vec<f32> {
         shapes(pool, n, |m, k, a, b, c| {
             if m * n * k == 0 {
                 return;
@@ -1249,7 +1245,7 @@ pub(crate) mod tests {
     }
 
     /// The small `A·Bᵀ` kernel after its transposition, and `small_a_bt`.
-    pub(crate) fn row_a_bt(pool: &[f32], n: usize, wide: bool) -> Vec<f32> {
+    fn row_a_bt(pool: &[f32], n: usize, wide: bool) -> Vec<f32> {
         shapes(pool, n, |m, k, a, b, c| {
             if m * n * k == 0 {
                 return;
@@ -1262,5 +1258,26 @@ pub(crate) mod tests {
                 a_bt_rows(k, n, a, &bpack, c);
             }
         })
+    }
+
+    /// The GEMM kernels, each as written and through its dispatcher.
+    const ROWS: [(&str, table::Row); 5] = [
+        ("direct tile, A·B", row_direct::<false>),
+        ("direct tile, Aᵀ·B", row_direct::<true>),
+        ("tile_row, stored", row_tile_row::<false>),
+        ("tile_row, accumulated", row_tile_row::<true>),
+        ("a_bt_rows", row_a_bt),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn avx2_and_baseline_compilations_agree_bitwise(
+            seed in 0u64..u64::MAX,
+            non_finite in 0u8..2
+        ) {
+            table::rows_agree_bitwise(&ROWS, seed, non_finite == 1)?;
+        }
     }
 }

@@ -1101,10 +1101,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// The table's row for one weighted-sum group of `N` inputs
-    /// (`simd::tests`), into an `out` that starts from the pool,
+    /// The row for one weighted-sum group of `N` inputs
+    /// ([`ROWS`]), into an `out` that starts from the pool,
     /// initialising it and adding to it.
-    pub(crate) fn row_group<const N: usize>(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
+    fn row_group<const N: usize>(pool: &[f32], len: usize, wide: bool) -> Vec<f32> {
         let mut xs = [&[][..]; WSUM_GROUP];
         for (t, x) in xs.iter_mut().take(N).enumerate() {
             *x = &pool[table::B + t * table::TAILS..][..len];
@@ -1121,5 +1121,30 @@ pub(crate) mod tests {
             outs.extend(out);
         }
         outs
+    }
+
+    /// The weighted-sum group at every arity, as written and through its
+    /// dispatcher.
+    const ROWS: [(&str, table::Row); 8] = [
+        ("weighted-sum group, arity 1", row_group::<1>),
+        ("weighted-sum group, arity 2", row_group::<2>),
+        ("weighted-sum group, arity 3", row_group::<3>),
+        ("weighted-sum group, arity 4", row_group::<4>),
+        ("weighted-sum group, arity 5", row_group::<5>),
+        ("weighted-sum group, arity 6", row_group::<6>),
+        ("weighted-sum group, arity 7", row_group::<7>),
+        ("weighted-sum group, arity 8", row_group::<8>),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn prop_avx2_and_baseline_groups_agree_bitwise(
+            seed in 0u64..u64::MAX,
+            non_finite in 0u8..2
+        ) {
+            table::rows_agree_bitwise(&ROWS, seed, non_finite == 1)?;
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The one place the crate picks a compilation, and its only `unsafe`: a
 //! kernel worth a wider build is an `#[inline(always)]` body run through a
 //! dispatcher here. No intrinsics, so both compilations agree bit for bit;
-//! the tests hold each kernel to its baseline from one table.
+//! each module's tests hold its kernels to their baselines with one checker.
 
 /// Runs `f` compiled for AVX2 when the CPU has it, as written otherwise:
 /// the GEMM tiles, the weighted-sum groups and the codec kernels. Callers
@@ -60,10 +60,6 @@ pub(crate) fn with_avx2_fma<R>(f: impl FnOnce() -> R) -> R {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use crate::compress::tests as codec;
-    use crate::exp::tests as exp;
-    use crate::gemm::tests as gemm;
-    use crate::ops::tests as ops;
     use proptest::prelude::*;
 
     /// The next float of the stream `state`, drawn to expose a changed
@@ -103,7 +99,7 @@ pub(crate) mod tests {
         (0..len).map(|_| hostile(&mut state, non_finite)).collect()
     }
 
-    /// The longest tail the table walks, and the widest `n` of its GEMM
+    /// The longest tail the rows walk, and the widest `n` of its GEMM
     /// shapes.
     pub(crate) const TAILS: usize = 80;
 
@@ -115,39 +111,11 @@ pub(crate) mod tests {
     pub(crate) const PARAMS: usize = 2400;
     const POOL: usize = 2410;
 
-    /// A row of the table: a twice-compiled kernel on the pool at tail
-    /// length `len`, its outputs as written (`wide` false; tests compile for
-    /// the baseline) or through its dispatcher. The tests of each module
-    /// define the rows of its kernels.
-    type Row = fn(&[f32], usize, bool) -> Vec<f32>;
-
-    /// Every twice-compiled kernel in the crate.
-    const TABLE: [(&str, Row); 24] = [
-        ("direct tile, A·B", gemm::row_direct::<false>),
-        ("direct tile, Aᵀ·B", gemm::row_direct::<true>),
-        ("tile_row, stored", gemm::row_tile_row::<false>),
-        ("tile_row, accumulated", gemm::row_tile_row::<true>),
-        ("a_bt_rows", gemm::row_a_bt),
-        ("weighted-sum group, arity 1", ops::row_group::<1>),
-        ("weighted-sum group, arity 2", ops::row_group::<2>),
-        ("weighted-sum group, arity 3", ops::row_group::<3>),
-        ("weighted-sum group, arity 4", ops::row_group::<4>),
-        ("weighted-sum group, arity 5", ops::row_group::<5>),
-        ("weighted-sum group, arity 6", ops::row_group::<6>),
-        ("weighted-sum group, arity 7", ops::row_group::<7>),
-        ("weighted-sum group, arity 8", ops::row_group::<8>),
-        ("fit", codec::row_fit),
-        ("quantize, W = 1", codec::row_quantize::<1>),
-        ("quantize, W = 2", codec::row_quantize::<2>),
-        ("dequantize, W = 1", codec::row_dequantize::<1>),
-        ("dequantize, W = 2", codec::row_dequantize::<2>),
-        ("fold, W = 1", codec::row_fold::<1, false>),
-        ("fold, W = 1, replica", codec::row_fold::<1, true>),
-        ("fold, W = 2", codec::row_fold::<2, false>),
-        ("fold, W = 2, replica", codec::row_fold::<2, true>),
-        ("exp blocks in (−88, 88)", exp::row_blocks::<true>),
-        ("exp blocks", exp::row_blocks::<false>),
-    ];
+    /// A row: a twice-compiled kernel on the pool at tail length `len`, its
+    /// outputs as written (`wide` false; tests compile for the baseline) or
+    /// through its dispatcher. The tests of each module define the rows of
+    /// its kernels and check them with [`rows_agree_bitwise`].
+    pub(crate) type Row = fn(&[f32], usize, bool) -> Vec<f32>;
 
     /// Bits, with every NaN as one: which NaN operand an add propagates is
     /// not specified, and a compilation may commute an add.
@@ -157,21 +125,20 @@ pub(crate) mod tests {
             .collect()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-
-        #[test]
-        fn prop_every_twice_compiled_kernel_is_its_baseline_bitwise(
-            seed in 0u64..u64::MAX,
-            non_finite in 0u8..2
-        ) {
-            let pool = hostile_vec(POOL, seed, non_finite == 1);
-            for (name, row) in TABLE {
-                for len in 0..TAILS {
-                    let (base, wide) = (row(&pool, len, false), row(&pool, len, true));
-                    prop_assert!(bits(&base) == bits(&wide), "{name} at tail {len}");
-                }
+    /// Every row of `rows`, at every tail length below [`TAILS`] on the
+    /// [`hostile`] pool of `seed`, gives the bits of its baseline.
+    pub(crate) fn rows_agree_bitwise(
+        rows: &[(&str, Row)],
+        seed: u64,
+        non_finite: bool,
+    ) -> Result<(), TestCaseError> {
+        let pool = hostile_vec(POOL, seed, non_finite);
+        for &(name, row) in rows {
+            for len in 0..TAILS {
+                let (base, wide) = (row(&pool, len, false), row(&pool, len, true));
+                prop_assert!(bits(&base) == bits(&wide), "{name} at tail {len}");
             }
         }
+        Ok(())
     }
 }
