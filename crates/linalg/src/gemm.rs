@@ -21,11 +21,11 @@
 //!
 //! 1. **Direct tile: every serial `A·B` and `Aᵀ·B`** (below
 //!    [`PAR_FLOP_THRESHOLD`]). An [`MR`]-row block of accumulators, 8, 4, 2
-//!    or 1 columns wide, stays in registers across the whole `k` loop while
-//!    both operands are read where they lie; `C` is written once. A
-//!    training batch makes `m` 8–32, so a packed `B` would serve 2–8 row
-//!    tiles and never repay the copy; reading in place stays ahead while
-//!    `B` is cache-resident. No scratch, so no allocation on any thread.
+//!    or 1 columns wide, stays in registers across a block of `KC` rows of
+//!    `B` while both operands are read where they lie; `C` is written once
+//!    per block. A training batch makes `m` 8–32, so a packed `B` would
+//!    serve 2–8 row tiles and never repay the copy. No scratch, so no
+//!    allocation on any thread.
 //! 2. **Pack, then tile: the parallel driver** (at or above
 //!    [`PAR_FLOP_THRESHOLD`]) and large `A·Bᵀ`. `B` is packed once into
 //!    [`NR`]-wide column panels and `A` into [`MR`]-row tiles (zero-padded
@@ -41,6 +41,27 @@
 //! They agree bit for bit on a zeroed `C`, which the library caller passes
 //! (`Sequential::backward` after `zero_grads`): no pinned result moves when
 //! a shape changes driver; the packed order is deliberately left as it is.
+//!
+//! **Cold `B`.** A SkipTrain training round follows a window settle that
+//! rewrote the whole fleet (22.8 MB on `sync_wide64`), so a node's weights
+//! reach its forward pass from L3. A tile's pass over all of `k` reads `B`
+//! as `k` strips `4·n` bytes apart (2 560 B in the first layer's
+//! `gemm_into(8, 128, 640)`), streams no prefetcher follows; a block of
+//! `KC` rows is read by every band and tile before the next, and `pack`
+//! copies `W` rows at a time. Per multiply, µs, min of 90 samples of 64 /
+//! median of six alternating runs' medians, 2-vCPU AVX2 host with 2 MiB of
+//! L2 per core; cold reads 64 distinct models, warm one model 64 times; the
+//! outputs of every row are equal bit for bit:
+//!
+//! | `KC` | `(8, 128, 640)` cold | warm | `(8, 640, 10)` cold | warm |
+//! |---|---|---|---|---|
+//! | one block | 154 / 185 | 37 / 55 | 6.6 / 9.4 | 3.8 / 6.1 |
+//! | 16 | 86 / 116 | 42 / 72 | 7.0 / 10.8 | 5.6 / 9.4 |
+//! | 32 | 81 / 107 | 39 / 60 | 6.6 / 10.0 | 4.6 / 7.2 |
+//! | 64 | 87 / 119 | 37 / 57 | 6.4 / 9.8 | 4.4 / 7.0 |
+//!
+//! 32 reads a cold `B` fastest; a narrow `B` pays each block's reload of
+//! `C`. The 32-24-{10,47} models' products all have `k ≤ 32`: one block.
 //!
 //! No kernel skips a zero term, so `0 · ∞` is `NaN` at every size. For
 //! finite operands skipping would change no bit: a chain started at `+0.0`
@@ -60,7 +81,6 @@
 //! output-layer input gradients all take it, so that order is in every
 //! pinned result, and `dot` is the reference the tests hold it to, bit for bit.
 
-use crate::matrix::Matrix;
 use crate::ops::LANES;
 use crate::simd::with_avx2;
 use std::cell::RefCell;
@@ -70,6 +90,9 @@ pub const MR: usize = 4;
 
 /// Columns per register tile (and per packed `B` panel).
 pub const NR: usize = 8;
+
+/// Rows of `B` per block of the direct tile: the module doc's "Cold `B`".
+const KC: usize = 32;
 
 /// Minimum multiply–add count (`m·n·k`) before a multiply is parallelized.
 ///
@@ -113,12 +136,13 @@ enum BStore<'a> {
     Cols(&'a [f32]),
 }
 
-/// One `MR × W` block of `C`, operands read where they lie: accumulators in
-/// registers across the whole `p = 0..k` loop, `C` written once. Each element
-/// is one chain `acc += a · b` over `p` in order, from `+0.0` (`A·B`) or from
-/// the `C` it replaces (`from_c`, `Aᵀ·B`); no term is skipped. `a_vals` yields
-/// the tile rows' `A` values for each `p`; `c_band` is the `≤ MR` rows of `C`
-/// it lies in. Spare rows of a short band shadow its last, start to store.
+/// One `MR × W` block of `C` over one block of `B`'s rows, operands read
+/// where they lie: accumulators in registers across the block, `C` written
+/// once. Each element continues one chain `acc += a · b` over `p` in order,
+/// from `+0.0` or from the `C` it replaces (`from_c`); no term is skipped.
+/// `a_vals` yields the tile rows' `A` values for each `p`; `c_band` is the
+/// `≤ MR` rows of `C` it lies in, `last` the index of its last row, which
+/// spare rows of a short band shadow, start to store.
 #[inline(always)]
 fn tile<const W: usize>(
     a_vals: impl Iterator<Item = [f32; MR]>,
@@ -126,9 +150,9 @@ fn tile<const W: usize>(
     n: usize,
     j0: usize,
     c_band: &mut [f32],
+    last: usize,
     from_c: bool,
 ) {
-    let last = c_band.len() / n - 1;
     let mut acc = [[0.0f32; W]; MR];
     if from_c {
         for (r, acc_row) in acc.iter_mut().enumerate() {
@@ -151,7 +175,7 @@ fn tile<const W: usize>(
 /// Four rows of a row-major `m × k` `A` (`AStore::Rows`), walked together.
 #[inline(always)]
 fn a_rows(a: &[f32], k: usize, idx: [usize; MR]) -> impl Iterator<Item = [f32; MR]> + '_ {
-    let [r0, r1, r2, r3] = idx.map(|i| &a[i * k..][..k]);
+    let [r0, r1, r2, r3] = idx.map(|i| &a[i * k..]);
     let quads = r0.iter().zip(r1).zip(r2).zip(r3);
     quads.map(|(((&v0, &v1), &v2), &v3)| [v0, v1, v2, v3])
 }
@@ -162,106 +186,87 @@ fn a_cols(a: &[f32], m: usize, idx: [usize; MR]) -> impl Iterator<Item = [f32; M
     a.chunks_exact(m).map(move |a_p| idx.map(|i| a_p[i]))
 }
 
-/// The direct driver behind every serial `A·B` and `Aᵀ·B`: walks `C` in
-/// [`MR`]-row bands and cuts each band's `n` columns into tiles of 8, …, 8,
-/// 4, 2, 1. `a_band` turns a band's four row indices (a short tail band
-/// repeats its last) into a pass over their `A` values. An empty `m` or `n`
-/// leaves nothing to visit, an empty `k` stores the starting accumulators
-/// (`+0.0` or `C`): the packed driver's answers, from the loop bounds alone.
+/// The direct driver behind every serial `A·B` and `Aᵀ·B`: walks `B` in
+/// blocks of [`KC`] rows and, per block, `C` in [`MR`]-row bands, each
+/// band's `n` columns cut into tiles of 8, …, 8, 4, 2, 1. `a_band` turns a
+/// band's four row indices (a short tail band repeats its last) and a
+/// block's first `p` into a pass over their `A` values from there on, which
+/// a tile stops where the block's rows of `B` end. A chain starts from
+/// `+0.0` or `C` in the first block and from the `C` the previous block
+/// stored in the others: storing an `f32` and reloading it is exact, so each
+/// element is still one chain over `p` in order. An empty `m` or `n` leaves
+/// nothing to visit, an empty `k` runs one empty block, which stores the
+/// starting accumulators (`+0.0` or `C`): the packed driver's answers.
 #[inline(always)]
 fn direct_gemm<I: Iterator<Item = [f32; MR]>>(
     m: usize,
+    k: usize,
     n: usize,
-    a_band: impl Fn([usize; MR]) -> I,
+    a_band: impl Fn([usize; MR], usize) -> I,
     b: &[f32],
     c: &mut [f32],
     from_c: bool,
 ) {
-    for i0 in (0..m).step_by(MR) {
-        let rows = MR.min(m - i0);
-        let idx: [usize; MR] = std::array::from_fn(|r| i0 + r.min(rows - 1));
-        let c_band = &mut c[i0 * n..(i0 + rows) * n];
-        let mut j0 = 0;
-        while n - j0 >= NR {
-            tile::<NR>(a_band(idx), b, n, j0, c_band, from_c);
-            j0 += NR;
-        }
-        if n - j0 >= 4 {
-            tile::<4>(a_band(idx), b, n, j0, c_band, from_c);
-            j0 += 4;
-        }
-        if n - j0 >= 2 {
-            tile::<2>(a_band(idx), b, n, j0, c_band, from_c);
-            j0 += 2;
-        }
-        if n - j0 >= 1 {
-            tile::<1>(a_band(idx), b, n, j0, c_band, from_c);
-        }
-    }
-}
-
-/// Packs `A` into tile-major layout: tile `t` holds rows
-/// `t·MR .. t·MR+MR` as `k` groups of `MR` contiguous values
-/// (zero-padded when `m` is not a tile multiple).
-fn pack_a(m: usize, k: usize, a: AStore, out: &mut Vec<f32>) {
-    let tiles = m.div_ceil(MR);
-    out.resize(tiles * k * MR, 0.0);
-    for t in 0..tiles {
-        let i0 = t * MR;
-        let rows = MR.min(m - i0);
-        let tile = &mut out[t * k * MR..(t + 1) * k * MR];
-        match a {
-            AStore::Rows(a) => {
-                for ii in 0..rows {
-                    let row = &a[(i0 + ii) * k..(i0 + ii + 1) * k];
-                    for (p, &v) in row.iter().enumerate() {
-                        tile[p * MR + ii] = v;
-                    }
-                }
+    for p0 in (0..k.max(1)).step_by(KC) {
+        let (b, from_c) = (&b[p0 * n..k.min(p0 + KC) * n], from_c || p0 > 0);
+        for i0 in (0..m).step_by(MR) {
+            let last = MR.min(m - i0) - 1;
+            let idx: [usize; MR] = std::array::from_fn(|r| i0 + r.min(last));
+            let c_band = &mut c[i0 * n..(i0 + last + 1) * n];
+            let mut j0 = 0;
+            while n - j0 >= NR {
+                tile::<NR>(a_band(idx, p0), b, n, j0, c_band, last, from_c);
+                j0 += NR;
             }
-            AStore::Cols(a) => {
-                for (p, dst) in tile.chunks_exact_mut(MR).enumerate() {
-                    dst[..rows].copy_from_slice(&a[p * m + i0..p * m + i0 + rows]);
-                }
+            if n - j0 >= 4 {
+                tile::<4>(a_band(idx, p0), b, n, j0, c_band, last, from_c);
+                j0 += 4;
             }
-        }
-        if rows < MR {
-            for dst in tile.chunks_exact_mut(MR) {
-                dst[rows..].fill(0.0);
+            if n - j0 >= 2 {
+                tile::<2>(a_band(idx, p0), b, n, j0, c_band, last, from_c);
+                j0 += 2;
+            }
+            if n - j0 >= 1 {
+                tile::<1>(a_band(idx, p0), b, n, j0, c_band, last, from_c);
             }
         }
     }
 }
 
-/// Packs `B` into panel-major layout: panel `jp` holds columns
-/// `jp·NR .. jp·NR+NR` as `k` groups of `NR` contiguous values
-/// (zero-padded when `n` is not a panel multiple).
-fn pack_b(k: usize, n: usize, b: BStore, out: &mut Vec<f32>) {
-    let panels = n.div_ceil(NR);
-    out.resize(panels * k * NR, 0.0);
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let cols = NR.min(n - j0);
-        let panel = &mut out[jp * k * NR..(jp + 1) * k * NR];
-        match b {
-            BStore::Rows(b) => {
-                for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
-                    dst[..cols].copy_from_slice(&b[p * n + j0..p * n + j0 + cols]);
-                }
-            }
-            BStore::Cols(b) => {
-                for jj in 0..cols {
-                    let row = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
-                    for (p, &v) in row.iter().enumerate() {
-                        panel[p * NR + jj] = v;
+/// Packs a `k × n` operand into panel-major layout: panel `jp` holds
+/// columns `jp·W .. jp·W+W` as `k` groups of `W` contiguous values,
+/// zero-padded when `n` is not a panel multiple. `B` packs into [`NR`]-wide
+/// panels, `A` into [`MR`]-row tiles: `Aᵀ`'s panels. A row-major operand
+/// is copied `W` rows at a time, every panel's `W × W` block in turn, so a
+/// large one is read as `W` streams and written a block at a time.
+fn pack<const W: usize>(k: usize, n: usize, src: BStore, out: &mut Vec<f32>) {
+    let panels = n.div_ceil(W);
+    out.resize(panels * k * W, 0.0);
+    match src {
+        BStore::Rows(b) => {
+            for (blk, rows) in b.chunks(W * n).enumerate() {
+                let blocks = out[blk * W * W..].chunks_mut(k * W);
+                for (j0, block) in (0..n).step_by(W).zip(blocks) {
+                    let cols = W.min(n - j0);
+                    for (dst, row) in block.chunks_exact_mut(W).zip(rows.chunks_exact(n)) {
+                        dst[..cols].copy_from_slice(&row[j0..j0 + cols]);
                     }
                 }
             }
         }
-        if cols < NR {
-            for dst in panel.chunks_exact_mut(NR) {
-                dst[cols..].fill(0.0);
+        BStore::Cols(b) => {
+            for (j, col) in b.chunks_exact(k).enumerate() {
+                let panel = &mut out[j / W * k * W..][..k * W];
+                for (dst, &v) in panel.chunks_exact_mut(W).zip(col) {
+                    dst[j % W] = v;
+                }
             }
+        }
+    }
+    let cols = n % W;
+    if cols > 0 {
+        for dst in out[(panels - 1) * k * W..].chunks_exact_mut(W) {
+            dst[cols..].fill(0.0);
         }
     }
 }
@@ -283,7 +288,7 @@ fn micro_4x8(tile_a: &[f32], panel_b: &[f32]) -> [[f32; NR]; MR] {
 }
 
 /// Multiplies one packed `A` row tile against every `B` panel, writing (or
-/// accumulating into) `rows` valid rows of `c_rows` (`rows × n`).
+/// accumulating into) the `≤ MR` rows of `c_rows` (`rows × n`).
 #[inline(always)]
 fn tile_row(
     k: usize,
@@ -291,15 +296,14 @@ fn tile_row(
     tile_a: &[f32],
     bpack: &[f32],
     c_rows: &mut [f32],
-    rows: usize,
     accumulate: bool,
 ) {
     for (jp, panel_b) in bpack.chunks_exact(k * NR).enumerate() {
         let acc = micro_4x8(tile_a, panel_b);
         let j0 = jp * NR;
         let cols = NR.min(n - j0);
-        for (ii, acc_row) in acc.iter().enumerate().take(rows) {
-            let dst = &mut c_rows[ii * n + j0..ii * n + j0 + cols];
+        for (c_row, acc_row) in c_rows.chunks_mut(n).zip(&acc) {
+            let dst = &mut c_row[j0..j0 + cols];
             if accumulate {
                 for (d, &v) in dst.iter_mut().zip(acc_row) {
                     *d += v;
@@ -339,26 +343,22 @@ fn gemv_row(
             dst.copy_from_slice(&acc[..cols]);
         }
     };
-    let (panels, full) = (n / NR, (n / NR) * NR);
-    let (c_main, c_tail) = c.split_at_mut(full);
+    let panels = n.div_ceil(NR);
     let per = if parallel {
         rayon::block_len(panels)
     } else {
-        panels.max(1)
+        panels
     };
-    let parts = c_main.chunks_mut(per * NR).zip(bpack.chunks(per * k * NR));
+    let parts = c.chunks_mut(per * NR).zip(bpack.chunks(per * k * NR));
     rayon::for_each_part(parts, |(c, b)| {
-        for (dst, panel) in c.chunks_exact_mut(NR).zip(b.chunks_exact(k * NR)) {
+        for (dst, panel) in c.chunks_mut(NR).zip(b.chunks_exact(k * NR)) {
             kernel(panel, dst);
         }
     });
-    if n > full {
-        kernel(&bpack[(n / NR) * k * NR..], c_tail);
-    }
 }
 
 /// `NR` dot products at once: one `A` row against one packed `B` panel
-/// (`k × NR`, as [`pack_b`] lays it out), each in exactly `dot`'s order.
+/// (`k × NR`, as [`pack`] lays it out), each in exactly `dot`'s order.
 ///
 /// `dot` keeps eight lane sums `s_l = Σ_c a[8c+l]·b[8c+l]`, every one built
 /// by `+=` from `+0.0` (so a `−0.0` first product still yields `+0.0`),
@@ -419,7 +419,7 @@ fn small_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32])
     }
     PACK_B.with(|pb| {
         let mut bpack = pb.borrow_mut();
-        pack_b(k, n, BStore::Cols(b), &mut bpack);
+        pack::<NR>(k, n, BStore::Cols(b), &mut bpack);
         // around the arithmetic only: `LocalKey::with` is not always inlined
         with_avx2(
             #[inline(always)]
@@ -462,7 +462,7 @@ fn blocked_gemm(
     let parallel = m * n * k >= PAR_FLOP_THRESHOLD;
     PACK_B.with(|pb| {
         let mut bpack = pb.borrow_mut();
-        pack_b(k, n, b, &mut bpack);
+        pack::<NR>(k, n, b, &mut bpack);
         if m == 1 {
             // a 1×k row and a k×1 column are the same contiguous storage
             let (AStore::Rows(a_row) | AStore::Cols(a_row)) = a;
@@ -471,33 +471,27 @@ fn blocked_gemm(
         }
         PACK_A.with(|pa| {
             let mut apack = pa.borrow_mut();
-            pack_a(m, k, a, &mut apack);
-            let tiles = m / MR;
-            let (c_full, c_tail) = c.split_at_mut(tiles * MR * n);
-            let bpack: &[f32] = &bpack;
-            let run = |c_rows: &mut [f32], tile_a: &[f32], rows: usize| {
-                with_avx2(
-                    #[inline(always)]
-                    || tile_row(k, n, tile_a, bpack, c_rows, rows, accumulate),
-                )
+            let a_t = match a {
+                AStore::Rows(a) => BStore::Cols(a),
+                AStore::Cols(a) => BStore::Rows(a),
             };
+            pack::<MR>(k, m, a_t, &mut apack);
+            let tiles = m.div_ceil(MR);
             let per = if parallel {
                 rayon::block_len(tiles)
             } else {
-                tiles.max(1)
+                tiles
             };
-            let parts = c_full
-                .chunks_mut(per * MR * n)
-                .zip(apack.chunks(per * k * MR));
+            let bpack: &[f32] = &bpack;
+            let parts = c.chunks_mut(per * MR * n).zip(apack.chunks(per * k * MR));
             rayon::for_each_part(parts, |(c, a)| {
-                for (c_rows, tile_a) in c.chunks_exact_mut(MR * n).zip(a.chunks_exact(k * MR)) {
-                    run(c_rows, tile_a, MR);
+                for (c_rows, tile_a) in c.chunks_mut(MR * n).zip(a.chunks_exact(k * MR)) {
+                    with_avx2(
+                        #[inline(always)]
+                        || tile_row(k, n, tile_a, bpack, c_rows, accumulate),
+                    );
                 }
             });
-            let tail_rows = m % MR;
-            if tail_rows > 0 {
-                run(c_tail, &apack[tiles * k * MR..], tail_rows);
-            }
         });
     });
 }
@@ -514,7 +508,18 @@ pub fn gemm_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
     if m * n * k < PAR_FLOP_THRESHOLD {
         with_avx2(
             #[inline(always)]
-            || direct_gemm(m, n, |idx| a_rows(a, k, idx), b, c, false),
+            || {
+                direct_gemm(
+                    m,
+                    k,
+                    n,
+                    #[inline(always)]
+                    |idx, p0| a_rows(&a[p0..], k, idx),
+                    b,
+                    c,
+                    false,
+                )
+            },
         );
     } else {
         blocked_gemm(m, k, n, AStore::Rows(a), BStore::Rows(b), c, false);
@@ -535,7 +540,18 @@ pub fn gemm_at_b_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
     if m * n * k < PAR_FLOP_THRESHOLD {
         with_avx2(
             #[inline(always)]
-            || direct_gemm(m, n, |idx| a_cols(a, m, idx), b, c, true),
+            || {
+                direct_gemm(
+                    m,
+                    k,
+                    n,
+                    #[inline(always)]
+                    |idx, p0| a_cols(&a[p0 * m..], m, idx),
+                    b,
+                    c,
+                    true,
+                )
+            },
         );
     } else {
         blocked_gemm(m, k, n, AStore::Cols(a), BStore::Rows(b), c, true);
@@ -558,26 +574,10 @@ pub fn gemm_a_bt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
     }
 }
 
-/// Naive triple-loop reference used by tests and property checks.
-pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, k) = a.shape();
-    let (_, n) = b.shape();
-    let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc += a[(i, p)] * b[(p, j)];
-            }
-            c[(i, j)] = acc;
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use crate::simd::tests as table;
     use crate::simd::tests::hostile_vec;
     use proptest::prelude::*;
@@ -629,6 +629,23 @@ pub(crate) mod tests {
         assert_eq!(a.shape(), b.shape());
         let pairs = a.as_slice().iter().zip(b.as_slice());
         pairs.map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
+    }
+
+    /// Naive triple-loop reference.
+    fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k) = a.shape();
+        let (_, n) = b.shape();
+        let mut c = Matrix::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a[(i, p)] * b[(p, j)];
+                }
+                c[(i, j)] = acc;
+            }
+        }
+        c
     }
 
     fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -806,15 +823,16 @@ pub(crate) mod tests {
     }
 
     /// Every shape that straddles the row band (0, < MR, MR, two bands and
-    /// a tail), the column cut (every mix of 8 / 4 / 2 / 1) and the empty
-    /// axes, over finite `hostile_vec` values.
+    /// a tail), the column cut (every mix of 8 / 4 / 2 / 1), the direct
+    /// tile's `B` blocks (one short of [`KC`], one, one and a row, two and a
+    /// row) and the empty axes, over finite `hostile_vec` values.
     fn for_each_tile_shape(mut f: impl FnMut(usize, usize, usize, &[f32], &[f32], &[f32])) {
-        let (m_max, k_max, n_max) = (2 * MR + 1, 17, 2 * NR + 3);
+        let (m_max, k_max, n_max) = (2 * MR + 1, 2 * KC + 1, 2 * NR + 3);
         let a_all = hostile_vec(m_max * k_max, 81, false);
         let b_all = hostile_vec(k_max * n_max, 82, false);
         let c_all = hostile_vec(m_max * n_max, 83, false);
         for m in 0..=m_max {
-            for k in 0..=k_max {
+            for k in (0..=17).chain([KC - 1, KC, KC + 1, k_max]) {
                 for n in 0..=n_max {
                     f(m, k, n, &a_all[..m * k], &b_all[..k * n], &c_all[..m * n]);
                 }
@@ -827,14 +845,30 @@ pub(crate) mod tests {
         for_each_tile_shape(|m, k, n, a, b, c0| {
             // A·B: from +0.0, whatever C held
             let mut got = vec![f32::NAN; m * n];
-            direct_gemm(m, n, |idx| a_rows(a, k, idx), b, &mut got, false);
+            direct_gemm(
+                m,
+                k,
+                n,
+                |idx, p0| a_rows(&a[p0..], k, idx),
+                b,
+                &mut got,
+                false,
+            );
             let mut want = vec![f32::NAN; m * n];
             naive_chain(m, k, n, |i, p| a[i * k + p], b, &mut want, false);
             assert_eq!(bits(&got), bits(&want), "A·B {m}x{k}x{n}");
 
             // Aᵀ·B: A stored k×m, the chain continues from a non-zero C
             let mut got = c0.to_vec();
-            direct_gemm(m, n, |idx| a_cols(a, m, idx), b, &mut got, true);
+            direct_gemm(
+                m,
+                k,
+                n,
+                |idx, p0| a_cols(&a[p0 * m..], m, idx),
+                b,
+                &mut got,
+                true,
+            );
             let mut want = c0.to_vec();
             naive_chain(m, k, n, |i, p| a[p * m + i], b, &mut want, true);
             assert_eq!(bits(&got), bits(&want), "Aᵀ·B {m}x{k}x{n}");
@@ -848,7 +882,15 @@ pub(crate) mod tests {
         // added to C equals the tile's chain started from C.
         for_each_tile_shape(|m, k, n, a, b, _| {
             let mut direct = vec![f32::NAN; m * n];
-            direct_gemm(m, n, |idx| a_rows(a, k, idx), b, &mut direct, false);
+            direct_gemm(
+                m,
+                k,
+                n,
+                |idx, p0| a_rows(&a[p0..], k, idx),
+                b,
+                &mut direct,
+                false,
+            );
             let mut packed = vec![f32::NAN; m * n];
             blocked_gemm(
                 m,
@@ -862,11 +904,51 @@ pub(crate) mod tests {
             assert_eq!(bits(&direct), bits(&packed), "A·B {m}x{k}x{n}");
 
             let mut direct = vec![0.0f32; m * n];
-            direct_gemm(m, n, |idx| a_cols(a, m, idx), b, &mut direct, true);
+            direct_gemm(
+                m,
+                k,
+                n,
+                |idx, p0| a_cols(&a[p0 * m..], m, idx),
+                b,
+                &mut direct,
+                true,
+            );
             let mut packed = vec![0.0f32; m * n];
             blocked_gemm(m, k, n, AStore::Cols(a), BStore::Rows(b), &mut packed, true);
             assert_eq!(bits(&direct), bits(&packed), "Aᵀ·B {m}x{k}x{n}");
         });
+    }
+
+    #[test]
+    fn a_dirty_pack_scratch_packs_like_a_fresh_one() {
+        // Two large packed products leave both pack buffers of this thread
+        // full of their operands, NaN and ∞ included; a smaller product with
+        // a partial panel and a partial tile must still be the chain,
+        // whichever arm of the pack each operand takes: nothing the large
+        // ones left reaches a result.
+        let big = |len, seed| hostile_vec(len, seed, true);
+        let (m, k, n) = (48, 128, 640);
+        let mut c = vec![0.0f32; m * n];
+        let (a, b) = (big(m * k, 101), big(k * n, 102));
+        blocked_gemm(m, k, n, AStore::Cols(&a), BStore::Rows(&b), &mut c, true);
+        blocked_gemm(m, k, n, AStore::Rows(&a), BStore::Cols(&b), &mut c, false);
+        let (m, k, n) = (2 * MR + 1, 20, 2 * NR + 3);
+        let a = hostile_vec(m * k, 103, false);
+        let b = hostile_vec(k * n, 104, false);
+        let a_t: Vec<f32> = (0..k * m).map(|i| a[i % m * k + i / m]).collect();
+        let b_t: Vec<f32> = (0..n * k).map(|i| b[i % k * n + i / k]).collect();
+        let mut want = vec![0.0f32; m * n];
+        naive_chain(m, k, n, |i, p| a[i * k + p], &b, &mut want, false);
+        let runs: [(AStore, BStore, bool); 3] = [
+            (AStore::Rows(&a), BStore::Rows(&b), false),
+            (AStore::Rows(&a), BStore::Cols(&b_t), false),
+            (AStore::Cols(&a_t), BStore::Rows(&b), true),
+        ];
+        for (a_store, b_store, accumulate) in runs {
+            let mut got = vec![0.0f32; m * n];
+            blocked_gemm(m, k, n, a_store, b_store, &mut got, accumulate);
+            assert_eq!(bits(&got), bits(&want), "accumulate {accumulate}");
+        }
     }
 
     #[test]
@@ -1183,6 +1265,7 @@ pub(crate) mod tests {
     /// concatenated. `m` crosses two row bands and a tail. `k` crosses two
     /// dot-lane blocks and a tail: every `k` while `n` is below `2·NR + 4`
     /// (every cut of the column tiles), then the one `k ≡ n (mod 18)`.
+    /// Below `2·NR + 4`, `MR + 1` rows also run `KC + 1` deep.
     fn shapes(
         pool: &[f32],
         n: usize,
@@ -1193,19 +1276,20 @@ pub(crate) mod tests {
         } else {
             n % 18..n % 18 + 1
         };
+        let m_ks = (0..=2 * MR + 1).flat_map(|m| ks.clone().map(move |k| (m, k)));
+        // while `B` fits the pool: a band and a tail over two `KC` blocks
+        let two_blocks = (n < 2 * NR + 4).then_some((MR + 1, KC + 1));
         let mut out = Vec::new();
-        for m in 0..=2 * MR + 1 {
-            for k in ks.clone() {
-                let mut c = pool[table::C..][..m * n].to_vec();
-                body(
-                    m,
-                    k,
-                    &pool[table::A..][..m * k],
-                    &pool[table::B..][..k * n],
-                    &mut c,
-                );
-                out.extend(c);
-            }
+        for (m, k) in m_ks.chain(two_blocks) {
+            let mut c = pool[table::C..][..m * n].to_vec();
+            body(
+                m,
+                k,
+                &pool[table::A..][..m * k],
+                &pool[table::B..][..k * n],
+                &mut c,
+            );
+            out.extend(c);
         }
         out
     }
@@ -1215,9 +1299,11 @@ pub(crate) mod tests {
     /// driver's threshold.
     fn row_direct<const AT_B: bool>(pool: &[f32], n: usize, wide: bool) -> Vec<f32> {
         shapes(pool, n, |m, k, a, b, c| match (AT_B, wide) {
-            (false, false) => direct_gemm(m, n, |idx| a_rows(a, k, idx), b, c, false),
+            (false, false) => direct_gemm(m, k, n, |idx, p0| a_rows(&a[p0..], k, idx), b, c, false),
             (false, true) => gemm_into(m, k, n, a, b, c),
-            (true, false) => direct_gemm(m, n, |idx| a_cols(a, m, idx), b, c, true),
+            (true, false) => {
+                direct_gemm(m, k, n, |idx, p0| a_cols(&a[p0 * m..], m, idx), b, c, true)
+            }
             (true, true) => gemm_at_b_into(m, k, n, a, b, c),
         })
     }
@@ -1229,17 +1315,17 @@ pub(crate) mod tests {
                 return;
             }
             let (mut apack, mut bpack) = (Vec::new(), Vec::new());
-            pack_a(m, k, AStore::Rows(a), &mut apack);
-            pack_b(k, n, BStore::Rows(b), &mut bpack);
+            pack::<MR>(k, m, BStore::Cols(a), &mut apack);
+            pack::<NR>(k, n, BStore::Rows(b), &mut bpack);
             let (tile_a, rows) = (&apack[..k * MR], MR.min(m));
             let c = &mut c[..rows * n];
             if wide {
                 with_avx2(
                     #[inline(always)]
-                    || tile_row(k, n, tile_a, &bpack, c, rows, ACCUMULATE),
+                    || tile_row(k, n, tile_a, &bpack, c, ACCUMULATE),
                 );
             } else {
-                tile_row(k, n, tile_a, &bpack, c, rows, ACCUMULATE);
+                tile_row(k, n, tile_a, &bpack, c, ACCUMULATE);
             }
         })
     }
@@ -1254,7 +1340,7 @@ pub(crate) mod tests {
                 small_a_bt(m, k, n, a, b, c);
             } else {
                 let mut bpack = Vec::new();
-                pack_b(k, n, BStore::Cols(b), &mut bpack);
+                pack::<NR>(k, n, BStore::Cols(b), &mut bpack);
                 a_bt_rows(k, n, a, &bpack, c);
             }
         })
