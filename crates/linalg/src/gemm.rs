@@ -28,9 +28,10 @@
 //!    allocation on any thread.
 //! 2. **Pack, then tile: the parallel driver** (at or above
 //!    [`PAR_FLOP_THRESHOLD`]) and large `A·Bᵀ`. `B` is packed once into
-//!    [`NR`]-wide column panels and `A` into [`MR`]-row tiles (zero-padded
-//!    tails), in thread-local scratch of the calling thread that workers
-//!    only read; a 4×8 register micro-kernel runs per (tile, panel) pair.
+//!    [`NR`]-wide column panels and `A` into [`MR`]-row tiles (a short
+//!    tail's spare lanes hold stale values that reach no result), in
+//!    thread-local scratch of the calling thread that workers only read; a
+//!    4×8 register micro-kernel runs per (tile, panel) pair.
 //!    Packing normalizes the storage layouts — for `A·Bᵀ` it *is* the
 //!    transposition. Rayon splits row blocks, or column panels when
 //!    `m == 1`, so a skinny FLOP-heavy multiply is not serialized.
@@ -234,8 +235,10 @@ fn direct_gemm<I: Iterator<Item = [f32; MR]>>(
 }
 
 /// Packs a `k × n` operand into panel-major layout: panel `jp` holds
-/// columns `jp·W .. jp·W+W` as `k` groups of `W` contiguous values,
-/// zero-padded when `n` is not a panel multiple. `B` packs into [`NR`]-wide
+/// columns `jp·W .. jp·W+W` as `k` groups of `W` contiguous values. When
+/// `n` is not a panel multiple, the last panel's spare lanes keep whatever
+/// the scratch held: a kernel may load them, but no kernel stores a result
+/// computed from one. `B` packs into [`NR`]-wide
 /// panels, `A` into [`MR`]-row tiles: `Aᵀ`'s panels. A row-major operand
 /// is copied `W` rows at a time, every panel's `W × W` block in turn, so a
 /// large one is read as `W` streams and written a block at a time.
@@ -261,12 +264,6 @@ fn pack<const W: usize>(k: usize, n: usize, src: BStore, out: &mut Vec<f32>) {
                     dst[j % W] = v;
                 }
             }
-        }
-    }
-    let cols = n % W;
-    if cols > 0 {
-        for dst in out[(panels - 1) * k * W..].chunks_exact_mut(W) {
-            dst[cols..].fill(0.0);
         }
     }
 }

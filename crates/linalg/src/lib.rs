@@ -14,7 +14,7 @@
 //!    design: one rounding per operation on every CPU, so the bits repeat);
 //!    large multiplies are packed and forked over row blocks (`rayon::for_each_part`).
 //!    [`exp_in_place`] is the one FMA build: its reference is not an order
-//!    but glibc's `expf`, which glibc itself builds with FMA on such CPUs.
+//!    but glibc's FMA `expf`, whose bits it gives on every host.
 //!    Every kernel compiled a second time for AVX2 picks its compilation in
 //!    one module, `linalg::simd`, which proves it equal to its baseline.
 //! 3. **Zero allocation on hot paths** — all kernels write into caller-provided

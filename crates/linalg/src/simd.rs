@@ -27,19 +27,10 @@ pub(crate) fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Whether the CPU has AVX2 and FMA (glibc's condition for its FMA `expf`).
-pub(crate) fn has_avx2_fma() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx2")
-        && std::arch::is_x86_feature_detected!("fma");
-    #[cfg(not(target_arch = "x86_64"))]
-    false
-}
-
 /// [`with_avx2`] for a body whose only fused operations are its explicit
-/// `mul_add`s (exp's blocks): compiled for AVX2 + FMA where
-/// [`has_avx2_fma`]. Rust rounds a `mul_add` once in either compilation
-/// (one instruction here, libm's `fma` in the baseline), so the bits agree.
+/// `mul_add`s (exp's blocks): compiled for AVX2 + FMA where the CPU has
+/// both. Rust rounds a `mul_add` once in either compilation (one
+/// instruction here, libm's `fma` in the baseline), so the bits agree.
 #[inline(always)]
 pub(crate) fn with_avx2_fma<R>(f: impl FnOnce() -> R) -> R {
     #[cfg(target_arch = "x86_64")]
@@ -49,9 +40,10 @@ pub(crate) fn with_avx2_fma<R>(f: impl FnOnce() -> R) -> R {
         fn wide<R>(f: impl FnOnce() -> R) -> R {
             f()
         }
-        if has_avx2_fma() {
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
             // SAFETY: `wide` requires only that the CPU supports AVX2 and
-            // FMA, which `has_avx2_fma` just confirmed.
+            // FMA, which the two checks just confirmed.
             return unsafe { wide(f) };
         }
     }

@@ -1,7 +1,7 @@
 //! Softmax cross-entropy loss (the paper's training objective) and top-1
 //! accuracy. Both losses run blocks of `ROWS` rows through one
-//! [`exp_in_place`] call (`f32::exp` bit for bit) and sum each row in column
-//! order, so they equal the per-logit libm loop the tests keep as an oracle.
+//! [`exp_in_place`] call (glibc's FMA `expf` bits on every host) and sum
+//! each row in column order, as the tests' per-logit `f32::exp` oracle does.
 
 use skiptrain_linalg::{exp_in_place, Matrix};
 
