@@ -238,10 +238,10 @@ fn direct_gemm<I: Iterator<Item = [f32; MR]>>(
 /// columns `jp·W .. jp·W+W` as `k` groups of `W` contiguous values. When
 /// `n` is not a panel multiple, the last panel's spare lanes keep whatever
 /// the scratch held: a kernel may load them, but no kernel stores a result
-/// computed from one. `B` packs into [`NR`]-wide
-/// panels, `A` into [`MR`]-row tiles: `Aᵀ`'s panels. A row-major operand
-/// is copied `W` rows at a time, every panel's `W × W` block in turn, so a
-/// large one is read as `W` streams and written a block at a time.
+/// computed from one. `B` packs into [`NR`]-wide panels, `A` into
+/// [`MR`]-row tiles: `Aᵀ`'s panels. A row-major operand is copied `W` rows
+/// at a time, every panel's `W × W` block in turn, so a large one is read
+/// as `W` streams and written a block at a time.
 fn pack<const W: usize>(k: usize, n: usize, src: BStore, out: &mut Vec<f32>) {
     let panels = n.div_ceil(W);
     out.resize(panels * k * W, 0.0);
