@@ -14,45 +14,40 @@
 //!
 //! # Blocked kernel design
 //!
-//! Two drivers share one arithmetic: every output element is a single
-//! scalar chain `acc += a · b` over `p = 0..k` in order, so results are
-//! bit-identical whichever driver, tiling, thread count or parallel split
-//! ran — the workspace's determinism requirement. Size picks the driver:
+//! One driver per product shape, and no fork: a product runs on the thread
+//! that calls it (in the engine, a worker of `train_fleet` or
+//! `evaluate_fleet`, each node block's own). Every output element of `A·B` and `Aᵀ·B`, and of `A·Bᵀ` above
+//! `A_BT_SMALL_FLOP_THRESHOLD`, is a single scalar chain `acc += a · b` over
+//! `p = 0..k` in order, so results are bit-identical whatever the size,
+//! tiling or thread count — the workspace's determinism requirement.
 //!
-//! 1. **Direct tile: every serial `A·B` and `Aᵀ·B`** (below
-//!    [`PAR_FLOP_THRESHOLD`]). An [`MR`]-row block of accumulators, 8, 4, 2
-//!    or 1 columns wide, stays in registers across a block of `KC` rows of
-//!    `B` while both operands are read where they lie; `C` is written once
-//!    per block. A training batch makes `m` 8–32, so a packed `B` would
-//!    serve 2–8 row tiles and never repay the copy. No scratch, so no
-//!    allocation on any thread.
-//! 2. **Pack, then tile: the parallel driver** (at or above
-//!    [`PAR_FLOP_THRESHOLD`]) and large `A·Bᵀ`. `B` is packed once into
-//!    [`NR`]-wide column panels and `A` into [`MR`]-row tiles (a short
-//!    tail's spare lanes hold stale values that reach no result), in
-//!    thread-local scratch of the calling thread that workers only read; a
-//!    4×8 register micro-kernel runs per (tile, panel) pair.
-//!    Packing normalizes the storage layouts — for `A·Bᵀ` it *is* the
-//!    transposition. Rayon splits row blocks, or column panels when
-//!    `m == 1`, so a skinny FLOP-heavy multiply is not serialized.
+//! 1. **Direct tile: every `A·B` and `Aᵀ·B`.** An [`MR`]-row block of
+//!    accumulators, 8, 4, 2 or 1 columns wide, stays in registers across a
+//!    block of `KC` rows of `B` while both operands are read where they
+//!    lie; `C` is written once per block. `A·B` starts each chain from
+//!    `+0.0`, `Aᵀ·B` continues it from the `C` it finds (the library passes
+//!    a zeroed `C`: `Sequential::backward` after `zero_grads`). A training
+//!    batch makes `m` 8–32, so a packed `B` would serve 2–8 row tiles and
+//!    never repay the copy. No scratch, so no allocation on any thread.
+//! 2. **Pack, then tile: large `A·Bᵀ`.** It has no row of `B` to stream,
+//!    and packing *is* the transposition: `B`'s rows go into [`NR`]-wide
+//!    column panels and `A`'s into [`MR`]-row tiles (a short tail's spare
+//!    lanes hold stale values that reach no result), in thread-local
+//!    scratch; a 4×8 register micro-kernel runs per (tile, panel) pair.
 //!
 //! Both compile twice from one source, for the baseline and for AVX2
-//! (`simd::with_avx2`). `Aᵀ·B` accumulates: the direct tile continues each chain
-//! from the `C` it finds, the packed driver adds a from-zero chain to it.
-//! They agree bit for bit on a zeroed `C`, which the library caller passes
-//! (`Sequential::backward` after `zero_grads`): no pinned result moves when
-//! a shape changes driver; the packed order is deliberately left as it is.
+//! (`simd::with_avx2`).
 //!
 //! **Cold `B`.** A SkipTrain training round follows a window settle that
 //! rewrote the whole fleet (22.8 MB on `sync_wide64`), so a node's weights
 //! reach its forward pass from L3. A tile's pass over all of `k` reads `B`
 //! as `k` strips `4·n` bytes apart (2 560 B in the first layer's
 //! `gemm_into(8, 128, 640)`), streams no prefetcher follows; a block of
-//! `KC` rows is read by every band and tile before the next, and `pack`
-//! copies `W` rows at a time. Per multiply, µs, min of 90 samples of 64 /
-//! median of six alternating runs' medians, 2-vCPU AVX2 host with 2 MiB of
-//! L2 per core; cold reads 64 distinct models, warm one model 64 times; the
-//! outputs of every row are equal bit for bit:
+//! `KC` rows is read by every band and tile before the next. Per multiply,
+//! µs, min of 90 samples of 64 / median of six alternating runs' medians,
+//! 2-vCPU AVX2 host with 2 MiB of L2 per core; cold reads 64 distinct
+//! models, warm one model 64 times; the outputs of every row are equal bit
+//! for bit:
 //!
 //! | `KC` | `(8, 128, 640)` cold | warm | `(8, 640, 10)` cold | warm |
 //! |---|---|---|---|---|
@@ -74,8 +69,8 @@
 //!
 //! `A·Bᵀ` has no row of `B` to stream (each output element is a dot
 //! product of two rows). At or below `A_BT_SMALL_FLOP_THRESHOLD` it
-//! transposes `B` once into the `B` pack scratch (allocated on first use,
-//! so also on a fresh worker of a fork into two or more parts) and
+//! transposes `B` once into the `B` pack scratch (allocated on a thread's
+//! first use, so also on a fresh worker of a fleet fork) and
 //! produces [`NR`] output columns per pass over an `A` row (`small_a_bt`),
 //! each in [`ops::dot`](crate::ops::dot)'s order — eight lane sums combined
 //! by a fixed tree, then the tail — not the single chain: the small models'
@@ -86,25 +81,15 @@ use crate::ops::LANES;
 use crate::simd::with_avx2;
 use std::cell::RefCell;
 
-/// Rows per register tile of the micro-kernel.
+/// Rows per register tile: a band of the direct tile, a packed `A` tile.
 pub const MR: usize = 4;
 
-/// Columns per register tile (and per packed `B` panel).
+/// Columns of the widest direct tile, of a packed `B` panel and of one
+/// `small_a_bt` pass over an `A` row.
 pub const NR: usize = 8;
 
 /// Rows of `B` per block of the direct tile: the module doc's "Cold `B`".
 const KC: usize = 32;
-
-/// Minimum multiply–add count (`m·n·k`) before a multiply is parallelized.
-///
-/// Below this, thread spawn/join overhead outweighs the parallel speedup
-/// (read `nn.sgd_step_us` from `benchmark/run.sh --trace 1`). Gating on
-/// FLOPs rather than output elements means a `1 × N` product over a huge
-/// inner dimension still parallelizes (over column panels).
-///
-/// `A·B` and `Aᵀ·B` also change driver here, direct below and packed above:
-/// packing pays once `B` has left the cache (README, "Training rounds").
-pub const PAR_FLOP_THRESHOLD: usize = 2 * 1024 * 1024;
 
 /// `A·Bᵀ` at or below this multiply–add count runs [`small_a_bt`], above it
 /// the packed driver. A pin, not a tuning constant: the two sum in
@@ -117,24 +102,6 @@ thread_local! {
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Reusable pack buffer for `B` panels (panel-major `k × NR` blocks).
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Storage layout of the left operand.
-#[derive(Clone, Copy)]
-enum AStore<'a> {
-    /// `m × k` row-major: C row `i` reads A row `i`.
-    Rows(&'a [f32]),
-    /// `k × m` row-major, logically transposed: C row `i` reads A column `i`.
-    Cols(&'a [f32]),
-}
-
-/// Storage layout of the right operand.
-#[derive(Clone, Copy)]
-enum BStore<'a> {
-    /// `k × n` row-major.
-    Rows(&'a [f32]),
-    /// `n × k` row-major, logically transposed.
-    Cols(&'a [f32]),
 }
 
 /// One `MR × W` block of `C` over one block of `B`'s rows, operands read
@@ -173,7 +140,7 @@ fn tile<const W: usize>(
     }
 }
 
-/// Four rows of a row-major `m × k` `A` (`AStore::Rows`), walked together.
+/// Four rows of a row-major `m × k` `A` (`A·B`), walked together.
 #[inline(always)]
 fn a_rows(a: &[f32], k: usize, idx: [usize; MR]) -> impl Iterator<Item = [f32; MR]> + '_ {
     let [r0, r1, r2, r3] = idx.map(|i| &a[i * k..]);
@@ -181,13 +148,17 @@ fn a_rows(a: &[f32], k: usize, idx: [usize; MR]) -> impl Iterator<Item = [f32; M
     quads.map(|(((&v0, &v1), &v2), &v3)| [v0, v1, v2, v3])
 }
 
-/// The same for `A` stored `k × m` (`AStore::Cols`): four entries of each row.
+/// The same for `A` stored `k × m` (`Aᵀ·B`): four entries of each row,
+/// named one by one: an `idx.map(..)` per `p` can stay a call in the AVX2
+/// build, which made every `Aᵀ·B` shape 1.7× slower.
 #[inline(always)]
 fn a_cols(a: &[f32], m: usize, idx: [usize; MR]) -> impl Iterator<Item = [f32; MR]> + '_ {
-    a.chunks_exact(m).map(move |a_p| idx.map(|i| a_p[i]))
+    let [i0, i1, i2, i3] = idx;
+    a.chunks_exact(m)
+        .map(move |a_p| [a_p[i0], a_p[i1], a_p[i2], a_p[i3]])
 }
 
-/// The direct driver behind every serial `A·B` and `Aᵀ·B`: walks `B` in
+/// The direct driver behind every `A·B` and `Aᵀ·B`: walks `B` in
 /// blocks of [`KC`] rows and, per block, `C` in [`MR`]-row bands, each
 /// band's `n` columns cut into tiles of 8, …, 8, 4, 2, 1. `a_band` turns a
 /// band's four row indices (a short tail band repeats its last) and a
@@ -197,7 +168,7 @@ fn a_cols(a: &[f32], m: usize, idx: [usize; MR]) -> impl Iterator<Item = [f32; M
 /// stored in the others: storing an `f32` and reloading it is exact, so each
 /// element is still one chain over `p` in order. An empty `m` or `n` leaves
 /// nothing to visit, an empty `k` runs one empty block, which stores the
-/// starting accumulators (`+0.0` or `C`): the packed driver's answers.
+/// starting accumulators: zeros for `A·B`, `C` as it was for `Aᵀ·B`.
 #[inline(always)]
 fn direct_gemm<I: Iterator<Item = [f32; MR]>>(
     m: usize,
@@ -234,36 +205,18 @@ fn direct_gemm<I: Iterator<Item = [f32; MR]>>(
     }
 }
 
-/// Packs a `k × n` operand into panel-major layout: panel `jp` holds
-/// columns `jp·W .. jp·W+W` as `k` groups of `W` contiguous values. When
-/// `n` is not a panel multiple, the last panel's spare lanes keep whatever
-/// the scratch held: a kernel may load them, but no kernel stores a result
-/// computed from one. `B` packs into [`NR`]-wide panels, `A` into
-/// [`MR`]-row tiles: `Aᵀ`'s panels. A row-major operand is copied `W` rows
-/// at a time, every panel's `W × W` block in turn, so a large one is read
-/// as `W` streams and written a block at a time.
-fn pack<const W: usize>(k: usize, n: usize, src: BStore, out: &mut Vec<f32>) {
-    let panels = n.div_ceil(W);
-    out.resize(panels * k * W, 0.0);
-    match src {
-        BStore::Rows(b) => {
-            for (blk, rows) in b.chunks(W * n).enumerate() {
-                let blocks = out[blk * W * W..].chunks_mut(k * W);
-                for (j0, block) in (0..n).step_by(W).zip(blocks) {
-                    let cols = W.min(n - j0);
-                    for (dst, row) in block.chunks_exact_mut(W).zip(rows.chunks_exact(n)) {
-                        dst[..cols].copy_from_slice(&row[j0..j0 + cols]);
-                    }
-                }
-            }
-        }
-        BStore::Cols(b) => {
-            for (j, col) in b.chunks_exact(k).enumerate() {
-                let panel = &mut out[j / W * k * W..][..k * W];
-                for (dst, &v) in panel.chunks_exact_mut(W).zip(col) {
-                    dst[j % W] = v;
-                }
-            }
+/// Transposes an `n × k` row-major operand into panel-major layout: panel
+/// `jp` holds its rows `jp·W .. jp·W+W` as `k` groups of `W` contiguous
+/// values. When `n` is not a panel multiple, the last panel's spare lanes
+/// keep whatever the scratch held: a kernel may load them, but no kernel
+/// stores a result computed from one. `B` packs into [`NR`]-wide panels, `A`
+/// into [`MR`]-row tiles.
+fn pack<const W: usize>(k: usize, n: usize, src: &[f32], out: &mut Vec<f32>) {
+    out.resize(n.div_ceil(W) * k * W, 0.0);
+    for (j, row) in src.chunks_exact(k).enumerate() {
+        let panel = &mut out[j / W * k * W..][..k * W];
+        for (dst, &v) in panel.chunks_exact_mut(W).zip(row) {
+            dst[j % W] = v;
         }
     }
 }
@@ -284,74 +237,18 @@ fn micro_4x8(tile_a: &[f32], panel_b: &[f32]) -> [[f32; NR]; MR] {
     acc
 }
 
-/// Multiplies one packed `A` row tile against every `B` panel, writing (or
-/// accumulating into) the `≤ MR` rows of `c_rows` (`rows × n`).
+/// Multiplies one packed `A` row tile against every `B` panel, writing the
+/// `≤ MR` rows of `c_rows` (`rows × n`).
 #[inline(always)]
-fn tile_row(
-    k: usize,
-    n: usize,
-    tile_a: &[f32],
-    bpack: &[f32],
-    c_rows: &mut [f32],
-    accumulate: bool,
-) {
+fn tile_row(k: usize, n: usize, tile_a: &[f32], bpack: &[f32], c_rows: &mut [f32]) {
     for (jp, panel_b) in bpack.chunks_exact(k * NR).enumerate() {
         let acc = micro_4x8(tile_a, panel_b);
         let j0 = jp * NR;
         let cols = NR.min(n - j0);
         for (c_row, acc_row) in c_rows.chunks_mut(n).zip(&acc) {
-            let dst = &mut c_row[j0..j0 + cols];
-            if accumulate {
-                for (d, &v) in dst.iter_mut().zip(acc_row) {
-                    *d += v;
-                }
-            } else {
-                dst.copy_from_slice(&acc_row[..cols]);
-            }
+            c_row[j0..j0 + cols].copy_from_slice(&acc_row[..cols]);
         }
     }
-}
-
-/// Skinny 1×8 variant for `m == 1`: the single `A` row is contiguous in
-/// both layouts, so no `A` packing is needed, and parallelism goes over
-/// column panels (each worker owns disjoint `C` columns).
-fn gemv_row(
-    k: usize,
-    n: usize,
-    a_row: &[f32],
-    bpack: &[f32],
-    c: &mut [f32],
-    accumulate: bool,
-    parallel: bool,
-) {
-    let kernel = |panel_b: &[f32], dst: &mut [f32]| {
-        let mut acc = [0.0f32; NR];
-        for (&a, pb) in a_row.iter().zip(panel_b.chunks_exact(NR)) {
-            for (c, &b) in acc.iter_mut().zip(pb) {
-                *c += a * b;
-            }
-        }
-        if accumulate {
-            for (d, &v) in dst.iter_mut().zip(&acc) {
-                *d += v;
-            }
-        } else {
-            let cols = dst.len();
-            dst.copy_from_slice(&acc[..cols]);
-        }
-    };
-    let panels = n.div_ceil(NR);
-    let per = if parallel {
-        rayon::block_len(panels)
-    } else {
-        panels
-    };
-    let parts = c.chunks_mut(per * NR).zip(bpack.chunks(per * k * NR));
-    rayon::for_each_part(parts, |(c, b)| {
-        for (dst, panel) in c.chunks_mut(NR).zip(b.chunks_exact(k * NR)) {
-            kernel(panel, dst);
-        }
-    });
 }
 
 /// `NR` dot products at once: one `A` row against one packed `B` panel
@@ -363,7 +260,9 @@ fn gemv_row(
 /// summed tail. Here the vector axis is the panel's columns instead of the
 /// lanes; the lanes are walked in two halves of four, one pass over `k`
 /// each, because 8 lanes × `NR` columns of live accumulators spill while
-/// 4 × `NR` fit the register file.
+/// 4 × `NR` fit the register file. A lane reads its `a` by index: zipped
+/// with the half's four values, it compiled in some builds to shuffles
+/// instead of one broadcast per lane, 1.2× slower.
 #[inline(always)]
 fn dot_panel(a_row: &[f32], panel_b: &[f32]) -> [f32; NR] {
     const HALF: usize = LANES / 2;
@@ -377,9 +276,9 @@ fn dot_panel(a_row: &[f32], panel_b: &[f32]) -> [f32; NR] {
             .chunks_exact(LANES)
             .zip(b_main.chunks_exact(LANES * NR))
         {
-            let a_half = &ac[h * HALF..(h + 1) * HALF];
-            let b_half = &bc[h * HALF * NR..(h + 1) * HALF * NR];
-            for ((lane, &a), pb) in acc.iter_mut().zip(a_half).zip(b_half.chunks_exact(NR)) {
+            for (l, lane) in acc.iter_mut().enumerate() {
+                let a = ac[h * HALF + l];
+                let pb = &bc[(h * HALF + l) * NR..][..NR];
                 for (s, &b) in lane.iter_mut().zip(pb) {
                     *s += a * b;
                 }
@@ -416,7 +315,7 @@ fn small_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32])
     }
     PACK_B.with(|pb| {
         let mut bpack = pb.borrow_mut();
-        pack::<NR>(k, n, BStore::Cols(b), &mut bpack);
+        pack::<NR>(k, n, b, &mut bpack);
         // around the arithmetic only: `LocalKey::with` is not always inlined
         with_avx2(
             #[inline(always)]
@@ -435,60 +334,22 @@ fn a_bt_rows(k: usize, n: usize, a: &[f32], bpack: &[f32], c: &mut [f32]) {
     }
 }
 
-/// The packed driver (`A·B`, `Aᵀ·B` from [`PAR_FLOP_THRESHOLD`] on, large
-/// `A·Bᵀ`): packs both operands, then runs the micro-kernel over row tiles,
-/// from that threshold on in parallel (column panels when `m == 1`).
-fn blocked_gemm(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: AStore<'_>,
-    b: BStore<'_>,
-    c: &mut [f32],
-    accumulate: bool,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        if !accumulate {
-            c.fill(0.0);
-        }
-        return;
-    }
-    let parallel = m * n * k >= PAR_FLOP_THRESHOLD;
+/// The packed `A·Bᵀ` driver, above `A_BT_SMALL_FLOP_THRESHOLD` (so no axis
+/// is empty): transposes both operands into panels, then runs the
+/// micro-kernel per (row tile, panel) pair.
+fn blocked_gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     PACK_B.with(|pb| {
         let mut bpack = pb.borrow_mut();
         pack::<NR>(k, n, b, &mut bpack);
-        if m == 1 {
-            // a 1×k row and a k×1 column are the same contiguous storage
-            let (AStore::Rows(a_row) | AStore::Cols(a_row)) = a;
-            gemv_row(k, n, &a_row[..k], &bpack, c, accumulate, parallel);
-            return;
-        }
         PACK_A.with(|pa| {
             let mut apack = pa.borrow_mut();
-            let a_t = match a {
-                AStore::Rows(a) => BStore::Cols(a),
-                AStore::Cols(a) => BStore::Rows(a),
-            };
-            pack::<MR>(k, m, a_t, &mut apack);
-            let tiles = m.div_ceil(MR);
-            let per = if parallel {
-                rayon::block_len(tiles)
-            } else {
-                tiles
-            };
-            let bpack: &[f32] = &bpack;
-            let parts = c.chunks_mut(per * MR * n).zip(apack.chunks(per * k * MR));
-            rayon::for_each_part(parts, |(c, a)| {
-                for (c_rows, tile_a) in c.chunks_mut(MR * n).zip(a.chunks_exact(k * MR)) {
-                    with_avx2(
-                        #[inline(always)]
-                        || tile_row(k, n, tile_a, bpack, c_rows, accumulate),
-                    );
-                }
-            });
+            pack::<MR>(k, m, a, &mut apack);
+            for (c_rows, tile_a) in c.chunks_mut(MR * n).zip(apack.chunks_exact(k * MR)) {
+                with_avx2(
+                    #[inline(always)]
+                    || tile_row(k, n, tile_a, &bpack, c_rows),
+                );
+            }
         });
     });
 }
@@ -502,25 +363,21 @@ pub fn gemm_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
     assert_eq!(b.len(), k * n, "gemm_into: B length mismatch");
     assert_eq!(c.len(), m * n, "gemm_into: C length mismatch");
 
-    if m * n * k < PAR_FLOP_THRESHOLD {
-        with_avx2(
-            #[inline(always)]
-            || {
-                direct_gemm(
-                    m,
-                    k,
-                    n,
-                    #[inline(always)]
-                    |idx, p0| a_rows(&a[p0..], k, idx),
-                    b,
-                    c,
-                    false,
-                )
-            },
-        );
-    } else {
-        blocked_gemm(m, k, n, AStore::Rows(a), BStore::Rows(b), c, false);
-    }
+    with_avx2(
+        #[inline(always)]
+        || {
+            direct_gemm(
+                m,
+                k,
+                n,
+                #[inline(always)]
+                |idx, p0| a_rows(&a[p0..], k, idx),
+                b,
+                c,
+                false,
+            )
+        },
+    );
 }
 
 /// `C += Aᵀ · B` on row-major slices: `A` is `k×m`, `B` is `k×n`, `C` is `m×n`.
@@ -534,25 +391,21 @@ pub fn gemm_at_b_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
     assert_eq!(b.len(), k * n, "gemm_at_b_into: B length mismatch");
     assert_eq!(c.len(), m * n, "gemm_at_b_into: C length mismatch");
 
-    if m * n * k < PAR_FLOP_THRESHOLD {
-        with_avx2(
-            #[inline(always)]
-            || {
-                direct_gemm(
-                    m,
-                    k,
-                    n,
-                    #[inline(always)]
-                    |idx, p0| a_cols(&a[p0 * m..], m, idx),
-                    b,
-                    c,
-                    true,
-                )
-            },
-        );
-    } else {
-        blocked_gemm(m, k, n, AStore::Cols(a), BStore::Rows(b), c, true);
-    }
+    with_avx2(
+        #[inline(always)]
+        || {
+            direct_gemm(
+                m,
+                k,
+                n,
+                #[inline(always)]
+                |idx, p0| a_cols(&a[p0 * m..], m, idx),
+                b,
+                c,
+                true,
+            )
+        },
+    );
 }
 
 /// `C = A · Bᵀ` on row-major slices: `A` is `m×k`, `B` is `n×k`, `C` is `m×n`.
@@ -567,7 +420,7 @@ pub fn gemm_a_bt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
     if m * n * k <= A_BT_SMALL_FLOP_THRESHOLD {
         small_a_bt(m, k, n, a, b, c);
     } else {
-        blocked_gemm(m, k, n, AStore::Rows(a), BStore::Cols(b), c, false);
+        blocked_gemm(m, k, n, a, b, c);
     }
 }
 
@@ -681,7 +534,8 @@ pub(crate) mod tests {
 
     #[test]
     fn matmul_parallel_path_matches_reference() {
-        // Large enough to cross PAR_FLOP_THRESHOLD.
+        // 3.6 Mi multiply–adds, past the 2 Mi where a parallel packed driver
+        // once took over: the direct tile runs every size now.
         let a = rand_matrix(300, 40, 3);
         let b = rand_matrix(40, 300, 4);
         let mut c = Matrix::zeros(300, 300);
@@ -708,37 +562,6 @@ pub(crate) mod tests {
         gemm_at_b_into(2, 3, 4, a.as_slice(), b.as_slice(), &mut c);
         for (got, want) in c.iter().zip(reference.as_slice()) {
             assert!((got - 2.0 * want).abs() < 1e-4, "accumulation failed");
-        }
-    }
-
-    #[test]
-    fn blocked_at_b_accumulates() {
-        // Same accumulation contract on the blocked path (k·m·n above the
-        // small-multiply threshold).
-        let a = rand_matrix(40, 24, 13);
-        let b = rand_matrix(40, 24, 14);
-        let reference = matmul_reference(&transposed(&a), &b);
-        let mut c = vec![0.0f32; 24 * 24];
-        blocked_gemm(
-            24,
-            40,
-            24,
-            AStore::Cols(a.as_slice()),
-            BStore::Rows(b.as_slice()),
-            &mut c,
-            true,
-        );
-        blocked_gemm(
-            24,
-            40,
-            24,
-            AStore::Cols(a.as_slice()),
-            BStore::Rows(b.as_slice()),
-            &mut c,
-            true,
-        );
-        for (got, want) in c.iter().zip(reference.as_slice()) {
-            assert!((got - 2.0 * want).abs() < 1e-3, "accumulation failed");
         }
     }
 
@@ -822,12 +645,15 @@ pub(crate) mod tests {
     /// Every shape that straddles the row band (0, < MR, MR, two bands and
     /// a tail), the column cut (every mix of 8 / 4 / 2 / 1), the direct
     /// tile's `B` blocks (one short of [`KC`], one, one and a row, two and a
-    /// row) and the empty axes, over finite `hostile_vec` values.
+    /// row) and the empty axes, then one of 2.6 Mi multiply–adds (past the
+    /// 2 Mi where a packed driver once took over), over finite `hostile_vec`
+    /// values.
     fn for_each_tile_shape(mut f: impl FnMut(usize, usize, usize, &[f32], &[f32], &[f32])) {
         let (m_max, k_max, n_max) = (2 * MR + 1, 2 * KC + 1, 2 * NR + 3);
-        let a_all = hostile_vec(m_max * k_max, 81, false);
-        let b_all = hostile_vec(k_max * n_max, 82, false);
-        let c_all = hostile_vec(m_max * n_max, 83, false);
+        let big = (96, 300, 96);
+        let a_all = hostile_vec(big.0 * big.1, 81, false);
+        let b_all = hostile_vec(big.1 * big.2, 82, false);
+        let c_all = hostile_vec(big.0 * big.2, 83, false);
         for m in 0..=m_max {
             for k in (0..=17).chain([KC - 1, KC, KC + 1, k_max]) {
                 for n in 0..=n_max {
@@ -835,37 +661,25 @@ pub(crate) mod tests {
                 }
             }
         }
+        let (m, k, n) = big;
+        f(m, k, n, &a_all, &b_all, &c_all);
     }
 
     #[test]
     fn direct_tile_is_the_naive_chain_bit_for_bit() {
+        // Through the entry points, so at every size: both products run the
+        // direct tile, one chain per element.
         for_each_tile_shape(|m, k, n, a, b, c0| {
             // A·B: from +0.0, whatever C held
             let mut got = vec![f32::NAN; m * n];
-            direct_gemm(
-                m,
-                k,
-                n,
-                |idx, p0| a_rows(&a[p0..], k, idx),
-                b,
-                &mut got,
-                false,
-            );
+            gemm_into(m, k, n, a, b, &mut got);
             let mut want = vec![f32::NAN; m * n];
             naive_chain(m, k, n, |i, p| a[i * k + p], b, &mut want, false);
             assert_eq!(bits(&got), bits(&want), "A·B {m}x{k}x{n}");
 
             // Aᵀ·B: A stored k×m, the chain continues from a non-zero C
             let mut got = c0.to_vec();
-            direct_gemm(
-                m,
-                k,
-                n,
-                |idx, p0| a_cols(&a[p0 * m..], m, idx),
-                b,
-                &mut got,
-                true,
-            );
+            gemm_at_b_into(m, k, n, a, b, &mut got);
             let mut want = c0.to_vec();
             naive_chain(m, k, n, |i, p| a[p * m + i], b, &mut want, true);
             assert_eq!(bits(&got), bits(&want), "Aᵀ·B {m}x{k}x{n}");
@@ -873,79 +687,23 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn direct_and_packed_agree_bitwise_on_a_zeroed_target() {
-        // The property that lets a shape change path without moving a
-        // pinned result: on a zeroed C the packed driver's from-zero chain
-        // added to C equals the tile's chain started from C.
-        for_each_tile_shape(|m, k, n, a, b, _| {
-            let mut direct = vec![f32::NAN; m * n];
-            direct_gemm(
-                m,
-                k,
-                n,
-                |idx, p0| a_rows(&a[p0..], k, idx),
-                b,
-                &mut direct,
-                false,
-            );
-            let mut packed = vec![f32::NAN; m * n];
-            blocked_gemm(
-                m,
-                k,
-                n,
-                AStore::Rows(a),
-                BStore::Rows(b),
-                &mut packed,
-                false,
-            );
-            assert_eq!(bits(&direct), bits(&packed), "A·B {m}x{k}x{n}");
-
-            let mut direct = vec![0.0f32; m * n];
-            direct_gemm(
-                m,
-                k,
-                n,
-                |idx, p0| a_cols(&a[p0 * m..], m, idx),
-                b,
-                &mut direct,
-                true,
-            );
-            let mut packed = vec![0.0f32; m * n];
-            blocked_gemm(m, k, n, AStore::Cols(a), BStore::Rows(b), &mut packed, true);
-            assert_eq!(bits(&direct), bits(&packed), "Aᵀ·B {m}x{k}x{n}");
-        });
-    }
-
-    #[test]
     fn a_dirty_pack_scratch_packs_like_a_fresh_one() {
-        // Two large packed products leave both pack buffers of this thread
-        // full of their operands, NaN and ∞ included; a smaller product with
-        // a partial panel and a partial tile must still be the chain,
-        // whichever arm of the pack each operand takes: nothing the large
-        // ones left reaches a result.
-        let big = |len, seed| hostile_vec(len, seed, true);
+        // A large packed A·Bᵀ leaves both pack buffers of this thread full of
+        // its operands, NaN and ∞ included; a smaller one with a partial
+        // panel and a partial tile must still be the chain: nothing the
+        // large one left reaches a result.
         let (m, k, n) = (48, 128, 640);
-        let mut c = vec![0.0f32; m * n];
-        let (a, b) = (big(m * k, 101), big(k * n, 102));
-        blocked_gemm(m, k, n, AStore::Cols(&a), BStore::Rows(&b), &mut c, true);
-        blocked_gemm(m, k, n, AStore::Rows(&a), BStore::Cols(&b), &mut c, false);
+        let (a, b) = (hostile_vec(m * k, 101, true), hostile_vec(n * k, 102, true));
+        blocked_gemm(m, k, n, &a, &b, &mut vec![0.0f32; m * n]);
         let (m, k, n) = (2 * MR + 1, 20, 2 * NR + 3);
         let a = hostile_vec(m * k, 103, false);
         let b = hostile_vec(k * n, 104, false);
-        let a_t: Vec<f32> = (0..k * m).map(|i| a[i % m * k + i / m]).collect();
         let b_t: Vec<f32> = (0..n * k).map(|i| b[i % k * n + i / k]).collect();
         let mut want = vec![0.0f32; m * n];
         naive_chain(m, k, n, |i, p| a[i * k + p], &b, &mut want, false);
-        let runs: [(AStore, BStore, bool); 3] = [
-            (AStore::Rows(&a), BStore::Rows(&b), false),
-            (AStore::Rows(&a), BStore::Cols(&b_t), false),
-            (AStore::Cols(&a_t), BStore::Rows(&b), true),
-        ];
-        for (a_store, b_store, accumulate) in runs {
-            let mut got = vec![0.0f32; m * n];
-            blocked_gemm(m, k, n, a_store, b_store, &mut got, accumulate);
-            assert_eq!(bits(&got), bits(&want), "accumulate {accumulate}");
-        }
+        let mut got = vec![0.0f32; m * n];
+        blocked_gemm(m, k, n, &a, &b_t, &mut got);
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
@@ -990,11 +748,12 @@ pub(crate) mod tests {
 
     #[test]
     fn zero_times_nonfinite_propagates_at_every_size() {
-        // One shape per path: the direct tile, and the packed driver at
-        // PAR_FLOP_THRESHOLD. A ±0.0 in A opposite ∞ or NaN in B is NaN in
-        // every element of C, whichever kernel the size selects.
+        // Both sizes of every product: small and large A·B and Aᵀ·B, and
+        // A·Bᵀ by `small_a_bt` and by the packed driver. A ±0.0 in A
+        // opposite ∞ or NaN in B is NaN in every element of C, whichever
+        // kernel runs.
         for (m, k, n) in [(16usize, 24usize, 10usize), (96, 300, 96)] {
-            assert_eq!(m * k * n >= PAR_FLOP_THRESHOLD, m == 96);
+            assert_eq!(m * k * n > A_BT_SMALL_FLOP_THRESHOLD, m == 96);
             let p0 = k / 2;
             for zero in [0.0f32, -0.0] {
                 for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
@@ -1015,6 +774,15 @@ pub(crate) mod tests {
                         c.iter().all(|v| v.is_nan()),
                         "Aᵀ·B {m}x{k}x{n} {zero}·{bad}"
                     );
+
+                    let mut bt = vec![1.0f32; n * k];
+                    bt.iter_mut().skip(p0).step_by(k).for_each(|v| *v = bad);
+                    let mut c = vec![0.0f32; m * n];
+                    gemm_a_bt_into(m, k, n, &a, &bt, &mut c);
+                    assert!(
+                        c.iter().all(|v| v.is_nan()),
+                        "A·Bᵀ {m}x{k}x{n} {zero}·{bad}"
+                    );
                 }
             }
         }
@@ -1026,21 +794,19 @@ pub(crate) mod tests {
         // (A·B, A·Bᵀ) or leaves C as it was (Aᵀ·B accumulates nothing).
         for (m, k, n) in [(0usize, 3usize, 2usize), (2, 0, 2), (2, 3, 0)] {
             let (a, b) = (vec![1.0f32; m * k], vec![1.0f32; k * n]);
-            let was = vec![7.0f32; m * n];
             type Kernel = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
-            let kernels: [(Kernel, AStore, BStore, bool); 3] = [
-                (gemm_into, AStore::Rows(&a), BStore::Rows(&b), false),
-                (gemm_at_b_into, AStore::Cols(&a), BStore::Rows(&b), true),
-                (gemm_a_bt_into, AStore::Rows(&a), BStore::Cols(&b), false),
+            let kernels: [(Kernel, f32); 3] = [
+                (gemm_into, 0.0),
+                (gemm_at_b_into, 7.0),
+                (gemm_a_bt_into, 0.0),
             ];
-            for (kernel, a_store, b_store, accumulate) in kernels {
-                let mut got = was.clone();
+            for (kernel, fill) in kernels {
+                let mut got = vec![7.0f32; m * n];
                 kernel(m, k, n, &a, &b, &mut got);
-                let mut want = was.clone();
-                blocked_gemm(m, k, n, a_store, b_store, &mut want, accumulate);
-                assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n}");
-                let fill = if accumulate { 7.0 } else { 0.0f32 };
-                assert!(got.iter().all(|v| v.to_bits() == fill.to_bits()));
+                assert!(
+                    got.iter().all(|v| v.to_bits() == fill.to_bits()),
+                    "{m}x{k}x{n}"
+                );
             }
         }
     }
@@ -1054,64 +820,14 @@ pub(crate) mod tests {
         matmul(&a, &b, &mut c);
     }
 
-    /// Runs the blocked driver (bypassing the small-multiply fallback) for
-    /// all three shapes and compares against the naive reference.
-    fn check_blocked_all_shapes(m: usize, k: usize, n: usize, seed: u64) {
+    /// Runs the packed `A·Bᵀ` driver (bypassing the small-multiply
+    /// kernel) and compares against the naive reference.
+    fn check_packed_a_bt(m: usize, k: usize, n: usize, seed: u64) {
         let tol = 1e-3 * (1.0 + k as f32 / 8.0);
-
-        // C = A·B
         let a = rand_matrix(m, k, seed);
-        let b = rand_matrix(k, n, seed.wrapping_add(1));
-        let mut c = vec![0.0f32; m * n];
-        blocked_gemm(
-            m,
-            k,
-            n,
-            AStore::Rows(a.as_slice()),
-            BStore::Rows(b.as_slice()),
-            &mut c,
-            false,
-        );
-        let reference = matmul_reference(&a, &b);
-        for (got, want) in c.iter().zip(reference.as_slice()) {
-            assert!(
-                (got - want).abs() < tol,
-                "gemm {m}x{k}x{n}: {got} vs {want}"
-            );
-        }
-
-        // C = Aᵀ·B (A stored k×m)
-        let at = rand_matrix(k, m, seed.wrapping_add(2));
-        let mut c = vec![0.0f32; m * n];
-        blocked_gemm(
-            m,
-            k,
-            n,
-            AStore::Cols(at.as_slice()),
-            BStore::Rows(b.as_slice()),
-            &mut c,
-            true,
-        );
-        let reference = matmul_reference(&transposed(&at), &b);
-        for (got, want) in c.iter().zip(reference.as_slice()) {
-            assert!(
-                (got - want).abs() < tol,
-                "at_b {m}x{k}x{n}: {got} vs {want}"
-            );
-        }
-
-        // C = A·Bᵀ (B stored n×k)
         let bt = rand_matrix(n, k, seed.wrapping_add(3));
         let mut c = vec![0.0f32; m * n];
-        blocked_gemm(
-            m,
-            k,
-            n,
-            AStore::Rows(a.as_slice()),
-            BStore::Cols(bt.as_slice()),
-            &mut c,
-            false,
-        );
+        blocked_gemm(m, k, n, a.as_slice(), bt.as_slice(), &mut c);
         let reference = matmul_reference(&a, &transposed(&bt));
         for (got, want) in c.iter().zip(reference.as_slice()) {
             assert!(
@@ -1129,84 +845,14 @@ pub(crate) mod tests {
         for (s, &m) in edges.iter().enumerate() {
             for &k in &edges {
                 for &n in &edges {
-                    check_blocked_all_shapes(m, k, n, 100 + s as u64);
+                    check_packed_a_bt(m, k, n, 100 + s as u64);
                 }
             }
         }
     }
 
-    #[test]
-    fn blocked_parallel_is_bit_stable_across_thread_counts() {
-        // 96·96·300 ≈ 2.8M flops crosses PAR_FLOP_THRESHOLD, so the row
-        // blocks genuinely run under different split counts here; the fixed
-        // per-element accumulation order must make every thread count
-        // produce bit-identical output.
-        let (m, k, n) = (96usize, 300usize, 96usize);
-        assert!(m * n * k >= PAR_FLOP_THRESHOLD);
-        let a = rand_matrix(m, k, 51);
-        let b = rand_matrix(k, n, 52);
-        let at = rand_matrix(k, m, 53);
-        let bt = rand_matrix(n, k, 54);
-        // skinny operands: 1×(k·m) by (k·m)×96 ≈ 2.8M flops, parallel too
-        let b_skinny = rand_matrix(k * m, 96, 55);
-        let run = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                let mut c1 = vec![0.0f32; m * n];
-                gemm_into(m, k, n, a.as_slice(), b.as_slice(), &mut c1);
-                let mut c2 = vec![0.0f32; m * n];
-                gemm_at_b_into(m, k, n, at.as_slice(), b.as_slice(), &mut c2);
-                let mut c3 = vec![0.0f32; m * n];
-                gemm_a_bt_into(m, k, n, a.as_slice(), bt.as_slice(), &mut c3);
-                // skinny shape: column-panel parallelism
-                let mut c4 = vec![0.0f32; 96];
-                gemm_into(1, k * m, 96, at.as_slice(), b_skinny.as_slice(), &mut c4);
-                (c1, c2, c3, c4)
-            })
-        };
-        let reference = run(1);
-        for threads in [2, 3, 7] {
-            let got = run(threads);
-            assert!(
-                bits(&reference.0) == bits(&got.0)
-                    && bits(&reference.1) == bits(&got.1)
-                    && bits(&reference.2) == bits(&got.2)
-                    && bits(&reference.3) == bits(&got.3),
-                "thread count {threads} changed kernel output bits"
-            );
-        }
-    }
-
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn skinny_row_parallelizes_over_columns() {
-        // The PAR_THRESHOLD regression: a 1×N product over a huge inner
-        // dimension must take the parallel column-panel path and still
-        // match the reference.
-        let k = 60_000usize;
-        let n = 64usize;
-        assert!(k * n >= PAR_FLOP_THRESHOLD);
-        let a = rand_matrix(1, k, 61);
-        let b = rand_matrix(k, n, 62);
-        let mut c = Matrix::zeros(1, n);
-        matmul(&a, &b, &mut c);
-        // block-summed reference in f64 to keep the tolerance meaningful
-        for j in 0..n {
-            let want: f64 = (0..k)
-                .map(|p| a.as_slice()[p] as f64 * b[(p, j)] as f64)
-                .sum();
-            assert!(
-                (c[(0, j)] as f64 - want).abs() < 0.3,
-                "col {j}: {} vs {want}",
-                c[(0, j)]
-            );
-        }
     }
 
     proptest! {
@@ -1253,7 +899,7 @@ pub(crate) mod tests {
             mi in 0usize..7, ki in 0usize..7, ni in 0usize..7, seed in 0u64..500
         ) {
             let edges = [1, MR - 1, MR, MR + 1, NR - 1, NR, NR + 1];
-            check_blocked_all_shapes(edges[mi], edges[ki], edges[ni], seed);
+            check_packed_a_bt(edges[mi], edges[ki], edges[ni], seed);
         }
     }
 
@@ -1292,8 +938,7 @@ pub(crate) mod tests {
     }
 
     /// The direct tile, as `gemm_into` (`A·B`) and `gemm_at_b_into` (`Aᵀ·B`,
-    /// `A` stored `k × m`, continuing from `C`) run it below the packed
-    /// driver's threshold.
+    /// `A` stored `k × m`, continuing from `C`) run it.
     fn row_direct<const AT_B: bool>(pool: &[f32], n: usize, wide: bool) -> Vec<f32> {
         shapes(pool, n, |m, k, a, b, c| match (AT_B, wide) {
             (false, false) => direct_gemm(m, k, n, |idx, p0| a_rows(&a[p0..], k, idx), b, c, false),
@@ -1305,24 +950,25 @@ pub(crate) mod tests {
         })
     }
 
-    /// The packed micro-kernel over a shape's first row tile.
-    fn row_tile_row<const ACCUMULATE: bool>(pool: &[f32], n: usize, wide: bool) -> Vec<f32> {
+    /// The packed micro-kernel over a shape's first row tile (`B` stored
+    /// `n × k`).
+    fn row_tile_row(pool: &[f32], n: usize, wide: bool) -> Vec<f32> {
         shapes(pool, n, |m, k, a, b, c| {
             if m * n * k == 0 {
                 return;
             }
             let (mut apack, mut bpack) = (Vec::new(), Vec::new());
-            pack::<MR>(k, m, BStore::Cols(a), &mut apack);
-            pack::<NR>(k, n, BStore::Rows(b), &mut bpack);
+            pack::<MR>(k, m, a, &mut apack);
+            pack::<NR>(k, n, b, &mut bpack);
             let (tile_a, rows) = (&apack[..k * MR], MR.min(m));
             let c = &mut c[..rows * n];
             if wide {
                 with_avx2(
                     #[inline(always)]
-                    || tile_row(k, n, tile_a, &bpack, c, ACCUMULATE),
+                    || tile_row(k, n, tile_a, &bpack, c),
                 );
             } else {
-                tile_row(k, n, tile_a, &bpack, c, ACCUMULATE);
+                tile_row(k, n, tile_a, &bpack, c);
             }
         })
     }
@@ -1337,18 +983,17 @@ pub(crate) mod tests {
                 small_a_bt(m, k, n, a, b, c);
             } else {
                 let mut bpack = Vec::new();
-                pack::<NR>(k, n, BStore::Cols(b), &mut bpack);
+                pack::<NR>(k, n, b, &mut bpack);
                 a_bt_rows(k, n, a, &bpack, c);
             }
         })
     }
 
     /// The GEMM kernels, each as written and through its dispatcher.
-    const ROWS: [(&str, table::Row); 5] = [
+    const ROWS: [(&str, table::Row); 4] = [
         ("direct tile, A·B", row_direct::<false>),
         ("direct tile, Aᵀ·B", row_direct::<true>),
-        ("tile_row, stored", row_tile_row::<false>),
-        ("tile_row, accumulated", row_tile_row::<true>),
+        ("tile_row", row_tile_row),
         ("a_bt_rows", row_a_bt),
     ];
 

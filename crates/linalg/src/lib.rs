@@ -12,7 +12,7 @@
 //!    registers across the whole inner dimension and reads `B` a contiguous
 //!    row at a time, with a separate multiply and add per term (no FMA, by
 //!    design: one rounding per operation on every CPU, so the bits repeat);
-//!    large multiplies are packed and forked over row blocks (`rayon::for_each_part`).
+//!    only a large `A·Bᵀ` packs its operands, and no multiply forks.
 //!    [`exp_in_place`] is the one FMA build: its reference is not an order
 //!    but glibc's FMA `expf`, whose bits it gives on every host.
 //!    Every kernel compiled a second time for AVX2 picks its compilation in
