@@ -9,15 +9,17 @@
 //!
 //! # Drain/recharge model and units
 //!
-//! Everything is in watt-hours, the ledger's unit. Per simulated round, in
-//! order (the engine draws the round's membership churn *before* step 1,
-//! so step 3 knows who is present; an absent node still recharges):
+//! Everything is in watt-hours, the ledger's unit. Per simulated round,
+//! the engine takes each node through steps 1–3 in one pass, after the
+//! round's membership churn is drawn, so step 3 knows who is present; an
+//! absent node still recharges and is still asked in step 2:
 //!
-//! 1. **Recharge**: the harvest trace offers each node
+//! 1. **Recharge**: the harvest trace offers the node
 //!    `P_i(t) · Δ_round / 3600` Wh; the battery accepts what fits below
 //!    capacity and counts the clipped remainder as *wasted*.
-//! 2. **Decision**: the policy maps charge fractions to a participation
-//!    mask (see [`BatteryPolicy`]).
+//! 2. **Decision**: the node's policy maps its charge fraction to take
+//!    part or not (see [`BatteryPolicy::decide_node`]), advancing the
+//!    policy's memory.
 //! 3. **Brown-out**: a present node that decided to train but holds less
 //!    charge than its per-round training cost burns its remaining charge
 //!    to zero and drops out of the round (an absent node attempts nothing
@@ -249,7 +251,7 @@ impl BatteryPolicy {
     /// [`BatteryPolicy::decide_into`]). This is the per-node primitive
     /// behind both the fleet-wide mask and heterogeneous
     /// policy-per-node fleets, where each node consults its own policy
-    /// against the shared state.
+    /// (see [`BatterySetup::node_policies`]) against the shared state.
     pub fn decide_node(
         &self,
         node: usize,
@@ -311,30 +313,6 @@ impl BatteryPolicy {
     }
 }
 
-/// Decides a heterogeneous fleet's participation mask: node `i` consults
-/// `policies[i]` against the shared charge state and participation
-/// memory. The per-node loop is identical to
-/// [`BatteryPolicy::decide_into`] with a policy lookup per node, so a
-/// vector of identical policies reproduces the fleet-wide mask exactly.
-///
-/// # Panics
-/// Panics unless `policies` holds one policy per node.
-pub fn decide_per_node_into(
-    policies: &[BatteryPolicy],
-    battery: &BatteryState,
-    state: &mut ParticipationState,
-    active: &mut Vec<bool>,
-) {
-    let n = battery.len();
-    assert_eq!(policies.len(), n, "one policy per node required");
-    state.ensure_len(n);
-    active.clear();
-    active.resize(n, false);
-    for (i, slot) in active.iter_mut().enumerate() {
-        *slot = policies[i].decide_node(i, battery, state);
-    }
-}
-
 /// Per-node memory for stateful [`BatteryPolicy`] variants (hysteresis
 /// latches, duty-cycle credit). One instance per fleet, reused each round.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -374,9 +352,9 @@ pub struct BatterySetup {
     /// Fleet-wide participation policy gating training and gossip.
     pub policy: BatteryPolicy,
     /// `Some` overrides `policy` per node: node `i` consults
-    /// `node_policies[i]`, letting threshold and duty-cycle devices mix
-    /// in one fleet (see [`decide_per_node_into`]). Must hold one policy
-    /// per node when set; absent in legacy serialized setups.
+    /// `node_policies[i]` through [`BatteryPolicy::decide_node`], letting
+    /// threshold and duty-cycle devices mix in one fleet. Must hold one
+    /// policy per node when set; absent in legacy serialized setups.
     #[serde(default)]
     pub node_policies: Option<Vec<BatteryPolicy>>,
 }
@@ -500,50 +478,22 @@ mod tests {
         // node 0: strict threshold (50% charge < 60% bar → off);
         // node 1: duty-cycle at half its target → fires every 2nd round
         let b = BatteryState::with_initial_fraction(vec![10.0, 10.0], 0.5);
-        let policies = vec![
+        let policies = [
             BatteryPolicy::Threshold { min_fraction: 0.6 },
             BatteryPolicy::DutyCycle {
                 target_fraction: 1.0,
             },
         ];
         let mut ps = ParticipationState::new(2);
-        let mut active = Vec::new();
         let mut node1_fired = 0;
         for _ in 0..10 {
-            decide_per_node_into(&policies, &b, &mut ps, &mut active);
+            let active: Vec<bool> = (0..2)
+                .map(|i| policies[i].decide_node(i, &b, &mut ps))
+                .collect();
             assert!(!active[0], "node 0's threshold policy must gate it off");
             node1_fired += active[1] as usize;
         }
         assert_eq!(node1_fired, 5, "node 1 duty-cycles independently");
-    }
-
-    #[test]
-    fn uniform_per_node_policies_match_the_fleet_wide_mask() {
-        let mut b = two_node();
-        b.drain(0, 2.0);
-        let policy = BatteryPolicy::Hysteresis {
-            suspend_fraction: 0.35,
-            resume_fraction: 0.6,
-        };
-        let policies = vec![policy, policy];
-        let (mut ps_a, mut ps_b) = (ParticipationState::new(2), ParticipationState::new(2));
-        let (mut a, mut v) = (Vec::new(), Vec::new());
-        for _ in 0..5 {
-            policy.decide_into(&b, &mut ps_a, &mut a);
-            decide_per_node_into(&policies, &b, &mut ps_b, &mut v);
-            assert_eq!(a, v);
-            assert_eq!(ps_a, ps_b);
-            b.recharge(0, 0.7);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one policy per node")]
-    fn per_node_policy_arity_is_enforced() {
-        let b = two_node();
-        let mut ps = ParticipationState::new(2);
-        let mut active = Vec::new();
-        decide_per_node_into(&[BatteryPolicy::AlwaysOn], &b, &mut ps, &mut active);
     }
 
     #[test]

@@ -377,13 +377,6 @@ impl Simulation {
         self.gate.battery.as_ref().map(|b| &b.setup.state)
     }
 
-    /// The last round's participation mask — present at the round
-    /// boundary *and* admitted by the battery (empty before the first
-    /// round) — when battery gating is configured.
-    pub fn battery_active(&self) -> Option<&[bool]> {
-        self.gate.battery.as_ref().map(|_| &self.gate.active[..])
-    }
-
     /// Total node-rounds of participation under battery gating: nodes the
     /// battery admitted that churn also had present.
     pub fn battery_participations(&self) -> Option<u64> {
@@ -820,6 +813,7 @@ mod tests {
     use crate::events::{
         ChurnModel, ComputeProfile, LatencyModel, RoundSemantics, BASE_TRAIN_TICKS,
     };
+    use crate::gate::Admission;
     use skiptrain_data::synth::{MixtureSpec, MixtureTask};
     use skiptrain_topology::regular::random_regular;
 
@@ -830,6 +824,13 @@ mod tests {
             assert_eq!(params.len(), self.param_count, "parameter length mismatch");
             self.settle();
             self.params[node].copy_from_slice(params);
+        }
+
+        /// The last round's participation mask: the gate's `Admitted`
+        /// labels (empty before the first round).
+        fn admitted(&self) -> Vec<bool> {
+            let admitted = |&a: &Admission| a == Admission::Admitted;
+            self.gate.admission.iter().map(admitted).collect()
         }
     }
 
@@ -1667,7 +1668,7 @@ mod tests {
             let actions = one_to_seven(round, n);
             sim.try_run_round(&actions, None, Some(&mut engine))
                 .unwrap();
-            let active = sim.battery_active().unwrap().to_vec();
+            let active = sim.admitted();
             let gated: Vec<RoundAction> = (0..n)
                 .map(|i| {
                     if active[i] {
@@ -1692,14 +1693,7 @@ mod tests {
             }
         }
         assert!(late_rows > 0, "no edge was late");
-        assert!(
-            sim.battery_active()
-                .unwrap()
-                .iter()
-                .filter(|a| !**a)
-                .count()
-                >= 2
-        );
+        assert!(sim.admitted().iter().filter(|a| !**a).count() >= 2);
         assert_fleet(&mut sim, &models, "masked and late");
     }
 
@@ -2260,8 +2254,10 @@ mod tests {
         // the active majority trains and communicates as usual
         assert!(sim.ledger().node_comm_wh(1) > 0.0);
         assert!(sim.ledger().node_training_wh(1) > 0.0);
-        let active = sim.battery_active().unwrap();
-        assert!(!active[0] && !active[3] && active[1]);
+        let admission = &sim.gate.admission;
+        assert_eq!(admission[0], Admission::Denied);
+        assert_eq!(admission[3], Admission::Denied);
+        assert_eq!(admission[1], Admission::Admitted);
     }
 
     #[test]
@@ -2787,11 +2783,11 @@ mod tests {
 
                 // the effective mixing: one mask, one fold over the one used
                 let present = engine.present();
-                let mask: Vec<bool> = (0..n)
-                    .map(|i| present[i] && sim.battery_active().is_none_or(|on| on[i]))
-                    .collect();
-                if let Some(on) = sim.battery_active() {
-                    prop_assert_eq!(on, &mask[..], "the battery mask never admits an absent node");
+                let mask = sim.admitted();
+                for (i, &label) in sim.gate.admission.iter().enumerate() {
+                    prop_assert_eq!(label == Admission::Absent, !present[i], "absence is churn's");
+                    prop_assert!(mask[i] || !present[i] || sim.gate.battery.is_some(),
+                        "only a battery turns a present node away");
                 }
                 let effective = used.masked(&mask);
                 prop_assert_eq!(&sim.gate.mixing, &effective);

@@ -1,18 +1,32 @@
-//! The participation gate: who takes part in a round, decided once.
+//! The participation gate: who takes part in a round, and why not.
 //!
-//! Two things keep a node out of a round: churn (the event engine's
-//! presence mask) and an empty battery (this module's recharge → decide →
-//! brown-out). Both only *emit a mask*; the gate folds them into the one
-//! per-node `active` mask and [`Gate::compose`] lowers it, once, into the
-//! actions the compute pass runs and the mixing the timeline, the plan and
-//! the ledger all read. A node that sits the round out is demoted to
-//! [`RoundAction::SyncOnly`] and its mixing row collapses to the identity:
-//! no training, no edge, no virtual time, no energy.
+//! [`Gate::begin_round`] labels each node once with its [`Admission`];
+//! [`Gate::compose`] lowers the labels into the actions the compute pass
+//! runs and the mixing the timeline, the plan and the ledger all read. A
+//! node that sits the round out is demoted to [`RoundAction::SyncOnly`]
+//! and its mixing row collapses to the identity: no training, no edge, no
+//! virtual time, no energy.
 
 use crate::executor::RoundAction;
-use skiptrain_energy::battery::{decide_per_node_into, BatterySetup, ParticipationState};
+use skiptrain_energy::battery::{BatterySetup, ParticipationState};
 use skiptrain_energy::EnergyLedger;
 use skiptrain_topology::MixingMatrix;
+
+/// Why a node is in or out of the round. Membership is decided first, so
+/// an absent node is `Absent` whatever its battery said.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admission {
+    /// Takes part: present, and admitted by the battery when there is one.
+    Admitted,
+    /// Churned out of the round.
+    Absent,
+    /// Present, but the battery policy refused it.
+    Denied,
+    /// Admitted to train on less charge than training costs, which it burned.
+    Brownout,
+    /// Admitted to sync with an empty battery.
+    Flat,
+}
 
 /// The battery feedback loop's engine-side runtime: the setup, whose
 /// charge state evolves, plus the policy memory and the run's counters
@@ -23,9 +37,9 @@ pub(crate) struct BatteryRuntime {
     pstate: ParticipationState,
     /// Per-node (training + comm) Wh already drained from the ledger.
     settled_wh: Vec<f64>,
-    /// Node-rounds of participation: admitted by the battery *and* present.
+    /// Node-rounds labelled [`Admission::Admitted`].
     pub(crate) participations: u64,
-    /// Brown-out events: train intents the charge could not cover.
+    /// Node-rounds labelled [`Admission::Brownout`].
     pub(crate) brownouts: u64,
 }
 
@@ -34,9 +48,9 @@ pub(crate) struct BatteryRuntime {
 #[derive(Debug, Clone)]
 pub(crate) struct Gate {
     pub(crate) battery: Option<BatteryRuntime>,
-    /// `present ∧ battery-admitted`, per node (all true without churn or
-    /// a battery). Empty before the first round.
-    pub(crate) active: Vec<bool>,
+    /// Each node's admission to the last round (all `Admitted` without
+    /// churn or a battery). Empty before the first round.
+    pub(crate) admission: Vec<Admission>,
     /// The requested actions with non-participants demoted to `SyncOnly`.
     pub(crate) actions: Vec<RoundAction>,
     /// The round's mixing with non-participants' rows masked to identity.
@@ -69,23 +83,23 @@ impl Gate {
         });
         Self {
             battery,
-            active: Vec::with_capacity(n),
+            admission: Vec::with_capacity(n),
             actions: Vec::with_capacity(n),
             mixing: mixing.clone(),
         }
     }
 
-    /// Decides the round's participation mask. `present` is the event
-    /// engine's membership after this round's churn draws (`None` off the
-    /// event path: everyone is present).
+    /// Labels every node's admission to the round, in one pass. `present`
+    /// is the event engine's membership after this round's churn draws
+    /// (`None` off the event path: everyone is present).
     ///
-    /// With a battery: recharge from the harvest trace, let the policy
-    /// admit nodes by charge, then brown-out admitted *present* nodes that
-    /// cannot afford their intent. A node that intended to train but holds
-    /// less charge than its per-round training cost burns its remaining
-    /// charge (the attempted partial round is lost work) and drops out; a
-    /// sync-only intent just needs nonzero charge to key the radio. An
-    /// absent node attempts nothing, so it never browns out.
+    /// With a battery, each node recharges from the harvest trace and
+    /// asks its policy, present or not, so hysteresis latches and
+    /// duty-cycle credit advance every round. Only a present node the
+    /// policy admits can still drop out: one that intends to train but
+    /// holds less charge than its per-round training cost burns its
+    /// remaining charge (the attempted partial round is lost work); a
+    /// sync-only intent just needs nonzero charge to key the radio.
     pub(crate) fn begin_round(
         &mut self,
         round: usize,
@@ -93,68 +107,52 @@ impl Gate {
         present: Option<&[bool]>,
         training_energy_wh: &[f64],
     ) {
-        let n = intended.len();
-        let Some(b) = self.battery.as_mut() else {
-            self.active.clear();
-            match present {
-                Some(present) => self.active.extend_from_slice(present),
-                None => self.active.resize(n, true),
-            }
-            return;
-        };
-        let BatterySetup {
-            state,
-            trace,
-            policy,
-            node_policies,
-        } = &mut b.setup;
-        for i in 0..n {
-            state.recharge(i, trace.energy_wh(i, round));
-        }
-        match node_policies {
-            Some(policies) => {
-                decide_per_node_into(policies, state, &mut b.pstate, &mut self.active)
-            }
-            None => policy.decide_into(state, &mut b.pstate, &mut self.active),
-        }
-        for (i, intent) in intended.iter().enumerate() {
-            self.active[i] &= present.is_none_or(|present| present[i]);
-            if !self.active[i] {
-                continue;
-            }
-            match intent {
-                RoundAction::Train => {
+        self.admission.clear();
+        for (i, &intent) in intended.iter().enumerate() {
+            let here = present.is_none_or(|present| present[i]);
+            let label = match self.battery.as_mut() {
+                None if here => Admission::Admitted,
+                None => Admission::Absent,
+                Some(b) => {
+                    let setup = &mut b.setup;
+                    setup.state.recharge(i, setup.trace.energy_wh(i, round));
+                    let policy = setup
+                        .node_policies
+                        .as_ref()
+                        .map_or(&setup.policy, |p| &p[i]);
+                    let admitted = policy.decide_node(i, &setup.state, &mut b.pstate);
                     let cost = training_energy_wh.get(i).copied().unwrap_or(0.0);
-                    if state.charge_wh(i) < cost {
-                        state.drain_all(i);
-                        self.active[i] = false;
-                        b.brownouts += 1;
+                    match intent {
+                        _ if !here => Admission::Absent,
+                        _ if !admitted => Admission::Denied,
+                        RoundAction::Train if setup.state.charge_wh(i) < cost => {
+                            setup.state.drain_all(i);
+                            b.brownouts += 1;
+                            Admission::Brownout
+                        }
+                        RoundAction::SyncOnly if setup.state.charge_wh(i) <= 0.0 => Admission::Flat,
+                        _ => {
+                            b.participations += 1;
+                            Admission::Admitted
+                        }
                     }
                 }
-                RoundAction::SyncOnly => {
-                    if state.charge_wh(i) <= 0.0 {
-                        self.active[i] = false;
-                    }
-                }
-            }
+            };
+            self.admission.push(label);
         }
-        b.participations += self.active.iter().filter(|&&on| on).count() as u64;
     }
 
-    /// Lowers the mask decided by [`Gate::begin_round`] into the gated
+    /// Lowers the labels decided by [`Gate::begin_round`] into the gated
     /// actions and the masked mixing. Runs every round: with every node
-    /// active both equal their inputs bit for bit.
+    /// admitted both equal their inputs bit for bit.
     pub(crate) fn compose(&mut self, intended: &[RoundAction], base: &MixingMatrix) {
+        let admitted = |i: usize| self.admission[i] == Admission::Admitted;
         self.actions.clear();
-        self.actions
-            .extend(intended.iter().zip(&self.active).map(|(&a, &on)| {
-                if on {
-                    a
-                } else {
-                    RoundAction::SyncOnly
-                }
-            }));
-        base.masked_into(&self.active, &mut self.mixing);
+        self.actions.extend_from_slice(intended);
+        for i in (0..intended.len()).filter(|&i| !admitted(i)) {
+            self.actions[i] = RoundAction::SyncOnly;
+        }
+        base.masked_into(admitted, &mut self.mixing);
     }
 
     /// Post-round drain: debit each node's battery with what the round
@@ -178,7 +176,81 @@ impl Gate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skiptrain_energy::battery::{BatteryPolicy, BatteryState};
+    use skiptrain_energy::trace::{HarvestProfile, HarvestTrace};
     use skiptrain_topology::Graph;
+
+    /// A battery gate on a ring, one policy per node, without harvest.
+    fn battery_gate(state: BatteryState, node_policies: Vec<BatteryPolicy>) -> Gate {
+        let n = state.len();
+        let setup = BatterySetup {
+            state,
+            trace: HarvestTrace::new(HarvestProfile::None, 600.0, n, 1, 0.0),
+            policy: BatteryPolicy::Threshold { min_fraction: 0.5 },
+            node_policies: Some(node_policies),
+        };
+        Gate::new(
+            Some(setup),
+            &MixingMatrix::metropolis_hastings(&Graph::ring(n)),
+        )
+    }
+
+    #[test]
+    fn one_round_labels_each_cause_once_and_masks_the_four_left_out() {
+        use Admission::*;
+        let n = 5;
+        // node 0 admitted; 1 absent; 2 below the threshold; 3 and 4 pass
+        // their policies with too little charge for their intents
+        let mut state = BatteryState::new(vec![1.0; n]);
+        state.drain(2, 0.9);
+        state.drain(3, 0.95);
+        state.drain_all(4);
+        let mut policies = vec![BatteryPolicy::Threshold { min_fraction: 0.5 }; n];
+        policies[3] = BatteryPolicy::AlwaysOn;
+        // node 4 is empty, which always-on would refuse: a zero threshold
+        policies[4] = BatteryPolicy::Threshold { min_fraction: 0.0 };
+        let mut gate = battery_gate(state, policies);
+        let intended = [
+            RoundAction::Train,
+            RoundAction::Train,
+            RoundAction::Train,
+            RoundAction::Train,
+            RoundAction::SyncOnly,
+        ];
+        let present = [true, false, true, true, true];
+        gate.begin_round(0, &intended, Some(&present), &[0.1; 5]);
+        assert_eq!(gate.admission, [Admitted, Absent, Denied, Brownout, Flat]);
+        let b = gate.battery.as_ref().unwrap();
+        assert_eq!((b.participations, b.brownouts), (1, 1));
+        assert_eq!(
+            b.setup.state.charge_wh(3),
+            0.0,
+            "a brown-out burns its charge"
+        );
+
+        let base = gate.mixing.clone();
+        gate.compose(&intended, &base);
+        assert_eq!(gate.actions[0], RoundAction::Train);
+        assert!(gate.actions[1..]
+            .iter()
+            .all(|&a| a == RoundAction::SyncOnly));
+        assert_eq!(
+            gate.mixing,
+            base.masked(&[true, false, false, false, false])
+        );
+        for i in 1..n {
+            assert_eq!(gate.mixing.row(i), &[(i as u32, 1.0)]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one policy per node")]
+    fn per_node_policy_arity_is_enforced() {
+        let _ = battery_gate(
+            BatteryState::new(vec![1.0; 5]),
+            vec![BatteryPolicy::AlwaysOn],
+        );
+    }
 
     #[test]
     fn compose_demotes_absent_nodes_and_masks_their_rows() {

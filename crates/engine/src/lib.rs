@@ -47,13 +47,14 @@
 //! or per-node) over charge fractions, and the brown-out check over the
 //! nodes still present (a node that cannot afford the training it intends
 //! burns its remaining charge and sits out; an absent node attempts
-//! nothing). The crate-private gate folds both into one mask and lowers
-//! it, in one pass, into the round's *gated* actions (non-participants
-//! demoted to `SyncOnly`) and *masked* mixing (their rows collapsed to
-//! identity by the one
+//! nothing). The crate-private gate labels each node once, in one pass
+//! over the fleet, with why it takes part or not (admitted, absent,
+//! denied, browned out or flat), and lowers the labels into the round's
+//! *gated* actions (non-participants demoted to `SyncOnly`) and *masked*
+//! mixing (their rows collapsed to identity by the one
 //! [`MixingMatrix::masked_into`](skiptrain_topology::MixingMatrix::masked_into)
-//! call); with everyone taking part both equal the caller's inputs bit for
-//! bit. Then the engine's **timeline** runs over the gated inputs — the
+//! call, which reads the labels as its predicate); with everyone taking
+//! part both equal the caller's inputs bit for bit. Then the engine's **timeline** runs over the gated inputs — the
 //! round closes on the slowest *participant* and only an edge that fires
 //! can be late — and the data path follows: **resolve**, **compute**,
 //! **share/aggregate** and **account** as single passes over the plan,

@@ -10,10 +10,10 @@
 //! else.
 //!
 //! An edge gated out by churn or battery never reaches the plan: the
-//! participation gate has already folded both masks into the mixing, in
-//! one [`MixingMatrix::masked_into`] pass, before the round was timed —
-//! so the event engine's late set is a subset of the rows here and its
-//! late counter equals the number of [`Fate::Late`] rows. For an edge that
+//! participation gate has already masked every node it did not admit out
+//! of the mixing, in one [`MixingMatrix::masked_into`] pass, before the
+//! round was timed — so the event engine's late set is a subset of the
+//! rows here and its late counter equals the number of [`Fate::Late`] rows. For an edge that
 //! does have a row, a message that missed the round deadline is `Late`
 //! whatever the transport drew; otherwise the transport's draw stands.
 

@@ -169,6 +169,31 @@ fn configs() -> Vec<ExperimentConfig> {
     });
     out.push(cfg);
 
+    // churn meets stateful policies: the gate asks every node's policy,
+    // absent ones included, so latches and duty credit advance each round
+    let mut cfg = base("churn-stateful-battery", 8);
+    cfg.churn = Some(ChurnSpec {
+        leave_prob: 0.2,
+        rejoin_prob: 0.5,
+    });
+    battery_fleet(&mut cfg);
+    if let Some(battery) = &mut cfg.battery {
+        battery.node_policies = Some(
+            (0..cfg.nodes)
+                .map(|i| match i % 2 {
+                    0 => BatteryPolicy::Hysteresis {
+                        suspend_fraction: 0.3,
+                        resume_fraction: 0.55,
+                    },
+                    _ => BatteryPolicy::DutyCycle {
+                        target_fraction: 0.8,
+                    },
+                })
+                .collect(),
+        );
+    }
+    out.push(cfg);
+
     out
 }
 

@@ -171,19 +171,19 @@ impl MixingMatrix {
     /// # Panics
     /// Panics unless `active.len() == self.len()`.
     pub fn masked(&self, active: &[bool]) -> Self {
+        assert_eq!(active.len(), self.n, "participation mask size mismatch");
         let mut out = Self {
             n: 0,
             rows: Vec::new(),
         };
-        self.masked_into(active, &mut out);
+        self.masked_into(|i| active[i], &mut out);
         out
     }
 
-    /// In-place form of [`MixingMatrix::masked`]: rebuilds `out`, reusing
-    /// its row allocations (the allocation-free per-round path, mirroring
-    /// [`MixingMatrix::metropolis_hastings_into`]).
-    pub fn masked_into(&self, active: &[bool], out: &mut MixingMatrix) {
-        assert_eq!(active.len(), self.n, "participation mask size mismatch");
+    /// In-place form of [`MixingMatrix::masked`], node `i` active iff
+    /// `active(i)`: rebuilds `out`, reusing its row allocations (the
+    /// allocation-free per-round path, as in [`Self::metropolis_hastings_into`]).
+    pub fn masked_into(&self, active: impl Fn(usize) -> bool, out: &mut MixingMatrix) {
         out.n = self.n;
         out.rows.truncate(self.n);
         while out.rows.len() < self.n {
@@ -191,7 +191,7 @@ impl MixingMatrix {
         }
         for (i, row_out) in out.rows.iter_mut().enumerate() {
             row_out.clear();
-            if !active[i] {
+            if !active(i) {
                 row_out.push((i as u32, 1.0));
                 continue;
             }
@@ -204,7 +204,7 @@ impl MixingMatrix {
                 if j as usize == i {
                     self_weight += w;
                     had_self = true;
-                } else if active[j as usize] {
+                } else if active(j as usize) {
                     row_out.push((j, w));
                 } else {
                     self_weight += w;
@@ -380,7 +380,7 @@ mod tests {
         ] {
             let w = MixingMatrix::metropolis_hastings(&graph);
             let active: Vec<bool> = (0..graph.len()).map(|i| i % pattern != 0).collect();
-            w.masked_into(&active, &mut slot);
+            w.masked_into(|i| active[i], &mut slot);
             assert_eq!(slot, w.masked(&active));
         }
     }
