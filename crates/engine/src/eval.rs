@@ -193,8 +193,8 @@ mod tests {
             skiptrain_nn::sgd::SgdConfig::plain(0.5),
             1,
         );
-        let mut trained = Vec::new();
-        node.train_local(&model.flat_params(), 80, &mut trained);
+        let mut trained = model.flat_params();
+        node.train_in_place(&mut trained, 80);
         model.load_params(&trained);
         let (acc, _) = evaluate_model(&mut model, &loss, &data, None);
         assert!(acc > 0.97, "separable task should be ~perfect, got {acc}");

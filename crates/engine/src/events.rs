@@ -32,8 +32,8 @@
 //! depends on the order events would pop in: an event's time feeds only a
 //! `max`, a `> deadline` test and a counter ([`EventStats::events`]), and
 //! the late list is sorted afterwards. A priority queue returns the day
-//! rounds overlap (a barrier-free variant); the test module keeps one as
-//! the oracle `begin_round` is checked against.
+//! rounds overlap (a barrier-free variant); the `skiptrain-oracle` crate
+//! keeps one as the reference `begin_round` is checked against.
 //!
 //! # Round semantics
 //!
@@ -485,9 +485,8 @@ impl EventEngine {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use skiptrain_oracle::queue::{Churn, Timeline};
     use skiptrain_topology::{Graph, MixingMatrix};
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
 
     fn ring_mixing(n: usize) -> MixingMatrix {
         MixingMatrix::metropolis_hastings(&Graph::ring(n))
@@ -635,138 +634,6 @@ mod tests {
         assert_eq!(sync.now(), 0, "sync-only rounds cost zero compute ticks");
     }
 
-    /// The timeline's event vocabulary, as the queue formulation had it.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-    enum Kind {
-        PolicyTick,
-        Leave(usize),
-        Join(usize),
-        TrainComplete(usize),
-        MessageArrive(u32, u32),
-        EvalTick,
-    }
-
-    /// `(time, seq)`-keyed queue: earliest tick first, insertion order
-    /// within a tick.
-    #[derive(Default)]
-    struct Queue(BinaryHeap<Reverse<(u64, u64, Kind)>>, u64);
-
-    impl Queue {
-        fn push(&mut self, time: u64, kind: Kind) {
-            self.0.push(Reverse((time, self.1, kind)));
-            self.1 += 1;
-        }
-        fn pop(&mut self) -> Option<(u64, Kind)> {
-            self.0.pop().map(|Reverse((t, _, kind))| (t, kind))
-        }
-    }
-
-    /// The state the oracle carries between rounds.
-    struct Replay {
-        clocks: Vec<u64>,
-        present: Vec<bool>,
-        now: u64,
-        stats: EventStats,
-        late: Vec<(u32, u32)>,
-    }
-
-    /// The oracle: the formulation `begin_round` replaced. Each phase
-    /// schedules its events on the queue and handles them in pop order.
-    /// Reads only `cfg`'s immutable configuration; all state is in `r`.
-    fn replay_with_queue(
-        r: &mut Replay,
-        cfg: &EventEngine,
-        round: u64,
-        actions: &[RoundAction],
-        mixing: &MixingMatrix,
-    ) {
-        let n = actions.len();
-        let mut q = Queue::default();
-
-        q.push(r.now, Kind::PolicyTick);
-        if let Some(churn) = cfg.churn {
-            let cseed = derive_seed(cfg.seed, CHURN_STREAM);
-            for i in 0..n {
-                let u = stream_rng(cseed, (round << 24) | i as u64).random::<f64>();
-                if r.present[i] && u < churn.leave_prob {
-                    q.push(r.now, Kind::Leave(i));
-                } else if !r.present[i] && u < churn.rejoin_prob {
-                    q.push(r.now, Kind::Join(i));
-                }
-            }
-        }
-        while let Some((t, kind)) = q.pop() {
-            r.stats.events += 1;
-            match kind {
-                Kind::Leave(i) => {
-                    r.present[i] = false;
-                    r.stats.leaves += 1;
-                }
-                Kind::Join(i) => {
-                    r.present[i] = true;
-                    r.clocks[i] = t;
-                    r.stats.joins += 1;
-                }
-                _ => {}
-            }
-        }
-
-        let cseed = derive_seed(cfg.seed, COMPUTE_STREAM);
-        for i in (0..n).filter(|&i| r.present[i]) {
-            let cost = match actions[i] {
-                RoundAction::Train => cfg.compute.train_ticks(cseed, round, i, BASE_TRAIN_TICKS),
-                RoundAction::SyncOnly => 0,
-            };
-            q.push(r.clocks[i] + cost, Kind::TrainComplete(i));
-        }
-        let mut completions = r.clocks.clone();
-        let mut latest = r.now;
-        while let Some((t, Kind::TrainComplete(i))) = q.pop() {
-            r.stats.events += 1;
-            completions[i] = t;
-            latest = latest.max(t);
-        }
-
-        let lseed = derive_seed(cfg.seed, LATENCY_STREAM);
-        for dst in (0..n).filter(|&i| r.present[i]) {
-            for &(j, _) in mixing.row(dst) {
-                let src = j as usize;
-                if src != dst && r.present[src] {
-                    let arrival = completions[src] + cfg.latency.link_ticks(lseed, round, src, dst);
-                    q.push(arrival, Kind::MessageArrive(j, dst as u32));
-                }
-            }
-        }
-        let deadline = match cfg.semantics {
-            RoundSemantics::Barrier => u64::MAX,
-            RoundSemantics::Deadline { slack_ticks } => latest.saturating_add(slack_ticks),
-        };
-        r.late.clear();
-        let mut end = latest;
-        while let Some((t, Kind::MessageArrive(src, dst))) = q.pop() {
-            r.stats.events += 1;
-            if t > deadline {
-                r.late.push((src, dst));
-                r.stats.late_messages += 1;
-            } else {
-                end = end.max(t);
-            }
-        }
-        r.late.sort_unstable();
-        if !r.late.is_empty() {
-            end = deadline;
-        }
-
-        q.push(end, Kind::EvalTick);
-        while let Some((t, _)) = q.pop() {
-            r.stats.events += 1;
-            r.now = t;
-        }
-        for i in (0..n).filter(|&i| r.present[i]) {
-            r.clocks[i] = r.now;
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -782,7 +649,7 @@ mod tests {
             latency_ticks in 0u64..BASE_TRAIN_TICKS,
             jitter in 0.0f64..1.0,
             churn in 0u8..3,
-            deadline in 0u8..2,
+            deadline in 0u8..3,
             slack_ticks in 0u64..BASE_TRAIN_TICKS,
             train_prob in 0.0f64..1.0,
             rounds in 6usize..10,
@@ -816,16 +683,23 @@ mod tests {
             };
             let semantics = match deadline {
                 0 => RoundSemantics::Barrier,
-                _ => RoundSemantics::Deadline { slack_ticks },
+                1 => RoundSemantics::Deadline { slack_ticks },
+                // the last sender's messages land exactly on the deadline
+                // (on time) when every link takes the same ticks
+                _ => RoundSemantics::Deadline {
+                    slack_ticks: match latency {
+                        LatencyModel::Constant { ticks } => ticks,
+                        _ => 0,
+                    },
+                },
             };
             let mut engine = EventEngine::new(n, seed, compute, latency, churn, semantics);
-            let mut replay = Replay {
-                clocks: vec![0; n],
-                present: vec![true; n],
-                now: 0,
-                stats: EventStats::default(),
-                late: Vec::new(),
+            let rows: Vec<Vec<(u32, f32)>> = (0..n).map(|i| mixing.row(i).to_vec()).collect();
+            let slack = match semantics {
+                RoundSemantics::Barrier => None,
+                RoundSemantics::Deadline { slack_ticks } => Some(slack_ticks),
             };
+            let mut replay = Timeline::new(n);
             for round in 0..rounds {
                 let actions: Vec<RoundAction> = (0..n)
                     .map(|_| match rng.random::<f64>() < train_prob {
@@ -834,9 +708,37 @@ mod tests {
                     })
                     .collect();
                 engine.begin_round(round, &actions, &mixing);
-                replay_with_queue(&mut replay, &engine, round as u64, &actions, &mixing);
+                // the engine's draws, handed to the replay as plain values
+                let round = round as u64;
+                let (cseed, tseed, lseed) = (
+                    derive_seed(seed, CHURN_STREAM),
+                    derive_seed(seed, COMPUTE_STREAM),
+                    derive_seed(seed, LATENCY_STREAM),
+                );
+                let draws: Vec<f64> = (0..n)
+                    .map(|i| stream_rng(cseed, (round << 24) | i as u64).random::<f64>())
+                    .collect();
+                let cost: Vec<u64> = (0..n)
+                    .map(|i| match actions[i] {
+                        RoundAction::Train => engine.compute.train_ticks(tseed, round, i, BASE_TRAIN_TICKS),
+                        RoundAction::SyncOnly => 0,
+                    })
+                    .collect();
+                let churn = churn.map(|c| Churn {
+                    leave_prob: c.leave_prob,
+                    rejoin_prob: c.rejoin_prob,
+                    draws: &draws,
+                });
+                let link = |src, dst| engine.latency.link_ticks(lseed, round, src, dst);
+                replay.round(&rows, churn, &cost, link, slack);
+                let stats = EventStats {
+                    events: replay.events,
+                    late_messages: replay.late_messages,
+                    joins: replay.joins,
+                    leaves: replay.leaves,
+                };
                 prop_assert_eq!(engine.now(), replay.now, "round {}", round);
-                prop_assert_eq!(engine.stats(), replay.stats, "round {}", round);
+                prop_assert_eq!(engine.stats(), stats, "round {}", round);
                 prop_assert_eq!(engine.present(), &replay.present[..], "round {}", round);
                 prop_assert_eq!(engine.late_edges(), &replay.late[..], "round {}", round);
                 prop_assert_eq!(&engine.clocks, &replay.clocks, "round {}", round);

@@ -204,11 +204,9 @@ mod tests {
 
     #[test]
     fn local_training_reduces_loss() {
-        let (mut node, params) = small_node(1);
-        let mut out1 = Vec::new();
-        let first_loss = node.train_local(&params, 5, &mut out1);
-        let mut out2 = Vec::new();
-        let later_loss = node.train_local(&out1, 25, &mut out2);
+        let (mut node, mut params) = small_node(1);
+        let first_loss = node.train_in_place(&mut params, 5);
+        let later_loss = node.train_in_place(&mut params, 25);
         assert!(
             later_loss < first_loss,
             "loss did not go down: {first_loss} -> {later_loss}"
@@ -230,8 +228,8 @@ mod tests {
         let features = node.dataset().features().clone();
         let labels = node.dataset().labels().to_vec();
         let (acc_before, _) = node.evaluate(&params, &features, &labels);
-        let mut trained = Vec::new();
-        node.train_local(&params, 60, &mut trained);
+        let mut trained = params.clone();
+        node.train_in_place(&mut trained, 60);
         let (acc_after, _) = node.evaluate(&trained, &features, &labels);
         assert!(
             acc_after > acc_before + 0.2,
@@ -241,12 +239,10 @@ mod tests {
 
     #[test]
     fn training_is_deterministic_per_seed() {
-        let (mut a, params) = small_node(4);
-        let (mut b, _) = small_node(4);
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        a.train_local(&params, 3, &mut out_a);
-        b.train_local(&params, 3, &mut out_b);
+        let (mut a, mut out_a) = small_node(4);
+        let (mut b, mut out_b) = small_node(4);
+        a.train_in_place(&mut out_a, 3);
+        b.train_in_place(&mut out_b, 3);
         assert_eq!(out_a, out_b);
     }
 

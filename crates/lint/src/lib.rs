@@ -43,6 +43,7 @@ pub const LIB_CRATES: &[&str] = &[
     "engine",
     "linalg",
     "nn",
+    "oracle",
     "skiptrain",
     "topology",
 ];
@@ -207,6 +208,7 @@ crates/linalg/src/gemm.rs::gemm_into\n";
         let manifest = BTreeMap::new();
         assert!(classify("crates/engine/src/executor.rs", &manifest).lib_rules);
         assert!(classify("crates/linalg/src/ops.rs", &manifest).lib_rules);
+        assert!(classify("crates/oracle/src/queue.rs", &manifest).lib_rules);
         assert!(!classify("crates/bench/src/perf.rs", &manifest).lib_rules);
         assert!(!classify("crates/lint/src/rules.rs", &manifest).lib_rules);
         assert!(!classify("vendor/rand/src/lib.rs", &manifest).lib_rules);

@@ -104,60 +104,11 @@ impl MixingMatrix {
             .unwrap_or(0.0)
     }
 
-    /// Maximum deviation of any row or column sum from 1 — the
-    /// double-stochasticity check.
-    pub fn stochasticity_error(&self) -> f32 {
-        let mut col_sums = vec![0.0f64; self.n];
-        let mut worst = 0.0f64;
-        for row in &self.rows {
-            let mut s = 0.0f64;
-            for &(j, w) in row {
-                s += w as f64;
-                col_sums[j as usize] += w as f64;
-            }
-            worst = worst.max((s - 1.0).abs());
-        }
-        for c in col_sums {
-            worst = worst.max((c - 1.0).abs());
-        }
-        worst as f32
-    }
-
-    /// Maximum `|W_ij − W_ji|` — the symmetry check.
-    pub fn symmetry_error(&self) -> f32 {
-        let mut worst = 0.0f32;
-        for (i, row) in self.rows.iter().enumerate() {
-            for &(j, w) in row {
-                worst = worst.max((w - self.get(j as usize, i)).abs());
-            }
-        }
-        worst
-    }
-
-    /// True when all entries are non-negative.
-    pub fn is_nonnegative(&self) -> bool {
-        self.rows.iter().flatten().all(|&(_, w)| w >= 0.0)
-    }
-
-    /// Applies `y = Wᵀ x = W x` (symmetric) to a scalar per node — used by
-    /// consensus tests.
-    pub fn apply_scalar(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n, "vector length mismatch");
-        let mut y = vec![0.0f64; self.n];
-        for (i, row) in self.rows.iter().enumerate() {
-            let mut acc = 0.0f64;
-            for &(j, w) in row {
-                acc += w as f64 * x[j as usize];
-            }
-            y[i] = acc;
-        }
-        y
-    }
-
-    /// Masks the matrix to a participating subset of nodes, preserving
-    /// symmetry and double stochasticity: an inactive node's row collapses
-    /// to the identity (`W_ii = 1`), and every active row folds the weight
-    /// of its inactive neighbors back into its self entry. This is the
+    /// Rebuilds `out` as this matrix masked to a participating subset of
+    /// nodes, node `i` active iff `active(i)`, preserving symmetry and
+    /// double stochasticity: an inactive node's row collapses to the
+    /// identity (`W_ii = 1`), and every active row folds the weight of its
+    /// inactive neighbors back into its self entry. This is the
     /// participation mask the battery gating feeds into the effective-edge
     /// mixing path — an inactive node neither sends nor receives, so the
     /// per-edge energy accounting over the masked matrix charges it
@@ -168,21 +119,8 @@ impl MixingMatrix {
     /// entries), and each row still sums to the original row sum. With
     /// every node active the output equals the input exactly.
     ///
-    /// # Panics
-    /// Panics unless `active.len() == self.len()`.
-    pub fn masked(&self, active: &[bool]) -> Self {
-        assert_eq!(active.len(), self.n, "participation mask size mismatch");
-        let mut out = Self {
-            n: 0,
-            rows: Vec::new(),
-        };
-        self.masked_into(|i| active[i], &mut out);
-        out
-    }
-
-    /// In-place form of [`MixingMatrix::masked`], node `i` active iff
-    /// `active(i)`: rebuilds `out`, reusing its row allocations (the
-    /// allocation-free per-round path, as in [`Self::metropolis_hastings_into`]).
+    /// Reuses `out`'s row allocations (the allocation-free per-round path,
+    /// as in [`Self::metropolis_hastings_into`]).
     pub fn masked_into(&self, active: impl Fn(usize) -> bool, out: &mut MixingMatrix) {
         out.n = self.n;
         out.rows.truncate(self.n);
@@ -223,6 +161,14 @@ mod tests {
     use super::*;
     use crate::regular::random_regular;
     use proptest::prelude::*;
+    use skiptrain_oracle::mixing::{
+        apply_scalar, is_nonnegative, masked, stochasticity_error, symmetry_error,
+    };
+
+    /// The matrix as the oracle's plain rows.
+    fn rows_of(w: &MixingMatrix) -> Vec<Vec<(u32, f32)>> {
+        w.rows.clone()
+    }
 
     #[test]
     fn mh_on_ring_matches_hand_computation() {
@@ -256,10 +202,10 @@ mod tests {
     fn mh_is_symmetric_doubly_stochastic_on_paper_graphs() {
         for d in [6usize, 8, 10] {
             let g = random_regular(256, d, 1);
-            let w = MixingMatrix::metropolis_hastings(&g);
-            assert!(w.symmetry_error() < 1e-6);
-            assert!(w.stochasticity_error() < 1e-4);
-            assert!(w.is_nonnegative());
+            let w = rows_of(&MixingMatrix::metropolis_hastings(&g));
+            assert!(symmetry_error(&w) < 1e-6);
+            assert!(stochasticity_error(&w) < 1e-4);
+            assert!(is_nonnegative(&w));
         }
     }
 
@@ -271,8 +217,8 @@ mod tests {
             g.add_edge(0, leaf as u32);
         }
         let w = MixingMatrix::metropolis_hastings(&g);
-        assert!(w.symmetry_error() < 1e-6);
-        assert!(w.stochasticity_error() < 1e-5);
+        assert!(symmetry_error(&rows_of(&w)) < 1e-6);
+        assert!(stochasticity_error(&rows_of(&w)) < 1e-5);
         // leaf-center weight = 1/(max(4,1)+1) = 0.2; leaf self = 0.8
         assert!((w.get(1, 0) - 0.2).abs() < 1e-6);
         assert!((w.get(1, 1) - 0.8).abs() < 1e-6);
@@ -280,8 +226,8 @@ mod tests {
 
     #[test]
     fn uniform_complete_averages() {
-        let w = MixingMatrix::uniform_complete(4);
-        let y = w.apply_scalar(&[1.0, 2.0, 3.0, 6.0]);
+        let w = rows_of(&MixingMatrix::uniform_complete(4));
+        let y = apply_scalar(&w, &[1.0, 2.0, 3.0, 6.0]);
         for v in y {
             assert!((v - 3.0).abs() < 1e-9);
         }
@@ -289,18 +235,18 @@ mod tests {
 
     #[test]
     fn identity_is_noop() {
-        let w = MixingMatrix::identity(3);
+        let w = rows_of(&MixingMatrix::identity(3));
         let x = vec![1.0, -2.0, 0.5];
-        assert_eq!(w.apply_scalar(&x), x);
+        assert_eq!(apply_scalar(&w, &x), x);
     }
 
     #[test]
     fn apply_scalar_preserves_mean() {
         let g = random_regular(32, 4, 3);
-        let w = MixingMatrix::metropolis_hastings(&g);
+        let w = rows_of(&MixingMatrix::metropolis_hastings(&g));
         let x: Vec<f64> = (0..32).map(|i| (i as f64).sin()).collect();
         let before: f64 = x.iter().sum();
-        let after: f64 = w.apply_scalar(&x).iter().sum();
+        let after: f64 = apply_scalar(&w, &x).iter().sum();
         assert!(
             (before - after).abs() < 1e-6,
             "doubly stochastic mixing must preserve the sum"
@@ -310,7 +256,7 @@ mod tests {
     #[test]
     fn mixing_contracts_variance() {
         let g = random_regular(32, 4, 4);
-        let w = MixingMatrix::metropolis_hastings(&g);
+        let w = rows_of(&MixingMatrix::metropolis_hastings(&g));
         let x: Vec<f64> = (0..32)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
@@ -318,7 +264,7 @@ mod tests {
             let m = v.iter().sum::<f64>() / v.len() as f64;
             v.iter().map(|a| (a - m).powi(2)).sum::<f64>() / v.len() as f64
         };
-        let y = w.apply_scalar(&x);
+        let y = apply_scalar(&w, &x);
         assert!(var(&y) < var(&x), "gossip step must contract variance");
     }
 
@@ -326,37 +272,44 @@ mod tests {
     fn pairwise_averages_matched_nodes_only() {
         // MH on a matching graph: matched pairs average ½/½, the rest
         // keep their model
-        let w = MixingMatrix::metropolis_hastings(&Graph::from_edges(5, &[(0, 3), (1, 4)]));
-        assert!(w.symmetry_error() < 1e-7);
-        assert!(w.stochasticity_error() < 1e-6);
-        let y = w.apply_scalar(&[10.0, 2.0, 7.0, 0.0, 4.0]);
+        let w = rows_of(&MixingMatrix::metropolis_hastings(&Graph::from_edges(
+            5,
+            &[(0, 3), (1, 4)],
+        )));
+        assert!(symmetry_error(&w) < 1e-7);
+        assert!(stochasticity_error(&w) < 1e-6);
+        let y = apply_scalar(&w, &[10.0, 2.0, 7.0, 0.0, 4.0]);
         assert_eq!(y, vec![5.0, 3.0, 7.0, 5.0, 3.0]);
     }
 
     #[test]
     fn pairwise_empty_matching_is_identity() {
-        let w = MixingMatrix::metropolis_hastings(&Graph::empty(3));
+        let w = rows_of(&MixingMatrix::metropolis_hastings(&Graph::empty(3)));
         let x = vec![1.0, 2.0, 3.0];
-        assert_eq!(w.apply_scalar(&x), x);
+        assert_eq!(apply_scalar(&w, &x), x);
     }
 
     #[test]
     fn masked_with_all_active_is_the_original_matrix() {
+        let mut slot = MixingMatrix::identity(1);
         for graph in [random_regular(12, 4, 5), Graph::ring(7), Graph::complete(5)] {
             let w = MixingMatrix::metropolis_hastings(&graph);
-            assert_eq!(w.masked(&vec![true; graph.len()]), w);
+            w.masked_into(|_| true, &mut slot);
+            assert_eq!(slot, w);
         }
         // rows without a self entry (swap matrix) must survive unchanged
         let swap: MixingMatrix =
             serde_json::from_str(r#"{"n":2,"rows":[[[1,1.0]],[[0,1.0]]]}"#).unwrap();
-        assert_eq!(swap.masked(&[true, true]), swap);
+        swap.masked_into(|_| true, &mut slot);
+        assert_eq!(slot, swap);
     }
 
     #[test]
     fn masked_isolates_inactive_nodes_and_folds_their_weight() {
         let g = Graph::ring(4);
         let w = MixingMatrix::metropolis_hastings(&g);
-        let m = w.masked(&[true, false, true, true]);
+        let mut m = MixingMatrix::identity(1);
+        w.masked_into(|i| i != 1, &mut m);
         // inactive row collapses to identity
         assert_eq!(m.row(1), &[(1, 1.0)]);
         // no active row references the inactive column
@@ -366,8 +319,8 @@ mod tests {
         // node 0's lost 1/3 toward node 1 folds into its self weight
         assert!((m.get(0, 0) - 2.0 / 3.0).abs() < 1e-6);
         assert!((m.get(0, 3) - 1.0 / 3.0).abs() < 1e-6);
-        assert!(m.symmetry_error() < 1e-6);
-        assert!(m.stochasticity_error() < 1e-6);
+        assert!(symmetry_error(&rows_of(&m)) < 1e-6);
+        assert!(stochasticity_error(&rows_of(&m)) < 1e-6);
     }
 
     #[test]
@@ -381,7 +334,7 @@ mod tests {
             let w = MixingMatrix::metropolis_hastings(&graph);
             let active: Vec<bool> = (0..graph.len()).map(|i| i % pattern != 0).collect();
             w.masked_into(|i| active[i], &mut slot);
-            assert_eq!(slot, w.masked(&active));
+            assert_eq!(rows_of(&slot), masked(&rows_of(&w), |i| active[i]));
         }
     }
 
@@ -395,10 +348,12 @@ mod tests {
             let g = crate::erdos::gnp(n, p, seed);
             let w = MixingMatrix::metropolis_hastings(&g);
             let active: Vec<bool> = (0..n).map(|i| !(i + seed as usize).is_multiple_of(mask_mod)).collect();
-            let m = w.masked(&active);
-            prop_assert!(m.symmetry_error() < 1e-5);
-            prop_assert!(m.stochasticity_error() < 1e-4);
-            prop_assert!(m.is_nonnegative());
+            let mut m = MixingMatrix::identity(1);
+            w.masked_into(|i| active[i], &mut m);
+            prop_assert_eq!(rows_of(&m), masked(&rows_of(&w), |i| active[i]));
+            prop_assert!(symmetry_error(&rows_of(&m)) < 1e-5);
+            prop_assert!(stochasticity_error(&rows_of(&m)) < 1e-4);
+            prop_assert!(is_nonnegative(&rows_of(&m)));
             // inactive nodes are fully isolated: identity row, zero column
             for (i, &a) in active.iter().enumerate() {
                 if !a {
@@ -419,10 +374,10 @@ mod tests {
         #[test]
         fn prop_mh_invariants_on_random_graphs(n in 4usize..40, p in 0.15f64..0.9, seed in 0u64..200) {
             let g = crate::erdos::gnp(n, p, seed);
-            let w = MixingMatrix::metropolis_hastings(&g);
-            prop_assert!(w.symmetry_error() < 1e-5);
-            prop_assert!(w.stochasticity_error() < 1e-4);
-            prop_assert!(w.is_nonnegative());
+            let w = rows_of(&MixingMatrix::metropolis_hastings(&g));
+            prop_assert!(symmetry_error(&w) < 1e-5);
+            prop_assert!(stochasticity_error(&w) < 1e-4);
+            prop_assert!(is_nonnegative(&w));
         }
 
         #[test]
@@ -433,26 +388,26 @@ mod tests {
             prop_assume!(d < n);
             let g = crate::regular::random_regular(n, d, seed);
             let m = crate::matching::random_maximal_matching(&g, seed ^ 0x99);
-            let w = MixingMatrix::metropolis_hastings(&Graph::from_edges(n, &m));
-            prop_assert!(w.symmetry_error() < 1e-6);
-            prop_assert!(w.stochasticity_error() < 1e-5);
+            let w = rows_of(&MixingMatrix::metropolis_hastings(&Graph::from_edges(n, &m)));
+            prop_assert!(symmetry_error(&w) < 1e-6);
+            prop_assert!(stochasticity_error(&w) < 1e-5);
             // pairwise mixing never increases variance
             let x: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64).collect();
             let var = |v: &[f64]| {
                 let mean = v.iter().sum::<f64>() / v.len() as f64;
                 v.iter().map(|a| (a - mean).powi(2)).sum::<f64>()
             };
-            let y = w.apply_scalar(&x);
+            let y = apply_scalar(&w, &x);
             prop_assert!(var(&y) <= var(&x) + 1e-9);
         }
 
         #[test]
         fn prop_mixing_preserves_sum(n in 4usize..30, p in 0.2f64..0.8, seed in 0u64..100) {
             let g = crate::erdos::gnp(n, p, seed);
-            let w = MixingMatrix::metropolis_hastings(&g);
+            let w = rows_of(&MixingMatrix::metropolis_hastings(&g));
             let x: Vec<f64> = (0..n).map(|i| ((i * 31 + 7) % 13) as f64).collect();
             let before: f64 = x.iter().sum();
-            let after: f64 = w.apply_scalar(&x).iter().sum();
+            let after: f64 = apply_scalar(&w, &x).iter().sum();
             // weights are stored as f32, so each row carries ~1e-7 relative
             // rounding; bound the drift accordingly
             prop_assert!((before - after).abs() < 1e-3 * before.abs().max(1.0));
