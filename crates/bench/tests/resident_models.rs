@@ -1,19 +1,21 @@
 //! Resident-memory pin: a fleet holds every node's model **once** — its
-//! round buffer `params[i]`, mixed in place by a dense round — plus one
-//! gradient workspace, one aggregation stage and one evaluation replica's
-//! activations per block of nodes a worker runs, and nothing else that is
-//! model-sized.
+//! round buffer `params[i]`, mixed in place by a dense round — and its
+//! dataset, plus one replica (gradient, activations, backward buffer,
+//! minibatch) and one aggregation stage per block of nodes a worker runs,
+//! and nothing else that is model- or batch-sized.
 //!
 //! Layers used to own a parameter and a gradient vector each, and the
 //! aggregation wrote into a second round buffer per node, so a node's model
 //! sat in four places and a 64-node fleet of the paper's model peaked at
 //! 112.9 MB; every node's replica also grew its own evaluation-batch
-//! activations. The test builds a 16-node fleet of that model (the
-//! Table-1-sized MLP of the `sync_wide64` workload, 128-640-10 = 88 970
-//! parameters) through `Simulation::with_shared_data`, runs one all-`Train`
-//! round, one all-sync round and one evaluation of the `sync_wide64` eval
-//! batch at one thread, and reads the live heap through the counting global
-//! allocator. Scoring the mean model afterwards must leave nothing behind.
+//! activations, and later its own training activations, backward buffer
+//! and minibatch (45 KB a node here). The test builds a 16-node fleet of
+//! that model (the Table-1-sized MLP of the `sync_wide64` workload,
+//! 128-640-10 = 88 970 parameters) through `Simulation::with_shared_data`,
+//! runs one all-`Train` round, one all-sync round and one evaluation of the
+//! `sync_wide64` eval batch at one thread, and reads the live heap through
+//! the counting global allocator. Scoring the mean model afterwards must
+//! leave nothing behind.
 
 use skiptrain_bench::perf::{live_bytes, CountingAllocator};
 use skiptrain_data::synth::{MixtureSpec, MixtureTask};
@@ -31,15 +33,20 @@ const NODES: usize = 16;
 const BATCH: usize = 8;
 /// The `sync_wide64` evaluation batch, 6× the training batch.
 const EVAL_ROWS: usize = 6 * BATCH;
-/// Everything a node keeps that is not a model: its 32-sample dataset
-/// (16 KB), its minibatch, and the activations and backward buffers of a
-/// `BATCH`-row pass through 640 hidden units (3 × 20 KB) — under 96 KB
-/// against the model's 356 KB. An `EVAL_ROWS`-row pass would add 125 KB
-/// to every node that ran one.
-const PER_NODE_ALLOWANCE: u64 = 96 * 1024;
-/// The one evaluation replica's `EVAL_ROWS`-row activations (48 × 650
-/// floats) and the gathered batch (48 × 128 floats), with room to spare.
-const EVAL_REPLICA_ALLOWANCE: u64 = 192 * 1024;
+/// Everything a node keeps that is not its model: its 32-sample dataset
+/// (16 KB) and its sampler, under 24 KB. A replica of its own would add a
+/// `BATCH`-row pass's activations, backward buffer and minibatch (45 KB)
+/// and its gradient (356 KB, one model) to every node that trained.
+const PER_NODE_ALLOWANCE: u64 = 24 * 1024;
+
+/// The one replica a one-thread fleet grows: its gradient (one model
+/// vector), the activations of an `EVAL_ROWS`-row and of a `BATCH`-row
+/// pass (650 floats a row), a `BATCH`-row backward buffer (640 floats a
+/// row), and the minibatch and the evaluation rows (128 floats a row).
+fn replica_allowance(model_bytes: u64) -> u64 {
+    let floats = (EVAL_ROWS + BATCH) * (650 + 128) + BATCH * 640;
+    model_bytes + 4 * floats as u64
+}
 
 #[test]
 fn a_fleet_holds_one_model_vector_per_node_and_one_workspace_and_stage_per_block() {
@@ -80,15 +87,15 @@ fn a_fleet_holds_one_model_vector_per_node_and_one_workspace_and_stage_per_block
     assert_eq!(sim.last_trained_nodes(), 0);
     assert_eq!(stats.per_node_accuracy.len(), NODES);
 
-    // n round buffers + the one block's workspace at one thread, and one
-    // vector of headroom; with a second round buffer per node this reads
-    // ≈ 2 n, with per-node evaluation activations ≈ 4 vectors more.
+    // n round buffers + the one block's replica at one thread; with a
+    // second round buffer per node this reads ≈ 2 n, with a replica per
+    // node ≈ 2 n too, with per-node batch buffers ≈ 2 vectors more.
     let resident = live_bytes() - before;
     let stage_bytes = 4 * (NODES * MIX_SUB_TILE) as u64;
-    let bound = (NODES as u64 + 2) * model_bytes
+    let bound = NODES as u64 * model_bytes
         + NODES as u64 * PER_NODE_ALLOWANCE
         + stage_bytes
-        + EVAL_REPLICA_ALLOWANCE;
+        + replica_allowance(model_bytes);
     assert!(
         resident <= bound,
         "fleet keeps {resident} B live = {:.1} model vectors for {NODES} nodes (bound {bound} B = {:.1})",

@@ -4,7 +4,8 @@
 //! stay small even when the test set is large, and supports evaluating on a
 //! fixed subsample for cheap periodic accuracy tracking. The rows are
 //! gathered once per call into [`EVAL_CHUNK`]-row batches; a fleet
-//! evaluation shares those batches across every replica.
+//! evaluation shares those batches across its blocks' replicas, the ones
+//! its training pass runs through.
 
 use crate::node::Node;
 use rand::seq::SliceRandom;
@@ -84,12 +85,12 @@ pub fn evaluate_model(
 
 /// Evaluates every node's row of `params` on the same `indices` of
 /// `dataset`, in parallel over the blocks of nodes [`train_fleet`] trains
-/// ([`rayon::block_len`] nodes each): a block's rows are lent in turn
-/// to its first node's replica, so evaluation-batch activations are grown
-/// once per block, not once per node, and the rows come back untouched, in
-/// the same buffers. The rows are gathered once and shared — per-node
-/// results equal [`evaluate_model`]'s exactly (same rows, same chunking,
-/// same recombination).
+/// ([`rayon::block_len`] nodes each): a block's rows are lent in turn to
+/// the replica that trains them, its first node's, so evaluation-batch
+/// activations grow once per block, not once per node, and the rows come
+/// back untouched, in the same buffers. The rows are gathered once and
+/// shared — per-node results equal [`evaluate_model`]'s exactly (same
+/// rows, same chunking, same recombination).
 ///
 /// [`train_fleet`]: crate::node::train_fleet
 pub(crate) fn evaluate_fleet(

@@ -166,8 +166,8 @@ fn transmit<'f, 's>(
         .payload
 }
 
-/// The synchronous decentralized simulation: nodes, their model replicas as
-/// flat parameter vectors, the mixing topology, and the energy ledger.
+/// The synchronous decentralized simulation: nodes, their models as flat
+/// parameter vectors, the mixing topology, and the energy ledger.
 pub struct Simulation {
     config: SimulationConfig,
     nodes: Vec<Node>,
@@ -207,9 +207,6 @@ pub struct Simulation {
     /// Cumulative count of on-time messages the transport corrupted (each
     /// rejected by the receive-side checksum and degraded to a drop).
     corrupted_frames: u64,
-    /// Gradient workspaces for the compute pass: each block of nodes a
-    /// worker trains accumulates into the slot of its block index.
-    grad_scratch: Vec<Vec<f32>>,
 }
 
 impl Simulation {
@@ -269,7 +266,8 @@ impl Simulation {
         let num_classes = models[0].output_dim();
 
         // the engine takes every model's vector: from here on a node's model
-        // is an architecture that trains and evaluates `params[i]` on loan
+        // is an architecture, and a block's first one trains and evaluates
+        // every row of the block on loan
         let params: Vec<Vec<f32>> = models
             .iter_mut()
             .map(|model| {
@@ -323,7 +321,6 @@ impl Simulation {
             scratch: vec![NodeScratch::default(); n],
             feedback,
             corrupted_frames: 0,
-            grad_scratch: vec![Vec::new(); n],
             config,
         }
     }
@@ -538,7 +535,6 @@ impl Simulation {
         let (loss_sum, trained) = train_fleet(
             &mut self.nodes,
             &mut self.params,
-            &mut self.grad_scratch,
             &self.gate.actions,
             self.config.local_steps,
         );
@@ -1425,9 +1421,18 @@ mod tests {
             sim.mixed.iter().all(Vec::is_empty),
             "an out-of-place output grew"
         );
-        // one workspace for the block(s) that trained, none per node
-        let grown = sim.grad_scratch.iter().filter(|g| !g.is_empty()).count();
-        assert!(grown <= rayon::current_num_threads().min(n), "{grown}");
+        // one grown replica per block that trained, none per node
+        let mut grads = Vec::new();
+        let grown = (0..n)
+            .filter(|&i| {
+                sim.nodes[i].model_mut().copy_grads_to(&mut grads);
+                !grads.is_empty()
+            })
+            .count();
+        assert!(
+            (1..=rayon::current_num_threads().min(n)).contains(&grown),
+            "{grown}"
+        );
         // a full all-sync round in which node 2 is masked out (identity row)
         let (mut sim, _) = tiny_sim(n, 21, TransportKind::Memory);
         sim.run_round(&vec![RoundAction::Train; n]);

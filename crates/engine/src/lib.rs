@@ -91,9 +91,9 @@
 //!    A node's model sits in this one buffer and nowhere else: its layers
 //!    borrow it for the steps and evaluation, and a dense shared round
 //!    mixes it in place (the other aggregation paths below add one
-//!    out-of-place output per node). Gradients accumulate in one
-//!    workspace per block of nodes a worker trains, and evaluation-batch
-//!    activations grow in one replica per block;
+//!    out-of-place output per node). Each block of nodes a worker takes
+//!    trains and evaluates through one replica, whose gradient,
+//!    activations and minibatch are the only ones the fleet grows;
 //! 3. **share + aggregate** — every `Delivered` row carries the sender's
 //!    `x^{t−½}` through the [`transport`](transport::TransportKind)
 //!    under the row's [`ModelCodec`] (a lossless model in memory is read in

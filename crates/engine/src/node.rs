@@ -1,39 +1,72 @@
 //! Per-node training state, and the fleet-level training pass over it.
+//!
+//! A node is its own data and sampler plus a replica: an architecture with
+//! the gradient, activations, backward buffers, minibatch and logit
+//! gradient a pass over a lent parameter vector works in. A fleet trains
+//! and evaluates each block of nodes a worker takes ([`rayon::block_len`])
+//! through the block's one replica, its first node's, which draws every
+//! row's minibatch from that row's node and overwrites each buffer before
+//! reading it: no bit depends on the blocking.
 
 use crate::executor::RoundAction;
 use skiptrain_data::{Dataset, MinibatchSampler};
-use skiptrain_linalg::Matrix;
+use skiptrain_linalg::{rng::derive_seed, Matrix};
 use skiptrain_nn::sgd::SgdConfig;
 use skiptrain_nn::{Sequential, Sgd, SoftmaxCrossEntropy};
 use std::sync::Arc;
 
-/// A simulated node: its model replica, private dataset, optimizer state
-/// and reusable minibatch buffers.
-///
-/// The model is an architecture that trains whatever parameter vector it is
-/// lent ([`Node::train_in_place`]); inside a
-/// [`Simulation`](crate::Simulation) it holds none of its own — the engine
-/// keeps every node's vector and lends it for each pass.
-///
-/// The dataset sits behind an `Arc` so that many simulations (e.g. every
-/// run of a [`Campaign`](https://docs.rs/skiptrain-core)) share one
-/// materialized copy instead of deep-cloning per run.
+/// A simulated node: its private dataset and training state, and a
+/// replica that trains whatever parameter vector it is lent
+/// ([`Node::train_in_place`]). The dataset sits behind an `Arc`, so many
+/// simulations (e.g. every run of a
+/// [`Campaign`](https://docs.rs/skiptrain-core)) share one copy.
 pub struct Node {
+    own: Learner,
+    replica: Replica,
+}
+
+/// What a node keeps of its own in a fleet.
+struct Learner {
     id: usize,
-    model: Sequential,
     dataset: Arc<Dataset>,
     sampler: MinibatchSampler,
     sgd: Sgd,
+    /// Mean loss of its last [`train_fleet`] pass, `None` if it did not train.
+    last_loss: Option<f32>,
+}
+
+/// The working set of a pass over a lent parameter vector.
+struct Replica {
+    model: Sequential,
     loss: SoftmaxCrossEntropy,
-    // workhorse buffers reused across rounds
     batch_x: Matrix,
     batch_y: Vec<u32>,
     batch_idx: Vec<usize>,
     grad_logits: Matrix,
-    /// Mean loss of the node's last [`train_fleet`] pass (`None` when it
-    /// did not train). Kept here, not in a fleet-wide slice, so the pass
-    /// zips one slice fewer.
-    last_loss: Option<f32>,
+}
+
+impl Replica {
+    /// [`Node::train_in_place`] for `node`, through this replica.
+    fn train(&mut self, node: &mut Learner, params: &mut Vec<f32>, local_steps: usize) -> f32 {
+        self.model.swap_params(params);
+        let mut loss_sum = 0.0f64;
+        for _ in 0..local_steps {
+            node.sampler.sample_into(&mut self.batch_idx);
+            node.dataset
+                .gather_batch(&self.batch_idx, &mut self.batch_x, &mut self.batch_y);
+            self.model.zero_grads();
+            let loss_value = {
+                let logits = self.model.forward(&self.batch_x);
+                self.loss
+                    .loss_and_grad(logits, &self.batch_y, &mut self.grad_logits)
+            };
+            self.model.backward(&self.batch_x, &self.grad_logits);
+            node.sgd.step(&mut self.model);
+            loss_sum += loss_value as f64;
+        }
+        self.model.swap_params(params);
+        (loss_sum / local_steps.max(1) as f64) as f32
+    }
 }
 
 impl Node {
@@ -57,40 +90,27 @@ impl Node {
             model.input_dim(),
             "node {id}: dataset dim does not match model input"
         );
-        let sampler = MinibatchSampler::new(
-            dataset.len(),
-            batch_size,
-            skiptrain_linalg::rng::derive_seed(seed, id as u64),
-        );
-        let loss = SoftmaxCrossEntropy::new(model.output_dim());
-        Self {
+        let own = Learner {
             id,
-            model,
+            sampler: MinibatchSampler::new(dataset.len(), batch_size, derive_seed(seed, id as u64)),
             dataset,
-            sampler,
             sgd: Sgd::new(sgd),
-            loss,
+            last_loss: None,
+        };
+        let replica = Replica {
+            loss: SoftmaxCrossEntropy::new(model.output_dim()),
+            model,
             batch_x: Matrix::zeros(0, 0),
             batch_y: Vec::new(),
             batch_idx: Vec::new(),
             grad_logits: Matrix::zeros(0, 0),
-            last_loss: None,
-        }
+        };
+        Self { own, replica }
     }
 
-    /// Node id.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// The node's private dataset.
-    pub fn dataset(&self) -> &Dataset {
-        &self.dataset
-    }
-
-    /// The node's model replica (used by evaluation).
+    /// The node's replica's model (used by evaluation).
     pub fn model_mut(&mut self) -> &mut Sequential {
-        &mut self.model
+        &mut self.replica.model
     }
 
     /// Runs `local_steps` SGD steps on `params` in place: `x^t` goes in,
@@ -99,24 +119,7 @@ impl Node {
     /// kernel reads and updates `params` where it lies. Returns the mean
     /// training loss across the steps.
     pub fn train_in_place(&mut self, params: &mut Vec<f32>, local_steps: usize) -> f32 {
-        self.model.swap_params(params);
-        let mut loss_sum = 0.0f64;
-        for _ in 0..local_steps {
-            self.sampler.sample_into(&mut self.batch_idx);
-            self.dataset
-                .gather_batch(&self.batch_idx, &mut self.batch_x, &mut self.batch_y);
-            self.model.zero_grads();
-            let loss_value = {
-                let logits = self.model.forward(&self.batch_x);
-                self.loss
-                    .loss_and_grad(logits, &self.batch_y, &mut self.grad_logits)
-            };
-            self.model.backward(&self.batch_x, &self.grad_logits);
-            self.sgd.step(&mut self.model);
-            loss_sum += loss_value as f64;
-        }
-        self.model.swap_params(params);
-        (loss_sum / local_steps.max(1) as f64) as f32
+        self.replica.train(&mut self.own, params, local_steps)
     }
 
     /// [`Node::train_in_place`] on a copy: `params_out` becomes `params_in`,
@@ -135,47 +138,40 @@ impl Node {
     /// Evaluates accuracy and loss of a copy of `params` on the given
     /// samples.
     pub fn evaluate(&mut self, params: &[f32], features: &Matrix, labels: &[u32]) -> (f32, f32) {
-        self.model.load_params(params);
-        let logits = self.model.forward(features);
-        let acc = skiptrain_nn::loss::accuracy(logits, labels);
-        let loss = self.loss.loss(logits, labels);
-        (acc, loss)
+        let Replica { model, loss, .. } = &mut self.replica;
+        model.load_params(params);
+        let logits = model.forward(features);
+        let accuracy = skiptrain_nn::loss::accuracy(logits, labels);
+        (accuracy, loss.loss(logits, labels))
     }
 }
 
-/// The fleet-level training pass (parallel over contiguous blocks of
-/// nodes): a [`RoundAction::Train`] node runs `local_steps` steps on its
-/// row of `params` in place, a sync-only node does nothing (`actions` is
-/// read by node id: a fleet's ids are its indices). Block `b` — the
-/// [`rayon::block_len`] blocking fleet evaluation shares — accumulates
-/// its gradients in `workspaces[b]` alone (the caller keeps one slot per
-/// node so that any thread budget finds its blocks'; a slot grows to the
-/// model size when a block first trains into it), which stays
-/// cache-resident from node to node. The workspace is zeroed before every
-/// step, so nothing depends on the blocking. Returns the sum of the
-/// training nodes' mean losses, folded in node order, and their count.
+/// The fleet-level training pass, parallel over the blocks fleet
+/// evaluation shares: a [`RoundAction::Train`] node's row of `params` goes
+/// to its block's replica for `local_steps` steps in place, a sync-only
+/// node does nothing (`actions` is read by node id: a fleet's ids are its
+/// indices). Returns the sum of the training nodes' mean losses, folded in
+/// node order, and their count.
 pub(crate) fn train_fleet(
     nodes: &mut [Node],
     params: &mut [Vec<f32>],
-    workspaces: &mut [Vec<f32>],
     actions: &[RoundAction],
     local_steps: usize,
 ) -> (f32, usize) {
     let block = rayon::block_len(nodes.len());
     let blocks = nodes.chunks_mut(block).zip(params.chunks_mut(block));
-    rayon::for_each_part(blocks.zip(workspaces), |((nodes, params), grads)| {
-        for (node, x) in nodes.iter_mut().zip(params) {
-            node.last_loss = (actions[node.id] == RoundAction::Train).then(|| {
-                node.model.swap_grads(grads);
-                let loss = node.train_in_place(x, local_steps);
-                node.model.swap_grads(grads);
-                loss
-            });
+    rayon::for_each_part(blocks, |(nodes, params)| {
+        let (first, rest) = nodes.split_at_mut(1);
+        let Node { own, replica } = &mut first[0];
+        let block = std::iter::once(own).chain(rest.iter_mut().map(|node| &mut node.own));
+        for (node, x) in block.zip(params) {
+            node.last_loss = (actions[node.id] == RoundAction::Train)
+                .then(|| replica.train(node, x, local_steps));
         }
     });
     nodes
         .iter()
-        .filter_map(|node| node.last_loss)
+        .filter_map(|node| node.own.last_loss)
         .fold((0.0, 0), |(sum, trained), loss| (sum + loss, trained + 1))
 }
 
@@ -225,8 +221,8 @@ mod tests {
     #[test]
     fn training_improves_local_accuracy() {
         let (mut node, params) = small_node(3);
-        let features = node.dataset().features().clone();
-        let labels = node.dataset().labels().to_vec();
+        let features = node.own.dataset.features().clone();
+        let labels = node.own.dataset.labels().to_vec();
         let (acc_before, _) = node.evaluate(&params, &features, &labels);
         let mut trained = params.clone();
         node.train_in_place(&mut trained, 60);
@@ -259,6 +255,74 @@ mod tests {
         assert_eq!(p.len(), out.len());
         for (k, (x, y)) in p.iter().zip(&out).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "parameter {k}");
+        }
+    }
+
+    #[test]
+    fn a_fleet_trained_through_block_replicas_equals_standalone_nodes_bitwise() {
+        // budget 1 lends every row one replica, 2 splits the fleet 4 + 3,
+        // 7 gives each node its own; round 2 starts with an evaluation
+        // that grows the replicas to a 48-row batch, so its training finds
+        // every buffer in another shape
+        let n = 7;
+        let task = MixtureTask::new(MixtureSpec::cifar_like(12), 3);
+        let test = task.sample(48, 99);
+        let rows: Vec<usize> = (0..test.len()).collect();
+        let loss = SoftmaxCrossEntropy::new(10);
+        let build = || -> (Vec<Node>, Vec<Vec<f32>>) {
+            (0..n)
+                .map(|i| {
+                    let model = skiptrain_nn::zoo::mlp(&[12, 20, 10], 30 + i as u64);
+                    let params = model.flat_params();
+                    let data = task.sample(40, i as u64);
+                    let node = Node::new(i, model, data, 8, SgdConfig::plain(0.1), 11);
+                    (node, params)
+                })
+                .unzip()
+        };
+        for threads in [1, 2, 7] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            let (mut alone, mut want) = build();
+            let (mut fleet, mut got) = build();
+            for round in 0..4 {
+                let actions: Vec<RoundAction> = (0..n)
+                    .map(|i| match (i + round) % 3 {
+                        0 => RoundAction::SyncOnly,
+                        _ => RoundAction::Train,
+                    })
+                    .collect();
+                let (sum, trained) = pool.install(|| {
+                    if round == 2 {
+                        crate::eval::evaluate_fleet(&mut fleet, &mut got, &loss, &test, &rows);
+                    }
+                    train_fleet(&mut fleet, &mut got, &actions, 3)
+                });
+                let (mut want_sum, mut want_trained) = (0.0f32, 0);
+                for (i, node) in alone.iter_mut().enumerate() {
+                    if actions[i] == RoundAction::Train {
+                        want_sum += node.train_in_place(&mut want[i], 3);
+                        want_trained += 1;
+                    }
+                }
+                let at = format!("{threads} threads, round {round}");
+                assert_eq!(trained, want_trained, "{at}");
+                assert_eq!(sum.to_bits(), want_sum.to_bits(), "{at}: loss");
+                for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                    let same = x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "{at}: node {i}");
+                }
+            }
+            // the fleet grew one replica per block, the standalone nodes
+            // one each
+            let mut grads = Vec::new();
+            let grown = fleet.iter_mut().fold(0, |grown, node| {
+                node.model_mut().copy_grads_to(&mut grads);
+                grown + usize::from(!grads.is_empty())
+            });
+            assert_eq!(grown, threads, "{threads} threads");
         }
     }
 

@@ -56,8 +56,8 @@
 //! | 32 | 81 / 107 | 39 / 60 | 6.6 / 10.0 | 4.6 / 7.2 |
 //! | 64 | 87 / 119 | 37 / 57 | 6.4 / 9.8 | 4.4 / 7.0 |
 //!
-//! 32 reads a cold `B` fastest; a narrow `B` pays each block's reload of
-//! `C`. The 32-24-{10,47} models' products all have `k ≤ 32`: one block.
+//! 32 reads a cold `B` fastest. A `B` row within one cache line (`4·n ≤ 64`
+//! B) runs all of `k` as one block: no block repays its reload of `C`.
 //!
 //! No kernel skips a zero term, so `0 · ∞` is `NaN` at every size. For
 //! finite operands skipping would change no bit: a chain started at `+0.0`
@@ -158,17 +158,16 @@ fn a_cols(a: &[f32], m: usize, idx: [usize; MR]) -> impl Iterator<Item = [f32; M
         .map(move |a_p| [a_p[i0], a_p[i1], a_p[i2], a_p[i3]])
 }
 
-/// The direct driver behind every `A·B` and `Aᵀ·B`: walks `B` in
-/// blocks of [`KC`] rows and, per block, `C` in [`MR`]-row bands, each
-/// band's `n` columns cut into tiles of 8, …, 8, 4, 2, 1. `a_band` turns a
+/// The direct driver behind every `A·B` and `Aᵀ·B`: walks `B` in blocks of
+/// [`KC`] rows (one for a narrow `B`), per block `C` in [`MR`]-row bands,
+/// each cut into tiles 8, …, 8, 4, 2, 1 columns wide. `a_band` turns a
 /// band's four row indices (a short tail band repeats its last) and a
 /// block's first `p` into a pass over their `A` values from there on, which
 /// a tile stops where the block's rows of `B` end. A chain starts from
 /// `+0.0` or `C` in the first block and from the `C` the previous block
-/// stored in the others: storing an `f32` and reloading it is exact, so each
-/// element is still one chain over `p` in order. An empty `m` or `n` leaves
-/// nothing to visit, an empty `k` runs one empty block, which stores the
-/// starting accumulators: zeros for `A·B`, `C` as it was for `Aᵀ·B`.
+/// stored in the others (an `f32` store and reload is exact): one chain over
+/// `p` in order. An empty `m` or `n` visits nothing; an empty `k` runs one
+/// empty block, storing the starting accumulators (zeros, or `C` as it was).
 #[inline(always)]
 fn direct_gemm<I: Iterator<Item = [f32; MR]>>(
     m: usize,
@@ -179,8 +178,9 @@ fn direct_gemm<I: Iterator<Item = [f32; MR]>>(
     c: &mut [f32],
     from_c: bool,
 ) {
-    for p0 in (0..k.max(1)).step_by(KC) {
-        let (b, from_c) = (&b[p0 * n..k.min(p0 + KC) * n], from_c || p0 > 0);
+    let kc = if 4 * n <= 64 { k.max(1) } else { KC };
+    for p0 in (0..k.max(1)).step_by(kc) {
+        let (b, from_c) = (&b[p0 * n..k.min(p0 + kc) * n], from_c || p0 > 0);
         for i0 in (0..m).step_by(MR) {
             let last = MR.min(m - i0) - 1;
             let idx: [usize; MR] = std::array::from_fn(|r| i0 + r.min(last));

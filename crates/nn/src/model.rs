@@ -11,12 +11,12 @@
 //! A stand-alone model owns its vector: it is initialized at construction,
 //! [`Sequential::flat_params`] / [`Sequential::load_params`] copy it out
 //! and in. A caller that already keeps the vector somewhere — the engine
-//! keeps one per node, and one gradient workspace per block of nodes —
-//! *lends* it instead: [`Sequential::swap_params`] and
-//! [`Sequential::swap_grads`] exchange the storage in O(1), the passes run
-//! on the caller's buffer where it lies, and a second swap takes it back.
-//! While its parameters are lent out the model holds an empty vector and
-//! [`Sequential::forward`] refuses to run.
+//! keeps one per node — *lends* it instead: [`Sequential::swap_params`]
+//! exchanges the storage in O(1), the passes run on the caller's buffer
+//! where it lies, and a second swap takes it back. The gradient, like the
+//! activations, stays the model's own, so one model trains many lent
+//! vectors in turn. While its parameters are lent out the model holds an
+//! empty vector and [`Sequential::forward`] refuses to run.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -205,13 +205,6 @@ impl Sequential {
             "flat parameter length mismatch"
         );
         std::mem::swap(&mut self.params, other);
-    }
-
-    /// Exchanges the model's gradient storage with `other` in O(1), so
-    /// several models can accumulate into one workspace in turn. Any length
-    /// is accepted: [`Sequential::zero_grads`] sizes what it is given.
-    pub fn swap_grads(&mut self, other: &mut Vec<f32>) {
-        std::mem::swap(&mut self.grads, other);
     }
 
     /// Returns the flattened parameter vector.
@@ -558,20 +551,20 @@ mod tests {
         };
         step(&mut owner);
 
-        // take the vector for good, then lend it (and a cold workspace)
-        let (mut x_i, mut workspace) = (Vec::new(), Vec::new());
+        // take the vector for good, then lend it back for one step
+        let mut x_i = Vec::new();
         lender.swap_params(&mut x_i);
         assert_eq!(x_i.len(), lender.param_count());
         assert!(lender.flat_params().is_empty());
         let at = (x_i.as_ptr(), x_i.capacity());
         lender.swap_params(&mut x_i);
-        lender.swap_grads(&mut workspace);
         step(&mut lender);
-        lender.swap_grads(&mut workspace);
         lender.swap_params(&mut x_i);
 
         assert_eq!((x_i.as_ptr(), x_i.capacity()), at, "trained in place");
-        assert_eq!(workspace.len(), x_i.len(), "zero_grads sizes a workspace");
+        let mut grads = Vec::new();
+        lender.copy_grads_to(&mut grads);
+        assert_eq!(grads.len(), x_i.len(), "the gradient stays the model's");
         let expected = owner.flat_params();
         assert!(x_i
             .iter()
