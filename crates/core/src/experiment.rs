@@ -15,9 +15,7 @@ use crate::policy::{
 };
 use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
-use skiptrain_data::partition::{materialize, partition_indices};
-use skiptrain_data::split::split_eval;
-use skiptrain_data::synth::{cifar_like, femnist_like, MixtureSpec};
+use skiptrain_data::synth::{cifar_partitioned, femnist_like, MixtureSpec};
 use skiptrain_data::{Dataset, Partition};
 use skiptrain_energy::battery::{BatteryPolicy, BatterySetup, BatteryState};
 use skiptrain_energy::device::fleet;
@@ -493,29 +491,28 @@ impl DataSpec {
         Ok(())
     }
 
-    /// Generates per-node datasets plus validation/test splits.
+    /// Generates per-node datasets plus validation/test splits, each row
+    /// drawn straight into the dataset it ends in.
     pub fn build(&self, n: usize, seed: u64) -> DataBundle {
         let spec = self.mixture_spec();
         let (samples, test_samples) = (self.samples_per_node(), self.test_samples());
-        // One pool dealt out by a partition (`CifarLike` is the shards
-        // partition spelled as a field), or one styled set per writer.
-        let cifar_nodes = |partition: &Partition| {
-            let (pool, test_pool) = cifar_like(&spec, n * samples, test_samples, seed);
-            let parts = partition_indices(&pool, n, partition, derive_seed(seed, 0x5A4D));
-            (materialize(&pool, &parts), test_pool)
-        };
-        let (node_datasets, test_pool) = match self {
+        // `CifarLike` is the shards partition spelled as a field.
+        let (node_datasets, splits) = match self {
             DataSpec::CifarLike {
                 shards_per_node, ..
-            } => cifar_nodes(&Partition::Shards {
-                shards_per_node: *shards_per_node,
-            }),
-            DataSpec::CifarPartitioned { partition, .. } => cifar_nodes(partition),
+            } => {
+                let shards = Partition::Shards {
+                    shards_per_node: *shards_per_node,
+                };
+                cifar_partitioned(&spec, n, samples, test_samples, &shards, seed)
+            }
+            DataSpec::CifarPartitioned { partition, .. } => {
+                cifar_partitioned(&spec, n, samples, test_samples, partition, seed)
+            }
             DataSpec::FemnistLike { style_strength, .. } => {
                 femnist_like(&spec, n, samples, test_samples, *style_strength, seed)
             }
         };
-        let splits = split_eval(&test_pool, derive_seed(seed, 0xE0A1));
         DataBundle::from_parts(node_datasets, splits.validation, splits.test)
     }
 
@@ -1342,5 +1339,54 @@ impl ExperimentResult {
     /// Accuracy (%) convenience for report printing.
     pub fn final_test_accuracy_pct(&self) -> f64 {
         self.final_test.mean_accuracy as f64 * 100.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cifar_like_is_the_shards_partition_spelled_as_a_field() {
+        // samples_per_node 7 over 2 shards: the pool splits into uneven shards
+        let (feature_dim, samples_per_node, test_samples) = (5, 7, 41);
+        let (separation, noise, modes_per_class) = (0.8, 1.1, 4);
+        let like = DataSpec::CifarLike {
+            feature_dim,
+            samples_per_node,
+            test_samples,
+            shards_per_node: 2,
+            separation,
+            noise,
+            modes_per_class,
+        };
+        let partitioned = DataSpec::CifarPartitioned {
+            feature_dim,
+            samples_per_node,
+            test_samples,
+            partition: Partition::Shards { shards_per_node: 2 },
+            separation,
+            noise,
+            modes_per_class,
+        };
+        let (a, b) = (like.build(6, 21), partitioned.build(6, 21));
+        let bits = |d: &Dataset| -> (Vec<u32>, Vec<u32>) {
+            let features = d.features().as_slice().iter().map(|x| x.to_bits());
+            (features.collect(), d.labels().to_vec())
+        };
+        let sets = |bundle: &DataBundle| -> Vec<(Vec<u32>, Vec<u32>)> {
+            let evals = [&bundle.validation, &bundle.test];
+            bundle
+                .node_datasets
+                .iter()
+                .chain(evals)
+                .map(|d| bits(d))
+                .collect()
+        };
+        assert_eq!(sets(&a).len(), 8);
+        assert!(
+            sets(&a) == sets(&b),
+            "CifarLike drew other bits than its shards partition"
+        );
     }
 }

@@ -1,7 +1,6 @@
 //! Dataset container and minibatch sampling.
 
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 use skiptrain_linalg::Matrix;
 
@@ -109,16 +108,8 @@ impl Dataset {
     /// # Panics
     /// Panics unless `0.0 < frac < 1.0`.
     pub fn split(&self, frac: f64, seed: u64) -> (Dataset, Dataset) {
-        assert!(frac > 0.0 && frac < 1.0, "split fraction must be in (0, 1)");
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        idx.shuffle(&mut rng);
-        let cut = ((self.len() as f64) * frac).round() as usize;
-        let cut = cut.clamp(
-            usize::from(self.len() >= 2),
-            self.len().saturating_sub(1).max(1),
-        );
-        (self.subset(&idx[..cut]), self.subset(&idx[cut..]))
+        let halves = crate::split::split_rows(self.len(), frac, seed);
+        (self.subset(&halves[0]), self.subset(&halves[1]))
     }
 
     /// Per-class sample counts.

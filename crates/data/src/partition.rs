@@ -6,7 +6,6 @@
 //! node and 10 classes, most nodes end up with only two distinct labels —
 //! the extreme label skew visible in Figure 7 (left).
 
-use crate::dataset::Dataset;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -31,38 +30,54 @@ pub enum Partition {
     },
 }
 
-/// Computes per-node sample index lists for `dataset` under `partition`.
+/// Computes per-node sample index lists for a pool with these `labels`
+/// under `partition`; row `i` of the pool has label `labels[i]`, below
+/// `num_classes`.
 ///
 /// All strategies are deterministic in `seed` and cover every sample exactly
 /// once.
 ///
 /// # Panics
-/// Panics if `n_nodes == 0` or the dataset has fewer samples than nodes.
+/// Panics if `n_nodes == 0` or the pool has fewer samples than nodes.
 pub fn partition_indices(
-    dataset: &Dataset,
+    labels: &[u32],
+    num_classes: usize,
+    n_nodes: usize,
+    partition: &Partition,
+    seed: u64,
+) -> Vec<Vec<usize>> {
+    partition_rows(
+        labels.len(),
+        || labels,
+        num_classes,
+        n_nodes,
+        partition,
+        seed,
+    )
+}
+
+/// [`partition_indices`] over a pool of `n` rows whose labels are only
+/// asked for by the partitions that read them: the IID deal places rows
+/// from its shuffle alone.
+pub(crate) fn partition_rows<L: AsRef<[u32]>>(
+    n: usize,
+    labels: impl FnOnce() -> L,
+    num_classes: usize,
     n_nodes: usize,
     partition: &Partition,
     seed: u64,
 ) -> Vec<Vec<usize>> {
     assert!(n_nodes > 0, "need at least one node");
-    assert!(
-        dataset.len() >= n_nodes,
-        "dataset has {} samples for {} nodes",
-        dataset.len(),
-        n_nodes
-    );
+    assert!(n >= n_nodes, "dataset has {n} samples for {n_nodes} nodes");
     match partition {
         Partition::Shards { shards_per_node } => {
-            shard_partition(dataset, n_nodes, *shards_per_node, seed)
+            shard_partition(labels().as_ref(), n_nodes, *shards_per_node, seed)
         }
-        Partition::Iid => iid_partition(dataset.len(), n_nodes, seed),
-        Partition::Dirichlet { alpha } => dirichlet_partition(dataset, n_nodes, *alpha, seed),
+        Partition::Iid => iid_partition(n, n_nodes, seed),
+        Partition::Dirichlet { alpha } => {
+            dirichlet_partition(labels().as_ref(), num_classes, n_nodes, *alpha, seed)
+        }
     }
-}
-
-/// Materializes per-node datasets from index lists.
-pub fn materialize(dataset: &Dataset, indices: &[Vec<usize>]) -> Vec<Dataset> {
-    indices.iter().map(|idx| dataset.subset(idx)).collect()
 }
 
 fn iid_partition(n: usize, n_nodes: usize, seed: u64) -> Vec<Vec<usize>> {
@@ -81,27 +96,27 @@ fn deal_round_robin(idx: &[usize], n_nodes: usize) -> Vec<Vec<usize>> {
 }
 
 fn shard_partition(
-    dataset: &Dataset,
+    labels: &[u32],
     n_nodes: usize,
     shards_per_node: usize,
     seed: u64,
 ) -> Vec<Vec<usize>> {
     assert!(shards_per_node >= 1, "need at least one shard per node");
     // Sort indices by label (stable: ties keep original order).
-    let mut by_label: Vec<usize> = (0..dataset.len()).collect();
-    by_label.sort_by_key(|&i| dataset.labels()[i]);
+    let mut by_label: Vec<usize> = (0..labels.len()).collect();
+    by_label.sort_by_key(|&i| labels[i]);
 
     let n_shards = n_nodes * shards_per_node;
     assert!(
-        dataset.len() >= n_shards,
+        labels.len() >= n_shards,
         "dataset has {} samples for {} shards",
-        dataset.len(),
+        labels.len(),
         n_shards
     );
 
     // Slice into contiguous shards of (almost) equal size.
-    let base = dataset.len() / n_shards;
-    let extra = dataset.len() % n_shards;
+    let base = labels.len() / n_shards;
+    let extra = labels.len() % n_shards;
     let mut shards: Vec<&[usize]> = Vec::with_capacity(n_shards);
     let mut start = 0usize;
     for s in 0..n_shards {
@@ -148,7 +163,8 @@ fn gamma_sample(rng: &mut SmallRng, alpha: f32) -> f32 {
 }
 
 fn dirichlet_partition(
-    dataset: &Dataset,
+    labels: &[u32],
+    num_classes: usize,
     n_nodes: usize,
     alpha: f32,
     seed: u64,
@@ -156,8 +172,8 @@ fn dirichlet_partition(
     assert!(alpha > 0.0, "dirichlet alpha must be positive");
     let mut rng = SmallRng::seed_from_u64(seed);
     // Group indices per class, shuffled.
-    let mut per_class: Vec<Vec<usize>> = vec![Vec::new(); dataset.num_classes()];
-    for (i, &l) in dataset.labels().iter().enumerate() {
+    let mut per_class: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
+    for (i, &l) in labels.iter().enumerate() {
         per_class[l as usize].push(i);
     }
     let mut out = vec![Vec::new(); n_nodes];
@@ -193,13 +209,34 @@ fn dirichlet_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skiptrain_linalg::Matrix;
 
-    fn labelled_pool(per_class: usize, classes: usize) -> Dataset {
-        let n = per_class * classes;
-        let features = Matrix::zeros(n, 2);
-        let labels: Vec<u32> = (0..n).map(|i| (i % classes) as u32).collect();
-        Dataset::new(features, labels, classes)
+    /// `per_class · classes` labels cycling through the classes.
+    fn labelled_pool(per_class: usize, classes: usize) -> Vec<u32> {
+        (0..per_class * classes)
+            .map(|i| (i % classes) as u32)
+            .collect()
+    }
+
+    /// Each node's class histogram.
+    fn histograms(labels: &[u32], classes: usize, parts: &[Vec<usize>]) -> Vec<Vec<usize>> {
+        parts
+            .iter()
+            .map(|part| {
+                let mut h = vec![0; classes];
+                for &i in part {
+                    h[labels[i] as usize] += 1;
+                }
+                h
+            })
+            .collect()
+    }
+
+    fn mean_distinct(labels: &[u32], classes: usize, parts: &[Vec<usize>]) -> f32 {
+        let distinct = histograms(labels, classes, parts)
+            .iter()
+            .map(|h| h.iter().filter(|&&c| c > 0).count() as f32)
+            .sum::<f32>();
+        distinct / parts.len() as f32
     }
 
     fn assert_exact_cover(parts: &[Vec<usize>], n: usize) {
@@ -215,9 +252,9 @@ mod tests {
 
     #[test]
     fn iid_covers_all_samples_evenly() {
-        let d = labelled_pool(10, 10);
-        let parts = partition_indices(&d, 4, &Partition::Iid, 1);
-        assert_exact_cover(&parts, d.len());
+        let labels = labelled_pool(10, 10);
+        let parts = partition_indices(&labels, 10, 4, &Partition::Iid, 1);
+        assert_exact_cover(&parts, labels.len());
         for p in &parts {
             assert_eq!(p.len(), 25);
         }
@@ -227,15 +264,11 @@ mod tests {
     fn two_shard_limits_distinct_labels() {
         // 10 classes, 2 shards/node, 20 nodes: most nodes see ≤ 3 labels
         // (a shard can straddle one class boundary).
-        let d = labelled_pool(100, 10);
-        let parts = partition_indices(&d, 20, &Partition::Shards { shards_per_node: 2 }, 7);
-        assert_exact_cover(&parts, d.len());
-        let sets = materialize(&d, &parts);
-        let avg_distinct: f32 = sets
-            .iter()
-            .map(|s| s.distinct_classes() as f32)
-            .sum::<f32>()
-            / sets.len() as f32;
+        let labels = labelled_pool(100, 10);
+        let shards = Partition::Shards { shards_per_node: 2 };
+        let parts = partition_indices(&labels, 10, 20, &shards, 7);
+        assert_exact_cover(&parts, labels.len());
+        let avg_distinct = mean_distinct(&labels, 10, &parts);
         assert!(
             avg_distinct <= 4.0,
             "2-shard should induce strong label skew, got avg {avg_distinct} classes"
@@ -244,48 +277,44 @@ mod tests {
 
     #[test]
     fn shard_partition_is_deterministic() {
-        let d = labelled_pool(50, 10);
-        let a = partition_indices(&d, 10, &Partition::Shards { shards_per_node: 2 }, 3);
-        let b = partition_indices(&d, 10, &Partition::Shards { shards_per_node: 2 }, 3);
+        let labels = labelled_pool(50, 10);
+        let shards = Partition::Shards { shards_per_node: 2 };
+        let a = partition_indices(&labels, 10, 10, &shards, 3);
+        let b = partition_indices(&labels, 10, 10, &shards, 3);
         assert_eq!(a, b);
-        let c = partition_indices(&d, 10, &Partition::Shards { shards_per_node: 2 }, 4);
+        let c = partition_indices(&labels, 10, 10, &shards, 4);
         assert_ne!(a, c);
     }
 
     #[test]
     fn dirichlet_covers_everything() {
-        let d = labelled_pool(40, 5);
-        let parts = partition_indices(&d, 8, &Partition::Dirichlet { alpha: 0.3 }, 5);
-        assert_exact_cover(&parts, d.len());
+        let labels = labelled_pool(40, 5);
+        let parts = partition_indices(&labels, 5, 8, &Partition::Dirichlet { alpha: 0.3 }, 5);
+        assert_exact_cover(&parts, labels.len());
     }
 
     #[test]
     fn dirichlet_small_alpha_skews_more_than_large() {
-        let d = labelled_pool(200, 5);
-        let skewed = partition_indices(&d, 10, &Partition::Dirichlet { alpha: 0.05 }, 9);
-        let smooth = partition_indices(&d, 10, &Partition::Dirichlet { alpha: 100.0 }, 9);
-        let distinct = |parts: &[Vec<usize>]| -> f32 {
-            materialize(&d, parts)
-                .iter()
-                .map(|s| s.distinct_classes() as f32)
-                .sum::<f32>()
-                / parts.len() as f32
-        };
+        let labels = labelled_pool(200, 5);
+        let skewed = partition_indices(&labels, 5, 10, &Partition::Dirichlet { alpha: 0.05 }, 9);
+        let smooth = partition_indices(&labels, 5, 10, &Partition::Dirichlet { alpha: 100.0 }, 9);
+        let (skewed, smooth) = (
+            mean_distinct(&labels, 5, &skewed),
+            mean_distinct(&labels, 5, &smooth),
+        );
         assert!(
-            distinct(&skewed) < distinct(&smooth),
-            "alpha=0.05 ({}) should be more skewed than alpha=100 ({})",
-            distinct(&skewed),
-            distinct(&smooth)
+            skewed < smooth,
+            "alpha=0.05 ({skewed}) should be more skewed than alpha=100 ({smooth})"
         );
     }
 
     #[test]
     fn iid_keeps_label_balance_per_node() {
-        let d = labelled_pool(100, 4);
-        let parts = partition_indices(&d, 4, &Partition::Iid, 11);
-        for set in materialize(&d, &parts) {
+        let labels = labelled_pool(100, 4);
+        let parts = partition_indices(&labels, 4, 4, &Partition::Iid, 11);
+        for h in histograms(&labels, 4, &parts) {
             // each node has 100 samples over 4 classes; expect ~25/class
-            for c in set.class_histogram() {
+            for c in h {
                 assert!(
                     (c as f32 - 25.0).abs() < 15.0,
                     "IID class count {c} too skewed"
@@ -295,9 +324,23 @@ mod tests {
     }
 
     #[test]
+    fn iid_reads_no_labels() {
+        // the IID deal places rows from its shuffle alone
+        let parts = partition_rows(
+            12,
+            || -> Vec<u32> { panic!("the IID deal asked for labels") },
+            3,
+            4,
+            &Partition::Iid,
+            2,
+        );
+        assert_eq!(parts, partition_indices(&[0; 12], 3, 4, &Partition::Iid, 2));
+    }
+
+    #[test]
     #[should_panic(expected = "samples for")]
     fn rejects_more_shards_than_samples() {
-        let d = labelled_pool(1, 4); // 4 samples
-        let _ = partition_indices(&d, 4, &Partition::Shards { shards_per_node: 2 }, 1);
+        let labels = labelled_pool(1, 4); // 4 samples
+        let _ = partition_indices(&labels, 4, 4, &Partition::Shards { shards_per_node: 2 }, 1);
     }
 }

@@ -2,9 +2,13 @@
 //!
 //! The paper tunes hyperparameters on a validation set "obtained by
 //! extracting 50 % of the samples from the test set", keeping validation and
-//! test disjoint.
+//! test disjoint. The split works over a row count: the generators draw the
+//! evaluation pool straight into its halves (see [`crate::synth`]).
 
 use crate::dataset::Dataset;
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 /// Evaluation splits as used by the paper.
 #[derive(Clone, Debug)]
@@ -15,10 +19,20 @@ pub struct EvalSplits {
     pub test: Dataset,
 }
 
-/// Splits a test pool into disjoint validation/test halves (§4.2).
-pub fn split_eval(test_pool: &Dataset, seed: u64) -> EvalSplits {
-    let (validation, test) = test_pool.split(0.5, seed);
-    EvalSplits { validation, test }
+/// Rows `0..n` shuffled by `seed` and cut into a `frac` and a `1 - frac`
+/// part, each non-empty when `n ≥ 2`.
+///
+/// # Panics
+/// Panics unless `0.0 < frac < 1.0`.
+pub(crate) fn split_rows(n: usize, frac: f64, seed: u64) -> Vec<Vec<usize>> {
+    assert!(frac > 0.0 && frac < 1.0, "split fraction must be in (0, 1)");
+    let mut idx: Vec<usize> = (0..n).collect();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    idx.shuffle(&mut rng);
+    let cut = ((n as f64) * frac).round() as usize;
+    let cut = cut.clamp(usize::from(n >= 2), n.saturating_sub(1).max(1));
+    let rest = idx.split_off(cut);
+    vec![idx, rest]
 }
 
 #[cfg(test)]
@@ -34,25 +48,17 @@ mod tests {
 
     #[test]
     fn halves_are_disjoint_and_cover() {
-        let p = pool(100);
-        let s = split_eval(&p, 1);
-        assert_eq!(s.validation.len(), 50);
-        assert_eq!(s.test.len(), 50);
-        // disjoint by construction: every feature row is unique in `pool`
-        let val_ids: std::collections::HashSet<u32> = s
-            .validation
-            .features()
-            .rows_iter()
-            .map(|r| r[0] as u32)
-            .collect();
-        for row in s.test.features().rows_iter() {
-            assert!(!val_ids.contains(&(row[0] as u32)), "split leaked a sample");
-        }
+        let halves = split_rows(100, 0.5, 1);
+        assert_eq!(halves[0].len(), 50);
+        assert_eq!(halves[1].len(), 50);
+        let mut rows = halves.concat();
+        rows.sort_unstable();
+        assert_eq!(rows, (0..100).collect::<Vec<_>>(), "split leaked a row");
     }
 
     #[test]
     fn custom_fraction_respected() {
-        // the split under `split_eval` at a fraction other than one half
+        // the evaluation split's shuffle at a fraction other than one half
         let (validation, test) = pool(100).split(0.2, 2);
         assert_eq!(validation.len(), 20);
         assert_eq!(test.len(), 80);

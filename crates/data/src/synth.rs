@@ -3,16 +3,41 @@
 //! Two generators mirror the paper's datasets (see the crate docs for the
 //! substitution rationale):
 //!
-//! * [`cifar_like`] — a shared Gaussian-mixture task. All nodes sample from
-//!   the *same* distribution; heterogeneity is injected afterwards by the
-//!   [`crate::partition`] module (2-shard label skew, as in §4.2).
+//! * [`cifar_partitioned`] — a shared Gaussian-mixture task. All nodes
+//!   sample from the *same* distribution; heterogeneity comes from how the
+//!   [`crate::partition`] module deals the shared pool (2-shard label skew,
+//!   as in §4.2).
 //! * [`femnist_like`] — per-writer data: one global mixture pushed through a
 //!   per-writer affine "style" transform, so label distributions are close
 //!   to homogeneous while feature distributions differ per node.
+//!
+//! # Streams
+//!
+//! Every dataset is one stream of a [`MixtureTask`], walked row by row:
+//! stream 1 is the CIFAR-like training pool, stream 2 its evaluation pool,
+//! stream 3 the FEMNIST-like evaluation pool and stream `100 + w` writer
+//! `w`'s training set. A row draws its class and its mode from the
+//! stream's uniform RNG, then its `feature_dim` Gaussians.
+//!
+//! # Drawing in place
+//!
+//! A pool is never held whole. Where a row lands is fixed first: a
+//! label-dependent partition (shards, Dirichlet) runs a *labels walk* over
+//! the stream, which draws each row's class and mode and skips its
+//! Gaussians exactly ([`GaussianSampler::skip`]); the IID deal and the
+//! validation/test split place rows from their shuffle alone. The full
+//! walk then writes each row straight into its node's dataset or its
+//! evaluation half through a placement table of `(dataset, row)` pairs.
+//! One private function draws or skips a row, so the two walks read the
+//! same draws and every row gets the bits it had in the pool.
 
 use crate::dataset::Dataset;
+use crate::partition::{partition_rows, Partition};
+use crate::rng::GaussianSampler;
+use crate::split::{split_rows, EvalSplits};
 use rand::RngExt;
-use skiptrain_linalg::{GaussianSampler, Matrix};
+use skiptrain_linalg::rng::derive_seed;
+use skiptrain_linalg::Matrix;
 
 /// Configuration for a Gaussian-mixture classification task.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -113,26 +138,80 @@ impl MixtureTask {
     /// Draws `n` samples, optionally pushing features through an affine
     /// style transform (used for per-writer data).
     pub fn sample_with_style(&self, n: usize, stream: u64, style: Option<&WriterStyle>) -> Dataset {
-        let d = self.spec.feature_dim;
-        let mut g = GaussianSampler::for_stream(self.seed, stream.wrapping_add(1));
-        let mut features = Matrix::zeros(n, d);
-        let mut labels = Vec::with_capacity(n);
-        let mut buf = vec![0.0f32; d];
-        for r in 0..n {
-            let class = g.rng_mut().random_range(0..self.spec.num_classes);
-            let mode = g.rng_mut().random_range(0..self.spec.modes_per_class);
-            let center = &self.centers[class * self.spec.modes_per_class + mode];
-            g.fill(&mut buf);
-            let row = features.row_mut(r);
-            for ((x, &c), &z) in row.iter_mut().zip(center).zip(&buf) {
-                *x = c + self.spec.noise * z;
+        self.deal(stream, vec![(0..n).collect()], style).remove(0)
+    }
+
+    fn sampler(&self, stream: u64) -> GaussianSampler {
+        GaussianSampler::for_stream(self.seed, stream.wrapping_add(1))
+    }
+
+    /// The next row of `g`'s stream: draws its class and mode, then its
+    /// features into `row`, or skips them when there is no row.
+    fn row(&self, g: &mut GaussianSampler, row: Option<&mut [f32]>) -> u32 {
+        let class = g.rng_mut().random_range(0..self.spec.num_classes);
+        let mode = g.rng_mut().random_range(0..self.spec.modes_per_class);
+        match row {
+            Some(row) => {
+                let center = &self.centers[class * self.spec.modes_per_class + mode];
+                for (x, &c) in row.iter_mut().zip(center) {
+                    *x = c + self.spec.noise * g.sample();
+                }
             }
+            None => g.skip(self.spec.feature_dim),
+        }
+        class as u32
+    }
+
+    /// The labels walk: the classes of the first `n` rows of `stream`.
+    fn labels(&self, n: usize, stream: u64) -> Vec<u32> {
+        let mut g = self.sampler(stream);
+        (0..n).map(|_| self.row(&mut g, None)).collect()
+    }
+
+    /// The full walk: draws `stream` into one dataset per index list, row
+    /// `parts[j][p]` of the stream becoming row `p` of dataset `j`, through
+    /// a placement table of `(j, p)` per stream row. The lists must name
+    /// every row exactly once; they are freed as the table fills.
+    fn deal(
+        &self,
+        stream: u64,
+        parts: Vec<Vec<usize>>,
+        style: Option<&WriterStyle>,
+    ) -> Vec<Dataset> {
+        let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
+        // a row no list names keeps an out-of-range dataset and panics below
+        let mut place = vec![(u32::MAX, 0u32); sizes.iter().sum()];
+        for (j, part) in parts.into_iter().enumerate() {
+            for (p, i) in part.into_iter().enumerate() {
+                place[i] = (j as u32, p as u32);
+            }
+        }
+        let d = self.spec.feature_dim;
+        let mut features: Vec<Matrix> = sizes.iter().map(|&n| Matrix::zeros(n, d)).collect();
+        let mut labels: Vec<Vec<u32>> = sizes.iter().map(|&n| vec![0; n]).collect();
+        let mut g = self.sampler(stream);
+        for (j, p) in place {
+            let (j, p) = (j as usize, p as usize);
+            let row = features[j].row_mut(p);
+            labels[j][p] = self.row(&mut g, Some(&mut *row));
             if let Some(style) = style {
                 style.apply(row);
             }
-            labels.push(class as u32);
         }
-        Dataset::new(features, labels, self.spec.num_classes)
+        features
+            .into_iter()
+            .zip(labels)
+            .map(|(f, l)| Dataset::new(f, l, self.spec.num_classes))
+            .collect()
+    }
+
+    /// Draws `stream`'s `n` rows straight into disjoint validation/test
+    /// halves (§4.2: half the test set is held out for tuning).
+    fn eval_splits(&self, n: usize, stream: u64, seed: u64) -> EvalSplits {
+        let mut halves = self.deal(stream, split_rows(n, 0.5, derive_seed(seed, 0xE0A1)), None);
+        let validation = halves.remove(0);
+        let test = halves.remove(0);
+        EvalSplits { validation, test }
     }
 }
 
@@ -184,22 +263,38 @@ impl WriterStyle {
     }
 }
 
-/// Generates the CIFAR-10-like global pools: `(train, test)`.
+/// Generates the CIFAR-10-like data: one shared training pool of
+/// `n_nodes · samples_per_node` rows dealt to the nodes by `partition`, and
+/// an evaluation pool of `test_n` rows halved into validation and test.
+/// Neither pool is ever held whole (see the module docs).
 ///
-/// Heterogeneity is *not* applied here — partition the train pool with
-/// [`crate::partition::partition_indices`] (2-shard for the paper setting).
-pub fn cifar_like(
+/// # Panics
+/// Panics if `n_nodes == 0`, or as [`crate::partition::partition_indices`]
+/// does for a partition the pool cannot satisfy.
+pub fn cifar_partitioned(
     spec: &MixtureSpec,
-    train_n: usize,
+    n_nodes: usize,
+    samples_per_node: usize,
     test_n: usize,
+    partition: &Partition,
     seed: u64,
-) -> (Dataset, Dataset) {
+) -> (Vec<Dataset>, EvalSplits) {
     let task = MixtureTask::new(spec.clone(), seed);
-    (task.sample(train_n, 1), task.sample(test_n, 2))
+    let rows = n_nodes * samples_per_node;
+    let parts = partition_rows(
+        rows,
+        || task.labels(rows, 1),
+        spec.num_classes,
+        n_nodes,
+        partition,
+        derive_seed(seed, 0x5A4D),
+    );
+    (task.deal(1, parts, None), task.eval_splits(test_n, 2, seed))
 }
 
 /// Generates FEMNIST-like per-writer data: one train dataset per node (each
-/// through its own style) and a global style-free test pool.
+/// through its own style) and a style-free evaluation pool of `test_n` rows
+/// halved into validation and test.
 ///
 /// `samples_per_writer` may vary per node in reality; the paper selects the
 /// top-256 writers by sample count, which we model as a uniform count.
@@ -210,20 +305,135 @@ pub fn femnist_like(
     test_n: usize,
     style_strength: f32,
     seed: u64,
-) -> (Vec<Dataset>, Dataset) {
+) -> (Vec<Dataset>, EvalSplits) {
     let task = MixtureTask::new(spec.clone(), seed);
-    let mut writers = Vec::with_capacity(n_writers);
-    for w in 0..n_writers {
-        let style = WriterStyle::sample(spec.feature_dim, style_strength, seed, w as u64);
-        writers.push(task.sample_with_style(samples_per_writer, 100 + w as u64, Some(&style)));
-    }
-    let test = task.sample(test_n, 3);
-    (writers, test)
+    let writers = (0..n_writers)
+        .map(|w| {
+            let style = WriterStyle::sample(spec.feature_dim, style_strength, seed, w as u64);
+            task.sample_with_style(samples_per_writer, 100 + w as u64, Some(&style))
+        })
+        .collect();
+    (writers, task.eval_splits(test_n, 3, seed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::partition_indices;
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+
+    /// The construction drawing in place replaced: each pool drawn whole
+    /// (the old `MixtureTask::sample_with_style` loop), then copied out.
+    fn pool(task: &MixtureTask, n: usize, stream: u64, style: Option<&WriterStyle>) -> Dataset {
+        let spec = &task.spec;
+        let mut g = GaussianSampler::for_stream(task.seed, stream.wrapping_add(1));
+        let mut features = Matrix::zeros(n, spec.feature_dim);
+        let mut labels = Vec::with_capacity(n);
+        let mut buf = vec![0.0f32; spec.feature_dim];
+        for r in 0..n {
+            let class = g.rng_mut().random_range(0..spec.num_classes);
+            let mode = g.rng_mut().random_range(0..spec.modes_per_class);
+            let center = &task.centers[class * spec.modes_per_class + mode];
+            g.fill(&mut buf);
+            let row = features.row_mut(r);
+            for ((x, &c), &z) in row.iter_mut().zip(center).zip(&buf) {
+                *x = c + spec.noise * z;
+            }
+            if let Some(style) = style {
+                style.apply(row);
+            }
+            labels.push(class as u32);
+        }
+        Dataset::new(features, labels, spec.num_classes)
+    }
+
+    /// The old `split_eval`: the pool's rows shuffled, then copied into
+    /// halves.
+    fn split_eval(pool: &Dataset, seed: u64) -> (Dataset, Dataset) {
+        let mut idx: Vec<usize> = (0..pool.len()).collect();
+        idx.shuffle(&mut SmallRng::seed_from_u64(seed));
+        let cut = ((pool.len() as f64) * 0.5).round() as usize;
+        let cut = cut.clamp(
+            usize::from(pool.len() >= 2),
+            pool.len().saturating_sub(1).max(1),
+        );
+        (pool.subset(&idx[..cut]), pool.subset(&idx[cut..]))
+    }
+
+    fn assert_same_bits(got: &Dataset, want: &Dataset, what: &str) {
+        let bits = |d: &Dataset| -> Vec<u32> {
+            d.features()
+                .as_slice()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        assert_eq!(got.features().shape(), want.features().shape(), "{what}");
+        assert_eq!(got.num_classes(), want.num_classes(), "{what}");
+        assert_eq!(got.labels(), want.labels(), "{what}: labels");
+        assert!(bits(got) == bits(want), "{what}: feature bits differ");
+    }
+
+    fn assert_same_eval(got: &EvalSplits, task: &MixtureTask, n: usize, stream: u64, seed: u64) {
+        let (validation, test) =
+            split_eval(&pool(task, n, stream, None), derive_seed(seed, 0xE0A1));
+        assert_same_bits(&got.validation, &validation, "validation");
+        assert_same_bits(&got.test, &test, "test");
+    }
+
+    #[test]
+    fn drawing_in_place_gives_the_pool_and_copy_bits() {
+        // An odd feature_dim ends every other row on a spare Gaussian; 6
+        // nodes of 7 samples are 42 rows, which 12 or 18 shards do not
+        // divide; 41 evaluation rows halve unevenly.
+        let (nodes, samples, test_n, seed) = (6, 7, 41, 13);
+        let spec = MixtureSpec::cifar_like(5);
+        let task = MixtureTask::new(spec.clone(), seed);
+        let train = pool(&task, nodes * samples, 1, None);
+        for partition in [
+            Partition::Shards { shards_per_node: 2 },
+            Partition::Shards { shards_per_node: 3 },
+            Partition::Iid,
+            Partition::Dirichlet { alpha: 0.5 },
+        ] {
+            let (got, eval) = cifar_partitioned(&spec, nodes, samples, test_n, &partition, seed);
+            let parts = partition_indices(
+                train.labels(),
+                spec.num_classes,
+                nodes,
+                &partition,
+                derive_seed(seed, 0x5A4D),
+            );
+            assert_eq!(got.len(), nodes);
+            for (j, (node, idx)) in got.iter().zip(&parts).enumerate() {
+                assert_same_bits(node, &train.subset(idx), &format!("{partition:?} node {j}"));
+            }
+            assert_same_eval(&eval, &task, test_n, 2, seed);
+        }
+
+        let spec = MixtureSpec::femnist_like(5);
+        let (writers, eval) = femnist_like(&spec, nodes, samples, test_n, 0.7, seed);
+        let task = MixtureTask::new(spec.clone(), seed);
+        assert_eq!(writers.len(), nodes);
+        for (w, writer) in writers.iter().enumerate() {
+            let style = WriterStyle::sample(5, 0.7, seed, w as u64);
+            let want = pool(&task, samples, 100 + w as u64, Some(&style));
+            assert_same_bits(writer, &want, &format!("writer {w}"));
+        }
+        assert_same_eval(&eval, &task, test_n, 3, seed);
+    }
+
+    #[test]
+    fn labels_walk_reads_the_full_walks_classes() {
+        // odd and even feature_dim: the skip must leave the spare where
+        // drawing the features would
+        for d in [5, 6] {
+            let task = MixtureTask::new(MixtureSpec::cifar_like(d), 4);
+            assert_eq!(task.labels(57, 1), task.sample(57, 1).labels());
+        }
+    }
 
     #[test]
     fn mixture_is_deterministic_per_seed() {
@@ -311,10 +521,11 @@ mod tests {
     #[test]
     fn femnist_like_produces_writers_and_test() {
         let spec = MixtureSpec::femnist_like(8);
-        let (writers, test) = femnist_like(&spec, 5, 30, 100, 0.5, 2);
+        let (writers, eval) = femnist_like(&spec, 5, 30, 101, 0.5, 2);
         assert_eq!(writers.len(), 5);
         assert!(writers.iter().all(|w| w.len() == 30));
-        assert_eq!(test.len(), 100);
+        // the 101-row evaluation pool is halved, the odd row to validation
+        assert_eq!((eval.validation.len(), eval.test.len()), (51, 50));
         // writer label distributions are near-homogeneous (all writers see
         // every class with the same prior), unlike 2-shard CIFAR
         for w in &writers {

@@ -35,4 +35,3 @@ mod simd;
 pub use exp::exp_in_place;
 pub use gemm::{gemm_a_bt_into, gemm_at_b_into, gemm_into};
 pub use matrix::Matrix;
-pub use rng::GaussianSampler;

@@ -34,12 +34,13 @@ fn main() {
     );
     let pool = task.sample(n * 120, 1);
     let parts = skiptrain_data::partition::partition_indices(
-        &pool,
+        pool.labels(),
+        pool.num_classes(),
         n,
         &Partition::Shards { shards_per_node: 2 },
         seed,
     );
-    let datasets = skiptrain_data::partition::materialize(&pool, &parts);
+    let datasets: Vec<_> = parts.iter().map(|idx| pool.subset(idx)).collect();
     let test = task.sample(1500, 2);
 
     // Swarm communication: a sparse 4-regular mesh.

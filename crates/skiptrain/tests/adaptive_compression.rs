@@ -416,7 +416,7 @@ fn invalid_compression_specs_are_rejected_with_typed_errors() {
 #[test]
 fn energy_adaptive_beats_every_fixed_codec_per_harvested_wh() {
     use skiptrain::data::partition::partition_indices;
-    use skiptrain::data::synth::{cifar_like, MixtureSpec};
+    use skiptrain::data::synth::{MixtureSpec, MixtureTask};
     use skiptrain::energy::comm::CommEnergyModel;
     use skiptrain::topology::regular::circulant;
     use skiptrain::topology::{ScheduledTopology, TopologySchedule};
@@ -438,13 +438,14 @@ fn energy_adaptive_beats_every_fixed_codec_per_harvested_wh() {
     const HARVEST_WH: f64 = 1.5e-3;
     const ROUND_S: f64 = 60.0;
 
-    let spec = MixtureSpec::cifar_like(32);
-    let (train_pool, test_pool) = cifar_like(&spec, NODES * 80, 512, SEED);
+    let task = MixtureTask::new(MixtureSpec::cifar_like(32), SEED);
+    let (train_pool, test_pool) = (task.sample(NODES * 80, 1), task.sample(512, 2));
     // The paper's 2-shard label skew: a fleet mixing only sparse
     // messages cannot reach consensus, and a node that misses a round
     // leaves its classes underrepresented in the mean model.
     let shards = partition_indices(
-        &train_pool,
+        train_pool.labels(),
+        train_pool.num_classes(),
         NODES,
         &Partition::Shards { shards_per_node: 2 },
         SEED,
