@@ -35,11 +35,6 @@ impl Dataset {
         }
     }
 
-    /// An empty dataset with the given feature dimension and class count.
-    pub fn empty(feature_dim: usize, num_classes: usize) -> Self {
-        Self::new(Matrix::zeros(0, feature_dim), Vec::new(), num_classes)
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.labels.len()
@@ -75,17 +70,8 @@ impl Dataset {
     /// # Panics
     /// Panics if any index is out of bounds.
     pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let mut features = Matrix::zeros(indices.len(), self.feature_dim());
-        let mut labels = Vec::with_capacity(indices.len());
-        for (r, &i) in indices.iter().enumerate() {
-            assert!(
-                i < self.len(),
-                "subset index {i} out of bounds ({})",
-                self.len()
-            );
-            features.copy_row_from(r, &self.features, i);
-            labels.push(self.labels[i]);
-        }
+        let (mut features, mut labels) = (Matrix::zeros(0, 0), Vec::with_capacity(indices.len()));
+        self.gather_batch(indices, &mut features, &mut labels);
         Dataset::new(features, labels, self.num_classes)
     }
 
@@ -102,16 +88,6 @@ impl Dataset {
         }
     }
 
-    /// Splits into two disjoint datasets of `frac` / `1 - frac` of the rows,
-    /// shuffled deterministically by `seed`.
-    ///
-    /// # Panics
-    /// Panics unless `0.0 < frac < 1.0`.
-    pub fn split(&self, frac: f64, seed: u64) -> (Dataset, Dataset) {
-        let halves = crate::split::split_rows(self.len(), frac, seed);
-        (self.subset(&halves[0]), self.subset(&halves[1]))
-    }
-
     /// Per-class sample counts.
     pub fn class_histogram(&self) -> Vec<usize> {
         let mut h = vec![0usize; self.num_classes];
@@ -124,30 +100,6 @@ impl Dataset {
     /// Number of classes with at least one sample.
     pub fn distinct_classes(&self) -> usize {
         self.class_histogram().iter().filter(|&&c| c > 0).count()
-    }
-
-    /// Concatenates datasets with identical shape metadata.
-    ///
-    /// # Panics
-    /// Panics if `parts` is empty or shapes disagree.
-    pub fn concat(parts: &[&Dataset]) -> Dataset {
-        assert!(!parts.is_empty(), "concat of zero datasets");
-        let dim = parts[0].feature_dim();
-        let classes = parts[0].num_classes;
-        let total: usize = parts.iter().map(|d| d.len()).sum();
-        let mut features = Matrix::zeros(total, dim);
-        let mut labels = Vec::with_capacity(total);
-        let mut r = 0usize;
-        for part in parts {
-            assert_eq!(part.feature_dim(), dim, "concat feature dim mismatch");
-            assert_eq!(part.num_classes, classes, "concat class count mismatch");
-            for i in 0..part.len() {
-                features.copy_row_from(r, &part.features, i);
-                labels.push(part.labels[i]);
-                r += 1;
-            }
-        }
-        Dataset::new(features, labels, classes)
     }
 }
 
@@ -218,31 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn split_is_disjoint_and_complete() {
-        let d = toy();
-        let (a, b) = d.split(0.5, 42);
-        assert_eq!(a.len() + b.len(), d.len());
-        let mut all: Vec<f32> = a
-            .features()
-            .rows_iter()
-            .chain(b.features().rows_iter())
-            .map(|r| r[0])
-            .collect();
-        all.sort_by(f32::total_cmp);
-        let mut expected: Vec<f32> = d.features().rows_iter().map(|r| r[0]).collect();
-        expected.sort_by(f32::total_cmp);
-        assert_eq!(all, expected);
-    }
-
-    #[test]
-    fn split_is_deterministic() {
-        let d = toy();
-        let (a1, _) = d.split(0.5, 9);
-        let (a2, _) = d.split(0.5, 9);
-        assert_eq!(a1.labels(), a2.labels());
-    }
-
-    #[test]
     fn histogram_counts_labels() {
         let d = toy();
         assert_eq!(d.class_histogram(), vec![2, 2, 2]);
@@ -256,15 +183,6 @@ mod tests {
         d.gather_batch(&[1, 3], &mut x, &mut y);
         assert_eq!(y, vec![1, 0]);
         assert_eq!(x.row(0), d.features().row(1));
-    }
-
-    #[test]
-    fn concat_preserves_all_samples() {
-        let d = toy();
-        let (a, b) = d.split(0.5, 1);
-        let merged = Dataset::concat(&[&a, &b]);
-        assert_eq!(merged.len(), d.len());
-        assert_eq!(merged.class_histogram(), d.class_histogram());
     }
 
     #[test]

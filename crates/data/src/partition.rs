@@ -6,6 +6,7 @@
 //! node and 10 classes, most nodes end up with only two distinct labels —
 //! the extreme label skew visible in Figure 7 (left).
 
+use crate::rng::sin_cos;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -80,16 +81,12 @@ pub(crate) fn partition_rows<L: AsRef<[u32]>>(
     }
 }
 
+/// A shuffle of rows `0..n` dealt round-robin.
 fn iid_partition(n: usize, n_nodes: usize, seed: u64) -> Vec<Vec<usize>> {
     let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    idx.shuffle(&mut rng);
-    deal_round_robin(&idx, n_nodes)
-}
-
-fn deal_round_robin(idx: &[usize], n_nodes: usize) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::with_capacity(idx.len() / n_nodes + 1); n_nodes];
-    for (k, &i) in idx.iter().enumerate() {
+    idx.shuffle(&mut SmallRng::seed_from_u64(seed));
+    let mut out = vec![Vec::with_capacity(n / n_nodes + 1); n_nodes];
+    for (k, i) in idx.into_iter().enumerate() {
         out[k % n_nodes].push(i);
     }
     out
@@ -127,8 +124,7 @@ fn shard_partition(
 
     // Deal shards_per_node shuffled shards to each node.
     let mut order: Vec<usize> = (0..n_shards).collect();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    order.shuffle(&mut rng);
+    order.shuffle(&mut SmallRng::seed_from_u64(seed));
     let mut out = vec![Vec::new(); n_nodes];
     for (k, &shard_id) in order.iter().enumerate() {
         out[k / shards_per_node].extend_from_slice(shards[shard_id]);
@@ -150,7 +146,7 @@ fn gamma_sample(rng: &mut SmallRng, alpha: f32) -> f32 {
         // standard normal via Box–Muller on the fly
         let u1: f32 = (1.0 - rng.random::<f32>()).max(1e-7);
         let u2: f32 = rng.random::<f32>();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
+        let z = (-2.0 * u1.ln()).sqrt() * sin_cos(std::f32::consts::TAU * u2).1;
         let v = (1.0 + c * z).powi(3);
         if v <= 0.0 {
             continue;
@@ -180,25 +176,18 @@ fn dirichlet_partition(
     for class_idx in per_class.iter_mut() {
         class_idx.shuffle(&mut rng);
         // Node shares ~ Dirichlet(alpha).
-        let mut shares: Vec<f32> = (0..n_nodes)
+        let shares: Vec<f32> = (0..n_nodes)
             .map(|_| gamma_sample(&mut rng, alpha))
             .collect();
         let total: f32 = shares.iter().sum::<f32>().max(1e-9);
-        for s in &mut shares {
-            *s /= total;
-        }
         // Convert shares to contiguous cut points over the class samples.
         let n = class_idx.len();
         let mut start = 0usize;
         let mut acc = 0.0f32;
         for (node, &share) in shares.iter().enumerate() {
-            acc += share;
-            let end = if node + 1 == n_nodes {
-                n
-            } else {
-                ((n as f32) * acc).round() as usize
-            };
-            let end = end.clamp(start, n);
+            acc += share / total;
+            let cut = ((n as f32) * acc).round() as usize;
+            let end = if node + 1 == n_nodes { n } else { cut }.clamp(start, n);
             out[node].extend_from_slice(&class_idx[start..end]);
             start = end;
         }

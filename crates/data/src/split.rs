@@ -27,8 +27,7 @@ pub struct EvalSplits {
 pub(crate) fn split_rows(n: usize, frac: f64, seed: u64) -> Vec<Vec<usize>> {
     assert!(frac > 0.0 && frac < 1.0, "split fraction must be in (0, 1)");
     let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    idx.shuffle(&mut rng);
+    idx.shuffle(&mut SmallRng::seed_from_u64(seed));
     let cut = ((n as f64) * frac).round() as usize;
     let cut = cut.clamp(usize::from(n >= 2), n.saturating_sub(1).max(1));
     let rest = idx.split_off(cut);
@@ -38,13 +37,6 @@ pub(crate) fn split_rows(n: usize, frac: f64, seed: u64) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skiptrain_linalg::Matrix;
-
-    fn pool(n: usize) -> Dataset {
-        let features = Matrix::from_fn(n, 3, |r, c| (r * 3 + c) as f32);
-        let labels = (0..n).map(|i| (i % 4) as u32).collect();
-        Dataset::new(features, labels, 4)
-    }
 
     #[test]
     fn halves_are_disjoint_and_cover() {
@@ -59,8 +51,7 @@ mod tests {
     #[test]
     fn custom_fraction_respected() {
         // the evaluation split's shuffle at a fraction other than one half
-        let (validation, test) = pool(100).split(0.2, 2);
-        assert_eq!(validation.len(), 20);
-        assert_eq!(test.len(), 80);
+        let parts = split_rows(100, 0.2, 2);
+        assert_eq!((parts[0].len(), parts[1].len()), (20, 80));
     }
 }

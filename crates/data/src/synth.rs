@@ -17,23 +17,23 @@
 //! stream 1 is the CIFAR-like training pool, stream 2 its evaluation pool,
 //! stream 3 the FEMNIST-like evaluation pool and stream `100 + w` writer
 //! `w`'s training set. A row draws its class and its mode from the
-//! stream's uniform RNG, then its `feature_dim` Gaussians.
+//! stream's uniform RNG, then its `feature_dim` Gaussians in one block
+//! ([`GaussianSampler::fill`]).
 //!
 //! # Drawing in place
 //!
-//! A pool is never held whole. Where a row lands is fixed first: a
-//! label-dependent partition (shards, Dirichlet) runs a *labels walk* over
-//! the stream, which draws each row's class and mode and skips its
-//! Gaussians exactly ([`GaussianSampler::skip`]); the IID deal and the
-//! validation/test split place rows from their shuffle alone. The full
-//! walk then writes each row straight into its node's dataset or its
-//! evaluation half through a placement table of `(dataset, row)` pairs.
-//! One private function draws or skips a row, so the two walks read the
-//! same draws and every row gets the bits it had in the pool.
+//! A pool is never held whole. A label-dependent partition (shards,
+//! Dirichlet) first runs a *labels walk*: each row's class and mode, its
+//! Gaussians skipped exactly ([`GaussianSampler::skip`]); the IID deal and
+//! the validation/test split place rows from their shuffle alone. The full
+//! walk then writes each row into its node's dataset or evaluation half
+//! through a placement table of `(dataset, row)` pairs. One private
+//! function draws or skips a row, so every row gets the bits it had in the
+//! pool.
 
 use crate::dataset::Dataset;
 use crate::partition::{partition_rows, Partition};
-use crate::rng::GaussianSampler;
+use crate::rng::{sin_cos, GaussianSampler};
 use crate::split::{split_rows, EvalSplits};
 use rand::RngExt;
 use skiptrain_linalg::rng::derive_seed;
@@ -124,21 +124,10 @@ impl MixtureTask {
         }
     }
 
-    /// The task spec.
-    pub fn spec(&self) -> &MixtureSpec {
-        &self.spec
-    }
-
     /// Draws `n` labelled samples with uniform class priors on stream
     /// `stream` (distinct streams are independent).
     pub fn sample(&self, n: usize, stream: u64) -> Dataset {
-        self.sample_with_style(n, stream, None)
-    }
-
-    /// Draws `n` samples, optionally pushing features through an affine
-    /// style transform (used for per-writer data).
-    pub fn sample_with_style(&self, n: usize, stream: u64, style: Option<&WriterStyle>) -> Dataset {
-        self.deal(stream, vec![(0..n).collect()], style).remove(0)
+        self.deal(stream, vec![(0..n).collect()], None).remove(0)
     }
 
     fn sampler(&self, stream: u64) -> GaussianSampler {
@@ -146,15 +135,17 @@ impl MixtureTask {
     }
 
     /// The next row of `g`'s stream: draws its class and mode, then its
-    /// features into `row`, or skips them when there is no row.
+    /// Gaussians into `row` as one block and turns each `z` into
+    /// `center + noise·z` in place, or skips them when there is no row.
     fn row(&self, g: &mut GaussianSampler, row: Option<&mut [f32]>) -> u32 {
         let class = g.rng_mut().random_range(0..self.spec.num_classes);
         let mode = g.rng_mut().random_range(0..self.spec.modes_per_class);
         match row {
             Some(row) => {
+                g.fill(row);
                 let center = &self.centers[class * self.spec.modes_per_class + mode];
                 for (x, &c) in row.iter_mut().zip(center) {
-                    *x = c + self.spec.noise * g.sample();
+                    *x = c + self.spec.noise * *x;
                 }
             }
             None => g.skip(self.spec.feature_dim),
@@ -228,7 +219,9 @@ impl WriterStyle {
     /// Samples a style of the given strength for feature dimension `d`.
     ///
     /// `strength` ∈ [0, 1]: 0 is the identity; 1 applies `d` rotations of up
-    /// to ~0.5 rad and a bias of ~0.5 σ.
+    /// to ~0.5 rad and a bias of ~0.5 σ. Angles are taken modulo 2π, which
+    /// leaves those of a strength up to 2 as they are and keeps any other
+    /// inside the range where `sin_cos` holds.
     pub fn sample(d: usize, strength: f32, seed: u64, stream: u64) -> Self {
         let mut g = GaussianSampler::for_stream(seed, stream.wrapping_add(0x57717E));
         let n_rot = ((d as f32) * strength).round() as usize;
@@ -239,8 +232,8 @@ impl WriterStyle {
             if i == j {
                 j = (j + 1) % d;
             }
-            let angle = g.sample() * 0.5 * strength;
-            rotations.push((i, j, angle.cos(), angle.sin()));
+            let (sin, cos) = sin_cos(g.sample() * 0.5 * strength % std::f32::consts::TAU);
+            rotations.push((i, j, cos, sin));
         }
         let mut bias = vec![0.0f32; d];
         g.fill(&mut bias);
@@ -310,7 +303,8 @@ pub fn femnist_like(
     let writers = (0..n_writers)
         .map(|w| {
             let style = WriterStyle::sample(spec.feature_dim, style_strength, seed, w as u64);
-            task.sample_with_style(samples_per_writer, 100 + w as u64, Some(&style))
+            let rows = vec![(0..samples_per_writer).collect()];
+            task.deal(100 + w as u64, rows, Some(&style)).remove(0)
         })
         .collect();
     (writers, task.eval_splits(test_n, 3, seed))
@@ -324,8 +318,8 @@ mod tests {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
-    /// The construction drawing in place replaced: each pool drawn whole
-    /// (the old `MixtureTask::sample_with_style` loop), then copied out.
+    /// The construction drawing in place replaced: each pool drawn whole,
+    /// then copied out.
     fn pool(task: &MixtureTask, n: usize, stream: u64, style: Option<&WriterStyle>) -> Dataset {
         let spec = &task.spec;
         let mut g = GaussianSampler::for_stream(task.seed, stream.wrapping_add(1));
@@ -504,9 +498,20 @@ mod tests {
         let task = MixtureTask::new(spec.clone(), 5);
         let plain = task.sample(50, 9);
         let style = WriterStyle::sample(12, 0.8, 5, 1);
-        let styled = task.sample_with_style(50, 9, Some(&style));
+        let styled = task
+            .deal(9, vec![(0..50).collect()], Some(&style))
+            .remove(0);
         assert_eq!(plain.labels(), styled.labels());
         assert_ne!(plain.features().as_slice(), styled.features().as_slice());
+    }
+
+    #[test]
+    fn a_style_far_above_strength_one_still_rotates() {
+        // most of its 6 000 angles lie far outside `sin_cos`'s |x| < 120
+        let style = WriterStyle::sample(6, 1000.0, 1, 1);
+        for &(_, _, c, s) in &style.rotations {
+            assert!((c * c + s * s - 1.0).abs() < 1e-5, "({c}, {s})");
+        }
     }
 
     #[test]

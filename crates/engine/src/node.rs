@@ -330,7 +330,7 @@ mod tests {
     #[should_panic(expected = "empty dataset")]
     fn rejects_empty_dataset() {
         let model = skiptrain_nn::zoo::mlp(&[4, 2], 1);
-        let empty = Dataset::empty(4, 2);
+        let empty = Dataset::new(Matrix::zeros(0, 4), Vec::new(), 2);
         let _ = Node::new(0, model, empty, 8, SgdConfig::plain(0.1), 1);
     }
 }

@@ -15,8 +15,8 @@
 //!    only a large `A·Bᵀ` packs its operands, and no multiply forks.
 //!    [`exp_in_place`] is the one FMA build: its reference is not an order
 //!    but glibc's FMA `expf`, whose bits it gives on every host.
-//!    Every kernel compiled a second time for AVX2 picks its compilation in
-//!    one module, `linalg::simd`, which proves it equal to its baseline.
+//!    Every kernel compiled a second time, the data crate's too, picks its
+//!    compilation in one module, [`simd`], the workspace's one dispatcher.
 //! 3. **Zero allocation on hot paths** — all kernels write into caller-provided
 //!    buffers; the NN layers above keep workhorse buffers across rounds.
 //!
@@ -30,7 +30,7 @@ pub mod matrix;
 pub mod ops;
 pub mod reduce;
 pub mod rng;
-mod simd;
+pub mod simd;
 
 pub use exp::exp_in_place;
 pub use gemm::{gemm_a_bt_into, gemm_at_b_into, gemm_into};

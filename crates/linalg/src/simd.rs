@@ -1,7 +1,7 @@
-//! The one place the crate picks a compilation, and its only `unsafe`: a
-//! kernel worth a wider build is an `#[inline(always)]` body run through a
-//! dispatcher here. No intrinsics, so both compilations agree bit for bit;
-//! each module's tests hold its kernels to their baselines with one checker.
+//! The one place the workspace picks a compilation, and its library `unsafe`:
+//! a kernel worth a wider build, here or in `skiptrain-data`, is an
+//! `#[inline(always)]` body run through a dispatcher here. No intrinsics, so
+//! both compilations agree bit for bit; each module's tests check its own.
 
 /// Runs `f` compiled for AVX2 when the CPU has it, as written otherwise:
 /// the GEMM tiles, the weighted-sum groups and the codec kernels. Callers
@@ -27,12 +27,12 @@ pub(crate) fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// [`with_avx2`] for a body whose only fused operations are its explicit
-/// `mul_add`s (exp's blocks): compiled for AVX2 + FMA where the CPU has
-/// both. Rust rounds a `mul_add` once in either compilation (one
-/// instruction here, libm's `fma` in the baseline), so the bits agree.
+/// `with_avx2` for a body whose only fused operations are its explicit
+/// `mul_add`s (exp's and the Gaussian sampler's blocks): compiled for
+/// AVX2 and FMA where the CPU has both. Rust rounds a `mul_add` once in
+/// either compilation (libm's `fma` in the baseline), so the bits agree.
 #[inline(always)]
-pub(crate) fn with_avx2_fma<R>(f: impl FnOnce() -> R) -> R {
+pub fn with_avx2_fma<R>(f: impl FnOnce() -> R) -> R {
     #[cfg(target_arch = "x86_64")]
     {
         #[inline]
